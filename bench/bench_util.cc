@@ -155,7 +155,8 @@ benchUsageText()
            "               (--stats-json only; not byte-stable)\n"
            "               (observability flags never change figure\n"
            "               CSVs or cache keys; cached points render\n"
-           "               without simulating and go unobserved)\n"
+           "               without simulating, so they record only\n"
+           "               their cache events and host phases)\n"
            "  --help       show this text and exit\n";
 }
 

@@ -10,7 +10,6 @@
 #include "common/table.hh"
 #include "engine/engine.hh"
 #include "engine/obs_report.hh"
-#include "obs/collector.hh"
 #include "runner/shard.hh"
 
 namespace canon
@@ -148,22 +147,17 @@ FigureBench::run(const BenchOptions &opt, std::ostream &out,
         std::size_t table;
         FigurePoint point;
     };
-    std::vector<JobRef> jobs;
-    jobs.reserve(jobCount());
+    std::vector<JobRef> all;
+    all.reserve(jobCount());
     for (std::size_t t = 0; t < tables_.size(); ++t)
         for (auto &p : tables_[t].grid.expand())
-            jobs.push_back({t, std::move(p)});
-
-    const std::size_t total = jobs.size();
-    const auto [first, last] =
-        runner::shardRange(opt.common.shard, total);
-    if (!opt.common.shard.whole()) {
-        jobs = std::vector<JobRef>(
-            jobs.begin() + static_cast<std::ptrdiff_t>(first),
-            jobs.begin() + static_cast<std::ptrdiff_t>(last));
+            all.push_back({t, std::move(p)});
+    const std::size_t total = all.size();
+    const std::vector<JobRef> jobs =
+        runner::shardSlice(opt.common.shard, std::move(all));
+    if (!opt.common.shard.whole())
         out << name_ << ": " << jobs.size() << " of " << total
             << " jobs (shard " << opt.common.shard.label() << ")\n";
-    }
 
     engine::Engine eng(
         engine::makeEngineConfig(opt.common, default_jobs_));
@@ -172,54 +166,35 @@ FigureBench::run(const BenchOptions &opt, std::ostream &out,
         return 1;
     }
 
-    // Submit the shard as one payload batch: execution goes through
-    // the payload codec on hit *and* miss, so a warm rerun renders
-    // exactly the bytes the cold run rendered.
-    //
-    // When observability flags are on, each compute closure runs
-    // under its own collector so the fabrics it constructs report
-    // back; cache-hit points compute nothing and stay unobserved.
+    // Every grid point is one cached job whose payload is its encoded
+    // rows, so a warm rerun renders exactly the bytes the cold run
+    // rendered, and a stored entry that does not decode is recomputed
+    // as one miss.
     const obs::ObsOptions &obs_opt = opt.common.obs;
-    std::vector<std::shared_ptr<const obs::ScenarioObs>> job_obs(
-        jobs.size());
-    std::vector<engine::PayloadJob> batch;
-    batch.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const JobRef &job = jobs[i];
-        const FigureTable &table = tables_[job.table];
-        std::function<std::string()> compute =
-            [&table, &point = job.point] {
-                return cache::encodeRows(table.emit(point));
-            };
-        if (obs_opt.enabled())
-            compute = [compute = std::move(compute), &obs_opt,
-                       &job_obs, i] {
-                obs::Collector col(obs_opt);
-                obs::ScopedCollector scope(col);
-                std::string payload = compute();
-                job_obs[i] = col.finish();
-                return payload;
-            };
-        batch.push_back(
-            {cache::figureKey(name_, table.title, job.point.label),
-             std::move(compute)});
-    }
-
-    std::vector<std::string> payloads;
-    try {
-        payloads = eng.runPayloadBatch(batch);
-    } catch (const std::exception &e) {
-        err << name_ << ": " << e.what() << "\n";
-        return 1;
-    }
-
     std::vector<FigureRows> results(jobs.size());
+    std::vector<runner::JobStatus> status(jobs.size());
+    std::vector<runner::CachedJob> batch(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (!cache::decodeRows(payloads[i], results[i])) {
-            err << name_ << ": corrupt cache entry for '"
-                << jobs[i].point.label << "' in "
-                << opt.common.cacheDir
-                << " (rerun with --cache refresh)\n";
+        const FigureTable &table = tables_[jobs[i].table];
+        const FigurePoint &point = jobs[i].point;
+        runner::CachedJob &job = batch[i];
+        job.key = cache::figureKey(name_, table.title, point.label);
+        job.obs = &obs_opt;
+        job.compute = [&table, &point] {
+            return cache::encodeRows(table.emit(point));
+        };
+        job.accept = [&rows = results[i]](const std::string &payload) {
+            return cache::decodeRows(payload, rows);
+        };
+        job.status = &status[i];
+    }
+    eng.runJobs(batch);
+
+    // Every job was attempted; report the lowest-indexed failure.
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (!status[i].error.empty()) {
+            err << name_ << ": job " << i << ": " << status[i].error
+                << "\n";
             return 1;
         }
     }
@@ -250,13 +225,15 @@ FigureBench::run(const BenchOptions &opt, std::ostream &out,
     }
 
     if (obs_opt.enabled()) {
-        std::vector<std::string> labels;
-        labels.reserve(jobs.size());
-        for (const JobRef &job : jobs)
-            labels.push_back(tables_[job.table].title + ": " +
-                             job.point.label);
-        const engine::ObsReport rep = engine::ObsReport::buildPayload(
-            obs_opt, labels, job_obs, eng.store());
+        std::vector<engine::ObsScenario> scenarios;
+        scenarios.reserve(jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            scenarios.push_back({i,
+                                 tables_[jobs[i].table].title + ": " +
+                                     jobs[i].point.label,
+                                 {}, {}, {}, status[i].obs});
+        const engine::ObsReport rep(obs_opt, std::move(scenarios),
+                                    eng.store());
         if (std::string oerr = rep.writeOutputs(); !oerr.empty()) {
             err << name_ << ": " << oerr << "\n";
             return 1;

@@ -5,11 +5,12 @@
  * Every figure of the paper's evaluation is a grid of scenarios. This
  * layer lets a bench binary *declare* that grid -- a FigureSpec axis
  * list per table, exactly the SweepSpec contract of src/runner/ --
- * and submit it as one payload batch to a canon::engine::Engine
- * (which owns the worker pool and the result cache), instead of
- * hand-rolling a serial scenario loop. One FigureBench holds the
- * binary's tables; its job list is the concatenation of every table's
- * expanded grid, which gives all 13 binaries the same CLI for free:
+ * and submit every grid point as one cached job to a
+ * canon::engine::Engine (which owns the worker pool and the result
+ * cache), instead of hand-rolling a serial scenario loop. One
+ * FigureBench holds the binary's tables; its job list is the
+ * concatenation of every table's expanded grid, which gives all 13
+ * binaries the same CLI for free:
  *
  *   bench_figNN [--jobs N] [--shard I/N] [--cache-dir D [--cache M]]
  *
@@ -167,9 +168,11 @@ class FigureBench
 
     /**
      * Submit this bench's shard of the job list to a canon::engine
-     * Engine as one payload batch and render every table (and CSV)
-     * in declaration order. Returns a process exit code: 0 on
-     * success, 1 when a job failed or a CSV could not be written.
+     * Engine (Engine::runJobs, one cached job per grid point) and
+     * render every table (and CSV) in declaration order. Returns a
+     * process exit code: 0 on success, 1 when a job failed (the
+     * lowest-indexed failure is reported) or an output could not be
+     * written.
      */
     int run(const BenchOptions &opt, std::ostream &out,
             std::ostream &err) const;

@@ -4,24 +4,11 @@
 
 #include "common/table.hh"
 #include "engine/engine.hh"
-#include "runner/pool.hh"
 
 namespace canon
 {
 namespace cli
 {
-
-CaseResult
-runCases(const Options &opt)
-{
-    return engine::runScenarioCases(opt);
-}
-
-Table
-buildStatsTable(const Options &opt, const CaseResult &cases)
-{
-    return engine::scenarioStatsTable(opt, cases);
-}
 
 namespace
 {

@@ -20,25 +20,11 @@
 #include <iosfwd>
 
 #include "cli/options.hh"
-#include "common/table.hh"
-#include "workloads/suite.hh"
 
 namespace canon
 {
 namespace cli
 {
-
-/**
- * Run the selected workload (or whole model, when --model is set) on
- * every requested architecture. Only the requested architectures are
- * simulated -- a baselines-only run skips the Canon cycle simulation
- * entirely. Architectures that cannot execute the workload are
- * absent from the result (the "X" cells of the paper's figures).
- */
-CaseResult runCases(const Options &opt);
-
-/** Build the per-architecture stats table for a finished run. */
-Table buildStatsTable(const Options &opt, const CaseResult &cases);
 
 /**
  * Full driver: expand the sweep (a plain run is the one-job

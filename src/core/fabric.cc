@@ -1,7 +1,6 @@
 #include "core/fabric.hh"
 
 #include "common/rng.hh"
-#include "obs/accounting.hh"
 #include "obs/collector.hh"
 #include "obs/sampler.hh"
 
@@ -259,56 +258,55 @@ CanonFabric::done() const
     return channelsDrained();
 }
 
+std::unique_ptr<obs::CycleAccountant>
+CanonFabric::makeAccountant() const
+{
+    std::vector<const Orchestrator *> orchs;
+    for (const auto &o : orchs_)
+        orchs.push_back(o.get());
+    std::vector<const Pe *> pes;
+    for (const auto &p : pes_)
+        pes.push_back(p.get());
+    std::vector<const InstPipeline *> pipes;
+    for (const auto &p : pipes_)
+        pipes.push_back(p.get());
+    std::vector<const DataChannel *> vert;
+    for (const auto &row : vert_)
+        for (const auto &ch : row)
+            vert.push_back(ch.get());
+    std::vector<const DataChannel *> horiz;
+    for (const auto &row : horiz_)
+        for (const auto &ch : row)
+            horiz.push_back(ch.get());
+    std::vector<const MsgChannel *> msgs;
+    for (const auto &m : msg_)
+        msgs.push_back(m.get());
+    return std::make_unique<obs::CycleAccountant>(
+        std::move(orchs), std::move(pes), std::move(pipes),
+        std::move(vert), std::move(horiz), std::move(msgs));
+}
+
 Cycle
 CanonFabric::run(Cycle max_cycles)
 {
     fatalIf(!loaded_, "CanonFabric::run: no kernel loaded");
     obs::Collector *col = obs::current();
-    if (col && col->sampling() && !sampler_) {
-        sampler_ = std::make_unique<obs::CycleSampler>(
-            stats_, col->options().sampleEvery);
-        sim_.addTyped(sampler_.get());
-    }
-    if (col && col->accounting() && !accountant_) {
-        std::vector<const Orchestrator *> orchs;
-        for (const auto &o : orchs_)
-            orchs.push_back(o.get());
-        std::vector<const Pe *> pes;
-        for (const auto &p : pes_)
-            pes.push_back(p.get());
-        std::vector<const InstPipeline *> pipes;
-        for (const auto &p : pipes_)
-            pipes.push_back(p.get());
-        std::vector<const DataChannel *> vert;
-        for (const auto &row : vert_)
-            for (const auto &ch : row)
-                vert.push_back(ch.get());
-        std::vector<const DataChannel *> horiz;
-        for (const auto &row : horiz_)
-            for (const auto &ch : row)
-                horiz.push_back(ch.get());
-        std::vector<const MsgChannel *> msgs;
-        for (const auto &m : msg_)
-            msgs.push_back(m.get());
-        accountant_ = std::make_unique<obs::CycleAccountant>(
-            std::move(orchs), std::move(pes), std::move(pipes),
-            std::move(vert), std::move(horiz), std::move(msgs),
-            col->options().sampleEvery);
-        sim_.addTyped(accountant_.get());
+    if (col && (col->sampling() || col->accounting()) && !probe_) {
+        probe_ = std::make_unique<obs::CycleProbe>(
+            col->options().sampleEvery,
+            col->sampling() ? std::make_unique<obs::CycleSampler>(stats_)
+                            : nullptr,
+            col->accounting() ? makeAccountant() : nullptr);
+        sim_.addTyped(probe_.get());
     }
     const Cycle elapsed = sim_.run([this] { return done(); }, max_cycles);
     if (col) {
-        if (sampler_)
-            sampler_->captureFinal();
-        obs::SeriesSet series =
-            sampler_ ? sampler_->take() : obs::SeriesSet{};
+        obs::SeriesSet series;
         obs::AccountingSet accounting;
-        if (accountant_) {
-            accountant_->captureFinal();
-            obs::SeriesSet acct = accountant_->takeSeries();
-            for (auto &s : acct.series)
-                series.series.push_back(std::move(s));
-            accounting = accountant_->take();
+        if (probe_) {
+            probe_->captureFinal();
+            series = probe_->takeSeries();
+            accounting = probe_->takeAccounting();
         }
         col->recordFabricRun(stats_, elapsed, std::move(series),
                              std::move(accounting));

@@ -38,8 +38,8 @@ namespace canon
 
 namespace obs
 {
-class CycleSampler;
 class CycleAccountant;
+class CycleProbe;
 }
 
 class CanonFabric
@@ -55,7 +55,7 @@ class CanonFabric
     explicit CanonFabric(const CanonConfig &cfg,
                          std::uint64_t reg_shuffle_seed = 0);
 
-    /** Out of line: sampler_/accountant_ are incomplete here. */
+    /** Out of line: probe_ is incomplete here. */
     ~CanonFabric();
 
     const CanonConfig &config() const { return cfg_; }
@@ -120,6 +120,9 @@ class CanonFabric
     int peIndex(int r, int c) const { return r * cfg_.cols + c; }
     bool channelsDrained() const;
 
+    /** A cycle accountant over every component (--cycle-accounting). */
+    std::unique_ptr<obs::CycleAccountant> makeAccountant() const;
+
     /** Run registration thunks, permuted when shuffleSeed_ != 0. */
     void registerAll(std::vector<std::function<void()>> regs,
                      std::uint64_t salt);
@@ -157,20 +160,13 @@ class CanonFabric
     FifoCommitList<Vec4> dataCommits_;
 
     /**
-     * Cycle-resolved stats sampler, constructed (and registered as a
-     * commit-only schedule partition) in run() only when the current
-     * thread is observing with a sampling cadence. Null otherwise, so
-     * a non-observed fabric's schedule is untouched.
+     * The obs probe partition (obs/sampler.hh): the stats sampler
+     * and/or the cycle accountant, constructed and registered in run()
+     * only when the current thread is observing with a sampling
+     * cadence or --cycle-accounting. Null otherwise, so a non-observed
+     * fabric's schedule is untouched.
      */
-    std::unique_ptr<obs::CycleSampler> sampler_;
-
-    /**
-     * Per-component cycle accountant (obs/accounting.hh), constructed
-     * and registered in run() only when the observing collector asked
-     * for --cycle-accounting -- same structural zero-cost contract as
-     * the sampler.
-     */
-    std::unique_ptr<obs::CycleAccountant> accountant_;
+    std::unique_ptr<obs::CycleProbe> probe_;
 
     std::uint64_t shuffleSeed_ = 0;
     bool loaded_ = false;

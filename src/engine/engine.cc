@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <thread>
 
-#include "cache/payload.hh"
 #include "runner/shard.hh"
 #include "workloads/models.hh"
 
@@ -155,59 +154,20 @@ perRequestCacheLine(
     return cache::statsLineText(delta);
 }
 
-} // namespace
-
-ResultSet
-Engine::execute(const std::vector<runner::SweepJob> &sharded,
-                const ScenarioRequest &req, std::size_t total,
-                const ResultCallback &onResult,
-                const runner::CancelToken *cancel)
+/** The scenarios @p req owns: its shard's slice of the expansion. */
+std::vector<runner::SweepJob>
+shardJobs(const ScenarioRequest &req)
 {
-    ResultSet rs;
-    rs.warnings_ = req.warnings();
-    rs.total_jobs_ = total;
-    rs.shard_ = req.options().common.shard;
-    rs.single_ =
-        req.options().sweepAxes.empty() && rs.shard_.whole();
-    rs.results_ = pool_.run(sharded, runScenarioCases, store(),
-                            onResult, cancel);
-    if (store())
-        rs.cache_stats_line_ = perRequestCacheLine(rs.results_);
-    const obs::ObsOptions &obs_opt = req.options().common.obs;
-    if (obs_opt.enabled())
-        rs.obs_ = ObsReport::build(obs_opt, rs.results_, store());
-    return rs;
+    return runner::shardSlice(req.options().common.shard, req.expand());
 }
+
+} // namespace
 
 ResultSet
 Engine::run(const ScenarioRequest &req, const ResultCallback &onResult,
             const runner::CancelToken *cancel)
 {
-    // Validate a private copy: validation caches into the request's
-    // mutable members without synchronization, so a const request
-    // shared across threads must never be mutated through here.
-    const ScenarioRequest local = req;
-    if (!local.validate())
-        return rejected(local);
-    if (std::string err = prepare(); !err.empty()) {
-        ResultSet rs;
-        rs.status_ = ResultSet::Status::Failed;
-        rs.error_ = err;
-        rs.warnings_ = local.warnings();
-        rs.shard_ = local.options().common.shard;
-        return rs;
-    }
-
-    std::vector<runner::SweepJob> jobs = local.expand();
-    const std::size_t total = jobs.size();
-    const runner::Shard &shard = local.options().common.shard;
-    if (!shard.whole()) {
-        const auto [first, last] = runner::shardRange(shard, total);
-        jobs = std::vector<runner::SweepJob>(
-            jobs.begin() + static_cast<std::ptrdiff_t>(first),
-            jobs.begin() + static_cast<std::ptrdiff_t>(last));
-    }
-    return execute(jobs, local, total, onResult, cancel);
+    return std::move(runBatch({req}, onResult, cancel).front());
 }
 
 std::vector<ResultSet>
@@ -217,19 +177,15 @@ Engine::runBatch(const std::vector<ScenarioRequest> &requests,
 {
     // Validate and expand everything first so one global job list
     // can feed a single pool pass: concurrency then spans request
-    // boundaries instead of draining one request at a time. Work on
-    // private copies (see run()) so shared const requests are never
-    // mutated through their validation cache.
+    // boundaries instead of draining one request at a time. Validate
+    // private copies: validation caches into the request's mutable
+    // members without synchronization, so a const request shared
+    // across threads must never be mutated through here.
     const std::vector<ScenarioRequest> local(requests.begin(),
                                              requests.end());
     std::vector<ResultSet> sets(local.size());
     std::vector<runner::SweepJob> all;
-    struct Slice
-    {
-        bool runnable = false;
-        std::size_t first = 0, count = 0, total = 0;
-    };
-    std::vector<Slice> slices(local.size());
+    std::vector<std::size_t> count(local.size(), 0);
 
     const std::string prepare_error = prepare();
     for (std::size_t r = 0; r < local.size(); ++r) {
@@ -238,55 +194,38 @@ Engine::runBatch(const std::vector<ScenarioRequest> &requests,
             sets[r] = rejected(req);
             continue;
         }
+        ResultSet &rs = sets[r];
+        rs.warnings_ = req.warnings();
+        rs.shard_ = req.options().common.shard;
         if (!prepare_error.empty()) {
-            sets[r].status_ = ResultSet::Status::Failed;
-            sets[r].error_ = prepare_error;
-            sets[r].warnings_ = req.warnings();
-            sets[r].shard_ = req.options().common.shard;
+            rs.status_ = ResultSet::Status::Failed;
+            rs.error_ = prepare_error;
             continue;
         }
-        std::vector<runner::SweepJob> jobs = req.expand();
-        slices[r].total = jobs.size();
-        const runner::Shard &shard = req.options().common.shard;
-        if (!shard.whole()) {
-            const auto [first, last] =
-                runner::shardRange(shard, jobs.size());
-            jobs = std::vector<runner::SweepJob>(
-                jobs.begin() + static_cast<std::ptrdiff_t>(first),
-                jobs.begin() + static_cast<std::ptrdiff_t>(last));
-        }
-        slices[r].runnable = true;
-        slices[r].first = all.size();
-        slices[r].count = jobs.size();
-        all.insert(all.end(),
-                   std::make_move_iterator(jobs.begin()),
+        rs.total_jobs_ = req.jobCount();
+        rs.single_ =
+            req.options().sweepAxes.empty() && rs.shard_.whole();
+        std::vector<runner::SweepJob> jobs = shardJobs(req);
+        count[r] = jobs.size();
+        all.insert(all.end(), std::make_move_iterator(jobs.begin()),
                    std::make_move_iterator(jobs.end()));
     }
 
     std::vector<runner::ScenarioResult> results =
         pool_.run(all, runScenarioCases, store(), onResult, cancel);
 
+    auto next = results.begin();
     for (std::size_t r = 0; r < local.size(); ++r) {
-        if (!slices[r].runnable)
-            continue;
         ResultSet &rs = sets[r];
-        rs.warnings_ = local[r].warnings();
-        rs.total_jobs_ = slices[r].total;
-        rs.shard_ = local[r].options().common.shard;
-        rs.single_ = local[r].options().sweepAxes.empty() &&
-                     rs.shard_.whole();
-        rs.results_.assign(
-            std::make_move_iterator(
-                results.begin() +
-                static_cast<std::ptrdiff_t>(slices[r].first)),
-            std::make_move_iterator(
-                results.begin() + static_cast<std::ptrdiff_t>(
-                                      slices[r].first +
-                                      slices[r].count)));
+        if (!rs.ok())
+            continue;
+        const auto end = next + static_cast<std::ptrdiff_t>(count[r]);
+        rs.results_.assign(std::make_move_iterator(next),
+                           std::make_move_iterator(end));
+        next = end;
         if (store())
             rs.cache_stats_line_ = perRequestCacheLine(rs.results_);
-        const obs::ObsOptions &obs_opt =
-            local[r].options().common.obs;
+        const obs::ObsOptions &obs_opt = local[r].options().common.obs;
         if (obs_opt.enabled())
             rs.obs_ = ObsReport::build(obs_opt, rs.results_, store());
     }
@@ -296,42 +235,24 @@ Engine::runBatch(const std::vector<ScenarioRequest> &requests,
 std::vector<ScenarioPlan>
 Engine::plan(const ScenarioRequest &req)
 {
-    // Private copy, as in run().
+    // Private copy, as in runBatch().
     const ScenarioRequest local = req;
     if (!local.validate())
         return {};
 
-    std::vector<runner::SweepJob> jobs = local.expand();
-    const runner::Shard &shard = local.options().common.shard;
-    if (!shard.whole()) {
-        const auto [first, last] =
-            runner::shardRange(shard, jobs.size());
-        jobs = std::vector<runner::SweepJob>(
-            jobs.begin() + static_cast<std::ptrdiff_t>(first),
-            jobs.begin() + static_cast<std::ptrdiff_t>(last));
-    }
-
     std::vector<ScenarioPlan> plans;
-    plans.reserve(jobs.size());
-    for (auto &job : jobs) {
+    CaseResult decoded;
+    for (auto &job : shardJobs(local)) {
         ScenarioPlan p;
         p.key = cache::scenarioKey(job.options);
         if (!store_) {
             p.forecast = ScenarioPlan::Forecast::Uncached;
-        } else if (!store_->readsEnabled()) {
-            // Write/Refresh modes execute every scenario regardless
-            // of what is already stored.
-            p.forecast = ScenarioPlan::Forecast::Miss;
         } else {
-            // Mirror the pool's hit test exactly: a stored entry only
-            // counts when it decodes to a non-empty result. Lookups
-            // leave the hit/miss counters untouched.
-            CaseResult decoded;
-            auto payload = store_->lookup(p.key);
-            p.forecast = payload &&
-                                 cache::decodeCaseResult(*payload,
-                                                         decoded) &&
-                                 !decoded.empty()
+            // The pool's hit rule, without counting: Write/Refresh
+            // modes never read (lookup() returns nothing), and a
+            // stored entry is a hit only when acceptCases() takes it.
+            const auto payload = store_->lookup(p.key);
+            p.forecast = payload && runner::acceptCases(*payload, decoded)
                              ? ScenarioPlan::Forecast::Hit
                              : ScenarioPlan::Forecast::Miss;
         }
@@ -341,17 +262,11 @@ Engine::plan(const ScenarioRequest &req)
     return plans;
 }
 
-std::vector<std::string>
-Engine::runPayloadBatch(const std::vector<PayloadJob> &jobs)
+void
+Engine::runJobs(const std::vector<runner::CachedJob> &jobs)
 {
-    // A missing cache directory degrades to computing everything
-    // (lookups miss, stores fail quietly); callers that want to
-    // surface the error check prepare() themselves first.
     prepare();
-    return pool_.mapCached(
-        jobs.size(),
-        [&](std::size_t i) { return jobs[i].key; },
-        [&](std::size_t i) { return jobs[i].compute(); }, store());
+    pool_.runCached(jobs, store());
 }
 
 } // namespace engine

@@ -23,11 +23,11 @@
  * the streaming overload delivers results in that same index order.
  *
  * Thread-safety: one Engine may be shared across threads after
- * construction. The run()/runBatch()/plan() entry points spawn
- * their own workers and only touch internally synchronized engine
- * state: the store's atomic counters, and the lazy cache-directory
- * preparation (a std::call_once). They are non-const because they
- * own that lazily prepared state.
+ * construction. The run()/runBatch()/runJobs()/plan() entry points
+ * spawn their own workers and only touch internally synchronized
+ * engine state: the store's atomic counters, and the lazy
+ * cache-directory preparation (a std::call_once). They are non-const
+ * because they own that lazily prepared state.
  */
 
 #ifndef CANON_ENGINE_ENGINE_HH
@@ -102,17 +102,6 @@ struct ScenarioPlan
 /** Plan forecast as the word dry-run reports print. */
 const char *forecastName(ScenarioPlan::Forecast f);
 
-/**
- * One unit of a payload-level batch (the figure-bench submission
- * path): a cache identity plus the computation that produces the
- * payload bytes on a miss.
- */
-struct PayloadJob
-{
-    cache::ScenarioKey key;
-    std::function<std::string()> compute;
-};
-
 class Engine
 {
   public:
@@ -147,10 +136,10 @@ class Engine
 
     /**
      * Validate @p req, expand it, take its shard's slice, and execute
-     * on the worker pool (consulting the cache store when configured).
-     * With @p onResult, each scenario is additionally streamed in
-     * expansion order as it completes. Never throws on scenario
-     * failure -- inspect the ResultSet.
+     * on the worker pool (consulting the cache store when configured);
+     * runBatch({req}). With @p onResult, each scenario is additionally
+     * streamed in expansion order as it completes. Never throws on
+     * scenario failure -- inspect the ResultSet.
      *
      * With a non-null @p cancel, the run observes the token between
      * scenario jobs (runner::CancelToken): cancelled jobs land as
@@ -186,22 +175,18 @@ class Engine
     std::vector<ScenarioPlan> plan(const ScenarioRequest &req);
 
     /**
-     * Payload-level batch: for every job, the stored payload under
-     * its key when the store has one, otherwise compute() (stored per
-     * the engine's cache mode). Payloads return in submission order,
-     * bit-exact whether they came from the store or the computation.
-     * Throws std::runtime_error with the lowest-indexed failure after
-     * every job has been attempted (the pool's map contract).
+     * The generic entry: run caller-built jobs (the figure benches'
+     * grid points, or any unit that produces payload bytes) through
+     * the pool's cached-job loop against this engine's store. Each
+     * outcome lands in its job's status slot; a failed job never
+     * stops the others. A cache directory that cannot be created
+     * degrades to computing everything -- call prepare() first to
+     * report it.
      */
-    std::vector<std::string>
-    runPayloadBatch(const std::vector<PayloadJob> &jobs);
+    void runJobs(const std::vector<runner::CachedJob> &jobs);
 
   private:
     ResultSet rejected(const ScenarioRequest &req) const;
-    ResultSet execute(const std::vector<runner::SweepJob> &sharded,
-                      const ScenarioRequest &req, std::size_t total,
-                      const ResultCallback &onResult,
-                      const runner::CancelToken *cancel);
 
     EngineConfig config_;
     int workers_;
@@ -213,9 +198,9 @@ class Engine
 
 /**
  * Run one options value across its requested architectures (the
- * scenario executor behind every Engine submission; cli::runCases
- * forwards here). Only the requested architectures are simulated;
- * ones that cannot execute the workload are absent from the result.
+ * scenario executor behind every Engine submission). Only the
+ * requested architectures are simulated; ones that cannot execute
+ * the workload are absent from the result.
  */
 CaseResult runScenarioCases(const cli::Options &opt);
 

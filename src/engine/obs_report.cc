@@ -71,58 +71,35 @@ catCell(std::uint64_t v, std::uint64_t total)
 
 } // namespace
 
+ObsReport::ObsReport(const obs::ObsOptions &opt,
+                     std::vector<ObsScenario> scenarios,
+                     const cache::ResultStore *store)
+    : options_(opt)
+{
+    if (!opt.enabled())
+        return;
+    scenarios_ = std::move(scenarios);
+    if (store) {
+        haveCacheTotals_ = true;
+        cacheTotals_ = store->stats();
+    }
+}
+
 ObsReport
 ObsReport::build(const obs::ObsOptions &opt,
                  const std::vector<runner::ScenarioResult> &results,
                  const cache::ResultStore *store)
 {
-    ObsReport rep;
-    rep.options_ = opt;
-    if (!opt.enabled())
-        return rep;
-    rep.scenarios_.reserve(results.size());
-    for (const auto &r : results) {
-        ObsScenario s;
-        s.index = r.job.index;
-        s.point = r.job.point;
-        s.error = r.error;
-        s.archs = runner::orderedArchs(r.job.options, r.cases);
-        s.cases = r.cases;
-        s.obs = r.obs;
-        rep.scenarios_.push_back(std::move(s));
+    std::vector<ObsScenario> scenarios;
+    if (opt.enabled()) {
+        scenarios.reserve(results.size());
+        for (const auto &r : results)
+            scenarios.push_back(
+                {r.job.index, r.job.point, r.error,
+                 runner::orderedArchs(r.job.options, r.cases), r.cases,
+                 r.obs});
     }
-    if (store) {
-        rep.haveCacheTotals_ = true;
-        rep.cacheTotals_ = store->stats();
-    }
-    return rep;
-}
-
-ObsReport
-ObsReport::buildPayload(
-    const obs::ObsOptions &opt, const std::vector<std::string> &labels,
-    const std::vector<std::shared_ptr<const obs::ScenarioObs>>
-        &observations,
-    const cache::ResultStore *store)
-{
-    ObsReport rep;
-    rep.options_ = opt;
-    if (!opt.enabled())
-        return rep;
-    rep.scenarios_.reserve(labels.size());
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-        ObsScenario s;
-        s.index = i;
-        s.point = labels[i];
-        if (i < observations.size())
-            s.obs = observations[i];
-        rep.scenarios_.push_back(std::move(s));
-    }
-    if (store) {
-        rep.haveCacheTotals_ = true;
-        rep.cacheTotals_ = store->stats();
-    }
-    return rep;
+    return ObsReport(opt, std::move(scenarios), store);
 }
 
 void

@@ -54,6 +54,16 @@ class ObsReport
     /** A default report is disabled: every writer is a no-op. */
     ObsReport() = default;
 
+    /**
+     * A report over @p scenarios (kept only when @p opt enables
+     * observation); cache totals are snapshotted from @p store when
+     * present. The figure benches build theirs this way, one
+     * scenario per grid point.
+     */
+    ObsReport(const obs::ObsOptions &opt,
+              std::vector<ObsScenario> scenarios,
+              const cache::ResultStore *store);
+
     bool enabled() const { return options_.enabled(); }
     const obs::ObsOptions &options() const { return options_; }
     const std::vector<ObsScenario> &scenarios() const
@@ -62,27 +72,14 @@ class ObsReport
     }
 
     /**
-     * Build from a finished pool run. Scenario indices/points/archs
-     * come from the results (which carry their global expansion
-     * indices through sharding); cache totals are snapshotted from
-     * @p store when present.
+     * Build from a finished scenario run. Scenario indices/points/
+     * archs come from the results (which carry their global expansion
+     * indices through sharding).
      */
     static ObsReport
     build(const obs::ObsOptions &opt,
           const std::vector<runner::ScenarioResult> &results,
           const cache::ResultStore *store);
-
-    /**
-     * Build from a payload-level bench run: one label and one
-     * (possibly null, e.g. cache-hit) observation per payload, in
-     * submission order.
-     */
-    static ObsReport buildPayload(
-        const obs::ObsOptions &opt,
-        const std::vector<std::string> &labels,
-        const std::vector<std::shared_ptr<const obs::ScenarioObs>>
-            &observations,
-        const cache::ResultStore *store);
 
     /** The sampled time series as one long-form CSV. */
     void writeSeriesCsv(std::ostream &os) const;

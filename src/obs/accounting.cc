@@ -40,12 +40,11 @@ CycleAccountant::CycleAccountant(
     std::vector<const InstPipeline *> pipes,
     std::vector<const DataChan *> vert,
     std::vector<const DataChan *> horiz,
-    std::vector<const MsgChannel *> msgs, std::uint64_t sample_every)
+    std::vector<const MsgChannel *> msgs)
     : orchs_(std::move(orchs)), pes_(std::move(pes)),
       pipes_(std::move(pipes)), vert_(std::move(vert)),
       horiz_(std::move(horiz)), msgs_(std::move(msgs)),
-      histEvery_(sample_every > 0 ? sample_every : 1),
-      every_(sample_every)
+      points_(kCycleCatCount + 1)
 {
     panicIf(orchs_.empty() && pes_.empty() && pipes_.empty(),
             "CycleAccountant: nothing to observe");
@@ -57,8 +56,6 @@ CycleAccountant::CycleAccountant(
     prevPeBusy_.resize(pes_.size(), 0);
     histTagDepth_.resize(orchs_.size());
     histSearchLen_.resize(orchs_.size());
-    if (every_ > 0)
-        points_.resize(kCycleCatCount + 1);
 }
 
 void
@@ -68,7 +65,7 @@ CycleAccountant::classify(std::size_t comp, CycleCat cat)
 }
 
 void
-CycleAccountant::tickCommit()
+CycleAccountant::observe()
 {
     // Exactly one category per component per cycle: the sum-to-cycles
     // invariant holds by construction.
@@ -134,12 +131,6 @@ CycleAccountant::tickCommit()
         else
             classify(comp, CycleCat::Compute);
     }
-
-    ++tick_;
-    if (tick_ % histEvery_ == 0)
-        captureHistograms();
-    if (every_ > 0 && tick_ % every_ == 0)
-        captureSeries();
 }
 
 void
@@ -157,35 +148,24 @@ CycleAccountant::captureHistograms()
 }
 
 void
-CycleAccountant::captureSeries()
+CycleAccountant::captureSeries(std::uint64_t cycle)
 {
     std::uint64_t accounted = 0;
     for (int c = 0; c < kCycleCatCount; ++c) {
         std::uint64_t sum = 0;
         for (const auto &acc : accounts_)
             sum += acc[static_cast<std::size_t>(c)];
-        points_[static_cast<std::size_t>(c)].push_back({tick_, sum});
+        points_[static_cast<std::size_t>(c)].push_back({cycle, sum});
         accounted += sum;
     }
-    points_[kCycleCatCount].push_back({tick_, accounted});
-    lastCaptured_ = tick_;
-    captured_ = true;
-}
-
-void
-CycleAccountant::captureFinal()
-{
-    if (every_ == 0)
-        return;
-    if (!captured_ || lastCaptured_ != tick_)
-        captureSeries();
+    points_[kCycleCatCount].push_back({cycle, accounted});
 }
 
 AccountingSet
-CycleAccountant::take() const
+CycleAccountant::take(std::uint64_t cycles) const
 {
     AccountingSet out;
-    out.cycles = tick_;
+    out.cycles = cycles;
     out.components.reserve(accounts_.size());
     std::size_t comp = 0;
     for (const Orchestrator *o : orchs_) {
@@ -227,8 +207,6 @@ SeriesSet
 CycleAccountant::takeSeries()
 {
     SeriesSet out;
-    if (every_ == 0)
-        return out;
     out.series.reserve(points_.size());
     for (std::size_t c = 0; c < points_.size(); ++c) {
         Series s;

@@ -10,23 +10,23 @@
  * construction (each commit pass assigns exactly one category per
  * component) and asserted by tests and the CI obs gate.
  *
- * Like the CycleSampler, the accountant is a commit-only typed
- * schedule partition that CanonFabric::run() constructs and registers
- * only when the observing collector asked for cycle accounting
- * (--cycle-accounting). Disabled accounting is structural: no
- * partition exists, the cycle loop is bit-identical to an unobserved
- * fabric's. Classification reads post-commit component state and
- * compute-phase counter deltas, both of which are final by any commit
- * pass, so the recorded categories -- and every artifact derived from
- * them -- are byte-identical across --jobs values and
- * registration-shuffle seeds.
+ * The accountant is driven by the fabric's CycleProbe partition
+ * (sampler.hh), which CanonFabric::run() constructs and registers only
+ * when the observing collector asked for cycle accounting or sampling
+ * (--cycle-accounting, --sample-every); the probe owns the cadence.
+ * Disabled accounting is structural: no accountant exists, and with
+ * sampling also off no probe either. Classification reads post-commit
+ * component state and compute-phase counter deltas, both of which are
+ * final by any commit pass, so the recorded categories -- and every
+ * artifact derived from them -- are byte-identical across --jobs
+ * values and registration-shuffle seeds.
  *
  * Counts accumulate for the life of the fabric (take() snapshots
- * without resetting), mirroring the flat-stats semantics: for
+ * without resetting), matching the flat-stats semantics: for
  * workloads that reuse one fabric across passes, later runs include
  * earlier runs' cycles. The invariant is against AccountingSet::cycles
- * (the accountant's own observed-cycle count), which equals the run's
- * elapsed cycles for the common one-run-per-fabric scenarios.
+ * (the probe's observed-cycle count), which equals the run's elapsed
+ * cycles for the common one-run-per-fabric scenarios.
  */
 
 #ifndef CANON_OBS_ACCOUNTING_HH
@@ -98,7 +98,7 @@ struct ComponentAccount
 /** A frozen accounting snapshot of one fabric (one run record). */
 struct AccountingSet
 {
-    /** Cycles the accountant observed (== every component's total). */
+    /** Cycles observed (== every component's total). */
     std::uint64_t cycles = 0;
     /**
      * Fixed deterministic order: orchestrators (orch0...), PEs in
@@ -121,8 +121,6 @@ struct AccountingSet
 class CycleAccountant final
 {
   public:
-    static constexpr bool kHasTickCompute = false;
-
     using DataChan = ChannelFifo<Vec4>;
 
     /**
@@ -130,43 +128,39 @@ class CycleAccountant final
      * AccountingSet order above; a PE's row() (and a pipeline's index,
      * one pipeline per row) selects the orchestrator whose done()
      * drives the drain classification.
-     *
-     * @p sample_every mirrors the CycleSampler cadence: when > 0 the
-     * accountant additionally emits cumulative rollup series
-     * ("acct.*", component "fabric") captured on exactly the sampler's
-     * tick/captureFinal schedule, so the trace writer's
-     * equal-points-per-series assumption holds; histograms are then
-     * sampled at the same cadence. When 0 (accounting without
-     * sampling) no series are produced and histograms capture every
-     * cycle.
      */
     CycleAccountant(std::vector<const Orchestrator *> orchs,
                     std::vector<const Pe *> pes,
                     std::vector<const InstPipeline *> pipes,
                     std::vector<const DataChan *> vert,
                     std::vector<const DataChan *> horiz,
-                    std::vector<const MsgChannel *> msgs,
-                    std::uint64_t sample_every);
+                    std::vector<const MsgChannel *> msgs);
 
-    void tickCompute() {}
-    void tickCommit();
+    /** Classify this cycle: one category per component. */
+    void observe();
 
-    /** Record the final partial-interval series sample (see sampler). */
-    void captureFinal();
+    /** Record one occupancy/depth sample into the histograms. */
+    void captureHistograms();
 
-    /** Cycles observed since registration. */
-    std::uint64_t tick() const { return tick_; }
+    /**
+     * Record one point of the cumulative rollup series ("acct.*",
+     * component "fabric") at @p cycle. The probe captures these on
+     * exactly the sampler's schedule, so the trace writer's
+     * equal-points-per-series assumption holds.
+     */
+    void captureSeries(std::uint64_t cycle);
 
-    /** Snapshot the cumulative accounts (the accountant keeps going). */
-    AccountingSet take() const;
+    /**
+     * Snapshot the cumulative accounts over @p cycles observed cycles
+     * (the accountant keeps going).
+     */
+    AccountingSet take(std::uint64_t cycles) const;
 
-    /** Move the accumulated rollup series out (empty when cadence 0). */
+    /** Move the accumulated rollup series out. */
     SeriesSet takeSeries();
 
   private:
     void classify(std::size_t comp, CycleCat cat);
-    void captureHistograms();
-    void captureSeries();
 
     std::vector<const Orchestrator *> orchs_;
     std::vector<const Pe *> pes_;
@@ -174,8 +168,6 @@ class CycleAccountant final
     std::vector<const DataChan *> vert_;
     std::vector<const DataChan *> horiz_;
     std::vector<const MsgChannel *> msgs_;
-
-    std::uint64_t tick_ = 0;
 
     /** accounts_[component][category], AccountingSet order. */
     std::vector<std::array<std::uint64_t, kCycleCatCount>> accounts_;
@@ -194,12 +186,7 @@ class CycleAccountant final
     Histogram histMsg_;
     std::vector<Histogram> histTagDepth_;  //!< per orchestrator
     std::vector<Histogram> histSearchLen_; //!< per orchestrator
-    std::uint64_t histEvery_;
 
-    // Rollup series state (cadence > 0 only), mirroring CycleSampler.
-    std::uint64_t every_;
-    std::uint64_t lastCaptured_ = 0;
-    bool captured_ = false;
     /** points_[kCycleCatCount] is the "acct.accounted" series. */
     std::vector<std::vector<SeriesPoint>> points_;
 };

@@ -28,8 +28,9 @@ struct ObsOptions
     /**
      * Cycle-resolved sampling cadence: capture the tracked StatGroup
      * counters every N simulated cycles (plus one final sample at run
-     * end). 0 disables the sampler entirely -- no schedule partition
-     * is registered, so a disabled sampler costs nothing per cycle.
+     * end). 0 disables the sampler entirely; with cycle accounting
+     * also off no probe partition is registered, so disabled
+     * observation costs nothing per cycle.
      */
     std::uint64_t sampleEvery = 0;
 
@@ -48,7 +49,7 @@ struct ObsOptions
      * stall-cause taxonomy and record occupancy histograms. Renders a
      * breakdown table and adds accounting sections to --stats-json /
      * series metrics and trace counter tracks when those outputs are
-     * also requested. Off: no accountant partition is registered.
+     * also requested. Off: no accountant is constructed.
      */
     bool cycleAccounting = false;
 

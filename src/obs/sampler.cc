@@ -45,11 +45,8 @@ topOf(const std::string &path)
 
 } // namespace
 
-CycleSampler::CycleSampler(const StatGroup &stats, std::uint64_t every)
-    : every_(every)
+CycleSampler::CycleSampler(const StatGroup &stats)
 {
-    panicIf(every_ == 0, "CycleSampler: cadence must be > 0");
-
     // (metric, component) -> summed counter sources. std::map keys the
     // probe order, so the series layout is independent of counter
     // registration order (visitCounters is itself lexicographic).
@@ -75,23 +72,14 @@ CycleSampler::CycleSampler(const StatGroup &stats, std::uint64_t every)
 }
 
 void
-CycleSampler::capture()
+CycleSampler::capture(std::uint64_t cycle)
 {
     for (std::size_t i = 0; i < probes_.size(); ++i) {
         std::uint64_t sum = 0;
         for (const Counter *c : probes_[i].sources)
             sum += c->value();
-        points_[i].push_back({tick_, sum});
+        points_[i].push_back({cycle, sum});
     }
-    lastCaptured_ = tick_;
-    captured_ = true;
-}
-
-void
-CycleSampler::captureFinal()
-{
-    if (!captured_ || lastCaptured_ != tick_)
-        capture();
 }
 
 SeriesSet
@@ -108,6 +96,53 @@ CycleSampler::take()
         out.series.push_back(std::move(s));
     }
     return out;
+}
+
+CycleProbe::CycleProbe(std::uint64_t every,
+                       std::unique_ptr<CycleSampler> sampler,
+                       std::unique_ptr<CycleAccountant> accountant)
+    : every_(every), sampler_(std::move(sampler)),
+      accountant_(std::move(accountant))
+{
+    panicIf(!sampler_ && !accountant_, "CycleProbe: nothing to drive");
+    panicIf(sampler_ && every_ == 0,
+            "CycleProbe: sampling needs a cadence > 0");
+}
+
+void
+CycleProbe::captureSeries()
+{
+    if (sampler_)
+        sampler_->capture(tick_);
+    if (accountant_)
+        accountant_->captureSeries(tick_);
+    lastCaptured_ = tick_;
+    captured_ = true;
+}
+
+void
+CycleProbe::captureFinal()
+{
+    if (every_ > 0 && (!captured_ || lastCaptured_ != tick_))
+        captureSeries();
+}
+
+SeriesSet
+CycleProbe::takeSeries()
+{
+    SeriesSet out;
+    if (sampler_)
+        out = sampler_->take();
+    if (accountant_ && every_ > 0)
+        for (Series &s : accountant_->takeSeries().series)
+            out.series.push_back(std::move(s));
+    return out;
+}
+
+AccountingSet
+CycleProbe::takeAccounting() const
+{
+    return accountant_ ? accountant_->take(tick_) : AccountingSet{};
 }
 
 } // namespace obs

@@ -1,30 +1,39 @@
 /**
  * @file
- * The cycle-resolved sampler: a typed, commit-only schedule partition
- * that reads a fixed probe set out of a StatGroup tree every N cycles.
+ * Cycle-resolved observation of a running fabric: the CycleProbe
+ * schedule partition and the counter sampler it drives.
  *
- * Zero-cost-when-off is structural, not branchy: when sampling is
- * disabled no CycleSampler is constructed and no partition is
- * registered, so the cycle loop is bit-for-bit the schedule it would
- * have been without this file. When enabled, the sampler joins the
- * commit phase (kHasTickCompute = false elides it from the compute
- * pass) and each sample is a handful of pointer reads: every probe is
+ * CycleProbe is the one obs partition a fabric registers. It is typed
+ * and commit-only (kHasTickCompute = false elides it from the compute
+ * pass), and it owns the single cadence and final-capture rule for
+ * both cycle-resolved instruments: the CycleSampler below, which reads
+ * a fixed probe set out of a StatGroup tree, and the CycleAccountant
+ * (accounting.hh), which classifies every component-cycle.
+ *
+ * Zero-cost-when-off is structural, not branchy: CanonFabric::run()
+ * constructs and registers a probe only when the observing collector
+ * asks for sampling or cycle accounting, so an unobserved cycle loop
+ * is bit-for-bit the schedule it would have been without this file.
+ * A sample is a handful of pointer reads: every sampler probe is
  * resolved to direct Counter pointers at construction, which is safe
  * because StatGroup's maps are node-based and the fabric registers all
  * counters before it first ticks.
  *
- * Sampling in the commit phase makes the series deterministic: every
- * counter bumps in the compute phase, so by any commit pass the values
- * for that cycle are final regardless of partition or registration
- * order.
+ * Capturing in the commit phase makes every series deterministic:
+ * every counter bumps in the compute phase, so by any commit pass the
+ * values for that cycle are final regardless of partition or
+ * registration order.
  */
 
 #ifndef CANON_OBS_SAMPLER_HH
 #define CANON_OBS_SAMPLER_HH
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "obs/accounting.hh"
 #include "obs/series.hh"
 
 namespace canon
@@ -39,37 +48,19 @@ namespace obs
 class CycleSampler final
 {
   public:
-    static constexpr bool kHasTickCompute = false;
-
     /**
-     * Resolve the probe set against @p stats (a fabric stats tree) and
-     * sample it every @p every cycles. @p every must be > 0.
+     * Resolve the probe set against @p stats (a fabric stats tree).
      *
      * Probes: each tracked metric is summed fabric-wide into component
      * "fabric", and the orchestrator residency/matching metrics are
      * additionally split per top-level "orch*" child.
      */
-    CycleSampler(const StatGroup &stats, std::uint64_t every);
+    explicit CycleSampler(const StatGroup &stats);
 
-    void tickCompute() {}
+    /** Record every probe's current value at @p cycle. */
+    void capture(std::uint64_t cycle);
 
-    void
-    tickCommit()
-    {
-        if (++tick_ % every_ == 0)
-            capture();
-    }
-
-    /**
-     * Record the final partial-interval sample (no-op when the last
-     * cycle already landed on the cadence). Call after the run drains.
-     */
-    void captureFinal();
-
-    /** Cycles observed since registration (the series time axis). */
-    std::uint64_t tick() const { return tick_; }
-
-    /** Move the accumulated series out; the sampler keeps ticking. */
+    /** Move the accumulated series out; capturing may continue. */
     SeriesSet take();
 
   private:
@@ -80,14 +71,67 @@ class CycleSampler final
         std::vector<const Counter *> sources;
     };
 
-    void capture();
+    std::vector<Probe> probes_;
+    std::vector<std::vector<SeriesPoint>> points_;
+};
+
+class CycleProbe final
+{
+  public:
+    static constexpr bool kHasTickCompute = false;
+
+    /**
+     * Drive whichever instruments are non-null (at least one). Every
+     * @p every cycles both capture a series point and the accountant
+     * its histograms. A cadence of 0 means no series (and no
+     * sampler): accounting histograms then capture every cycle.
+     */
+    CycleProbe(std::uint64_t every,
+               std::unique_ptr<CycleSampler> sampler,
+               std::unique_ptr<CycleAccountant> accountant);
+
+    void tickCompute() {}
+
+    void
+    tickCommit()
+    {
+        if (accountant_)
+            accountant_->observe();
+        ++tick_;
+        if (every_ == 0) {
+            accountant_->captureHistograms();
+        } else if (tick_ % every_ == 0) {
+            if (accountant_)
+                accountant_->captureHistograms();
+            captureSeries();
+        }
+    }
+
+    /**
+     * Record the final partial-interval series point (no-op when the
+     * last cycle already landed on the cadence, or without a
+     * cadence). Call after the run drains.
+     */
+    void captureFinal();
+
+    /** Cycles observed since registration (the series time axis). */
+    std::uint64_t tick() const { return tick_; }
+
+    /** Move the series out: sampler metrics, then acct.* rollups. */
+    SeriesSet takeSeries();
+
+    /** Snapshot the cumulative accounting (empty without one). */
+    AccountingSet takeAccounting() const;
+
+  private:
+    void captureSeries();
 
     std::uint64_t every_;
     std::uint64_t tick_ = 0;
     std::uint64_t lastCaptured_ = 0;
     bool captured_ = false;
-    std::vector<Probe> probes_;
-    std::vector<std::vector<SeriesPoint>> points_;
+    std::unique_ptr<CycleSampler> sampler_;
+    std::unique_ptr<CycleAccountant> accountant_;
 };
 
 } // namespace obs

@@ -98,16 +98,6 @@ statsHeader(bool probe_spad)
     return probe_spad ? probe_header : header;
 }
 
-std::size_t
-SweepResult::failureCount() const
-{
-    std::size_t n = 0;
-    for (const auto &r : results_)
-        if (!r.error.empty())
-            ++n;
-    return n;
-}
-
 Table
 sweepTable(const std::vector<ScenarioResult> &results)
 {
@@ -152,12 +142,6 @@ sweepTable(const std::vector<ScenarioResult> &results)
         }
     }
     return t;
-}
-
-Table
-SweepResult::table() const
-{
-    return sweepTable(results_);
 }
 
 } // namespace runner

@@ -8,16 +8,14 @@
  * the results are a contiguous expansion-order slice and the
  * rendered rows concatenate across shards in shard order.
  *
- * Ownership and thread-safety: SweepResult takes the scenario
- * results by value and the free helpers below are pure functions of
- * their arguments; everything here runs single-threaded after the
- * pool has joined its workers. Rendering never re-runs a scenario.
+ * Thread-safety: the helpers below are pure functions of their
+ * arguments; everything here runs single-threaded after the pool has
+ * joined its workers. Rendering never re-runs a scenario.
  */
 
 #ifndef CANON_RUNNER_AGGREGATE_HH
 #define CANON_RUNNER_AGGREGATE_HH
 
-#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -57,39 +55,12 @@ std::vector<std::string> orderedArchs(const cli::Options &opt,
                                       const CaseResult &cases);
 
 /**
- * The combined sweep table (a row per scenario x architecture, in
- * job order) rendered straight from a result list -- the copy-free
- * path behind SweepResult::table() and engine::ResultSet.
+ * The combined sweep table (engine::ResultSet::sweepTable): a row per
+ * scenario x architecture, in job order, each scenario's archs in
+ * display order. Failed scenarios render one row with "X" stats so
+ * the grid shape is preserved.
  */
 Table sweepTable(const std::vector<ScenarioResult> &results);
-
-class SweepResult
-{
-  public:
-    explicit SweepResult(std::vector<ScenarioResult> results)
-        : results_(std::move(results))
-    {
-    }
-
-    const std::vector<ScenarioResult> &scenarios() const
-    {
-        return results_;
-    }
-
-    /** Scenarios that produced no profiles (or threw). */
-    std::size_t failureCount() const;
-
-    /**
-     * One combined table: a row per scenario x architecture, in job
-     * order, each scenario's archs in display order. Failed
-     * scenarios render one row with "X" stats so the grid shape is
-     * preserved.
-     */
-    Table table() const;
-
-  private:
-    std::vector<ScenarioResult> results_;
-};
 
 } // namespace runner
 } // namespace canon

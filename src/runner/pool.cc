@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 
 #include "cache/key.hh"
@@ -14,6 +16,15 @@ namespace canon
 {
 namespace runner
 {
+
+bool
+acceptCases(const std::string &payload, CaseResult &out)
+{
+    if (cache::decodeCaseResult(payload, out) && !out.empty())
+        return true;
+    out.clear();
+    return false;
+}
 
 void
 ScenarioPool::forEach(
@@ -51,37 +62,31 @@ ScenarioPool::forEach(
         t.join();
 }
 
-std::vector<ScenarioResult>
-ScenarioPool::run(
-    const std::vector<SweepJob> &jobs,
-    const std::function<CaseResult(const cli::Options &)> &fn,
-    const cache::ResultStore *store,
-    const std::function<void(const ScenarioResult &)> &onResult,
-    const CancelToken *cancel) const
+void
+ScenarioPool::runCached(const std::vector<CachedJob> &jobs,
+                        const cache::ResultStore *store,
+                        const std::function<void(std::size_t)> &onDone,
+                        const CancelToken *cancel) const
 {
-    std::vector<ScenarioResult> results(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        results[i].job = jobs[i];
-
-    // Ordered streaming state: finished jobs are held back until
-    // every lower-indexed job has finished, then released in one
-    // in-order burst under the lock. A callback that throws must not
-    // escape a worker thread (std::terminate); the first exception
-    // is latched, delivery stops, and it rethrows on the caller's
-    // thread after the pool has joined.
+    // Ordered emit: finished jobs are held back until every
+    // lower-indexed job has finished, then released in one in-order
+    // burst under the lock. A callback that throws must not escape a
+    // worker thread (std::terminate); the first exception is latched,
+    // delivery stops, and it rethrows on the caller's thread after the
+    // pool has joined.
     std::mutex emit_mutex;
     std::vector<char> finished(jobs.size(), 0);
     std::size_t next_emit = 0;
     std::exception_ptr emit_error;
     auto emitReady = [&](std::size_t i) {
-        if (!onResult)
+        if (!onDone)
             return;
         std::lock_guard<std::mutex> lock(emit_mutex);
         finished[i] = 1;
-        while (!emit_error && next_emit < results.size() &&
+        while (!emit_error && next_emit < jobs.size() &&
                finished[next_emit]) {
             try {
-                onResult(results[next_emit]);
+                onDone(next_emit);
             } catch (...) {
                 emit_error = std::current_exception();
             }
@@ -93,14 +98,15 @@ ScenarioPool::run(
     // time for the queue-wait measure. One clock read, taken only
     // when some job actually asked for host telemetry.
     std::uint64_t pool_t0 = 0;
-    for (const auto &j : jobs)
-        if (j.options.common.obs.hostTimers) {
+    for (const CachedJob &job : jobs)
+        if (job.obs && job.obs->hostTimers) {
             pool_t0 = obs::hostNowUs();
             break;
         }
 
     forEach(jobs.size(), [&](std::size_t i) {
-        ScenarioResult &r = results[i];
+        const CachedJob &job = jobs[i];
+        JobStatus &st = *job.status;
 
         // Cooperative cancel, polled once per job before any work:
         // a cancelled run skips everything it has not started --
@@ -108,134 +114,122 @@ ScenarioPool::run(
         // see skipped jobs -- but still lands a typed failure at the
         // job's index to keep the expansion-order contract intact.
         if (cancel && cancel->cancelled()) {
-            r.error = kCancelledError;
+            st.error = kCancelledError;
             emitReady(i);
             return;
         }
 
         // Observe this job when asked: the collector rides the worker
-        // thread (obs::current()) so the fabric and cache layers can
-        // report without plumbing. With obs off this is one branch.
-        const obs::ObsOptions &obs_opt = jobs[i].options.common.obs;
+        // thread (obs::current()). With obs off this is one branch.
         std::optional<obs::Collector> col;
         std::optional<obs::ScopedCollector> scope;
-        if (obs_opt.enabled()) {
-            col.emplace(obs_opt);
+        if (job.obs && job.obs->enabled()) {
+            col.emplace(*job.obs);
             scope.emplace(*col);
         }
-
-        const bool timing = obs_opt.hostTimers;
+        auto event = [&col](obs::CacheEventKind kind) {
+            if (col)
+                col->recordCacheEvent(kind);
+        };
+        const bool timing = job.obs && job.obs->hostTimers;
+        auto now = [timing] { return timing ? obs::hostNowUs() : 0; };
         obs::HostPhaseTimes host;
-        if (timing) {
-            host.measured = true;
+        host.measured = timing;
+        if (timing)
             host.queueWaitUs = obs::hostNowUs() - pool_t0;
+
+        bool hit = false;
+        if (store && store->readsEnabled()) {
+            event(obs::CacheEventKind::Probe);
+            const std::uint64_t t0 = now();
+            if (auto payload = store->lookup(job.key))
+                hit = job.accept(*payload);
+            host.cacheProbeUs = now() - t0;
         }
 
-        auto seal = [&] {
-            if (!col)
-                return;
+        if (hit) {
+            store->recordHit();
+            st.cacheHit = true;
+            event(obs::CacheEventKind::Hit);
+        } else {
+            if (store) {
+                store->recordMiss();
+                event(obs::CacheEventKind::Miss);
+            }
+            const std::uint64_t t_sim = now();
+            std::string payload;
+            try {
+                payload = job.compute();
+            } catch (const std::exception &e) {
+                st.error = e.what();
+            } catch (...) {
+                st.error = "unknown exception";
+            }
+            // The encode runs inside compute(), so it lands in simUs;
+            // encodeUs is the fresh payload's hand-off to accept().
+            const std::uint64_t t_acc = now();
+            host.simUs = t_acc - t_sim;
+            if (st.error.empty() && !job.accept(payload))
+                st.error = "computed payload failed to decode";
+            host.encodeUs = now() - t_acc;
+
+            // Only successful jobs are worth remembering; a failure
+            // should re-run (and re-report) next time.
+            if (store && store->writesEnabled() && st.error.empty()) {
+                const std::uint64_t t_store = now();
+                store->store(job.key, payload, &st.cacheStored);
+                host.cacheStoreUs = now() - t_store;
+                event(obs::CacheEventKind::Store);
+            }
+        }
+
+        if (col) {
             if (timing)
                 col->recordHostTimes(host);
             scope.reset();
-            r.obs = col->finish();
-        };
-
-        cache::ScenarioKey key;
-        if (store)
-            key = cache::scenarioKey(jobs[i].options);
-        if (store && store->readsEnabled()) {
-            if (col)
-                col->recordCacheEvent(obs::CacheEventKind::Probe);
-            const std::uint64_t t0 = timing ? obs::hostNowUs() : 0;
-            bool hit = false;
-            if (auto payload = store->lookup(key)) {
-                // An undecodable or empty entry (external corruption;
-                // torn files cannot happen) falls through to a
-                // recompute instead of failing the scenario.
-                if (cache::decodeCaseResult(*payload, r.cases) &&
-                    !r.cases.empty())
-                    hit = true;
-                else
-                    r.cases.clear();
-            }
-            if (timing)
-                host.cacheProbeUs = obs::hostNowUs() - t0;
-            if (hit) {
-                store->recordHit();
-                r.cacheHit = true;
-                if (col)
-                    col->recordCacheEvent(obs::CacheEventKind::Hit);
-                seal();
-                emitReady(i);
-                return;
-            }
+            st.obs = col->finish();
         }
-
-        if (store) {
-            store->recordMiss();
-            if (col)
-                col->recordCacheEvent(obs::CacheEventKind::Miss);
-        }
-        const std::uint64_t t_sim = timing ? obs::hostNowUs() : 0;
-        try {
-            r.cases = fn(jobs[i].options);
-            if (r.cases.empty())
-                r.error = kNoArchError;
-        } catch (const std::exception &e) {
-            r.error = e.what();
-        } catch (...) {
-            r.error = "unknown exception";
-        }
-        if (timing)
-            host.simUs = obs::hostNowUs() - t_sim;
-
-        // Only successful scenarios are worth remembering; a failure
-        // should re-run (and re-report) next time.
-        if (store && store->writesEnabled() && r.error.empty()) {
-            const std::uint64_t t_enc = timing ? obs::hostNowUs() : 0;
-            const std::string payload =
-                cache::encodeCaseResult(r.cases);
-            const std::uint64_t t_store =
-                timing ? obs::hostNowUs() : 0;
-            if (timing)
-                host.encodeUs = t_store - t_enc;
-            store->store(key, payload, &r.cacheStored);
-            if (timing)
-                host.cacheStoreUs = obs::hostNowUs() - t_store;
-            if (col)
-                col->recordCacheEvent(obs::CacheEventKind::Store);
-        }
-        seal();
         emitReady(i);
     });
     if (emit_error)
         std::rethrow_exception(emit_error);
-    return results;
 }
 
-std::vector<std::string>
-ScenarioPool::mapCached(
-    std::size_t count,
-    const std::function<cache::ScenarioKey(std::size_t)> &keyOf,
-    const std::function<std::string(std::size_t)> &compute,
-    const cache::ResultStore *store) const
+std::vector<ScenarioResult>
+ScenarioPool::run(
+    const std::vector<SweepJob> &jobs,
+    const std::function<CaseResult(const cli::Options &)> &fn,
+    const cache::ResultStore *store,
+    const std::function<void(const ScenarioResult &)> &onResult,
+    const CancelToken *cancel) const
 {
-    if (!store)
-        return map<std::string>(count, compute);
-    return map<std::string>(count, [&](std::size_t i) {
-        const cache::ScenarioKey key = keyOf(i);
-        if (store->readsEnabled()) {
-            if (auto payload = store->lookup(key)) {
-                store->recordHit();
-                return *payload;
-            }
-        }
-        store->recordMiss();
-        std::string payload = compute(i);
-        if (store->writesEnabled())
-            store->store(key, payload);
-        return payload;
-    });
+    std::vector<ScenarioResult> results(jobs.size());
+    std::vector<CachedJob> cached(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        ScenarioResult &r = results[i];
+        r.job = jobs[i];
+        const cli::Options &opt = r.job.options;
+        CachedJob &c = cached[i];
+        if (store)
+            c.key = cache::scenarioKey(opt);
+        c.obs = &opt.common.obs;
+        c.compute = [&fn, &opt] {
+            const CaseResult cases = fn(opt);
+            if (cases.empty())
+                throw std::runtime_error(kNoArchError);
+            return cache::encodeCaseResult(cases);
+        };
+        c.accept = [&r](const std::string &payload) {
+            return acceptCases(payload, r.cases);
+        };
+        c.status = &r;
+    }
+
+    std::function<void(std::size_t)> emit;
+    if (onResult)
+        emit = [&](std::size_t i) { onResult(results[i]); };
+    runCached(cached, store, emit, cancel);
+    return results;
 }
 
 } // namespace runner

@@ -2,34 +2,35 @@
  * @file
  * Worker-pool execution of independent jobs.
  *
- * The pool is three layers, each built on the one below:
+ * Every job the pool runs goes through one cached-job loop,
+ * runCached(). A CachedJob is a cache identity (ScenarioKey), a
+ * compute() that produces payload bytes, and an accept() that takes a
+ * payload into the caller's result slot -- or rejects it as unusable.
+ * Per job, the loop:
  *
- *  - forEach(count, task): the type-erased core. Workers pull job
- *    indices from a shared atomic counter, so the pool never
- *    partitions work statically (one slow job cannot strand a whole
- *    stripe behind it). @p task must not throw; wrap it if it can.
- *  - map<R>(count, fn): runs fn(i) for every index and collects the
- *    returned values at their job index. An fn that throws fails the
- *    whole map with the lowest-indexed error after every job has
- *    been attempted.
- *  - run(jobs, fn): the canonsim scenario adapter. A scenario that
- *    throws (or yields nothing) is captured as a failed
- *    ScenarioResult; the remaining scenarios still run.
+ *  1. polls the CancelToken (a cancelled job lands kCancelledError and
+ *     never touches the store);
+ *  2. installs a Collector when the job's obs options ask for one, so
+ *     the fabric and cache layers report without plumbing;
+ *  3. with a readable store, looks the key up and counts a hit only
+ *     when accept() takes the stored payload -- one read, one decode;
+ *  4. otherwise counts one miss, runs compute(), hands the fresh
+ *     payload to accept(), and (writes enabled, no failure) stores it;
+ *  5. seals the observations and releases the job to the ordered
+ *     emitter.
  *
- * Cached execution: run() and mapCached() accept an optional
- * cache::ResultStore. When present, each job's ScenarioKey is looked
- * up before simulating -- a hit skips the job entirely (this is what
- * makes a warm-cache rerun execute zero simulation jobs and an
- * interrupted sweep resume from its cache directory), a miss runs
- * the job and stores the result per the store's mode. Hit/miss/store
- * counts accumulate in the store's atomic counters. Failed scenarios
- * are never stored.
+ * This is the only place that counts hits and misses or writes the
+ * store, so canonsim scenarios, figure grid points and dry-run
+ * forecasts all follow one hit rule: a stored entry counts only when
+ * its job's accept() takes it, and an unusable entry is exactly one
+ * miss. run() is the scenario caller: it wraps each SweepJob as
+ * encodeCaseResult(fn(options)) accepted by acceptCases().
  *
- * Thread-safety and ordering contract (all entry points):
- *  - @p fn / @p task is called concurrently from up to workers()
- *    threads, each call with a distinct job index; it must not touch
- *    shared mutable state without its own synchronization.
- *  - Each result lands at its job's index, which makes the output
+ * Thread-safety and ordering contract:
+ *  - compute()/accept() (and run()'s fn) are called concurrently from
+ *    up to workers() threads, each call for a distinct job; they must
+ *    not touch shared mutable state without their own synchronization.
+ *  - Each outcome lands in its job's own slot, which makes the output
  *    ordering -- and therefore any rendered table or CSV --
  *    deterministic and independent of thread count and scheduling.
  *  - The pool itself is stateless across calls; a const ScenarioPool
@@ -39,10 +40,9 @@
 #ifndef CANON_RUNNER_POOL_HH
 #define CANON_RUNNER_POOL_HH
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
-#include <stdexcept>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -61,12 +61,10 @@ namespace runner
 inline constexpr const char *kNoArchError =
     "no requested architecture can execute this scenario";
 
-/** Outcome of one sweep job: per-arch profiles, or an error. */
-struct ScenarioResult
+/** How the cached-job loop finished one job. */
+struct JobStatus
 {
-    SweepJob job;
-    CaseResult cases;
-    std::string error; //!< nonempty when the scenario failed
+    std::string error; //!< nonempty when the job failed
 
     /**
      * How the result cache treated this job: satisfied from the
@@ -83,12 +81,47 @@ struct ScenarioResult
     bool cancelled() const { return error == kCancelledError; }
 
     /**
-     * Observations gathered while this scenario executed; null when
-     * the job's obs options were all off. Cache-hit scenarios carry
-     * their cache events but no fabric runs (nothing simulated).
+     * Observations gathered while this job executed; null when the
+     * job's obs options were all off. Cache hits carry their cache
+     * events but no fabric runs (nothing simulated).
      */
     std::shared_ptr<const obs::ScenarioObs> obs;
 };
+
+/** Outcome of one sweep job: per-arch profiles, or an error. */
+struct ScenarioResult : JobStatus
+{
+    SweepJob job;
+    CaseResult cases;
+};
+
+/** One unit of work for ScenarioPool::runCached(). */
+struct CachedJob
+{
+    cache::ScenarioKey key; //!< store identity; unused without a store
+
+    /** Observation knobs; null (or all off) observes nothing. */
+    const obs::ObsOptions *obs = nullptr;
+
+    /** Produce the payload bytes; throws on failure. */
+    std::function<std::string()> compute;
+
+    /**
+     * Decode a payload into the caller's result slot. Returning false
+     * marks it unusable: a stored entry is then recomputed as a miss.
+     */
+    std::function<bool(const std::string &)> accept;
+
+    JobStatus *status = nullptr; //!< where the loop records the outcome
+};
+
+/**
+ * The scenario hit rule: decode @p payload into @p out and take it
+ * only when it holds at least one profile (@p out is left empty
+ * otherwise). run() accepts stored and fresh payloads with it, and
+ * Engine::plan() forecasts with it.
+ */
+bool acceptCases(const std::string &payload, CaseResult &out);
 
 class ScenarioPool
 {
@@ -99,79 +132,38 @@ class ScenarioPool
     int workers() const { return workers_; }
 
     /**
-     * Run @p task for every index in [0, count), spread across the
-     * worker threads. @p task must not throw: this is the primitive
-     * the error-capturing entry points below are built on.
-     */
-    void forEach(std::size_t count,
-                 const std::function<void(std::size_t)> &task) const;
-
-    /**
-     * Run fn(i) for every index in [0, count) and collect the
-     * returned values in index order. If any call throws, every
-     * other job still runs, then the error of the lowest-indexed
-     * failed job is rethrown as std::runtime_error.
-     */
-    template <typename R>
-    std::vector<R> map(std::size_t count,
-                       const std::function<R(std::size_t)> &fn) const
-    {
-        std::vector<R> results(count);
-        std::vector<std::string> errors(count);
-        // Failure is tracked separately from the message so an
-        // exception with an empty what() still fails the map.
-        std::vector<char> job_failed(count, 0);
-        std::atomic<bool> any_failed{false};
-        forEach(count, [&](std::size_t i) {
-            try {
-                results[i] = fn(i);
-            } catch (const std::exception &e) {
-                errors[i] = e.what();
-                job_failed[i] = 1;
-                any_failed.store(true, std::memory_order_relaxed);
-            } catch (...) {
-                errors[i] = "unknown exception";
-                job_failed[i] = 1;
-                any_failed.store(true, std::memory_order_relaxed);
-            }
-        });
-        if (any_failed.load())
-            for (std::size_t i = 0; i < count; ++i)
-                if (job_failed[i])
-                    throw std::runtime_error(
-                        "job " + std::to_string(i) + ": " + errors[i]);
-        return results;
-    }
-
-    /**
-     * Run every job through @p fn (a CaseResult producer, typically
-     * cli::runCases) and collect the outcomes in job-index order.
-     * A job that throws FatalError/PanicError (or any std::exception)
-     * is captured as a failed ScenarioResult; the remaining jobs
-     * still run.
+     * The cached-job loop (see the file comment). With a null
+     * @p store every job computes. A compute() that throws, or a fresh
+     * payload accept() rejects, fails only its own job (its status
+     * carries the error) and is never stored; the other jobs still
+     * run.
      *
-     * With a non-null @p store, each job's cache::scenarioKey is
-     * consulted first (per the store's mode): a decodable hit
-     * becomes the result without simulating, anything else runs and
-     * -- when writes are enabled and the scenario succeeded -- is
-     * stored.
-     *
-     * With a non-null @p onResult, every finished result is
-     * additionally streamed in job-index order: the callback fires
-     * for job i as soon as jobs 0..i have all completed (so delivery
-     * order is deterministic even though execution is not). Calls
-     * are serialized under an internal lock but run on worker
-     * threads concurrently with later jobs -- the callback must not
-     * block for long and must not re-enter the pool. If the callback
-     * throws, delivery stops, every job still runs to completion,
-     * and the first exception rethrows on the caller's thread after
-     * the workers have joined (it never escapes a worker thread).
+     * With a non-null @p onDone, onDone(i) fires for job i as soon as
+     * jobs 0..i have all finished (so delivery order is deterministic
+     * even though execution is not). Calls are serialized under an
+     * internal lock but run on worker threads concurrently with later
+     * jobs -- the callback must not block for long and must not
+     * re-enter the pool. If it throws, delivery stops, every job
+     * still runs to completion, and the first exception rethrows on
+     * the caller's thread after the workers have joined.
      *
      * With a non-null @p cancel, the token is polled before each job
      * starts: once cancelled, every not-yet-started job is skipped
-     * and recorded as a failed result carrying kCancelledError
-     * (in-flight jobs finish normally; skipped jobs never touch the
-     * store). Delivery order and result indexing are unchanged.
+     * with kCancelledError (in-flight jobs finish normally; skipped
+     * jobs never touch the store).
+     */
+    void runCached(const std::vector<CachedJob> &jobs,
+                   const cache::ResultStore *store,
+                   const std::function<void(std::size_t)> &onDone = {},
+                   const CancelToken *cancel = nullptr) const;
+
+    /**
+     * The scenario caller of runCached(): every job's payload is
+     * encodeCaseResult(fn(options)), accepted by acceptCases(). A job
+     * whose fn throws -- or yields no profile (kNoArchError) -- is
+     * captured as a failed ScenarioResult; the remaining jobs still
+     * run. @p onResult streams each result in job-index order and
+     * @p cancel skips unstarted jobs, per the runCached() contract.
      */
     std::vector<ScenarioResult>
     run(const std::vector<SweepJob> &jobs,
@@ -181,23 +173,16 @@ class ScenarioPool
             {},
         const CancelToken *cancel = nullptr) const;
 
-    /**
-     * Cache-aware map over opaque payload strings: for every index,
-     * return the stored payload under keyOf(i) when the store has
-     * one, otherwise compute(i) (storing the result per the store's
-     * mode). With a null @p store this is map<std::string> over
-     * @p compute. Exceptions follow the map() contract: every other
-     * index still runs, then the lowest-indexed error is rethrown.
-     * The payload round-trips bit-exactly, so a caller that renders
-     * from the returned payloads is byte-identical warm or cold.
-     */
-    std::vector<std::string> mapCached(
-        std::size_t count,
-        const std::function<cache::ScenarioKey(std::size_t)> &keyOf,
-        const std::function<std::string(std::size_t)> &compute,
-        const cache::ResultStore *store) const;
-
   private:
+    /**
+     * Run @p task for every index in [0, count), spread across the
+     * worker threads. Workers pull indices from a shared atomic
+     * counter, so one slow job cannot strand a stripe behind it.
+     * @p task must not throw.
+     */
+    void forEach(std::size_t count,
+                 const std::function<void(std::size_t)> &task) const;
+
     int workers_;
 };
 

@@ -25,8 +25,10 @@
 #define CANON_RUNNER_SHARD_HH
 
 #include <cstddef>
+#include <iterator>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace canon
 {
@@ -66,6 +68,21 @@ std::string parseShard(const std::string &text, Shard &out);
  */
 std::pair<std::size_t, std::size_t> shardRange(const Shard &shard,
                                                std::size_t total);
+
+/** The shardRange() slice of @p all that @p shard owns. */
+template <typename T>
+std::vector<T>
+shardSlice(const Shard &shard, std::vector<T> all)
+{
+    if (shard.whole())
+        return all;
+    const auto [first, last] = shardRange(shard, all.size());
+    return std::vector<T>(
+        std::make_move_iterator(all.begin() +
+                                static_cast<std::ptrdiff_t>(first)),
+        std::make_move_iterator(all.begin() +
+                                static_cast<std::ptrdiff_t>(last)));
+}
 
 } // namespace runner
 } // namespace canon

@@ -11,8 +11,8 @@
  *
  * The split makes evaluation order irrelevant within a cycle -- the
  * classic cycle-simulator hazard of one component observing another's
- * same-cycle write cannot occur. Latch and ChannelFifo (latch.hh) stage
- * state for exactly this protocol.
+ * same-cycle write cannot occur. ChannelFifo (latch.hh) stages state
+ * for exactly this protocol.
  */
 
 #ifndef CANON_SIM_CLOCKED_HH

@@ -1,60 +1,27 @@
 /**
  * @file
- * Staged-state building blocks for two-phase clocked models.
+ * Staged state for two-phase clocked models.
  *
- *  - Latch<T>: a register. set() stages a value during tickCompute;
- *    commit() makes it visible. get() always returns the value latched
- *    at the previous cycle boundary.
- *
- *  - ChannelFifo<T>: a small hardware FIFO between two components (e.g.
- *    a vertical psum channel between PE rows, or an orchestrator message
- *    channel). Pushes and pops staged during a cycle are applied at the
- *    commit boundary; the head read during a cycle is the pre-cycle head.
- *    Overflow and pop-from-empty panic: in Canon, orchestration is
- *    deterministic by construction, so either indicates a mis-programmed
- *    FSM (or a simulator bug), never a run-time condition to recover from.
+ * ChannelFifo<T>: a small hardware FIFO between two components (e.g. a
+ * vertical psum channel between PE rows, or an orchestrator message
+ * channel). Pushes and pops staged during a cycle are applied at the
+ * commit boundary; the head read during a cycle is the pre-cycle head.
+ * Overflow and pop-from-empty panic: in Canon, orchestration is
+ * deterministic by construction, so either indicates a mis-programmed
+ * FSM (or a simulator bug), never a run-time condition to recover from.
  */
 
 #ifndef CANON_SIM_LATCH_HH
 #define CANON_SIM_LATCH_HH
 
 #include <deque>
-#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/logging.hh"
 
 namespace canon
 {
-
-template <typename T>
-class Latch
-{
-  public:
-    Latch() = default;
-    explicit Latch(T init) : cur_(std::move(init)) {}
-
-    /** Visible value (latched at the last commit). */
-    const T &get() const { return cur_; }
-
-    /** Stage a new value; visible after commit(). */
-    void set(T v) { next_ = std::move(v); }
-
-    bool pendingUpdate() const { return next_.has_value(); }
-
-    void
-    commit()
-    {
-        if (next_) {
-            cur_ = std::move(*next_);
-            next_.reset();
-        }
-    }
-
-  private:
-    T cur_{};
-    std::optional<T> next_;
-};
 
 template <typename T>
 class ChannelFifo

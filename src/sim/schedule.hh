@@ -21,11 +21,10 @@
  *    `kHasTickCommit`). Its partition is simply absent from that
  *    phase's pass list, so a dead phase costs zero per cycle.
  *
- *  - **Residual virtual partition.** Components registered through
- *    addVirtual() -- external embedder models, test doubles -- tick
- *    through the classic Clocked interface in both phases. Typed and
- *    virtual components advance in the same two-phase protocol;
- *    nothing observable depends on which path a component took.
+ *  - **Base-pointer components.** A model known only as a Clocked*
+ *    (an external embedder model, a test double) registers as
+ *    add<Clocked>(c): its partition ticks through the two virtual
+ *    Clocked calls, in the same two-phase protocol as every other.
  *
  * Partition order (and registration order within a partition) is
  * irrelevant for results: the two-phase protocol of clocked.hh makes
@@ -41,7 +40,6 @@
 #include <memory>
 #include <vector>
 
-#include "sim/clocked.hh"
 #include "sim/latch.hh"
 
 namespace canon
@@ -147,19 +145,6 @@ class TickSchedule
         static_cast<Partition<T> *>(byType_[id])->items.push_back(c);
     }
 
-    /** Register @p c (not owned) into the residual virtual partition. */
-    void
-    addVirtual(Clocked *c)
-    {
-        if (!virtualPart_) {
-            auto p = std::make_unique<VirtualPartition>();
-            virtualPart_ = p.get();
-            enlist(p.get(), true, true);
-            owned_.push_back(std::move(p));
-        }
-        virtualPart_->items.push_back(c);
-    }
-
     /** Advance every partition's compute (phase-1) pass. */
     void
     tickCompute()
@@ -176,7 +161,7 @@ class TickSchedule
             p->commit();
     }
 
-    /** Live partitions (typed + residual), for tests/introspection. */
+    /** Live partitions, for tests/introspection. */
     std::size_t partitionCount() const { return owned_.size(); }
 
   private:
@@ -211,26 +196,6 @@ class TickSchedule
         }
     };
 
-    class VirtualPartition final : public PartitionBase
-    {
-      public:
-        std::vector<Clocked *> items;
-
-        void
-        compute() override
-        {
-            for (Clocked *c : items)
-                c->tickCompute();
-        }
-
-        void
-        commit() override
-        {
-            for (Clocked *c : items)
-                c->tickCommit();
-        }
-    };
-
     void
     enlist(PartitionBase *p, bool has_compute, bool has_commit)
     {
@@ -244,7 +209,6 @@ class TickSchedule
     std::vector<std::unique_ptr<PartitionBase>> owned_;
     std::vector<PartitionBase *> computeList_;
     std::vector<PartitionBase *> commitList_;
-    VirtualPartition *virtualPart_ = nullptr;
 };
 
 } // namespace canon

@@ -4,20 +4,14 @@
  *
  * Simulator owns no hardware; models register themselves (or are
  * registered by their parent) and the loop advances all of them in the
- * two-phase protocol of clocked.hh. Registration comes in two forms:
- *
- *  - addTyped<T>() buckets the component into the contiguous typed
- *    partition of its concrete type (schedule.hh), advanced by direct
- *    non-virtual calls with dead phases elided -- the fast path every
- *    fabric-owned component uses.
- *  - add(Clocked*) keeps the classic virtual interface: the component
- *    joins the residual virtual partition and ticks in both phases.
- *    External embedder models and test doubles need no changes.
- *
- * Both forms advance in the same two phases; registration order and
- * partition shape never affect results. A watchdog bounds runaway
- * simulations: a mis-programmed FSM that never reaches the done
- * predicate fails loudly rather than hanging a test.
+ * two-phase protocol of clocked.hh. addTyped<T>() buckets each
+ * component into the contiguous partition of its type T (schedule.hh),
+ * advanced by direct calls with dead phases elided. A model known only
+ * by a base pointer registers as addTyped<Clocked>(c) and ticks through
+ * the two virtual Clocked calls. Registration order and partition shape
+ * never affect results. A watchdog bounds runaway simulations: a
+ * mis-programmed FSM that never reaches the done predicate fails
+ * loudly rather than hanging a test.
  */
 
 #ifndef CANON_SIM_SIMULATOR_HH
@@ -38,17 +32,10 @@ class Simulator
     Simulator() = default;
 
     /**
-     * Register a component through the virtual Clocked interface; not
-     * owned. Order does not affect results. This is the compatibility
-     * path for components the schedule has no typed partition for.
-     */
-    void add(Clocked *c) { schedule_.addVirtual(c); }
-
-    /**
-     * Register a component into the typed partition of its concrete
-     * type; not owned. T needs tickCompute()/tickCommit() members and
-     * may declare dead phases (see schedule.hh); it does not need to
-     * derive from Clocked.
+     * Register a component into the partition of its type T; not
+     * owned. Order does not affect results. T needs tickCompute()/
+     * tickCommit() members and may declare dead phases (see
+     * schedule.hh); it does not need to derive from Clocked.
      */
     template <typename T>
     void
@@ -60,9 +47,9 @@ class Simulator
     Cycle now() const { return now_; }
 
     /**
-     * Live schedule partitions (typed + residual). Tests use this to
-     * pin the structural zero-cost-when-off contract: an unobserved
-     * run must register exactly the partitions a pre-obs fabric had.
+     * Live schedule partitions. Tests use this to pin the
+     * structural zero-cost-when-off contract: an unobserved run must
+     * register exactly the partitions a pre-obs fabric had.
      */
     std::size_t partitionCount() const
     {

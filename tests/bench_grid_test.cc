@@ -292,21 +292,108 @@ TEST(FigureBench, JobFailureIsReportedNotSwallowed)
     FigureTable t;
     t.title = "failing";
     t.header = {"Col"};
-    t.grid.axis("i", {"0", "1", "2"});
+    t.grid.axis("i", {"0", "1", "2", "3", "4"});
     t.emit = [](const FigurePoint &p) -> FigureRows {
-        if (p.index == 1)
-            fatal("grid point exploded");
+        if (p.index == 1 || p.index == 3)
+            fatal("grid point ", p.index, " exploded");
         return {{p.value("i")}};
     };
     bench.add(std::move(t));
 
+    // Every point runs; the reported failure is the first by index,
+    // independent of scheduling.
+    for (int jobs : {1, 4}) {
+        BenchOptions opt;
+        opt.common.jobs = jobs;
+        std::ostringstream out, err;
+        EXPECT_EQ(bench.run(opt, out, err), 1);
+        EXPECT_NE(err.str().find("job 1: "), std::string::npos)
+            << err.str();
+        EXPECT_NE(err.str().find("grid point 1 exploded"),
+                  std::string::npos)
+            << err.str();
+        EXPECT_EQ(err.str().find("grid point 3"), std::string::npos)
+            << err.str();
+    }
+}
+
+/** Occurrences of @p needle in @p text. */
+std::size_t
+countOf(const std::string &text, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (auto at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + needle.size()))
+        ++n;
+    return n;
+}
+
+TEST(FigureBench, CachedRunCarriesHostPhasesAndCacheEvents)
+{
+    // A cached bench goes through the same job loop as canonsim, so
+    // every point reports its cache events and, with --host-timers,
+    // its host phases -- cold (probe, miss, store) and warm (probe,
+    // hit) alike.
+    const std::string dir = scratchDir("bench_grid_obs");
+    std::atomic<int> emits{0};
+    const FigureBench bench = countingBench(dir, &emits);
+
     BenchOptions opt;
     opt.common.jobs = 2;
+    opt.common.cacheDir = dir + "cache";
+    opt.common.obs.hostTimers = true;
+    opt.common.obs.statsJsonOut = dir + "stats.json";
+    for (const char *events : {"\"cache\":[\"probe\",\"miss\",\"store\"]",
+                               "\"cache\":[\"probe\",\"hit\"]"}) {
+        std::ostringstream out, err;
+        ASSERT_EQ(bench.run(opt, out, err), 0) << err.str();
+        const std::string stats = slurp(dir + "stats.json");
+        EXPECT_EQ(countOf(stats, events), 3u) << stats;
+        EXPECT_EQ(countOf(stats, "\"host\":{\"queueWaitUs\""), 3u)
+            << stats;
+    }
+    EXPECT_EQ(emits.load(), 3);
+}
+
+TEST(FigureBench, CorruptCacheEntryIsRecomputedAsOneMiss)
+{
+    // Figure 16 with one cache entry's body replaced: the entry is a
+    // miss like any other -- recomputed, counted once, never fatal --
+    // and the CSV is byte-identical to the cold run's.
+    const auto old_cwd = std::filesystem::current_path();
+    const std::string dir = scratchDir("fig16_corrupt");
+    std::filesystem::current_path(dir);
+
+    BenchOptions opt;
+    opt.common.jobs = 2;
+    opt.common.cacheDir = dir + "cache";
+    std::ostringstream cold_out, cold_err;
+    ASSERT_EQ(figure16Bench().run(opt, cold_out, cold_err), 0)
+        << cold_err.str();
+    const std::string cold_csv = slurp("fig16_bandwidth.csv");
+
+    std::vector<std::filesystem::path> entries;
+    for (const auto &e :
+         std::filesystem::directory_iterator(opt.common.cacheDir))
+        entries.push_back(e.path());
+    const std::size_t n = figure16Bench().jobCount();
+    ASSERT_EQ(entries.size(), n);
+    const std::string text = slurp(entries.front().string());
+    const auto body = text.find('\n', text.find('\n') + 1);
+    ASSERT_NE(body, std::string::npos);
+    std::ofstream(entries.front(), std::ios::binary)
+        << text.substr(0, body + 1) << "stale garbage\n";
+
     std::ostringstream out, err;
-    EXPECT_EQ(bench.run(opt, out, err), 1);
-    EXPECT_NE(err.str().find("grid point exploded"),
+    EXPECT_EQ(figure16Bench().run(opt, out, err), 0) << err.str();
+    EXPECT_EQ(err.str(), "");
+    EXPECT_EQ(slurp("fig16_bandwidth.csv"), cold_csv);
+    EXPECT_NE(out.str().find("cache: " + std::to_string(n - 1) +
+                             " hits, 1 misses"),
               std::string::npos)
-        << err.str();
+        << out.str();
+
+    std::filesystem::current_path(old_cwd);
 }
 
 // ---- shared bench CLI -------------------------------------------------

@@ -24,6 +24,7 @@
 #include "cache/store.hh"
 #include "cli/driver.hh"
 #include "cli/options.hh"
+#include "engine/engine.hh"
 #include "runner/pool.hh"
 #include "runner/sweep.hh"
 
@@ -401,7 +402,7 @@ TEST(CachedPool, WarmRunExecutesZeroScenarios)
     std::atomic<int> executed{0};
     auto fn = [&executed](const cli::Options &o) {
         executed.fetch_add(1);
-        return cli::runCases(o);
+        return engine::runScenarioCases(o);
     };
 
     ResultStore cold(dir, Mode::ReadWrite);
@@ -441,7 +442,7 @@ TEST(CachedPool, FailedScenariosAreNeverCached)
         executed.fetch_add(1);
         if (o.seed == 2)
             throw std::runtime_error("transient failure");
-        return cli::runCases(o);
+        return engine::runScenarioCases(o);
     };
 
     ResultStore store(dir, Mode::ReadWrite);
@@ -453,41 +454,83 @@ TEST(CachedPool, FailedScenariosAreNeverCached)
     // The resume re-runs exactly the failed scenario.
     ResultStore resume(dir, Mode::ReadWrite);
     executed.store(0);
-    auto second = pool.run(jobs, cli::runCases, &resume);
+    auto second = pool.run(jobs, engine::runScenarioCases, &resume);
     EXPECT_EQ(executed.load(), 0); // flaky not used; count via stats
     EXPECT_EQ(resume.stats().hits, 2u);
     EXPECT_EQ(resume.stats().misses, 1u);
     EXPECT_EQ(second[1].error, "");
 }
 
-TEST(CachedPool, MapCachedRoundTripsPayloads)
+TEST(CachedPool, CachedJobsRoundTripPayloadsThroughTheStore)
 {
-    const std::string dir = scratchDir("cache_pool_map");
+    const std::string dir = scratchDir("cache_pool_jobs");
     const runner::ScenarioPool pool(2);
     std::atomic<int> computed{0};
     auto key_of = [](std::size_t i) {
-        return figureKey("map", "t", "i=" + std::to_string(i));
-    };
-    auto compute = [&computed](std::size_t i) {
-        computed.fetch_add(1);
-        return "value-" + std::to_string(i * i);
+        return figureKey("pool", "t", "i=" + std::to_string(i));
     };
 
+    // One pass of five cached jobs; accept() takes only payloads
+    // that look computed, the way a decoder rejects a corrupt entry.
+    auto run = [&](const ResultStore *store,
+                   std::vector<std::string> &got) {
+        got.assign(5, "");
+        std::vector<runner::JobStatus> status(5);
+        std::vector<runner::CachedJob> jobs(5);
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            jobs[i].key = key_of(i);
+            jobs[i].compute = [&computed, i] {
+                computed.fetch_add(1);
+                return "value-" + std::to_string(i * i);
+            };
+            jobs[i].accept = [&slot = got[i]](const std::string &p) {
+                if (p.rfind("value-", 0) != 0)
+                    return false;
+                slot = p;
+                return true;
+            };
+            jobs[i].status = &status[i];
+        }
+        pool.runCached(jobs, store);
+        return status;
+    };
+
+    std::vector<std::string> cold;
     ResultStore store(dir, Mode::ReadWrite);
     ASSERT_EQ(store.prepare(), "");
-    const auto cold = pool.mapCached(5, key_of, compute, &store);
+    for (const auto &st : run(&store, cold)) {
+        EXPECT_EQ(st.error, "");
+        EXPECT_TRUE(st.cacheStored);
+    }
     EXPECT_EQ(computed.load(), 5);
-    ASSERT_EQ(cold.size(), 5u);
     EXPECT_EQ(cold[3], "value-9");
 
-    ResultStore warm(dir, Mode::ReadWrite);
-    EXPECT_EQ(pool.mapCached(5, key_of, compute, &warm), cold);
+    // Warm: the payloads come back bit-exact with zero computation.
+    std::vector<std::string> warm;
+    ResultStore warm_store(dir, Mode::ReadWrite);
+    for (const auto &st : run(&warm_store, warm))
+        EXPECT_TRUE(st.cacheHit);
+    EXPECT_EQ(warm, cold);
     EXPECT_EQ(computed.load(), 5);
-    EXPECT_EQ(warm.stats().hits, 5u);
+    EXPECT_EQ(warm_store.stats().hits, 5u);
 
-    // Null store degrades to a plain map.
-    EXPECT_EQ(pool.mapCached(5, key_of, compute, nullptr), cold);
-    EXPECT_EQ(computed.load(), 10);
+    // An entry accept() rejects is exactly one miss, never also a
+    // hit, and is recomputed.
+    ASSERT_TRUE(ResultStore(dir, Mode::Refresh).store(key_of(2), "x"));
+    std::vector<std::string> tolerant;
+    ResultStore tolerant_store(dir, Mode::ReadWrite);
+    const auto st = run(&tolerant_store, tolerant);
+    EXPECT_FALSE(st[2].cacheHit);
+    EXPECT_EQ(tolerant, cold);
+    EXPECT_EQ(computed.load(), 6);
+    EXPECT_EQ(tolerant_store.stats().hits, 4u);
+    EXPECT_EQ(tolerant_store.stats().misses, 1u);
+
+    // Without a store every job computes.
+    std::vector<std::string> plain;
+    run(nullptr, plain);
+    EXPECT_EQ(plain, cold);
+    EXPECT_EQ(computed.load(), 11);
 }
 
 // ---- canonsim end to end ----------------------------------------------

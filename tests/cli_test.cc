@@ -12,6 +12,7 @@
 
 #include "cli/driver.hh"
 #include "cli/options.hh"
+#include "engine/engine.hh"
 
 namespace canon
 {
@@ -459,7 +460,7 @@ smokeOptions(Workload wl)
 TEST(CliDriver, DenseCadenceSmokeRun)
 {
     const Options o = smokeOptions(Workload::Gemm);
-    CaseResult r = runCases(o);
+    CaseResult r = engine::runScenarioCases(o);
     ASSERT_EQ(r.count("canon"), 1u);
     const ExecutionProfile &p = r.at("canon");
     EXPECT_GT(p.cycles, 0u);
@@ -470,7 +471,7 @@ TEST(CliDriver, DenseCadenceSmokeRun)
 TEST(CliDriver, SpmmSmokeRun)
 {
     const Options o = smokeOptions(Workload::Spmm);
-    CaseResult r = runCases(o);
+    CaseResult r = engine::runScenarioCases(o);
     ASSERT_EQ(r.count("canon"), 1u);
     const ExecutionProfile &p = r.at("canon");
     EXPECT_GT(p.cycles, 0u);
@@ -482,7 +483,7 @@ TEST(CliDriver, SpmmSmokeRun)
 TEST(CliDriver, SddmmSmokeRun)
 {
     const Options o = smokeOptions(Workload::Sddmm);
-    CaseResult r = runCases(o);
+    CaseResult r = engine::runScenarioCases(o);
     ASSERT_EQ(r.count("canon"), 1u);
     EXPECT_GT(r.at("canon").cycles, 0u);
     EXPECT_GT(r.at("canon").get("laneMacs"), 0u);
@@ -492,7 +493,7 @@ TEST(CliDriver, BaselineComparisonIncludesRequestedArchs)
 {
     Options o = smokeOptions(Workload::Spmm);
     o.archs = {"canon", "systolic", "zed"};
-    CaseResult r = runCases(o);
+    CaseResult r = engine::runScenarioCases(o);
     EXPECT_EQ(r.count("canon"), 1u);
     EXPECT_EQ(r.count("systolic"), 1u);
     EXPECT_EQ(r.count("zed"), 1u);
@@ -503,7 +504,7 @@ TEST(CliDriver, BaselineOnlyRunSkipsCanonSimulation)
 {
     Options o = smokeOptions(Workload::Spmm);
     o.archs = {"systolic", "cgra"};
-    CaseResult r = runCases(o);
+    CaseResult r = engine::runScenarioCases(o);
     EXPECT_EQ(r.count("canon"), 0u);
     EXPECT_EQ(r.count("systolic"), 1u);
     EXPECT_EQ(r.count("cgra"), 1u);
@@ -524,7 +525,7 @@ TEST(CliDriver, ModelRunAccumulatesLayersOnCanon)
     o.model = "llama8b-attn";
     o.sparsity = 0.9;
     o.archs = {"canon"};
-    CaseResult r = runCases(o);
+    CaseResult r = engine::runScenarioCases(o);
     ASSERT_EQ(r.count("canon"), 1u);
     EXPECT_GT(r.at("canon").cycles, 0u);
     EXPECT_GT(r.at("canon").get("laneMacs"), 0u);
@@ -581,9 +582,9 @@ TEST(CliDriver, StatsTableBuildsForComparisonRun)
 {
     Options o = smokeOptions(Workload::Spmm);
     o.archs = {"canon", "systolic"};
-    CaseResult r = runCases(o);
+    CaseResult r = engine::runScenarioCases(o);
     // Throws on header/row width mismatch; building it is the check.
-    Table t = buildStatsTable(o, r);
+    Table t = engine::scenarioStatsTable(o, r);
     (void)t;
 }
 
@@ -599,14 +600,14 @@ TEST(CliDriver, ProbeSpadAppendsOccupancyColumns)
 {
     Options o = smokeOptions(Workload::Spmm);
     o.archs = {"canon", "systolic"};
-    CaseResult r = runCases(o);
+    CaseResult r = engine::runScenarioCases(o);
 
     std::ostringstream base_csv;
-    buildStatsTable(o, r).writeCsv(base_csv);
+    engine::scenarioStatsTable(o, r).writeCsv(base_csv);
 
     o.probeSpad = true;
     std::ostringstream probe_csv;
-    buildStatsTable(o, r).writeCsv(probe_csv);
+    engine::scenarioStatsTable(o, r).writeCsv(probe_csv);
 
     auto lines = [](const std::string &s) {
         std::vector<std::string> out;

@@ -274,7 +274,7 @@ TEST(Engine, RunMatchesRunCases)
     EXPECT_TRUE(rs.single());
     EXPECT_EQ(rs.failureCount(), 0u);
 
-    const CaseResult direct = cli::runCases(req.options());
+    const CaseResult direct = runScenarioCases(req.options());
     const CaseResult &cases = rs.scenarios().front().cases;
     ASSERT_EQ(cases.size(), direct.size());
     for (const auto &[arch, profile] : direct) {
@@ -686,33 +686,43 @@ TEST(Engine, PayloadBatchRoundTripsThroughTheCache)
 {
     const std::string dir = scratchDir("engine_payload") + "cache";
     std::atomic<int> computed{0};
-    auto makeBatch = [&computed] {
-        std::vector<PayloadJob> batch;
-        for (int i = 0; i < 4; ++i)
-            batch.push_back({cache::figureKey("engine_test", "t",
-                                              "i=" +
-                                                  std::to_string(i)),
-                             [&computed, i] {
-                                 ++computed;
-                                 return "payload-" +
-                                        std::to_string(i);
-                             }});
-        return batch;
+    auto runBatch = [&computed](Engine &eng) {
+        std::vector<std::string> payloads(4);
+        std::vector<runner::JobStatus> status(4);
+        std::vector<runner::CachedJob> batch(4);
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            batch[i].key = cache::figureKey("engine_test", "t",
+                                            "i=" + std::to_string(i));
+            batch[i].compute = [&computed, i] {
+                ++computed;
+                return "payload-" + std::to_string(i);
+            };
+            batch[i].accept = [&out = payloads[i]](const std::string &p) {
+                out = p;
+                return true;
+            };
+            batch[i].status = &status[i];
+        }
+        eng.runJobs(batch);
+        for (const auto &st : status)
+            EXPECT_EQ(st.error, "");
+        return payloads;
     };
 
     Engine eng(EngineConfig{.jobs = 2, .cacheDir = dir});
-    auto first = eng.runPayloadBatch(makeBatch());
-    ASSERT_EQ(first.size(), 4u);
+    auto first = runBatch(eng);
     EXPECT_EQ(computed.load(), 4);
-    for (int i = 0; i < 4; ++i)
-        EXPECT_EQ(first[static_cast<std::size_t>(i)],
-                  "payload-" + std::to_string(i));
+    for (std::size_t i = 0; i < first.size(); ++i)
+        EXPECT_EQ(first[i], "payload-" + std::to_string(i));
 
     // Warm: the payloads come back bit-exact with zero computation.
     Engine warm(EngineConfig{.jobs = 2, .cacheDir = dir});
-    auto second = warm.runPayloadBatch(makeBatch());
+    auto second = runBatch(warm);
     EXPECT_EQ(computed.load(), 4);
     EXPECT_EQ(first, second);
+    EXPECT_NE(warm.cacheStatsLine().find("4 hits, 0 misses"),
+              std::string::npos)
+        << warm.cacheStatsLine();
 }
 
 // ---- the introspection registry ---------------------------------------

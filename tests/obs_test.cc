@@ -258,8 +258,17 @@ TEST(Histogram, RecordCountsAndLabels)
 }
 
 // ---------------------------------------------------------------------
-// Sampler cadence edges (driven directly, no fabric).
+// Probe cadence edges (driven directly, no fabric).
 // ---------------------------------------------------------------------
+
+/** A probe partition driving only a sampler over @p stats. */
+obs::CycleProbe
+samplingProbe(const StatGroup &stats, std::uint64_t every)
+{
+    return obs::CycleProbe(every,
+                           std::make_unique<obs::CycleSampler>(stats),
+                           nullptr);
+}
 
 TEST(Sampler, ExactCadenceMultipleSamplesOnceAtRunEnd)
 {
@@ -268,13 +277,13 @@ TEST(Sampler, ExactCadenceMultipleSamplesOnceAtRunEnd)
     // instead of duplicating it.
     StatGroup stats("fabric");
     Counter &c = stats.counter("macOps");
-    obs::CycleSampler s(stats, 5);
+    obs::CycleProbe s = samplingProbe(stats, 5);
     for (int i = 0; i < 10; ++i) {
         ++c;
         s.tickCommit();
     }
     s.captureFinal();
-    const auto set = s.take();
+    const auto set = s.takeSeries();
     ASSERT_EQ(set.series.size(), 1u);
     const auto &pts = set.series[0].points;
     ASSERT_EQ(pts.size(), 2u);
@@ -288,13 +297,13 @@ TEST(Sampler, RunShorterThanOneCadenceStillGetsFinalSample)
 {
     StatGroup stats("fabric");
     Counter &c = stats.counter("macOps");
-    obs::CycleSampler s(stats, 100);
+    obs::CycleProbe s = samplingProbe(stats, 100);
     for (int i = 0; i < 3; ++i) {
         ++c;
         s.tickCommit();
     }
     s.captureFinal();
-    const auto set = s.take();
+    const auto set = s.takeSeries();
     ASSERT_EQ(set.series.size(), 1u);
     const auto &pts = set.series[0].points;
     ASSERT_EQ(pts.size(), 1u);
@@ -582,9 +591,10 @@ TEST(Accounting, ObservationDoesNotPerturbTheRun)
 
 TEST(Accounting, DisabledRunRegistersNoExtraPartitions)
 {
-    // Zero-cost-when-off is structural: without --cycle-accounting no
-    // accountant partition exists; with it, exactly one more.
-    auto partitions = [](bool accounting) {
+    // Zero-cost-when-off is structural: without --cycle-accounting or
+    // --sample-every no probe partition exists; with either or both,
+    // exactly one more.
+    auto partitions = [](bool accounting, std::uint64_t sample_every) {
         CanonConfig cfg;
         cfg.rows = 2;
         cfg.cols = 2;
@@ -594,9 +604,10 @@ TEST(Accounting, DisabledRunRegistersNoExtraPartitions)
         const auto b = randomDense(16, 8, rng);
         CanonFabric fabric(cfg, 0);
         fabric.load(mapSpmm(CsrMatrix::fromDense(a), b, cfg));
-        if (accounting) {
+        if (accounting || sample_every > 0) {
             obs::ObsOptions opt;
-            opt.cycleAccounting = true;
+            opt.cycleAccounting = accounting;
+            opt.sampleEvery = sample_every;
             opt.statsJsonOut = "unused.json";
             obs::Collector col(opt);
             obs::ScopedCollector scope(col);
@@ -606,8 +617,10 @@ TEST(Accounting, DisabledRunRegistersNoExtraPartitions)
         }
         return fabric.schedulePartitions();
     };
-    const std::size_t base = partitions(false);
-    EXPECT_EQ(partitions(true), base + 1);
+    const std::size_t base = partitions(false, 0);
+    EXPECT_EQ(partitions(true, 0), base + 1);
+    EXPECT_EQ(partitions(false, 25), base + 1);
+    EXPECT_EQ(partitions(true, 25), base + 1);
 }
 
 // ---------------------------------------------------------------------

@@ -33,9 +33,9 @@ class PeHarness
         pe.router().bindOut(Dir::South, &south);
         pe.router().bindIn(Dir::West, &west);
         pe.router().bindOut(Dir::East, &east);
-        sim.add(&pipe);
-        sim.add(&pe);
-        sim.add(&committer);
+        sim.addTyped(&pipe);
+        sim.addTyped(&pe);
+        sim.addTyped(&committer);
         committer.chans = {&north, &south, &east, &west};
     }
 

@@ -14,6 +14,7 @@
 
 #include "cli/driver.hh"
 #include "common/logging.hh"
+#include "engine/engine.hh"
 #include "runner/aggregate.hh"
 #include "runner/pool.hh"
 #include "runner/shard.hh"
@@ -237,33 +238,6 @@ TEST(Shard, MoreShardsThanJobsYieldsEmptySlices)
 
 // ---- ScenarioPool -----------------------------------------------------
 
-TEST(ScenarioPool, MapCollectsResultsAtTheirIndex)
-{
-    const auto results = ScenarioPool(4).map<std::size_t>(
-        32, [](std::size_t i) { return i * i; });
-    ASSERT_EQ(results.size(), 32u);
-    for (std::size_t i = 0; i < results.size(); ++i)
-        EXPECT_EQ(results[i], i * i);
-}
-
-TEST(ScenarioPool, MapRethrowsLowestIndexedFailure)
-{
-    try {
-        ScenarioPool(4).map<int>(16, [](std::size_t i) -> int {
-            if (i == 11 || i == 5)
-                fatal("job ", i, " exploded");
-            return static_cast<int>(i);
-        });
-        FAIL() << "map() should have thrown";
-    } catch (const std::runtime_error &e) {
-        // Every job ran; the reported failure is the first by index,
-        // independent of scheduling.
-        EXPECT_NE(std::string(e.what()).find("job 5 exploded"),
-                  std::string::npos)
-            << e.what();
-    }
-}
-
 TEST(ScenarioPool, EmptyJobListYieldsNoResults)
 {
     ScenarioPool pool(4);
@@ -382,7 +356,7 @@ TEST(ScenarioPool, RealSweepIsDeterministicAcrossWorkerCounts)
     auto run = [&](int workers) {
         return ScenarioPool(workers).run(
             jobs,
-            [](const cli::Options &o) { return cli::runCases(o); });
+            engine::runScenarioCases);
     };
 
     auto serial = run(1);
@@ -400,7 +374,7 @@ TEST(ScenarioPool, RealSweepIsDeterministicAcrossWorkerCounts)
     }
 }
 
-// ---- SweepResult / end-to-end ----------------------------------------
+// ---- sweep table / end-to-end ----------------------------------------
 
 TEST(SweepResult, CombinedTableHasOneRowPerScenarioArch)
 {
@@ -410,13 +384,13 @@ TEST(SweepResult, CombinedTableHasOneRowPerScenarioArch)
     base.archs = {"canon", "systolic"};
     auto jobs = spec.expand(base);
 
-    auto results = ScenarioPool(2).run(
-        jobs, [](const cli::Options &o) { return cli::runCases(o); });
-    SweepResult sweep(std::move(results));
-    EXPECT_EQ(sweep.failureCount(), 0u);
+    auto results =
+        ScenarioPool(2).run(jobs, engine::runScenarioCases);
+    for (const auto &r : results)
+        EXPECT_EQ(r.error, "") << r.job.point;
 
     std::ostringstream os;
-    sweep.table().print(os);
+    sweepTable(results).print(os);
     const std::string text = os.str();
     EXPECT_NE(text.find("Scenario"), std::string::npos);
     EXPECT_NE(text.find("sparsity=0.3"), std::string::npos);
@@ -434,10 +408,9 @@ TEST(SweepResult, FailedScenarioRendersXRow)
     failed.job = job;
     failed.error = "boom";
 
-    SweepResult sweep({failed});
-    EXPECT_EQ(sweep.failureCount(), 1u);
     std::ostringstream os;
-    sweep.table().print(os);
+    sweepTable({failed}).print(os);
+    EXPECT_NE(os.str().find("m=8"), std::string::npos);
     EXPECT_NE(os.str().find("X"), std::string::npos);
 }
 

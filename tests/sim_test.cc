@@ -1,6 +1,6 @@
 /**
  * @file
- * Simulation-kernel tests: two-phase latch/channel semantics, the
+ * Simulation-kernel tests: two-phase channel semantics, the
  * watchdog, the staggered instruction pipeline (the 3-cycle offset of
  * Figure 2/3), and message-channel timing alignment.
  */
@@ -17,18 +17,6 @@ namespace canon
 {
 namespace
 {
-
-TEST(Latch, StagedVisibility)
-{
-    Latch<int> l(1);
-    EXPECT_EQ(l.get(), 1);
-    l.set(2);
-    EXPECT_EQ(l.get(), 1); // not yet visible
-    l.commit();
-    EXPECT_EQ(l.get(), 2);
-    l.commit(); // idempotent without a pending set
-    EXPECT_EQ(l.get(), 2);
-}
 
 TEST(ChannelFifo, PushPopOrdering)
 {
@@ -98,8 +86,8 @@ TEST(Simulator, PhasesAndCycleCount)
 {
     Simulator sim;
     TickCounter a, b;
-    sim.add(&a);
-    sim.add(&b);
+    sim.addTyped(&a);
+    sim.addTyped(&b);
     sim.runFor(5);
     EXPECT_EQ(sim.now(), 5u);
     EXPECT_EQ(a.computes, 5);
@@ -126,8 +114,9 @@ TEST(TickSchedule, TypedComponentsShareOnePartition)
     sched.add(&a);
     sched.add(&b);
     EXPECT_EQ(sched.partitionCount(), 1u);
+    // A base-pointer component gets the Clocked partition.
     TickCounter v;
-    sched.addVirtual(&v);
+    sched.add<Clocked>(&v);
     EXPECT_EQ(sched.partitionCount(), 2u);
 }
 
@@ -150,10 +139,11 @@ TEST(TickSchedule, DeadPhaseElision)
 }
 
 /**
- * An external/test component on the residual virtual partition,
- * observing a typed component (MsgChannel) from within the phases.
- * Delivery latency must be exactly what a monolithic virtual loop
- * produced: the virtual partition ticks in-phase with the typed ones.
+ * An external/test component registered by base pointer (the Clocked
+ * partition, ticked through virtual calls), observing a typed
+ * component (MsgChannel) from within the phases. Delivery latency
+ * must be exactly what a monolithic virtual loop produced: the
+ * Clocked partition ticks in-phase with the concrete ones.
  */
 class LatencyProbe : public Clocked
 {
@@ -183,8 +173,8 @@ TEST(Simulator, VirtualResidualTicksInPhaseWithTypedPartitions)
     Simulator sim;
     MsgChannel ch("msg");
     LatencyProbe probe(&ch);
-    sim.addTyped(&ch);  // typed partition
-    sim.add(&probe);    // residual virtual partition
+    sim.addTyped(&ch);                // concrete-type partition
+    sim.addTyped<Clocked>(&probe);    // virtual-call partition
     sim.runFor(10);
     // Pushed during cycle 0's compute; consumable stagger + 1 cycles
     // later, as MsgChannel guarantees for orchestrators.
@@ -199,7 +189,7 @@ TEST(Simulator, TypedAndVirtualMixCountsCycles)
     InstPipeline p(2);
     sim.addTyped(&m);
     sim.addTyped(&p);
-    sim.add(&v);
+    sim.addTyped<Clocked>(&v);
     sim.runFor(4);
     EXPECT_EQ(v.computes, 4);
     EXPECT_EQ(v.commits, 4);
