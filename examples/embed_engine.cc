@@ -9,9 +9,10 @@
  * canonsim and the figure benches are thin adapters over the same
  * three types this example exercises directly:
  *
- *   1. ScenarioRequest -- a typed, self-validating description of
- *      what to run (workload or model, shape, fabric, architectures,
- *      optional sweep axes),
+ *   1. ScenarioRequest -- a self-validating description of what to
+ *      run (workload or model, shape, fabric, architectures, optional
+ *      sweep axes), every option spelled as on the canonsim command
+ *      line,
  *   2. Engine -- owns the worker pool and the optional result cache;
  *      run() / runBatch() / a streaming per-result callback,
  *   3. ResultSet -- the outcomes, pickable apart per scenario and
@@ -28,12 +29,15 @@ using namespace canon;
 int
 main()
 {
-    // --- 1. a typed request: SpMM across two architectures ----------
+    // --- 1. a request: SpMM across two architectures ---------------
+    // Every option takes its canonsim spelling (see --help / --list).
     engine::ScenarioRequest request;
-    request.workload(cli::Workload::Spmm)
-        .shape(128, 128, 32)
-        .sparsity(0.6)
-        .seed(7)
+    request.set("workload", "spmm")
+        .set("m", "128")
+        .set("k", "128")
+        .set("n", "32")
+        .set("sparsity", "0.6")
+        .set("seed", "7")
         .archs({"canon", "zed"});
     if (!request.validate()) {
         std::cerr << "invalid request: " << request.error() << "\n";
@@ -58,8 +62,9 @@ main()
 
     // --- 4. a sweep request, streamed in deterministic order --------
     engine::ScenarioRequest sweep;
-    sweep.workload(cli::Workload::Spmm)
-        .shape(64, 64, 16)
+    sweep.set("m", "64")
+        .set("k", "64")
+        .set("n", "16")
         .sweep("sparsity", "0.3,0.6,0.9");
     std::size_t streamed = 0;
     engine::ResultSet swept =
@@ -75,11 +80,15 @@ main()
 
     // --- 5. request batches share one pool --------------------------
     engine::ScenarioRequest gemm;
-    gemm.workload(cli::Workload::Gemm).shape(64, 64, 16);
+    gemm.set("workload", "gemm")
+        .set("m", "64")
+        .set("k", "64")
+        .set("n", "16");
     engine::ScenarioRequest window;
-    window.workload(cli::Workload::SddmmWindow)
-        .shape(256, 32, 16)
-        .window(32);
+    window.set("workload", "sddmm-window")
+        .set("m", "256")
+        .set("k", "32")
+        .set("window", "32");
     for (const engine::ResultSet &b : eng.runBatch({gemm, window}))
         if (!b.ok() || b.failureCount() != 0)
             return 1;

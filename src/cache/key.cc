@@ -75,19 +75,7 @@ scenarioKey(const cli::Options &opt)
     ScenarioKey key;
     key.canonical = "canonsim schema=" + std::to_string(kSchemaVersion);
     key.canonical += " archs=" + canonicalArchs(opt);
-
-    // The fabric dimensions that shape the simulated profiles.
-    // --clock-ghz is deliberately absent: it is applied to the
-    // stored profiles at rendering time (time/energy/power cells),
-    // so one entry serves every clock.
-    for (const char *k :
-         {"rows", "cols", "spad", "tag-banks", "spad-flush", "dmem"})
-        key.canonical +=
-            " " + std::string(k) + "=" + cli::optionValueText(opt, k);
-
-    // Only the options this scenario's workload/model consumes.
-    for (const auto &k : cli::relevantScenarioKeys(opt))
-        key.canonical += " " + k + "=" + cli::optionValueText(opt, k);
+    key.canonical += cli::keyedOptionText(opt);
     return key;
 }
 

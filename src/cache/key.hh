@@ -7,14 +7,13 @@
  *
  *  - canonsim scenarios (scenarioKey) fold in the schema version, the
  *    requested architecture set (sorted, deduplicated, so the key is
- *    order-insensitive), the result-shaping fabric dimensions, and
- *    *only* the scenario options the selected workload or model
- *    actually consumes -- cli::relevantScenarioKeys() is the single
- *    source of truth, so `--nm` never pollutes an spmm key and
- *    `--window` never pollutes a gemm key. Options that only affect
- *    rendering (e.g. --clock-ghz, applied to the stored profiles at
- *    display time) stay out of the key on purpose: the same profiles
- *    serve every clock.
+ *    order-insensitive), and cli::keyedOptionText(): the
+ *    result-shaping fabric dimensions plus *only* the scenario options
+ *    the selected workload or model actually consumes, so `--nm`
+ *    never pollutes an spmm key and `--window` never pollutes a gemm
+ *    key. Options that only affect rendering (--clock-ghz, applied to
+ *    the stored profiles at display time) stay out of the key on
+ *    purpose: the same profiles serve every clock.
  *  - figure-bench grid points (figureKey) fold in the schema version,
  *    the binary name, the table title, and the point's axis
  *    assignment; any change to a figure's grid or identity therefore

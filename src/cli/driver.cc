@@ -18,7 +18,7 @@ int
 renderSingle(const Options &opt, const engine::ResultSet &rs,
              std::ostream &out, std::ostream &err)
 {
-    out << opt.fabricConfig().describe() << "\n\n";
+    out << opt.fabric.describe() << "\n\n";
 
     const runner::ScenarioResult &result = rs.scenarios().front();
     if (!result.error.empty()) {

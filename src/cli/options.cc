@@ -5,7 +5,9 @@
 #include <iomanip>
 #include <limits>
 #include <sstream>
+#include <type_traits>
 
+#include "common/logging.hh"
 #include "workloads/models.hh"
 
 namespace canon
@@ -13,35 +15,8 @@ namespace canon
 namespace cli
 {
 
-const std::vector<std::string> &
-knownArchs()
-{
-    static const std::vector<std::string> archs = {
-        "canon", "systolic", "systolic24", "zed", "cgra"};
-    return archs;
-}
-
 namespace
 {
-
-bool
-parseWorkload(const std::string &s, Workload &out)
-{
-    if (s == "gemm" || s == "dense") {
-        out = Workload::Gemm;
-    } else if (s == "spmm") {
-        out = Workload::Spmm;
-    } else if (s == "spmm-nm" || s == "nm") {
-        out = Workload::SpmmNm;
-    } else if (s == "sddmm") {
-        out = Workload::Sddmm;
-    } else if (s == "sddmm-window" || s == "window") {
-        out = Workload::SddmmWindow;
-    } else {
-        return false;
-    }
-    return true;
-}
 
 bool
 parseI64(const std::string &s, std::int64_t &out)
@@ -83,130 +58,347 @@ canonicalDouble(double v)
     return oss.str();
 }
 
+bool
+contains(const std::vector<std::string> &list, const std::string &s)
+{
+    return std::find(list.begin(), list.end(), s) != list.end();
+}
+
+using Arg = const std::string &;
+
+/** What an option shapes: where it is keyed and when it is relevant. */
+enum class OptionGroup : std::uint8_t
+{
+    Scenario, //!< relevant when the workload or model consumes it
+    Fabric,   //!< relevant to every scenario, part of the cache key
+    Render,   //!< fabric, but applied at render time: never keyed
+};
+using enum OptionGroup;
+
+/** One row of the option table. */
+struct OptionRule
+{
+    const char *key;
+    OptionGroup group;
+    /** Apply @p value to @p opt; empty, or the error message. */
+    std::string (*parse)(Options &opt, Arg key, Arg value);
+    /** Canonical text of the value in @p opt (cache keys, drift test). */
+    std::string (*text)(const Options &opt);
+};
+
+/** An option's storage: its Options field, or its fabric field. */
+template <typename O, typename T>
+auto &
+field(O &opt, T Options::*member)
+{
+    return opt.*member;
+}
+
+template <typename O, typename T>
+auto &
+field(O &opt, T CanonConfig::*member)
+{
+    return opt.fabric.*member;
+}
+
+/** The row of an integer option stored in @p Member, in [Lo, Hi]. */
+template <auto Member, std::int64_t Lo, std::int64_t Hi>
+constexpr OptionRule
+intOption(const char *key, OptionGroup group)
+{
+    return {key, group,
+            [](Options &o, Arg k, Arg v) -> std::string {
+                std::int64_t i = 0;
+                if (!parseI64(v, i) || i < Lo || i > Hi)
+                    return "option '--" + k + "' expects an integer in [" +
+                           std::to_string(Lo) + ", " +
+                           std::to_string(Hi) + "], got '" + v + "'";
+                auto &out = field(o, Member);
+                out = static_cast<std::remove_reference_t<decltype(out)>>(i);
+                return {};
+            },
+            [](const Options &o) {
+                return std::to_string(field(o, Member));
+            }};
+}
+
+constexpr std::int64_t kMaxDim = 1'000'000'000;
+constexpr std::int64_t kMaxSeed = std::numeric_limits<std::int64_t>::max();
+
+/**
+ * The option table: every scenario and fabric key, in canonical
+ * order (the order of --list, of fabricOptionKeys() and of the cache
+ * key). A new option is one row here, its Options or CanonConfig
+ * field, and its --help line.
+ */
+constexpr OptionRule kOptionTable[] = {
+    {"workload", Scenario,
+     [](Options &o, Arg, Arg v) -> std::string {
+         for (const auto &w : workloadTable()) {
+             if (w.name == v || contains(w.aliases, v)) {
+                 o.workload = w.workload;
+                 return {};
+             }
+         }
+         return "unknown workload '" + v + "' (try --list)";
+     },
+     [](const Options &o) -> std::string {
+         return workloadName(o.workload);
+     }},
+    {"model", Scenario,
+     [](Options &o, Arg, Arg v) -> std::string {
+         if (v == "none") { // let a sweep axis restore shape mode
+             o.model.clear();
+             return {};
+         }
+         if (contains(knownModelNames(), v)) {
+             o.model = v;
+             return {};
+         }
+         std::string names;
+         for (const auto &name : knownModelNames())
+             names += name + ", ";
+         return "unknown model '" + v + "' (" + names + "none)";
+     },
+     [](const Options &o) {
+         return o.model.empty() ? std::string("none") : o.model;
+     }},
+    intOption<&Options::m, 1, kMaxDim>("m", Scenario),
+    intOption<&Options::k, 1, kMaxDim>("k", Scenario),
+    intOption<&Options::n, 1, kMaxDim>("n", Scenario),
+    {"sparsity", Scenario,
+     [](Options &o, Arg, Arg v) -> std::string {
+         double s = 0.0;
+         // The negated-range form also rejects NaN.
+         if (!parseDouble(v, s) || !(s >= 0.0 && s < 1.0))
+             return "option '--sparsity' expects a number in [0, 1),"
+                    " got '" + v + "'";
+         o.sparsity = s;
+         o.sparsitySet = true;
+         return {};
+     },
+     [](const Options &o) {
+         // Models fall back to their canonical per-model sparsity
+         // when --sparsity was not given; that choice, not the
+         // dormant o.sparsity value, identifies the scenario.
+         return !o.model.empty() && !o.sparsitySet
+                    ? std::string("canonical")
+                    : canonicalDouble(o.sparsity);
+     }},
+    {"nm", Scenario,
+     [](Options &o, Arg, Arg v) -> std::string {
+         const auto colon = v.find(':');
+         std::int64_t nm_n = 0, nm_m = 0;
+         if (colon == std::string::npos ||
+             !parseI64(v.substr(0, colon), nm_n) ||
+             !parseI64(v.substr(colon + 1), nm_m) || nm_n < 1 ||
+             nm_m < 2 || nm_n > nm_m || nm_m > 64)
+             return "option '--nm' expects N:M with"
+                    " 1 <= N <= M <= 64, got '" + v + "'";
+         o.nmN = static_cast<int>(nm_n);
+         o.nmM = static_cast<int>(nm_m);
+         return {};
+     },
+     [](const Options &o) {
+         return std::to_string(o.nmN) + ":" + std::to_string(o.nmM);
+     }},
+    intOption<&Options::window, 1, kMaxDim>("window", Scenario),
+    intOption<&Options::seed, 0, kMaxSeed>("seed", Scenario),
+    intOption<&CanonConfig::rows, 1, 1024>("rows", Fabric),
+    intOption<&CanonConfig::cols, 1, 1024>("cols", Fabric),
+    intOption<&CanonConfig::spadEntries, 1, 65536>("spad", Fabric),
+    intOption<&CanonConfig::tagBanks, 1, 64>("tag-banks", Fabric),
+    {"spad-flush", Fabric,
+     [](Options &o, Arg, Arg v) -> std::string {
+         if (!parseSpadFlush(v, o.fabric.spadFlush))
+             return "option '--spad-flush' expects eager | adaptive,"
+                    " got '" + v + "'";
+         return {};
+     },
+     [](const Options &o) -> std::string {
+         return spadFlushName(o.fabric.spadFlush);
+     }},
+    intOption<&CanonConfig::dmemSlots, 1, 1 << 26>("dmem", Fabric),
+    // Scales the stored profiles' time/energy/power cells at display
+    // time, so one cached result serves every clock.
+    {"clock-ghz", Render,
+     [](Options &o, Arg, Arg v) -> std::string {
+         double ghz = 0.0;
+         if (!parseDouble(v, ghz) || !(ghz > 0.0 && ghz <= 100.0))
+             return "option '--clock-ghz' expects a number in"
+                    " (0, 100], got '" + v + "'";
+         o.fabric.clockGhz = ghz;
+         return {};
+     },
+     [](const Options &o) { return canonicalDouble(o.fabric.clockGhz); }},
+};
+
+const OptionRule *
+findOption(const std::string &key)
+{
+    for (const auto &rule : kOptionTable)
+        if (key == rule.key)
+            return &rule;
+    return nullptr;
+}
+
+/** The keys of the option-table rows that satisfy @p pick. */
+template <typename Pick>
+std::vector<std::string>
+optionKeys(Pick pick)
+{
+    std::vector<std::string> keys;
+    for (const auto &rule : kOptionTable)
+        if (pick(rule.group))
+            keys.push_back(rule.key);
+    return keys;
+}
+
+const WorkloadInfo &
+workloadInfo(Workload w)
+{
+    for (const auto &info : workloadTable())
+        if (info.workload == w)
+            return info;
+    panic("no workload table row for Workload ", static_cast<int>(w));
+}
+
+/**
+ * canonsim's own flags, outside the scenario and common grammars: a
+ * value-less flag sets its toggle, a value flag runs its parser.
+ */
+struct CliFlag
+{
+    const char *name;
+    bool Options::*toggle;
+    std::string (*parse)(Options &opt, Arg value);
+};
+
+constexpr CliFlag kCliFlags[] = {
+    {"help", &Options::showHelp, nullptr},
+    {"list", &Options::listWorkloads, nullptr},
+    {"dry-run", &Options::dryRun, nullptr},
+    {"probe-spad", &Options::probeSpad, nullptr},
+    {"arch", nullptr,
+     [](Options &o, Arg v) -> std::string {
+         // A trailing comma is tolerated; an empty name is not.
+         std::vector<std::string> names;
+         for (std::string rest = v; !rest.empty();) {
+             const auto comma = rest.find(',');
+             names.push_back(rest.substr(0, comma));
+             rest = comma == std::string::npos ? ""
+                                               : rest.substr(comma + 1);
+         }
+         if (std::string err = selectArchs(names, o.archs); !err.empty())
+             return err;
+         if (o.archs.empty())
+             return "option '--arch' expects at least one architecture";
+         return {};
+     }},
+    {"csv", nullptr,
+     [](Options &o, Arg v) -> std::string {
+         if (v.empty())
+             return "option '--csv' expects a path";
+         o.csvPath = v;
+         return {};
+     }},
+    {"sweep", nullptr,
+     [](Options &o, Arg v) -> std::string {
+         const auto eq = v.find('=');
+         if (eq == std::string::npos || eq == 0 || eq + 1 >= v.size())
+             return "option '--sweep' expects key=v1[,v2,...], got '" +
+                    v + "'";
+         o.sweepAxes.emplace_back(v.substr(0, eq), v.substr(eq + 1));
+         return {};
+     }},
+};
+
+const CliFlag *
+findCliFlag(const std::string &name)
+{
+    for (const auto &flag : kCliFlags)
+        if (name == flag.name)
+            return &flag;
+    return nullptr;
+}
+
 } // namespace
+
+const std::vector<WorkloadInfo> &
+workloadTable()
+{
+    // A new workload is one row here, its Workload enumerator, and its
+    // ArchSuite dispatch in engine.cc.
+    static const std::vector<WorkloadInfo> table = {
+        {Workload::Gemm, "gemm", {"dense"},
+         "dense GEMM (dense-cadence kernel)",
+         {"workload", "m", "k", "n", "seed"}},
+        {Workload::Spmm, "spmm", {}, "unstructured SpMM",
+         {"workload", "m", "k", "n", "sparsity", "seed"}},
+        {Workload::SpmmNm, "spmm-nm", {"nm"}, "N:M structured SpMM",
+         {"workload", "m", "k", "n", "nm", "seed"}},
+        {Workload::Sddmm, "sddmm", {},
+         "unstructured SDDMM (--sparsity is the output mask)",
+         {"workload", "m", "k", "n", "sparsity", "seed"}},
+        {Workload::SddmmWindow, "sddmm-window", {"window"},
+         "sliding-window SDDMM (--m is the sequence length,"
+         " --n ignored)",
+         {"workload", "m", "k", "window", "seed"}},
+    };
+    return table;
+}
+
+const char *
+workloadName(Workload w)
+{
+    return workloadInfo(w).name.c_str();
+}
+
+const std::vector<std::string> &
+knownArchs()
+{
+    static const std::vector<std::string> archs = {
+        "canon", "systolic", "systolic24", "zed", "cgra"};
+    return archs;
+}
+
+std::string
+selectArchs(const std::vector<std::string> &names,
+            std::vector<std::string> &out)
+{
+    std::vector<std::string> selected;
+    for (const auto &name : names) {
+        if (name == "all") {
+            selected = knownArchs();
+            continue;
+        }
+        if (!contains(knownArchs(), name)) {
+            std::string list;
+            for (const auto &arch : knownArchs())
+                list += arch + ", ";
+            return "unknown architecture '" + name + "' (" + list +
+                   "all)";
+        }
+        selected.push_back(name);
+    }
+    out = std::move(selected);
+    return {};
+}
+
+bool
+isNonScenarioFlag(const std::string &key)
+{
+    return findCliFlag(key) != nullptr ||
+           engine::isCommonFlag("--" + key);
+}
 
 std::string
 applyScenarioOption(Options &opt, const std::string &key,
                     const std::string &value)
 {
-    auto intArg = [&](std::int64_t &out, std::int64_t lo,
-                      std::int64_t hi) -> std::string {
-        std::int64_t v = 0;
-        if (!parseI64(value, v) || v < lo || v > hi)
-            return "option '--" + key + "' expects an integer in [" +
-                   std::to_string(lo) + ", " + std::to_string(hi) +
-                   "], got '" + value + "'";
-        out = v;
-        return {};
-    };
-    auto smallIntArg = [&](int &out, std::int64_t lo,
-                           std::int64_t hi) -> std::string {
-        std::int64_t v = 0;
-        std::string err = intArg(v, lo, hi);
-        if (err.empty())
-            out = static_cast<int>(v);
-        return err;
-    };
-
-    if (key == "workload") {
-        if (!parseWorkload(value, opt.workload))
-            return "unknown workload '" + value + "' (try --list)";
-        return {};
-    }
-    if (key == "model") {
-        if (value == "none") { // let a sweep axis restore shape mode
-            opt.model.clear();
-            return {};
-        }
-        for (const auto &name : knownModelNames()) {
-            if (name == value) {
-                opt.model = value;
-                return {};
-            }
-        }
-        std::string names;
-        for (const auto &name : knownModelNames())
-            names += name + ", ";
-        return "unknown model '" + value + "' (" + names + "none)";
-    }
-    if (key == "m")
-        return intArg(opt.m, 1, 1'000'000'000);
-    if (key == "k")
-        return intArg(opt.k, 1, 1'000'000'000);
-    if (key == "n")
-        return intArg(opt.n, 1, 1'000'000'000);
-    if (key == "window")
-        return intArg(opt.window, 1, 1'000'000'000);
-    if (key == "seed") {
-        std::int64_t v = 0;
-        std::string err =
-            intArg(v, 0, std::numeric_limits<std::int64_t>::max());
-        if (err.empty())
-            opt.seed = static_cast<std::uint64_t>(v);
-        return err;
-    }
-    if (key == "sparsity") {
-        double v = 0.0;
-        // The negated-range form also rejects NaN.
-        if (!parseDouble(value, v) || !(v >= 0.0 && v < 1.0))
-            return "option '--sparsity' expects a number in [0, 1),"
-                   " got '" + value + "'";
-        opt.sparsity = v;
-        opt.sparsitySet = true;
-        return {};
-    }
-    if (key == "nm") {
-        auto colon = value.find(':');
-        std::int64_t nm_n = 0, nm_m = 0;
-        if (colon == std::string::npos ||
-            !parseI64(value.substr(0, colon), nm_n) ||
-            !parseI64(value.substr(colon + 1), nm_m) || nm_n < 1 ||
-            nm_m < 2 || nm_n > nm_m || nm_m > 64)
-            return "option '--nm' expects N:M with"
-                   " 1 <= N <= M <= 64, got '" + value + "'";
-        opt.nmN = static_cast<int>(nm_n);
-        opt.nmM = static_cast<int>(nm_m);
-        return {};
-    }
-    if (key == "rows")
-        return smallIntArg(opt.rows, 1, 1024);
-    if (key == "cols")
-        return smallIntArg(opt.cols, 1, 1024);
-    if (key == "spad")
-        return smallIntArg(opt.spadEntries, 1, 65536);
-    if (key == "tag-banks")
-        return smallIntArg(opt.tagBanks, 1, 64);
-    if (key == "spad-flush") {
-        if (!parseSpadFlush(value, opt.spadFlush))
-            return "option '--spad-flush' expects eager | adaptive,"
-                   " got '" + value + "'";
-        return {};
-    }
-    if (key == "dmem")
-        return smallIntArg(opt.dmemSlots, 1, 1 << 26);
-    if (key == "clock-ghz") {
-        double v = 0.0;
-        if (!parseDouble(value, v) || !(v > 0.0 && v <= 100.0))
-            return "option '--clock-ghz' expects a number in"
-                   " (0, 100], got '" + value + "'";
-        opt.clockGhz = v;
-        return {};
-    }
+    if (const OptionRule *rule = findOption(key))
+        return rule->parse(opt, key, value);
     return "unknown option '--" + key + "' (see --help)";
-}
-
-CanonConfig
-Options::fabricConfig() const
-{
-    CanonConfig cfg;
-    cfg.rows = rows;
-    cfg.cols = cols;
-    cfg.spadEntries = spadEntries;
-    cfg.tagBanks = tagBanks;
-    cfg.spadFlush = spadFlush;
-    cfg.dmemSlots = dmemSlots;
-    cfg.clockGhz = clockGhz;
-    return cfg;
 }
 
 std::string
@@ -233,127 +425,67 @@ Options::workloadLabel() const
     return oss.str();
 }
 
-const char *
-workloadName(Workload w)
+const std::vector<std::string> &
+scenarioOptionKeys()
 {
-    switch (w) {
-      case Workload::Gemm:
-        return "gemm";
-      case Workload::Spmm:
-        return "spmm";
-      case Workload::SpmmNm:
-        return "spmm-nm";
-      case Workload::Sddmm:
-        return "sddmm";
-      case Workload::SddmmWindow:
-        return "sddmm-window";
-    }
-    return "?";
+    static const std::vector<std::string> keys =
+        optionKeys([](OptionGroup) { return true; });
+    return keys;
 }
 
 const std::vector<std::string> &
 fabricOptionKeys()
 {
-    static const std::vector<std::string> keys = {
-        "rows",      "cols", "spad",     "tag-banks",
-        "spad-flush", "dmem", "clock-ghz"};
+    static const std::vector<std::string> keys = optionKeys(
+        [](OptionGroup g) { return g != Scenario; });
     return keys;
 }
 
-std::vector<std::string>
+const std::vector<std::string> &
 relevantScenarioKeys(const Options &opt)
 {
-    if (!opt.model.empty()) {
-        // A model run pins its own layer shapes; only the model
-        // selector, its sparsity knob (when it has one), and the RNG
-        // seed shape the result.
-        std::vector<std::string> keys = {"model"};
-        if (modelUsesSparsity(opt.model))
-            keys.push_back("sparsity");
-        keys.push_back("seed");
-        return keys;
-    }
-
-    std::vector<std::string> keys = {"workload", "m", "k"};
-    switch (opt.workload) {
-      case Workload::Gemm:
-        keys.push_back("n");
-        break;
-      case Workload::Spmm:
-      case Workload::Sddmm:
-        keys.push_back("n");
-        keys.push_back("sparsity");
-        break;
-      case Workload::SpmmNm:
-        keys.push_back("n");
-        keys.push_back("nm");
-        break;
-      case Workload::SddmmWindow:
-        // --m is the sequence length; --n is ignored entirely.
-        keys.push_back("window");
-        break;
-    }
-    keys.push_back("seed");
-    return keys;
+    if (opt.model.empty())
+        return workloadInfo(opt.workload).options;
+    // A model run pins its own layer shapes; only the model selector,
+    // its sparsity knob (when it has one), and the RNG seed shape the
+    // result.
+    static const std::vector<std::string> knob = {"model", "sparsity",
+                                                  "seed"};
+    static const std::vector<std::string> fixed = {"model", "seed"};
+    return modelUsesSparsity(opt.model) ? knob : fixed;
 }
 
 bool
 optionRelevant(const Options &opt, const std::string &key)
 {
-    const auto &fabric = fabricOptionKeys();
-    if (std::find(fabric.begin(), fabric.end(), key) != fabric.end())
-        return true;
+    const OptionRule *rule = findOption(key);
+    if (rule == nullptr)
+        return false;
     // "model" always selects (model=none switches back to shape
     // mode), so it is never an ignored option.
-    if (key == "model")
-        return true;
-    const auto keys = relevantScenarioKeys(opt);
-    return std::find(keys.begin(), keys.end(), key) != keys.end();
+    return rule->group != Scenario || key == "model" ||
+           contains(relevantScenarioKeys(opt), key);
 }
 
 std::string
 optionValueText(const Options &opt, const std::string &key)
 {
-    if (key == "workload")
-        return workloadName(opt.workload);
-    if (key == "model")
-        return opt.model.empty() ? "none" : opt.model;
-    if (key == "m")
-        return std::to_string(opt.m);
-    if (key == "k")
-        return std::to_string(opt.k);
-    if (key == "n")
-        return std::to_string(opt.n);
-    if (key == "window")
-        return std::to_string(opt.window);
-    if (key == "seed")
-        return std::to_string(opt.seed);
-    if (key == "sparsity") {
-        // Models fall back to their canonical per-model sparsity when
-        // --sparsity was not given; that choice, not the dormant
-        // opt.sparsity value, is what identifies the scenario.
-        if (!opt.model.empty() && !opt.sparsitySet)
-            return "canonical";
-        return canonicalDouble(opt.sparsity);
-    }
-    if (key == "nm")
-        return std::to_string(opt.nmN) + ":" + std::to_string(opt.nmM);
-    if (key == "rows")
-        return std::to_string(opt.rows);
-    if (key == "cols")
-        return std::to_string(opt.cols);
-    if (key == "spad")
-        return std::to_string(opt.spadEntries);
-    if (key == "tag-banks")
-        return std::to_string(opt.tagBanks);
-    if (key == "spad-flush")
-        return spadFlushName(opt.spadFlush);
-    if (key == "dmem")
-        return std::to_string(opt.dmemSlots);
-    if (key == "clock-ghz")
-        return canonicalDouble(opt.clockGhz);
-    return "?";
+    const OptionRule *rule = findOption(key);
+    return rule ? rule->text(opt) : "?";
 }
+
+std::string
+keyedOptionText(const Options &opt)
+{
+    std::string out;
+    for (const auto &rule : kOptionTable)
+        if (rule.group == Fabric)
+            out += " " + std::string(rule.key) + "=" + rule.text(opt);
+    for (const auto &key : relevantScenarioKeys(opt))
+        out += " " + key + "=" + optionValueText(opt, key);
+    return out;
+}
+
 
 const char *
 usageText()
@@ -487,20 +619,6 @@ usageText()
     return text.c_str();
 }
 
-const std::vector<std::string> &
-scenarioOptionKeys()
-{
-    // Keep in lockstep with applyScenarioOption above: every key it
-    // accepts appears here, in canonical order. The engine registry
-    // drift test round-trips each key through the grammar.
-    static const std::vector<std::string> keys = {
-        "workload",   "model", "m",         "k",
-        "n",          "sparsity", "nm",     "window",
-        "seed",       "rows",  "cols",      "spad",
-        "tag-banks",  "spad-flush", "dmem", "clock-ghz"};
-    return keys;
-}
-
 ParseResult
 parseArgs(const std::vector<std::string> &args)
 {
@@ -523,21 +641,13 @@ parseArgs(const std::vector<std::string> &args)
             key = key.substr(0, eq);
             have_value = true;
         }
+        if (key == "-h")
+            key = "--help";
 
-        if (key == "--help" || key == "-h") {
-            opt.showHelp = true;
-            continue;
-        }
-        if (key == "--list") {
-            opt.listWorkloads = true;
-            continue;
-        }
-        if (key == "--dry-run") {
-            opt.dryRun = true;
-            continue;
-        }
-        if (key == "--probe-spad") {
-            opt.probeSpad = true;
+        const bool dashed = key.rfind("--", 0) == 0;
+        const CliFlag *flag = dashed ? findCliFlag(key.substr(2)) : nullptr;
+        if (flag != nullptr && flag->toggle != nullptr) {
+            opt.*(flag->toggle) = true;
             continue;
         }
 
@@ -570,47 +680,10 @@ parseArgs(const std::vector<std::string> &args)
         if (common_parse == engine::FlagParse::Ok)
             continue;
 
-        if (key == "--arch") {
-            opt.archs.clear();
-            std::string rest = value;
-            while (!rest.empty()) {
-                auto comma = rest.find(',');
-                std::string a = rest.substr(0, comma);
-                rest = comma == std::string::npos
-                           ? ""
-                           : rest.substr(comma + 1);
-                if (a == "all") {
-                    opt.archs = knownArchs();
-                    continue;
-                }
-                bool known = false;
-                for (const auto &k : knownArchs())
-                    known = known || k == a;
-                if (!known) {
-                    std::string names;
-                    for (const auto &k : knownArchs())
-                        names += k + ", ";
-                    return fail("unknown architecture '" + a + "' (" +
-                                names + "all)");
-                }
-                opt.archs.push_back(a);
-            }
-            if (opt.archs.empty())
-                return fail("option '--arch' expects at least one"
-                            " architecture");
-        } else if (key == "--csv") {
-            if (value.empty())
-                return fail("option '--csv' expects a path");
-            opt.csvPath = value;
-        } else if (key == "--sweep") {
-            auto eq = value.find('=');
-            if (eq == std::string::npos || eq == 0 ||
-                eq + 1 >= value.size())
-                return fail("option '--sweep' expects key=v1[,v2,...],"
-                            " got '" + value + "'");
-            opt.sweepAxes.emplace_back(value.substr(0, eq),
-                                       value.substr(eq + 1));
-        } else if (key.rfind("--", 0) == 0) {
+        if (flag != nullptr) {
+            if (std::string err = flag->parse(opt, value); !err.empty())
+                return fail(err);
+        } else if (dashed) {
             std::string err =
                 applyScenarioOption(opt, key.substr(2), value);
             if (!err.empty())

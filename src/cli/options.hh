@@ -6,6 +6,12 @@
  * validated Options value or an error string, so tests can exercise
  * every rejection path without spawning a process. Both "--key value"
  * and "--key=value" spellings are accepted.
+ *
+ * The scenario vocabulary is declared once, as two tables in
+ * options.cc: the option table gives every scenario and fabric key
+ * its group, parse rule and canonical text, and the workload table
+ * gives every Workload its name, aliases, summary and consumed keys.
+ * Every function below that names an option or a workload reads them.
  */
 
 #ifndef CANON_CLI_OPTIONS_HH
@@ -57,14 +63,12 @@ struct Options
     std::int64_t window = 64; //!< sddmm-window band width
     std::uint64_t seed = 1;
 
-    // Fabric configuration.
-    int rows = 8;
-    int cols = 8;
-    int spadEntries = 16;
-    int tagBanks = 1; //!< associative-search banks in the tag fifo
-    SpadFlushPolicy spadFlush = SpadFlushPolicy::Eager;
-    int dmemSlots = 1024;
-    double clockGhz = 1.0;
+    /**
+     * Fabric configuration (--rows, --cols, --spad, --tag-banks,
+     * --spad-flush, --dmem, --clock-ghz); defaults to the paper's
+     * Table 1 fabric.
+     */
+    CanonConfig fabric;
 
     /** Architectures to run; empty means Canon only. */
     std::vector<std::string> archs;
@@ -106,8 +110,6 @@ struct Options
      */
     bool probeSpad = false;
 
-    CanonConfig fabricConfig() const;
-
     /** "spmm 256x256x64 s=0.70" style label for tables/profiles. */
     std::string workloadLabel() const;
 };
@@ -116,10 +118,9 @@ struct Options
  * Apply one scenario-shaping option (bare key, no "--" prefix) to
  * @p opt. This is the single grammar shared by parseArgs and the
  * sweep-axis validation in runner::SweepSpec: every key that can be
- * swept is exactly a key this function accepts (workload, model, m,
- * k, n, sparsity, nm, window, seed, rows, cols, spad, tag-banks,
- * spad-flush, dmem, clock-ghz). Returns an empty string on success,
- * otherwise the error message.
+ * swept is exactly a key this function accepts, i.e. a row of the
+ * option table (scenarioOptionKeys()). Returns an empty string on
+ * success, otherwise the error message.
  */
 std::string applyScenarioOption(Options &opt, const std::string &key,
                                 const std::string &value);
@@ -137,6 +138,29 @@ ParseResult parseArgs(const std::vector<std::string> &args);
 /** The --help text. */
 const char *usageText();
 
+/**
+ * True when --@p key is a real flag outside the scenario grammar: a
+ * canonsim-only flag (--arch, --csv, --dry-run, ...) or one of the
+ * common execution flags (engine::isCommonFlag). Sweep-axis
+ * validation uses it to call such a key "not sweepable" instead of
+ * "unknown".
+ */
+bool isNonScenarioFlag(const std::string &key);
+
+/** One row of the workload table. */
+struct WorkloadInfo
+{
+    Workload workload;
+    std::string name;                 //!< canonical CLI spelling
+    std::vector<std::string> aliases; //!< other accepted spellings
+    std::string summary;              //!< the `--list` description
+    /** Keys that shape its result, in canonical (cache-key) order. */
+    std::vector<std::string> options;
+};
+
+/** Every workload, in declaration order. */
+const std::vector<WorkloadInfo> &workloadTable();
+
 /** Canonical name of a Workload ("spmm", "sddmm-window", ...). */
 const char *workloadName(Workload w);
 
@@ -150,6 +174,15 @@ const std::vector<std::string> &scenarioOptionKeys();
 
 /** Every runnable architecture, in the paper's display order. */
 const std::vector<std::string> &knownArchs();
+
+/**
+ * Resolve an --arch selection into @p out: each name must be one of
+ * knownArchs(), and "all" selects every architecture. Returns an
+ * empty string on success (leaving @p out untouched otherwise), or
+ * the "unknown architecture" message.
+ */
+std::string selectArchs(const std::vector<std::string> &names,
+                        std::vector<std::string> &out);
 
 // ---- workload/option relevance matrix ---------------------------------
 //
@@ -171,11 +204,11 @@ const std::vector<std::string> &fabricOptionKeys();
  * The scenario option keys @p opt's selected workload -- or model --
  * actually consumes, in canonical order. A model run returns
  * {"model", ["sparsity",] "seed"} (sparsity only for models with a
- * sparsity knob); a shape run returns "workload" plus its shape and
- * workload-specific keys (e.g. spmm-nm consumes nm but not sparsity,
- * sddmm-window consumes window but not n).
+ * sparsity knob); a shape run returns its workload table row's keys
+ * (e.g. spmm-nm consumes nm but not sparsity, sddmm-window consumes
+ * window but not n).
  */
-std::vector<std::string> relevantScenarioKeys(const Options &opt);
+const std::vector<std::string> &relevantScenarioKeys(const Options &opt);
 
 /**
  * True when setting option @p key can change what @p opt computes or
@@ -188,10 +221,19 @@ bool optionRelevant(const Options &opt, const std::string &key);
 /**
  * Canonical text of scenario/fabric option @p key's value in @p opt
  * (doubles in shortest round-trip form, nm as "N:M", the model's
- * sparsity as "canonical" when --sparsity was not given). Used to
- * build stable cache keys.
+ * sparsity as "canonical" when --sparsity was not given).
  */
 std::string optionValueText(const Options &opt, const std::string &key);
+
+/**
+ * " key=value" for every option that shapes @p opt's simulated
+ * result, in canonical order: the keyed fabric options, then
+ * relevantScenarioKeys(opt). Render-only options (--clock-ghz, which
+ * only scales the time/energy/power cells at display time) are left
+ * out, so one cached result serves every clock. This is the option
+ * part of cache::scenarioKey.
+ */
+std::string keyedOptionText(const Options &opt);
 
 } // namespace cli
 } // namespace canon

@@ -18,7 +18,7 @@ namespace
 CaseResult
 runSuiteCase(const cli::Options &opt)
 {
-    ArchSuite suite(opt.fabricConfig(), opt.archs);
+    ArchSuite suite(opt.fabric, opt.archs);
     if (!opt.model.empty())
         return suite.model(opt.sparsitySet
                                ? modelByName(opt.model, opt.sparsity)

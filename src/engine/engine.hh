@@ -7,14 +7,15 @@
  * figure benches, the tests, and embedders used to hand-wire
  * individually: the runner::ScenarioPool worker pool, the optional
  * cache::ResultStore, and (via the registry header) the
- * workload/model/architecture tables. Callers submit typed
- * ScenarioRequests and get ResultSets back:
+ * workload/model/architecture tables. Callers submit
+ * ScenarioRequests -- every option in its CLI spelling -- and get
+ * ResultSets back:
  *
  *     engine::Engine eng(engine::EngineConfig{.jobs = 4});
  *     auto rs = eng.run(engine::ScenarioRequest()
- *                           .workload(cli::Workload::Spmm)
- *                           .shape(256, 256, 64)
- *                           .sparsity(0.7)
+ *                           .set("workload", "spmm")
+ *                           .set("m", "256")
+ *                           .set("sparsity", "0.7")
  *                           .archs({"canon", "zed"}));
  *
  * Determinism contract (inherited from the runner layer): results

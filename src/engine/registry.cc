@@ -37,31 +37,7 @@ join(const std::vector<std::string> &items)
 const std::vector<WorkloadInfo> &
 workloadRegistry()
 {
-    static const std::vector<WorkloadInfo> registry = [] {
-        // Only the prose is declared here; the option columns are
-        // derived from the relevance matrix that also builds cache
-        // keys and guards sweeps.
-        const std::pair<cli::Workload, const char *> summaries[] = {
-            {cli::Workload::Gemm,
-             "dense GEMM (dense-cadence kernel)"},
-            {cli::Workload::Spmm, "unstructured SpMM"},
-            {cli::Workload::SpmmNm, "N:M structured SpMM"},
-            {cli::Workload::Sddmm,
-             "unstructured SDDMM (--sparsity is the output mask)"},
-            {cli::Workload::SddmmWindow,
-             "sliding-window SDDMM (--m is the sequence length,"
-             " --n ignored)"},
-        };
-        std::vector<WorkloadInfo> out;
-        for (const auto &[w, summary] : summaries) {
-            cli::Options opt;
-            opt.workload = w;
-            out.push_back({w, cli::workloadName(w), summary,
-                           cli::relevantScenarioKeys(opt)});
-        }
-        return out;
-    }();
-    return registry;
+    return cli::workloadTable();
 }
 
 std::vector<ModelInfo>

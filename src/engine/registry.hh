@@ -4,11 +4,11 @@
  * models, architectures) and which option keys shape each of them.
  *
  * Everything here is *derived* from the code that executes -- the
- * per-workload option lists come from cli::relevantScenarioKeys (the
- * PR-4 relevance matrix that also builds cache keys and guards
- * sweeps), the model list from workloads/models.cc's registry, the
+ * workloads and their option lists are the CLI's workload table (the
+ * relevance matrix that also builds cache keys and guards sweeps),
+ * the model list comes from workloads/models.cc's registry, the
  * architecture list from cli::knownArchs, and the sweepable-key list
- * from the CLI option grammar itself -- so `canonsim --list`, the
+ * from the CLI's option table itself -- so `canonsim --list`, the
  * docs, and any embedder asking "what can I submit?" cannot drift
  * from what the engine actually accepts. A dedicated drift test
  * round-trips every advertised key through the option applier.
@@ -27,15 +27,8 @@ namespace canon
 namespace engine
 {
 
-/** One runnable workload and the option keys it consumes. */
-struct WorkloadInfo
-{
-    cli::Workload workload;
-    std::string name;    //!< canonical CLI spelling
-    std::string summary; //!< one-line description
-    /** Keys that shape its result, in canonical (cache-key) order. */
-    std::vector<std::string> options;
-};
+/** One runnable workload: a row of the CLI's workload table. */
+using WorkloadInfo = cli::WorkloadInfo;
 
 /** One runnable model and the option keys it consumes. */
 struct ModelInfo

@@ -1,26 +1,11 @@
 #include "engine/request.hh"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace canon
 {
 namespace engine
 {
-
-namespace
-{
-
-/** Shortest text that parses back to exactly @p v (17 digits do). */
-std::string
-doubleText(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-} // namespace
 
 ScenarioRequest
 ScenarioRequest::fromOptions(const cli::Options &opt)
@@ -28,7 +13,7 @@ ScenarioRequest::fromOptions(const cli::Options &opt)
     ScenarioRequest req;
     req.opt_ = opt;
     // Validate the carried-over axes now, exactly as sweep() would
-    // have; the first failure is latched like any setter failure.
+    // have; the first failure is latched like any builder failure.
     for (const auto &[key, values] : opt.sweepAxes) {
         if (std::string err = req.spec_.addAxis(key, values);
             !err.empty()) {
@@ -67,96 +52,11 @@ ScenarioRequest::set(const std::string &key, const std::string &value)
 }
 
 ScenarioRequest &
-ScenarioRequest::workload(cli::Workload w)
-{
-    return set("workload", cli::workloadName(w));
-}
-
-ScenarioRequest &
-ScenarioRequest::model(const std::string &name)
-{
-    return set("model", name);
-}
-
-ScenarioRequest &
-ScenarioRequest::shape(std::int64_t m, std::int64_t k, std::int64_t n)
-{
-    return set("m", std::to_string(m))
-        .set("k", std::to_string(k))
-        .set("n", std::to_string(n));
-}
-
-ScenarioRequest &
-ScenarioRequest::sparsity(double s)
-{
-    return set("sparsity", doubleText(s));
-}
-
-ScenarioRequest &
-ScenarioRequest::nm(int n, int m)
-{
-    return set("nm", std::to_string(n) + ":" + std::to_string(m));
-}
-
-ScenarioRequest &
-ScenarioRequest::window(std::int64_t w)
-{
-    return set("window", std::to_string(w));
-}
-
-ScenarioRequest &
-ScenarioRequest::seed(std::uint64_t s)
-{
-    return set("seed", std::to_string(s));
-}
-
-ScenarioRequest &
-ScenarioRequest::fabric(int rows, int cols)
-{
-    return set("rows", std::to_string(rows))
-        .set("cols", std::to_string(cols));
-}
-
-ScenarioRequest &
-ScenarioRequest::spad(int entries)
-{
-    return set("spad", std::to_string(entries));
-}
-
-ScenarioRequest &
-ScenarioRequest::dmem(int slots)
-{
-    return set("dmem", std::to_string(slots));
-}
-
-ScenarioRequest &
-ScenarioRequest::clockGhz(double ghz)
-{
-    return set("clock-ghz", doubleText(ghz));
-}
-
-ScenarioRequest &
 ScenarioRequest::archs(const std::vector<std::string> &names)
 {
-    std::vector<std::string> selected;
-    for (const auto &name : names) {
-        if (name == "all") {
-            selected = cli::knownArchs();
-            continue;
-        }
-        const auto &known = cli::knownArchs();
-        if (std::find(known.begin(), known.end(), name) ==
-            known.end()) {
-            std::string list;
-            for (const auto &k : known)
-                list += k + ", ";
-            fail("unknown architecture '" + name + "' (" + list +
-                 "all)");
-            return *this;
-        }
-        selected.push_back(name);
-    }
-    opt_.archs = std::move(selected);
+    if (std::string err = cli::selectArchs(names, opt_.archs);
+        !err.empty())
+        fail(err);
     invalidate();
     return *this;
 }
@@ -168,19 +68,6 @@ ScenarioRequest::sweep(const std::string &key,
     opt_.sweepAxes.emplace_back(key, values);
     if (std::string err = spec_.addAxis(key, values); !err.empty())
         fail(err);
-    invalidate();
-    return *this;
-}
-
-ScenarioRequest &
-ScenarioRequest::shard(int index, int count)
-{
-    const std::string label =
-        std::to_string(index) + "/" + std::to_string(count);
-    if (std::string err =
-            runner::parseShard(label, opt_.common.shard);
-        !err.empty())
-        fail("option '--shard': " + err);
     invalidate();
     return *this;
 }

@@ -1,20 +1,21 @@
 /**
  * @file
- * Typed scenario requests for the canon::engine façade.
+ * Scenario requests for the canon::engine façade.
  *
  * A ScenarioRequest is everything one submission to the Engine can
  * say: the workload (or whole model), its shape and sparsity knobs,
  * the fabric configuration, the architecture set, optional sweep axes
  * (the cartesian product expands into one scenario per combination),
- * and the process shard. It replaces the ad-hoc option plumbing the
- * entry points used to hand-wire: the CLI builds one from parsed
- * argv, benches and embedders build one with the typed setters, and
- * both get exactly the same validation.
+ * and the process shard. canonsim builds one from parsed argv
+ * (fromOptions, which also carries --shard), while canond submit
+ * bodies and embedders spell every option the CLI way through set(),
+ * sweep() and archs() -- so all of them get exactly the same
+ * validation.
  *
  * Validation happens at construction time, through the same grammar
  * the CLI parser uses (cli::applyScenarioOption and
  * runner::SweepSpec::addAxis), so a request cannot drift from what
- * canonsim accepts: every setter validates immediately and records
+ * canonsim accepts: every builder validates immediately and records
  * the first failure, and validate() finishes the job against the
  * per-workload relevance matrix (a sweep axis no expanded scenario
  * consumes is an error; an explicitly set option the selected
@@ -31,7 +32,6 @@
 #ifndef CANON_ENGINE_REQUEST_HH
 #define CANON_ENGINE_REQUEST_HH
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -51,41 +51,25 @@ class ScenarioRequest
 
     /**
      * Adopt already-parsed CLI options (the canonsim adapter). The
-     * sweep axes and explicit-key list carry over; axis validation
-     * runs immediately, exactly as the typed sweep() setter would.
+     * sweep axes, explicit-key list and shard carry over; axis
+     * validation runs immediately, exactly as sweep() would.
      */
     static ScenarioRequest fromOptions(const cli::Options &opt);
 
-    // ---- scenario setters ---------------------------------------------
+    // ---- builders -----------------------------------------------------
     //
-    // Every setter validates through the CLI option grammar and
-    // returns *this for chaining; the first failure is latched and
-    // reported by error() (later setters still apply when they are
-    // themselves valid). Typed setters funnel through set(), so a
-    // value a setter accepts is exactly a value the CLI accepts.
-
-    /** Apply one scenario/fabric option by bare key ("m", "nm"...). */
-    ScenarioRequest &set(const std::string &key,
-                         const std::string &value);
-
-    ScenarioRequest &workload(cli::Workload w);
-    ScenarioRequest &model(const std::string &name);
-    ScenarioRequest &shape(std::int64_t m, std::int64_t k,
-                           std::int64_t n);
-    ScenarioRequest &sparsity(double s);
-    ScenarioRequest &nm(int n, int m);
-    ScenarioRequest &window(std::int64_t w);
+    // Every builder validates through the CLI grammar and returns
+    // *this for chaining; the first failure is latched and reported
+    // by error() (later calls still apply when they are themselves
+    // valid).
 
     /**
-     * RNG seed. The CLI grammar restricts seeds to [0, 2^63 - 1];
-     * a larger value latches a validation error (with the grammar's
-     * range message) rather than being accepted silently.
+     * Apply one scenario/fabric option by its bare CLI key ("m",
+     * "nm", "clock-ghz", ...; see cli::scenarioOptionKeys()). A value
+     * set() accepts is exactly a value the CLI accepts.
      */
-    ScenarioRequest &seed(std::uint64_t s);
-    ScenarioRequest &fabric(int rows, int cols);
-    ScenarioRequest &spad(int entries);
-    ScenarioRequest &dmem(int slots);
-    ScenarioRequest &clockGhz(double ghz);
+    ScenarioRequest &set(const std::string &key,
+                         const std::string &value);
 
     /**
      * Replace the architecture set. Names are validated against the
@@ -101,9 +85,6 @@ class ScenarioRequest
      */
     ScenarioRequest &sweep(const std::string &key,
                            const std::string &values);
-
-    /** Own slice i of n of the expanded scenario list. */
-    ScenarioRequest &shard(int index, int count);
 
     // ---- validation ---------------------------------------------------
 
@@ -150,7 +131,7 @@ class ScenarioRequest
     std::string error_;
 
     // validate() is logically const: it derives state from the
-    // setters' inputs without changing what the request means.
+    // builders' inputs without changing what the request means.
     mutable bool validated_ = false;
     mutable std::string validation_error_;
     mutable std::vector<std::string> warnings_;

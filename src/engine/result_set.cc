@@ -10,26 +10,15 @@ namespace engine
 Table
 scenarioStatsTable(const cli::Options &opt, const CaseResult &cases)
 {
-    const CanonConfig cfg = opt.fabricConfig();
-
     Table table("canonsim: " + opt.workloadLabel());
     std::vector<std::string> header = {"Arch"};
     for (const auto &col : runner::statsHeader(opt.probeSpad))
         header.push_back(col);
     table.header(std::move(header));
 
-    const bool have_canon = cases.count("canon") != 0;
-    const double canon_cycles =
-        have_canon ? static_cast<double>(cases.at("canon").cycles)
-                   : 0.0;
-
-    for (const auto &arch : runner::orderedArchs(opt, cases)) {
-        std::vector<std::string> row = {arch};
-        for (auto &cell : runner::statsCells(cfg, cases.at(arch),
-                                             canon_cycles,
-                                             opt.probeSpad))
-            row.push_back(std::move(cell));
-        table.addRow(std::move(row));
+    for (auto &row : runner::archRows(opt, cases)) {
+        row.cells.insert(row.cells.begin(), row.arch);
+        table.addRow(std::move(row.cells));
     }
     return table;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/config.hh"
 #include "power/energy.hh"
 
 namespace canon
@@ -9,22 +10,13 @@ namespace canon
 namespace runner
 {
 
-std::vector<std::string>
-orderedArchs(const cli::Options &opt, const CaseResult &cases)
+namespace
 {
-    const std::vector<std::string> requested =
-        opt.archs.empty() ? std::vector<std::string>{"canon"}
-                          : opt.archs;
-    std::vector<std::string> out;
-    for (const auto &a : cli::knownArchs()) {
-        bool wanted = std::find(requested.begin(), requested.end(),
-                                a) != requested.end();
-        if (wanted && cases.count(a))
-            out.push_back(a);
-    }
-    return out;
-}
 
+/**
+ * One architecture's stats cells; @p canon_cycles of 0 renders the
+ * speedup column as "X" (no canon reference).
+ */
 std::vector<std::string>
 statsCells(const CanonConfig &cfg, const ExecutionProfile &profile,
            double canon_cycles, bool probe_spad)
@@ -82,6 +74,24 @@ statsCells(const CanonConfig &cfg, const ExecutionProfile &profile,
     return cells;
 }
 
+} // namespace
+
+std::vector<std::string>
+orderedArchs(const cli::Options &opt, const CaseResult &cases)
+{
+    const std::vector<std::string> requested =
+        opt.archs.empty() ? std::vector<std::string>{"canon"}
+                          : opt.archs;
+    std::vector<std::string> out;
+    for (const auto &a : cli::knownArchs()) {
+        bool wanted = std::find(requested.begin(), requested.end(),
+                                a) != requested.end();
+        if (wanted && cases.count(a))
+            out.push_back(a);
+    }
+    return out;
+}
+
 const std::vector<std::string> &
 statsHeader(bool probe_spad)
 {
@@ -96,6 +106,20 @@ statsHeader(bool probe_spad)
         return h;
     }();
     return probe_spad ? probe_header : header;
+}
+
+std::vector<ArchRow>
+archRows(const cli::Options &opt, const CaseResult &cases)
+{
+    const auto canon = cases.find("canon");
+    const double canon_cycles =
+        canon == cases.end() ? 0.0
+                             : static_cast<double>(canon->second.cycles);
+    std::vector<ArchRow> rows;
+    for (const auto &arch : orderedArchs(opt, cases))
+        rows.push_back({arch, statsCells(opt.fabric, cases.at(arch),
+                                         canon_cycles, opt.probeSpad)});
+    return rows;
 }
 
 Table
@@ -126,19 +150,10 @@ sweepTable(const std::vector<ScenarioResult> &results)
             continue;
         }
 
-        const CanonConfig cfg = r.job.options.fabricConfig();
-        const bool have_canon = r.cases.count("canon") != 0;
-        const double canon_cycles =
-            have_canon
-                ? static_cast<double>(r.cases.at("canon").cycles)
-                : 0.0;
-
-        for (const auto &arch : orderedArchs(r.job.options, r.cases)) {
-            std::vector<std::string> row = {scenario, point, arch};
-            for (auto &cell : statsCells(cfg, r.cases.at(arch),
-                                         canon_cycles, probe_spad))
-                row.push_back(std::move(cell));
-            t.addRow(std::move(row));
+        for (const auto &row : archRows(r.job.options, r.cases)) {
+            std::vector<std::string> cells = {scenario, point, row.arch};
+            cells.insert(cells.end(), row.cells.begin(), row.cells.end());
+            t.addRow(std::move(cells));
         }
     }
     return t;

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "common/table.hh"
-#include "core/config.hh"
 #include "power/profile.hh"
 #include "runner/pool.hh"
 
@@ -30,20 +29,12 @@ namespace runner
 {
 
 /**
- * The per-architecture stats cells (cycles, time, utilization, MACs,
- * transitions, energy, power, speedup-vs-canon) shared by the
- * single-scenario table and the combined sweep table. @p canon_cycles
- * of 0 renders the speedup column as "X" (no canon reference).
- * @p probe_spad appends the scratchpad occupancy probe columns (mean
+ * The stats column labels: cycles, time, utilization, MACs,
+ * transitions, energy, power, speedup-vs-canon, and with
+ * @p probe_spad the scratchpad occupancy probe columns (mean
  * resident rows, % cycles at the resident cap, tag compares per
- * buffer probe); profiles without orchestrator counters render "X".
+ * buffer probe).
  */
-std::vector<std::string> statsCells(const CanonConfig &cfg,
-                                    const ExecutionProfile &profile,
-                                    double canon_cycles,
-                                    bool probe_spad = false);
-
-/** Header labels matching statsCells, in the same order. */
 const std::vector<std::string> &statsHeader(bool probe_spad = false);
 
 /**
@@ -53,6 +44,24 @@ const std::vector<std::string> &statsHeader(bool probe_spad = false);
  */
 std::vector<std::string> orderedArchs(const cli::Options &opt,
                                       const CaseResult &cases);
+
+/** One rendered stats row of a scenario. */
+struct ArchRow
+{
+    std::string arch;
+    std::vector<std::string> cells; //!< matches statsHeader()
+};
+
+/**
+ * The stats rows of one scenario: a row per orderedArchs() entry,
+ * rendered against @p opt's fabric and clock, with the speedup
+ * column relative to the canon case ("X" without one) and the probe
+ * columns when opt.probeSpad is set (profiles without orchestrator
+ * counters render "X" there). The single-scenario table, the sweep
+ * table and canond's Result frames all render through this.
+ */
+std::vector<ArchRow> archRows(const cli::Options &opt,
+                              const CaseResult &cases);
 
 /**
  * The combined sweep table (engine::ResultSet::sweepTable): a row per

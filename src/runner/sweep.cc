@@ -41,13 +41,11 @@ SweepSpec::addAxis(const std::string &key, const std::string &values)
                " (write --sweep " + bare + "=...)";
     }
 
-    // Real CLI flags that are nevertheless outside the scenario
-    // grammar get a targeted message, not "unknown option".
-    for (const char *fixed : {"arch", "csv", "sweep", "jobs", "shard",
-                              "cache", "cache-dir", "help", "list"})
-        if (key == fixed)
-            return "sweep axis '" + key + "' is not sweepable (only"
-                   " workload, model, shape, and fabric options are)";
+    // Real flags that are nevertheless outside the scenario grammar
+    // get a targeted message, not "unknown option".
+    if (cli::isNonScenarioFlag(key))
+        return "sweep axis '" + key + "' is not sweepable (only"
+               " workload, model, shape, and fabric options are)";
 
     Axis axis;
     axis.key = key;
@@ -66,27 +64,6 @@ SweepSpec::addAxis(const std::string &key, const std::string &values)
 
     axes_.push_back(std::move(axis));
     return {};
-}
-
-bool
-SweepSpec::hasAxis(const std::string &key) const
-{
-    for (const auto &axis : axes_)
-        if (axis.key == key)
-            return true;
-    return false;
-}
-
-bool
-SweepSpec::axisHasValue(const std::string &key,
-                        const std::string &value) const
-{
-    for (const auto &axis : axes_)
-        if (axis.key == key)
-            for (const auto &v : axis.values)
-                if (v == value)
-                    return true;
-    return false;
 }
 
 std::size_t
@@ -134,19 +111,6 @@ SweepSpec::expand(const cli::Options &base) const
         if (axes_.empty())
             return jobs;
     }
-}
-
-std::string
-makeSweepSpec(
-    const std::vector<std::pair<std::string, std::string>> &axes,
-    SweepSpec &out)
-{
-    for (const auto &[key, values] : axes) {
-        std::string err = out.addAxis(key, values);
-        if (!err.empty())
-            return err;
-    }
-    return {};
 }
 
 } // namespace runner

@@ -25,7 +25,6 @@
 
 #include <cstddef>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cli/options.hh"
@@ -62,13 +61,6 @@ class SweepSpec
     /** Number of declared axes. */
     std::size_t axisCount() const { return axes_.size(); }
 
-    /** True when an axis named @p key was declared. */
-    bool hasAxis(const std::string &key) const;
-
-    /** True when axis @p key exists and lists @p value. */
-    bool axisHasValue(const std::string &key,
-                      const std::string &value) const;
-
     /** Product of the axis lengths; 1 when no axis was declared. */
     std::size_t jobCount() const;
 
@@ -88,15 +80,6 @@ class SweepSpec
 
     std::vector<Axis> axes_;
 };
-
-/**
- * Build a SweepSpec from the raw (key, values) pairs collected by the
- * CLI parser. Returns an empty string on success, otherwise the first
- * error.
- */
-std::string makeSweepSpec(
-    const std::vector<std::pair<std::string, std::string>> &axes,
-    SweepSpec &out);
 
 } // namespace runner
 } // namespace canon

@@ -42,22 +42,12 @@ renderScenarioText(const runner::ScenarioResult &r)
         return out;
     }
 
-    const CanonConfig cfg = r.job.options.fabricConfig();
-    const bool have_canon = r.cases.count("canon") != 0;
-    const double canon_cycles =
-        have_canon ? static_cast<double>(r.cases.at("canon").cycles)
-                   : 0.0;
-    const bool probe = r.job.options.probeSpad;
     const std::vector<std::string> &header =
-        runner::statsHeader(probe);
-
-    for (const auto &arch :
-         runner::orderedArchs(r.job.options, r.cases)) {
-        out += "  " + arch + ":";
-        const std::vector<std::string> cells = runner::statsCells(
-            cfg, r.cases.at(arch), canon_cycles, probe);
-        for (std::size_t c = 0; c < cells.size(); ++c)
-            out += " " + header[c] + "=" + cells[c];
+        runner::statsHeader(r.job.options.probeSpad);
+    for (const auto &row : runner::archRows(r.job.options, r.cases)) {
+        out += "  " + row.arch + ":";
+        for (std::size_t c = 0; c < row.cells.size(); ++c)
+            out += " " + header[c] + "=" + row.cells[c];
         out += "\n";
     }
     return out;

@@ -144,9 +144,9 @@ TEST(ScenarioKeyTest, ClockGhzOnlyAffectsRenderingNotTheKey)
 {
     cli::Options a;
     cli::Options b = a;
-    b.clockGhz = 2.5;
+    b.fabric.clockGhz = 2.5;
     EXPECT_EQ(scenarioKey(a).canonical, scenarioKey(b).canonical);
-    b.rows = 16; // real fabric dimensions do key
+    b.fabric.rows = 16; // real fabric dimensions do key
     EXPECT_NE(scenarioKey(a).canonical, scenarioKey(b).canonical);
 }
 

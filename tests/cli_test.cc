@@ -37,7 +37,7 @@ TEST(CliOptions, DefaultsAreSpmmOnCanonPaperFabric)
     EXPECT_EQ(o.workload, Workload::Spmm);
     EXPECT_EQ(o.archs, std::vector<std::string>{"canon"});
 
-    const CanonConfig cfg = o.fabricConfig();
+    const CanonConfig cfg = o.fabric;
     const CanonConfig paper = CanonConfig::paper();
     EXPECT_EQ(cfg.rows, paper.rows);
     EXPECT_EQ(cfg.cols, paper.cols);
@@ -83,11 +83,11 @@ TEST(CliOptions, ParsesFabricAndModeOptions)
                       "--seed=42", "--csv=/tmp/out.csv"});
     ASSERT_TRUE(res.ok) << res.error;
     const Options &o = res.options;
-    EXPECT_EQ(o.fabricConfig().rows, 4);
-    EXPECT_EQ(o.fabricConfig().cols, 16);
-    EXPECT_EQ(o.fabricConfig().spadEntries, 32);
-    EXPECT_EQ(o.fabricConfig().dmemSlots, 2048);
-    EXPECT_DOUBLE_EQ(o.fabricConfig().clockGhz, 1.5);
+    EXPECT_EQ(o.fabric.rows, 4);
+    EXPECT_EQ(o.fabric.cols, 16);
+    EXPECT_EQ(o.fabric.spadEntries, 32);
+    EXPECT_EQ(o.fabric.dmemSlots, 2048);
+    EXPECT_DOUBLE_EQ(o.fabric.clockGhz, 1.5);
     EXPECT_EQ(o.archs, (std::vector<std::string>{"canon", "zed"}));
     EXPECT_DOUBLE_EQ(o.sparsity, 0.9);
     EXPECT_EQ(o.seed, 42u);
@@ -98,15 +98,15 @@ TEST(CliOptions, ParsesTagBanksAndSpadFlush)
 {
     auto res = parse({"--tag-banks=8", "--spad-flush=adaptive"});
     ASSERT_TRUE(res.ok) << res.error;
-    EXPECT_EQ(res.options.fabricConfig().tagBanks, 8);
-    EXPECT_EQ(res.options.fabricConfig().spadFlush,
+    EXPECT_EQ(res.options.fabric.tagBanks, 8);
+    EXPECT_EQ(res.options.fabric.spadFlush,
               SpadFlushPolicy::Adaptive);
 
     // Defaults stay on the linear-search / flush-at-cap baseline.
     auto dflt = parse({});
     ASSERT_TRUE(dflt.ok) << dflt.error;
-    EXPECT_EQ(dflt.options.fabricConfig().tagBanks, 1);
-    EXPECT_EQ(dflt.options.fabricConfig().spadFlush,
+    EXPECT_EQ(dflt.options.fabric.tagBanks, 1);
+    EXPECT_EQ(dflt.options.fabric.spadFlush,
               SpadFlushPolicy::Eager);
 
     for (const char *bad :
@@ -510,7 +510,7 @@ TEST(CliDriver, BaselineOnlyRunSkipsCanonSimulation)
     EXPECT_EQ(r.count("cgra"), 1u);
 
     // The suite itself must not have computed the unselected archs.
-    ArchSuite suite(o.fabricConfig(), o.archs);
+    ArchSuite suite(o.fabric, o.archs);
     EXPECT_FALSE(suite.enabled("canon"));
     EXPECT_TRUE(suite.enabled("systolic"));
     CaseResult direct = suite.spmm(32, 32, 32, 0.5, 1);

@@ -46,6 +46,18 @@ parse(std::initializer_list<std::string> args)
     return cli::parseArgs(std::vector<std::string>(args));
 }
 
+/** A @p workload request at the 64x64x16 shape most tests run. */
+ScenarioRequest
+small(const std::string &workload)
+{
+    ScenarioRequest req;
+    req.set("workload", workload)
+        .set("m", "64")
+        .set("k", "64")
+        .set("n", "16");
+    return req;
+}
+
 std::string
 render(const ResultSet &rs)
 {
@@ -189,7 +201,7 @@ TEST(ScenarioRequest, IrrelevantAxisRejectedLikeTheCli)
     // spmm never consumes --window: the relevance matrix rejects the
     // axis at validation, with the CLI's exact message.
     ScenarioRequest req;
-    req.workload(cli::Workload::Spmm).sweep("window", "32,64");
+    req.set("workload", "spmm").sweep("window", "32,64");
     EXPECT_FALSE(req.validate());
     EXPECT_NE(req.error().find("has no effect"), std::string::npos);
 
@@ -223,18 +235,21 @@ TEST(ScenarioRequest, WarningsMatchTheCli)
 
 TEST(ScenarioRequest, TypedSettersMatchParsedOptions)
 {
-    // The typed setters and the CLI spellings must name the same
-    // scenario -- asserted through the canonical cache key, which
-    // folds in everything result-shaping.
+    // A chain of set() calls and the same CLI spellings must name the
+    // same scenario -- asserted through the canonical cache key,
+    // which folds in everything result-shaping.
     ScenarioRequest req;
-    req.workload(cli::Workload::SpmmNm)
-        .shape(128, 256, 32)
-        .nm(2, 8)
-        .seed(9)
-        .fabric(4, 16)
-        .spad(32)
-        .dmem(2048)
-        .clockGhz(1.5)
+    req.set("workload", "spmm-nm")
+        .set("m", "128")
+        .set("k", "256")
+        .set("n", "32")
+        .set("nm", "2:8")
+        .set("seed", "9")
+        .set("rows", "4")
+        .set("cols", "16")
+        .set("spad", "32")
+        .set("dmem", "2048")
+        .set("clock-ghz", "1.5")
         .archs({"canon", "zed"});
     ASSERT_TRUE(req.validate()) << req.error();
 
@@ -251,10 +266,10 @@ TEST(ScenarioRequest, TypedSettersMatchParsedOptions)
 TEST(ScenarioRequest, FirstErrorIsLatched)
 {
     ScenarioRequest req;
-    req.set("sparsity", "2.0").shape(64, 64, 64);
+    req.set("sparsity", "2.0").set("m", "64");
     EXPECT_FALSE(req.validate());
     EXPECT_NE(req.error().find("--sparsity"), std::string::npos);
-    // The later, valid setter still applied.
+    // The later, valid set() still applied.
     EXPECT_EQ(req.options().m, 64);
 }
 
@@ -262,10 +277,8 @@ TEST(ScenarioRequest, FirstErrorIsLatched)
 
 TEST(Engine, RunMatchesRunCases)
 {
-    ScenarioRequest req;
-    req.workload(cli::Workload::Spmm)
-        .shape(64, 64, 16)
-        .sparsity(0.5)
+    ScenarioRequest req = small("spmm");
+    req.set("sparsity", "0.5")
         .archs({"canon", "zed"});
     Engine eng(EngineConfig{.jobs = 1});
     ResultSet rs = eng.run(req);
@@ -285,10 +298,8 @@ TEST(Engine, RunMatchesRunCases)
 
 TEST(Engine, RunIsDeterministicAcrossWorkerCounts)
 {
-    ScenarioRequest req;
-    req.workload(cli::Workload::Spmm)
-        .shape(64, 64, 16)
-        .sweep("sparsity", "0.3,0.5,0.7")
+    ScenarioRequest req = small("spmm");
+    req.sweep("sparsity", "0.3,0.5,0.7")
         .sweep("rows", "4,8");
     Engine serial(EngineConfig{.jobs = 1});
     Engine threaded(EngineConfig{.jobs = 4});
@@ -302,10 +313,8 @@ TEST(Engine, PolicyAxesAreDeterministicAcrossWorkerCounts)
 {
     // Sweeping the tag-bank count and flush policy must commute with
     // the worker count: four scenarios, byte-identical tables.
-    ScenarioRequest req;
-    req.workload(cli::Workload::Spmm)
-        .shape(64, 64, 16)
-        .sweep("tag-banks", "1,8")
+    ScenarioRequest req = small("spmm");
+    req.sweep("tag-banks", "1,8")
         .sweep("spad-flush", "eager,adaptive");
     Engine serial(EngineConfig{.jobs = 1});
     Engine threaded(EngineConfig{.jobs = 4});
@@ -321,12 +330,9 @@ TEST(Engine, PolicyAxesAreDeterministicAcrossWorkerCounts)
 
 TEST(Engine, RunBatchIsDeterministicAcrossWorkerCounts)
 {
-    ScenarioRequest sweep;
-    sweep.workload(cli::Workload::Spmm)
-        .shape(64, 64, 16)
-        .sweep("sparsity", "0.3,0.6");
-    ScenarioRequest gemm;
-    gemm.workload(cli::Workload::Gemm).shape(64, 64, 16);
+    ScenarioRequest sweep = small("spmm");
+    sweep.sweep("sparsity", "0.3,0.6");
+    ScenarioRequest gemm = small("gemm");
 
     Engine serial(EngineConfig{.jobs = 1});
     Engine threaded(EngineConfig{.jobs = 4});
@@ -345,10 +351,8 @@ TEST(Engine, RunBatchIsDeterministicAcrossWorkerCounts)
 
 TEST(Engine, StreamingCallbackDeliversInExpansionOrder)
 {
-    ScenarioRequest req;
-    req.workload(cli::Workload::Spmm)
-        .shape(64, 64, 16)
-        .sweep("sparsity", "0.1,0.3,0.5,0.7")
+    ScenarioRequest req = small("spmm");
+    req.sweep("sparsity", "0.1,0.3,0.5,0.7")
         .sweep("rows", "4,8");
     Engine eng(EngineConfig{.jobs = 4});
 
@@ -372,10 +376,8 @@ TEST(Engine, ThrowingStreamCallbackRethrowsOnCallerThread)
     // A buggy callback must not escape a worker thread (that would
     // std::terminate); the pool latches the first exception and
     // rethrows it here, after every job has completed.
-    ScenarioRequest req;
-    req.workload(cli::Workload::Spmm)
-        .shape(64, 64, 16)
-        .sweep("sparsity", "0.2,0.4,0.6,0.8");
+    ScenarioRequest req = small("spmm");
+    req.sweep("sparsity", "0.2,0.4,0.6,0.8");
     Engine eng(EngineConfig{.jobs = 4});
     EXPECT_THROW(eng.run(req,
                          [](const runner::ScenarioResult &) {
@@ -386,12 +388,9 @@ TEST(Engine, ThrowingStreamCallbackRethrowsOnCallerThread)
 
 TEST(Engine, StreamingCallbackSpansBatchInGlobalOrder)
 {
-    ScenarioRequest s1;
-    s1.workload(cli::Workload::Spmm)
-        .shape(64, 64, 16)
-        .sweep("sparsity", "0.2,0.4");
-    ScenarioRequest s2;
-    s2.workload(cli::Workload::Gemm).shape(64, 64, 16);
+    ScenarioRequest s1 = small("spmm");
+    s1.sweep("sparsity", "0.2,0.4");
+    ScenarioRequest s2 = small("gemm");
 
     Engine eng(EngineConfig{.jobs = 4});
     std::vector<std::string> labels;
@@ -410,22 +409,21 @@ TEST(Engine, StreamingCallbackSpansBatchInGlobalOrder)
 
 TEST(Engine, ShardOwnsItsContiguousSlice)
 {
-    auto makeReq = [] {
-        ScenarioRequest req;
-        req.workload(cli::Workload::Spmm)
-            .shape(64, 64, 16)
-            .sweep("sparsity", "0.1,0.3,0.5,0.7,0.9");
-        return req;
+    // The shard rides in the parsed options, as canonsim's --shard.
+    auto makeReq = [](const std::string &shard) {
+        auto res = parse({"--m", "64", "--k", "64", "--n", "16",
+                          "--sweep", "sparsity=0.1,0.3,0.5,0.7,0.9",
+                          "--shard", shard});
+        EXPECT_TRUE(res.ok) << res.error;
+        return ScenarioRequest::fromOptions(res.options);
     };
     Engine eng(EngineConfig{.jobs = 2});
-    ResultSet whole = eng.run(makeReq());
+    ResultSet whole = eng.run(makeReq("0/1"));
     ASSERT_EQ(whole.size(), 5u);
 
     std::vector<std::string> sharded;
     for (int i = 0; i < 2; ++i) {
-        ScenarioRequest req = makeReq();
-        req.shard(i, 2);
-        ResultSet rs = eng.run(req);
+        ResultSet rs = eng.run(makeReq(std::to_string(i) + "/2"));
         EXPECT_EQ(rs.totalJobs(), 5u);
         EXPECT_FALSE(rs.single());
         for (const auto &r : rs.scenarios())
@@ -448,8 +446,7 @@ TEST(Engine, InvalidRequestNeverRuns)
     EXPECT_EQ(rs.size(), 0u);
 
     // In a batch, the invalid request does not block the others.
-    ScenarioRequest good;
-    good.workload(cli::Workload::Gemm).shape(64, 64, 16);
+    ScenarioRequest good = small("gemm");
     auto sets = eng.runBatch({bad, good});
     ASSERT_EQ(sets.size(), 2u);
     EXPECT_EQ(sets[0].status(), ResultSet::Status::InvalidRequest);
@@ -469,8 +466,7 @@ TEST(Engine, UnpreparableCacheDirectoryFailsTheRun)
     Engine eng(EngineConfig{.jobs = 1, .cacheDir = blocker});
     EXPECT_FALSE(eng.prepare().empty());
 
-    ScenarioRequest req;
-    req.workload(cli::Workload::Gemm).shape(64, 64, 16);
+    ScenarioRequest req = small("gemm");
     ResultSet rs = eng.run(req);
     EXPECT_EQ(rs.status(), ResultSet::Status::Failed);
     EXPECT_FALSE(rs.error().empty());
@@ -482,10 +478,8 @@ TEST(Engine, WarmRerunExecutesZeroSimulationJobs)
 {
     const std::string dir = scratchDir("engine_warm") + "cache";
     auto makeReq = [] {
-        ScenarioRequest req;
-        req.workload(cli::Workload::Spmm)
-            .shape(64, 64, 16)
-            .sweep("sparsity", "0.3,0.5,0.7");
+        ScenarioRequest req = small("spmm");
+        req.sweep("sparsity", "0.3,0.5,0.7");
         return req;
     };
 
@@ -516,10 +510,8 @@ TEST(Engine, SharedEngineReportsPerRequestCacheDeltas)
     // run below would otherwise report the first run's misses and
     // stores as its own.
     const std::string dir = scratchDir("engine_delta") + "cache";
-    ScenarioRequest req;
-    req.workload(cli::Workload::Spmm)
-        .shape(64, 64, 16)
-        .sweep("sparsity", "0.3,0.5,0.7");
+    ScenarioRequest req = small("spmm");
+    req.sweep("sparsity", "0.3,0.5,0.7");
 
     Engine shared(EngineConfig{.jobs = 2, .cacheDir = dir});
     ResultSet first = shared.run(req);
@@ -549,10 +541,8 @@ TEST(Engine, CancelTokenSkipsRemainingScenarios)
     // jobs=1 runs the expansion inline in index order, so a token
     // cancelled from the first scenario's callback deterministically
     // skips the remaining four.
-    ScenarioRequest req;
-    req.workload(cli::Workload::Spmm)
-        .shape(64, 64, 16)
-        .sweep("sparsity", "0.1,0.3,0.5,0.7,0.9");
+    ScenarioRequest req = small("spmm");
+    req.sweep("sparsity", "0.1,0.3,0.5,0.7,0.9");
 
     Engine eng(EngineConfig{.jobs = 1});
     runner::CancelToken token;
@@ -582,10 +572,8 @@ TEST(Engine, CancelledScenariosNeverTouchTheCache)
     // line for the run reports only the one scenario that executed.
     const std::string dir = scratchDir("engine_cancel_cache")
                             + "cache";
-    ScenarioRequest req;
-    req.workload(cli::Workload::Spmm)
-        .shape(64, 64, 16)
-        .sweep("sparsity", "0.2,0.4,0.6");
+    ScenarioRequest req = small("spmm");
+    req.sweep("sparsity", "0.2,0.4,0.6");
 
     Engine eng(EngineConfig{.jobs = 1, .cacheDir = dir});
     runner::CancelToken token;
@@ -605,10 +593,8 @@ TEST(Engine, CancelledScenariosNeverTouchTheCache)
 TEST(Engine, PlanForecastsTheCache)
 {
     const std::string dir = scratchDir("engine_plan") + "cache";
-    ScenarioRequest req;
-    req.workload(cli::Workload::Spmm)
-        .shape(64, 64, 16)
-        .sweep("sparsity", "0.3,0.7");
+    ScenarioRequest req = small("spmm");
+    req.sweep("sparsity", "0.3,0.7");
 
     // Uncached engine: every scenario always executes.
     Engine uncached(EngineConfig{.jobs = 1});
@@ -766,6 +752,30 @@ TEST(Registry, SweepableKeysRoundTripThroughTheGrammar)
             cli::applyScenarioOption(opt, key, value).empty())
             << key << "=" << value;
     }
+
+    // Off the default, each key's text rule must print exactly the
+    // value its parse rule read: one non-default value per key.
+    const std::pair<const char *, const char *> off_default[] = {
+        {"workload", "sddmm-window"}, {"model", "resnet50"},
+        {"m", "96"},                  {"k", "80"},
+        {"n", "48"},                  {"sparsity", "0.35"},
+        {"nm", "3:8"},                {"window", "32"},
+        {"seed", "9223372036854775807"},
+        {"rows", "4"},                {"cols", "16"},
+        {"spad", "8"},                {"tag-banks", "4"},
+        {"spad-flush", "adaptive"},   {"dmem", "512"},
+        {"clock-ghz", "1.25"},
+    };
+    std::vector<std::string> covered;
+    for (const auto &[key, value] : off_default) {
+        cli::Options opt;
+        EXPECT_NE(cli::optionValueText(opt, key), value) << key;
+        EXPECT_TRUE(cli::applyScenarioOption(opt, key, value).empty())
+            << key << "=" << value;
+        EXPECT_EQ(cli::optionValueText(opt, key), value) << key;
+        covered.push_back(key);
+    }
+    EXPECT_EQ(covered, keys);
 
     cli::Options opt;
     EXPECT_FALSE(

@@ -851,9 +851,9 @@ obsSweepRequest(bool policy_axes = false, bool accounting = false)
     opt.m = 32;
     opt.k = 16;
     opt.n = 8;
-    opt.rows = 2;
-    opt.cols = 2;
-    opt.spadEntries = 4;
+    opt.fabric.rows = 2;
+    opt.fabric.cols = 2;
+    opt.fabric.spadEntries = 4;
     opt.sweepAxes.emplace_back("sparsity", "0.3,0.5,0.8");
     if (policy_axes) {
         opt.sweepAxes.emplace_back("tag-banks", "1,4");
@@ -1021,9 +1021,9 @@ TEST(ObsReport, HostTimersDeterministicUnderInjectedClock)
         opt.m = 16;
         opt.k = 16;
         opt.n = 8;
-        opt.rows = 2;
-        opt.cols = 2;
-        opt.spadEntries = 4;
+        opt.fabric.rows = 2;
+        opt.fabric.cols = 2;
+        opt.fabric.spadEntries = 4;
         opt.common.obs.hostTimers = true;
         opt.common.obs.statsJsonOut = "unused-j.json";
         engine::Engine eng(engine::EngineConfig{.jobs = 1});
@@ -1176,9 +1176,9 @@ TEST(ObsReport, DisabledRequestYieldsNoObservations)
     opt.m = 16;
     opt.k = 16;
     opt.n = 8;
-    opt.rows = 2;
-    opt.cols = 2;
-    opt.spadEntries = 4;
+    opt.fabric.rows = 2;
+    opt.fabric.cols = 2;
+    opt.fabric.spadEntries = 4;
     engine::Engine eng(engine::EngineConfig{.jobs = 1});
     const auto rs =
         eng.run(engine::ScenarioRequest::fromOptions(opt));

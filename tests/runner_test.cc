@@ -86,9 +86,9 @@ TEST(SweepSpec, CartesianProductVariesLastAxisFastest)
     EXPECT_EQ(jobs[1].point, "sparsity=0.3 rows=8");
     EXPECT_EQ(jobs[2].point, "sparsity=0.6 rows=4");
     EXPECT_EQ(jobs[3].point, "sparsity=0.6 rows=8");
-    EXPECT_EQ(jobs[1].options.rows, 8);
+    EXPECT_EQ(jobs[1].options.fabric.rows, 8);
     EXPECT_DOUBLE_EQ(jobs[1].options.sparsity, 0.3);
-    EXPECT_EQ(jobs[2].options.rows, 4);
+    EXPECT_EQ(jobs[2].options.fabric.rows, 4);
     EXPECT_DOUBLE_EQ(jobs[2].options.sparsity, 0.6);
 }
 
@@ -144,18 +144,41 @@ TEST(SweepSpec, RejectsDuplicateAxis)
     EXPECT_EQ(spec.axisCount(), 1u);
 }
 
-TEST(SweepSpec, MakeSweepSpecReportsFirstError)
+TEST(SweepSpec, RejectedAxisKeepsTheAxesBeforeIt)
 {
-    SweepSpec ok;
-    EXPECT_EQ(makeSweepSpec({{"sparsity", "0.5,0.7"}, {"rows", "4"}},
-                            ok),
-              "");
-    EXPECT_EQ(ok.jobCount(), 2u);
-
-    SweepSpec bad;
-    const std::string err =
-        makeSweepSpec({{"rows", "4"}, {"sparsity", "2.0"}}, bad);
+    // Axes are added one by one (ScenarioRequest::fromOptions stops at
+    // the first error): a rejected axis names itself and leaves the
+    // spec as it was.
+    SweepSpec spec;
+    ASSERT_EQ(spec.addAxis("rows", "4"), "");
+    const std::string err = spec.addAxis("sparsity", "2.0");
     EXPECT_NE(err.find("sparsity"), std::string::npos) << err;
+    EXPECT_EQ(spec.axisCount(), 1u);
+
+    ASSERT_EQ(spec.addAxis("sparsity", "0.5,0.7"), "");
+    EXPECT_EQ(spec.jobCount(), 2u);
+    const auto jobs = spec.expand(smallSpmm());
+    ASSERT_EQ(jobs.size(), 2u);
+    EXPECT_EQ(jobs[0].point, "rows=4 sparsity=0.5");
+    EXPECT_EQ(jobs[1].point, "rows=4 sparsity=0.7");
+}
+
+TEST(SweepSpec, EveryNonScenarioFlagIsNotSweepable)
+{
+    // Every real flag outside the scenario grammar -- canonsim's own
+    // and the common execution and observability flags -- gets the
+    // targeted message, never "unknown option".
+    for (const std::string key :
+         {"arch", "csv", "sweep", "help", "list", "dry-run",
+          "probe-spad", "jobs", "shard", "cache", "cache-dir",
+          "sample-every", "series-out", "trace-out", "stats-json",
+          "cycle-accounting", "host-timers"}) {
+        SweepSpec spec;
+        EXPECT_EQ(spec.addAxis(key, "1,2"),
+                  "sweep axis '" + key +
+                      "' is not sweepable (only workload, model,"
+                      " shape, and fabric options are)");
+    }
 }
 
 // ---- Shard splitter ---------------------------------------------------
