@@ -109,15 +109,6 @@ figure12Case(std::size_t index, const ArchSuite &suite)
     }
 }
 
-std::vector<WorkloadCase>
-buildFigure12Cases(const ArchSuite &suite)
-{
-    std::vector<WorkloadCase> cases;
-    for (std::size_t i = 0; i < figure12Labels().size(); ++i)
-        cases.push_back(figure12Case(i, suite));
-    return cases;
-}
-
 const char *
 benchUsageText()
 {

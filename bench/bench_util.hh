@@ -77,9 +77,6 @@ const std::vector<std::string> &figure12Labels();
  */
 WorkloadCase figure12Case(std::size_t index, const ArchSuite &suite);
 
-/** Build the full Figure 12/13 workload matrix serially. */
-std::vector<WorkloadCase> buildFigure12Cases(const ArchSuite &suite);
-
 /** cycles(canon) / cycles(arch): >1 means arch is faster. */
 inline std::optional<double>
 normalizedPerformance(const CaseResult &r, const std::string &arch)

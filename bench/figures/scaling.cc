@@ -15,7 +15,6 @@
 #include "common/table.hh"
 #include "core/fabric.hh"
 #include "kernels/spmm.hh"
-#include "mem/main_memory.hh"
 #include "sparse/generate.hh"
 #include "workloads/canon_runner.hh"
 

@@ -32,9 +32,7 @@ main()
 
     std::uint64_t seed = 900;
     for (const auto &layer : model.layers) {
-        const auto r =
-            suite.spmm(layer.m, layer.k, layer.n, layer.sparsity,
-                       seed++);
+        const auto r = suite.run(layer, seed++);
         std::vector<std::string> row = {
             layer.name, std::to_string(layer.m) + "x" +
                             std::to_string(layer.k) + "x" +

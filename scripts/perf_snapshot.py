@@ -3,11 +3,11 @@
 one snapshot against another.
 
 Snapshot mode:
-    perf_snapshot.py sim_throughput.csv BENCH_6.json [--label PR6]
+    perf_snapshot.py sim_throughput.csv BENCH_8.json [--label LABEL]
 
 Check mode (exits 1 on failure):
     perf_snapshot.py sim_throughput.csv current.json \
-        --check BENCH_6.json --tolerance 0.10
+        --check BENCH_8.json --tolerance 0.10
 
 Several CSVs may be given (repeated runs of the bench); each case
 takes its best rate across runs. Wall-clock noise on a busy host is

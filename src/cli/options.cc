@@ -328,7 +328,7 @@ const std::vector<WorkloadInfo> &
 workloadTable()
 {
     // A new workload is one row here, its Workload enumerator, and its
-    // ArchSuite dispatch in engine.cc.
+    // case in ArchSuite::run.
     static const std::vector<WorkloadInfo> table = {
         {Workload::Gemm, "gemm", {"dense"},
          "dense GEMM (dense-cadence kernel)",

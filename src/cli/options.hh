@@ -24,20 +24,15 @@
 
 #include "core/config.hh"
 #include "engine/common_flags.hh"
+#include "workloads/models.hh"
 
 namespace canon
 {
 namespace cli
 {
 
-enum class Workload : std::uint8_t
-{
-    Gemm,        //!< dense GEMM via the dense-cadence kernel
-    Spmm,        //!< unstructured-sparse x dense
-    SpmmNm,      //!< N:M structured-sparse x dense
-    Sddmm,       //!< unstructured sampled dense-dense
-    SddmmWindow, //!< sliding-window sampled dense-dense
-};
+/** The kernel kinds, declared once beside the model layers. */
+using canon::Workload;
 
 struct Options
 {

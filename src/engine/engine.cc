@@ -11,56 +11,25 @@ namespace canon
 namespace engine
 {
 
-namespace
-{
-
-/** Run one workload case across the requested architectures. */
 CaseResult
-runSuiteCase(const cli::Options &opt)
+runScenarioCases(const cli::Options &opt)
 {
-    ArchSuite suite(opt.fabric, opt.archs);
+    // ArchSuite simulates only the selected architectures; an empty
+    // list means canon only (the Options contract).
+    const ArchSuite suite(opt.fabric,
+                          opt.archs.empty()
+                              ? std::vector<std::string>{"canon"}
+                              : opt.archs);
     if (!opt.model.empty())
         return suite.model(opt.sparsitySet
                                ? modelByName(opt.model, opt.sparsity)
                                : modelByName(opt.model),
                            opt.seed);
-    switch (opt.workload) {
-      case cli::Workload::Gemm:
-        return suite.gemm(opt.m, opt.k, opt.n, opt.seed);
-      case cli::Workload::Spmm:
-        return suite.spmm(opt.m, opt.k, opt.n, opt.sparsity,
-                          opt.seed);
-      case cli::Workload::SpmmNm:
-        return suite.spmmNm(opt.m, opt.k, opt.n, opt.nmN, opt.nmM,
-                            opt.seed);
-      case cli::Workload::Sddmm:
-        return suite.sddmm(opt.m, opt.k, opt.n, opt.sparsity,
-                           opt.seed);
-      case cli::Workload::SddmmWindow:
-        return suite.sddmmWindow(opt.m, opt.k, opt.window, opt.seed);
-    }
-    return {};
-}
-
-} // namespace
-
-CaseResult
-runScenarioCases(const cli::Options &opt)
-{
-    // ArchSuite only simulates the selected architectures, so the
-    // canon-only run needs no separate fast path; the filter below
-    // just pins the result to exactly what was asked for.
-    cli::Options o = opt;
-    if (o.archs.empty()) // Options contract: empty means canon only
-        o.archs.push_back("canon");
-    CaseResult all = runSuiteCase(o);
-    CaseResult r;
-    for (const auto &a : o.archs) {
-        auto it = all.find(a);
-        if (it != all.end())
-            r[a] = it->second;
-    }
-    return r;
+    // A shape scenario is a one-layer model.
+    return suite.run({cli::workloadName(opt.workload), opt.workload,
+                      opt.m, opt.k, opt.n, opt.sparsity, opt.window,
+                      1.0, opt.nmN, opt.nmM},
+                     opt.seed);
 }
 
 EngineConfig

@@ -249,13 +249,4 @@ mapSpmm(const CsrMatrix &a, const DenseMatrix &b, const CanonConfig &cfg)
     return map;
 }
 
-KernelMapping
-mapGemmViaSpmm(const DenseMatrix &a, const DenseMatrix &b,
-               const CanonConfig &cfg)
-{
-    auto map = mapSpmm(CsrMatrix::fromDense(a), b, cfg);
-    map.name = "gemm-via-spmm";
-    return map;
-}
-
 } // namespace canon

@@ -52,10 +52,6 @@ std::shared_ptr<OrchProgram> buildSpmmProgram();
 KernelMapping mapSpmm(const CsrMatrix &a, const DenseMatrix &b,
                       const CanonConfig &cfg);
 
-/** Dense GEMM expressed through the SpMM path (test utility). */
-KernelMapping mapGemmViaSpmm(const DenseMatrix &a, const DenseMatrix &b,
-                             const CanonConfig &cfg);
-
 } // namespace canon
 
 #endif // CANON_KERNELS_SPMM_HH

@@ -1,9 +1,5 @@
 #include "mem/main_memory.hh"
 
-#include <cmath>
-
-#include "common/logging.hh"
-
 namespace canon
 {
 
@@ -11,32 +7,6 @@ MemoryDevice
 lpddr5x16()
 {
     return {"LPDDR5X 16x", 17.0};
-}
-
-MemoryDevice
-lpddr5x32()
-{
-    return {"LPDDR5X 32x", 34.0};
-}
-
-double
-TrafficModel::requiredBandwidthGBps(std::uint64_t cycles,
-                                    double clock_ghz) const
-{
-    panicIf(cycles == 0, "TrafficModel: zero execution cycles");
-    const double seconds =
-        static_cast<double>(cycles) / (clock_ghz * 1e9);
-    return static_cast<double>(totalBytes()) / seconds / 1e9;
-}
-
-std::uint64_t
-TrafficModel::transferCycles(const MemoryDevice &dev,
-                             double clock_ghz) const
-{
-    const double seconds =
-        static_cast<double>(totalBytes()) / (dev.bandwidthGBps * 1e9);
-    return static_cast<std::uint64_t>(
-        std::ceil(seconds * clock_ghz * 1e9));
 }
 
 } // namespace canon

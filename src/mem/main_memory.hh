@@ -1,19 +1,15 @@
 /**
  * @file
- * Off-chip memory bandwidth model.
+ * Off-chip memory devices.
  *
- * The paper's configuration uses LPDDR5x at 17 GB/s (single-die x16)
- * and discusses a 34 GB/s dual-die option (Figure 16). For the
- * experiments here a bandwidth/traffic model suffices: the fabric
- * simulators record bytes moved; this model converts traffic and
- * achieved compute throughput into required bandwidth and checks it
- * against device envelopes.
+ * The paper's configuration uses LPDDR5x at 17 GB/s (single-die x16,
+ * Table 1). The fabric simulators record the bytes they move
+ * (offchipBytes); Figure 16 turns those into required bandwidth.
  */
 
 #ifndef CANON_MEM_MAIN_MEMORY_HH
 #define CANON_MEM_MAIN_MEMORY_HH
 
-#include <cstdint>
 #include <string>
 
 namespace canon
@@ -27,41 +23,6 @@ struct MemoryDevice
 
 /** LPDDR5x single-die x16 (Table 1 configuration). */
 MemoryDevice lpddr5x16();
-
-/** LPDDR5x dual-die x32 (Figure 16 upper reference line). */
-MemoryDevice lpddr5x32();
-
-class TrafficModel
-{
-  public:
-    void addRead(std::uint64_t bytes) { bytesRead_ += bytes; }
-    void addWrite(std::uint64_t bytes) { bytesWritten_ += bytes; }
-
-    std::uint64_t bytesRead() const { return bytesRead_; }
-    std::uint64_t bytesWritten() const { return bytesWritten_; }
-    std::uint64_t totalBytes() const { return bytesRead_ + bytesWritten_; }
-
-    /**
-     * Bandwidth (GB/s) needed to sustain this traffic over @p cycles at
-     * @p clock_ghz without stalling the compute roofline.
-     */
-    double requiredBandwidthGBps(std::uint64_t cycles,
-                                 double clock_ghz = 1.0) const;
-
-    /** Cycles the device needs to move the recorded traffic. */
-    std::uint64_t transferCycles(const MemoryDevice &dev,
-                                 double clock_ghz = 1.0) const;
-
-    void
-    reset()
-    {
-        bytesRead_ = bytesWritten_ = 0;
-    }
-
-  private:
-    std::uint64_t bytesRead_ = 0;
-    std::uint64_t bytesWritten_ = 0;
-};
 
 } // namespace canon
 

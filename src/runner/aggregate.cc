@@ -14,12 +14,13 @@ namespace
 {
 
 /**
- * One architecture's stats cells; @p canon_cycles of 0 renders the
- * speedup column as "X" (no canon reference).
+ * One architecture's stats cells; Util% is against its own @p macs
+ * lanes, and @p canon_cycles of 0 renders the speedup column as "X"
+ * (no canon reference).
  */
 std::vector<std::string>
 statsCells(const CanonConfig &cfg, const ExecutionProfile &profile,
-           double canon_cycles, bool probe_spad)
+           std::uint64_t macs, double canon_cycles, bool probe_spad)
 {
     const EnergyModel energy;
     const EnergyReport rep = energy.evaluate(profile, cfg.clockGhz);
@@ -32,7 +33,7 @@ statsCells(const CanonConfig &cfg, const ExecutionProfile &profile,
     std::vector<std::string> cells = {
         Table::fmtInt(profile.cycles),
         Table::fmt(rep.seconds() * 1e6, 3),
-        Table::fmt(100.0 * profile.utilization(cfg.numMacs()), 1),
+        Table::fmt(100.0 * profile.utilization(macs), 1),
         Table::fmtInt(profile.get("laneMacs")),
         Table::fmtInt(profile.get("stateTransitions")),
         Table::fmt(rep.totalJoules() * 1e6, 3),
@@ -116,9 +117,15 @@ archRows(const cli::Options &opt, const CaseResult &cases)
         canon == cases.end() ? 0.0
                              : static_cast<double>(canon->second.cycles);
     std::vector<ArchRow> rows;
-    for (const auto &arch : orderedArchs(opt, cases))
-        rows.push_back({arch, statsCells(opt.fabric, cases.at(arch),
+    for (const auto &arch : orderedArchs(opt, cases)) {
+        // The Canon fabric's SIMD lanes; one MAC per baseline PE.
+        const ExecutionProfile &p = cases.at(arch);
+        const std::uint64_t macs = arch == "canon"
+                                       ? opt.fabric.numMacs()
+                                       : p.peCount;
+        rows.push_back({arch, statsCells(opt.fabric, p, macs,
                                          canon_cycles, opt.probeSpad)});
+    }
     return rows;
 }
 

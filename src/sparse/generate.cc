@@ -47,24 +47,6 @@ randomSparse(int rows, int cols, double sparsity, Rng &rng, int magnitude)
 }
 
 DenseMatrix
-randomSparseExact(int rows, int cols, std::size_t nnz, Rng &rng,
-                  int magnitude)
-{
-    const std::size_t total =
-        static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
-    fatalIf(nnz > total, "requested nnz ", nnz, " exceeds ", total,
-            " entries");
-    DenseMatrix m(rows, cols);
-    auto positions =
-        rng.sample(static_cast<std::uint32_t>(total),
-                   static_cast<std::uint32_t>(nnz));
-    for (auto p : positions)
-        m.at(static_cast<int>(p) / cols, static_cast<int>(p) % cols) =
-            nonZeroValue(rng, magnitude);
-    return m;
-}
-
-DenseMatrix
 randomSparseBimodal(int rows, int cols, double sparsity_a,
                     double sparsity_b, Rng &rng, int magnitude)
 {

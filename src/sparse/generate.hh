@@ -37,14 +37,6 @@ DenseMatrix randomSparse(int rows, int cols, double sparsity, Rng &rng,
                          int magnitude = 4);
 
 /**
- * Unstructured sparse matrix with an exact total nnz, spread uniformly
- * at random. Used where a precise arithmetic intensity is required
- * (Figure 15/16 sweeps).
- */
-DenseMatrix randomSparseExact(int rows, int cols, std::size_t nnz,
-                              Rng &rng, int magnitude = 4);
-
-/**
  * Skewed sparse matrix: alternating rows at @p sparsity_a and
  * @p sparsity_b. Models the uneven non-zero distributions of real
  * activation tensors, where row-granular accelerators hit their

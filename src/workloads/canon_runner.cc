@@ -82,6 +82,53 @@ CanonRunOptions::effectiveProxyRows(const CanonConfig &cfg) const
     return static_cast<int>(roundUp(floor, cfg.rows));
 }
 
+ProxyPlan
+CanonRunner::plan(std::int64_t m, std::int64_t depth, std::int64_t n,
+                  int quantum, const CanonRunOptions &opt) const
+{
+    const std::int64_t cap =
+        static_cast<std::int64_t>(cfg_.rows) * cfg_.dmemSlots;
+    std::int64_t d = roundUp(std::min(depth, cap), quantum);
+    if (d > cap)
+        d -= quantum;
+
+    ProxyPlan p;
+    p.rows = static_cast<int>(
+        std::min<std::int64_t>(m, opt.effectiveProxyRows(cfg_)));
+    p.depth = static_cast<int>(std::max<std::int64_t>(d, quantum));
+    p.passes = divCeil(static_cast<std::uint64_t>(n),
+                       static_cast<std::uint64_t>(cfg_.cols) * kSimdWidth);
+    p.simPasses = std::min<std::uint64_t>(
+        p.passes, static_cast<std::uint64_t>(opt.maxProxyPasses));
+    p.factor = (static_cast<double>(m) / p.rows) *
+               (static_cast<double>(depth) / p.depth) *
+               (static_cast<double>(p.passes) /
+                static_cast<double>(p.simPasses));
+    return p;
+}
+
+ExecutionProfile
+CanonRunner::runPasses(
+    std::uint64_t passes, const std::string &kernel,
+    const std::function<KernelMapping(std::uint64_t)> &map,
+    const std::function<void(std::uint64_t, const CanonFabric &)>
+        &onPass) const
+{
+    ExecutionProfile total;
+    total.arch = "canon";
+    total.workload = kernel;
+    total.peCount = static_cast<std::uint64_t>(cfg_.numPes());
+    for (std::uint64_t p = 0; p < passes; ++p) {
+        CanonFabric fabric(cfg_);
+        fabric.load(map(p));
+        fabric.run();
+        total.accumulate(fabric.profile(kernel));
+        if (onPass)
+            onPass(p, fabric);
+    }
+    return total;
+}
+
 ExecutionProfile
 CanonRunner::spmmExact(const CsrMatrix &a, const DenseMatrix &b,
                        WordMatrix *result_out) const
@@ -96,34 +143,31 @@ CanonRunner::spmmExact(const CsrMatrix &a, const DenseMatrix &b,
     const auto b_pad =
         b.rows() == k_pad ? b : padDense(b, k_pad, b.cols());
 
-    const int passes =
-        static_cast<int>(divCeil(static_cast<std::uint64_t>(b.cols()),
-                                 static_cast<std::uint64_t>(tile_n)));
+    const auto passes = divCeil(static_cast<std::uint64_t>(b.cols()),
+                                static_cast<std::uint64_t>(tile_n));
     if (result_out)
         *result_out = WordMatrix(a.rows(), b.cols());
 
-    ExecutionProfile total;
-    total.arch = "canon";
-    total.workload = "spmm";
-    total.peCount = static_cast<std::uint64_t>(cfg_.numPes());
-    for (int p = 0; p < passes; ++p) {
-        CanonFabric fabric(cfg_);
-        fabric.load(
-            mapSpmm(a_pad, sliceCols(b_pad, p * tile_n, tile_n), cfg_));
-        fabric.run();
-        total.accumulate(fabric.profile("spmm"));
-        if (result_out) {
+    auto total = runPasses(
+        passes, "spmm",
+        [&](std::uint64_t p) {
+            return mapSpmm(a_pad,
+                           sliceCols(b_pad, static_cast<int>(p) * tile_n,
+                                     tile_n),
+                           cfg_);
+        },
+        [&](std::uint64_t p, const CanonFabric &fabric) {
+            if (!result_out)
+                return;
             const auto &r = fabric.result();
+            const int c0 = static_cast<int>(p) * tile_n;
             for (int m = 0; m < r.rows(); ++m)
-                for (int c = 0; c < tile_n; ++c)
-                    if (p * tile_n + c < result_out->cols())
-                        result_out->at(m, p * tile_n + c) =
-                            r.at(m, c);
-        }
-    }
+                for (int c = 0; c < tile_n && c0 + c < b.cols(); ++c)
+                    result_out->at(m, c0 + c) = r.at(m, c);
+        });
     total.add("offchipBytes",
               spmmOffchipBytes(a.nnz(), a.rows(), b.rows(), b.cols(),
-                               static_cast<std::uint64_t>(passes)));
+                               passes));
     return total;
 }
 
@@ -133,30 +177,15 @@ CanonRunner::spmmShape(std::int64_t m, std::int64_t k, std::int64_t n,
                        const CanonRunOptions &opt) const
 {
     const int tile_n = cfg_.cols * kSimdWidth;
-    const std::int64_t k_cap =
-        static_cast<std::int64_t>(cfg_.rows) * cfg_.dmemSlots;
-
-    const auto mp = static_cast<int>(
-        std::min<std::int64_t>(m, opt.effectiveProxyRows(cfg_)));
-    const auto kp = static_cast<int>(
-        roundUp(std::min(k, k_cap), cfg_.rows));
-    const auto passes_total = divCeil(static_cast<std::uint64_t>(n),
-                                      static_cast<std::uint64_t>(tile_n));
-    const auto passes_sim = std::min<std::uint64_t>(
-        passes_total, static_cast<std::uint64_t>(opt.maxProxyPasses));
+    const ProxyPlan proxy = plan(m, k, n, cfg_.rows, opt);
 
     Rng rng(seed);
-    const auto a = randomSparse(mp, kp, sparsity, rng);
-    const auto b =
-        randomDense(kp, static_cast<int>(passes_sim) * tile_n, rng);
+    const auto a = randomSparse(proxy.rows, proxy.depth, sparsity, rng);
+    const auto b = randomDense(
+        proxy.depth, static_cast<int>(proxy.simPasses) * tile_n, rng);
 
     auto p = spmmExact(CsrMatrix::fromDense(a), b);
-    const double factor = (static_cast<double>(m) / mp) *
-                          (static_cast<double>(k) / kp) *
-                          (static_cast<double>(passes_total) /
-                           static_cast<double>(passes_sim));
-    p.scale(factor);
-    p.workload = "spmm";
+    p.scale(proxy.factor);
     return p;
 }
 
@@ -166,40 +195,20 @@ CanonRunner::gemmShape(std::int64_t m, std::int64_t k, std::int64_t n,
                        const CanonRunOptions &opt) const
 {
     const int tile_n = cfg_.cols * kSimdWidth;
-    const std::int64_t k_cap =
-        static_cast<std::int64_t>(cfg_.rows) * cfg_.dmemSlots;
-    const auto mp = static_cast<int>(
-        std::min<std::int64_t>(m, opt.effectiveProxyRows(cfg_)));
-    const auto kp =
-        static_cast<int>(roundUp(std::min(k, k_cap), cfg_.rows));
-    const auto passes_total = divCeil(static_cast<std::uint64_t>(n),
-                                      static_cast<std::uint64_t>(tile_n));
-    const auto passes_sim = std::min<std::uint64_t>(
-        passes_total, static_cast<std::uint64_t>(opt.maxProxyPasses));
+    const ProxyPlan proxy = plan(m, k, n, cfg_.rows, opt);
 
     Rng rng(seed);
-    const auto a = randomDense(mp, kp, rng);
-    const auto b = randomDense(kp, tile_n, rng);
+    const auto a = randomDense(proxy.rows, proxy.depth, rng);
+    const auto b = randomDense(proxy.depth, tile_n, rng);
 
-    ExecutionProfile total;
-    total.arch = "canon";
-    total.peCount = static_cast<std::uint64_t>(cfg_.numPes());
-    for (std::uint64_t p = 0; p < passes_sim; ++p) {
-        CanonFabric fabric(cfg_);
-        fabric.load(mapGemm(a, b, cfg_));
-        fabric.run();
-        total.accumulate(fabric.profile("gemm"));
-    }
-    const double factor = (static_cast<double>(m) / mp) *
-                          (static_cast<double>(k) / kp) *
-                          (static_cast<double>(passes_total) /
-                           static_cast<double>(passes_sim));
-    total.scale(factor);
-    total.add("offchipBytes",
-              spmmOffchipBytes(static_cast<std::uint64_t>(m) * k, m, k,
-                               n, passes_total));
-    total.workload = "gemm";
-    return total;
+    auto p = runPasses(proxy.simPasses, "gemm", [&](std::uint64_t) {
+        return mapGemm(a, b, cfg_);
+    });
+    p.scale(proxy.factor);
+    p.add("offchipBytes",
+          spmmOffchipBytes(static_cast<std::uint64_t>(m) * k, m, k, n,
+                           proxy.passes));
+    return p;
 }
 
 ExecutionProfile
@@ -208,47 +217,22 @@ CanonRunner::nmShape(std::int64_t m, std::int64_t k, std::int64_t n,
                      const CanonRunOptions &opt) const
 {
     const int tile_n = cfg_.cols * kSimdWidth;
-    const std::int64_t k_cap =
-        static_cast<std::int64_t>(cfg_.rows) * cfg_.dmemSlots;
     // The K tile must divide by rows and each slice by the pattern M.
-    const std::int64_t k_quantum =
-        static_cast<std::int64_t>(cfg_.rows) * nm_m;
-    const auto mp = static_cast<int>(
-        std::min<std::int64_t>(m, opt.effectiveProxyRows(cfg_)));
-    std::int64_t kp64 = roundUp(std::min(k, k_cap), k_quantum);
-    if (kp64 > k_cap)
-        kp64 -= k_quantum;
-    const auto kp =
-        static_cast<int>(std::max<std::int64_t>(kp64, k_quantum));
-    const auto passes_total = divCeil(static_cast<std::uint64_t>(n),
-                                      static_cast<std::uint64_t>(tile_n));
-    const auto passes_sim = std::min<std::uint64_t>(
-        passes_total, static_cast<std::uint64_t>(opt.maxProxyPasses));
+    const ProxyPlan proxy = plan(m, k, n, cfg_.rows * nm_m, opt);
 
     Rng rng(seed);
-    const auto a = nmStructured(mp, kp, nm_n, nm_m, rng);
-    const auto b = randomDense(kp, tile_n, rng);
+    const auto a = nmStructured(proxy.rows, proxy.depth, nm_n, nm_m, rng);
+    const auto b = randomDense(proxy.depth, tile_n, rng);
 
-    ExecutionProfile total;
-    total.arch = "canon";
-    total.peCount = static_cast<std::uint64_t>(cfg_.numPes());
-    for (std::uint64_t p = 0; p < passes_sim; ++p) {
-        CanonFabric fabric(cfg_);
-        fabric.load(mapNmSpmm(a, b, nm_n, nm_m, cfg_));
-        fabric.run();
-        total.accumulate(fabric.profile("nm-spmm"));
-    }
-    const double factor = (static_cast<double>(m) / mp) *
-                          (static_cast<double>(k) / kp) *
-                          (static_cast<double>(passes_total) /
-                           static_cast<double>(passes_sim));
-    total.scale(factor);
+    auto p = runPasses(proxy.simPasses, "nm-spmm", [&](std::uint64_t) {
+        return mapNmSpmm(a, b, nm_n, nm_m, cfg_);
+    });
+    p.scale(proxy.factor);
     const auto nnz = static_cast<std::uint64_t>(m) * k * nm_n / nm_m;
-    total.add("offchipBytes", spmmOffchipBytes(nnz, m, k, n,
-                                               passes_total));
-    total.workload = "spmm-" + std::to_string(nm_n) + ":" +
-                     std::to_string(nm_m);
-    return total;
+    p.add("offchipBytes", spmmOffchipBytes(nnz, m, k, n, proxy.passes));
+    p.workload = "spmm-" + std::to_string(nm_n) + ":" +
+                 std::to_string(nm_m);
+    return p;
 }
 
 ExecutionProfile
@@ -256,37 +240,32 @@ CanonRunner::sddmmShape(std::int64_t m, std::int64_t k, std::int64_t n,
                         double mask_sparsity, std::uint64_t seed,
                         const CanonRunOptions &opt) const
 {
-    const int kp = cfg_.cols * kSimdWidth; // native K tile
-    const std::int64_t n_cap =
-        static_cast<std::int64_t>(cfg_.rows) * cfg_.dmemSlots;
-    const auto mp = static_cast<int>(
-        std::min<std::int64_t>(m, opt.effectiveProxyRows(cfg_)));
-    const auto np = static_cast<int>(
-        roundUp(std::min(n, n_cap), cfg_.rows));
+    // N is the depth SDDMM tiles over the fabric rows; K runs as one
+    // pass over the native K tile.
+    const int kp = cfg_.cols * kSimdWidth;
+    const ProxyPlan proxy = plan(m, n, kp, cfg_.rows, opt);
 
     Rng rng(seed);
-    const auto a = randomDense(mp, kp, rng);
-    const auto b = randomDense(kp, np, rng);
-    const auto mask = randomMask(mp, np, mask_sparsity, rng);
+    const auto a = randomDense(proxy.rows, kp, rng);
+    const auto b = randomDense(kp, proxy.depth, rng);
+    const auto mask =
+        randomMask(proxy.rows, proxy.depth, mask_sparsity, rng);
 
-    CanonFabric fabric(cfg_);
-    fabric.load(mapSddmm(mask, a, b, cfg_));
-    fabric.run();
-    auto p = fabric.profile("sddmm");
+    auto p = runPasses(proxy.simPasses, "sddmm", [&](std::uint64_t) {
+        return mapSddmm(mask, a, b, cfg_);
+    });
     // Work per mask position and per streamed A vector both scale
     // linearly in K (K/kp instruction repetitions), so the whole
     // profile scales.
-    const double factor = (static_cast<double>(m) / mp) *
-                          (static_cast<double>(k) / kp) *
-                          (static_cast<double>(n) / np);
-    p.scale(factor);
+    p.scale((static_cast<double>(m) / proxy.rows) *
+            (static_cast<double>(k) / kp) *
+            (static_cast<double>(n) / proxy.depth));
     const auto mask_nnz = static_cast<std::uint64_t>(
         static_cast<double>(m) * static_cast<double>(n) *
         (1.0 - mask_sparsity));
     p.add("offchipBytes", static_cast<std::uint64_t>(m) * k +
                               static_cast<std::uint64_t>(k) * n +
                               mask_nnz * 7);
-    p.workload = "sddmm";
     return p;
 }
 

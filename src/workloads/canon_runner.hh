@@ -24,6 +24,8 @@
 #ifndef CANON_WORKLOADS_CANON_RUNNER_HH
 #define CANON_WORKLOADS_CANON_RUNNER_HH
 
+#include <functional>
+
 #include "core/fabric.hh"
 #include "kernels/dense_cadence.hh"
 #include "kernels/sddmm.hh"
@@ -80,10 +82,23 @@ struct CanonRunOptions
      */
     int maxProxyRows = 0;
     int maxProxyPasses = 1;  //!< column passes actually simulated
-    bool collectResult = false; //!< keep the (unscaled) output matrix
 
     /** The row cap in effect for @p cfg (explicit or derived). */
     int effectiveProxyRows(const CanonConfig &cfg) const;
+};
+
+/**
+ * The proxy one Canon execution simulates in place of its full
+ * problem, and the factor that scales the proxy's profile back up:
+ * (m / rows) * (full depth / depth) * (passes / simPasses).
+ */
+struct ProxyPlan
+{
+    int rows = 0;                //!< simulated output rows
+    int depth = 0;               //!< simulated depth (K; N for SDDMM)
+    std::uint64_t passes = 0;    //!< column passes of the full problem
+    std::uint64_t simPasses = 0; //!< column passes simulated
+    double factor = 0.0;         //!< replication factor
 };
 
 class CanonRunner
@@ -95,6 +110,18 @@ class CanonRunner
     }
 
     const CanonConfig &config() const { return cfg_; }
+
+    /**
+     * The proxy of an (m x depth) by (depth x n) execution: rows
+     * capped by CanonRunOptions::effectiveProxyRows; the depth tiled
+     * over the fabric rows, clamped to rows x dmemSlots and rounded
+     * up to @p quantum (the fabric height, or height x M for N:M),
+     * stepping back one quantum when rounding overshoots the
+     * capacity; and n / (cols x 4) column passes, of which at most
+     * opt.maxProxyPasses are simulated.
+     */
+    ProxyPlan plan(std::int64_t m, std::int64_t depth, std::int64_t n,
+                   int quantum, const CanonRunOptions &opt = {}) const;
 
     /** Exact run of a concrete sparse matrix (shapes must be
      *  fabric-tileable after zero padding). */
@@ -132,6 +159,18 @@ class CanonRunner
         const;
 
   private:
+    /**
+     * The one place a workload builds, loads and runs a fabric: one
+     * fresh fabric per pass, loaded with @p map(pass) and run to
+     * completion, its profile accumulated under @p kernel. @p onPass,
+     * when set, sees each finished fabric.
+     */
+    ExecutionProfile runPasses(
+        std::uint64_t passes, const std::string &kernel,
+        const std::function<KernelMapping(std::uint64_t)> &map,
+        const std::function<void(std::uint64_t, const CanonFabric &)>
+            &onPass = {}) const;
+
     CanonConfig cfg_;
 };
 

@@ -13,10 +13,10 @@ resnet50Conv(double sparsity)
     ModelSpec m;
     m.name = "Resnet50-Conv";
     m.layers = {
-        {"conv2_3x3", LayerKind::Spmm, 3136, 576, 64, sparsity, 0, 3},
-        {"conv3_3x3", LayerKind::Spmm, 784, 1152, 128, sparsity, 0, 4},
-        {"conv4_3x3", LayerKind::Spmm, 196, 2304, 256, sparsity, 0, 6},
-        {"conv5_3x3", LayerKind::Spmm, 49, 4608, 512, sparsity, 0, 3},
+        {"conv2_3x3", Workload::Spmm, 3136, 576, 64, sparsity, 0, 3},
+        {"conv3_3x3", Workload::Spmm, 784, 1152, 128, sparsity, 0, 4},
+        {"conv4_3x3", Workload::Spmm, 196, 2304, 256, sparsity, 0, 6},
+        {"conv5_3x3", Workload::Spmm, 49, 4608, 512, sparsity, 0, 3},
     };
     return m;
 }
@@ -27,7 +27,7 @@ llama8bMlp(double sparsity)
     ModelSpec m;
     m.name = sparsity > 0.0 ? "Llama8B-MLP(sparse)"
                             : "Llama8B-MLP(dense)";
-    const auto kind = sparsity > 0.0 ? LayerKind::Spmm : LayerKind::Gemm;
+    const auto kind = sparsity > 0.0 ? Workload::Spmm : Workload::Gemm;
     m.layers = {
         {"gate_proj", kind, 512, 4096, 14336, sparsity, 0, 1},
         {"up_proj", kind, 512, 4096, 14336, sparsity, 0, 1},
@@ -43,7 +43,7 @@ llama8bAttn(double sparsity)
     ModelSpec m;
     m.name = "Llama8B-Attn";
     m.layers = {
-        {"qk_scores", LayerKind::SddmmU, 512, 128, 512, sparsity, 0,
+        {"qk_scores", Workload::Sddmm, 512, 128, 512, sparsity, 0,
          32},
     };
     return m;
@@ -55,7 +55,7 @@ mistral7bMlp(double sparsity)
     ModelSpec m;
     m.name = sparsity > 0.0 ? "Mistral7B-MLP(sparse)"
                             : "Mistral7B-MLP(dense)";
-    const auto kind = sparsity > 0.0 ? LayerKind::Spmm : LayerKind::Gemm;
+    const auto kind = sparsity > 0.0 ? Workload::Spmm : Workload::Gemm;
     m.layers = {
         {"gate_proj", kind, 512, 4096, 14336, sparsity, 0, 1},
         {"up_proj", kind, 512, 4096, 14336, sparsity, 0, 1},
@@ -72,7 +72,7 @@ mistral7bAttn()
     ModelSpec m;
     m.name = "Mistral7B-Attn";
     m.layers = {
-        {"qk_window", LayerKind::SddmmWin, 16384, 128, 16384, 0.0,
+        {"qk_window", Workload::SddmmWindow, 16384, 128, 16384, 0.0,
          4096, 32},
     };
     return m;
@@ -86,7 +86,7 @@ longformerAttn()
     ModelSpec m;
     m.name = "Longformer-Attn";
     m.layers = {
-        {"qk_window", LayerKind::SddmmWin, 4096, 64, 4096, 0.0, 512,
+        {"qk_window", Workload::SddmmWindow, 4096, 64, 4096, 0.0, 512,
          12},
     };
     return m;

@@ -19,22 +19,30 @@
 namespace canon
 {
 
-enum class LayerKind : std::uint8_t
+/** The kernel kinds a scenario or a model layer runs. */
+enum class Workload : std::uint8_t
 {
-    Gemm,     //!< dense GEMM
-    Spmm,     //!< unstructured activation-sparse GEMM
-    SddmmU,   //!< unstructured sparse attention scores
-    SddmmWin, //!< sliding-window attention scores
+    Gemm,        //!< dense GEMM via the dense-cadence kernel
+    Spmm,        //!< unstructured-sparse x dense
+    SpmmNm,      //!< N:M structured-sparse x dense
+    Sddmm,       //!< unstructured sampled dense-dense
+    SddmmWindow, //!< sliding-window sampled dense-dense
 };
 
+/**
+ * One kernel execution: a model layer, or a whole canonsim shape
+ * scenario (a one-layer model).
+ */
 struct LayerSpec
 {
     std::string name;
-    LayerKind kind;
+    Workload workload;
     std::int64_t m, k, n;
-    double sparsity = 0.0;    //!< input (Spmm) or mask (SddmmU)
-    std::int64_t window = 0;  //!< SddmmWin band width
+    double sparsity = 0.0;    //!< input (Spmm) or mask (Sddmm)
+    std::int64_t window = 0;  //!< SddmmWindow band width
     double repeats = 1.0;     //!< layer multiplicity in the model
+    int nmN = 2;              //!< N of the SpmmNm pattern
+    int nmM = 4;              //!< M of the SpmmNm pattern
 };
 
 struct ModelSpec

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "common/bitfield.hh"
-
 namespace canon
 {
 
@@ -93,33 +91,22 @@ ArchSuite::spmmBimodal(std::int64_t m, std::int64_t k, std::int64_t n,
                        double sparsity_a, double sparsity_b,
                        std::uint64_t seed) const
 {
-    const auto &cfg = canon_.config();
-    const int tile_n = cfg.cols * kSimdWidth;
     const double avg = (sparsity_a + sparsity_b) / 2.0;
 
     CaseResult r;
     if (enabled("canon") || enabled("zed")) {
         // Build the skewed matrix at proxy size; both the Canon cycle
         // simulator and ZeD's row model consume the *same* population.
-        const auto mp =
-            static_cast<int>(std::min<std::int64_t>(m, 512));
-        const auto kp = static_cast<int>(std::min<std::int64_t>(
-            k, static_cast<std::int64_t>(cfg.rows) * cfg.dmemSlots));
+        const auto &cfg = canon_.config();
+        const ProxyPlan proxy = canon_.plan(m, k, n, cfg.rows);
         Rng rng(seed);
-        const auto a =
-            randomSparseBimodal(mp, kp, sparsity_a, sparsity_b, rng);
-        const auto csr = CsrMatrix::fromDense(a);
+        const auto csr = CsrMatrix::fromDense(randomSparseBimodal(
+            proxy.rows, proxy.depth, sparsity_a, sparsity_b, rng));
 
         if (enabled("canon")) {
-            const auto b = randomDense(kp, tile_n, rng);
-            const auto passes =
-                divCeil(static_cast<std::uint64_t>(n),
-                        static_cast<std::uint64_t>(tile_n));
-            const double factor = (static_cast<double>(m) / mp) *
-                                  (static_cast<double>(k) / kp) *
-                                  static_cast<double>(passes);
-            auto canon_p = canon_.spmmExact(csr, b);
-            canon_p.scale(factor);
+            auto canon_p = canon_.spmmExact(
+                csr, randomDense(proxy.depth, cfg.cols * kSimdWidth, rng));
+            canon_p.scale(proxy.factor);
             canon_p.workload = "spmm-skewed";
             r["canon"] = canon_p;
         }
@@ -129,12 +116,12 @@ ArchSuite::spmmBimodal(std::int64_t m, std::int64_t k, std::int64_t n,
             // it runs the full output width in one pass: scale only
             // the m/k proxying.
             std::vector<std::int64_t> rows;
-            rows.reserve(static_cast<std::size_t>(mp));
+            rows.reserve(static_cast<std::size_t>(proxy.rows));
             for (int i = 0; i < csr.rows(); ++i)
                 rows.push_back(csr.rowNnz(i));
             auto zed_p = zed_.spmmRows(rows, n);
-            zed_p.scale((static_cast<double>(m) / mp) *
-                        (static_cast<double>(k) / kp));
+            zed_p.scale((static_cast<double>(m) / proxy.rows) *
+                        (static_cast<double>(k) / proxy.depth));
             r["zed"] = zed_p;
         }
     }
@@ -216,29 +203,31 @@ ArchSuite::sddmmWindow(std::int64_t seq, std::int64_t k,
 }
 
 CaseResult
+ArchSuite::run(const LayerSpec &layer, std::uint64_t seed) const
+{
+    switch (layer.workload) {
+      case Workload::Gemm:
+        return gemm(layer.m, layer.k, layer.n, seed);
+      case Workload::Spmm:
+        return spmm(layer.m, layer.k, layer.n, layer.sparsity, seed);
+      case Workload::SpmmNm:
+        return spmmNm(layer.m, layer.k, layer.n, layer.nmN, layer.nmM,
+                      seed);
+      case Workload::Sddmm:
+        return sddmm(layer.m, layer.k, layer.n, layer.sparsity, seed);
+      case Workload::SddmmWindow:
+        return sddmmWindow(layer.m, layer.k, layer.window, seed);
+    }
+    return {};
+}
+
+CaseResult
 ArchSuite::model(const ModelSpec &spec, std::uint64_t seed) const
 {
     CaseResult total;
     std::uint64_t salt = seed;
     for (const auto &layer : spec.layers) {
-        CaseResult one;
-        switch (layer.kind) {
-          case LayerKind::Gemm:
-            one = gemm(layer.m, layer.k, layer.n, salt);
-            break;
-          case LayerKind::Spmm:
-            one = spmm(layer.m, layer.k, layer.n, layer.sparsity,
-                       salt);
-            break;
-          case LayerKind::SddmmU:
-            one = sddmm(layer.m, layer.k, layer.n, layer.sparsity,
-                        salt);
-            break;
-          case LayerKind::SddmmWin:
-            one = sddmmWindow(layer.m, layer.k, layer.window, salt);
-            break;
-        }
-        for (auto &[arch, profile] : one) {
+        for (auto &[arch, profile] : run(layer, salt)) {
             profile.scale(layer.repeats);
             auto it = total.find(arch);
             if (it == total.end()) {

@@ -73,6 +73,12 @@ class ArchSuite
                            std::int64_t window,
                            std::uint64_t seed) const;
 
+    /**
+     * Run one layer -- or one canonsim shape scenario -- with the
+     * per-kind method its workload names.
+     */
+    CaseResult run(const LayerSpec &layer, std::uint64_t seed) const;
+
     /** Run a whole model (Figure 14): per-arch accumulated profile. */
     CaseResult model(const ModelSpec &spec, std::uint64_t seed) const;
 

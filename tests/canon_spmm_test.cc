@@ -82,7 +82,7 @@ TEST(CanonSpmm, DenseViaSpmm)
     const auto b = randomDense(16, 16, rng);
 
     CanonFabric fabric(cfg);
-    fabric.load(mapGemmViaSpmm(a, b, cfg));
+    fabric.load(mapSpmm(CsrMatrix::fromDense(a), b, cfg));
     fabric.run();
     EXPECT_EQ(fabric.result(), reference::gemm(a, b));
 }

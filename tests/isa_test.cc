@@ -1,14 +1,13 @@
 /**
  * @file
- * ISA tests: unified address-space classification, instruction
+ * ISA tests: unified address-space classification and instruction
  * encode/decode round-trips (property-swept over randomized
- * instructions), and disassembly.
+ * instructions).
  */
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
-#include "isa/assembler.hh"
 #include "isa/instruction.hh"
 
 namespace canon
@@ -126,76 +125,6 @@ TEST_P(InstructionRoundTrip, EncodeDecodeIdentity)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InstructionRoundTrip,
                          ::testing::Values(1, 2, 3, 4, 5));
-
-TEST(Assembler, ParsesOperands)
-{
-    EXPECT_EQ(parseAddr("DMEM[42]"), as::dmem(42));
-    EXPECT_EQ(parseAddr("spad[7]"), as::spad(7));
-    EXPECT_EQ(parseAddr("R3"), as::reg(3));
-    EXPECT_EQ(parseAddr("w_in"), as::portIn(Dir::West));
-    EXPECT_EQ(parseAddr("S_OUT"), as::portOut(Dir::South));
-    EXPECT_EQ(parseAddr("ZERO"), as::kZeroAddr);
-    EXPECT_EQ(parseAddr("NULL"), as::kNullAddr);
-    EXPECT_THROW(parseAddr("BOGUS[1]"), FatalError);
-    EXPECT_THROW(parseAddr("Q9"), FatalError);
-}
-
-TEST(Assembler, AssemblesFullInstruction)
-{
-    const auto i = assembleInstruction(
-        "SVMAC W_IN, DMEM[3] -> SPAD[1] [N>S W>E]");
-    EXPECT_EQ(i.op, OpCode::SvMac);
-    EXPECT_EQ(i.op1, as::portIn(Dir::West));
-    EXPECT_EQ(i.op2, as::dmem(3));
-    EXPECT_EQ(i.res, as::spad(1));
-    EXPECT_EQ(i.route, kRouteN2S | kRouteW2E);
-}
-
-TEST(Assembler, SingleOperandForms)
-{
-    const auto mov = assembleInstruction("VMOV SPAD[2] -> S_OUT");
-    EXPECT_EQ(mov.op, OpCode::VMov);
-    EXPECT_EQ(mov.op1, as::spad(2));
-    EXPECT_EQ(mov.op2, as::kNullAddr);
-    EXPECT_EQ(mov.res, as::portOut(Dir::South));
-
-    EXPECT_TRUE(assembleInstruction("NOP").isNop());
-    EXPECT_EQ(assembleInstruction("NOP [N>S]").route, kRouteN2S);
-}
-
-TEST(Assembler, RejectsMalformed)
-{
-    EXPECT_THROW(assembleInstruction(""), FatalError);
-    EXPECT_THROW(assembleInstruction("FROB R0 -> R1"), FatalError);
-    EXPECT_THROW(assembleInstruction("VMOV R0 R1"), FatalError);
-    EXPECT_THROW(assembleInstruction("VMOV -> R1"), FatalError);
-}
-
-/** Property: toString() output re-assembles to the same instruction
- *  for every kernel-legal form. */
-TEST(Assembler, DisassemblyRoundTrips)
-{
-    Rng rng(99);
-    const std::vector<OpCode> ops = {OpCode::SvMac, OpCode::VvMac,
-                                     OpCode::VvMacW, OpCode::VAdd,
-                                     OpCode::VMov, OpCode::VFlush};
-    const std::vector<Addr> addrs = {
-        as::dmem(0),  as::dmem(999),          as::spad(15),
-        as::reg(0),   as::reg(15),            as::portIn(Dir::West),
-        as::portIn(Dir::North),               as::portOut(Dir::South),
-        as::portOut(Dir::East),               as::kZeroAddr,
-    };
-    for (int t = 0; t < 300; ++t) {
-        Instruction i;
-        i.op = ops[rng.nextBounded(ops.size())];
-        i.op1 = addrs[rng.nextBounded(addrs.size())];
-        i.op2 = addrs[rng.nextBounded(addrs.size())];
-        i.res = addrs[rng.nextBounded(addrs.size())];
-        i.route = static_cast<std::uint8_t>(rng.nextBounded(4));
-        EXPECT_EQ(assembleInstruction(i.toString()), i)
-            << i.toString();
-    }
-}
 
 } // namespace
 } // namespace canon

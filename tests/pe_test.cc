@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "mem/main_memory.hh"
 #include "pe/pe.hh"
 #include "sim/simulator.hh"
 
@@ -251,16 +250,6 @@ TEST(VecRam, BoundsAndStats)
     EXPECT_THROW(ram.write(-1, Vec4{}), PanicError);
     EXPECT_EQ(stats.sumCounter("dmemReads"), 1u);
     EXPECT_EQ(stats.sumCounter("dmemWrites"), 1u);
-}
-
-TEST(TrafficModel, BandwidthArithmetic)
-{
-    TrafficModel t;
-    t.addRead(1'000'000'000); // 1 GB over 1e9 cycles @1GHz = 1 GB/s
-    EXPECT_NEAR(t.requiredBandwidthGBps(1'000'000'000), 1.0, 1e-9);
-    const auto dev = lpddr5x16();
-    EXPECT_NEAR(static_cast<double>(t.transferCycles(dev)),
-                1e9 / 17.0, 1e5);
 }
 
 } // namespace

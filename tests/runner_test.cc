@@ -421,6 +421,25 @@ TEST(SweepResult, CombinedTableHasOneRowPerScenarioArch)
     EXPECT_NE(text.find("systolic"), std::string::npos);
 }
 
+TEST(SweepResult, BaselineUtilizationUsesItsOwnMacs)
+{
+    // Util% divides by each architecture's own MAC lanes: the fixed
+    // 16x16 baselines keep theirs on a 4x8 Canon fabric.
+    cli::Options o;
+    o.workload = cli::Workload::Gemm;
+    o.fabric.rows = 4;
+    o.archs = {"canon", "systolic", "zed"};
+    const auto rows = archRows(o, engine::runScenarioCases(o));
+    ASSERT_EQ(rows.size(), 3u);
+    ASSERT_EQ(statsHeader(false)[2], "Util%");
+    EXPECT_EQ(rows[0].arch, "canon");
+    EXPECT_EQ(rows[0].cells[2], "95.7");
+    EXPECT_EQ(rows[1].arch, "systolic");
+    EXPECT_EQ(rows[1].cells[2], "89.4");
+    EXPECT_EQ(rows[2].arch, "zed");
+    EXPECT_EQ(rows[2].cells[2], "99.6");
+}
+
 TEST(SweepResult, FailedScenarioRendersXRow)
 {
     SweepJob job;

@@ -84,13 +84,6 @@ INSTANTIATE_TEST_SUITE_P(
                       GenParam{64, 64, 0.9, 5},
                       GenParam{128, 32, 0.95, 6}));
 
-TEST(Generate, ExactNnz)
-{
-    Rng rng(7);
-    const auto m = randomSparseExact(32, 32, 100, rng);
-    EXPECT_EQ(m.countNonZero(), 100u);
-}
-
 struct NmGenParam
 {
     int n, m;

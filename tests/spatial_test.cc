@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "core/fabric.hh"
-#include "core/spatial.hh"
 
 namespace canon
 {
@@ -138,53 +137,20 @@ TEST(Spatial, MultiRowIndependentPipelines)
     EXPECT_EQ(*b, Vec4::splat(8));
 }
 
-TEST(SpatialBuilder, PadsWithForwarders)
+TEST(Spatial, EndToEndPipeline)
 {
-    SpatialPipeline p;
-    p.stage(OpCode::VvMacW, as::spad(0), as::dmem(0));
-    const auto insts = p.instructions(4);
-    ASSERT_EQ(insts.size(), 4u);
-    EXPECT_EQ(insts[0].op, OpCode::VvMacW);
-    for (int c = 1; c < 4; ++c) {
-        EXPECT_EQ(insts[c].op, OpCode::VMov);
-        EXPECT_EQ(insts[c].op1, as::portIn(Dir::West));
-        EXPECT_EQ(insts[c].res, as::portOut(Dir::East));
-    }
-}
-
-TEST(SpatialBuilder, RejectsIllegalStages)
-{
-    SpatialPipeline p;
-    EXPECT_THROW(p.stage(OpCode::VvMac, as::dmem(0), as::dmem(1)),
-                 FatalError); // two dmem reads per cycle
-    EXPECT_THROW(p.stage(OpCode::Hold, as::kNullAddr), FatalError);
-    EXPECT_THROW(p.stage(OpCode::VMov, as::portOut(Dir::East)),
-                 FatalError);
-}
-
-TEST(SpatialBuilder, TooManyStagesRejected)
-{
-    SpatialPipeline p;
-    for (int i = 0; i < 3; ++i)
-        p.forward();
-    EXPECT_THROW(p.instructions(2), FatalError);
-}
-
-TEST(SpatialBuilder, EndToEndPipeline)
-{
-    // Build the Figure 22 style pipeline through the checked builder
-    // and run it: stage c adds its dmem constant to the stream.
+    // A Figure 22 style pipeline on row 0 (stage c adds its dmem
+    // constant to the stream) over an idle row 1.
     CanonConfig cfg;
     cfg.rows = 2;
     cfg.cols = 3;
     CanonFabric fabric(cfg);
 
-    SpatialPipeline adder;
+    std::vector<std::vector<Instruction>> grid(
+        2, std::vector<Instruction>(3, nopInst()));
     for (int c = 0; c < 3; ++c)
-        adder.stage(OpCode::VAdd, as::portIn(Dir::West), as::dmem(0));
-    const auto grid = buildSpatialProgram({adder}, cfg.rows, cfg.cols);
-    ASSERT_EQ(grid.size(), 2u);
-    EXPECT_TRUE(grid[1][0].isNop()); // idle row
+        grid[0][c] = inst(OpCode::VAdd, as::portIn(Dir::West),
+                          as::dmem(0), as::portOut(Dir::East));
 
     fabric.configureSpatial(grid);
     for (int c = 0; c < 3; ++c)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cli/options.hh"
 #include "obs/collector.hh"
 #include "sparse/reference.hh"
 #include "workloads/polybench.hh"
@@ -121,6 +122,73 @@ TEST(CanonRunner, AdaptiveFlushLiftsProxyRowFloor)
     cfg.rows = 16;
     cfg.spadFlush = SpadFlushPolicy::Adaptive;
     EXPECT_EQ(explicit_opt.effectiveProxyRows(cfg), 64);
+}
+
+TEST(CanonRunner, ProxyPlanRowsFromEffectiveProxyRows)
+{
+    // Every shape's simulated rows come from plan(), which takes them
+    // from effectiveProxyRows: eager and adaptive floors, the
+    // height-rounded 24-row cap, and a short M simulated whole.
+    const auto rows = [](int height, SpadFlushPolicy policy,
+                         std::int64_t m) {
+        CanonConfig cfg;
+        cfg.rows = height;
+        cfg.spadFlush = policy;
+        const CanonRunner runner(cfg);
+        const int cap = CanonRunOptions{}.effectiveProxyRows(cfg);
+        const int got = runner.plan(m, 64, 32, height).rows;
+        EXPECT_EQ(got, std::min<std::int64_t>(m, cap));
+        return got;
+    };
+    EXPECT_EQ(rows(8, SpadFlushPolicy::Eager, 100000), 512);
+    EXPECT_EQ(rows(8, SpadFlushPolicy::Adaptive, 100000), 2048);
+    EXPECT_EQ(rows(24, SpadFlushPolicy::Eager, 100000), 528);
+    EXPECT_EQ(rows(8, SpadFlushPolicy::Eager, 300), 300);
+
+    CanonRunOptions explicit_opt;
+    explicit_opt.maxProxyRows = 64;
+    EXPECT_EQ(CanonRunner().plan(100000, 64, 32, 8, explicit_opt).rows,
+              64);
+}
+
+TEST(CanonRunner, ProxyPlanClampsAndRoundsDepth)
+{
+    // 8x8 fabric with 12 dmem slots: the depth capacity is 96.
+    CanonConfig cfg;
+    cfg.dmemSlots = 12;
+    const CanonRunner runner(cfg);
+    EXPECT_EQ(runner.plan(64, 13, 32, 8).depth, 16); // up to the height
+    EXPECT_EQ(runner.plan(64, 90, 32, 8).depth, 96);
+    EXPECT_EQ(runner.plan(64, 200, 32, 8).depth, 96); // clamped
+    // 2:8 N:M tiles in quanta of 8 rows x M = 64: rounding 96 up to
+    // 128 overshoots the capacity, so the depth steps back to 64.
+    EXPECT_EQ(runner.plan(64, 200, 32, 64).depth, 64);
+    EXPECT_EQ(runner.plan(64, 40, 32, 64).depth, 64);
+
+    const ProxyPlan p = runner.plan(1024, 200, 32, 8);
+    EXPECT_EQ(p.rows, 512);
+    EXPECT_DOUBLE_EQ(p.factor, (1024.0 / 512) * (200.0 / 96) * 1.0);
+}
+
+TEST(CanonRunner, ProxyPlanHonoursMaxProxyPasses)
+{
+    // 8 columns x 4 lanes: N = 80 is three 32-column passes.
+    const CanonRunner runner;
+    CanonRunOptions opt;
+    const ProxyPlan one = runner.plan(64, 64, 80, 8, opt);
+    EXPECT_EQ(one.passes, 3u);
+    EXPECT_EQ(one.simPasses, 1u);
+    EXPECT_DOUBLE_EQ(one.factor, 3.0);
+
+    opt.maxProxyPasses = 2;
+    const ProxyPlan two = runner.plan(64, 64, 80, 8, opt);
+    EXPECT_EQ(two.simPasses, 2u);
+    EXPECT_DOUBLE_EQ(two.factor, 1.5);
+
+    opt.maxProxyPasses = 8;
+    const ProxyPlan all = runner.plan(64, 64, 80, 8, opt);
+    EXPECT_EQ(all.simPasses, 3u);
+    EXPECT_DOUBLE_EQ(all.factor, 1.0);
 }
 
 /** Raw (unscaled) proxy cycles of one 16x16 SpMM run at @p rows
@@ -441,6 +509,40 @@ TEST(Polybench, CgraWinsLowDlpSolvers)
     }
     EXPECT_GE(cgra_wins_low_dlp, 2);
     EXPECT_GE(canon_wins_high_dlp, 4);
+}
+
+TEST(ArchSuite, RunDispatchesEveryWorkload)
+{
+    // run() is the one dispatch behind canonsim shapes and model
+    // layers: for every workload it equals the per-kind method.
+    CanonConfig cfg;
+    cfg.rows = 4;
+    cfg.cols = 4;
+    const ArchSuite suite(cfg);
+    const std::uint64_t seed = 3;
+    const std::vector<std::pair<Workload, CaseResult>> expected = {
+        {Workload::Gemm, suite.gemm(48, 40, 24, seed)},
+        {Workload::Spmm, suite.spmm(48, 40, 24, 0.6, seed)},
+        {Workload::SpmmNm, suite.spmmNm(48, 40, 24, 2, 8, seed)},
+        {Workload::Sddmm, suite.sddmm(48, 40, 24, 0.6, seed)},
+        {Workload::SddmmWindow, suite.sddmmWindow(48, 40, 16, seed)},
+    };
+    ASSERT_EQ(expected.size(), cli::workloadTable().size());
+    for (const auto &[workload, want] : expected) {
+        const LayerSpec layer{"layer", workload, 48, 40, 24, 0.6, 16,
+                              1.0, 2, 8};
+        const CaseResult got = suite.run(layer, seed);
+        ASSERT_EQ(got.size(), want.size()) << cli::workloadName(workload);
+        for (const auto &[arch, p] : want) {
+            const ExecutionProfile &q = got.at(arch);
+            const std::string where =
+                std::string(cli::workloadName(workload)) + "/" + arch;
+            EXPECT_EQ(q.workload, p.workload) << where;
+            EXPECT_EQ(q.cycles, p.cycles) << where;
+            EXPECT_EQ(q.peCount, p.peCount) << where;
+            EXPECT_EQ(q.activity, p.activity) << where;
+        }
+    }
 }
 
 TEST(Models, SpecsPopulated)
