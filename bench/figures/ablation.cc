@@ -14,11 +14,10 @@
 
 #include "baselines/zed.hh"
 #include "common/table.hh"
-#include "core/fabric.hh"
-#include "kernels/spmm.hh"
 #include "sparse/generate.hh"
 #include "sparse/preprocess.hh"
 #include "sparse/reference.hh"
+#include "workloads/canon_runner.hh"
 
 namespace canon
 {
@@ -36,18 +35,7 @@ spadRunAtDepth(double sparsity, int depth, std::uint64_t seed)
     Rng rng(seed);
     const auto a = randomSparse(512, 256, sparsity, rng);
     const auto b = randomDense(256, cfg.cols * kSimdWidth, rng);
-    CanonFabric fabric(cfg);
-    fabric.load(mapSpmm(CsrMatrix::fromDense(a), b, cfg));
-    return fabric.run();
-}
-
-Cycle
-reorderCanonCycles(const CsrMatrix &a, const DenseMatrix &b,
-                   const CanonConfig &cfg)
-{
-    CanonFabric fabric(cfg);
-    fabric.load(mapSpmm(a, b, cfg));
-    return fabric.run();
+    return CanonRunner(cfg).spmmExact(CsrMatrix::fromDense(a), b).cycles;
 }
 
 std::uint64_t
@@ -142,6 +130,7 @@ rowReorderBench()
     t.csvName = "ablation_row_reorder.csv";
     t.emit = [](const FigurePoint &) -> FigureRows {
         const auto cfg = CanonConfig::paper();
+        const CanonRunner canon(cfg);
         Rng rng(11); // one stream across both inputs, as in the paper
 
         FigureRows rows;
@@ -156,17 +145,13 @@ rowReorderBench()
             const auto b = randomDense(256, cfg.cols * kSimdWidth, rng);
 
             // Sanity: permuted execution yields the permuted result.
-            {
-                CanonFabric fabric(cfg);
-                fabric.load(mapSpmm(a_bal, b, cfg));
-                fabric.run();
-                fatalIf(perm.unpermute(fabric.result()) !=
-                            reference::spmm(a, b),
-                        "row reorder changed the result");
-            }
+            WordMatrix c_out;
+            canon.spmmExact(a_bal, b, &c_out);
+            fatalIf(perm.unpermute(c_out) != reference::spmm(a, b),
+                    "row reorder changed the result");
 
-            const auto c_nat = reorderCanonCycles(a, b, cfg);
-            const auto c_bal = reorderCanonCycles(a_bal, b, cfg);
+            const auto c_nat = canon.spmmExact(a, b).cycles;
+            const auto c_bal = canon.spmmExact(a_bal, b).cycles;
             rows.push_back({label, "Canon", Table::fmtInt(c_nat),
                             Table::fmtInt(c_bal),
                             gainCell(c_nat, c_bal)});

@@ -13,8 +13,6 @@
 #include <cmath>
 
 #include "common/table.hh"
-#include "core/fabric.hh"
-#include "kernels/spmm.hh"
 #include "sparse/generate.hh"
 #include "workloads/canon_runner.hh"
 
@@ -215,10 +213,10 @@ figure17Bench()
             Rng rng(static_cast<std::uint64_t>(sp * 100) + 7);
             const auto a = randomSparse(512, 256, sp, rng);
             const auto b = randomDense(256, cfg.cols * kSimdWidth, rng);
-            CanonFabric fabric(cfg);
-            fabric.load(mapSpmm(CsrMatrix::fromDense(a), b, cfg));
-            fabric.run();
-            row.push_back(Table::fmt(fabric.utilization(), 3));
+            const auto prof =
+                CanonRunner(cfg).spmmExact(CsrMatrix::fromDense(a), b);
+            row.push_back(Table::fmt(
+                prof.utilization(cfg.numPes() * kSimdWidth), 3));
         }
         return {std::move(row)};
     };

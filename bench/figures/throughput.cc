@@ -163,7 +163,7 @@ simThroughputBench()
     bench.defaultJobs(1); // timing rows must not contend by default
 
     FigureTable t;
-    t.title = "Simulator throughput microbenchmarks";
+    t.title = "Simulation throughput microbenchmarks";
     // Work/Iter is the deterministic column: simulated cycles (or
     // completed units) per iteration. CI compares it exactly while
     // the wall-clock Rate column only gates large regressions.

@@ -52,14 +52,17 @@ main()
     std::cout << "result " << (ok ? "MATCHES" : "DIFFERS FROM")
               << " the reference\n";
 
+    const auto profile = fabric.profile("quickstart-spmm");
     std::cout << "cycles:            " << cycles << "\n"
-              << "lane utilization:  " << fabric.utilization() << "\n"
-              << "FSM transitions:   " << fabric.stateTransitions()
+              << "lane utilization:  "
+              << profile.utilization(cfg.numPes() * kSimdWidth) << "\n"
+              << "FSM transitions:   " << profile.get("stateTransitions")
               << "\n"
-              << "stall cycles:      " << fabric.stallCycles() << "\n";
+              << "stall cycles:      "
+              << fabric.stats().sumCounter("stallCycles") << "\n";
 
     EnergyModel energy;
-    const auto r = energy.evaluate(fabric.profile("quickstart-spmm"));
+    const auto r = energy.evaluate(profile);
     std::cout << "energy:            " << r.totalJoules() * 1e9
               << " nJ\n"
               << "average power:     " << r.watts() * 1e3 << " mW\n";

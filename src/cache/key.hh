@@ -44,7 +44,7 @@ namespace cache
 {
 
 /**
- * Simulator-semantics version of every cache entry. Bump on any
+ * Simulation-semantics version of every cache entry. Bump on any
  * change that alters what a scenario computes (not on store-format
  * changes; those bump the magic line in store.cc).
  *

@@ -1,7 +1,8 @@
 #include "cache/payload.hh"
 
-#include <charconv>
 #include <sstream>
+
+#include "common/parse.hh"
 
 namespace canon
 {
@@ -33,7 +34,9 @@ struct Cursor
     /** Read exactly @p n raw bytes followed by a '\n'. */
     bool bytes(std::size_t n, std::string &out)
     {
-        if (pos + n >= text.size() || text[pos + n] != '\n')
+        // pos <= size always; comparing against the remainder keeps
+        // a hostile n from wrapping pos + n around.
+        if (n >= text.size() - pos || text[pos + n] != '\n')
             return false;
         out = text.substr(pos, n);
         pos += n + 1;
@@ -48,12 +51,8 @@ bool
 taggedU64(const std::string &line, const std::string &tag,
           std::uint64_t &out)
 {
-    if (line.rfind(tag + " ", 0) != 0)
-        return false;
-    const char *first = line.data() + tag.size() + 1;
-    const char *last = line.data() + line.size();
-    auto [ptr, ec] = std::from_chars(first, last, out);
-    return ec == std::errc() && ptr == last;
+    return line.rfind(tag + " ", 0) == 0 &&
+           parseInt(std::string_view(line).substr(tag.size() + 1), out);
 }
 
 /** Split off the rest-of-line value of "<tag> <value>". */

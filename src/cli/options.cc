@@ -1,13 +1,13 @@
 #include "cli/options.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <iomanip>
 #include <limits>
 #include <sstream>
 #include <type_traits>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "workloads/models.hh"
 
 namespace canon
@@ -17,15 +17,6 @@ namespace cli
 
 namespace
 {
-
-bool
-parseI64(const std::string &s, std::int64_t &out)
-{
-    const char *first = s.data();
-    const char *last = s.data() + s.size();
-    auto [ptr, ec] = std::from_chars(first, last, out);
-    return ec == std::errc() && ptr == last;
-}
 
 bool
 parseDouble(const std::string &s, double &out)
@@ -109,7 +100,7 @@ intOption(const char *key, OptionGroup group)
     return {key, group,
             [](Options &o, Arg k, Arg v) -> std::string {
                 std::int64_t i = 0;
-                if (!parseI64(v, i) || i < Lo || i > Hi)
+                if (!parseInt(v, i) || i < Lo || i > Hi)
                     return "option '--" + k + "' expects an integer in [" +
                            std::to_string(Lo) + ", " +
                            std::to_string(Hi) + "], got '" + v + "'";
@@ -190,8 +181,8 @@ constexpr OptionRule kOptionTable[] = {
          const auto colon = v.find(':');
          std::int64_t nm_n = 0, nm_m = 0;
          if (colon == std::string::npos ||
-             !parseI64(v.substr(0, colon), nm_n) ||
-             !parseI64(v.substr(colon + 1), nm_m) || nm_n < 1 ||
+             !parseInt(v.substr(0, colon), nm_n) ||
+             !parseInt(v.substr(colon + 1), nm_m) || nm_n < 1 ||
              nm_m < 2 || nm_n > nm_m || nm_m > 64)
              return "option '--nm' expects N:M with"
                     " 1 <= N <= M <= 64, got '" + v + "'";

@@ -39,16 +39,6 @@ StatGroup::counter(const std::string &name)
     return counters_[name];
 }
 
-Distribution &
-StatGroup::distribution(const std::string &name)
-{
-    auto it = dists_.find(name);
-    if (it != dists_.end())
-        return it->second;
-    checkStatName(*this, name, "distribution");
-    return dists_[name];
-}
-
 StatGroup &
 StatGroup::child(const std::string &name)
 {
@@ -120,17 +110,6 @@ StatGroup::visitCounters(
                                  const Counter &ctr) {
             fn(name + "." + path, ctr);
         });
-}
-
-void
-StatGroup::resetAll()
-{
-    for (auto &[_, ctr] : counters_)
-        ctr.reset();
-    for (auto &[_, dist] : dists_)
-        dist.reset();
-    for (auto &[_, child] : children_)
-        child->resetAll();
 }
 
 } // namespace canon

@@ -2,9 +2,9 @@
  * @file
  * A small statistics framework in the spirit of gem5's stats package.
  *
- * Components own a StatGroup; they register named Counter / Scalar /
- * Distribution statistics against it. Groups nest, so a fabric exposes
- * `pe03.dmemReads` style paths. The power model consumes the flat view.
+ * Components own a StatGroup; they register named Counters against
+ * it. Groups nest, so a fabric exposes `pe03.dmemReads` style paths.
+ * The power model consumes the flat view.
  */
 
 #ifndef CANON_COMMON_STATS_HH
@@ -32,44 +32,9 @@ class Counter
     void operator++(int) { ++value_; }
     void operator+=(std::uint64_t n) { value_ += n; }
     std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
 
   private:
     std::uint64_t value_ = 0;
-};
-
-/** A running distribution: min/max/mean/count. */
-class Distribution
-{
-  public:
-    void
-    sample(double v)
-    {
-        if (count_ == 0 || v < min_)
-            min_ = v;
-        if (count_ == 0 || v > max_)
-            max_ = v;
-        sum_ += v;
-        ++count_;
-    }
-
-    std::uint64_t count() const { return count_; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-
-    void
-    reset()
-    {
-        min_ = max_ = sum_ = 0.0;
-        count_ = 0;
-    }
-
-  private:
-    double min_ = 0.0;
-    double max_ = 0.0;
-    double sum_ = 0.0;
-    std::uint64_t count_ = 0;
 };
 
 /**
@@ -91,9 +56,6 @@ class StatGroup
      * flat view. So does a name already taken by a child group.
      */
     Counter &counter(const std::string &name);
-
-    /** Register (or fetch) a distribution; same name rules. */
-    Distribution &distribution(const std::string &name);
 
     /**
      * Create a nested child group. Duplicate registration panics:
@@ -125,16 +87,12 @@ class StatGroup
         const std::function<void(const std::string &path,
                                  const Counter &ctr)> &fn) const;
 
-    /** Zero every statistic in the subtree. */
-    void resetAll();
-
   private:
     void flattenInto(const std::string &prefix,
                      std::map<std::string, std::uint64_t> &out) const;
 
     std::string name_;
     std::map<std::string, Counter> counters_;
-    std::map<std::string, Distribution> dists_;
     std::map<std::string, std::unique_ptr<StatGroup>> children_;
 };
 

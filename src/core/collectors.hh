@@ -3,7 +3,9 @@
  * Edge components around the PE array: the output-side EDDO memory
  * movers that assemble result matrices, the north-edge feeder that
  * streams vectors into columns, and a sink that drains unused edge
- * channels (data "falling off" the array edge).
+ * channels (data "falling off" the array edge). Each acts in the
+ * compute phase only: the channels it pops and pushes commit
+ * themselves.
  */
 
 #ifndef CANON_CORE_COLLECTORS_HH
@@ -15,29 +17,24 @@
 #include "noc/router.hh"
 #include "orch/msg_channel.hh"
 #include "orch/orchestrator.hh"
-#include "sim/clocked.hh"
 #include "sparse/matrix.hh"
 
 namespace canon
 {
 
 /** Drains any channel bound to it, one element per channel per cycle. */
-class EdgeSink final : public Clocked
+class EdgeSink final
 {
   public:
-    static constexpr bool kHasTickCommit = false;
-
     void add(DataChannel *ch) { chans_.push_back(ch); }
 
     void
-    tickCompute() override
+    tickCompute()
     {
         for (auto *ch : chans_)
             if (!ch->empty())
                 ch->pop();
     }
-
-    void tickCommit() override {}
 
   private:
     std::vector<DataChannel *> chans_;
@@ -53,18 +50,15 @@ class EdgeSink final : public Clocked
  * Listing 3: several psums for the same output row may arrive when
  * upstream rows bypassed each other under load imbalance.
  */
-class SouthCollector final : public Clocked
+class SouthCollector final
 {
   public:
-    static constexpr bool kHasTickCommit = false;
-
     SouthCollector(MsgChannel *msgs, std::vector<DataChannel *> chans,
                    WordMatrix *out);
 
     bool pendingEmpty() const;
 
-    void tickCompute() override;
-    void tickCommit() override {}
+    void tickCompute();
 
   private:
     MsgChannel *msgs_;
@@ -78,11 +72,9 @@ class SouthCollector final : public Clocked
  * {a = output row m, b = local output column}; the edge logic reduces
  * the 4 psum lanes to the scalar C[m][rowBase + b].
  */
-class EastCollector final : public Clocked
+class EastCollector final
 {
   public:
-    static constexpr bool kHasTickCommit = false;
-
     EastCollector(WordMatrix *out, int cols_per_row);
 
     /** Attach PE row @p row: its east channel and bookkeeping queue. */
@@ -90,8 +82,7 @@ class EastCollector final : public Clocked
 
     bool pendingEmpty() const;
 
-    void tickCompute() override;
-    void tickCommit() override {}
+    void tickCompute();
 
   private:
     struct RowPort
@@ -115,11 +106,9 @@ class EastCollector final : public Clocked
  * orchestrator -- so the message window provides flow control for the
  * whole top edge: when the top row falls behind, the feeder pauses.
  */
-class NorthFeeder final : public Clocked
+class NorthFeeder final
 {
   public:
-    static constexpr bool kHasTickCommit = false;
-
     NorthFeeder(std::vector<DataChannel *> chans, MsgChannel *announce)
         : chans_(std::move(chans)), announce_(announce)
     {
@@ -135,8 +124,7 @@ class NorthFeeder final : public Clocked
 
     bool drained() const { return pos_ >= feed_.size(); }
 
-    void tickCompute() override;
-    void tickCommit() override {}
+    void tickCompute();
 
   private:
     std::vector<DataChannel *> chans_;
@@ -146,21 +134,17 @@ class NorthFeeder final : public Clocked
 };
 
 /** Drains a message channel nobody else consumes (bottom-edge AVec). */
-class MsgSink final : public Clocked
+class MsgSink final
 {
   public:
-    static constexpr bool kHasTickCommit = false;
-
     explicit MsgSink(MsgChannel *ch) : ch_(ch) {}
 
     void
-    tickCompute() override
+    tickCompute()
     {
         if (ch_ && !ch_->empty())
             ch_->pop();
     }
-
-    void tickCommit() override {}
 
   private:
     MsgChannel *ch_;

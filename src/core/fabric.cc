@@ -10,8 +10,8 @@ namespace canon
 CanonFabric::~CanonFabric() = default;
 
 CanonFabric::CanonFabric(const CanonConfig &cfg,
-                         std::uint64_t reg_shuffle_seed)
-    : cfg_(cfg), stats_("fabric"), shuffleSeed_(reg_shuffle_seed)
+                         std::uint64_t shuffle_seed)
+    : cfg_(cfg), stats_("fabric"), shuffleSeed_(shuffle_seed)
 {
     fatalIf(cfg_.rows <= 0 || cfg_.cols <= 0,
             "CanonFabric: non-positive array shape");
@@ -70,7 +70,7 @@ CanonFabric::CanonFabric(const CanonConfig &cfg,
         auto &orch_stats = stats_.child("orch" + std::to_string(r));
         auto orch = std::make_unique<Orchestrator>(
             "orch" + std::to_string(r), cfg_.spadEntries, orch_stats,
-            sim_, OrchPolicy{cfg_.tagBanks, cfg_.spadFlush});
+            now_, OrchPolicy{cfg_.tagBanks, cfg_.spadFlush});
         orch->bindPipeline(pipes_.back().get());
         orch->bindWestChannel(horiz_[r][0].get());
         orch->bindMsgIn(msg_[r].get());
@@ -85,41 +85,34 @@ CanonFabric::CanonFabric(const CanonConfig &cfg,
             pes_[peIndex(r, c)]->bindPipeline(pipes_.back().get());
     }
 
-    // Data channels publish through one batched commit pass instead of
-    // ticking individually.
-    for (auto &row : vert_)
-        for (auto &ch : row)
-            dataCommits_.add(ch.get());
-    for (auto &row : horiz_)
-        for (auto &ch : row)
-            dataCommits_.add(ch.get());
-
-    // Register everything into its typed partition. Order is
-    // irrelevant for results (two-phase ticks); a nonzero shuffle seed
-    // permutes it to prove that.
-    std::vector<std::function<void()>> regs;
+    // Tick order. Order within a phase is irrelevant for results
+    // (two-phase ticks); a nonzero shuffle seed permutes it to prove
+    // that.
     for (auto &o : orchs_)
-        regs.push_back([this, c = o.get()] { sim_.addTyped(c); });
+        orchTicks_.push_back(o.get());
     for (auto &p : pes_)
-        regs.push_back([this, c = p.get()] { sim_.addTyped(c); });
+        peTicks_.push_back(p.get());
     for (auto &pl : pipes_)
-        regs.push_back([this, c = pl.get()] { sim_.addTyped(c); });
+        pipeTicks_.push_back(pl.get());
     for (auto &m : msg_)
-        regs.push_back([this, c = m.get()] { sim_.addTyped(c); });
-    regs.push_back([this] { sim_.addTyped(&dataCommits_); });
-    registerAll(std::move(regs), 0);
-}
-
-void
-CanonFabric::registerAll(std::vector<std::function<void()>> regs,
-                         std::uint64_t salt)
-{
+        msgTicks_.push_back(m.get());
+    for (auto *chans : {&vert_, &horiz_})
+        for (auto &row : *chans)
+            for (auto &ch : row)
+                dataTicks_.push_back(ch.get());
+    computeGroups_ = {Group::Orchestrators, Group::Pes};
+    commitGroups_ = {Group::Pes, Group::Pipelines, Group::MsgChannels,
+                     Group::DataChannels};
     if (shuffleSeed_ != 0) {
-        Rng rng(shuffleSeed_ + salt);
-        rng.shuffle(regs);
+        Rng rng(shuffleSeed_);
+        rng.shuffle(orchTicks_);
+        rng.shuffle(peTicks_);
+        rng.shuffle(pipeTicks_);
+        rng.shuffle(msgTicks_);
+        rng.shuffle(dataTicks_);
+        rng.shuffle(computeGroups_);
+        rng.shuffle(commitGroups_);
     }
-    for (auto &r : regs)
-        r();
 }
 
 Pe &
@@ -179,8 +172,9 @@ CanonFabric::load(KernelMapping mapping)
         }
     }
 
-    // Edge movers and collectors.
-    std::vector<std::function<void()>> regs;
+    // Edge movers and collectors: compute-only groups, ticked after
+    // the constructor's and permuted among themselves.
+    std::vector<Group> edge;
     sink_ = std::make_unique<EdgeSink>();
     if (mapping_.collector == CollectorKind::South) {
         std::vector<DataChannel *> bottom;
@@ -188,7 +182,7 @@ CanonFabric::load(KernelMapping mapping)
             bottom.push_back(vert_[cfg_.rows][c].get());
         southCollector_ = std::make_unique<SouthCollector>(
             msg_[cfg_.rows].get(), std::move(bottom), &out_);
-        regs.push_back([this] { sim_.addTyped(southCollector_.get()); });
+        edge.push_back(Group::SouthCollector);
         // East edge only carries forwarded operands: discard.
         for (int r = 0; r < cfg_.rows; ++r)
             sink_->add(horiz_[r][cfg_.cols].get());
@@ -198,15 +192,15 @@ CanonFabric::load(KernelMapping mapping)
         for (int r = 0; r < cfg_.rows; ++r)
             eastCollector_->addRow(r, horiz_[r][cfg_.cols].get(),
                                    &outRecs_[r]);
-        regs.push_back([this] { sim_.addTyped(eastCollector_.get()); });
+        edge.push_back(Group::EastCollector);
         // South edge carries pass-through streams: discard, and drain
         // the bottom message channel.
         for (int c = 0; c < cfg_.cols; ++c)
             sink_->add(vert_[cfg_.rows][c].get());
         msgSink_ = std::make_unique<MsgSink>(msg_[cfg_.rows].get());
-        regs.push_back([this] { sim_.addTyped(msgSink_.get()); });
+        edge.push_back(Group::MsgSink);
     }
-    regs.push_back([this] { sim_.addTyped(sink_.get()); });
+    edge.push_back(Group::EdgeSink);
 
     if (!mapping_.northFeed.empty()) {
         std::vector<DataChannel *> top;
@@ -215,9 +209,13 @@ CanonFabric::load(KernelMapping mapping)
         feeder_ = std::make_unique<NorthFeeder>(std::move(top),
                                                 msg_[0].get());
         feeder_->setFeed(mapping_.northFeed);
-        regs.push_back([this] { sim_.addTyped(feeder_.get()); });
+        edge.push_back(Group::NorthFeeder);
     }
-    registerAll(std::move(regs), 1);
+    if (shuffleSeed_ != 0) {
+        Rng rng(shuffleSeed_ + 1);
+        rng.shuffle(edge);
+    }
+    computeGroups_.insert(computeGroups_.end(), edge.begin(), edge.end());
 }
 
 bool
@@ -286,6 +284,66 @@ CanonFabric::makeAccountant() const
         std::move(vert), std::move(horiz), std::move(msgs));
 }
 
+void
+CanonFabric::step()
+{
+    for (const Group g : computeGroups_) {
+        switch (g) {
+          case Group::Orchestrators:
+            for (auto *o : orchTicks_)
+                o->tickCompute();
+            break;
+          case Group::Pes:
+            for (auto *p : peTicks_)
+                p->tickCompute();
+            break;
+          case Group::SouthCollector:
+            southCollector_->tickCompute();
+            break;
+          case Group::EastCollector:
+            eastCollector_->tickCompute();
+            break;
+          case Group::MsgSink:
+            msgSink_->tickCompute();
+            break;
+          case Group::EdgeSink:
+            sink_->tickCompute();
+            break;
+          case Group::NorthFeeder:
+            feeder_->tickCompute();
+            break;
+          default: // not enlisted in the compute phase
+            break;
+        }
+    }
+    for (const Group g : commitGroups_) {
+        switch (g) {
+          case Group::Pes:
+            for (auto *p : peTicks_)
+                p->tickCommit();
+            break;
+          case Group::Pipelines:
+            for (auto *p : pipeTicks_)
+                p->tickCommit();
+            break;
+          case Group::MsgChannels:
+            for (auto *m : msgTicks_)
+                m->tickCommit();
+            break;
+          case Group::DataChannels:
+            for (auto *ch : dataTicks_)
+                ch->commit();
+            break;
+          case Group::Probe:
+            probe_->tickCommit();
+            break;
+          default: // not enlisted in the commit phase
+            break;
+        }
+    }
+    ++now_;
+}
+
 Cycle
 CanonFabric::run(Cycle max_cycles)
 {
@@ -297,9 +355,16 @@ CanonFabric::run(Cycle max_cycles)
             col->sampling() ? std::make_unique<obs::CycleSampler>(stats_)
                             : nullptr,
             col->accounting() ? makeAccountant() : nullptr);
-        sim_.addTyped(probe_.get());
+        commitGroups_.push_back(Group::Probe);
     }
-    const Cycle elapsed = sim_.run([this] { return done(); }, max_cycles);
+    const Cycle start = now_;
+    while (!done()) {
+        panicIf(now_ - start >= max_cycles,
+                "CanonFabric watchdog: no completion after ", max_cycles,
+                " cycles");
+        step();
+    }
+    const Cycle elapsed = now_ - start;
     if (col) {
         obs::SeriesSet series;
         obs::AccountingSet accounting;
@@ -331,7 +396,7 @@ CanonFabric::configureSpatial(
     // arrive at their taps simultaneously.
     for (auto &p : pes_)
         p->setMode(PeMode::Config);
-    const Cycle start = sim_.now();
+    const Cycle start = now_;
     const int horizon = kIssueStagger * (cfg_.cols - 1) + 1;
     for (int t = 0; t < horizon; ++t) {
         if (t % kIssueStagger == 0) {
@@ -341,13 +406,13 @@ CanonFabric::configureSpatial(
                     pipes_[r]->issue(insts[r][c]);
             }
         }
-        sim_.step();
+        step();
     }
     for (auto &p : pipes_)
         p->freeze(true);
     for (auto &p : pes_)
         p->setMode(PeMode::Spatial);
-    return sim_.now() - start;
+    return now_ - start;
 }
 
 void
@@ -369,35 +434,13 @@ CanonFabric::popEast(int r)
     return v;
 }
 
-double
-CanonFabric::utilization() const
-{
-    const auto lane_macs = stats_.sumCounter("macOps");
-    const double capacity = static_cast<double>(sim_.now()) *
-                            cfg_.numPes() * kSimdWidth;
-    return capacity == 0.0 ? 0.0
-                           : static_cast<double>(lane_macs) / capacity;
-}
-
-std::uint64_t
-CanonFabric::stateTransitions() const
-{
-    return stats_.sumCounter("stateTransitions");
-}
-
-std::uint64_t
-CanonFabric::stallCycles() const
-{
-    return stats_.sumCounter("stallCycles");
-}
-
 ExecutionProfile
 CanonFabric::profile(const std::string &workload) const
 {
     ExecutionProfile p;
     p.arch = "canon";
     p.workload = workload;
-    p.cycles = sim_.now();
+    p.cycles = now_;
     p.peCount = static_cast<std::uint64_t>(cfg_.numPes());
     p.add("laneMacs", stats_.sumCounter("macOps"));
     p.add("aluOps", stats_.sumCounter("aluOps"));
@@ -415,7 +458,7 @@ CanonFabric::profile(const std::string &workload) const
     p.add("spadCapCycles", stats_.sumCounter("spadCapCycles"));
     p.add("stateTransitions", stats_.sumCounter("stateTransitions"));
     p.add("orchCycles",
-          static_cast<std::uint64_t>(cfg_.rows) * sim_.now());
+          static_cast<std::uint64_t>(cfg_.rows) * now_);
     // Every issued instruction traverses the whole row's dedicated
     // instruction NoC.
     p.add("instHops", stats_.sumCounter("instIssued") *

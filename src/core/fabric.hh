@@ -15,12 +15,18 @@
  * instruction NoC (3 cycles per column), freezes the pipelines, and
  * every PE then re-executes its latched instruction each cycle while
  * data is pushed/popped at the west/east edges.
+ *
+ * The fabric is its own cycle loop. step() runs two phases over phase
+ * groups, one group per component kind. In the compute phase every
+ * component reads committed state and stages its effects; in the
+ * commit phase channels, pipelines and PEs publish them. So the order
+ * groups and their members tick in within a phase cannot be observed,
+ * which the shuffle seed proves.
  */
 
 #ifndef CANON_CORE_FABRIC_HH
 #define CANON_CORE_FABRIC_HH
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -31,7 +37,6 @@
 #include "orch/orchestrator.hh"
 #include "pe/pe.hh"
 #include "power/profile.hh"
-#include "sim/schedule.hh"
 
 namespace canon
 {
@@ -46,14 +51,14 @@ class CanonFabric
 {
   public:
     /**
-     * @p reg_shuffle_seed permutes the order components are registered
-     * with the simulator (0 = construction order). Results are
-     * independent of registration order -- the determinism tests
-     * construct fabrics under several seeds and require byte-identical
-     * outputs.
+     * A nonzero @p shuffle_seed permutes the members of every phase
+     * group and the groups within each phase (0 = construction
+     * order). Results are independent of tick order -- the
+     * determinism tests construct fabrics under several seeds and
+     * require byte-identical outputs.
      */
     explicit CanonFabric(const CanonConfig &cfg,
-                         std::uint64_t reg_shuffle_seed = 0);
+                         std::uint64_t shuffle_seed = 0);
 
     /** Out of line: probe_ is incomplete here. */
     ~CanonFabric();
@@ -66,13 +71,17 @@ class CanonFabric
     /** True when execution has fully drained. */
     bool done() const;
 
-    /** Run the loaded kernel to completion; returns cycles taken. */
+    /**
+     * Run the loaded kernel to completion; returns cycles taken.
+     * Panics after @p max_cycles as a watchdog, so a mis-programmed
+     * FSM that never finishes fails loudly instead of hanging.
+     */
     Cycle run(Cycle max_cycles = 500'000'000);
 
-    /** Advance a single cycle (tests). */
-    void step() { sim_.step(); }
+    /** Advance exactly one cycle: the compute, then the commit phase. */
+    void step();
 
-    Cycle cycles() const { return sim_.now(); }
+    Cycle cycles() const { return now_; }
 
     /** The assembled output matrix. */
     const WordMatrix &result() const { return out_; }
@@ -98,38 +107,45 @@ class CanonFabric
     const Orchestrator &orch(int r) const;
     StatGroup &stats() { return stats_; }
 
-    /** Live tick-schedule partitions (zero-cost-when-off tests). */
-    std::size_t schedulePartitions() const
+    /** Group passes per cycle (zero-cost-when-off tests). */
+    std::size_t phaseGroups() const
     {
-        return sim_.partitionCount();
+        return computeGroups_.size() + commitGroups_.size();
     }
-
-    /** Lane-MAC utilization: useful MAC lanes / (lanes * cycles). */
-    double utilization() const;
-
-    /** Total data-driven FSM state transitions across orchestrators. */
-    std::uint64_t stateTransitions() const;
-
-    /** Total orchestrator stall cycles (load-imbalance backpressure). */
-    std::uint64_t stallCycles() const;
 
     /** Export the run as an architecture-independent profile. */
     ExecutionProfile profile(const std::string &workload) const;
 
   private:
+    /**
+     * The phase groups of step(). The constructor enlists the first
+     * five, load() the edge components its mapping needs, and run()
+     * the probe, last of all, when observing.
+     */
+    enum class Group : std::uint8_t
+    {
+        Orchestrators,
+        Pes,
+        Pipelines,
+        MsgChannels,
+        DataChannels,
+        SouthCollector,
+        EastCollector,
+        MsgSink,
+        EdgeSink,
+        NorthFeeder,
+        Probe,
+    };
+
     int peIndex(int r, int c) const { return r * cfg_.cols + c; }
     bool channelsDrained() const;
 
     /** A cycle accountant over every component (--cycle-accounting). */
     std::unique_ptr<obs::CycleAccountant> makeAccountant() const;
 
-    /** Run registration thunks, permuted when shuffleSeed_ != 0. */
-    void registerAll(std::vector<std::function<void()>> regs,
-                     std::uint64_t salt);
-
     CanonConfig cfg_;
-    Simulator sim_;
     StatGroup stats_;
+    Cycle now_ = 0;
 
     std::vector<std::unique_ptr<Pe>> pes_;
     std::vector<std::unique_ptr<Orchestrator>> orchs_;
@@ -156,17 +172,24 @@ class CanonFabric
     std::unique_ptr<EdgeSink> sink_;
     std::unique_ptr<MsgSink> msgSink_;
 
-    /** Batched commit pass over every data channel (schedule.hh). */
-    FifoCommitList<Vec4> dataCommits_;
-
     /**
-     * The obs probe partition (obs/sampler.hh): the stats sampler
-     * and/or the cycle accountant, constructed and registered in run()
-     * only when the current thread is observing with a sampling
-     * cadence or --cycle-accounting. Null otherwise, so a non-observed
-     * fabric's schedule is untouched.
+     * The obs probe (obs/sampler.hh): the stats sampler and/or the
+     * cycle accountant, constructed in run() only when the current
+     * thread is observing with a sampling cadence or
+     * --cycle-accounting. Null otherwise, and then no probe group
+     * ticks.
      */
     std::unique_ptr<obs::CycleProbe> probe_;
+
+    // Tick order: the groups of each phase, and the members of every
+    // group with more than one (every data channel in one flat list).
+    std::vector<Group> computeGroups_;
+    std::vector<Group> commitGroups_;
+    std::vector<Orchestrator *> orchTicks_;
+    std::vector<Pe *> peTicks_;
+    std::vector<InstPipeline *> pipeTicks_;
+    std::vector<MsgChannel *> msgTicks_;
+    std::vector<DataChannel *> dataTicks_;
 
     std::uint64_t shuffleSeed_ = 0;
     bool loaded_ = false;

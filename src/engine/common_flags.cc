@@ -1,9 +1,10 @@
 #include "engine/common_flags.hh"
 
-#include <charconv>
 #include <filesystem>
 
 #include <unistd.h>
+
+#include "common/parse.hh"
 
 namespace canon
 {
@@ -12,15 +13,6 @@ namespace engine
 
 namespace
 {
-
-bool
-parseInt(const std::string &s, int &out)
-{
-    const char *first = s.data();
-    const char *last = s.data() + s.size();
-    auto [ptr, ec] = std::from_chars(first, last, out);
-    return ec == std::errc() && ptr == last;
-}
 
 /**
  * Fail-fast check for an output path: the parent directory must exist

@@ -12,7 +12,7 @@
  * simulated behaviour and the scenario expansion only: the trace
  * timeline is virtual (1 cycle = 1 us, scenarios serialized in
  * expansion order), so all three artifacts are byte-identical across
- * --jobs values and registration-shuffle seeds.
+ * --jobs values and tick-order shuffle seeds.
  */
 
 #ifndef CANON_ENGINE_OBS_REPORT_HH

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "isa/instruction.hh"
-#include "sim/clocked.hh"
 
 namespace canon
 {
@@ -31,12 +30,9 @@ namespace canon
 /** Cycles between consecutive PEs seeing the same instruction. */
 constexpr int kIssueStagger = 3;
 
-class InstPipeline final : public Clocked
+class InstPipeline final
 {
   public:
-    /** Issues stage externally; all work happens at commit. */
-    static constexpr bool kHasTickCompute = false;
-
     explicit InstPipeline(int columns);
 
     /** Stage the instruction entering the row this cycle. */
@@ -54,8 +50,8 @@ class InstPipeline final : public Clocked
 
     int columns() const { return columns_; }
 
-    void tickCompute() override {}
-    void tickCommit() override;
+    /** Issues stage externally; the shift happens at commit. */
+    void tickCommit();
 
   private:
     // The hardware shifts the encoded 64-bit word (encode/decode

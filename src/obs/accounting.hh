@@ -10,8 +10,8 @@
  * construction (each commit pass assigns exactly one category per
  * component) and asserted by tests and the CI obs gate.
  *
- * The accountant is driven by the fabric's CycleProbe partition
- * (sampler.hh), which CanonFabric::run() constructs and registers only
+ * The accountant is driven by the fabric's CycleProbe (sampler.hh),
+ * its last commit group, which CanonFabric::run() adds only
  * when the observing collector asked for cycle accounting or sampling
  * (--cycle-accounting, --sample-every); the probe owns the cadence.
  * Disabled accounting is structural: no accountant exists, and with
@@ -19,7 +19,7 @@
  * component state and compute-phase counter deltas, both of which are
  * final by any commit pass, so the recorded categories -- and every
  * artifact derived from them -- are byte-identical across --jobs
- * values and registration-shuffle seeds.
+ * values and tick-order shuffle seeds.
  *
  * Counts accumulate for the life of the fabric (take() snapshots
  * without resetting), matching the flat-stats semantics: for

@@ -15,7 +15,7 @@
  * thread; finish() freezes it into an immutable ScenarioObs that rides
  * the ScenarioResult back to the engine's report layer. Everything
  * recorded is a function of simulated behaviour only, so scenario
- * observations are byte-stable across --jobs and registration-shuffle
+ * observations are byte-stable across --jobs and tick-order shuffle
  * seeds.
  */
 

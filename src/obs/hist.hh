@@ -9,7 +9,7 @@
  * bound. No configuration, no resizing, no floating point -- the
  * emitted counts are a pure function of the recorded value sequence,
  * which is what keeps histogram artifacts byte-identical across
- * --jobs values and registration shuffles.
+ * --jobs values and tick-order shuffles.
  */
 
 #ifndef CANON_OBS_HIST_HH

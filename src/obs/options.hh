@@ -29,7 +29,7 @@ struct ObsOptions
      * Cycle-resolved sampling cadence: capture the tracked StatGroup
      * counters every N simulated cycles (plus one final sample at run
      * end). 0 disables the sampler entirely; with cycle accounting
-     * also off no probe partition is registered, so disabled
+     * also off the fabric ticks no probe group, so disabled
      * observation costs nothing per cycle.
      */
     std::uint64_t sampleEvery = 0;

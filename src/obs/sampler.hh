@@ -1,19 +1,20 @@
 /**
  * @file
  * Cycle-resolved observation of a running fabric: the CycleProbe
- * schedule partition and the counter sampler it drives.
+ * phase group and the counter sampler it drives.
  *
- * CycleProbe is the one obs partition a fabric registers. It is typed
- * and commit-only (kHasTickCompute = false elides it from the compute
- * pass), and it owns the single cadence and final-capture rule for
- * both cycle-resolved instruments: the CycleSampler below, which reads
- * a fixed probe set out of a StatGroup tree, and the CycleAccountant
- * (accounting.hh), which classifies every component-cycle.
+ * CycleProbe is the one obs group a fabric ticks. It is commit-only,
+ * ticked after every other commit group, and it owns the single
+ * cadence and final-capture rule for both cycle-resolved instruments:
+ * the CycleSampler below, which reads a fixed probe set out of a
+ * StatGroup tree, and the CycleAccountant (accounting.hh), which
+ * classifies every component-cycle.
  *
  * Zero-cost-when-off is structural, not branchy: CanonFabric::run()
- * constructs and registers a probe only when the observing collector
- * asks for sampling or cycle accounting, so an unobserved cycle loop
- * is bit-for-bit the schedule it would have been without this file.
+ * constructs a probe and appends its commit group only when the
+ * observing collector asks for sampling or cycle accounting, so an
+ * unobserved cycle loop ticks exactly the groups it would have ticked
+ * without this file.
  * A sample is a handful of pointer reads: every sampler probe is
  * resolved to direct Counter pointers at construction, which is safe
  * because StatGroup's maps are node-based and the fabric registers all
@@ -21,8 +22,8 @@
  *
  * Capturing in the commit phase makes every series deterministic:
  * every counter bumps in the compute phase, so by any commit pass the
- * values for that cycle are final regardless of partition or
- * registration order.
+ * values for that cycle are final regardless of the order groups
+ * tick in.
  */
 
 #ifndef CANON_OBS_SAMPLER_HH
@@ -78,8 +79,6 @@ class CycleSampler final
 class CycleProbe final
 {
   public:
-    static constexpr bool kHasTickCompute = false;
-
     /**
      * Drive whichever instruments are non-null (at least one). Every
      * @p every cycles both capture a series point and the accountant
@@ -89,8 +88,6 @@ class CycleProbe final
     CycleProbe(std::uint64_t every,
                std::unique_ptr<CycleSampler> sampler,
                std::unique_ptr<CycleAccountant> accountant);
-
-    void tickCompute() {}
 
     void
     tickCommit()
@@ -114,7 +111,7 @@ class CycleProbe final
      */
     void captureFinal();
 
-    /** Cycles observed since registration (the series time axis). */
+    /** Cycles observed since the probe joined (the series time axis). */
     std::uint64_t tick() const { return tick_; }
 
     /** Move the series out: sampler metrics, then acct.* rollups. */

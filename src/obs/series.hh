@@ -7,7 +7,7 @@
  *
  * Values are the *cumulative* counter readings at each sample cycle,
  * never deltas: cumulative series are trivially order-independent
- * (byte-identical across worker counts and registration shuffles) and
+ * (byte-identical across worker counts and tick-order shuffles) and
  * the consumer can difference adjacent points to recover rates.
  */
 

@@ -19,7 +19,6 @@
 #include <cstdint>
 
 #include "noc/inst_pipeline.hh"
-#include "sim/clocked.hh"
 #include "sim/latch.hh"
 
 namespace canon
@@ -58,12 +57,9 @@ struct OrchMsg
  * at the consumer. Push during tickCompute; the message becomes
  * consumable kIssueStagger + 1 cycles later.
  */
-class MsgChannel final : public Clocked
+class MsgChannel final
 {
   public:
-    /** Pushes stage externally; the delay line shifts at commit. */
-    static constexpr bool kHasTickCompute = false;
-
     explicit MsgChannel(std::string name = "msg")
         : fifo_(kMsgWindow + kIssueStagger + 1, std::move(name))
     {
@@ -104,10 +100,9 @@ class MsgChannel final : public Clocked
         return n;
     }
 
-    void tickCompute() override {}
-
+    /** Pushes stage externally; the delay line shifts at commit. */
     void
-    tickCommit() override
+    tickCommit()
     {
         // Shift the delay line; the oldest stage drains into the FIFO.
         if (delay_.back().id != kMsgNone)

@@ -4,10 +4,10 @@ namespace canon
 {
 
 Orchestrator::Orchestrator(std::string name, int spad_capacity,
-                           StatGroup &stats, const Simulator &sim,
+                           StatGroup &stats, const Cycle &now,
                            const OrchPolicy &policy)
     : name_(std::move(name)),
-      fifo_(spad_capacity, stats, policy.tagBanks), sim_(sim),
+      fifo_(spad_capacity, stats, policy.tagBanks), now_(now),
       flushPolicy_(policy.spadFlush),
       flushThreshold_(policy.spadFlush == SpadFlushPolicy::Adaptive
                           ? spadHighWaterMark(spad_capacity - 1)
@@ -234,7 +234,7 @@ Orchestrator::tickCompute()
         ++spadCapCycles_;
 
     // 1. Latch inputs.
-    const MetaToken token = stream_.peek(sim_.now());
+    const MetaToken token = stream_.peek(now_);
     bool msg_valid = msgIn_ && !msgIn_->empty();
     OrchMsg msg = msg_valid ? msgIn_->front() : OrchMsg{};
     if (msg_valid && holdMergeMsg(token, msg)) {

@@ -43,8 +43,6 @@
 #include "orch/program.hh"
 #include "orch/tag_fifo.hh"
 #include "orch/token.hh"
-#include "sim/clocked.hh"
-#include "sim/simulator.hh"
 
 namespace canon
 {
@@ -56,15 +54,12 @@ struct OutRec
     std::uint16_t b = 0;
 };
 
-class Orchestrator final : public Clocked
+class Orchestrator final
 {
   public:
-    /** All orchestrator effects stage through channels/latches that
-     *  commit themselves; the commit phase is dead (schedule.hh). */
-    static constexpr bool kHasTickCommit = false;
-
+    /** @p now is the fabric's cycle counter (the stream timestamps). */
     Orchestrator(std::string name, int spad_capacity, StatGroup &stats,
-                 const Simulator &sim, const OrchPolicy &policy = {});
+                 const Cycle &now, const OrchPolicy &policy = {});
 
     // ---- wiring ------------------------------------------------------
     void bindPipeline(InstPipeline *pipe) { pipe_ = pipe; }
@@ -99,8 +94,9 @@ class Orchestrator final : public Clocked
         return instIssued_.value();
     }
 
-    void tickCompute() override;
-    void tickCommit() override {}
+    /** All effects stage through channels that commit themselves,
+     *  so an orchestrator has no commit phase. */
+    void tickCompute();
 
   private:
     // Predicate/address evaluation is non-const because probing the
@@ -123,7 +119,7 @@ class Orchestrator final : public Clocked
     const OrchProgram *prog_ = nullptr;
     MetaStream stream_;
     TagFifo fifo_;
-    const Simulator &sim_;
+    const Cycle &now_;
     SpadFlushPolicy flushPolicy_;
     int flushThreshold_; //!< occupancy BufferAtCap asserts at
 

@@ -32,7 +32,6 @@
 #include "mem/vecram.hh"
 #include "noc/inst_pipeline.hh"
 #include "noc/router.hh"
-#include "sim/clocked.hh"
 
 namespace canon
 {
@@ -51,7 +50,7 @@ struct PeGeometry
     int col = 0;
 };
 
-class Pe final : public Clocked
+class Pe final
 {
   public:
     Pe(const PeGeometry &geo, int dmem_slots, int spad_slots,
@@ -82,8 +81,8 @@ class Pe final : public Clocked
     int row() const { return geo_.row; }
     int col() const { return geo_.col; }
 
-    void tickCompute() override;
-    void tickCommit() override;
+    void tickCompute();
+    void tickCommit();
 
   private:
     /**

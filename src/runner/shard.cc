@@ -1,25 +1,11 @@
 #include "runner/shard.hh"
 
-#include <charconv>
+#include "common/parse.hh"
 
 namespace canon
 {
 namespace runner
 {
-
-namespace
-{
-
-bool
-parseInt(const std::string &s, int &out)
-{
-    const char *first = s.data();
-    const char *last = s.data() + s.size();
-    auto [ptr, ec] = std::from_chars(first, last, out);
-    return ec == std::errc() && ptr == last;
-}
-
-} // namespace
 
 std::string
 parseShard(const std::string &text, Shard &out)

@@ -44,15 +44,13 @@ AdmissionQueue::AdmissionQueue(int max_active)
 }
 
 Ticket
-AdmissionQueue::enqueue(int priority, const std::string &client,
-                        std::uint64_t predicted_jobs)
+AdmissionQueue::enqueue(int priority, const std::string &client)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     Ticket t;
     t.seq = next_seq_++;
     t.priority = priority;
     t.client = client;
-    t.predictedJobs = predicted_jobs;
     waiting_.push_back(t);
     grantLocked();
     return t;
@@ -132,13 +130,6 @@ AdmissionQueue::activeCount() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return active_;
-}
-
-std::map<std::string, std::uint64_t>
-AdmissionQueue::admittedByClient() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return admitted_;
 }
 
 } // namespace service

@@ -47,7 +47,6 @@ struct Ticket
     std::uint64_t seq = 0; //!< arrival order, assigned by enqueue()
     int priority = 0;
     std::string client;
-    std::uint64_t predictedJobs = 0; //!< plan() simulation forecast
 };
 
 /**
@@ -70,8 +69,7 @@ class AdmissionQueue
      * Register a submission and return its ticket (seq assigned).
      * Does not block; pair with awaitGrant().
      */
-    Ticket enqueue(int priority, const std::string &client,
-                   std::uint64_t predicted_jobs);
+    Ticket enqueue(int priority, const std::string &client);
 
     /**
      * Block until @p ticket is granted a slot (per pickNext) or the
@@ -96,9 +94,6 @@ class AdmissionQueue
 
     /** Slots currently granted (diagnostics/stats). */
     int activeCount() const;
-
-    /** Total submissions ever admitted per client (stats). */
-    std::map<std::string, std::uint64_t> admittedByClient() const;
 
   private:
     void grantLocked(); //!< admit while slots and waiters remain

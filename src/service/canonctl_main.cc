@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.hh"
 #include "service/client.hh"
 
 namespace
@@ -88,11 +89,8 @@ main(int argc, char **argv)
         } else if (arg == "--priority") {
             if (!value(v))
                 return fail("--priority needs a value", 2);
-            try {
-                body.priority = std::stoi(v);
-            } catch (...) {
+            if (!canon::parseInt(v, body.priority))
                 return fail("bad --priority '" + v + "'", 2);
-            }
         } else if (arg == "--opt") {
             if (!value(v) || !splitKv(v, key, val))
                 return fail("--opt needs KEY=VALUE", 2);
@@ -109,11 +107,8 @@ main(int argc, char **argv)
             command = arg;
         } else if (command == "cancel" && cancel_id == 0 &&
                    !arg.empty() && arg[0] != '-') {
-            try {
-                cancel_id = std::stoull(arg);
-            } catch (...) {
+            if (!canon::parseInt(arg, cancel_id))
                 return fail("bad job id '" + arg + "'", 2);
-            }
         } else {
             std::cerr << "canonctl: bad argument '" << arg << "'\n\n"
                       << kUsage;

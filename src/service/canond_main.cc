@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.hh"
 #include "engine/common_flags.hh"
 #include "service/daemon.hh"
 
@@ -46,16 +47,6 @@ const char *kUsage =
     "\n"
     "SIGTERM/SIGINT drain in-flight jobs; exit 0 means no job was\n"
     "leaked.\n";
-
-bool
-parseInt(const std::string &text, long long &out)
-{
-    if (text.empty() ||
-        text.find_first_not_of("0123456789") != std::string::npos)
-        return false;
-    out = std::stoll(text);
-    return true;
-}
 
 } // namespace
 
@@ -106,18 +97,19 @@ main(int argc, char **argv)
             continue;
         }
 
-        long long n = 0;
+        int n = 0;
+        std::uint64_t quota = 0;
         if (key == "--socket" && need()) {
             cfg.socketPath = value;
         } else if (key == "--max-active" && need() &&
                    parseInt(value, n) && n > 0) {
-            cfg.maxActive = static_cast<int>(n);
+            cfg.maxActive = n;
         } else if (key == "--job-quota" && need() &&
-                   parseInt(value, n)) {
-            cfg.jobQuota = static_cast<std::uint64_t>(n);
+                   parseInt(value, quota)) {
+            cfg.jobQuota = quota;
         } else if (key == "--drain-wait-ms" && need() &&
                    parseInt(value, n) && n >= 0) {
-            cfg.drainWaitMs = static_cast<int>(n);
+            cfg.drainWaitMs = n;
         } else {
             std::cerr << "canond: bad flag or value '" << args[i]
                       << "'\n\n" << kUsage;

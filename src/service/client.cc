@@ -1,24 +1,12 @@
 #include "service/client.hh"
 
-#include <cstdlib>
-
+#include "common/parse.hh"
 #include "service/render.hh"
 
 namespace canon
 {
 namespace service
 {
-
-namespace
-{
-
-std::uint64_t
-parseU64(const std::string &text)
-{
-    return std::strtoull(text.c_str(), nullptr, 10);
-}
-
-} // namespace
 
 std::string
 Client::connect(const std::string &socketPath)
@@ -50,10 +38,13 @@ Client::connect(const std::string &socketPath)
     KvPairs records;
     if (decodeKv(reply.payload, records, error)) {
         for (const auto &kv : records) {
-            if (kv.first == "workers")
-                daemon_workers_ = static_cast<int>(parseU64(kv.second));
-            else if (kv.first == "cache")
+            if (kv.first == "workers" &&
+                !parseInt(kv.second, daemon_workers_)) {
+                fd_.reset();
+                return "malformed handshake reply: workers=" + kv.second;
+            } else if (kv.first == "cache") {
                 daemon_cache_on_ = kv.second == "on";
+            }
         }
     }
     return "";
@@ -148,13 +139,17 @@ Client::submit(const SubmitBody &body, const ResultFn &onResult,
                 error = "malformed accepted frame: " + kv_error;
                 return false;
             }
-            for (const auto &kv : records) {
-                if (kv.first == "job")
-                    outcome.jobId = parseU64(kv.second);
-                else if (kv.first == "scenarios")
-                    outcome.scenarios = parseU64(kv.second);
-                else if (kv.first == "predicted_jobs")
-                    outcome.predictedJobs = parseU64(kv.second);
+            for (const auto &[key, value] : records) {
+                std::uint64_t *field =
+                    key == "job"              ? &outcome.jobId
+                    : key == "scenarios"      ? &outcome.scenarios
+                    : key == "predicted_jobs" ? &outcome.predictedJobs
+                                              : nullptr;
+                if (field && !parseInt(value, *field)) {
+                    error = "malformed accepted field '" + key + "=" +
+                            value + "'";
+                    return false;
+                }
             }
             break;
           }

@@ -1,7 +1,6 @@
 #include "service/daemon.hh"
 
 #include <chrono>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
@@ -9,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/parse.hh"
 #include "engine/registry.hh"
 #include "obs/host.hh"
 #include "service/render.hh"
@@ -247,13 +247,14 @@ Daemon::handleConnection(Connection *conn)
             break;
           case MsgType::Cancel: {
             stats_.cancelRequests.fetch_add(1);
+            // Job ids start at 1, so a malformed body looks up job 0
+            // and finds nothing.
             KvPairs records;
             std::uint64_t job_id = 0;
             if (decodeKv(frame.payload, records, error)) {
                 for (const auto &kv : records)
-                    if (kv.first == "job")
-                        job_id = std::strtoull(kv.second.c_str(),
-                                               nullptr, 10);
+                    if (kv.first == "job" && !parseInt(kv.second, job_id))
+                        job_id = 0;
             }
             bool found = false;
             {
@@ -364,8 +365,7 @@ Daemon::handleSubmit(const Fd &fd, const SubmitBody &body)
     }
 
     const std::uint64_t wait_t0 = obs::hostNowUs();
-    const Ticket ticket =
-        admission_.enqueue(body.priority, body.client, predicted);
+    const Ticket ticket = admission_.enqueue(body.priority, body.client);
     const bool granted = admission_.awaitGrant(ticket);
     const std::uint64_t queue_wait = obs::hostNowUs() - wait_t0;
     stats_.queueWaitUsTotal.fetch_add(queue_wait);

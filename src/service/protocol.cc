@@ -4,36 +4,12 @@
 #include <cstring>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace canon
 {
 namespace service
 {
-
-namespace
-{
-
-/** Parse a non-negative decimal u64; false on junk or overflow. */
-bool
-parseU64(const std::string &text, std::uint64_t &out)
-{
-    if (text.empty() || text.size() > 20)
-        return false;
-    std::uint64_t v = 0;
-    for (char c : text) {
-        if (c < '0' || c > '9')
-            return false;
-        const std::uint64_t digit =
-            static_cast<std::uint64_t>(c - '0');
-        if (v > (UINT64_MAX - digit) / 10)
-            return false;
-        v = v * 10 + digit;
-    }
-    out = v;
-    return true;
-}
-
-} // namespace
 
 bool
 knownMsgType(std::uint8_t type)
@@ -246,15 +222,11 @@ decodeSubmit(const std::string &payload, SubmitBody &out,
             out.client = value;
             have_client = true;
         } else if (key == "priority") {
-            std::uint64_t p = 0;
-            bool neg = !value.empty() && value[0] == '-';
-            if (!parseU64(neg ? value.substr(1) : value, p) ||
-                p > 1000) {
+            if (!parseInt(value, out.priority) || out.priority < -1000 ||
+                out.priority > 1000) {
                 error = "malformed priority '" + value + "'";
                 return false;
             }
-            out.priority =
-                neg ? -static_cast<int>(p) : static_cast<int>(p);
             have_priority = true;
         } else if (key.rfind("opt.", 0) == 0) {
             if (key.size() == 4) {
@@ -343,7 +315,7 @@ decodeDone(const std::string &payload, DoneBody &out,
             continue;
         }
         std::uint64_t v = 0;
-        if (!parseU64(value, v)) {
+        if (!parseInt(value, v)) {
             error = "malformed done field '" + key + "=" + value +
                     "'";
             return false;

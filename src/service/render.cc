@@ -1,5 +1,6 @@
 #include "service/render.hh"
 
+#include "common/parse.hh"
 #include "runner/aggregate.hh"
 
 namespace canon
@@ -76,12 +77,10 @@ decodeResultFrame(const std::string &payload, std::size_t &index,
         return false;
     }
     const std::string num = payload.substr(6, line_end - 6);
-    if (num.empty() ||
-        num.find_first_not_of("0123456789") != std::string::npos) {
+    if (!parseInt(num, index)) {
         error = "malformed result index '" + num + "'";
         return false;
     }
-    index = static_cast<std::size_t>(std::stoull(num));
     text = payload.substr(line_end + 2);
     error.clear();
     return true;

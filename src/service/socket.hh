@@ -59,9 +59,6 @@ class Fd
     /** shutdown(2) the read side: wakes a blocked reader with EOF. */
     void shutdownRead() const;
 
-    /** shutdown(2) both sides. */
-    void shutdownBoth() const;
-
   private:
     int fd_ = -1;
 };

@@ -25,6 +25,7 @@
 #include "cli/driver.hh"
 #include "cli/options.hh"
 #include "engine/engine.hh"
+#include "fuzz.hh"
 #include "runner/pool.hh"
 #include "runner/sweep.hh"
 
@@ -258,6 +259,33 @@ TEST(Payload, RowsRoundTripThroughHostileCells)
     EXPECT_FALSE(decodeRows("rows 18446744073709551615\n", out));
     EXPECT_FALSE(decodeRows("rows 1\nrow 1000000000\ncell 1\na\n",
                             out));
+}
+
+TEST(Payload, FuzzedPayloadsNeverThrow)
+{
+    // Store files are untrusted bytes: every decode of byte soup, a
+    // truncated or mutated entry, or an overlong number returns true
+    // or false and never throws.
+    CaseResult cases;
+    ExecutionProfile p;
+    p.arch = "canon";
+    p.workload = "spmm proxy";
+    p.cycles = 1234;
+    p.peCount = 64;
+    p.activity = {{"laneMacs", 99ull}, {"offchipBytes", 7ull}};
+    cases["canon"] = p;
+    const RowTable rows = {{"a", "1,000"}, {"", "line\nbreak"}};
+
+    CaseResult cases_out;
+    RowTable rows_out;
+    for (const auto &bytes : fuzzInputs(encodeCaseResult(cases), 11))
+        EXPECT_NO_THROW(decodeCaseResult(bytes, cases_out));
+    for (const auto &bytes : fuzzInputs(encodeRows(rows), 12))
+        EXPECT_NO_THROW(decodeRows(bytes, rows_out));
+    // A cell length of 2^64 - 1 must not wrap the cursor into a
+    // successful decode.
+    EXPECT_FALSE(decodeRows("rows 1\nrow 1\ncell 18446744073709551615\n",
+                            rows_out));
 }
 
 // ---- the store --------------------------------------------------------

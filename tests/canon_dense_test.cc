@@ -94,7 +94,8 @@ TEST(CanonGemm, HighUtilization)
     CanonFabric fabric(cfg);
     fabric.load(mapGemm(a, b, cfg));
     fabric.run();
-    EXPECT_GT(fabric.utilization(), 0.5);
+    EXPECT_GT(fabric.profile("gemm").utilization(cfg.numPes() * kSimdWidth),
+              0.5);
 }
 
 struct NmParam

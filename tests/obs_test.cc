@@ -615,7 +615,7 @@ TEST(Accounting, DisabledRunRegistersNoExtraPartitions)
         } else {
             fabric.run();
         }
-        return fabric.schedulePartitions();
+        return fabric.phaseGroups();
     };
     const std::size_t base = partitions(false, 0);
     EXPECT_EQ(partitions(true, 0), base + 1);

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "pe/pe.hh"
-#include "sim/simulator.hh"
 
 namespace canon
 {
@@ -32,10 +31,6 @@ class PeHarness
         pe.router().bindOut(Dir::South, &south);
         pe.router().bindIn(Dir::West, &west);
         pe.router().bindOut(Dir::East, &east);
-        sim.addTyped(&pipe);
-        sim.addTyped(&pe);
-        sim.addTyped(&committer);
-        committer.chans = {&north, &south, &east, &west};
     }
 
     void
@@ -44,7 +39,16 @@ class PeHarness
         pipe.issue(i);
     }
 
-    void step() { sim.step(); }
+    /** One cycle: the PE computes, then everything commits. */
+    void
+    step()
+    {
+        pe.tickCompute();
+        pipe.tickCommit();
+        pe.tickCommit();
+        for (auto *ch : {&north, &south, &east, &west})
+            ch->commit();
+    }
 
     void
     run(int cycles)
@@ -53,24 +57,10 @@ class PeHarness
             step();
     }
 
-    struct Committer : Clocked
-    {
-        std::vector<ChannelFifo<Vec4> *> chans;
-        void tickCompute() override {}
-        void
-        tickCommit() override
-        {
-            for (auto *c : chans)
-                c->commit();
-        }
-    };
-
     StatGroup stats;
-    Simulator sim;
     Pe pe;
     InstPipeline pipe;
     DataChannel north, south, east, west;
-    Committer committer;
 };
 
 Instruction

@@ -18,6 +18,7 @@
 #include <thread>
 
 #include "common/rng.hh"
+#include "fuzz.hh"
 #include "service/admission.hh"
 #include "service/client.hh"
 #include "service/daemon.hh"
@@ -295,15 +296,50 @@ TEST(ResultFrame, RoundTripsIndexAndText)
                                    error));
 }
 
+TEST(ResultFrame, FuzzedPayloadsNeverThrow)
+{
+    // Submit bodies reach the daemon and Done/Result payloads reach
+    // canonctl from a socket: every decode of byte soup, a truncated
+    // or mutated payload, or an overlong number returns true or
+    // false and never throws.
+    SubmitBody body;
+    body.client = "alice";
+    body.priority = -2;
+    body.opt("workload", "spmm").sweep("sparsity", "0.3,0.7");
+    DoneBody done;
+    done.jobId = 42;
+    done.scenarios = 9;
+    done.queueWaitUs = 12345;
+    runner::ScenarioResult r;
+    r.error = "boom";
+    std::string error;
+    const std::string submit = encodeSubmit(body, error);
+    const std::string done_payload = encodeDone(done, error);
+    ASSERT_TRUE(error.empty()) << error;
+
+    SubmitBody body_out;
+    DoneBody done_out;
+    std::size_t index = 0;
+    std::string text;
+    for (const auto &bytes : fuzzInputs(submit, 21))
+        EXPECT_NO_THROW(decodeSubmit(bytes, body_out, error));
+    for (const auto &bytes : fuzzInputs(done_payload, 22))
+        EXPECT_NO_THROW(decodeDone(bytes, done_out, error));
+    for (const auto &bytes : fuzzInputs(encodeResultFrame(12, r), 23))
+        EXPECT_NO_THROW(decodeResultFrame(bytes, index, text, error));
+    EXPECT_FALSE(decodeResultFrame("index=123456789012345678901234\n\nx",
+                                   index, text, error));
+}
+
 // ---- admission policy -------------------------------------------------
 
 TEST(Admission, PriorityThenFairnessThenArrival)
 {
     std::map<std::string, std::uint64_t> admitted;
     std::vector<Ticket> waiting = {
-        {0, 0, "a", 0},
-        {1, 5, "b", 0},
-        {2, 5, "c", 0},
+        {0, 0, "a"},
+        {1, 5, "b"},
+        {2, 5, "c"},
     };
     // Highest priority wins; equal priorities fall to arrival.
     EXPECT_EQ(pickNext(waiting, admitted), 1u);
@@ -319,16 +355,16 @@ TEST(Admission, PriorityThenFairnessThenArrival)
 
     // Priority always dominates fairness.
     admitted["a"] = 0;
-    waiting.push_back({3, 9, "b", 0});
+    waiting.push_back({3, 9, "b"});
     EXPECT_EQ(pickNext(waiting, admitted), 3u);
 }
 
 TEST(Admission, QueueGrantsAtMostMaxActiveAndCloseWakes)
 {
     AdmissionQueue q(2);
-    const Ticket t1 = q.enqueue(0, "a", 0);
-    const Ticket t2 = q.enqueue(0, "b", 0);
-    const Ticket t3 = q.enqueue(0, "c", 0);
+    const Ticket t1 = q.enqueue(0, "a");
+    const Ticket t2 = q.enqueue(0, "b");
+    const Ticket t3 = q.enqueue(0, "c");
     EXPECT_TRUE(q.awaitGrant(t1));
     EXPECT_TRUE(q.awaitGrant(t2));
     EXPECT_EQ(q.activeCount(), 2);
@@ -346,14 +382,14 @@ TEST(Admission, QueueGrantsAtMostMaxActiveAndCloseWakes)
     EXPECT_TRUE(granted.load());
 
     // Close wakes and refuses late arrivals.
-    const Ticket t4 = q.enqueue(0, "d", 0);
+    const Ticket t4 = q.enqueue(0, "d");
     std::thread closer([&] {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
         q.close();
     });
     EXPECT_FALSE(q.awaitGrant(t4));
     closer.join();
-    EXPECT_FALSE(q.awaitGrant(q.enqueue(0, "e", 0)));
+    EXPECT_FALSE(q.awaitGrant(q.enqueue(0, "e")));
 }
 
 // ---- daemon end-to-end ------------------------------------------------
@@ -662,9 +698,26 @@ TEST(Daemon, CancelFromASecondConnection)
                 return;
             cancel_sent = true;
             // outcome.jobId is filled by the Accepted frame, which
-            // precedes every Result frame on this connection.
-            bool found = false;
+            // precedes every Result frame on this connection. A
+            // malformed id never matches the live job.
             std::string cancel_error;
+            Fd raw = connectUnix(fx.daemon->config().socketPath,
+                                 cancel_error);
+            FrameDecoder dec;
+            Frame reply;
+            ASSERT_TRUE(sendFrame(
+                raw, Frame{MsgType::Hello, "proto=canon-rpc-1\n"}));
+            ASSERT_EQ(readFrame(raw, dec, reply, cancel_error),
+                      ReadStatus::Frame);
+            ASSERT_TRUE(sendFrame(
+                raw, Frame{MsgType::Cancel,
+                           "job=" + std::to_string(outcome.jobId) +
+                               "x\n"}));
+            ASSERT_EQ(readFrame(raw, dec, reply, cancel_error),
+                      ReadStatus::Frame);
+            EXPECT_EQ(reply.payload, "found=0\n");
+
+            bool found = false;
             EXPECT_TRUE(killer.cancel(outcome.jobId, found,
                                       cancel_error))
                 << cancel_error;

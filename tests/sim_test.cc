@@ -1,8 +1,8 @@
 /**
  * @file
- * Simulation-kernel tests: two-phase channel semantics, the
- * watchdog, the staggered instruction pipeline (the 3-cycle offset of
- * Figure 2/3), and message-channel timing alignment.
+ * Simulation-kernel tests: two-phase channel semantics, the staggered
+ * instruction pipeline (the 3-cycle offset of Figure 2/3), and
+ * message-channel timing alignment.
  */
 
 #include <gtest/gtest.h>
@@ -10,8 +10,6 @@
 #include "noc/inst_pipeline.hh"
 #include "orch/msg_channel.hh"
 #include "sim/latch.hh"
-#include "sim/schedule.hh"
-#include "sim/simulator.hh"
 
 namespace canon
 {
@@ -66,134 +64,6 @@ TEST(ChannelFifo, StagedPushCountsAgainstCapacity)
     ch.pop();     // frees space only next cycle
     ch.push(2);   // 1 resident + 1 staged = at capacity
     EXPECT_FALSE(ch.canPush());
-}
-
-namespace
-{
-
-class TickCounter : public Clocked
-{
-  public:
-    int computes = 0;
-    int commits = 0;
-    void tickCompute() override { ++computes; }
-    void tickCommit() override { ++commits; }
-};
-
-} // namespace
-
-TEST(Simulator, PhasesAndCycleCount)
-{
-    Simulator sim;
-    TickCounter a, b;
-    sim.addTyped(&a);
-    sim.addTyped(&b);
-    sim.runFor(5);
-    EXPECT_EQ(sim.now(), 5u);
-    EXPECT_EQ(a.computes, 5);
-    EXPECT_EQ(b.commits, 5);
-}
-
-TEST(Simulator, WatchdogPanics)
-{
-    Simulator sim;
-    EXPECT_THROW(sim.run([] { return false; }, 100), PanicError);
-}
-
-TEST(Simulator, RunUntilPredicate)
-{
-    Simulator sim;
-    const auto n = sim.run([&] { return sim.now() >= 7; });
-    EXPECT_EQ(n, 7u);
-}
-
-TEST(TickSchedule, TypedComponentsShareOnePartition)
-{
-    TickSchedule sched;
-    MsgChannel a("a"), b("b");
-    sched.add(&a);
-    sched.add(&b);
-    EXPECT_EQ(sched.partitionCount(), 1u);
-    // A base-pointer component gets the Clocked partition.
-    TickCounter v;
-    sched.add<Clocked>(&v);
-    EXPECT_EQ(sched.partitionCount(), 2u);
-}
-
-TEST(TickSchedule, DeadPhaseElision)
-{
-    // FifoCommitList declares kHasTickCompute = false: ticking the
-    // schedule's compute pass must leave its channels untouched, and
-    // the commit pass must publish them.
-    TickSchedule sched;
-    ChannelFifo<int> ch(4, "t");
-    FifoCommitList<int> commits;
-    commits.add(&ch);
-    sched.add(&commits);
-    ch.push(7);
-    sched.tickCompute();
-    EXPECT_TRUE(ch.empty()); // compute pass skipped the dead phase
-    sched.tickCommit();
-    ASSERT_FALSE(ch.empty());
-    EXPECT_EQ(ch.front(), 7);
-}
-
-/**
- * An external/test component registered by base pointer (the Clocked
- * partition, ticked through virtual calls), observing a typed
- * component (MsgChannel) from within the phases. Delivery latency
- * must be exactly what a monolithic virtual loop produced: the
- * Clocked partition ticks in-phase with the concrete ones.
- */
-class LatencyProbe : public Clocked
-{
-  public:
-    explicit LatencyProbe(MsgChannel *ch) : ch_(ch) {}
-
-    int observedLatency = -1;
-
-    void
-    tickCompute() override
-    {
-        if (cycle_ == 0)
-            ch_->push({kMsgPsum, 9});
-        if (observedLatency < 0 && !ch_->empty())
-            observedLatency = cycle_;
-    }
-
-    void tickCommit() override { ++cycle_; }
-
-  private:
-    MsgChannel *ch_;
-    int cycle_ = 0;
-};
-
-TEST(Simulator, VirtualResidualTicksInPhaseWithTypedPartitions)
-{
-    Simulator sim;
-    MsgChannel ch("msg");
-    LatencyProbe probe(&ch);
-    sim.addTyped(&ch);                // concrete-type partition
-    sim.addTyped<Clocked>(&probe);    // virtual-call partition
-    sim.runFor(10);
-    // Pushed during cycle 0's compute; consumable stagger + 1 cycles
-    // later, as MsgChannel guarantees for orchestrators.
-    EXPECT_EQ(probe.observedLatency, kIssueStagger + 1);
-}
-
-TEST(Simulator, TypedAndVirtualMixCountsCycles)
-{
-    Simulator sim;
-    TickCounter v;
-    MsgChannel m("m");
-    InstPipeline p(2);
-    sim.addTyped(&m);
-    sim.addTyped(&p);
-    sim.addTyped<Clocked>(&v);
-    sim.runFor(4);
-    EXPECT_EQ(v.computes, 4);
-    EXPECT_EQ(v.commits, 4);
-    EXPECT_EQ(sim.now(), 4u);
 }
 
 TEST(InstPipeline, StaggerIsThreeCyclesPerColumn)
