@@ -139,7 +139,12 @@ int
 FigureBench::run(const BenchOptions &opt, std::ostream &out,
                  std::ostream &err) const
 {
-    setQuiet(true);
+    if (wall_clock_ && !opt.common.cacheDir.empty()) {
+        err << name_ << ": wall-clock cells are measured on every run;"
+                        " --cache-dir is not accepted\n\n"
+            << benchUsageText();
+        return 2;
+    }
 
     // The job list: every table's grid, tables in declaration order.
     struct JobRef
@@ -153,6 +158,9 @@ FigureBench::run(const BenchOptions &opt, std::ostream &out,
         for (auto &p : tables_[t].grid.expand())
             all.push_back({t, std::move(p)});
     const std::size_t total = all.size();
+    // Obs scenarios and failures are named by their global index.
+    const std::size_t first =
+        runner::shardRange(opt.common.shard, total).first;
     const std::vector<JobRef> jobs =
         runner::shardSlice(opt.common.shard, std::move(all));
     if (!opt.common.shard.whole())
@@ -160,7 +168,7 @@ FigureBench::run(const BenchOptions &opt, std::ostream &out,
             << " jobs (shard " << opt.common.shard.label() << ")\n";
 
     engine::Engine eng(
-        engine::makeEngineConfig(opt.common, default_jobs_));
+        engine::makeEngineConfig(opt.common, wall_clock_ ? 1 : 0));
     if (std::string serr = eng.prepare(); !serr.empty()) {
         err << name_ << ": " << serr << "\n";
         return 1;
@@ -193,8 +201,8 @@ FigureBench::run(const BenchOptions &opt, std::ostream &out,
     // Every job was attempted; report the lowest-indexed failure.
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         if (!status[i].error.empty()) {
-            err << name_ << ": job " << i << ": " << status[i].error
-                << "\n";
+            err << name_ << ": job " << first + i << ": "
+                << status[i].error << "\n";
             return 1;
         }
     }
@@ -228,7 +236,7 @@ FigureBench::run(const BenchOptions &opt, std::ostream &out,
         std::vector<engine::ObsScenario> scenarios;
         scenarios.reserve(jobs.size());
         for (std::size_t i = 0; i < jobs.size(); ++i)
-            scenarios.push_back({i,
+            scenarios.push_back({first + i,
                                  tables_[jobs[i].table].title + ": " +
                                      jobs[i].point.label,
                                  {}, {}, {}, status[i].obs});

@@ -149,13 +149,15 @@ class FigureBench
     explicit FigureBench(std::string name) : name_(std::move(name)) {}
 
     /**
-     * Worker-thread default when --jobs is absent. 0 (the initial
-     * value) means hardware concurrency; wall-clock-timing benches
-     * set 1 so measurements do not contend by default.
+     * Mark the cells as wall-clock measurements. The bench then runs
+     * on one worker unless --jobs says otherwise, so timing rows do
+     * not contend, and --cache-dir is a usage error, so no run
+     * replays another run's timings. Other benches default to
+     * hardware concurrency.
      */
-    FigureBench &defaultJobs(int jobs)
+    FigureBench &wallClock()
     {
-        default_jobs_ = jobs;
+        wall_clock_ = true;
         return *this;
     }
 
@@ -172,7 +174,7 @@ class FigureBench
      * render every table (and CSV) in declaration order. Returns a
      * process exit code: 0 on success, 1 when a job failed (the
      * lowest-indexed failure is reported) or an output could not be
-     * written.
+     * written, 2 when a wall-clock bench is given a cache.
      */
     int run(const BenchOptions &opt, std::ostream &out,
             std::ostream &err) const;
@@ -182,7 +184,7 @@ class FigureBench
 
   private:
     std::string name_;
-    int default_jobs_ = 0;
+    bool wall_clock_ = false;
     std::vector<FigureTable> tables_;
 };
 

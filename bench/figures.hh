@@ -17,8 +17,6 @@
 #ifndef CANON_BENCH_FIGURES_HH
 #define CANON_BENCH_FIGURES_HH
 
-#include <vector>
-
 #include "figure_spec.hh"
 
 namespace canon
@@ -39,16 +37,6 @@ FigureBench table1Bench();    //!< evaluated configuration
 FigureBench adaptiveSpadBench(); //!< sparsity-aware depth ablation
 FigureBench rowReorderBench();   //!< row-reorganization ablation
 FigureBench simThroughputBench(); //!< simulator self-timing
-
-/** One registry row: binary name -> its FigureBench builder. */
-struct FigureEntry
-{
-    const char *binary;
-    FigureBench (*build)();
-};
-
-/** Every figure bench binary, in bench/ listing order. */
-const std::vector<FigureEntry> &figureRegistry();
 
 } // namespace bench
 } // namespace canon

@@ -8,9 +8,11 @@
  *
  * Unlike the figure benches, the cell values here are wall-clock
  * rates, so they are *not* reproducible byte-for-byte across runs or
- * hosts -- only the table structure is. The binary therefore defaults
- * to --jobs 1: timing rows that share the machine contend and
- * undercount. Raise --jobs only to smoke-test the harness.
+ * hosts -- only the table structure is. The bench is therefore marked
+ * wallClock(): it defaults to --jobs 1, because timing rows that share
+ * the machine contend and undercount, and it refuses --cache-dir,
+ * because a cached row would replay an old measurement. Raise --jobs
+ * only to smoke-test the harness.
  */
 
 #include "figures.hh"
@@ -160,7 +162,7 @@ FigureBench
 simThroughputBench()
 {
     FigureBench bench("bench_sim_throughput");
-    bench.defaultJobs(1); // timing rows must not contend by default
+    bench.wallClock();
 
     FigureTable t;
     t.title = "Simulation throughput microbenchmarks";

@@ -21,8 +21,8 @@
 
 #include <iostream>
 
+#include "cli/options.hh"
 #include "engine/engine.hh"
-#include "engine/registry.hh"
 
 using namespace canon;
 
@@ -99,10 +99,10 @@ main()
     bad.set("sparsity", "1.5");
     std::cout << "rejected: " << bad.error() << "\n";
 
-    // --- 7. and the registry says what can run ----------------------
-    std::cout << "engine knows " << engine::workloadRegistry().size()
-              << " workloads, " << engine::modelRegistry().size()
-              << " models, " << engine::archRegistry().size()
+    // --- 7. and the CLI's tables say what can run -------------------
+    std::cout << "engine knows " << cli::workloadTable().size()
+              << " workloads, " << knownModelNames().size()
+              << " models, " << cli::knownArchs().size()
               << " architectures\n";
     return 0;
 }

@@ -16,7 +16,6 @@ using namespace canon::bench;
 int
 main()
 {
-    setQuiet(true);
     ArchSuite suite;
     EnergyModel energy;
 

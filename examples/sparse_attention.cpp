@@ -30,7 +30,6 @@ using namespace canon;
 int
 main()
 {
-    setQuiet(true);
     Rng rng(7);
     const int seq = 64, head_dim = 32;
 

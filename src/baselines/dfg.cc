@@ -1,26 +1,7 @@
 #include "baselines/dfg.hh"
 
-#include <algorithm>
-
 namespace canon
 {
-
-const char *
-dfgOpName(DfgOp op)
-{
-    switch (op) {
-      case DfgOp::Load: return "load";
-      case DfgOp::Store: return "store";
-      case DfgOp::Mul: return "mul";
-      case DfgOp::Add: return "add";
-      case DfgOp::Sub: return "sub";
-      case DfgOp::Mac: return "mac";
-      case DfgOp::Cmp: return "cmp";
-      case DfgOp::Select: return "select";
-      case DfgOp::Shift: return "shift";
-    }
-    return "?";
-}
 
 std::vector<int>
 Dfg::topoOrder() const
@@ -56,22 +37,6 @@ Dfg::topoOrder() const
             ": cycle detected (use recurrence MII for loop-carried "
             "dependences)");
     return order;
-}
-
-int
-Dfg::criticalPath() const
-{
-    std::vector<int> finish(static_cast<std::size_t>(size()), 0);
-    int best = 0;
-    for (int v : topoOrder()) {
-        int start = 0;
-        for (int p : preds(v))
-            start = std::max(start,
-                             finish[static_cast<std::size_t>(p)]);
-        finish[static_cast<std::size_t>(v)] = start + node(v).latency;
-        best = std::max(best, finish[static_cast<std::size_t>(v)]);
-    }
-    return best;
 }
 
 } // namespace canon

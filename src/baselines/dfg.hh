@@ -31,8 +31,6 @@ enum class DfgOp : std::uint8_t
     Shift,
 };
 
-const char *dfgOpName(DfgOp op);
-
 struct DfgNode
 {
     int id;
@@ -82,9 +80,6 @@ class Dfg
     /** Topological order; panics on a cycle (loop-carried deps are
      *  expressed as a recurrence MII, not as graph edges). */
     std::vector<int> topoOrder() const;
-
-    /** Length (in latency) of the longest path. */
-    int criticalPath() const;
 
   private:
     std::string name_;

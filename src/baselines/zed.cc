@@ -105,16 +105,6 @@ ZedModel::gemm(std::int64_t m, std::int64_t k, std::int64_t n) const
 }
 
 ExecutionProfile
-ZedModel::sddmm(const CsrMatrix &mask, std::int64_t k) const
-{
-    std::vector<std::int64_t> work;
-    work.reserve(static_cast<std::size_t>(mask.rows()));
-    for (int m = 0; m < mask.rows(); ++m)
-        work.push_back(mask.rowNnz(m));
-    return runRows(work, k, "sddmm", kSddmmFetchFactor);
-}
-
-ExecutionProfile
 ZedModel::sddmmRows(const std::vector<std::int64_t> &mask_row_nnz,
                     std::int64_t k) const
 {

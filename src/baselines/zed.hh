@@ -58,8 +58,6 @@ class ZedModel
                           std::int64_t n) const;
 
     /** SDDMM: per output row, work = mask-row-nnz * K. */
-    ExecutionProfile sddmm(const CsrMatrix &mask, std::int64_t k) const;
-
     ExecutionProfile sddmmRows(
         const std::vector<std::int64_t> &mask_row_nnz,
         std::int64_t k) const;

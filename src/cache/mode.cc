@@ -5,24 +5,6 @@ namespace canon
 namespace cache
 {
 
-const char *
-modeName(Mode mode)
-{
-    switch (mode) {
-      case Mode::Off:
-        return "off";
-      case Mode::Read:
-        return "read";
-      case Mode::Write:
-        return "write";
-      case Mode::ReadWrite:
-        return "readwrite";
-      case Mode::Refresh:
-        return "refresh";
-    }
-    return "?";
-}
-
 std::string
 parseMode(const std::string &text, Mode &out)
 {

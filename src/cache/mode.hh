@@ -36,9 +36,6 @@ enum class Mode : std::uint8_t
     Refresh,
 };
 
-/** Canonical CLI spelling of @p mode ("readwrite", "refresh", ...). */
-const char *modeName(Mode mode);
-
 /**
  * Parse the --cache argument (off | read | write | readwrite |
  * refresh). Returns an empty string on success, otherwise the error

@@ -2,8 +2,8 @@
  * @file
  * The canonsim execution driver: a thin adapter that turns validated
  * Options into an engine::ScenarioRequest, submits it to a
- * canon::engine::Engine (which owns the worker pool, the result
- * cache, and the arch registry), and renders the returned ResultSet
+ * canon::engine::Engine (which owns the worker pool and the result
+ * cache), and renders the returned ResultSet
  * as the classic stats tables. --dry-run renders the engine's plan
  * (scenario list, cache keys, hit/miss forecast) instead of running.
  *

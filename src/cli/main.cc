@@ -9,7 +9,6 @@
 
 #include "cli/driver.hh"
 #include "cli/options.hh"
-#include "engine/registry.hh"
 
 int
 main(int argc, char **argv)
@@ -28,9 +27,9 @@ main(int argc, char **argv)
         return 0;
     }
     if (parsed.options.listWorkloads) {
-        // Introspection straight from the engine registry, so the
+        // Rendered from the tables the option grammar reads, so the
         // listing cannot drift from what the engine accepts.
-        std::cout << canon::engine::listText();
+        std::cout << listText();
         return 0;
     }
     return runScenario(parsed.options, std::cout, std::cerr);

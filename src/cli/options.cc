@@ -164,7 +164,7 @@ constexpr OptionRule kOptionTable[] = {
          if (!parseDouble(v, s) || !(s >= 0.0 && s < 1.0))
              return "option '--sparsity' expects a number in [0, 1),"
                     " got '" + v + "'";
-         o.sparsity = s;
+         o.sparsity = s == 0.0 ? 0.0 : s; // "-0" is the scenario "0"
          o.sparsitySet = true;
          return {};
      },
@@ -477,6 +477,45 @@ keyedOptionText(const Options &opt)
     return out;
 }
 
+std::string
+listText()
+{
+    auto pad = [](const std::string &s, std::size_t width) {
+        return s.size() >= width ? s + " "
+                                 : s + std::string(width - s.size(), ' ');
+    };
+    auto join = [](const std::vector<std::string> &items) {
+        std::string out;
+        for (const auto &item : items)
+            out += (out.empty() ? "" : " ") + item;
+        return out;
+    };
+
+    std::ostringstream oss;
+    oss << "Workloads (--workload W; each consumes exactly the"
+           " listed options):\n";
+    for (const auto &w : workloadTable())
+        oss << "  " << pad(w.name, 14) << pad(join(w.options), 31)
+            << w.summary << "\n";
+
+    oss << "\nModels (--model M; layer shapes are pinned by the"
+           " model):\n";
+    for (const auto &name : knownModelNames()) {
+        Options opt;
+        opt.model = name;
+        oss << "  " << pad(name, 16) << join(relevantScenarioKeys(opt))
+            << "\n";
+    }
+
+    oss << "\nArchitectures (--arch A[,A...]): " << join(knownArchs())
+        << "\n";
+
+    oss << "\nSweepable options (--sweep K=V1,V2,...):\n  "
+        << join(scenarioOptionKeys()) << "\n";
+    oss << "Fabric options (relevant to every scenario): "
+        << join(fabricOptionKeys()) << "\n";
+    return oss.str();
+}
 
 const char *
 usageText()

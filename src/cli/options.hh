@@ -162,8 +162,8 @@ const char *workloadName(Workload w);
 /**
  * Every key applyScenarioOption accepts, in canonical order (the
  * scenario selectors and shapes, then the fabric keys). This is the
- * sweepable-option vocabulary the engine registry advertises; a
- * drift test round-trips each key through the option grammar.
+ * sweepable-option vocabulary listText() advertises; a drift test
+ * round-trips each key through the option grammar.
  */
 const std::vector<std::string> &scenarioOptionKeys();
 
@@ -229,6 +229,13 @@ std::string optionValueText(const Options &opt, const std::string &key);
  * part of cache::scenarioKey.
  */
 std::string keyedOptionText(const Options &opt);
+
+/**
+ * The `canonsim --list` report (also canond's List reply), rendered
+ * from the workload table, knownModelNames(), knownArchs() and the
+ * option table, so it cannot drift from what the grammar accepts.
+ */
+std::string listText();
 
 } // namespace cli
 } // namespace canon

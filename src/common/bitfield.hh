@@ -1,8 +1,9 @@
 /**
  * @file
- * Bit-slice helpers used by the instruction encoder and the orchestrator
- * LUT bitstream packer. All ranges are [hi:lo] inclusive, LSB-0, matching
- * conventional RTL notation.
+ * Bit and integer helpers. The orchestrator LUT packer checks that
+ * every field fits its slot of the 48-bit LUT word with insertBits.
+ * Ranges are [hi:lo] inclusive, LSB-0, matching conventional RTL
+ * notation.
  */
 
 #ifndef CANON_COMMON_BITFIELD_HH
@@ -23,13 +24,6 @@ mask(int hi, int lo)
     std::uint64_t m =
         width >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);
     return m << lo;
-}
-
-/** Extract bits [hi:lo] of @p val, right-aligned. */
-constexpr std::uint64_t
-bits(std::uint64_t val, int hi, int lo)
-{
-    return (val & mask(hi, lo)) >> lo;
 }
 
 /** Return @p val with bits [hi:lo] replaced by @p field. */
@@ -54,19 +48,6 @@ constexpr std::uint64_t
 divCeil(std::uint64_t a, std::uint64_t b)
 {
     return (a + b - 1) / b;
-}
-
-/** Number of bits needed to represent values in [0, n). */
-constexpr int
-bitsFor(std::uint64_t n)
-{
-    int b = 0;
-    std::uint64_t v = 1;
-    while (v < n) {
-        v <<= 1;
-        ++b;
-    }
-    return b;
 }
 
 } // namespace canon

@@ -1,13 +1,11 @@
 /**
  * @file
- * Error and status reporting helpers, following the gem5 discipline:
+ * Error reporting helpers, following the gem5 discipline:
  *
  *  - panic():  an internal invariant was violated -- a simulator bug.
  *              Aborts (throws PanicError so tests can assert on it).
  *  - fatal():  the user asked for something the simulator cannot do
  *              (bad configuration, invalid arguments). Throws FatalError.
- *  - warn():   something is modelled approximately; execution continues.
- *  - inform(): plain status output.
  *
  * Both panic() and fatal() throw rather than calling std::abort()/exit()
  * so that unit tests can exercise error paths; uncaught, they terminate
@@ -51,14 +49,7 @@ concat(Args &&...args)
     return os.str();
 }
 
-void emitWarn(const std::string &msg);
-void emitInform(const std::string &msg);
-bool &quietFlag();
-
 } // namespace log_detail
-
-/** Suppress warn()/inform() output (used by tests and benches). */
-inline void setQuiet(bool quiet) { log_detail::quietFlag() = quiet; }
 
 /** Report an internal simulator bug and unwind. */
 template <typename... Args>
@@ -94,22 +85,6 @@ fatalIf(bool cond, Args &&...args)
 {
     if (cond)
         fatal(std::forward<Args>(args)...);
-}
-
-/** Emit a non-fatal modelling warning. */
-template <typename... Args>
-void
-warn(Args &&...args)
-{
-    log_detail::emitWarn(log_detail::concat(std::forward<Args>(args)...));
-}
-
-/** Emit a status message. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    log_detail::emitInform(log_detail::concat(std::forward<Args>(args)...));
 }
 
 } // namespace canon

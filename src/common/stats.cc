@@ -56,15 +56,6 @@ StatGroup::child(const std::string &name)
     return *it->second;
 }
 
-StatGroup &
-StatGroup::childAt(const std::string &name) const
-{
-    auto it = children_.find(name);
-    panicIf(it == children_.end(), "StatGroup '", name_,
-            "': no child '", name, "'");
-    return *it->second;
-}
-
 std::uint64_t
 StatGroup::sumCounter(const std::string &leaf) const
 {

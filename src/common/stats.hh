@@ -65,9 +65,6 @@ class StatGroup
      */
     StatGroup &child(const std::string &name);
 
-    /** Fetch an existing child group; a missing name panics. */
-    StatGroup &childAt(const std::string &name) const;
-
     const std::string &name() const { return name_; }
 
     /** Sum a counter with @p leaf name across this subtree. */

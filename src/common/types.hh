@@ -117,18 +117,6 @@ enum class Dir : std::uint8_t { North = 0, South = 1, East = 2, West = 3 };
 
 constexpr int kNumDirs = 4;
 
-inline Dir
-opposite(Dir d)
-{
-    switch (d) {
-      case Dir::North: return Dir::South;
-      case Dir::South: return Dir::North;
-      case Dir::East: return Dir::West;
-      case Dir::West: return Dir::East;
-    }
-    return Dir::North;
-}
-
 inline const char *
 dirName(Dir d)
 {

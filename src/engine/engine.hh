@@ -6,8 +6,8 @@
  * An Engine owns the execution machinery that canonsim, the 13
  * figure benches, the tests, and embedders used to hand-wire
  * individually: the runner::ScenarioPool worker pool, the optional
- * cache::ResultStore, and (via the registry header) the
- * workload/model/architecture tables. Callers submit
+ * cache::ResultStore. The workload, model and architecture
+ * vocabulary is the CLI's tables (cli/options.hh). Callers submit
  * ScenarioRequests -- every option in its CLI spelling -- and get
  * ResultSets back:
  *

@@ -72,8 +72,8 @@ class ScenarioRequest
                          const std::string &value);
 
     /**
-     * Replace the architecture set. Names are validated against the
-     * arch registry; "all" selects every architecture. An empty list
+     * Replace the architecture set. Names are validated against
+     * cli::knownArchs(); "all" selects every architecture. An empty list
      * means canon only (the Options contract).
      */
     ScenarioRequest &archs(const std::vector<std::string> &names);

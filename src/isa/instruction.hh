@@ -9,16 +9,14 @@
  * operands (used for psum bypass N->S and meta/data forwarding W->E),
  * and the spatial-mode hold bit of Appendix D.
  *
- * Instructions are encodable to a 64-bit word; encode/decode round-trips
- * exactly (property-tested), which is what travels on the instruction-
- * dedicated NoC.
+ * The instruction-dedicated NoC carries instructions in this decoded
+ * form; the simulator never packs them into a hardware word.
  */
 
 #ifndef CANON_ISA_INSTRUCTION_HH
 #define CANON_ISA_INSTRUCTION_HH
 
 #include <cstdint>
-#include <string>
 
 #include "isa/address_space.hh"
 #include "isa/opcode.hh"
@@ -45,15 +43,6 @@ struct Instruction
     bool hold = false;
 
     bool isNop() const { return op == OpCode::Nop && route == 0; }
-
-    /** Pack into the 64-bit word carried by the instruction NoC. */
-    std::uint64_t encode() const;
-
-    /** Unpack; panics on an illegal opcode field. */
-    static Instruction decode(std::uint64_t word);
-
-    /** Disassemble, e.g. "SVMAC W_IN, DMEM[3] -> SPAD[1] [N>S]". */
-    std::string toString() const;
 
     friend bool
     operator==(const Instruction &a, const Instruction &b)

@@ -56,8 +56,6 @@ enum class OpCode : std::uint8_t
     NumOpCodes
 };
 
-const char *opName(OpCode op);
-
 /** Ops whose EXECUTE stage performs multiply work (utilization metric). */
 inline bool
 isMacOp(OpCode op)

@@ -45,11 +45,4 @@ VecRam::poke(int slot, const Vec4 &v)
     data_[static_cast<std::size_t>(slot)] = v;
 }
 
-const Vec4 &
-VecRam::peek(int slot) const
-{
-    checkSlot(slot);
-    return data_[static_cast<std::size_t>(slot)];
-}
-
 } // namespace canon

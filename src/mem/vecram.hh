@@ -50,9 +50,6 @@ class VecRam
     /** Direct initialization (data placement before execution). */
     void poke(int slot, const Vec4 &v);
 
-    /** Direct inspection without touching access counters. */
-    const Vec4 &peek(int slot) const;
-
     void
     fill(const Vec4 &v)
     {

@@ -51,15 +51,6 @@ class Router
     /** Attach the channel carrying data *out of* this PE towards @p d. */
     void bindOut(Dir d, DataChannel *ch);
 
-    DataChannel *inChannel(Dir d) const
-    {
-        return in_[static_cast<int>(d)];
-    }
-    DataChannel *outChannel(Dir d) const
-    {
-        return out_[static_cast<int>(d)];
-    }
-
     /** Reset per-cycle direction-usage accounting. */
     void beginCycle();
 

@@ -18,27 +18,5 @@ Histogram::bucketOf(std::uint64_t v)
     return b;
 }
 
-std::uint64_t
-Histogram::bucketLo(int b)
-{
-    if (b <= 0)
-        return 0;
-    return std::uint64_t{1} << (b - 1);
-}
-
-std::string
-Histogram::bucketLabel(int b)
-{
-    if (b <= 0)
-        return "0";
-    const std::uint64_t lo = bucketLo(b);
-    if (b == kBuckets - 1)
-        return std::to_string(lo) + "+";
-    const std::uint64_t hi = (lo << 1) - 1;
-    if (lo == hi)
-        return std::to_string(lo);
-    return std::to_string(lo) + "-" + std::to_string(hi);
-}
-
 } // namespace obs
 } // namespace canon

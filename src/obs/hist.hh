@@ -38,12 +38,6 @@ class Histogram
     /** Bucket index for @p v (overflow clamps to the last bucket). */
     static int bucketOf(std::uint64_t v);
 
-    /** Inclusive lower bound of bucket @p b. */
-    static std::uint64_t bucketLo(int b);
-
-    /** Human-readable bucket label ("0", "1", "2-3", "32768+"). */
-    static std::string bucketLabel(int b);
-
     void
     record(std::uint64_t v)
     {

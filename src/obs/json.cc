@@ -120,12 +120,5 @@ JsonWriter::value(int v)
     os_ << v;
 }
 
-void
-JsonWriter::value(bool v)
-{
-    separate();
-    os_ << (v ? "true" : "false");
-}
-
 } // namespace obs
 } // namespace canon

@@ -2,7 +2,7 @@
  * @file
  * A minimal streaming JSON writer -- the repo takes no third-party
  * dependencies, and the obs layer only ever needs to *emit* JSON
- * (objects, arrays, strings, unsigned integers, booleans), never parse
+ * (objects, arrays, strings, integers), never parse
  * or mutate it. Commas and nesting are managed by an explicit stack,
  * so the emitted bytes are a pure function of the call sequence:
  * exactly what the byte-identical-across---jobs determinism gate needs.
@@ -41,7 +41,6 @@ class JsonWriter
     void value(const char *s);
     void value(std::uint64_t v);
     void value(int v);
-    void value(bool v);
 
     /** key() + value() in one call. */
     template <typename T>

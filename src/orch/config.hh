@@ -264,8 +264,8 @@ constexpr int kLutWordBits = 48;
 
 /**
  * Semantic view of one LUT entry. Index fields refer to the
- * per-program menus above; pack()/unpack() (lut.hh) give the 48-bit
- * hardware image.
+ * per-program menus above; packOutput() (lut.hh) checks that each
+ * field fits its slot of the 48-bit hardware word.
  */
 struct OutputFields
 {

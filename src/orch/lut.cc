@@ -55,38 +55,6 @@ packOutput(const OutputFields &f)
     return w;
 }
 
-OutputFields
-unpackOutput(std::uint64_t word)
-{
-    OutputFields f;
-    f.nextState = static_cast<std::uint8_t>(
-        bits(word, kNextStateLo + 2, kNextStateLo));
-    f.peOp = static_cast<OpCode>(bits(word, kPeOpLo + 2, kPeOpLo));
-    f.op1Mode =
-        static_cast<std::uint8_t>(bits(word, kOp1ModeLo + 3, kOp1ModeLo));
-    f.op2Mode =
-        static_cast<std::uint8_t>(bits(word, kOp2ModeLo + 3, kOp2ModeLo));
-    f.resMode =
-        static_cast<std::uint8_t>(bits(word, kResModeLo + 3, kResModeLo));
-    f.routeMode = static_cast<std::uint8_t>(
-        bits(word, kRouteModeLo + 1, kRouteModeLo));
-    f.msgMode =
-        static_cast<std::uint8_t>(bits(word, kMsgModeLo + 1, kMsgModeLo));
-    f.bufferOp = static_cast<BufferOp>(
-        bits(word, kBufferOpLo + 1, kBufferOpLo));
-    f.metaUpd0 = static_cast<std::uint8_t>(
-        bits(word, kMetaUpd0Lo + 1, kMetaUpd0Lo));
-    f.metaUpd1 = static_cast<std::uint8_t>(
-        bits(word, kMetaUpd1Lo + 1, kMetaUpd1Lo));
-    f.consumeInput = bits(word, kConsumeInputBit, kConsumeInputBit) != 0;
-    f.consumeMsg = bits(word, kConsumeMsgBit, kConsumeMsgBit) != 0;
-    f.westFeed =
-        static_cast<WestFeed>(bits(word, kWestFeedLo + 1, kWestFeedLo));
-    f.emitOutRec = bits(word, kEmitOutRecBit, kEmitOutRecBit) != 0;
-    f.stallable = bits(word, kStallableBit, kStallableBit) != 0;
-    return f;
-}
-
 std::uint16_t
 lutIndex(std::uint8_t state, std::uint8_t msg_id, std::uint8_t cond_bits)
 {
@@ -99,47 +67,13 @@ lutIndex(std::uint8_t state, std::uint8_t msg_id, std::uint8_t cond_bits)
                                       cond_bits);
 }
 
-FsmLut::FsmLut()
-{
-    words_.fill(0);
-    decoded_.fill(OutputFields{});
-}
-
 void
 FsmLut::set(std::uint16_t index, const OutputFields &f)
 {
     panicIf(index >= kLutEntries, "FsmLut: index ", index, " out of ",
             kLutEntries);
-    words_[index] = packOutput(f);
+    (void)packOutput(f); // panics when a field overflows its bits
     decoded_[index] = f;
-}
-
-std::vector<std::uint8_t>
-FsmLut::toBitstream() const
-{
-    std::vector<std::uint8_t> bits;
-    bits.reserve(bitstreamBytes());
-    for (auto w : words_)
-        for (int b = 0; b < kLutWordBits / 8; ++b)
-            bits.push_back(static_cast<std::uint8_t>(w >> (8 * b)));
-    return bits;
-}
-
-void
-FsmLut::loadBitstream(const std::vector<std::uint8_t> &bits)
-{
-    panicIf(bits.size() != bitstreamBytes(),
-            "FsmLut: bitstream is ", bits.size(), " bytes, expected ",
-            bitstreamBytes());
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-        std::uint64_t w = 0;
-        for (int b = 0; b < kLutWordBits / 8; ++b)
-            w |= static_cast<std::uint64_t>(
-                     bits[i * (kLutWordBits / 8) + b])
-                 << (8 * b);
-        words_[i] = w;
-        decoded_[i] = unpackOutput(w);
-    }
 }
 
 } // namespace canon

@@ -6,9 +6,10 @@
  *
  *   index = state(3) | msgId(3) | condBits(4)
  *
- * and prefilled before kernel execution from a bitstream. pack() /
- * unpack() convert between the semantic OutputFields view and the
- * 48-bit hardware image; serialization round-trips are property-tested.
+ * and prefilled before kernel execution from a bitstream. The
+ * simulator keeps the entries decoded, as OutputFields; packOutput()
+ * places each field in its slot of the 48-bit hardware word and panics
+ * when a value overflows its bits, which is what set() checks.
  */
 
 #ifndef CANON_ORCH_LUT_HH
@@ -16,7 +17,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "orch/config.hh"
 
@@ -26,9 +26,6 @@ namespace canon
 /** Pack the semantic fields into the 48-bit LUT word. */
 std::uint64_t packOutput(const OutputFields &f);
 
-/** Unpack a 48-bit LUT word. */
-OutputFields unpackOutput(std::uint64_t word);
-
 /** Compose a LUT index from the condition inputs. */
 std::uint16_t lutIndex(std::uint8_t state, std::uint8_t msg_id,
                        std::uint8_t cond_bits);
@@ -36,8 +33,6 @@ std::uint16_t lutIndex(std::uint8_t state, std::uint8_t msg_id,
 class FsmLut
 {
   public:
-    FsmLut();
-
     const OutputFields &
     lookup(std::uint16_t index) const
     {
@@ -53,16 +48,8 @@ class FsmLut
         return static_cast<std::size_t>(kLutEntries) * kLutWordBits / 8;
     }
 
-    /** Serialize the SRAM contents ("bitstream" of Figure 1). */
-    std::vector<std::uint8_t> toBitstream() const;
-
-    /** Prefill the SRAM from a bitstream. */
-    void loadBitstream(const std::vector<std::uint8_t> &bits);
-
   private:
-    // Raw 48-bit words (hardware image) + a decoded shadow for speed.
-    std::array<std::uint64_t, kLutEntries> words_;
-    std::array<OutputFields, kLutEntries> decoded_;
+    std::array<OutputFields, kLutEntries> decoded_{};
 };
 
 } // namespace canon

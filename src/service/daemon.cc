@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include "common/parse.hh"
-#include "engine/registry.hh"
 #include "obs/host.hh"
 #include "service/render.hh"
 
@@ -239,7 +238,7 @@ Daemon::handleConnection(Connection *conn)
           }
           case MsgType::List:
             sendFrame(fd, textFrame(MsgType::ListReply,
-                                    engine::listText()));
+                                    cli::listText()));
             break;
           case MsgType::Stats:
             sendFrame(fd,

@@ -22,18 +22,6 @@ CsrMatrix::fromDense(const DenseMatrix &d)
     return m;
 }
 
-DenseMatrix
-CsrMatrix::toDense() const
-{
-    syncRowPtr();
-    DenseMatrix d(rows_, cols_);
-    for (int r = 0; r < rows_; ++r) {
-        for (auto i = rowPtr_[r]; i < rowPtr_[r + 1]; ++i)
-            d.at(r, colIdx_[i]) = values_[i];
-    }
-    return d;
-}
-
 void
 CsrMatrix::append(int row, int col, Elem value)
 {

@@ -119,9 +119,6 @@ class CsrMatrix
     /** Build from a dense matrix, dropping zeros. */
     static CsrMatrix fromDense(const DenseMatrix &d);
 
-    /** Expand back into a dense matrix. */
-    DenseMatrix toDense() const;
-
     int rows() const { return rows_; }
     int cols() const { return cols_; }
     std::size_t nnz() const { return colIdx_.size(); }

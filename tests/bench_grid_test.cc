@@ -2,8 +2,8 @@
  * @file
  * Bench-layer tests: FigureSpec grid expansion, FigureBench execution
  * on the worker pool (determinism across --jobs, shard concatenation,
- * whole-table jobs), the shared bench CLI grammar, and the figure
- * registry. The real-figure determinism check runs a converted
+ * whole-table jobs), the shared bench CLI grammar, and every figure
+ * bench's builder. The real-figure determinism check runs a converted
  * figure (Figure 16) at several worker counts and shard splits and
  * requires byte-identical CSV recombination.
  */
@@ -21,6 +21,7 @@
 #include "common/logging.hh"
 #include "figure_spec.hh"
 #include "figures.hh"
+#include "runner/shard.hh"
 
 namespace canon
 {
@@ -446,16 +447,31 @@ TEST(BenchArgs, RejectsMalformedInput)
     EXPECT_NE(parseBenchArgs({"--cache", "read"}, opt), "");
 }
 
-// ---- figure registry --------------------------------------------------
+// ---- every figure bench -----------------------------------------------
 
 TEST(FigureRegistry, EveryBinaryBuildsANonEmptyBench)
 {
-    const auto &entries = figureRegistry();
-    EXPECT_EQ(entries.size(), 13u);
-    for (const auto &entry : entries) {
-        const FigureBench bench = entry.build();
-        EXPECT_EQ(bench.name(), entry.binary);
-        EXPECT_GT(bench.jobCount(), 0u) << entry.binary;
+    // One row per bench/bench_*.cc main, in listing order.
+    const std::pair<const char *, FigureBench (*)()> entries[] = {
+        {"bench_ablation_adaptive_spad", adaptiveSpadBench},
+        {"bench_ablation_row_reorder", rowReorderBench},
+        {"bench_fig09_ablation", figure09Bench},
+        {"bench_fig10_area", figure10Bench},
+        {"bench_fig11_power", figure11Bench},
+        {"bench_fig12_performance", figure12Bench},
+        {"bench_fig13_perfwatt", figure13Bench},
+        {"bench_fig14_edp", figure14Bench},
+        {"bench_fig15_scalability", figure15Bench},
+        {"bench_fig16_bandwidth", figure16Bench},
+        {"bench_fig17_scratchpad", figure17Bench},
+        {"bench_sim_throughput", simThroughputBench},
+        {"bench_table1_config", table1Bench},
+    };
+    EXPECT_EQ(std::size(entries), 13u);
+    for (const auto &[binary, build] : entries) {
+        const FigureBench bench = build();
+        EXPECT_EQ(bench.name(), binary);
+        EXPECT_GT(bench.jobCount(), 0u) << binary;
     }
 }
 
@@ -497,6 +513,76 @@ TEST(FigureBench, ConvertedFigure16IsDeterministicAcrossJobsAndShards)
     EXPECT_EQ(merged, baseline);
 
     std::filesystem::current_path(old_cwd);
+}
+
+TEST(FigureBench, ShardedObsAndFailuresUseGlobalIndices)
+{
+    // Shard 1/2 of Figure 16 owns points 4..7; its --stats-json names
+    // them 4..7, as the unsharded run and canonsim --shard do.
+    const std::string dir = scratchDir("bench_grid_shard_obs");
+    const auto old_cwd = std::filesystem::current_path();
+    std::filesystem::current_path(dir);
+    BenchOptions opt;
+    opt.common.jobs = 2;
+    opt.common.shard = runner::Shard{1, 2};
+    opt.common.obs.statsJsonOut = dir + "stats.json";
+    std::ostringstream out, err;
+    EXPECT_EQ(figure16Bench().run(opt, out, err), 0) << err.str();
+    std::filesystem::current_path(old_cwd);
+    const std::string stats = slurp(dir + "stats.json");
+    const std::string head = "{\"index\":";
+    const auto first = stats.find(head);
+    ASSERT_NE(first, std::string::npos) << stats;
+    const std::string point = stats.substr(
+        first, stats.find("\",", stats.find("\"point\"", first) + 9) -
+                   first);
+    EXPECT_EQ(point.rfind(head + "4,", 0), 0u) << point;
+    EXPECT_NE(point.find("sparsity=0.65"), std::string::npos) << point;
+    EXPECT_EQ(countOf(stats, head), 4u);
+
+    // A failure in a shard is reported by its global index too.
+    FigureBench failing("failing");
+    FigureTable t;
+    t.title = "failing";
+    t.header = {"Col"};
+    t.grid.axis("i", {"0", "1", "2", "3"});
+    t.emit = [](const FigurePoint &p) -> FigureRows {
+        if (p.index == 3)
+            fatal("grid point ", p.index, " exploded");
+        return {{p.value("i")}};
+    };
+    failing.add(std::move(t));
+    BenchOptions shard;
+    shard.common.shard = runner::Shard{1, 2};
+    std::ostringstream fout, ferr;
+    EXPECT_EQ(failing.run(shard, fout, ferr), 1);
+    EXPECT_NE(ferr.str().find("job 3: "), std::string::npos) << ferr.str();
+}
+
+TEST(FigureBench, WallClockBenchRefusesTheCache)
+{
+    // bench_sim_throughput's cells are measured on every run: a cache
+    // would replay one run's Wall(ms) and Rate on the next. The cache
+    // flags are a usage error, raised before any row runs.
+    const std::string dir = scratchDir("bench_grid_wall_clock");
+    const auto old_cwd = std::filesystem::current_path();
+    std::filesystem::current_path(dir);
+    BenchOptions opt;
+    opt.common.cacheDir = dir + "cache";
+    std::ostringstream out, err;
+    EXPECT_EQ(simThroughputBench().run(opt, out, err), 2);
+    std::filesystem::current_path(old_cwd);
+    EXPECT_NE(err.str().find("--cache-dir is not accepted"),
+              std::string::npos)
+        << err.str();
+    EXPECT_EQ(out.str(), "");
+    EXPECT_FALSE(std::filesystem::exists(dir + "sim_throughput.csv"));
+    std::size_t entries = 0;
+    if (std::filesystem::exists(dir + "cache"))
+        for (const auto &e :
+             std::filesystem::recursive_directory_iterator(dir + "cache"))
+            entries += e.is_regular_file() ? 1 : 0;
+    EXPECT_EQ(entries, 0u);
 }
 
 } // namespace

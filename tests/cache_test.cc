@@ -188,7 +188,6 @@ TEST(CacheMode, ParsesEverySpellingAndRejectsGarbage)
         Mode out = Mode::Off;
         EXPECT_EQ(parseMode(text, out), "") << text;
         EXPECT_EQ(out, mode) << text;
-        EXPECT_STREQ(modeName(mode), text);
     }
     Mode out = Mode::Off;
     EXPECT_NE(parseMode("rw", out), "");

@@ -1,18 +1,24 @@
 /**
  * @file
  * canonsim driver tests: option parsing (both --key value and
- * --key=value spellings), rejection of malformed input, and
- * end-to-end smoke runs of each kernel family through the driver.
+ * --key=value spellings), rejection of malformed input, end-to-end
+ * smoke runs of each kernel family through the driver, and the
+ * --list vocabulary's no-drift guarantees.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
+#include "cache/key.hh"
 #include "cli/driver.hh"
 #include "cli/options.hh"
 #include "engine/engine.hh"
+#include "fuzz.hh"
+#include "runner/sweep.hh"
 
 namespace canon
 {
@@ -636,6 +642,222 @@ TEST(CliDriver, ProbeSpadAppendsOccupancyColumns)
         << "canon row should have numeric probe cells: " << probed[1];
     EXPECT_NE(probed[2].find("X,X,X"), std::string::npos)
         << "baseline row should render X probe cells: " << probed[2];
+}
+
+// ---- the --list vocabulary --------------------------------------------
+
+TEST(Registry, WorkloadsDeriveFromTheRelevanceMatrix)
+{
+    const auto &table = workloadTable();
+    ASSERT_EQ(table.size(), 5u);
+    for (const auto &info : table) {
+        EXPECT_EQ(info.name, workloadName(info.workload));
+        Options opt;
+        opt.workload = info.workload;
+        EXPECT_EQ(info.options, relevantScenarioKeys(opt)) << info.name;
+    }
+}
+
+TEST(Registry, ModelsDeriveFromTheModelRegistry)
+{
+    // The --list model section: one line per knownModelNames() entry,
+    // in order, naming the keys relevantScenarioKeys() says it reads.
+    std::istringstream in(listText());
+    std::string line;
+    while (std::getline(in, line) && line.rfind("Models", 0) != 0) {
+    }
+    std::vector<std::vector<std::string>> rows;
+    while (std::getline(in, line) && !line.empty()) {
+        std::istringstream words(line);
+        rows.emplace_back(std::istream_iterator<std::string>(words),
+                          std::istream_iterator<std::string>());
+    }
+    ASSERT_EQ(rows.size(), knownModelNames().size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        Options opt;
+        opt.model = knownModelNames()[i];
+        std::vector<std::string> expect = {opt.model};
+        for (const auto &key : relevantScenarioKeys(opt))
+            expect.push_back(key);
+        EXPECT_EQ(rows[i], expect);
+    }
+}
+
+TEST(Registry, SweepableKeysRoundTripThroughTheGrammar)
+{
+    // The no-drift gate: every advertised key is accepted by the
+    // option grammar (its own canonical value round-trips), and the
+    // grammar accepts nothing --list does not advertise -- every
+    // relevance-matrix key and every fabric key is advertised.
+    const auto &keys = scenarioOptionKeys();
+    for (const auto &key : keys) {
+        Options opt;
+        const std::string value = optionValueText(opt, key);
+        EXPECT_TRUE(applyScenarioOption(opt, key, value).empty())
+            << key << "=" << value;
+    }
+
+    // Off the default, each key's text rule must print exactly the
+    // value its parse rule read: one non-default value per key.
+    const std::pair<const char *, const char *> off_default[] = {
+        {"workload", "sddmm-window"}, {"model", "resnet50"},
+        {"m", "96"},                  {"k", "80"},
+        {"n", "48"},                  {"sparsity", "0.35"},
+        {"nm", "3:8"},                {"window", "32"},
+        {"seed", "9223372036854775807"},
+        {"rows", "4"},                {"cols", "16"},
+        {"spad", "8"},                {"tag-banks", "4"},
+        {"spad-flush", "adaptive"},   {"dmem", "512"},
+        {"clock-ghz", "1.25"},
+    };
+    std::vector<std::string> covered;
+    for (const auto &[key, value] : off_default) {
+        Options opt;
+        EXPECT_NE(optionValueText(opt, key), value) << key;
+        EXPECT_TRUE(applyScenarioOption(opt, key, value).empty())
+            << key << "=" << value;
+        EXPECT_EQ(optionValueText(opt, key), value) << key;
+        covered.push_back(key);
+    }
+    EXPECT_EQ(covered, keys);
+
+    Options opt;
+    EXPECT_FALSE(applyScenarioOption(opt, "frobnicate", "1").empty());
+
+    auto advertised = [&keys](const std::string &key) {
+        return std::find(keys.begin(), keys.end(), key) != keys.end();
+    };
+    for (const auto &info : workloadTable())
+        for (const auto &key : info.options)
+            EXPECT_TRUE(advertised(key)) << key;
+    for (const auto &name : knownModelNames()) {
+        Options model;
+        model.model = name;
+        for (const auto &key : relevantScenarioKeys(model))
+            EXPECT_TRUE(advertised(key)) << key;
+    }
+    for (const auto &key : fabricOptionKeys())
+        EXPECT_TRUE(advertised(key)) << key;
+}
+
+TEST(Registry, ListTextNamesEverythingRunnable)
+{
+    const std::string text = listText();
+    for (const auto &info : workloadTable())
+        EXPECT_NE(text.find(info.name), std::string::npos)
+            << info.name;
+    for (const auto &name : knownModelNames())
+        EXPECT_NE(text.find(name), std::string::npos) << name;
+    for (const auto &arch : knownArchs())
+        EXPECT_NE(text.find(arch), std::string::npos) << arch;
+    for (const auto &key : scenarioOptionKeys())
+        EXPECT_NE(text.find(key), std::string::npos) << key;
+}
+
+// ---- fuzzing the option grammar ---------------------------------------
+
+/** Field-wise equality of everything a scenario option can set. */
+bool
+sameScenario(const Options &a, const Options &b)
+{
+    const CanonConfig &x = a.fabric, &y = b.fabric;
+    return a.workload == b.workload && a.model == b.model &&
+           a.m == b.m && a.k == b.k && a.n == b.n &&
+           a.sparsity == b.sparsity && a.sparsitySet == b.sparsitySet &&
+           a.nmN == b.nmN && a.nmM == b.nmM && a.window == b.window &&
+           a.seed == b.seed && x.rows == y.rows && x.cols == y.cols &&
+           x.spadEntries == y.spadEntries && x.tagBanks == y.tagBanks &&
+           x.spadFlush == y.spadFlush && x.dmemSlots == y.dmemSlots &&
+           x.clockGhz == y.clockGhz;
+}
+
+/** @p valid and fuzzInputs() around it, each also with a sign. */
+std::vector<std::string>
+signedFuzzInputs(const std::string &valid, std::uint64_t seed)
+{
+    std::vector<std::string> out = fuzzInputs(valid, seed);
+    out.push_back(valid);
+    const std::size_t n = out.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        out.push_back("-" + out[i]);
+        out.push_back("+" + out[i]);
+    }
+    return out;
+}
+
+TEST(OptionFuzz, ScenarioGrammarNeverThrowsAndEqualValuesShareAKey)
+{
+    std::uint64_t seed = 40;
+    for (const auto &key : scenarioOptionKeys()) {
+        // Fuzz each key under a workload that consumes it, so its
+        // value reaches the cache key.
+        Options base;
+        for (const auto &info : workloadTable())
+            if (std::find(info.options.begin(), info.options.end(),
+                          key) != info.options.end()) {
+                base.workload = info.workload;
+                break;
+            }
+        const std::string valid = optionValueText(base, key);
+
+        struct Accepted
+        {
+            Options opt;
+            std::string value;
+            std::string digest;
+        };
+        std::vector<Accepted> distinct;
+        for (const auto &value : signedFuzzInputs(valid, seed++)) {
+            Options opt = base;
+            std::string err, digest;
+            EXPECT_NO_THROW(err = applyScenarioOption(opt, key, value))
+                << key << "=" << value;
+            EXPECT_NO_THROW(parseArgs({"--" + key, value}));
+            EXPECT_NO_THROW(parseArgs({"--" + key + "=" + value}));
+            EXPECT_NO_THROW(parseArgs({value, "--" + key}));
+            runner::SweepSpec spec;
+            EXPECT_NO_THROW(spec.addAxis(key, valid + "," + value));
+            if (!err.empty())
+                continue;
+            EXPECT_NO_THROW(digest = cache::scenarioKey(opt).digest());
+            // Two accepted values that set equal options are one
+            // scenario, so they must be one cache entry.
+            const auto same = std::find_if(
+                distinct.begin(), distinct.end(),
+                [&](const Accepted &a) { return sameScenario(a.opt, opt); });
+            if (same == distinct.end())
+                distinct.push_back({opt, value, digest});
+            else
+                EXPECT_EQ(digest, same->digest)
+                    << key << "=" << value << " vs " << key << "="
+                    << same->value;
+        }
+        EXPECT_FALSE(distinct.empty()) << key;
+    }
+}
+
+TEST(OptionFuzz, CommonFlagGrammarNeverThrows)
+{
+    const std::pair<const char *, const char *> flags[] = {
+        {"--jobs", "4"},          {"--shard", "1/2"},
+        {"--cache-dir", "d"},     {"--cache", "readwrite"},
+        {"--sample-every", "100"}, {"--series-out", "s.csv"},
+        {"--trace-out", "t.json"}, {"--stats-json", "j.json"},
+        {"--cycle-accounting", ""}, {"--host-timers", ""},
+    };
+    std::uint64_t seed = 60;
+    for (const auto &[flag, valid] : flags) {
+        EXPECT_TRUE(engine::isCommonFlag(flag)) << flag;
+        for (const auto &value : signedFuzzInputs(valid, seed++)) {
+            engine::CommonFlags common;
+            std::string err;
+            EXPECT_NO_THROW(
+                engine::parseCommonFlag(flag, value, common, err))
+                << flag << " " << value;
+            EXPECT_NO_THROW(engine::validateCommonFlags(common));
+            EXPECT_NO_THROW(parseArgs({flag, value}));
+        }
+    }
 }
 
 } // namespace

@@ -4,8 +4,7 @@
  * request-validation parity with every CLI rejection path, engine
  * execution (determinism across worker counts, streaming-callback
  * ordering, batches, shards), warm-cache engine reruns executing
- * zero simulation jobs, dry-run plans, and the introspection
- * registry's no-drift guarantees.
+ * zero simulation jobs, and dry-run plans.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +19,6 @@
 #include "cli/driver.hh"
 #include "cli/options.hh"
 #include "engine/engine.hh"
-#include "engine/registry.hh"
 #include "workloads/models.hh"
 
 namespace canon
@@ -709,104 +707,6 @@ TEST(Engine, PayloadBatchRoundTripsThroughTheCache)
     EXPECT_NE(warm.cacheStatsLine().find("4 hits, 0 misses"),
               std::string::npos)
         << warm.cacheStatsLine();
-}
-
-// ---- the introspection registry ---------------------------------------
-
-TEST(Registry, WorkloadsDeriveFromTheRelevanceMatrix)
-{
-    const auto &reg = workloadRegistry();
-    ASSERT_EQ(reg.size(), 5u);
-    for (const auto &info : reg) {
-        EXPECT_EQ(info.name, cli::workloadName(info.workload));
-        cli::Options opt;
-        opt.workload = info.workload;
-        EXPECT_EQ(info.options, cli::relevantScenarioKeys(opt))
-            << info.name;
-    }
-}
-
-TEST(Registry, ModelsDeriveFromTheModelRegistry)
-{
-    const auto models = modelRegistry();
-    ASSERT_EQ(models.size(), knownModelNames().size());
-    for (std::size_t i = 0; i < models.size(); ++i) {
-        EXPECT_EQ(models[i].name, knownModelNames()[i]);
-        cli::Options opt;
-        opt.model = models[i].name;
-        EXPECT_EQ(models[i].options, cli::relevantScenarioKeys(opt));
-    }
-}
-
-TEST(Registry, SweepableKeysRoundTripThroughTheGrammar)
-{
-    // The no-drift gate: every advertised key is accepted by the
-    // option grammar (its own canonical value round-trips), and the
-    // grammar accepts nothing the registry does not advertise --
-    // every relevance-matrix key and every fabric key is advertised.
-    const auto keys = sweepableOptionKeys();
-    for (const auto &key : keys) {
-        cli::Options opt;
-        const std::string value = cli::optionValueText(opt, key);
-        EXPECT_TRUE(
-            cli::applyScenarioOption(opt, key, value).empty())
-            << key << "=" << value;
-    }
-
-    // Off the default, each key's text rule must print exactly the
-    // value its parse rule read: one non-default value per key.
-    const std::pair<const char *, const char *> off_default[] = {
-        {"workload", "sddmm-window"}, {"model", "resnet50"},
-        {"m", "96"},                  {"k", "80"},
-        {"n", "48"},                  {"sparsity", "0.35"},
-        {"nm", "3:8"},                {"window", "32"},
-        {"seed", "9223372036854775807"},
-        {"rows", "4"},                {"cols", "16"},
-        {"spad", "8"},                {"tag-banks", "4"},
-        {"spad-flush", "adaptive"},   {"dmem", "512"},
-        {"clock-ghz", "1.25"},
-    };
-    std::vector<std::string> covered;
-    for (const auto &[key, value] : off_default) {
-        cli::Options opt;
-        EXPECT_NE(cli::optionValueText(opt, key), value) << key;
-        EXPECT_TRUE(cli::applyScenarioOption(opt, key, value).empty())
-            << key << "=" << value;
-        EXPECT_EQ(cli::optionValueText(opt, key), value) << key;
-        covered.push_back(key);
-    }
-    EXPECT_EQ(covered, keys);
-
-    cli::Options opt;
-    EXPECT_FALSE(
-        cli::applyScenarioOption(opt, "frobnicate", "1").empty());
-
-    auto advertised = [&keys](const std::string &key) {
-        return std::find(keys.begin(), keys.end(), key) != keys.end();
-    };
-    for (const auto &info : workloadRegistry())
-        for (const auto &key : info.options)
-            EXPECT_TRUE(advertised(key)) << key;
-    for (const auto &model : modelRegistry())
-        for (const auto &key : model.options)
-            EXPECT_TRUE(advertised(key)) << key;
-    for (const auto &key : cli::fabricOptionKeys())
-        EXPECT_TRUE(advertised(key)) << key;
-}
-
-TEST(Registry, ListTextNamesEverythingRunnable)
-{
-    const std::string text = listText();
-    for (const auto &info : workloadRegistry())
-        EXPECT_NE(text.find(info.name), std::string::npos)
-            << info.name;
-    for (const auto &model : modelRegistry())
-        EXPECT_NE(text.find(model.name), std::string::npos)
-            << model.name;
-    for (const auto &arch : archRegistry())
-        EXPECT_NE(text.find(arch), std::string::npos) << arch;
-    for (const auto &key : sweepableOptionKeys())
-        EXPECT_NE(text.find(key), std::string::npos) << key;
 }
 
 } // namespace

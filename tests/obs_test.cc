@@ -228,12 +228,12 @@ TEST(Histogram, BucketEdges)
     EXPECT_EQ(Histogram::bucketOf(std::uint64_t(1) << 40),
               Histogram::kBuckets - 1);
 
-    // Every bucket's lower bound lands in that bucket, and the value
-    // just below it lands in the previous one.
+    // Every bucket's lower bound, 2^(b-1), lands in that bucket, and
+    // the value just below it lands in the previous one.
     for (int b = 1; b < Histogram::kBuckets; ++b) {
-        EXPECT_EQ(Histogram::bucketOf(Histogram::bucketLo(b)), b);
-        EXPECT_EQ(Histogram::bucketOf(Histogram::bucketLo(b) - 1),
-                  b - 1);
+        const std::uint64_t lo = std::uint64_t{1} << (b - 1);
+        EXPECT_EQ(Histogram::bucketOf(lo), b);
+        EXPECT_EQ(Histogram::bucketOf(lo - 1), b - 1);
     }
 }
 
@@ -249,12 +249,14 @@ TEST(Histogram, RecordCountsAndLabels)
     EXPECT_EQ(h.count(1), 1u);
     EXPECT_EQ(h.count(3), 2u);
 
-    EXPECT_EQ(obs::Histogram::bucketLabel(0), "0");
-    EXPECT_EQ(obs::Histogram::bucketLabel(1), "1");
-    EXPECT_EQ(obs::Histogram::bucketLabel(2), "2-3");
-    EXPECT_EQ(obs::Histogram::bucketLabel(obs::Histogram::kBuckets -
-                                          1),
-              "32768+");
+    // The value ranges of buckets "0", "1", "2-3" and "32768+".
+    obs::Histogram edges;
+    for (std::uint64_t v : {0ull, 1ull, 2ull, 3ull, 32768ull, 1ull << 40})
+        edges.record(v);
+    EXPECT_EQ(edges.count(0), 1u);
+    EXPECT_EQ(edges.count(1), 1u);
+    EXPECT_EQ(edges.count(2), 2u);
+    EXPECT_EQ(edges.count(obs::Histogram::kBuckets - 1), 2u);
 }
 
 // ---------------------------------------------------------------------

@@ -117,7 +117,7 @@ TEST(PePipeline, VFlushZeroesSourceAndSendsSouth)
     h.issue(inst(OpCode::VFlush, as::spad(2), as::kNullAddr,
                  as::portOut(Dir::South)));
     h.run(5);
-    EXPECT_TRUE(h.pe.spad().peek(2).isZero());
+    EXPECT_TRUE(h.pe.spad().read(2).isZero());
     ASSERT_FALSE(h.south.empty());
     EXPECT_EQ(h.south.front(), (Vec4{{5, 6, 7, 8}}));
 }
@@ -138,7 +138,7 @@ TEST(PePipeline, VFlushThenImmediateMacSeesZero)
     h.issue(inst(OpCode::SvMac, as::portIn(Dir::West), as::dmem(0),
                  as::spad(0)));
     h.run(5);
-    EXPECT_EQ(h.pe.spad().peek(0), (Vec4{{4, 4, 4, 4}}));
+    EXPECT_EQ(h.pe.spad().read(0), (Vec4{{4, 4, 4, 4}}));
 }
 
 TEST(PePipeline, RoutePassThroughNorthToSouth)

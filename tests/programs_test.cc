@@ -36,8 +36,7 @@ TEST(CadenceFsm, FlushEveryCadence)
 
     // Row 0 sends only its own flushes; row 1 additionally relays
     // nothing when merges succeed.
-    const auto row0 =
-        fabric.stats().childAt("orch0").sumCounter("msgsSent");
+    const auto row0 = fabric.stats().flatten().at("orch0.msgsSent");
     EXPECT_EQ(row0, static_cast<std::uint64_t>(m));
 }
 
@@ -157,15 +156,20 @@ TEST(SddmmFsm, ReachesDone)
 TEST(Programs, LutImagesDiffer)
 {
     // The three kernel programs must compile to genuinely different
-    // bitstreams (no accidental sharing).
-    const auto spmm_bits = buildSpmmProgram()->lut().toBitstream();
-    const auto cad_bits =
-        buildCadenceProgram(16)->lut().toBitstream();
-    const auto sddmm_bits =
-        buildSddmmProgram(64, 8)->lut().toBitstream();
-    EXPECT_NE(spmm_bits, cad_bits);
-    EXPECT_NE(spmm_bits, sddmm_bits);
-    EXPECT_NE(cad_bits, sddmm_bits);
+    // LUT images (no accidental sharing): compare all 1,024 entries.
+    auto image = [](const OrchProgram &prog) {
+        std::vector<OutputFields> entries;
+        for (int i = 0; i < kLutEntries; ++i)
+            entries.push_back(
+                prog.lut().lookup(static_cast<std::uint16_t>(i)));
+        return entries;
+    };
+    const auto spmm_lut = image(*buildSpmmProgram());
+    const auto cad_lut = image(*buildCadenceProgram(16));
+    const auto sddmm_lut = image(*buildSddmmProgram(64, 8));
+    EXPECT_NE(spmm_lut, cad_lut);
+    EXPECT_NE(spmm_lut, sddmm_lut);
+    EXPECT_NE(cad_lut, sddmm_lut);
 }
 
 TEST(Programs, CadenceConstantIsVisible)

@@ -9,12 +9,17 @@
  *    (Figure 3's "behavior ... is recreated three cycles later");
  *  - work conservation: lane-MACs executed equal exactly the work the
  *    mapping owes, at every sparsity and buffer depth;
- *  - monotonicity: more non-zeros never take fewer cycles.
+ *  - monotonicity: more non-zeros never take fewer cycles;
+ *  - seed independence: kernels with no random structure give
+ *    byte-identical results at any seed, on every architecture.
  */
 
 #include <gtest/gtest.h>
 
+#include "cache/payload.hh"
+#include "cli/options.hh"
 #include "core/fabric.hh"
+#include "engine/engine.hh"
 #include "kernels/spmm.hh"
 #include "sparse/generate.hh"
 #include "sparse/reference.hh"
@@ -81,13 +86,10 @@ TEST(TimeLapsed, ColumnsReplicateColumnZeroDelayed)
     }
     // The stronger check: identical MAC counts per column of a row
     // (same instruction stream), with stagger absorbed by run length.
-    const auto macs0 =
-        fabric.stats().childAt("pe0_0").sumCounter("macOps");
+    const auto flat = fabric.stats().flatten();
+    const auto macs0 = flat.at("pe0_0.macOps");
     for (int c = 1; c < cfg.cols; ++c) {
-        const auto macs =
-            fabric.stats()
-                .childAt("pe0_" + std::to_string(c))
-                .sumCounter("macOps");
+        const auto macs = flat.at("pe0_" + std::to_string(c) + ".macOps");
         EXPECT_EQ(macs, macs0) << "column " << c;
     }
 }
@@ -177,6 +179,52 @@ TEST(Stress, ManySeedsManyShapes)
         ASSERT_EQ(fabric.result(), reference::spmm(csr, b))
             << "shape " << rows << "x" << cols << " depth " << depth
             << " m=" << m << " k=" << k << " sp=" << sp;
+    }
+}
+
+TEST(SeedIndependence, StructuredKernelsIgnoreTheSeed)
+{
+    // gemm, N:M spmm and window sddmm draw no random structure, so
+    // their whole result -- every architecture, every profile field --
+    // is the same at any seed. Unstructured spmm and sddmm draw their
+    // sparsity pattern from the seed and must differ: the control
+    // that shows the seed reached the run.
+    struct Kernel
+    {
+        const char *workload;
+        const char *nm;
+        bool seedFree;
+    };
+    const Kernel kernels[] = {
+        {"gemm", "2:4", true},         {"spmm-nm", "2:4", true},
+        {"spmm-nm", "2:8", true},      {"sddmm-window", "2:4", true},
+        {"spmm", "2:4", false},        {"sddmm", "2:4", false},
+    };
+    const char *const fabrics[][2] = {{"8", "8"}, {"4", "16"}, {"16", "16"}};
+    for (const auto &fabric : fabrics) {
+        for (const Kernel &kernel : kernels) {
+            std::string payload[2];
+            for (int s = 0; s < 2; ++s) {
+                cli::Options opt;
+                const std::pair<const char *, const char *> set[] = {
+                    {"workload", kernel.workload}, {"nm", kernel.nm},
+                    {"m", "128"}, {"k", "128"}, {"n", "64"},
+                    {"rows", fabric[0]}, {"cols", fabric[1]},
+                    {"seed", s == 0 ? "1" : "2"}};
+                for (const auto &[key, value] : set)
+                    ASSERT_EQ(cli::applyScenarioOption(opt, key, value), "");
+                ASSERT_EQ(cli::selectArchs({"all"}, opt.archs), "");
+                payload[s] = cache::encodeCaseResult(
+                    engine::runScenarioCases(opt));
+            }
+            const std::string what = std::string(kernel.workload) + " " +
+                                     kernel.nm + " on " + fabric[0] +
+                                     "x" + fabric[1];
+            if (kernel.seedFree)
+                EXPECT_EQ(payload[0], payload[1]) << what;
+            else
+                EXPECT_NE(payload[0], payload[1]) << what;
+        }
     }
 }
 
