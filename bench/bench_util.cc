@@ -66,37 +66,44 @@ WorkloadCase
 figure12Case(std::size_t index, const ArchSuite &suite)
 {
     const std::string &label = figure12Labels().at(index);
+    auto run = [&](const LayerSpec &layer, std::uint64_t seed) {
+        return WorkloadCase{label, suite.run(layer, seed)};
+    };
     switch (index) {
       // Shapes follow the paper's layer regime: K in the thousands
       // (hidden dimensions), so per-row-slice non-zero populations
       // are realistic.
       case 0:
-        return {label, suite.gemm(256, 512, 256, 101)};
+        return run({label, Workload::Gemm, 256, 512, 256}, 101);
 
       // Unstructured sparsity ranges: S1 0-30%, S2 30-60%, S3 60-95%.
       // S3 additionally carries the skewed row populations of real
       // activation tensors (Section 6.2).
       case 1:
-        return {label, suite.spmm(512, 1024, 256, 0.15, 102)};
+        return run({label, Workload::Spmm, 512, 1024, 256, 0.15}, 102);
       case 2:
-        return {label, suite.spmm(512, 1024, 256, 0.45, 103)};
+        return run({label, Workload::Spmm, 512, 1024, 256, 0.45}, 103);
       case 3:
         return {label,
                 suite.spmmBimodal(512, 1024, 256, 0.65, 0.95, 104)};
 
       case 4:
-        return {label, suite.spmmNm(512, 1024, 256, 2, 4, 105)};
+        return run({label, Workload::SpmmNm, 512, 1024, 256, 0, 0, 1, 2, 4},
+                   105);
       case 5:
-        return {label, suite.spmmNm(512, 1024, 256, 2, 8, 106)};
+        return run({label, Workload::SpmmNm, 512, 1024, 256, 0, 0, 1, 2, 8},
+                   106);
 
       case 6:
-        return {label, suite.sddmm(512, 32, 512, 0.70, 107)};
+        return run({label, Workload::Sddmm, 512, 32, 512, 0.70}, 107);
       // Win1: Longformer on BERT (window 512, seq 4K, head dim 64).
       case 7:
-        return {label, suite.sddmmWindow(4096, 64, 512, 108)};
+        return run({label, Workload::SddmmWindow, 4096, 64, 4096, 0, 512},
+                   108);
       // Win2: Mistral-7B (window 4K, context 16K, head dim 128).
       case 8:
-        return {label, suite.sddmmWindow(16384, 128, 4096, 109)};
+        return run({label, Workload::SddmmWindow, 16384, 128, 16384, 0, 4096},
+                   109);
 
       case 9:
         return polyGroupCase(PolyGroup::Blas, suite);

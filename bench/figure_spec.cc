@@ -17,104 +17,6 @@ namespace canon
 namespace bench
 {
 
-// ---- FigurePoint ------------------------------------------------------
-
-const std::string &
-FigurePoint::value(const std::string &key) const
-{
-    for (const auto &[k, v] : coords)
-        if (k == key)
-            return v;
-    fatal("figure point '", label, "' has no axis '", key, "'");
-}
-
-double
-FigurePoint::number(const std::string &key) const
-{
-    const std::string &v = value(key);
-    try {
-        std::size_t pos = 0;
-        const double d = std::stod(v, &pos);
-        fatalIf(pos != v.size(), "trailing garbage");
-        return d;
-    } catch (const std::exception &) {
-        fatal("axis '", key, "' value '", v, "' is not a number");
-    }
-}
-
-int
-FigurePoint::integer(const std::string &key) const
-{
-    const std::string &v = value(key);
-    try {
-        std::size_t pos = 0;
-        const int i = std::stoi(v, &pos);
-        fatalIf(pos != v.size(), "trailing garbage");
-        return i;
-    } catch (const std::exception &) {
-        fatal("axis '", key, "' value '", v, "' is not an integer");
-    }
-}
-
-// ---- FigureSpec -------------------------------------------------------
-
-FigureSpec &
-FigureSpec::axis(std::string key, std::vector<std::string> values)
-{
-    fatalIf(values.empty(), "figure axis '", key, "' has no values");
-    for (const auto &a : axes_)
-        fatalIf(a.key == key, "duplicate figure axis '", key, "'");
-    axes_.push_back({std::move(key), std::move(values)});
-    return *this;
-}
-
-std::size_t
-FigureSpec::pointCount() const
-{
-    std::size_t n = 1;
-    for (const auto &axis : axes_)
-        n *= axis.values.size();
-    return n;
-}
-
-std::vector<FigurePoint>
-FigureSpec::expand() const
-{
-    std::vector<FigurePoint> points;
-    points.reserve(pointCount());
-
-    // Odometer over the axis value lists: the last axis is the least
-    // significant digit, so it varies fastest (the SweepSpec order).
-    std::vector<std::size_t> digit(axes_.size(), 0);
-    for (;;) {
-        FigurePoint p;
-        p.index = points.size();
-        p.digits = digit;
-        for (std::size_t a = 0; a < axes_.size(); ++a) {
-            const auto &axis = axes_[a];
-            p.coords.emplace_back(axis.key, axis.values[digit[a]]);
-            if (!p.label.empty())
-                p.label += " ";
-            p.label += axis.key + "=" + axis.values[digit[a]];
-        }
-        points.push_back(std::move(p));
-
-        std::size_t a = axes_.size();
-        while (a > 0) {
-            --a;
-            if (++digit[a] < axes_[a].values.size())
-                break;
-            digit[a] = 0;
-            if (a == 0)
-                return points;
-        }
-        if (axes_.empty())
-            return points;
-    }
-}
-
-// ---- FigureBench ------------------------------------------------------
-
 FigureBench &
 FigureBench::add(FigureTable table)
 {
@@ -177,14 +79,18 @@ FigureBench::run(const BenchOptions &opt, std::ostream &out,
     // Every grid point is one cached job whose payload is its encoded
     // rows, so a warm rerun renders exactly the bytes the cold run
     // rendered, and a stored entry that does not decode is recomputed
-    // as one miss.
+    // as one miss. Each job's status is a ScenarioResult named by its
+    // global index and "title: label": the record the failure report
+    // and the obs report read.
     const obs::ObsOptions &obs_opt = opt.common.obs;
     std::vector<FigureRows> results(jobs.size());
-    std::vector<runner::JobStatus> status(jobs.size());
+    std::vector<runner::ScenarioResult> status(jobs.size());
     std::vector<runner::CachedJob> batch(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const FigureTable &table = tables_[jobs[i].table];
         const FigurePoint &point = jobs[i].point;
+        status[i].job.index = first + i;
+        status[i].job.point = table.title + ": " + point.label;
         runner::CachedJob &job = batch[i];
         job.key = cache::figureKey(name_, table.title, point.label);
         job.obs = &obs_opt;
@@ -199,10 +105,10 @@ FigureBench::run(const BenchOptions &opt, std::ostream &out,
     eng.runJobs(batch);
 
     // Every job was attempted; report the lowest-indexed failure.
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (!status[i].error.empty()) {
-            err << name_ << ": job " << first + i << ": "
-                << status[i].error << "\n";
+    for (const runner::ScenarioResult &s : status) {
+        if (!s.error.empty()) {
+            err << name_ << ": job " << s.job.index << ": " << s.error
+                << "\n";
             return 1;
         }
     }
@@ -233,14 +139,7 @@ FigureBench::run(const BenchOptions &opt, std::ostream &out,
     }
 
     if (obs_opt.enabled()) {
-        std::vector<engine::ObsScenario> scenarios;
-        scenarios.reserve(jobs.size());
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            scenarios.push_back({first + i,
-                                 tables_[jobs[i].table].title + ": " +
-                                     jobs[i].point.label,
-                                 {}, {}, {}, status[i].obs});
-        const engine::ObsReport rep(obs_opt, std::move(scenarios),
+        const engine::ObsReport rep(obs_opt, std::move(status),
                                     eng.store());
         if (std::string oerr = rep.writeOutputs(); !oerr.empty()) {
             err << name_ << ": " << oerr << "\n";

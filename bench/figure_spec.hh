@@ -4,7 +4,7 @@
  *
  * Every figure of the paper's evaluation is a grid of scenarios. This
  * layer lets a bench binary *declare* that grid -- a FigureSpec axis
- * list per table, exactly the SweepSpec contract of src/runner/ --
+ * list per table, the runner::Grid that canonsim's sweeps expand --
  * and submit every grid point as one cached job to a
  * canon::engine::Engine (which owns the worker pool and the result
  * cache), instead of hand-rolling a serial scenario loop. One
@@ -44,65 +44,16 @@
 #include <vector>
 
 #include "engine/common_flags.hh"
+#include "runner/sweep.hh"
 
 namespace canon
 {
 namespace bench
 {
 
-/**
- * One expanded grid point: the axis assignment that names one unit of
- * a figure's work (usually one table row).
- */
-struct FigurePoint
-{
-    std::size_t index = 0; //!< position in the table's expansion order
-    /** (axis key, value) per axis, in axis declaration order. */
-    std::vector<std::pair<std::string, std::string>> coords;
-    /** Per-axis value index, aligned with coords. */
-    std::vector<std::size_t> digits;
-    std::string label; //!< "key=value key=value"; empty with no axes
-
-    /** Value of axis @p key; fatal() when the axis does not exist. */
-    const std::string &value(const std::string &key) const;
-
-    /** value(key) parsed as double / int; fatal() on garbage. */
-    double number(const std::string &key) const;
-    int integer(const std::string &key) const;
-};
-
-/**
- * A declarative axis grid. With no axes it expands to a single
- * unlabeled point -- the whole-table-as-one-job case, used when a
- * table's rows share state (a common RNG stream, a cross-row
- * aggregate) and must be emitted together.
- */
-class FigureSpec
-{
-  public:
-    /** Add one axis; values must be nonempty. Returns *this. */
-    FigureSpec &axis(std::string key, std::vector<std::string> values);
-
-    std::size_t axisCount() const { return axes_.size(); }
-
-    /** Product of the axis lengths; 1 when no axis was declared. */
-    std::size_t pointCount() const;
-
-    /**
-     * The full grid in expansion order: nested loops over the axes in
-     * declaration order, the last-declared axis fastest.
-     */
-    std::vector<FigurePoint> expand() const;
-
-  private:
-    struct Axis
-    {
-        std::string key;
-        std::vector<std::string> values;
-    };
-
-    std::vector<Axis> axes_;
-};
+/** A figure table's row grid and its expanded points. */
+using FigureSpec = runner::Grid;
+using FigurePoint = runner::GridPoint;
 
 /** The rows one grid point contributes to its table, in order. */
 using FigureRows = std::vector<std::vector<std::string>>;
@@ -118,7 +69,12 @@ struct FigureTable
     std::string title;
     std::vector<std::string> header;
     std::string csvName; //!< empty: print only, no CSV file
-    FigureSpec grid;     //!< no axes = the whole table is one job
+    /**
+     * The row grid. No axes makes the whole table one job: for rows
+     * that share state (a common RNG stream, a cross-row aggregate)
+     * and must be emitted together.
+     */
+    FigureSpec grid;
     std::function<FigureRows(const FigurePoint &)> emit;
     std::string note; //!< commentary printed after the table
 };

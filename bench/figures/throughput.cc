@@ -59,57 +59,24 @@ timeLoop(int iterations, const char *unit, Fn &&step)
     return m;
 }
 
+/**
+ * Simulated cycles per second of one SpMM mapping on a rows x cols
+ * fabric under @p flush: an a_rows x a_cols A at @p sparsity, rebuilt,
+ * loaded and run @p iterations times.
+ */
 Measurement
-canonSpmmThroughput(double sparsity)
+canonThroughput(int rows, int cols, SpadFlushPolicy flush, int a_rows,
+                int a_cols, double sparsity, int iterations)
 {
     CanonConfig cfg;
+    cfg.rows = rows;
+    cfg.cols = cols;
+    cfg.spadFlush = flush;
     Rng rng(1);
-    const auto a = randomSparse(128, 256, sparsity, rng);
-    const auto b = randomDense(256, cfg.cols * kSimdWidth, rng);
+    const auto a = randomSparse(a_rows, a_cols, sparsity, rng);
+    const auto b = randomDense(a_cols, cfg.cols * kSimdWidth, rng);
     const auto mapping = mapSpmm(CsrMatrix::fromDense(a), b, cfg);
-    return timeLoop(8, "sim-cycles/s", [&]() {
-        CanonFabric fabric(cfg);
-        fabric.load(mapping);
-        return static_cast<double>(fabric.run());
-    });
-}
-
-Measurement
-canonSpmm16x16Throughput()
-{
-    // The scaling case: 4x the components of the paper fabric, the
-    // shape the tick-schedule work is sized against.
-    CanonConfig cfg;
-    cfg.rows = 16;
-    cfg.cols = 16;
-    Rng rng(1);
-    const auto a = randomSparse(256, 256, 0.5, rng);
-    const auto b = randomDense(256, cfg.cols * kSimdWidth, rng);
-    const auto mapping = mapSpmm(CsrMatrix::fromDense(a), b, cfg);
-    return timeLoop(4, "sim-cycles/s", [&]() {
-        CanonFabric fabric(cfg);
-        fabric.load(mapping);
-        return static_cast<double>(fabric.run());
-    });
-}
-
-Measurement
-canonResident2048Throughput()
-{
-    // The resident-row scaling point: 2048 in-flight output rows on
-    // a 16x16 fabric under --spad-flush adaptive, the regime the
-    // lifted proxy cap (kMinProxyRowsAdaptive) runs in. Work/Iter
-    // pins the flattened cost curve: a drift here means the adaptive
-    // policy's cycle behaviour changed.
-    CanonConfig cfg;
-    cfg.rows = 16;
-    cfg.cols = 16;
-    cfg.spadFlush = SpadFlushPolicy::Adaptive;
-    Rng rng(1);
-    const auto a = randomSparse(2048, 128, 0.7, rng);
-    const auto b = randomDense(128, cfg.cols * kSimdWidth, rng);
-    const auto mapping = mapSpmm(CsrMatrix::fromDense(a), b, cfg);
-    return timeLoop(4, "sim-cycles/s", [&]() {
+    return timeLoop(iterations, "sim-cycles/s", [&]() {
         CanonFabric fabric(cfg);
         fabric.load(mapping);
         return static_cast<double>(fabric.run());
@@ -178,22 +145,31 @@ simThroughputBench()
                  "systolic-16", "systolic-32", "lut-compile",
                  "cgra-mapper"});
     t.emit = [](const FigurePoint &p) -> FigureRows {
+        using enum SpadFlushPolicy;
         Measurement m;
         switch (p.digits[0]) {
           case 0:
-            m = canonSpmmThroughput(0.10);
+            m = canonThroughput(8, 8, Eager, 128, 256, 0.10, 8);
             break;
           case 1:
-            m = canonSpmmThroughput(0.50);
+            m = canonThroughput(8, 8, Eager, 128, 256, 0.50, 8);
             break;
           case 2:
-            m = canonSpmmThroughput(0.90);
+            m = canonThroughput(8, 8, Eager, 128, 256, 0.90, 8);
             break;
           case 3:
-            m = canonSpmm16x16Throughput();
+            // The scaling case: 4x the components of the paper
+            // fabric, the shape the tick-schedule work is sized
+            // against.
+            m = canonThroughput(16, 16, Eager, 256, 256, 0.5, 4);
             break;
           case 4:
-            m = canonResident2048Throughput();
+            // The resident-row scaling point: 2048 in-flight output
+            // rows under --spad-flush adaptive, the regime the lifted
+            // proxy cap (kMinProxyRowsAdaptive) runs in. Work/Iter
+            // pins the flattened cost curve: a drift here means the
+            // adaptive policy's cycle behaviour changed.
+            m = canonThroughput(16, 16, Adaptive, 2048, 128, 0.7, 4);
             break;
           case 5:
             m = systolicThroughput(16);

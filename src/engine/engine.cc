@@ -196,7 +196,7 @@ Engine::runBatch(const std::vector<ScenarioRequest> &requests,
             rs.cache_stats_line_ = perRequestCacheLine(rs.results_);
         const obs::ObsOptions &obs_opt = local[r].options().common.obs;
         if (obs_opt.enabled())
-            rs.obs_ = ObsReport::build(obs_opt, rs.results_, store());
+            rs.obs_ = ObsReport(obs_opt, rs.results_, store());
     }
     return sets;
 }

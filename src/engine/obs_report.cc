@@ -42,7 +42,7 @@ cacheEventName(obs::CacheEventKind k)
  * profiles are deterministic).
  */
 std::uint64_t
-scenarioDuration(const ObsScenario &s)
+scenarioDuration(const runner::ScenarioResult &s)
 {
     if (s.obs && !s.obs->runs.empty()) {
         std::uint64_t d = 0;
@@ -72,7 +72,7 @@ catCell(std::uint64_t v, std::uint64_t total)
 } // namespace
 
 ObsReport::ObsReport(const obs::ObsOptions &opt,
-                     std::vector<ObsScenario> scenarios,
+                     std::vector<runner::ScenarioResult> scenarios,
                      const cache::ResultStore *store)
     : options_(opt)
 {
@@ -85,34 +85,18 @@ ObsReport::ObsReport(const obs::ObsOptions &opt,
     }
 }
 
-ObsReport
-ObsReport::build(const obs::ObsOptions &opt,
-                 const std::vector<runner::ScenarioResult> &results,
-                 const cache::ResultStore *store)
-{
-    std::vector<ObsScenario> scenarios;
-    if (opt.enabled()) {
-        scenarios.reserve(results.size());
-        for (const auto &r : results)
-            scenarios.push_back(
-                {r.job.index, r.job.point, r.error,
-                 runner::orderedArchs(r.job.options, r.cases), r.cases,
-                 r.obs});
-    }
-    return ObsReport(opt, std::move(scenarios), store);
-}
-
 void
 ObsReport::writeSeriesCsv(std::ostream &os) const
 {
     if (!enabled())
         return;
     os << obs::kSeriesCsvHeader << '\n';
-    for (const ObsScenario &s : scenarios_) {
+    for (const runner::ScenarioResult &s : scenarios_) {
         if (!s.obs)
             continue;
         for (std::size_t p = 0; p < s.obs->runs.size(); ++p)
-            obs::writeSeriesCsv(os, s.index, p, s.obs->runs[p].series);
+            obs::writeSeriesCsv(os, s.job.index, p,
+                                s.obs->runs[p].series);
     }
 }
 
@@ -145,19 +129,19 @@ ObsReport::writeTrace(std::ostream &os) const
     // Virtual timeline: scenarios tile back to back in expansion
     // order, so the trace bytes are independent of worker scheduling.
     std::uint64_t now = 0;
-    for (const ObsScenario &s : scenarios_) {
+    for (const runner::ScenarioResult &s : scenarios_) {
         const std::uint64_t dur = scenarioDuration(s);
 
         TraceEvent span;
         span.phase = 'X';
-        span.name = "scenario " + std::to_string(s.index);
+        span.name = "scenario " + std::to_string(s.job.index);
         span.cat = "engine";
         span.ts = now;
         span.dur = dur;
         span.tid = 0;
-        span.args.push_back({"index", s.index});
-        if (!s.point.empty())
-            span.sargs.push_back({"point", s.point});
+        span.args.push_back({"index", s.job.index});
+        if (!s.job.point.empty())
+            span.sargs.push_back({"point", s.job.point});
         if (!s.error.empty())
             span.sargs.push_back({"error", s.error});
         ev.push_back(std::move(span));
@@ -174,7 +158,7 @@ ObsReport::writeTrace(std::ostream &os) const
             // window, stores after it completes.
             i.ts = k == obs::CacheEventKind::Store ? now + dur : now;
             i.tid = 0;
-            i.args.push_back({"scenario", s.index});
+            i.args.push_back({"scenario", s.job.index});
             ev.push_back(std::move(i));
         }
 
@@ -188,7 +172,7 @@ ObsReport::writeTrace(std::ostream &os) const
             x.ts = t;
             x.dur = run.cycles;
             x.tid = 1;
-            x.args.push_back({"scenario", s.index});
+            x.args.push_back({"scenario", s.job.index});
             x.args.push_back({"pass", p});
             x.args.push_back({"cycles", run.cycles});
             ev.push_back(std::move(x));
@@ -231,7 +215,7 @@ ObsReport::writeTrace(std::ostream &os) const
 bool
 ObsReport::hasAccounting() const
 {
-    for (const ObsScenario &s : scenarios_) {
+    for (const runner::ScenarioResult &s : scenarios_) {
         if (!s.obs)
             continue;
         for (const auto &run : s.obs->runs)
@@ -244,7 +228,7 @@ ObsReport::hasAccounting() const
 void
 ObsReport::writeAccounting(std::ostream &os) const
 {
-    for (const ObsScenario &s : scenarios_) {
+    for (const runner::ScenarioResult &s : scenarios_) {
         if (!s.obs)
             continue;
         for (std::size_t p = 0; p < s.obs->runs.size(); ++p) {
@@ -255,9 +239,9 @@ ObsReport::writeAccounting(std::ostream &os) const
 
             std::string title =
                 "Cycle accounting -- scenario " +
-                std::to_string(s.index);
-            if (!s.point.empty())
-                title += " (" + s.point + ")";
+                std::to_string(s.job.index);
+            if (!s.job.point.empty())
+                title += " (" + s.job.point + ")";
             if (s.obs->runs.size() > 1)
                 title += ", pass " + std::to_string(p);
             title += ": " + Table::fmtInt(acct.cycles) +
@@ -304,20 +288,19 @@ ObsReport::writeStatsJson(std::ostream &os) const
     w.kv("schema", "canon.stats.v2");
     w.key("scenarios");
     w.beginArray();
-    for (const ObsScenario &s : scenarios_) {
+    for (const runner::ScenarioResult &s : scenarios_) {
         w.beginObject();
-        w.kv("index", static_cast<std::uint64_t>(s.index));
-        w.kv("point", s.point);
+        w.kv("index", static_cast<std::uint64_t>(s.job.index));
+        w.kv("point", s.job.point);
         if (!s.error.empty())
             w.kv("error", s.error);
-        if (!s.archs.empty()) {
+        const std::vector<std::string> archs =
+            runner::orderedArchs(s.job.options, s.cases);
+        if (!archs.empty()) {
             w.key("archs");
             w.beginArray();
-            for (const std::string &a : s.archs) {
-                auto it = s.cases.find(a);
-                if (it == s.cases.end())
-                    continue;
-                const ExecutionProfile &p = it->second;
+            for (const std::string &a : archs) {
+                const ExecutionProfile &p = s.cases.at(a);
                 w.beginObject();
                 w.kv("arch", a);
                 w.kv("cycles", p.cycles);

@@ -18,12 +18,8 @@
 #ifndef CANON_ENGINE_OBS_REPORT_HH
 #define CANON_ENGINE_OBS_REPORT_HH
 
-#include <cstddef>
-#include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cache/store.hh"
@@ -35,19 +31,6 @@ namespace canon
 namespace engine
 {
 
-/** One scenario's observation record, in expansion order. */
-struct ObsScenario
-{
-    std::size_t index = 0; //!< global expansion index
-    std::string point;     //!< sweep point label (may be empty)
-    std::string error;     //!< scenario failure, if any
-    /** Requested archs present in the result, in display order. */
-    std::vector<std::string> archs;
-    /** Per-arch execution profiles (keyed like archs). */
-    CaseResult cases;
-    std::shared_ptr<const obs::ScenarioObs> obs; //!< null when off
-};
-
 class ObsReport
 {
   public:
@@ -55,31 +38,23 @@ class ObsReport
     ObsReport() = default;
 
     /**
-     * A report over @p scenarios (kept only when @p opt enables
-     * observation); cache totals are snapshotted from @p store when
-     * present. The figure benches build theirs this way, one
-     * scenario per grid point.
+     * A report over @p scenarios in expansion order (kept only when
+     * @p opt enables observation); cache totals are snapshotted from
+     * @p store when present. The writers read each result's global
+     * index (job.index, carried through sharding), point label,
+     * error, profiles and observations; an Engine run passes its
+     * ScenarioResults, a figure bench one per grid point.
      */
     ObsReport(const obs::ObsOptions &opt,
-              std::vector<ObsScenario> scenarios,
+              std::vector<runner::ScenarioResult> scenarios,
               const cache::ResultStore *store);
 
     bool enabled() const { return options_.enabled(); }
     const obs::ObsOptions &options() const { return options_; }
-    const std::vector<ObsScenario> &scenarios() const
+    const std::vector<runner::ScenarioResult> &scenarios() const
     {
         return scenarios_;
     }
-
-    /**
-     * Build from a finished scenario run. Scenario indices/points/
-     * archs come from the results (which carry their global expansion
-     * indices through sharding).
-     */
-    static ObsReport
-    build(const obs::ObsOptions &opt,
-          const std::vector<runner::ScenarioResult> &results,
-          const cache::ResultStore *store);
 
     /** The sampled time series as one long-form CSV. */
     void writeSeriesCsv(std::ostream &os) const;
@@ -109,7 +84,7 @@ class ObsReport
 
   private:
     obs::ObsOptions options_;
-    std::vector<ObsScenario> scenarios_;
+    std::vector<runner::ScenarioResult> scenarios_;
     bool haveCacheTotals_ = false;
     cache::CacheStats cacheTotals_;
 };

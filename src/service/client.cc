@@ -84,6 +84,18 @@ Client::call(const Frame &request, MsgType reply_type,
         error = "daemon error: " + reply.payload;
         return false;
     }
+    // Of the requests sent through here, only a Plan is answered
+    // Rejected: its request was invalid.
+    if (reply.type == MsgType::Rejected) {
+        KvPairs records;
+        std::string kv_error, message;
+        if (decodeKv(reply.payload, records, kv_error))
+            for (const auto &kv : records)
+                if (kv.first == "message")
+                    message = kv.second;
+        error = "plan rejected: " + message;
+        return false;
+    }
     if (reply.type != reply_type) {
         error = "unexpected reply frame";
         return false;
@@ -182,39 +194,8 @@ Client::plan(const SubmitBody &body, std::string &text,
              std::string &error)
 {
     std::string payload = encodeSubmit(body, error);
-    if (!error.empty())
-        return false;
-    // A Plan for an invalid request comes back Rejected, which call()
-    // reports as an unexpected frame; surface it more usefully.
-    if (!connected()) {
-        error = "not connected";
-        return false;
-    }
-    if (!sendFrame(fd_, Frame{MsgType::Plan, payload})) {
-        error = "send failed";
-        return false;
-    }
-    Frame reply;
-    if (!readReply(reply, error))
-        return false;
-    if (reply.type == MsgType::Rejected) {
-        KvPairs records;
-        std::string kv_error, message;
-        if (decodeKv(reply.payload, records, kv_error))
-            for (const auto &kv : records)
-                if (kv.first == "message")
-                    message = kv.second;
-        error = "plan rejected: " + message;
-        return false;
-    }
-    if (reply.type != MsgType::PlanReply) {
-        error = reply.type == MsgType::Error
-                    ? "daemon error: " + reply.payload
-                    : "unexpected reply frame";
-        return false;
-    }
-    text = reply.payload;
-    return true;
+    return error.empty() && call(Frame{MsgType::Plan, payload},
+                                 MsgType::PlanReply, text, error);
 }
 
 bool

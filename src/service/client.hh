@@ -85,7 +85,10 @@ class Client
     bool submit(const SubmitBody &body, const ResultFn &onResult,
                 SubmitOutcome &outcome, std::string &error);
 
-    /** Dry-run forecast; @p text is the rendered plan table. */
+    /**
+     * Dry-run forecast; @p text is the rendered plan table. An
+     * invalid request fails with "plan rejected: <message>".
+     */
     bool plan(const SubmitBody &body, std::string &text,
               std::string &error);
 

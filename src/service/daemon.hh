@@ -96,6 +96,18 @@ struct DaemonConfig
     int drainWaitMs = 60000;
 };
 
+/**
+ * Parse canond's arguments (argv without the program name) into
+ * @p cfg, in the "--key value" and "--key=value" spellings: --socket
+ * (required), --max-active, --job-quota, --drain-wait-ms, and the
+ * --jobs/--cache-dir/--cache grammar shared with canonsim. Requests
+ * carry no shard or observability options, so those common flags are
+ * unknown here. --help/-h sets @p showHelp and stops parsing. Returns
+ * an empty string on success, otherwise the usage error.
+ */
+std::string parseDaemonArgs(const std::vector<std::string> &args,
+                            DaemonConfig &cfg, bool &showHelp);
+
 /** Monotonic counters rendered by statsText(); all relaxed. */
 struct ServiceStats
 {

@@ -5,21 +5,12 @@
 namespace canon
 {
 
-ArchSuite::ArchSuite(const CanonConfig &cfg) : ArchSuite(cfg, {}) {}
-
-ArchSuite::ArchSuite(const CanonConfig &cfg,
-                     const std::vector<std::string> &archs)
-    : canon_(cfg),
-      systolic_(SystolicConfig{16, 16, SparsitySupport::Dense}),
-      systolic24_(SystolicConfig{16, 16, SparsitySupport::TwoFour}),
-      zed_(ZedConfig{}), cgra_(CgraConfig{}),
-      archs_(archs.begin(), archs.end())
+namespace
 {
-}
 
 std::vector<std::int64_t>
-ArchSuite::sampleRowNnz(std::int64_t rows, std::int64_t k,
-                        double density, std::uint64_t seed) const
+sampleRowNnz(std::int64_t rows, std::int64_t k, double density,
+             std::uint64_t seed)
 {
     Rng rng(seed);
     std::vector<std::int64_t> nnz;
@@ -49,41 +40,102 @@ ArchSuite::sampleRowNnz(std::int64_t rows, std::int64_t k,
     return nnz;
 }
 
-CaseResult
-ArchSuite::gemm(std::int64_t m, std::int64_t k, std::int64_t n,
-                std::uint64_t seed) const
+ExecutionProfile
+canonProfile(const CanonRunner &canon, const LayerSpec &l,
+             std::uint64_t seed)
 {
-    CaseResult r;
-    if (enabled("canon"))
-        r["canon"] = canon_.gemmShape(m, k, n, seed);
-    if (enabled("systolic"))
-        r["systolic"] = systolic_.gemm(m, k, n);
-    if (enabled("systolic24"))
-        r["systolic24"] = systolic24_.gemm(m, k, n);
-    if (enabled("zed"))
-        r["zed"] = zed_.gemm(m, k, n);
-    if (enabled("cgra"))
-        r["cgra"] = cgra_.gemm(m, k, n);
-    return r;
+    switch (l.workload) {
+      case Workload::Gemm:
+        return canon.gemmShape(l.m, l.k, l.n, seed);
+      case Workload::Spmm:
+        return canon.spmmShape(l.m, l.k, l.n, l.sparsity, seed);
+      case Workload::SpmmNm:
+        return canon.nmShape(l.m, l.k, l.n, l.nmN, l.nmM, seed);
+      case Workload::Sddmm:
+        return canon.sddmmShape(l.m, l.k, l.n, l.sparsity, seed);
+      case Workload::SddmmWindow:
+        return canon.sddmmWindowShape(l.m, l.k, l.window, seed);
+    }
+    return {};
 }
 
-CaseResult
-ArchSuite::spmm(std::int64_t m, std::int64_t k, std::int64_t n,
-                double sparsity, std::uint64_t seed) const
+ExecutionProfile
+systolicProfile(const SystolicModel &model, const LayerSpec &l)
 {
-    CaseResult r;
-    if (enabled("canon"))
-        r["canon"] = canon_.spmmShape(m, k, n, sparsity, seed);
-    if (enabled("systolic"))
-        r["systolic"] = systolic_.spmm(m, k, n, sparsity);
-    if (enabled("systolic24"))
-        r["systolic24"] = systolic24_.spmm(m, k, n, sparsity);
-    if (enabled("zed"))
-        r["zed"] = zed_.spmmRows(
-            sampleRowNnz(m, k, 1.0 - sparsity, seed + 1), n);
-    if (enabled("cgra"))
-        r["cgra"] = cgra_.spmm(m, k, n, sparsity);
-    return r;
+    switch (l.workload) {
+      case Workload::Gemm:
+        return model.gemm(l.m, l.k, l.n);
+      case Workload::Spmm:
+        return model.spmm(l.m, l.k, l.n, l.sparsity);
+      case Workload::SpmmNm:
+        // Only the 2:4 variant reads the pattern.
+        return model.gemm(l.m, l.k, l.n, {l.nmN, l.nmM});
+      case Workload::Sddmm:
+        return model.sddmm(l.m, l.k, l.n, l.sparsity);
+      case Workload::SddmmWindow:
+        return model.sddmmWindow(l.m, l.k, l.window);
+    }
+    return {};
+}
+
+ExecutionProfile
+zedProfile(const ZedModel &zed, const LayerSpec &l, std::uint64_t seed)
+{
+    const auto rows = static_cast<std::size_t>(l.m);
+    switch (l.workload) {
+      case Workload::Gemm:
+        return zed.gemm(l.m, l.k, l.n);
+      case Workload::Spmm:
+        return zed.spmmRows(
+            sampleRowNnz(l.m, l.k, 1.0 - l.sparsity, seed + 1), l.n);
+      case Workload::SpmmNm:
+        // ZeD treats structure as plain unstructured non-zeros: rows
+        // are perfectly balanced at k*n/m non-zeros each.
+        return zed.spmmRows(
+            std::vector<std::int64_t>(rows, l.k * l.nmN / l.nmM), l.n);
+      case Workload::Sddmm:
+        return zed.sddmmRows(
+            sampleRowNnz(l.m, l.n, 1.0 - l.sparsity, seed + 1), l.k);
+      case Workload::SddmmWindow:
+        // ZeD sees the band as an unstructured mask: `window` live
+        // positions per row.
+        return zed.sddmmRows(std::vector<std::int64_t>(rows, l.window),
+                             l.k);
+    }
+    return {};
+}
+
+ExecutionProfile
+cgraProfile(const CgraModel &cgra, const LayerSpec &l)
+{
+    switch (l.workload) {
+      case Workload::Gemm:
+        return cgra.gemm(l.m, l.k, l.n);
+      case Workload::Spmm:
+        return cgra.spmm(l.m, l.k, l.n, l.sparsity);
+      case Workload::SpmmNm:
+        return cgra.spmm(l.m, l.k, l.n,
+                         1.0 - static_cast<double>(l.nmN) / l.nmM);
+      case Workload::Sddmm:
+        return cgra.sddmm(l.m, l.k, l.n, l.sparsity);
+      case Workload::SddmmWindow:
+        return cgra.sddmmWindow(l.m, l.k, l.window);
+    }
+    return {};
+}
+
+} // namespace
+
+ArchSuite::ArchSuite(const CanonConfig &cfg) : ArchSuite(cfg, {}) {}
+
+ArchSuite::ArchSuite(const CanonConfig &cfg,
+                     const std::vector<std::string> &archs)
+    : canon_(cfg),
+      systolic_(SystolicConfig{16, 16, SparsitySupport::Dense}),
+      systolic24_(SystolicConfig{16, 16, SparsitySupport::TwoFour}),
+      zed_(ZedConfig{}), cgra_(CgraConfig{}),
+      archs_(archs.begin(), archs.end())
+{
 }
 
 CaseResult
@@ -136,89 +188,20 @@ ArchSuite::spmmBimodal(std::int64_t m, std::int64_t k, std::int64_t n,
 }
 
 CaseResult
-ArchSuite::spmmNm(std::int64_t m, std::int64_t k, std::int64_t n,
-                  int nm_n, int nm_m, std::uint64_t seed) const
-{
-    CaseResult r;
-    if (enabled("canon"))
-        r["canon"] = canon_.nmShape(m, k, n, nm_n, nm_m, seed);
-    if (enabled("systolic"))
-        r["systolic"] = systolic_.gemm(m, k, n);
-    if (enabled("systolic24"))
-        r["systolic24"] = systolic24_.gemm(m, k, n, {nm_n, nm_m});
-    if (enabled("zed")) {
-        // ZeD treats structure as plain unstructured non-zeros: rows
-        // are perfectly balanced at k*n/m non-zeros each.
-        std::vector<std::int64_t> rows(
-            static_cast<std::size_t>(m),
-            static_cast<std::int64_t>(k) * nm_n / nm_m);
-        r["zed"] = zed_.spmmRows(rows, n);
-    }
-    if (enabled("cgra"))
-        r["cgra"] = cgra_.spmm(m, k, n,
-                               1.0 - static_cast<double>(nm_n) / nm_m);
-    return r;
-}
-
-CaseResult
-ArchSuite::sddmm(std::int64_t m, std::int64_t k, std::int64_t n,
-                 double mask_sparsity, std::uint64_t seed) const
-{
-    CaseResult r;
-    if (enabled("canon"))
-        r["canon"] = canon_.sddmmShape(m, k, n, mask_sparsity, seed);
-    if (enabled("systolic"))
-        r["systolic"] = systolic_.sddmm(m, k, n, mask_sparsity);
-    if (enabled("systolic24"))
-        r["systolic24"] = systolic24_.sddmm(m, k, n, mask_sparsity);
-    if (enabled("zed"))
-        r["zed"] = zed_.sddmmRows(
-            sampleRowNnz(m, n, 1.0 - mask_sparsity, seed + 1), k);
-    if (enabled("cgra"))
-        r["cgra"] = cgra_.sddmm(m, k, n, mask_sparsity);
-    return r;
-}
-
-CaseResult
-ArchSuite::sddmmWindow(std::int64_t seq, std::int64_t k,
-                       std::int64_t window, std::uint64_t seed) const
-{
-    CaseResult r;
-    if (enabled("canon"))
-        r["canon"] = canon_.sddmmWindowShape(seq, k, window, seed);
-    if (enabled("systolic"))
-        r["systolic"] = systolic_.sddmmWindow(seq, k, window);
-    if (enabled("systolic24"))
-        r["systolic24"] = systolic24_.sddmmWindow(seq, k, window);
-    if (enabled("zed")) {
-        // ZeD sees the band as an unstructured mask: `window` live
-        // positions per row.
-        std::vector<std::int64_t> rows(static_cast<std::size_t>(seq),
-                                       window);
-        r["zed"] = zed_.sddmmRows(rows, k);
-    }
-    if (enabled("cgra"))
-        r["cgra"] = cgra_.sddmmWindow(seq, k, window);
-    return r;
-}
-
-CaseResult
 ArchSuite::run(const LayerSpec &layer, std::uint64_t seed) const
 {
-    switch (layer.workload) {
-      case Workload::Gemm:
-        return gemm(layer.m, layer.k, layer.n, seed);
-      case Workload::Spmm:
-        return spmm(layer.m, layer.k, layer.n, layer.sparsity, seed);
-      case Workload::SpmmNm:
-        return spmmNm(layer.m, layer.k, layer.n, layer.nmN, layer.nmM,
-                      seed);
-      case Workload::Sddmm:
-        return sddmm(layer.m, layer.k, layer.n, layer.sparsity, seed);
-      case Workload::SddmmWindow:
-        return sddmmWindow(layer.m, layer.k, layer.window, seed);
-    }
-    return {};
+    CaseResult r;
+    if (enabled("canon"))
+        r["canon"] = canonProfile(canon_, layer, seed);
+    if (enabled("systolic"))
+        r["systolic"] = systolicProfile(systolic_, layer);
+    if (enabled("systolic24"))
+        r["systolic24"] = systolicProfile(systolic24_, layer);
+    if (enabled("zed"))
+        r["zed"] = zedProfile(zed_, layer, seed);
+    if (enabled("cgra"))
+        r["cgra"] = cgraProfile(cgra_, layer);
+    return r;
 }
 
 CaseResult

@@ -47,37 +47,24 @@ class ArchSuite
         return archs_.empty() || archs_.count(arch) != 0;
     }
 
-    CaseResult gemm(std::int64_t m, std::int64_t k, std::int64_t n,
-                    std::uint64_t seed) const;
-
-    CaseResult spmm(std::int64_t m, std::int64_t k, std::int64_t n,
-                    double sparsity, std::uint64_t seed) const;
+    /**
+     * Run one layer -- or one canonsim shape scenario -- on every
+     * selected architecture: the one dispatch behind canonsim shapes,
+     * model layers and the Figure 12/13 workload matrix.
+     */
+    CaseResult run(const LayerSpec &layer, std::uint64_t seed) const;
 
     /**
      * SpMM with a bimodal row population (alternating rows at the two
      * sparsities): the skewed-input regime where row-granular work
-     * distribution struggles (Section 6.2's S3 cases).
+     * distribution struggles (Section 6.2's S3 cases). Canon and ZeD
+     * consume one sampled population, which a LayerSpec cannot
+     * express.
      */
     CaseResult spmmBimodal(std::int64_t m, std::int64_t k,
                            std::int64_t n, double sparsity_a,
                            double sparsity_b,
                            std::uint64_t seed) const;
-
-    CaseResult spmmNm(std::int64_t m, std::int64_t k, std::int64_t n,
-                      int nm_n, int nm_m, std::uint64_t seed) const;
-
-    CaseResult sddmm(std::int64_t m, std::int64_t k, std::int64_t n,
-                     double mask_sparsity, std::uint64_t seed) const;
-
-    CaseResult sddmmWindow(std::int64_t seq, std::int64_t k,
-                           std::int64_t window,
-                           std::uint64_t seed) const;
-
-    /**
-     * Run one layer -- or one canonsim shape scenario -- with the
-     * per-kind method its workload names.
-     */
-    CaseResult run(const LayerSpec &layer, std::uint64_t seed) const;
 
     /** Run a whole model (Figure 14): per-arch accumulated profile. */
     CaseResult model(const ModelSpec &spec, std::uint64_t seed) const;
@@ -87,12 +74,6 @@ class ArchSuite
     const CgraModel &cgra() const { return cgra_; }
 
   private:
-    /** Binomially distributed per-row nnz for the ZeD row model. */
-    std::vector<std::int64_t> sampleRowNnz(std::int64_t rows,
-                                           std::int64_t k,
-                                           double density,
-                                           std::uint64_t seed) const;
-
     CanonRunner canon_;
     SystolicModel systolic_;
     SystolicModel systolic24_;

@@ -519,7 +519,8 @@ TEST(CliDriver, BaselineOnlyRunSkipsCanonSimulation)
     ArchSuite suite(o.fabric, o.archs);
     EXPECT_FALSE(suite.enabled("canon"));
     EXPECT_TRUE(suite.enabled("systolic"));
-    CaseResult direct = suite.spmm(32, 32, 32, 0.5, 1);
+    CaseResult direct =
+        suite.run({"spmm", Workload::Spmm, 32, 32, 32, 0.5}, 1);
     EXPECT_EQ(direct.count("canon"), 0u);
     EXPECT_EQ(direct.count("zed"), 0u);
     EXPECT_EQ(direct.count("systolic"), 1u);

@@ -909,8 +909,8 @@ TEST(ObsReport, ArtifactsByteIdenticalAcrossJobs)
     // Every scenario was observed (no cache, so all three executed).
     ASSERT_EQ(rs1.obs().scenarios().size(), 3u);
     for (const auto &s : rs1.obs().scenarios()) {
-        ASSERT_NE(s.obs, nullptr) << s.index;
-        EXPECT_FALSE(s.obs->runs.empty()) << s.index;
+        ASSERT_NE(s.obs, nullptr) << s.job.index;
+        EXPECT_FALSE(s.obs->runs.empty()) << s.job.index;
     }
 }
 

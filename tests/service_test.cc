@@ -392,6 +392,93 @@ TEST(Admission, QueueGrantsAtMostMaxActiveAndCloseWakes)
     EXPECT_FALSE(q.awaitGrant(q.enqueue(0, "e")));
 }
 
+// ---- canond arguments -------------------------------------------------
+
+TEST(DaemonArgs, AcceptsEveryDaemonFlagInBothSpellings)
+{
+    const std::vector<std::pair<std::string, std::string>> flags = {
+        {"--socket", "s.sock"},     {"--jobs", "3"},
+        {"--cache-dir", "cache"},   {"--cache", "read"},
+        {"--max-active", "5"},      {"--job-quota", "7"},
+        {"--drain-wait-ms", "0"}};
+    std::vector<std::string> split, joined;
+    for (const auto &[key, value] : flags) {
+        split.insert(split.end(), {key, value});
+        joined.push_back(key + "=" + value);
+    }
+    for (const auto &args : {split, joined}) {
+        DaemonConfig cfg;
+        bool help = false;
+        EXPECT_EQ(parseDaemonArgs(args, cfg, help), "");
+        EXPECT_FALSE(help);
+        EXPECT_EQ(cfg.socketPath, "s.sock");
+        EXPECT_EQ(cfg.jobs, 3);
+        EXPECT_EQ(cfg.cacheDir, "cache");
+        EXPECT_EQ(cfg.cacheMode, cache::Mode::Read);
+        EXPECT_EQ(cfg.maxActive, 5);
+        EXPECT_EQ(cfg.jobQuota, 7u);
+        EXPECT_EQ(cfg.drainWaitMs, 0);
+    }
+
+    // Defaults, and --help ahead of the required --socket.
+    DaemonConfig cfg;
+    bool help = false;
+    EXPECT_EQ(parseDaemonArgs({"--socket", "s"}, cfg, help), "");
+    EXPECT_EQ(cfg.jobs, 0);
+    EXPECT_TRUE(cfg.cacheDir.empty());
+    EXPECT_EQ(cfg.cacheMode, cache::Mode::ReadWrite);
+    EXPECT_EQ(cfg.maxActive, 2);
+    for (const char *flag : {"--help", "-h"}) {
+        help = false;
+        EXPECT_EQ(parseDaemonArgs({flag}, cfg, help), "");
+        EXPECT_TRUE(help) << flag;
+    }
+}
+
+TEST(DaemonArgs, RejectsIgnoredFlagsAndNamesTheFlagOfABadValue)
+{
+    auto parse = [](std::vector<std::string> args) {
+        DaemonConfig cfg;
+        bool help = false;
+        args.insert(args.begin(), {"--socket", "s"});
+        return parseDaemonArgs(args, cfg, help);
+    };
+    // Requests carry no shard and no observability options, so the
+    // daemon has nothing to apply these to.
+    for (const std::vector<std::string> &args :
+         std::vector<std::vector<std::string>>{
+             {"--shard", "1/2"},
+             {"--sample-every", "10"},
+             {"--series-out", "s.csv"},
+             {"--trace-out", "t.json"},
+             {"--stats-json", "st.json"},
+             {"--cycle-accounting"},
+             {"--host-timers"},
+             {"--bogus", "1"}})
+        EXPECT_EQ(parse(args), "unknown option '" + args[0] + "'");
+
+    EXPECT_EQ(parse({"--max-active", "0"}),
+              "bad value '0' for --max-active");
+    EXPECT_EQ(parse({"--max-active=x"}), "bad value 'x' for --max-active");
+    EXPECT_EQ(parse({"--job-quota", "-1"}),
+              "bad value '-1' for --job-quota");
+    EXPECT_EQ(parse({"--drain-wait-ms", "-5"}),
+              "bad value '-5' for --drain-wait-ms");
+    EXPECT_EQ(parse({"--max-active"}), "--max-active needs a value");
+    EXPECT_EQ(parse({"--jobs", "0"}),
+              "option '--jobs' expects an integer in [1, 256], got '0'");
+    EXPECT_NE(parse({"--cache-dir", "d", "--cache", "ro"})
+                  .find("option '--cache' expects off | read"),
+              std::string::npos);
+    EXPECT_EQ(parse({"--cache", "read"}),
+              "option '--cache' requires --cache-dir");
+
+    DaemonConfig cfg;
+    bool help = false;
+    EXPECT_EQ(parseDaemonArgs({"--jobs", "2"}, cfg, help),
+              "--socket is required");
+}
+
 // ---- daemon end-to-end ------------------------------------------------
 
 SubmitBody
@@ -513,6 +600,27 @@ TEST(Daemon, InvalidRequestGetsTypedRejection)
     EXPECT_FALSE(outcome.accepted);
     EXPECT_EQ(outcome.reason, RejectReason::InvalidRequest);
     EXPECT_NE(outcome.message.find("--sparsity"), std::string::npos);
+}
+
+TEST(Daemon, PlanOfAnInvalidRequestIsRejected)
+{
+    DaemonFixture fx("svc_plan_invalid");
+    Client c = fx.connect();
+
+    SubmitBody body;
+    body.client = "alice";
+    body.opt("sparsity", "2.0");
+    std::string text, error;
+    EXPECT_FALSE(c.plan(body, text, error));
+    EXPECT_EQ(error.rfind("plan rejected: ", 0), 0u) << error;
+    EXPECT_NE(error.find("--sparsity"), std::string::npos) << error;
+    EXPECT_TRUE(text.empty()) << text;
+
+    // The rejection is counted, and the connection still serves.
+    ASSERT_TRUE(c.stats(text, error)) << error;
+    EXPECT_NE(text.find("service.requests.rejected.invalid_request: 1"),
+              std::string::npos)
+        << text;
 }
 
 TEST(Daemon, WarmRerunAndPerRequestDeltasForSequentialClients)

@@ -396,7 +396,7 @@ TEST(ArchSuite, GemmCanonMatchesSystolic)
     // their performance" -- the cycle gap is within a few percent
     // either way (the efficiency gap shows up in perf/W instead).
     ArchSuite suite;
-    const auto r = suite.gemm(256, 256, 128, 11);
+    const auto r = suite.run({"gemm", Workload::Gemm, 256, 256, 128}, 11);
     const double canon_c = static_cast<double>(r.at("canon").cycles);
     const double sys_c = static_cast<double>(r.at("systolic").cycles);
     EXPECT_NEAR(sys_c / canon_c, 1.0, 0.10);
@@ -406,7 +406,8 @@ TEST(ArchSuite, SystolicFragileUnderHighSparsity)
 {
     // "their throughput can drop to less than 0.3x that of Canon".
     ArchSuite suite;
-    const auto r = suite.spmm(256, 256, 128, 0.9, 12);
+    const auto r =
+        suite.run({"spmm", Workload::Spmm, 256, 256, 128, 0.9}, 12);
     const double canon_c = static_cast<double>(r.at("canon").cycles);
     const double sys_c = static_cast<double>(r.at("systolic").cycles);
     EXPECT_GT(sys_c, canon_c / 0.35)
@@ -418,7 +419,8 @@ TEST(ArchSuite, ZedWithinBandOnUnstructured)
     // ZeD and Canon trade within ~10% on unstructured SpMM.
     ArchSuite suite;
     for (double sp : {0.2, 0.5, 0.8}) {
-        const auto r = suite.spmm(512, 512, 256, sp, 13);
+        const auto r =
+            suite.run({"spmm", Workload::Spmm, 512, 512, 256, sp}, 13);
         const double canon_c =
             static_cast<double>(r.at("canon").cycles);
         const double zed_c = static_cast<double>(r.at("zed").cycles);
@@ -432,7 +434,8 @@ TEST(ArchSuite, CanonMatchesTwoFourSystolicOn24)
     // Section 6.2: Canon leverages 2:4 structure despite being
     // agnostic to it, comparable to the specialized array.
     ArchSuite suite;
-    const auto r = suite.spmmNm(512, 512, 256, 2, 4, 14);
+    const auto r = suite.run(
+        {"nm", Workload::SpmmNm, 512, 512, 256, 0, 0, 1, 2, 4}, 14);
     const double canon_c = static_cast<double>(r.at("canon").cycles);
     const double s24_c =
         static_cast<double>(r.at("systolic24").cycles);
@@ -444,8 +447,10 @@ TEST(ArchSuite, TwoFourSystolicDegradesOn28)
     // 2:8 only gets the 2:4-format speedup on the modified systolic
     // array, while Canon's cycles keep tracking nnz.
     ArchSuite suite;
-    const auto r24 = suite.spmmNm(512, 512, 256, 2, 4, 15);
-    const auto r28 = suite.spmmNm(512, 512, 256, 2, 8, 15);
+    const auto r24 = suite.run(
+        {"nm", Workload::SpmmNm, 512, 512, 256, 0, 0, 1, 2, 4}, 15);
+    const auto r28 = suite.run(
+        {"nm", Workload::SpmmNm, 512, 512, 256, 0, 0, 1, 2, 8}, 15);
     const double canon_gain =
         static_cast<double>(r24.at("canon").cycles) /
         static_cast<double>(r28.at("canon").cycles);
@@ -460,7 +465,8 @@ TEST(ArchSuite, CanonWinsWindowAttention)
 {
     // "Canon outperforms all baselines on window attention."
     ArchSuite suite;
-    const auto r = suite.sddmmWindow(2048, 64, 256, 16);
+    const auto r = suite.run(
+        {"win", Workload::SddmmWindow, 2048, 64, 2048, 0, 256}, 16);
     const double canon_c = static_cast<double>(r.at("canon").cycles);
     for (const auto &arch :
          {"systolic", "systolic24", "zed", "cgra"}) {
@@ -513,30 +519,82 @@ TEST(Polybench, CgraWinsLowDlpSolvers)
 
 TEST(ArchSuite, RunDispatchesEveryWorkload)
 {
-    // run() is the one dispatch behind canonsim shapes and model
-    // layers: for every workload it equals the per-kind method.
+    // run() is the one dispatch behind canonsim shapes, model layers
+    // and the Figure 12/13 matrix: for every workload, each
+    // architecture's profile equals the direct call to its model.
     CanonConfig cfg;
     cfg.rows = 4;
     cfg.cols = 4;
     const ArchSuite suite(cfg);
+    const CanonRunner canon(cfg);
+    const SystolicModel sys(SystolicConfig{16, 16, SparsitySupport::Dense});
+    const SystolicModel s24(
+        SystolicConfig{16, 16, SparsitySupport::TwoFour});
+    const ZedModel zed;
+    const CgraModel cgra;
     const std::uint64_t seed = 3;
+    const std::int64_t m = 48, k = 40, n = 24, window = 16;
+    const double sp = 0.6;
+    const int nm_n = 2, nm_m = 8;
+    const auto rows = static_cast<std::size_t>(m);
+    // ZeD's unstructured row populations: Binomial(len, density) per
+    // row, drawn from seed + 1 (exactly, at these small lengths).
+    auto sampled = [&](std::int64_t len, double density) {
+        Rng rng(seed + 1);
+        std::vector<std::int64_t> nnz(rows, 0);
+        for (auto &c : nnz)
+            for (std::int64_t i = 0; i < len; ++i)
+                c += rng.nextBool(density) ? 1 : 0;
+        return nnz;
+    };
+
     const std::vector<std::pair<Workload, CaseResult>> expected = {
-        {Workload::Gemm, suite.gemm(48, 40, 24, seed)},
-        {Workload::Spmm, suite.spmm(48, 40, 24, 0.6, seed)},
-        {Workload::SpmmNm, suite.spmmNm(48, 40, 24, 2, 8, seed)},
-        {Workload::Sddmm, suite.sddmm(48, 40, 24, 0.6, seed)},
-        {Workload::SddmmWindow, suite.sddmmWindow(48, 40, 16, seed)},
+        {Workload::Gemm,
+         {{"canon", canon.gemmShape(m, k, n, seed)},
+          {"systolic", sys.gemm(m, k, n)},
+          {"systolic24", s24.gemm(m, k, n)},
+          {"zed", zed.gemm(m, k, n)},
+          {"cgra", cgra.gemm(m, k, n)}}},
+        {Workload::Spmm,
+         {{"canon", canon.spmmShape(m, k, n, sp, seed)},
+          {"systolic", sys.spmm(m, k, n, sp)},
+          {"systolic24", s24.spmm(m, k, n, sp)},
+          {"zed", zed.spmmRows(sampled(k, 1.0 - sp), n)},
+          {"cgra", cgra.spmm(m, k, n, sp)}}},
+        {Workload::SpmmNm,
+         {{"canon", canon.nmShape(m, k, n, nm_n, nm_m, seed)},
+          {"systolic", sys.gemm(m, k, n)},
+          {"systolic24", s24.gemm(m, k, n, {nm_n, nm_m})},
+          {"zed",
+           zed.spmmRows(std::vector<std::int64_t>(rows, k * nm_n / nm_m),
+                        n)},
+          {"cgra",
+           cgra.spmm(m, k, n, 1.0 - static_cast<double>(nm_n) / nm_m)}}},
+        {Workload::Sddmm,
+         {{"canon", canon.sddmmShape(m, k, n, sp, seed)},
+          {"systolic", sys.sddmm(m, k, n, sp)},
+          {"systolic24", s24.sddmm(m, k, n, sp)},
+          {"zed", zed.sddmmRows(sampled(n, 1.0 - sp), k)},
+          {"cgra", cgra.sddmm(m, k, n, sp)}}},
+        {Workload::SddmmWindow,
+         {{"canon", canon.sddmmWindowShape(m, k, window, seed)},
+          {"systolic", sys.sddmmWindow(m, k, window)},
+          {"systolic24", s24.sddmmWindow(m, k, window)},
+          {"zed",
+           zed.sddmmRows(std::vector<std::int64_t>(rows, window), k)},
+          {"cgra", cgra.sddmmWindow(m, k, window)}}},
     };
     ASSERT_EQ(expected.size(), cli::workloadTable().size());
     for (const auto &[workload, want] : expected) {
-        const LayerSpec layer{"layer", workload, 48, 40, 24, 0.6, 16,
-                              1.0, 2, 8};
+        const LayerSpec layer{"layer", workload, m,    k,    n,
+                              sp,      window,   1.0,  nm_n, nm_m};
         const CaseResult got = suite.run(layer, seed);
         ASSERT_EQ(got.size(), want.size()) << cli::workloadName(workload);
         for (const auto &[arch, p] : want) {
             const ExecutionProfile &q = got.at(arch);
             const std::string where =
                 std::string(cli::workloadName(workload)) + "/" + arch;
+            EXPECT_EQ(q.arch, p.arch) << where;
             EXPECT_EQ(q.workload, p.workload) << where;
             EXPECT_EQ(q.cycles, p.cycles) << where;
             EXPECT_EQ(q.peCount, p.peCount) << where;
