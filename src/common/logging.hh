@@ -9,7 +9,9 @@
  *
  * Both panic() and fatal() throw rather than calling std::abort()/exit()
  * so that unit tests can exercise error paths; uncaught, they terminate
- * the process with a readable message.
+ * the process with a readable message. Both are marked cold, so the
+ * checks inlined into the cycle loop keep their error paths out of the
+ * hot code.
  */
 
 #ifndef CANON_COMMON_LOGGING_HH
@@ -53,7 +55,7 @@ concat(Args &&...args)
 
 /** Report an internal simulator bug and unwind. */
 template <typename... Args>
-[[noreturn]] void
+[[noreturn, gnu::cold]] void
 panic(Args &&...args)
 {
     throw PanicError("panic: " +
@@ -62,7 +64,7 @@ panic(Args &&...args)
 
 /** Report an unrecoverable user/configuration error and unwind. */
 template <typename... Args>
-[[noreturn]] void
+[[noreturn, gnu::cold]] void
 fatal(Args &&...args)
 {
     throw FatalError("fatal: " +

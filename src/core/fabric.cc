@@ -96,10 +96,15 @@ CanonFabric::CanonFabric(const CanonConfig &cfg,
         pipeTicks_.push_back(pl.get());
     for (auto &m : msg_)
         msgTicks_.push_back(m.get());
+    std::size_t data_channels = 0;
     for (auto *chans : {&vert_, &horiz_})
         for (auto &row : *chans)
-            for (auto &ch : row)
-                dataTicks_.push_back(ch.get());
+            for (auto &ch : row) {
+                ch->commitVia(&dirtyData_);
+                ++data_channels;
+            }
+    // A channel enlists at most once per cycle: never reallocate.
+    dirtyData_.reserve(data_channels);
     computeGroups_ = {Group::Orchestrators, Group::Pes};
     commitGroups_ = {Group::Pes, Group::Pipelines, Group::MsgChannels,
                      Group::DataChannels};
@@ -109,7 +114,6 @@ CanonFabric::CanonFabric(const CanonConfig &cfg,
         rng.shuffle(peTicks_);
         rng.shuffle(pipeTicks_);
         rng.shuffle(msgTicks_);
-        rng.shuffle(dataTicks_);
         rng.shuffle(computeGroups_);
         rng.shuffle(commitGroups_);
     }
@@ -331,8 +335,9 @@ CanonFabric::step()
                 m->tickCommit();
             break;
           case Group::DataChannels:
-            for (auto *ch : dataTicks_)
+            for (auto *ch : dirtyData_)
                 ch->commit();
+            dirtyData_.clear();
             break;
           case Group::Probe:
             probe_->tickCommit();

@@ -182,14 +182,21 @@ class CanonFabric
     std::unique_ptr<obs::CycleProbe> probe_;
 
     // Tick order: the groups of each phase, and the members of every
-    // group with more than one (every data channel in one flat list).
+    // group with more than one.
     std::vector<Group> computeGroups_;
     std::vector<Group> commitGroups_;
     std::vector<Orchestrator *> orchTicks_;
     std::vector<Pe *> peTicks_;
     std::vector<InstPipeline *> pipeTicks_;
     std::vector<MsgChannel *> msgTicks_;
-    std::vector<DataChannel *> dataTicks_;
+
+    /**
+     * The data channels with a staged push or pop this cycle, in the
+     * order they staged it: every data channel enlists itself here
+     * (ChannelFifo::commitVia), and the DataChannels group commits
+     * only these.
+     */
+    std::vector<DataChannel *> dirtyData_;
 
     std::uint64_t shuffleSeed_ = 0;
     bool loaded_ = false;

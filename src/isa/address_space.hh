@@ -55,11 +55,73 @@ constexpr Addr kPortOutBase = 0x0520;
 constexpr Addr kZeroAddr = 0x05F0;
 constexpr Addr kNullAddr = 0x05FF;
 
+} // namespace addrspace
+
+/**
+ * An operand address decoded into the memory or port it names. The
+ * raw address stays alongside: forwarding compares addresses, and
+ * panic text prints them.
+ */
+struct Operand
+{
+    Addr addr = addrspace::kNullAddr;
+    AddrRegion region = AddrRegion::Null;
+    Addr offset = 0;
+
+    friend constexpr bool operator==(const Operand &,
+                                     const Operand &) = default;
+};
+
+namespace addrspace
+{
+
 /** Classify an address. */
-AddrRegion region(Addr a);
+constexpr AddrRegion
+region(Addr a)
+{
+    if (a < kDmemBase + kDmemSize)
+        return AddrRegion::Dmem;
+    if (a >= kSpadBase && a < kSpadBase + kSpadSize)
+        return AddrRegion::Spad;
+    if (a >= kRegBase && a < kRegBase + kRegSize)
+        return AddrRegion::Reg;
+    if (a >= kPortInBase && a < kPortInBase + kNumDirs)
+        return AddrRegion::PortIn;
+    if (a >= kPortOutBase && a < kPortOutBase + kNumDirs)
+        return AddrRegion::PortOut;
+    if (a == kZeroAddr)
+        return AddrRegion::Zero;
+    if (a == kNullAddr)
+        return AddrRegion::Null;
+    return AddrRegion::Invalid;
+}
 
 /** Offset of @p a within its region (slot index / register number). */
-Addr offset(Addr a);
+constexpr Addr
+offset(Addr a)
+{
+    switch (region(a)) {
+      case AddrRegion::Dmem:
+        return static_cast<Addr>(a - kDmemBase);
+      case AddrRegion::Spad:
+        return static_cast<Addr>(a - kSpadBase);
+      case AddrRegion::Reg:
+        return static_cast<Addr>(a - kRegBase);
+      case AddrRegion::PortIn:
+        return static_cast<Addr>(a - kPortInBase);
+      case AddrRegion::PortOut:
+        return static_cast<Addr>(a - kPortOutBase);
+      default:
+        return 0;
+    }
+}
+
+/** Classify @p a once: its region and offset, with the raw address. */
+constexpr Operand
+decode(Addr a)
+{
+    return Operand{a, region(a), offset(a)};
+}
 
 inline Addr
 dmem(int slot)

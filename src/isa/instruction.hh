@@ -9,8 +9,11 @@
  * operands (used for psum bypass N->S and meta/data forwarding W->E),
  * and the spatial-mode hold bit of Appendix D.
  *
- * The instruction-dedicated NoC carries instructions in this decoded
- * form; the simulator never packs them into a hardware word.
+ * The simulator never packs an instruction into a hardware word. The
+ * row's instruction NoC carries it as a DecodedInst: the orchestrator
+ * issues one instruction per cycle and every PE of the row executes
+ * it, so its addresses are classified once, at issue, instead of once
+ * per PE and pipeline stage.
  */
 
 #ifndef CANON_ISA_INSTRUCTION_HH
@@ -43,13 +46,6 @@ struct Instruction
     bool hold = false;
 
     bool isNop() const { return op == OpCode::Nop && route == 0; }
-
-    friend bool
-    operator==(const Instruction &a, const Instruction &b)
-    {
-        return a.op == b.op && a.op1 == b.op1 && a.op2 == b.op2 &&
-               a.res == b.res && a.route == b.route && a.hold == b.hold;
-    }
 };
 
 /** A NOP instruction constant. */
@@ -58,6 +54,36 @@ nopInst()
 {
     return Instruction{};
 }
+
+/** An instruction with its three addresses decoded (see above). */
+struct DecodedInst
+{
+    OpCode op = OpCode::Nop;
+    std::uint8_t route = 0;
+    bool hold = false;
+    Operand op1;
+    Operand op2;
+    Operand res;
+
+    bool isNop() const { return op == OpCode::Nop && route == 0; }
+
+    friend constexpr bool operator==(const DecodedInst &,
+                                     const DecodedInst &) = default;
+};
+
+constexpr DecodedInst
+decode(const Instruction &i)
+{
+    return DecodedInst{i.op,
+                       i.route,
+                       i.hold,
+                       addrspace::decode(i.op1),
+                       addrspace::decode(i.op2),
+                       addrspace::decode(i.res)};
+}
+
+static_assert(decode(Instruction{}) == DecodedInst{},
+              "a default DecodedInst is the decoded NOP");
 
 } // namespace canon
 

@@ -16,29 +16,6 @@ VecRam::VecRam(std::string name, int slots, int elem_bytes,
 }
 
 void
-VecRam::checkSlot(int slot) const
-{
-    panicIf(slot < 0 || slot >= slots(), "VecRam ", name_, ": slot ",
-            slot, " out of ", slots());
-}
-
-const Vec4 &
-VecRam::read(int slot)
-{
-    checkSlot(slot);
-    ++reads_;
-    return data_[static_cast<std::size_t>(slot)];
-}
-
-void
-VecRam::write(int slot, const Vec4 &v)
-{
-    checkSlot(slot);
-    ++writes_;
-    data_[static_cast<std::size_t>(slot)] = v;
-}
-
-void
 VecRam::poke(int slot, const Vec4 &v)
 {
     checkSlot(slot);

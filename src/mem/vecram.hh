@@ -10,7 +10,8 @@
  * accessed only during the LOAD stage ... write ports ... exclusively
  * during the COMMIT stage" (Section 3.1). The PE model enforces the
  * compile-time operand restrictions; VecRam checks bounds and counts
- * accesses for the power model.
+ * accesses for the power model. Reads and writes run in every busy PE
+ * tick, so they are defined here, inline.
  */
 
 #ifndef CANON_MEM_VECRAM_HH
@@ -44,8 +45,21 @@ class VecRam
         return data_.size() * kSimdWidth * elemBytes_;
     }
 
-    const Vec4 &read(int slot);
-    void write(int slot, const Vec4 &v);
+    const Vec4 &
+    read(int slot)
+    {
+        checkSlot(slot);
+        ++reads_;
+        return data_[static_cast<std::size_t>(slot)];
+    }
+
+    void
+    write(int slot, const Vec4 &v)
+    {
+        checkSlot(slot);
+        ++writes_;
+        data_[static_cast<std::size_t>(slot)] = v;
+    }
 
     /** Direct initialization (data placement before execution). */
     void poke(int slot, const Vec4 &v);
@@ -58,7 +72,12 @@ class VecRam
     }
 
   private:
-    void checkSlot(int slot) const;
+    void
+    checkSlot(int slot) const
+    {
+        panicIf(slot < 0 || slot >= slots(), "VecRam ", name_, ": slot ",
+                slot, " out of ", slots());
+    }
 
     std::string name_;
     int elemBytes_;

@@ -1,15 +1,11 @@
 #include "noc/inst_pipeline.hh"
 
-#include "common/logging.hh"
-
 namespace canon
 {
 
 InstPipeline::InstPipeline(int columns)
     : columns_(columns),
-      stages_(static_cast<std::size_t>(kIssueStagger) * (columns - 1) + 1,
-              nopInst()),
-      staged_(nopInst())
+      stages_(static_cast<std::size_t>(kIssueStagger) * (columns - 1) + 1)
 {
     panicIf(columns <= 0, "InstPipeline: need at least one column");
 }
@@ -19,16 +15,8 @@ InstPipeline::issue(const Instruction &inst)
 {
     panicIf(issuedThisCycle_,
             "InstPipeline: orchestrator issued twice in one cycle");
-    staged_ = inst;
+    staged_ = decode(inst);
     issuedThisCycle_ = true;
-}
-
-const Instruction &
-InstPipeline::tap(int c) const
-{
-    panicIf(c < 0 || c >= columns_, "InstPipeline: tap ", c, " out of ",
-            columns_);
-    return stages_[static_cast<std::size_t>(kIssueStagger) * c];
 }
 
 bool
@@ -36,9 +24,8 @@ InstPipeline::drained() const
 {
     // Word-for-word NOP: an instruction with op == Nop but live
     // address or route fields is still in flight.
-    const Instruction nop = nopInst();
     for (const auto &inst : stages_)
-        if (!(inst == nop))
+        if (inst != DecodedInst{})
             return false;
     return true;
 }
@@ -47,12 +34,12 @@ void
 InstPipeline::tickCommit()
 {
     if (!frozen_) {
-        for (std::size_t i = stages_.size() - 1; i > 0; --i)
-            stages_[i] = stages_[i - 1];
-        stages_[0] = issuedThisCycle_ ? staged_ : nopInst();
+        // Shift by one: the old last stage falls off and its slot
+        // becomes the new first stage.
+        head_ = (head_ == 0 ? stages_.size() : head_) - 1;
+        stages_[head_] = issuedThisCycle_ ? staged_ : DecodedInst{};
     }
     issuedThisCycle_ = false;
-    staged_ = nopInst();
 }
 
 } // namespace canon

@@ -14,6 +14,11 @@
  * configuration phase has shifted per-column instructions into place,
  * freezing stops propagation and every PE keeps re-executing its
  * latched instruction.
+ *
+ * issue() decodes the instruction once; the stages carry the
+ * DecodedInst, so every PE of the row reads pre-classified operands.
+ * The stages are a ring: a shift moves the head index instead of
+ * copying every stage.
  */
 
 #ifndef CANON_NOC_INST_PIPELINE_HH
@@ -22,6 +27,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
 #include "isa/instruction.hh"
 
 namespace canon
@@ -39,7 +45,16 @@ class InstPipeline final
     void issue(const Instruction &inst);
 
     /** Instruction visible at PE column @p c this cycle. */
-    const Instruction &tap(int c) const;
+    const DecodedInst &
+    tap(int c) const
+    {
+        panicIf(c < 0 || c >= columns_, "InstPipeline: tap ", c, " out of ",
+                columns_);
+        std::size_t i = head_ + static_cast<std::size_t>(kIssueStagger * c);
+        if (i >= stages_.size())
+            i -= stages_.size();
+        return stages_[i];
+    }
 
     /** Stop/resume shifting (spatial mode). */
     void freeze(bool on) { frozen_ = on; }
@@ -54,13 +69,12 @@ class InstPipeline final
     void tickCommit();
 
   private:
-    // The hardware shifts the encoded 64-bit word (encode/decode
-    // round-trips exactly); the model keeps stages decoded so a tap is
-    // a reference into the shift array instead of a decode per PE per
-    // cycle.
     int columns_;
-    std::vector<Instruction> stages_;
-    Instruction staged_;
+    /** Stage k is stages_[(head_ + k) % stages_.size()]; PE column c
+     *  taps stage kIssueStagger * c. */
+    std::vector<DecodedInst> stages_;
+    std::size_t head_ = 0;
+    DecodedInst staged_; //!< meaningful while issuedThisCycle_
     bool issuedThisCycle_ = false;
     bool frozen_ = false;
 };

@@ -12,8 +12,10 @@
  * not a runtime condition.
  *
  * Physical channels between neighbouring PEs are small ChannelFifos
- * owned by the fabric; a depth of 2 absorbs the deterministic 1-cycle
- * skew between a producer's COMMIT and the consumer's LOAD.
+ * owned by the fabric, kChannelDepth deep (below).
+ *
+ * The per-cycle calls (beginCycle, readIn, writeOut) run in every busy
+ * PE tick, so they are defined here, inline.
  */
 
 #ifndef CANON_NOC_ROUTER_HH
@@ -21,9 +23,10 @@
 
 #include <array>
 
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "sim/latch.hh"
+#include "noc/channel_fifo.hh"
 
 namespace canon
 {
@@ -52,15 +55,47 @@ class Router
     void bindOut(Dir d, DataChannel *ch);
 
     /** Reset per-cycle direction-usage accounting. */
-    void beginCycle();
+    void
+    beginCycle()
+    {
+        usedIn_ = 0;
+        usedOut_ = 0;
+    }
 
-    bool hasInput(Dir d) const;
+    bool
+    hasInput(Dir d) const
+    {
+        auto *ch = in_[static_cast<int>(d)];
+        return ch && !ch->empty();
+    }
 
     /** Consume the head of the @p d input channel (once per cycle). */
-    Vec4 readIn(Dir d);
+    Vec4
+    readIn(Dir d)
+    {
+        auto *ch = in_[static_cast<int>(d)];
+        panicIf(!ch, "Router: no channel bound at ", dirName(d), "_IN");
+        panicIf(usedIn_ & bit(d), "Router: second ", dirName(d),
+                "_IN transfer in one cycle (one per direction per cycle)");
+        usedIn_ |= bit(d);
+        ++hops_;
+        Vec4 v = ch->front();
+        ch->pop();
+        return v;
+    }
 
     /** Push onto the @p d output channel (once per cycle). */
-    void writeOut(Dir d, const Vec4 &v);
+    void
+    writeOut(Dir d, const Vec4 &v)
+    {
+        auto *ch = out_[static_cast<int>(d)];
+        panicIf(!ch, "Router: no channel bound at ", dirName(d), "_OUT");
+        panicIf(usedOut_ & bit(d), "Router: second ", dirName(d),
+                "_OUT transfer in one cycle (one per direction per cycle)");
+        usedOut_ |= bit(d);
+        ++hops_;
+        ch->push(v);
+    }
 
     bool
     canWriteOut(Dir d) const
@@ -70,10 +105,16 @@ class Router
     }
 
   private:
+    static std::uint8_t
+    bit(Dir d)
+    {
+        return static_cast<std::uint8_t>(1u << static_cast<int>(d));
+    }
+
     std::array<DataChannel *, kNumDirs> in_{};
     std::array<DataChannel *, kNumDirs> out_{};
-    std::array<bool, kNumDirs> usedIn_{};
-    std::array<bool, kNumDirs> usedOut_{};
+    std::uint8_t usedIn_ = 0;  //!< directions read this cycle
+    std::uint8_t usedOut_ = 0; //!< directions written this cycle
     Counter &hops_;
 };
 

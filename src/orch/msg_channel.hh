@@ -18,8 +18,8 @@
 #include <array>
 #include <cstdint>
 
+#include "noc/channel_fifo.hh"
 #include "noc/inst_pipeline.hh"
-#include "sim/latch.hh"
 
 namespace canon
 {

@@ -5,6 +5,11 @@ namespace canon
 
 namespace as = addrspace;
 
+namespace
+{
+constexpr DecodedInst kNop{};
+}
+
 Pe::Pe(const PeGeometry &geo, int dmem_slots, int spad_slots,
        StatGroup &stats)
     : geo_(geo),
@@ -24,7 +29,7 @@ Pe::Pe(const PeGeometry &geo, int dmem_slots, int spad_slots,
 bool
 Pe::idle() const
 {
-    return !ldReg_.valid && !exReg_.valid;
+    return !ld_->valid && !ex_->valid;
 }
 
 Vec4
@@ -41,7 +46,7 @@ Pe::readPort(Dir d)
 }
 
 Vec4
-Pe::readOperand(Addr a, const StageReg &fwd)
+Pe::readOperand(const Operand &a, const StageReg &fwd)
 {
     // Forwarding: the instruction one stage ahead commits next cycle;
     // a read of a local location it writes must observe its value via
@@ -49,31 +54,31 @@ Pe::readOperand(Addr a, const StageReg &fwd)
     // memory access). VFlush additionally zeroes its op1 slot -- the
     // slot the circular psum buffer hands to the very next row -- so
     // that recycle-write forwards as well.
-    const bool local_read = as::region(a) != AddrRegion::PortIn &&
-                            as::region(a) != AddrRegion::PortOut;
+    const bool local_read = a.region != AddrRegion::PortIn &&
+                            a.region != AddrRegion::PortOut;
     if (fwd.valid && local_read) {
-        if (fwd.inst.op == OpCode::VFlush && fwd.inst.op1 == a)
+        if (fwd.inst.op == OpCode::VFlush && fwd.inst.op1.addr == a.addr)
             return Vec4{};
-        if (fwd.inst.res == a)
-            return fwd.resultForwarded;
+        if (fwd.inst.res.addr == a.addr)
+            return fwd.result;
     }
 
-    switch (as::region(a)) {
+    switch (a.region) {
       case AddrRegion::Dmem:
         ++dmemReadsThisCycle_;
         panicIf(dmemReadsThisCycle_ > 1, name_,
                 ": two data-memory reads in one instruction");
-        return dmem_.read(as::offset(a));
+        return dmem_.read(a.offset);
       case AddrRegion::Spad:
         ++spadReadsThisCycle_;
         panicIf(spadReadsThisCycle_ > 1, name_,
                 ": two scratchpad reads in one instruction");
-        return spad_.read(as::offset(a));
+        return spad_.read(a.offset);
       case AddrRegion::Reg:
         ++regReads_;
-        return regs_[as::offset(a)];
+        return regs_[a.offset];
       case AddrRegion::PortIn:
-        return readPort(static_cast<Dir>(as::offset(a)));
+        return readPort(static_cast<Dir>(a.offset));
       case AddrRegion::Zero:
         return Vec4{};
       case AddrRegion::Null:
@@ -81,31 +86,31 @@ Pe::readOperand(Addr a, const StageReg &fwd)
       case AddrRegion::Invalid:
         break;
     }
-    panic(name_, ": illegal operand address ", as::toString(a));
+    panic(name_, ": illegal operand address ", as::toString(a.addr));
 }
 
 void
-Pe::writeDest(Addr a, const Vec4 &v)
+Pe::writeDest(const Operand &a, const Vec4 &v)
 {
-    switch (as::region(a)) {
+    switch (a.region) {
       case AddrRegion::Dmem:
         ++dmemWritesThisCycle_;
         panicIf(dmemWritesThisCycle_ > 1, name_,
                 ": two data-memory writes in one instruction window");
-        dmem_.write(as::offset(a), v);
+        dmem_.write(a.offset, v);
         return;
       case AddrRegion::Spad:
         ++spadWritesThisCycle_;
         panicIf(spadWritesThisCycle_ > 1, name_,
                 ": two scratchpad writes in one instruction window");
-        spad_.write(as::offset(a), v);
+        spad_.write(a.offset, v);
         return;
       case AddrRegion::Reg:
         ++regWrites_;
-        regs_[as::offset(a)] = v;
+        regs_[a.offset] = v;
         return;
       case AddrRegion::PortOut:
-        router_.writeOut(static_cast<Dir>(as::offset(a)), v);
+        router_.writeOut(static_cast<Dir>(a.offset), v);
         return;
       case AddrRegion::Null:
         return; // discard
@@ -114,7 +119,7 @@ Pe::writeDest(Addr a, const Vec4 &v)
       case AddrRegion::Invalid:
         break;
     }
-    panic(name_, ": illegal destination address ", as::toString(a));
+    panic(name_, ": illegal destination address ", as::toString(a.addr));
 }
 
 void
@@ -122,7 +127,8 @@ Pe::commitStage(const StageReg &ex)
 {
     if (!ex.valid)
         return;
-    const Instruction &inst = ex.inst;
+    const DecodedInst &inst = ex.inst;
+    const StageReg &ld = *ld_;
 
     // Write coalescing: if the instruction one stage behind overwrites
     // the same local location (the common back-to-back accumulation
@@ -131,16 +137,15 @@ Pe::commitStage(const StageReg &ex)
     // keep the run in the accumulate register and commit once, which
     // is what keeps the scratchpad's power share modest at low
     // sparsity (Figure 11).
-    auto next_overwrites = [&](Addr a) {
-        if (!ldReg_.valid)
+    auto next_overwrites = [&](const Operand &a) {
+        if (!ld.valid)
             return false;
-        if (as::region(a) == AddrRegion::PortOut ||
-            as::region(a) == AddrRegion::Null)
+        if (a.region == AddrRegion::PortOut || a.region == AddrRegion::Null)
             return false;
-        if (ldReg_.inst.res == a && ldReg_.inst.op != OpCode::Nop &&
-            ldReg_.inst.op != OpCode::Hold)
+        if (ld.inst.res.addr == a.addr && ld.inst.op != OpCode::Nop &&
+            ld.inst.op != OpCode::Hold)
             return true;
-        return ldReg_.inst.op == OpCode::VFlush && ldReg_.inst.op1 == a;
+        return ld.inst.op == OpCode::VFlush && ld.inst.op1.addr == a.addr;
     };
 
     switch (inst.op) {
@@ -153,10 +158,10 @@ Pe::commitStage(const StageReg &ex)
       case OpCode::VAdd:
       case OpCode::VMov:
         if (!next_overwrites(inst.res))
-            writeDest(inst.res, ex.resultForwarded);
+            writeDest(inst.res, ex.result);
         break;
       case OpCode::VFlush:
-        writeDest(inst.res, ex.resultForwarded);
+        writeDest(inst.res, ex.result);
         // Recycle the flushed location: clear it to zero. Uses the
         // location's write port (LOAD read it two cycles ago).
         if (!next_overwrites(inst.op1))
@@ -175,12 +180,11 @@ Pe::commitStage(const StageReg &ex)
         router_.writeOut(Dir::East, ex.routeW2E);
 }
 
-Pe::StageReg
-Pe::executeStage(const StageReg &ld)
+void
+Pe::executeStage(StageReg &ld)
 {
-    StageReg ex = ld;
     if (!ld.valid)
-        return ex;
+        return;
 
     Vec4 r;
     switch (ld.inst.op) {
@@ -188,17 +192,17 @@ Pe::executeStage(const StageReg &ld)
       case OpCode::Hold:
         break;
       case OpCode::SvMac:
-        r = ld.resOld;
+        r = ld.acc;
         r.mac(ld.a[0], ld.b);
         macOps_ += kSimdWidth;
         break;
       case OpCode::VvMac:
-        r = ld.resOld;
+        r = ld.acc;
         r.mac(ld.a, ld.b);
         macOps_ += kSimdWidth;
         break;
       case OpCode::VvMacW:
-        r = ld.west;
+        r = ld.acc;
         r.mac(ld.a, ld.b);
         macOps_ += kSimdWidth;
         break;
@@ -215,18 +219,16 @@ Pe::executeStage(const StageReg &ld)
       case OpCode::NumOpCodes:
         panic(name_, ": corrupt opcode at EXECUTE");
     }
-    ex.resultForwarded = r;
-    return ex;
+    ld.result = r;
 }
 
-Pe::StageReg
-Pe::loadStage(const Instruction &inst, const StageReg &fwd)
+void
+Pe::loadStage(const DecodedInst &inst, const StageReg &fwd, StageReg &ld)
 {
-    StageReg ld;
     ld.inst = inst;
     ld.valid = !inst.isNop();
     if (!ld.valid)
-        return ld;
+        return;
 
     switch (inst.op) {
       case OpCode::Nop:
@@ -236,12 +238,12 @@ Pe::loadStage(const Instruction &inst, const StageReg &fwd)
       case OpCode::VvMac:
         ld.a = readOperand(inst.op1, fwd);
         ld.b = readOperand(inst.op2, fwd);
-        ld.resOld = readOperand(inst.res, fwd);
+        ld.acc = readOperand(inst.res, fwd);
         break;
       case OpCode::VvMacW:
         ld.a = readOperand(inst.op1, fwd);
         ld.b = readOperand(inst.op2, fwd);
-        ld.west = readPort(Dir::West);
+        ld.acc = readPort(Dir::West);
         break;
       case OpCode::VAdd:
         ld.a = readOperand(inst.op1, fwd);
@@ -256,28 +258,24 @@ Pe::loadStage(const Instruction &inst, const StageReg &fwd)
     }
 
     // Pass-through routes latch their value at LOAD.
-    if (inst.route & kRouteN2S) {
+    ld.routeN2SValid = inst.route & kRouteN2S;
+    if (ld.routeN2SValid)
         ld.routeN2S = readPort(Dir::North);
-        ld.routeN2SValid = true;
-    }
-    if (inst.route & kRouteW2E) {
+    ld.routeW2EValid = inst.route & kRouteW2E;
+    if (ld.routeW2EValid)
         ld.routeW2E = readPort(Dir::West);
-        ld.routeW2EValid = true;
-    }
-
-    return ld;
 }
 
 bool
-Pe::spatialReady(const Instruction &inst) const
+Pe::spatialReady(const DecodedInst &inst) const
 {
-    auto in_ready = [&](Addr a) {
-        return as::region(a) != AddrRegion::PortIn ||
-               router_.hasInput(static_cast<Dir>(as::offset(a)));
+    auto in_ready = [&](const Operand &a) {
+        return a.region != AddrRegion::PortIn ||
+               router_.hasInput(static_cast<Dir>(a.offset));
     };
-    auto out_ready = [&](Addr a) {
-        return as::region(a) != AddrRegion::PortOut ||
-               router_.canWriteOut(static_cast<Dir>(as::offset(a)));
+    auto out_ready = [&](const Operand &a) {
+        return a.region != AddrRegion::PortOut ||
+               router_.canWriteOut(static_cast<Dir>(a.offset));
     };
     if (!in_ready(inst.op1) || !in_ready(inst.op2) ||
         !out_ready(inst.res))
@@ -298,20 +296,17 @@ void
 Pe::tickCompute()
 {
     // Config mode: taps shift past without executing.
-    Instruction inst = nopInst();
+    const DecodedInst *inst = &kNop;
     if (pipe_ && mode_ != PeMode::Config)
-        inst = pipe_->tap(geo_.col);
+        inst = &pipe_->tap(geo_.col);
 
     // Idle fast path: an empty pipeline looking at a NOP tap does no
     // work this cycle. Spatial mode is excluded -- its firing rule
     // reads channel occupancy that other components change within the
     // same compute phase, so it must be evaluated in stage order below.
-    if (!ldReg_.valid && !exReg_.valid && mode_ != PeMode::Spatial &&
-        inst.isNop()) {
-        exNext_.valid = false;
-        ldNext_.valid = false;
+    if (!ld_->valid && !ex_->valid && mode_ != PeMode::Spatial &&
+        inst->isNop())
         return;
-    }
 
     router_.beginCycle();
     portCacheValid_ = 0;
@@ -321,25 +316,22 @@ Pe::tickCompute()
     // Stages run newest-result-visible-first: COMMIT applies the
     // in-flight write, EXECUTE produces the forwardable result, LOAD
     // then reads with both visible -- exact sequential semantics.
-    commitStage(exReg_);
-    exNext_ = executeStage(ldReg_);
+    // EXECUTE computes in place, so *ld_ holds next cycle's
+    // EXECUTE/COMMIT register; LOAD refills *ex_, which COMMIT has
+    // just retired. tickCommit() swaps the two roles.
+    const bool committed = ex_->valid;
+    commitStage(*ex_);
+    executeStage(*ld_);
 
     // The spatial firing rule reads port occupancy *after* this PE's
     // own COMMIT staged its pushes, exactly as the held hardware
     // pipeline would observe it.
-    if (mode_ == PeMode::Spatial && !spatialReady(inst))
-        inst = nopInst();
-    ldNext_ = loadStage(inst, exNext_);
+    if (mode_ == PeMode::Spatial && !spatialReady(*inst))
+        inst = &kNop;
+    loadStage(*inst, *ld_, *ex_);
 
-    if (ldNext_.valid || exNext_.valid || exReg_.valid)
+    if (ex_->valid || ld_->valid || committed)
         ++busyCycles_;
-}
-
-void
-Pe::tickCommit()
-{
-    exReg_ = exNext_;
-    ldReg_ = ldNext_;
 }
 
 } // namespace canon

@@ -11,11 +11,12 @@
  *           ROUTER_CONF emit here too.
  *
  * PEs carry no control state beyond the pipeline registers: they
- * execute whatever the instruction NoC delivers. Local memories and
- * registers are PE-private, so stages apply in COMMIT->EXECUTE->LOAD
- * order within a cycle plus a single EXECUTE->LOAD forwarding path,
- * which yields exact sequential semantics for back-to-back
- * accumulations into the same location (the dense-GEMM inner loop).
+ * execute whatever the instruction NoC delivers, with its addresses
+ * already decoded at issue. Local memories and registers are
+ * PE-private, so stages apply in COMMIT->EXECUTE->LOAD order within a
+ * cycle plus a single EXECUTE->LOAD forwarding path, which yields
+ * exact sequential semantics for back-to-back accumulations into the
+ * same location (the dense-GEMM inner loop).
  *
  * Structural rules from Section 3.1 are enforced by panics: one
  * transfer per NoC direction per cycle, one read and one write port on
@@ -27,6 +28,7 @@
 
 #include <array>
 #include <string>
+#include <utility>
 
 #include "common/stats.hh"
 #include "mem/vecram.hh"
@@ -56,6 +58,10 @@ class Pe final
     Pe(const PeGeometry &geo, int dmem_slots, int spad_slots,
        StatGroup &stats);
 
+    // ld_ and ex_ point into this object.
+    Pe(const Pe &) = delete;
+    Pe &operator=(const Pe &) = delete;
+
     void bindPipeline(InstPipeline *pipe) { pipe_ = pipe; }
 
     Router &router() { return router_; }
@@ -68,7 +74,11 @@ class Pe final
     const Vec4 &reg(int r) const { return regs_[r]; }
     void pokeReg(int r, const Vec4 &v) { regs_[r] = v; }
 
-    /** True iff no instruction is in flight in the pipeline. */
+    /**
+     * True iff no instruction is in flight in the pipeline. Read it
+     * between cycles: tickCompute() refills a stage register in place,
+     * and the pair is consistent again only after tickCommit().
+     */
     bool idle() const;
 
     /** Counter read for the obs cycle accountant (a cycle with no
@@ -82,22 +92,23 @@ class Pe final
     int col() const { return geo_.col; }
 
     void tickCompute();
-    void tickCommit();
+
+    /** Publish the stage registers tickCompute() filled (no copy). */
+    void tickCommit() { std::swap(ld_, ex_); }
 
   private:
     /**
-     * Pipeline register between LOAD/EXECUTE and EXECUTE/COMMIT.
-     * Kept trivially copyable (plain Vec4 + valid flags rather than
-     * optionals) so the per-cycle register updates are flat copies.
+     * A pipeline register: LOAD/EXECUTE or EXECUTE/COMMIT. The PE owns
+     * two and swaps their roles at every commit (see tickCompute()).
      */
     struct StageReg
     {
-        Instruction inst = nopInst();
-        Vec4 a;        //!< op1 value
-        Vec4 b;        //!< op2 value
-        Vec4 resOld;   //!< prior contents of res (MAC accumulate)
-        Vec4 west;     //!< west-in value for VvMacW
-        Vec4 resultForwarded; //!< EXECUTE output (forwarding network)
+        DecodedInst inst;
+        Vec4 a;      //!< op1 value
+        Vec4 b;      //!< op2 value
+        Vec4 acc;    //!< MAC addend: res's prior value, or west-in for
+                     //!< VvMacW
+        Vec4 result; //!< EXECUTE output (forwarding network)
         Vec4 routeN2S;
         Vec4 routeW2E;
         bool routeN2SValid = false;
@@ -106,8 +117,9 @@ class Pe final
     };
 
     void commitStage(const StageReg &ex);
-    StageReg executeStage(const StageReg &ld);
-    StageReg loadStage(const Instruction &inst, const StageReg &fwd);
+    void executeStage(StageReg &ld);
+    void loadStage(const DecodedInst &inst, const StageReg &fwd,
+                   StageReg &ld);
 
     /**
      * Spatial-mode firing rule: a held instruction executes only when
@@ -115,11 +127,15 @@ class Pe final
      * (Appendix D; the streaming mode instead relies on orchestrator
      * determinism and panics on a violated schedule).
      */
-    bool spatialReady(const Instruction &inst) const;
+    bool spatialReady(const DecodedInst &inst) const;
 
-    Vec4 readOperand(Addr a, const StageReg &fwd);
-    Vec4 readPort(Dir d);
-    void writeDest(Addr a, const Vec4 &v);
+    // Several calls per busy tick: forced inline (defined in pe.cc),
+    // since as calls their register saves cost about a tenth of a run.
+    [[gnu::always_inline]] inline Vec4 readOperand(const Operand &a,
+                                                   const StageReg &fwd);
+    [[gnu::always_inline]] inline Vec4 readPort(Dir d);
+    [[gnu::always_inline]] inline void writeDest(const Operand &a,
+                                                 const Vec4 &v);
 
     PeGeometry geo_;
     std::string name_;
@@ -130,10 +146,9 @@ class Pe final
     InstPipeline *pipe_ = nullptr;
     PeMode mode_ = PeMode::Streaming;
 
-    StageReg ldReg_;  //!< instruction between LOAD and EXECUTE
-    StageReg exReg_;  //!< instruction between EXECUTE and COMMIT
-    StageReg ldNext_;
-    StageReg exNext_;
+    std::array<StageReg, 2> stages_{};
+    StageReg *ld_ = &stages_[0]; //!< instruction between LOAD and EXECUTE
+    StageReg *ex_ = &stages_[1]; //!< instruction between EXECUTE and COMMIT
 
     // Per-cycle port-read cache: one physical pop feeds every consumer
     // of the same input port in one instruction. Valid bits live in a

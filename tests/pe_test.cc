@@ -7,6 +7,8 @@
  * semantics.
  */
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "pe/pe.hh"
@@ -197,6 +199,52 @@ TEST(PePipeline, TwoSpadReadsPanics)
     PeHarness h;
     h.issue(inst(OpCode::VAdd, as::spad(0), as::spad(1), as::reg(0)));
     EXPECT_THROW(h.run(3), PanicError);
+}
+
+/** Run @p cycles; the panic message, or "" if none was raised. */
+std::string
+panicOf(PeHarness &h, int cycles)
+{
+    try {
+        h.run(cycles);
+    } catch (const PanicError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(PePipeline, TwoDmemReadsPanics)
+{
+    PeHarness h;
+    h.issue(inst(OpCode::VAdd, as::dmem(0), as::dmem(1), as::reg(0)));
+    const std::string what = panicOf(h, 3);
+    EXPECT_NE(what.find("two data-memory reads"), std::string::npos)
+        << what;
+}
+
+TEST(PePipeline, SecondSouthOutTransferPanics)
+{
+    // res = S_OUT plus the N->S route: two S_OUT pushes in one COMMIT.
+    PeHarness h;
+    h.north.push(Vec4{{1, 1, 1, 1}});
+    h.north.commit();
+    h.issue(inst(OpCode::VMov, as::kZeroAddr, as::kNullAddr,
+                 as::portOut(Dir::South), kRouteN2S));
+    const std::string what = panicOf(h, 4);
+    EXPECT_NE(what.find("second S_OUT transfer"), std::string::npos)
+        << what;
+}
+
+TEST(PePipeline, ReadingOutPortOrNullPanics)
+{
+    for (const Addr a : {as::portOut(Dir::East), as::kNullAddr}) {
+        PeHarness h;
+        h.issue(inst(OpCode::VMov, a, as::kNullAddr, as::reg(0)));
+        const std::string what = panicOf(h, 3);
+        EXPECT_NE(what.find("illegal operand address " + as::toString(a)),
+                  std::string::npos)
+            << what;
+    }
 }
 
 TEST(PePipeline, ZeroAddrReadsZero)

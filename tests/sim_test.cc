@@ -5,11 +5,14 @@
  * message-channel timing alignment.
  */
 
+#include <deque>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "noc/channel_fifo.hh"
 #include "noc/inst_pipeline.hh"
 #include "orch/msg_channel.hh"
-#include "sim/latch.hh"
 
 namespace canon
 {
@@ -66,6 +69,94 @@ TEST(ChannelFifo, StagedPushCountsAgainstCapacity)
     EXPECT_FALSE(ch.canPush());
 }
 
+TEST(ChannelFifo, RingWrapsAroundWithInterleavedPushesAndPops)
+{
+    // Capacity 3 and 12 values: head and tail each lap the ring four
+    // times, with pops and pushes sharing most cycles and the channel
+    // filling up again and again.
+    ChannelFifo<int> ch(3, "t");
+    std::deque<int> ref; // committed contents
+    int next = 0;
+    for (int cycle = 0; next < 12 || !ref.empty(); ++cycle) {
+        ASSERT_LT(cycle, 40);
+        const bool pop = !ref.empty() && cycle % 3 != 0;
+        if (pop) {
+            EXPECT_EQ(ch.front(), ref.front()) << "cycle " << cycle;
+            ch.pop();
+        }
+        std::vector<int> pushed;
+        for (int i = 0; i <= cycle % 2 && next < 12 && ch.canPush(); ++i) {
+            ch.push(next);
+            pushed.push_back(next++);
+        }
+        ch.commit();
+        if (pop)
+            ref.pop_front();
+        ref.insert(ref.end(), pushed.begin(), pushed.end());
+        ASSERT_EQ(ch.size(), ref.size()) << "cycle " << cycle;
+    }
+    EXPECT_EQ(next, 12);
+}
+
+TEST(ChannelFifo, SameCyclePopAndPushAtCapacityKeepHead)
+{
+    ChannelFifo<int> ch(3, "t");
+    ch.push(0); // move the head off slot 0
+    ch.commit();
+    ch.pop();
+    ch.commit();
+    ch.push(1);
+    ch.push(2);
+    ch.commit();
+
+    // The push that reaches capacity lands on the slot behind the
+    // head, not on the head the same-cycle pop still reads.
+    ch.pop();
+    ch.push(3);
+    EXPECT_EQ(ch.front(), 1);
+    EXPECT_FALSE(ch.canPush());
+    ch.commit();
+    EXPECT_EQ(ch.size(), 2u);
+    EXPECT_EQ(ch.front(), 2);
+
+    // Full: a staged pop frees no space until the commit.
+    ch.push(4);
+    ch.commit();
+    ch.pop();
+    EXPECT_FALSE(ch.canPush());
+    EXPECT_THROW(ch.push(5), PanicError);
+    EXPECT_EQ(ch.front(), 2);
+    ch.commit();
+    EXPECT_TRUE(ch.canPush());
+    for (int want : {3, 4}) {
+        EXPECT_EQ(ch.front(), want);
+        ch.pop();
+        ch.commit();
+    }
+    EXPECT_TRUE(ch.empty());
+}
+
+TEST(ChannelFifo, EnlistsOnDirtyListOncePerCycle)
+{
+    std::vector<ChannelFifo<int> *> dirty;
+    ChannelFifo<int> a(4, "a");
+    ChannelFifo<int> b(4, "b");
+    a.commitVia(&dirty);
+    b.commitVia(&dirty);
+    a.push(1);
+    a.push(2);
+    EXPECT_EQ(dirty, (std::vector<ChannelFifo<int> *>{&a}));
+    a.commit();
+    dirty.clear();
+
+    EXPECT_EQ(a.front(), 1); // reads stage nothing
+    EXPECT_TRUE(dirty.empty());
+    b.push(9);
+    a.pop();
+    a.push(3);
+    EXPECT_EQ(dirty, (std::vector<ChannelFifo<int> *>{&b, &a}));
+}
+
 TEST(InstPipeline, StaggerIsThreeCyclesPerColumn)
 {
     // "issued to the first PE in cycle 1, then traverses a 3-cycle
@@ -78,13 +169,13 @@ TEST(InstPipeline, StaggerIsThreeCyclesPerColumn)
     pipe.issue(marker);
     pipe.tickCommit();
     // Cycle 1: column 0 sees it.
-    EXPECT_EQ(pipe.tap(0), marker);
+    EXPECT_EQ(pipe.tap(0), decode(marker));
     EXPECT_TRUE(pipe.tap(1).isNop());
 
     for (int c = 1; c < 4; ++c) {
         for (int i = 0; i < kIssueStagger; ++i)
             pipe.tickCommit();
-        EXPECT_EQ(pipe.tap(c), marker) << "column " << c;
+        EXPECT_EQ(pipe.tap(c), decode(marker)) << "column " << c;
         if (c + 1 < 4)
             EXPECT_TRUE(pipe.tap(c + 1).isNop());
     }
@@ -113,7 +204,66 @@ TEST(InstPipeline, FreezeHoldsTaps)
     pipe.freeze(true);
     for (int t = 0; t < 10; ++t)
         pipe.tickCommit();
-    EXPECT_EQ(pipe.tap(0), i); // held in place
+    EXPECT_EQ(pipe.tap(0), decode(i)); // held in place
+}
+
+TEST(InstPipeline, TapsFollowIssueOverSeveralLaps)
+{
+    // 3 columns are 7 stages; 30 cycles of distinct issues lap the
+    // ring four times. Column c always sees the instruction column 0
+    // saw kIssueStagger * c cycles earlier.
+    constexpr int kCols = 3;
+    InstPipeline pipe(kCols);
+    std::vector<Instruction> issued;
+    for (int t = 0; t < 30; ++t) {
+        Instruction i;
+        i.op = OpCode::VMov;
+        i.op1 = addrspace::dmem(t);
+        pipe.issue(i);
+        issued.push_back(i);
+        pipe.tickCommit();
+        for (int c = 0; c < kCols; ++c) {
+            const int src = t - kIssueStagger * c;
+            EXPECT_EQ(pipe.tap(c),
+                      src >= 0 ? decode(issued[src]) : DecodedInst{})
+                << "cycle " << t << " column " << c;
+        }
+    }
+}
+
+TEST(InstPipeline, FreezeHoldsTapsAfterWrap)
+{
+    auto mov = [](int slot) {
+        Instruction i;
+        i.op = OpCode::VMov;
+        i.op1 = addrspace::dmem(slot);
+        return i;
+    };
+    InstPipeline pipe(2); // 4 stages
+    for (int t = 0; t < 10; ++t) {
+        pipe.issue(mov(t));
+        pipe.tickCommit();
+    }
+    pipe.freeze(true);
+    for (int t = 0; t < 10; ++t) {
+        pipe.issue(mov(100 + t)); // dropped while frozen
+        pipe.tickCommit();
+    }
+    EXPECT_EQ(pipe.tap(0), decode(mov(9)));
+    EXPECT_EQ(pipe.tap(1), decode(mov(6)));
+
+    pipe.freeze(false);
+    pipe.tickCommit();
+    EXPECT_TRUE(pipe.tap(0).isNop());
+    EXPECT_EQ(pipe.tap(1), decode(mov(7)));
+}
+
+TEST(InstPipeline, TapOutOfRangePanics)
+{
+    InstPipeline pipe(2);
+    EXPECT_NO_THROW(pipe.tap(1));
+    EXPECT_THROW(pipe.tap(2), PanicError);
+    EXPECT_THROW(pipe.tap(-1), PanicError);
 }
 
 TEST(InstPipeline, DoubleIssuePanics)
