@@ -13,11 +13,19 @@
  * the machine contend and undercount, and it refuses --cache-dir,
  * because a cached row would replay an old measurement. Raise --jobs
  * only to smoke-test the harness.
+ *
+ * Every case also times a fixed calibration kernel immediately before
+ * and after itself (the Calib(ms) column, their mean). On a shared
+ * host the kernel slows down and speeds up with the case next to it,
+ * so Rate x Calib -- work per kernel run -- is far steadier than the
+ * rate alone; scripts/perf_snapshot.py gates each case on it.
  */
 
 #include "figures.hh"
 
 #include <chrono>
+#include <cstdint>
+#include <vector>
 
 #include "baselines/cgra.hh"
 #include "baselines/systolic.hh"
@@ -42,6 +50,48 @@ struct Measurement
     double work = 0.0; //!< work units completed (for the rate column)
     const char *unit = "";
 };
+
+/**
+ * Wall seconds of the calibration kernel: a toy cycle loop shaped like
+ * the simulator's (a ring of cells, each with a small FIFO; every
+ * cycle each cell pops a value, folds it into an accumulator and
+ * pushes to a neighbour). It does not depend on the simulator, so a
+ * change to the simulator cannot move it.
+ */
+double
+calibrationSeconds()
+{
+    constexpr int kCells = 1024;
+    constexpr int kCycles = 3000;
+    struct Cell
+    {
+        std::uint32_t fifo[8] = {};
+        std::uint32_t head = 0, tail = 0, acc = 1, busy = 0;
+    };
+    std::vector<Cell> cells(kCells);
+    std::uint32_t x = 12345;
+    const auto start = std::chrono::steady_clock::now();
+    for (int c = 0; c < kCycles; ++c) {
+        for (int i = 0; i < kCells; ++i) {
+            Cell &a = cells[i];
+            Cell &b = cells[(i * 7 + 1) % kCells];
+            x = x * 1103515245u + 12345u;
+            if (a.tail != a.head) {
+                a.acc = a.acc * 31 + a.fifo[a.head++ & 7];
+                if ((x >> 16) & 1)
+                    ++a.busy;
+            }
+            if (b.tail - b.head < 8 && (x & 3))
+                b.fifo[b.tail++ & 7] = a.acc ^ x;
+        }
+    }
+    // Publish the result so the loop cannot be elided.
+    static volatile std::uint32_t sink;
+    for (const Cell &c : cells)
+        sink = sink + c.acc + c.busy;
+    const auto stop = std::chrono::steady_clock::now();
+    return std::chrono::duration<double>(stop - start).count();
+}
 
 template <typename Fn>
 Measurement
@@ -83,10 +133,9 @@ canonThroughput(int rows, int cols, SpadFlushPolicy flush, int a_rows,
     });
 }
 
-// The last four cases do not run the Canon fabric: the perf gate takes
-// its host-speed scale from them (scripts/perf_snapshot.py). Their
-// iteration counts keep each near 100 ms, since millisecond runs spread
-// by 20-50% between runs on a shared host.
+// The last four cases do not run the Canon fabric. Their iteration
+// counts keep each near 100 ms, since millisecond runs spread by
+// 20-50% between runs on a shared host.
 
 Measurement
 systolicThroughput(int n, int iterations)
@@ -141,8 +190,8 @@ simThroughputBench()
     // Work/Iter is the deterministic column: simulated cycles (or
     // completed units) per iteration. CI compares it exactly while
     // the wall-clock Rate column only gates large regressions.
-    t.header = {"Benchmark", "Iters", "Work/Iter",
-                "Wall(ms)",  "Rate",  "Unit"};
+    t.header = {"Benchmark", "Iters", "Work/Iter", "Wall(ms)",
+                "Rate",      "Unit",  "Calib(ms)"};
     t.csvName = "sim_throughput.csv";
     t.grid.axis("case",
                 {"canon-spmm-s10", "canon-spmm-s50", "canon-spmm-s90",
@@ -151,6 +200,7 @@ simThroughputBench()
                  "cgra-mapper"});
     t.emit = [](const FigurePoint &p) -> FigureRows {
         using enum SpadFlushPolicy;
+        const double calib_before = calibrationSeconds();
         Measurement m;
         switch (p.digits[0]) {
           case 0:
@@ -189,6 +239,8 @@ simThroughputBench()
             m = cgraMapperThroughput();
             break;
         }
+        const double calib =
+            0.5 * (calib_before + calibrationSeconds());
         const double rate =
             m.seconds > 0.0 ? m.work / m.seconds : 0.0;
         const double work_per_iter =
@@ -198,11 +250,12 @@ simThroughputBench()
                      static_cast<std::uint64_t>(work_per_iter)),
                  Table::fmt(m.seconds * 1e3, 2),
                  Table::fmtInt(static_cast<std::uint64_t>(rate)),
-                 m.unit}};
+                 m.unit, Table::fmt(calib * 1e3, 3)}};
     };
-    t.note = "Rates are wall-clock measurements: compare across "
-             "commits on one idle\nhost, not across machines. Run "
-             "with the default --jobs 1 for honest numbers.";
+    t.note = "Rates are wall-clock measurements; Calib(ms) times a "
+             "fixed kernel next to each\ncase, and Rate x Calib is "
+             "what compares across runs and hosts. Run with the\n"
+             "default --jobs 1 for honest numbers.";
     bench.add(std::move(t));
     return bench;
 }

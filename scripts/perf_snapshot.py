@@ -3,42 +3,45 @@
 one snapshot against another.
 
 Snapshot mode:
-    perf_snapshot.py sim_throughput.csv BENCH_8.json [--label LABEL]
+    perf_snapshot.py sim_throughput.csv BENCH_20.json [--label LABEL]
 
 Check mode (exits 1 on failure):
     perf_snapshot.py sim_throughput.csv current.json \
-        --check BENCH_18.json --tolerance 0.10
+        --check BENCH_20.json --tolerance 0.10
 
 Self-test mode (exits 1 if the check misjudges a synthetic run):
-    perf_snapshot.py --self-test --check BENCH_18.json
+    perf_snapshot.py --self-test --check BENCH_20.json
 
 Several CSVs may be given (repeated runs of the bench); each case
-takes its best rate across runs. Wall-clock noise on a busy host is
-one-sided -- contention only ever slows a run down -- so best-of-N
-recovers the honest rate while the deterministic columns are
-required to agree across every run.
+takes its median calibrated rate across runs, while the deterministic
+columns are required to agree across every run. The median, not the
+best: a raw rate's noise is one-sided (contention only ever slows a
+run down), but the calibrated rate errs both ways -- a kernel run
+that the host slowed more than the case lifts it -- so best-of-N
+would chase the upward outliers.
 
 The check enforces two different contracts per case:
   * work_per_iter (simulated cycles / completed units per iteration)
     is deterministic and must match the baseline exactly -- a drift
     means simulator semantics changed without a baseline refresh.
-  * rate is a wall-clock measurement and only gates *relative*
-    regressions: the median current/baseline ratio over the reference
-    cases -- the ones that do not run the Canon fabric -- estimates
-    the host-speed scale, and a case fails when
-    current < (1 - tolerance) * scale * baseline. A slower or busier
-    host shifts every case together (scale absorbs it); a change to
-    the cycle loop moves the canon-* cases relative to the untouched
-    reference benches and trips the floor if they slowed down. The
-    canon-* cases are most of the grid, so a median over every case
-    would follow them and hide their own regression. Pass --raw-rates
-    to gate absolute rates instead (same-host trajectory tracking
-    only).
-Uniform wall-clock regressions are by construction invisible to the
-normalized gate; they remain inspectable in the emitted snapshots.
-The self-test scales the baseline's rates into three synthetic runs
-and requires the check to fail the first and pass the other two:
-every canon-* case x0.7, every canon-* case x1.9, every case x0.8.
+  * the calibrated rate, rate x calib_ms, gates relative regressions.
+    The bench times a fixed calibration kernel immediately before and
+    after every case (calib_ms, their mean), so the product is work
+    per kernel run: a slower or busier host slows the kernel next to
+    the case too, so the product is far steadier than the rate. A
+    case fails when its calibrated rate falls below (1 - tolerance)
+    times the baseline's. Each case is judged on its own kernel
+    timings, so a host whose speed swings between cases is tracked,
+    and a uniform slowdown of every case that the kernel does not
+    share still fails. On a shared host the product still spreads
+    5-30% between runs (most on the reference cases, which respond
+    more strongly than the kernel to the host's phases), so rerun a
+    rate failure before reading it as a regression.
+The self-test scales the baseline into four synthetic runs and
+requires the check to fail the first and last and pass the middle
+two: every canon-* case x0.7; every canon-* case x1.9; every case and
+the kernel x0.8 (a slower host); every case x0.8 with the kernel
+unchanged (a uniform regression).
 Cases present on one side only are reported but do not fail the
 check (the grid is allowed to grow).
 """
@@ -54,81 +57,70 @@ def parse_csv(path):
     with open(path, newline="") as f:
         for row in csv.DictReader(f):
             name = row["Benchmark"]
+            if "Calib(ms)" not in row:
+                sys.exit(f"perf_snapshot: {path} has no Calib(ms) "
+                         "column; rebuild bench_sim_throughput")
             cases[name] = {
                 "iters": int(row["Iters"].replace(",", "")),
                 "work_per_iter": int(row["Work/Iter"].replace(",", "")),
                 "rate": float(row["Rate"].replace(",", "")),
                 "unit": row["Unit"],
+                "calib_ms": float(row["Calib(ms)"]),
             }
     if not cases:
         sys.exit(f"perf_snapshot: no rows parsed from {path}")
     return cases
 
 
-def merge_best(paths):
-    merged = parse_csv(paths[0])
-    for path in paths[1:]:
+def calibrated(case):
+    """Work per calibration-kernel run: the host-independent rate."""
+    return case["rate"] * case["calib_ms"] / 1e3
+
+
+def merge_median(paths):
+    """Each case's run with the median calibrated rate (the lower
+    middle one for an even count)."""
+    runs = {}
+    for path in paths:
         for name, case in parse_csv(path).items():
-            prev = merged.get(name)
-            if prev is None:
-                merged[name] = case
-            elif case["work_per_iter"] != prev["work_per_iter"]:
+            prev = runs.setdefault(name, [])
+            if prev and case["work_per_iter"] != prev[0]["work_per_iter"]:
                 sys.exit(
                     f"perf_snapshot: {name}: work/iter differs "
-                    f"across runs ({prev['work_per_iter']} vs "
+                    f"across runs ({prev[0]['work_per_iter']} vs "
                     f"{case['work_per_iter']} in {path}); simulated "
                     "cycles must be deterministic")
-            elif case["rate"] > prev["rate"]:
-                merged[name] = case
-    return merged
+            prev.append(case)
+    return {name: sorted(cases, key=calibrated)[(len(cases) - 1) // 2]
+            for name, cases in runs.items()}
 
 
-def is_reference(name):
-    """A case that does not run the Canon fabric."""
-    return not name.startswith("canon-")
-
-
-def host_scale(current, baseline):
-    """Median current/baseline rate ratio over shared reference cases."""
-    ratios = sorted(
-        cur["rate"] / base["rate"]
-        for name, base in baseline["cases"].items()
-        if is_reference(name) and base["rate"] > 0
-        for cur in [current["cases"].get(name)]
-        if cur is not None)
-    if not ratios:
-        sys.exit("perf_snapshot: no reference case (one that does not "
-                 "run the Canon fabric) in both snapshots; cannot "
-                 "estimate the host-speed scale")
-    mid = len(ratios) // 2
-    if len(ratios) % 2:
-        return ratios[mid]
-    return 0.5 * (ratios[mid - 1] + ratios[mid])
-
-
-def check(current, baseline, tolerance, raw_rates):
-    scale = 1.0 if raw_rates else host_scale(current, baseline)
-    print(f"host-speed scale: {scale:.3f}"
-          f"{' (raw rates)' if raw_rates else ' (median reference ratio)'}")
+def check(current, baseline, tolerance):
     failures = []
     for name, base in baseline["cases"].items():
         cur = current["cases"].get(name)
         if cur is None:
             print(f"note: case '{name}' missing from current run")
             continue
+        if "calib_ms" not in base:
+            sys.exit(f"perf_snapshot: baseline case '{name}' has no "
+                     "calib_ms; check against a calibrated snapshot")
         if cur["work_per_iter"] != base["work_per_iter"]:
             failures.append(
                 f"{name}: work/iter drifted "
                 f"{base['work_per_iter']} -> {cur['work_per_iter']} "
                 "(simulated cycles must be deterministic; refresh the "
                 "snapshot only with an intended semantics change)")
-        floor = (1.0 - tolerance) * scale * base["rate"]
-        if cur["rate"] < floor:
+        ratio = calibrated(cur) / calibrated(base)
+        print(f"{name}: calibrated rate x{ratio:.3f} "
+              f"(rate {cur['rate']:,.0f} {cur['unit']}, "
+              f"calib {cur['calib_ms']:.3f} ms)")
+        if ratio < 1.0 - tolerance:
             failures.append(
-                f"{name}: rate regressed {base['rate']:,.0f} -> "
-                f"{cur['rate']:,.0f} {cur['unit']} "
-                f"(floor {floor:,.0f} at {tolerance:.0%} tolerance, "
-                f"scale {scale:.3f})")
+                f"{name}: calibrated rate regressed to x{ratio:.3f} of "
+                f"the baseline ({calibrated(base):,.1f} -> "
+                f"{calibrated(cur):,.1f} per kernel run, floor "
+                f"x{1.0 - tolerance:.2f})")
     for name in current["cases"]:
         if name not in baseline["cases"]:
             print(f"note: case '{name}' is new (not in baseline)")
@@ -138,19 +130,27 @@ def check(current, baseline, tolerance, raw_rates):
 def self_test(baseline, tolerance):
     """Run the check on synthetic runs scaled from @p baseline; return
     the number of misjudged runs."""
-    def scaled(canon, reference):
+    def scaled(canon, reference, kernel):
+        # A kernel x0.8 as fast takes 1/0.8 as long.
         return {"cases": {
-            name: dict(case, rate=case["rate"] * (
-                reference if is_reference(name) else canon))
+            name: dict(case,
+                       rate=case["rate"] * (
+                           canon if name.startswith("canon-")
+                           else reference),
+                       calib_ms=case["calib_ms"] / kernel)
             for name, case in baseline["cases"].items()}}
 
-    trials = [("every canon-* case x0.7", scaled(0.7, 1.0), True),
-              ("every canon-* case x1.9", scaled(1.9, 1.0), False),
-              ("every case x0.8", scaled(0.8, 0.8), False)]
+    trials = [
+        ("every canon-* case x0.7", scaled(0.7, 1.0, 1.0), True),
+        ("every canon-* case x1.9", scaled(1.9, 1.0, 1.0), False),
+        ("every case and the kernel x0.8", scaled(0.8, 0.8, 0.8), False),
+        ("every case x0.8, kernel unchanged", scaled(0.8, 0.8, 1.0),
+         True),
+    ]
     wrong = 0
     for label, run, should_fail in trials:
         print(f"self-test: {label}")
-        failures = check(run, baseline, tolerance, raw_rates=False)
+        failures = check(run, baseline, tolerance)
         for msg in failures:
             print(f"  {msg}")
         failed = bool(failures)
@@ -168,14 +168,11 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("paths", nargs="*", metavar="PATH",
                     help="one or more sim_throughput.csv runs (cases "
-                         "take their best rate across runs), then the "
-                         "snapshot JSON to write")
+                         "take their median calibrated rate across "
+                         "runs), then the snapshot JSON to write")
     ap.add_argument("--label", default="")
     ap.add_argument("--check", metavar="BASELINE_JSON")
     ap.add_argument("--tolerance", type=float, default=0.10)
-    ap.add_argument("--raw-rates", action="store_true",
-                    help="gate absolute rates without host-speed "
-                         "normalization (same-host runs only)")
     ap.add_argument("--self-test", action="store_true",
                     help="check the gate itself on synthetic runs "
                          "scaled from the --check baseline")
@@ -197,7 +194,7 @@ def main():
     snapshot = {
         "bench": "bench_sim_throughput",
         "label": args.label,
-        "cases": merge_best(csv_paths),
+        "cases": merge_median(csv_paths),
     }
     with open(out_json, "w") as f:
         json.dump(snapshot, f, indent=2, sort_keys=True)
@@ -207,8 +204,7 @@ def main():
     if args.check:
         with open(args.check) as f:
             baseline = json.load(f)
-        failures = check(snapshot, baseline, args.tolerance,
-                         args.raw_rates)
+        failures = check(snapshot, baseline, args.tolerance)
         for msg in failures:
             print(f"FAIL: {msg}", file=sys.stderr)
         if failures:

@@ -2,19 +2,11 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
-
 namespace canon
 {
 
 namespace
 {
-
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
 
 /** splitmix64: used only to expand the seed into generator state. */
 std::uint64_t
@@ -34,57 +26,6 @@ Rng::Rng(std::uint64_t seed)
     std::uint64_t x = seed;
     for (auto &s : s_)
         s = splitmix64(x);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-std::uint64_t
-Rng::nextBounded(std::uint64_t bound)
-{
-    panicIf(bound == 0, "Rng::nextBounded: bound must be nonzero");
-    // Rejection sampling to avoid modulo bias.
-    const std::uint64_t threshold = (-bound) % bound;
-    for (;;) {
-        std::uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
-    }
-}
-
-std::int64_t
-Rng::nextRange(std::int64_t lo, std::int64_t hi)
-{
-    panicIf(lo > hi, "Rng::nextRange: empty range [", lo, ",", hi, "]");
-    const std::uint64_t span =
-        static_cast<std::uint64_t>(hi - lo) + 1;
-    return lo + static_cast<std::int64_t>(nextBounded(span));
-}
-
-double
-Rng::nextDouble()
-{
-    // 53 high bits give a uniform double in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::nextBool(double p)
-{
-    return nextDouble() < p;
 }
 
 std::vector<std::uint32_t>

@@ -17,6 +17,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
+
 namespace canon
 {
 
@@ -25,20 +27,64 @@ class Rng
   public:
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
+    // The draws run once per generated matrix element: inline.
+
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+
+        return result;
+    }
 
     /** Uniform integer in [0, bound). @p bound must be nonzero. */
-    std::uint64_t nextBounded(std::uint64_t bound);
+    std::uint64_t
+    nextBounded(std::uint64_t bound)
+    {
+        panicIf(bound == 0, "Rng::nextBounded: bound must be nonzero");
+        // Rejection sampling to avoid modulo bias: draws below
+        // (2^64 - bound) % bound are redrawn. That threshold is below
+        // bound, so only a draw below bound (almost never) pays the
+        // division that computes it.
+        std::uint64_t r = next();
+        if (r < bound) {
+            const std::uint64_t threshold = (-bound) % bound;
+            while (r < threshold)
+                r = next();
+        }
+        return r % bound;
+    }
 
     /** Uniform integer in [lo, hi] inclusive. */
-    std::int64_t nextRange(std::int64_t lo, std::int64_t hi);
+    std::int64_t
+    nextRange(std::int64_t lo, std::int64_t hi)
+    {
+        panicIf(lo > hi, "Rng::nextRange: empty range [", lo, ",", hi,
+                "]");
+        const std::uint64_t span =
+            static_cast<std::uint64_t>(hi - lo) + 1;
+        return lo + static_cast<std::int64_t>(nextBounded(span));
+    }
 
     /** Uniform double in [0, 1). */
-    double nextDouble();
+    double
+    nextDouble()
+    {
+        // 53 high bits give a uniform double in [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Bernoulli draw with probability @p p of true. */
-    bool nextBool(double p);
+    bool nextBool(double p) { return nextDouble() < p; }
 
     /** Fisher-Yates shuffle of @p v. */
     template <typename T>
@@ -55,6 +101,12 @@ class Rng
     std::vector<std::uint32_t> sample(std::uint32_t n, std::uint32_t k);
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
 };
 

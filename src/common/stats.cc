@@ -26,17 +26,34 @@ checkStatName(const StatGroup &group, const std::string &name,
 
 } // namespace
 
+void
+StatGroup::checkCounterName(const std::string &name) const
+{
+    checkStatName(*this, name, "counter");
+    panicIf(children_.count(name) != 0, "StatGroup '", name_,
+            "': counter '", name,
+            "' collides with a child group of the same name");
+}
+
 Counter &
 StatGroup::counter(const std::string &name)
 {
     auto it = counters_.find(name);
     if (it != counters_.end())
-        return it->second;
-    checkStatName(*this, name, "counter");
-    panicIf(children_.count(name) != 0, "StatGroup '", name_,
-            "': counter '", name,
-            "' collides with a child group of the same name");
-    return counters_[name];
+        return *it->second;
+    checkCounterName(name);
+    Counter &ctr = owned_.emplace_back();
+    counters_.emplace(name, &ctr);
+    return ctr;
+}
+
+void
+StatGroup::add(const std::string &name, Counter &ctr)
+{
+    checkCounterName(name);
+    panicIf(!counters_.emplace(name, &ctr).second, "StatGroup '", name_,
+            "': duplicate counter '", name,
+            "' (two components would claim one flat path)");
 }
 
 StatGroup &
@@ -62,7 +79,7 @@ StatGroup::sumCounter(const std::string &leaf) const
     std::uint64_t total = 0;
     auto it = counters_.find(leaf);
     if (it != counters_.end())
-        total += it->second.value();
+        total += it->second->value();
     for (const auto &[_, child] : children_)
         total += child->sumCounter(leaf);
     return total;
@@ -81,7 +98,7 @@ StatGroup::flattenInto(const std::string &prefix,
                        std::map<std::string, std::uint64_t> &out) const
 {
     for (const auto &[name, ctr] : counters_)
-        out[prefix + name] = ctr.value();
+        out[prefix + name] = ctr->value();
     for (const auto &[name, child] : children_)
         child->flattenInto(prefix + name + ".", out);
 }
@@ -95,7 +112,7 @@ StatGroup::visitCounters(
     // the maps' lexicographic name order, so the enumeration is
     // deterministic and independent of registration order.
     for (const auto &[name, ctr] : counters_)
-        fn(name, ctr);
+        fn(name, *ctr);
     for (const auto &[name, child] : children_)
         child->visitCounters([&](const std::string &path,
                                  const Counter &ctr) {

@@ -2,15 +2,17 @@
  * @file
  * A small statistics framework in the spirit of gem5's stats package.
  *
- * Components own a StatGroup; they register named Counters against
- * it. Groups nest, so a fabric exposes `pe03.dmemReads` style paths.
- * The power model consumes the flat view.
+ * Components hold their Counters as plain members (the per-cycle
+ * increments then touch the component's own cache lines) and register
+ * each one by name in a StatGroup. Groups nest, so a fabric exposes
+ * `pe03.dmemReads` style paths. The power model consumes the flat view.
  */
 
 #ifndef CANON_COMMON_STATS_HH
 #define CANON_COMMON_STATS_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -22,11 +24,16 @@
 namespace canon
 {
 
-/** A monotonically increasing event counter. */
+/**
+ * A monotonically increasing event counter. Not copyable: a group
+ * points at it, so it (and the component holding it) must stay put.
+ */
 class Counter
 {
   public:
     Counter() = default;
+    Counter(const Counter &) = delete;
+    Counter &operator=(const Counter &) = delete;
 
     void operator++() { ++value_; }
     void operator++(int) { ++value_; }
@@ -40,6 +47,10 @@ class Counter
 /**
  * A named collection of statistics. Groups form a tree; leaf values are
  * registered by the owning component and read back via flat dotted paths.
+ *
+ * A group holds one pointer per registered counter, so it must not be
+ * read after a component that registered a counter in it is destroyed
+ * (the fabric declares its group before its components for this).
  */
 class StatGroup
 {
@@ -50,12 +61,20 @@ class StatGroup
     StatGroup &operator=(const StatGroup &) = delete;
 
     /**
-     * Register (or fetch) a counter under this group. A name that
-     * contains '.' panics: it would forge a nested flat path and
+     * Fetch the counter registered as @p name, or create one owned by
+     * the group (for callers with no component to own it). A name
+     * that contains '.' panics: it would forge a nested flat path and
      * silently shadow (or be shadowed by) a real child's entry in the
      * flat view. So does a name already taken by a child group.
      */
     Counter &counter(const std::string &name);
+
+    /**
+     * Register @p ctr, owned by the caller, as @p name. The name rules
+     * of counter() apply, and a name already registered panics: two
+     * components would otherwise claim one flat path.
+     */
+    void add(const std::string &name, Counter &ctr);
 
     /**
      * Create a nested child group. Duplicate registration panics:
@@ -78,7 +97,7 @@ class StatGroup
      * counter), counters of a group before its children, names in
      * lexicographic order -- the deterministic enumeration the
      * cycle sampler resolves its probes from. The visited references
-     * stay valid for the group's lifetime (counters are node-based).
+     * stay valid while the components that registered them live.
      */
     void visitCounters(
         const std::function<void(const std::string &path,
@@ -88,8 +107,11 @@ class StatGroup
     void flattenInto(const std::string &prefix,
                      std::map<std::string, std::uint64_t> &out) const;
 
+    void checkCounterName(const std::string &name) const;
+
     std::string name_;
-    std::map<std::string, Counter> counters_;
+    std::map<std::string, Counter *> counters_;
+    std::deque<Counter> owned_; //!< counters created by counter()
     std::map<std::string, std::unique_ptr<StatGroup>> children_;
 };
 

@@ -97,12 +97,6 @@ struct Vec4
             s += lane[i];
         return s;
     }
-
-    bool
-    isZero() const
-    {
-        return lane[0] == 0 && lane[1] == 0 && lane[2] == 0 && lane[3] == 0;
-    }
 };
 
 inline std::ostream &

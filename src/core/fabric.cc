@@ -25,23 +25,19 @@ CanonFabric::CanonFabric(const CanonConfig &cfg,
             "CanonFabric: tag banks must be positive, got ",
             cfg_.tagBanks);
 
-    // Channels first so PEs can bind to them.
-    vert_.resize(cfg_.rows + 1);
-    for (int r = 0; r <= cfg_.rows; ++r) {
-        for (int c = 0; c < cfg_.cols; ++c) {
-            vert_[r].push_back(std::make_unique<DataChannel>(
+    // Channels first so PEs can bind to them, in vert()/horiz() order.
+    dataChans_.reserve(
+        static_cast<std::size_t>(numVert() + cfg_.rows * (cfg_.cols + 1)));
+    for (int r = 0; r <= cfg_.rows; ++r)
+        for (int c = 0; c < cfg_.cols; ++c)
+            dataChans_.emplace_back(
                 kChannelDepth,
-                "vert" + std::to_string(r) + "_" + std::to_string(c)));
-        }
-    }
-    horiz_.resize(cfg_.rows);
-    for (int r = 0; r < cfg_.rows; ++r) {
-        for (int c = 0; c <= cfg_.cols; ++c) {
-            horiz_[r].push_back(std::make_unique<DataChannel>(
+                "vert" + std::to_string(r) + "_" + std::to_string(c));
+    for (int r = 0; r < cfg_.rows; ++r)
+        for (int c = 0; c <= cfg_.cols; ++c)
+            dataChans_.emplace_back(
                 kChannelDepth,
-                "horiz" + std::to_string(r) + "_" + std::to_string(c)));
-        }
-    }
+                "horiz" + std::to_string(r) + "_" + std::to_string(c));
     for (int r = 0; r <= cfg_.rows; ++r)
         msg_.push_back(std::make_unique<MsgChannel>(
             "msg" + std::to_string(r)));
@@ -56,10 +52,10 @@ CanonFabric::CanonFabric(const CanonConfig &cfg,
             auto pe = std::make_unique<Pe>(PeGeometry{r, c},
                                            cfg_.dmemSlots,
                                            cfg_.spadEntries, pe_stats);
-            pe->router().bindIn(Dir::North, vert_[r][c].get());
-            pe->router().bindOut(Dir::South, vert_[r + 1][c].get());
-            pe->router().bindIn(Dir::West, horiz_[r][c].get());
-            pe->router().bindOut(Dir::East, horiz_[r][c + 1].get());
+            pe->router().bindIn(Dir::North, &vert(r, c));
+            pe->router().bindOut(Dir::South, &vert(r + 1, c));
+            pe->router().bindIn(Dir::West, &horiz(r, c));
+            pe->router().bindOut(Dir::East, &horiz(r, c + 1));
             pes_.push_back(std::move(pe));
         }
     }
@@ -72,12 +68,12 @@ CanonFabric::CanonFabric(const CanonConfig &cfg,
             "orch" + std::to_string(r), cfg_.spadEntries, orch_stats,
             now_, OrchPolicy{cfg_.tagBanks, cfg_.spadFlush});
         orch->bindPipeline(pipes_.back().get());
-        orch->bindWestChannel(horiz_[r][0].get());
+        orch->bindWestChannel(&horiz(r, 0));
         orch->bindMsgIn(msg_[r].get());
         orch->bindMsgOut(msg_[r + 1].get());
         std::vector<DataChannel *> south;
         for (int c = 0; c < cfg_.cols; ++c)
-            south.push_back(vert_[r + 1][c].get());
+            south.push_back(&vert(r + 1, c));
         orch->bindSouthData(std::move(south));
         orch->bindOutRecQueue(&outRecs_[r]);
         orchs_.push_back(std::move(orch));
@@ -96,15 +92,10 @@ CanonFabric::CanonFabric(const CanonConfig &cfg,
         pipeTicks_.push_back(pl.get());
     for (auto &m : msg_)
         msgTicks_.push_back(m.get());
-    std::size_t data_channels = 0;
-    for (auto *chans : {&vert_, &horiz_})
-        for (auto &row : *chans)
-            for (auto &ch : row) {
-                ch->commitVia(&dirtyData_);
-                ++data_channels;
-            }
+    for (auto &ch : dataChans_)
+        ch.commitVia(&dirtyData_);
     // A channel enlists at most once per cycle: never reallocate.
-    dirtyData_.reserve(data_channels);
+    dirtyData_.reserve(dataChans_.size());
     computeGroups_ = {Group::Orchestrators, Group::Pes};
     commitGroups_ = {Group::Pes, Group::Pipelines, Group::MsgChannels,
                      Group::DataChannels};
@@ -183,24 +174,23 @@ CanonFabric::load(KernelMapping mapping)
     if (mapping_.collector == CollectorKind::South) {
         std::vector<DataChannel *> bottom;
         for (int c = 0; c < cfg_.cols; ++c)
-            bottom.push_back(vert_[cfg_.rows][c].get());
+            bottom.push_back(&vert(cfg_.rows, c));
         southCollector_ = std::make_unique<SouthCollector>(
             msg_[cfg_.rows].get(), std::move(bottom), &out_);
         edge.push_back(Group::SouthCollector);
         // East edge only carries forwarded operands: discard.
         for (int r = 0; r < cfg_.rows; ++r)
-            sink_->add(horiz_[r][cfg_.cols].get());
+            sink_->add(&horiz(r, cfg_.cols));
     } else {
         eastCollector_ = std::make_unique<EastCollector>(
             &out_, mapping_.eastColsPerRow);
         for (int r = 0; r < cfg_.rows; ++r)
-            eastCollector_->addRow(r, horiz_[r][cfg_.cols].get(),
-                                   &outRecs_[r]);
+            eastCollector_->addRow(r, &horiz(r, cfg_.cols), &outRecs_[r]);
         edge.push_back(Group::EastCollector);
         // South edge carries pass-through streams: discard, and drain
         // the bottom message channel.
         for (int c = 0; c < cfg_.cols; ++c)
-            sink_->add(vert_[cfg_.rows][c].get());
+            sink_->add(&vert(cfg_.rows, c));
         msgSink_ = std::make_unique<MsgSink>(msg_[cfg_.rows].get());
         edge.push_back(Group::MsgSink);
     }
@@ -209,7 +199,7 @@ CanonFabric::load(KernelMapping mapping)
     if (!mapping_.northFeed.empty()) {
         std::vector<DataChannel *> top;
         for (int c = 0; c < cfg_.cols; ++c)
-            top.push_back(vert_[0][c].get());
+            top.push_back(&vert(0, c));
         feeder_ = std::make_unique<NorthFeeder>(std::move(top),
                                                 msg_[0].get());
         feeder_->setFeed(mapping_.northFeed);
@@ -225,14 +215,9 @@ CanonFabric::load(KernelMapping mapping)
 bool
 CanonFabric::channelsDrained() const
 {
-    for (const auto &row : vert_)
-        for (const auto &ch : row)
-            if (!ch->empty())
-                return false;
-    for (const auto &row : horiz_)
-        for (const auto &ch : row)
-            if (!ch->empty())
-                return false;
+    for (const auto &ch : dataChans_)
+        if (!ch.empty())
+            return false;
     for (const auto &m : msg_)
         if (!m->empty())
             return false;
@@ -273,13 +258,10 @@ CanonFabric::makeAccountant() const
     for (const auto &p : pipes_)
         pipes.push_back(p.get());
     std::vector<const DataChannel *> vert;
-    for (const auto &row : vert_)
-        for (const auto &ch : row)
-            vert.push_back(ch.get());
     std::vector<const DataChannel *> horiz;
-    for (const auto &row : horiz_)
-        for (const auto &ch : row)
-            horiz.push_back(ch.get());
+    for (std::size_t i = 0; i < dataChans_.size(); ++i)
+        (static_cast<int>(i) < numVert() ? vert : horiz)
+            .push_back(&dataChans_[i]);
     std::vector<const MsgChannel *> msgs;
     for (const auto &m : msg_)
         msgs.push_back(m.get());
@@ -424,14 +406,14 @@ void
 CanonFabric::pushWest(int r, const Vec4 &v)
 {
     panicIf(r < 0 || r >= cfg_.rows, "pushWest: bad row");
-    horiz_[r][0]->push(v);
+    horiz(r, 0).push(v);
 }
 
 std::optional<Vec4>
 CanonFabric::popEast(int r)
 {
     panicIf(r < 0 || r >= cfg_.rows, "popEast: bad row");
-    auto &ch = *horiz_[r][cfg_.cols];
+    auto &ch = horiz(r, cfg_.cols);
     if (ch.empty())
         return std::nullopt;
     Vec4 v = ch.front();

@@ -138,6 +138,27 @@ class CanonFabric
     };
 
     int peIndex(int r, int c) const { return r * cfg_.cols + c; }
+
+    /** The vertical channels lead dataChans_; this many of them. */
+    int numVert() const { return (cfg_.rows + 1) * cfg_.cols; }
+
+    /** Channel from row r-1 into row r, column c (r=0: north edge,
+     *  r=rows: south edge). */
+    DataChannel &
+    vert(int r, int c)
+    {
+        return dataChans_[static_cast<std::size_t>(r * cfg_.cols + c)];
+    }
+
+    /** Channel into PE (r, c) from the west (c=0: west edge,
+     *  c=cols: east edge). */
+    DataChannel &
+    horiz(int r, int c)
+    {
+        return dataChans_[static_cast<std::size_t>(
+            numVert() + r * (cfg_.cols + 1) + c)];
+    }
+
     bool channelsDrained() const;
 
     /** A cycle accountant over every component (--cycle-accounting). */
@@ -151,11 +172,14 @@ class CanonFabric
     std::vector<std::unique_ptr<Orchestrator>> orchs_;
     std::vector<std::unique_ptr<InstPipeline>> pipes_;
 
-    // vert_[r][c]: channel from row r-1 into row r (r=0: north edge,
-    // r=rows: south edge). horiz_[r][c]: channel into PE (r, c) from
-    // the west (c=0: west edge, c=cols: east edge).
-    std::vector<std::vector<std::unique_ptr<DataChannel>>> vert_;
-    std::vector<std::vector<std::unique_ptr<DataChannel>>> horiz_;
+    /**
+     * Every data channel, each with its ring inline: the vertical
+     * channels row by row, then the horizontal ones (see vert() and
+     * horiz()). Reserved to its final size before the first channel
+     * is built and never resized, since channels enlist their own
+     * address on dirtyData_.
+     */
+    std::vector<DataChannel> dataChans_;
 
     // msg_[r]: messages from orchestrator r-1 to r; msg_[0] is the
     // north-edge (feeder) channel, msg_[rows] feeds the collector.

@@ -207,31 +207,35 @@ mapSpmm(const CsrMatrix &a, const DenseMatrix &b, const CanonConfig &cfg)
     map.expectedLaneMacs =
         static_cast<std::uint64_t>(a.nnz()) * b.cols();
 
-    // Meta streams: orchestrator y sees the non-zeros of its K-slice.
+    // Meta streams: orchestrator y sees the non-zeros of its K-slice,
+    // each row that has any closed by a RowEnd. One pass over A deals
+    // every nonzero to its slice's stream; the slices a row touched
+    // then get their RowEnds, so each stream stays in row order.
     const auto &row_ptr = a.rowPtr();
     const auto &col_idx = a.colIdx();
     const auto &values = a.values();
-    map.rowStreams.reserve(cfg.rows);
-    for (int y = 0; y < cfg.rows; ++y) {
-        const int k_lo = y * h;
-        const int k_hi = k_lo + h;
-        std::vector<MetaToken> tokens;
-        for (int m = 0; m < a.rows(); ++m) {
-            bool any = false;
-            for (auto i = row_ptr[m]; i < row_ptr[m + 1]; ++i) {
-                const int k = col_idx[i];
-                if (k < k_lo || k >= k_hi)
-                    continue;
-                tokens.push_back(MetaToken::nnz(
-                    static_cast<std::uint16_t>(k - k_lo), values[i]));
-                any = true;
+    std::vector<std::vector<MetaToken>> tokens(cfg.rows);
+    std::vector<int> touched; // slices the current row reached
+    std::vector<int> last_row(cfg.rows, -1);
+    for (int m = 0; m < a.rows(); ++m) {
+        for (auto i = row_ptr[m]; i < row_ptr[m + 1]; ++i) {
+            const int y = col_idx[i] / h;
+            if (last_row[y] != m) {
+                last_row[y] = m;
+                touched.push_back(y);
             }
-            if (any)
-                tokens.push_back(
-                    MetaToken::rowEnd(static_cast<std::uint16_t>(m)));
+            tokens[y].push_back(MetaToken::nnz(
+                static_cast<std::uint16_t>(col_idx[i] - y * h),
+                values[i]));
         }
-        map.rowStreams.emplace_back(std::move(tokens));
+        for (const int y : touched)
+            tokens[y].push_back(
+                MetaToken::rowEnd(static_cast<std::uint16_t>(m)));
+        touched.clear();
     }
+    map.rowStreams.reserve(cfg.rows);
+    for (auto &t : tokens)
+        map.rowStreams.emplace_back(std::move(t));
 
     // Data placement: PE (y, x) holds B[y*H + h][4x .. 4x+4).
     map.dmemImage.resize(cfg.rows);

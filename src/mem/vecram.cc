@@ -3,23 +3,28 @@
 namespace canon
 {
 
-VecRam::VecRam(std::string name, int slots, int elem_bytes,
-               StatGroup &stats)
-    : name_(std::move(name)), elemBytes_(elem_bytes),
-      data_(static_cast<std::size_t>(slots)),
-      reads_(stats.counter(name_ + "Reads")),
-      writes_(stats.counter(name_ + "Writes"))
+namespace
 {
-    panicIf(slots <= 0, "VecRam ", name_, ": slots must be positive");
-    panicIf(elem_bytes != 1 && elem_bytes != 2 && elem_bytes != 4,
-            "VecRam ", name_, ": unsupported element width ", elem_bytes);
+
+/** Validated before the storage is sized from it. */
+std::size_t
+checkedSlots(const std::string &name, int slots)
+{
+    panicIf(slots <= 0, "VecRam ", name, ": slots must be positive");
+    return static_cast<std::size_t>(slots);
 }
 
-void
-VecRam::poke(int slot, const Vec4 &v)
+} // namespace
+
+template <typename T>
+VecRam<T>::VecRam(std::string name, int slots, StatGroup &stats)
+    : name_(std::move(name)), data_(checkedSlots(name_, slots))
 {
-    checkSlot(slot);
-    data_[static_cast<std::size_t>(slot)] = v;
+    stats.add(name_ + "Reads", reads_);
+    stats.add(name_ + "Writes", writes_);
 }
+
+template class VecRam<Elem>;
+template class VecRam<Word>;
 
 } // namespace canon

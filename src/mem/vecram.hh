@@ -12,11 +12,18 @@
  * compile-time operand restrictions; VecRam checks bounds and counts
  * accesses for the power model. Reads and writes run in every busy PE
  * tick, so they are defined here, inline.
+ *
+ * The lane type is the fabricated width: VecRam<Elem> (INT8) is the
+ * data memory, VecRam<Word> (INT32) the scratchpad. Lanes widen to a
+ * Vec4 on read; a lane that does not fit the memory's width panics on
+ * write, since nothing in the datapath narrows a value.
  */
 
 #ifndef CANON_MEM_VECRAM_HH
 #define CANON_MEM_VECRAM_HH
 
+#include <array>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -27,51 +34,47 @@
 namespace canon
 {
 
+template <typename T>
 class VecRam
 {
   public:
     /**
-     * @param name      instance name for diagnostics
-     * @param slots     number of Vec4 entries
-     * @param elem_bytes bytes per lane element as fabricated (1 for the
-     *                   INT8 data memory, 4 for the psum scratchpad);
-     *                   only capacity accounting depends on it
+     * @param name  instance name for diagnostics; the access counters
+     *              register as `<name>Reads` / `<name>Writes`
+     * @param slots number of vector entries
      */
-    VecRam(std::string name, int slots, int elem_bytes, StatGroup &stats);
+    VecRam(std::string name, int slots, StatGroup &stats);
 
     int slots() const { return static_cast<int>(data_.size()); }
-    std::size_t sizeBytes() const
-    {
-        return data_.size() * kSimdWidth * elemBytes_;
-    }
 
-    const Vec4 &
+    Vec4
     read(int slot)
     {
         checkSlot(slot);
         ++reads_;
-        return data_[static_cast<std::size_t>(slot)];
+        const Lanes &l = data_[static_cast<std::size_t>(slot)];
+        return Vec4{{l[0], l[1], l[2], l[3]}};
     }
 
     void
     write(int slot, const Vec4 &v)
     {
         checkSlot(slot);
+        store(slot, v);
         ++writes_;
-        data_[static_cast<std::size_t>(slot)] = v;
     }
 
     /** Direct initialization (data placement before execution). */
-    void poke(int slot, const Vec4 &v);
-
     void
-    fill(const Vec4 &v)
+    poke(int slot, const Vec4 &v)
     {
-        for (auto &slot : data_)
-            slot = v;
+        checkSlot(slot);
+        store(slot, v);
     }
 
   private:
+    using Lanes = std::array<T, kSimdWidth>;
+
     void
     checkSlot(int slot) const
     {
@@ -79,12 +82,31 @@ class VecRam
                 slot, " out of ", slots());
     }
 
+    /** Narrow @p v into @p slot; a lane that does not fit panics
+     *  before anything is stored. */
+    void
+    store(int slot, const Vec4 &v)
+    {
+        if constexpr (sizeof(T) < sizeof(Word))
+            for (int i = 0; i < kSimdWidth; ++i)
+                panicIf(v[i] < std::numeric_limits<T>::min() ||
+                            v[i] > std::numeric_limits<T>::max(),
+                        "VecRam ", name_, ": lane ", i, " value ", v[i],
+                        " at slot ", slot, " does not fit its ",
+                        8 * sizeof(T), "-bit lanes");
+        Lanes &l = data_[static_cast<std::size_t>(slot)];
+        for (int i = 0; i < kSimdWidth; ++i)
+            l[i] = static_cast<T>(v[i]);
+    }
+
     std::string name_;
-    int elemBytes_;
-    std::vector<Vec4> data_;
-    Counter &reads_;
-    Counter &writes_;
+    std::vector<Lanes> data_;
+    Counter reads_;
+    Counter writes_;
 };
+
+extern template class VecRam<Elem>;
+extern template class VecRam<Word>;
 
 } // namespace canon
 

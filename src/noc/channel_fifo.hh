@@ -10,16 +10,18 @@
  * deterministic by construction, so either indicates a mis-programmed
  * FSM (or a simulator bug), never a run-time condition to recover from.
  *
- * Storage is a ring of `capacity` slots allocated at construction.
- * Committed entries occupy [head, head + size); a staged push is
- * written past the committed tail. Staged pushes count against
- * capacity, so one can never land on the head that a same-cycle pop
- * still reads.
+ * Storage is a ring of `capacity` slots held inline, so a channel is
+ * one object with no allocation of its own; every capacity in the
+ * fabric is at most kMaxChannelCapacity. Committed entries occupy
+ * [head, head + size); a staged push is written past the committed
+ * tail. Staged pushes count against capacity, so one can never land
+ * on the head that a same-cycle pop still reads.
  */
 
 #ifndef CANON_NOC_CHANNEL_FIFO_HH
 #define CANON_NOC_CHANNEL_FIFO_HH
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -28,19 +30,24 @@
 namespace canon
 {
 
+/** Largest ring a channel holds inline. */
+constexpr std::size_t kMaxChannelCapacity = 8;
+
 template <typename T>
 class ChannelFifo
 {
   public:
     explicit ChannelFifo(std::size_t capacity, std::string name = "chan")
-        : ring_(capacity), name_(std::move(name))
+        : capacity_(capacity), name_(std::move(name))
     {
         panicIf(capacity == 0, "ChannelFifo ", name_, ": zero capacity");
+        panicIf(capacity > kMaxChannelCapacity, "ChannelFifo ", name_,
+                ": capacity ", capacity, " exceeds the inline ring of ",
+                kMaxChannelCapacity);
     }
 
     bool empty() const { return size_ == 0; }
     std::size_t size() const { return size_; }
-    std::size_t capacity() const { return ring_.size(); }
 
     /**
      * Space check for a producer this cycle. Conservative: staged pushes
@@ -50,7 +57,7 @@ class ChannelFifo
     bool
     canPush() const
     {
-        return size_ + staged_ < ring_.size();
+        return size_ + staged_ < capacity_;
     }
 
     /** Head visible this cycle. */
@@ -66,7 +73,7 @@ class ChannelFifo
     push(T v)
     {
         panicIf(!canPush(), "ChannelFifo ", name_, ": overflow (cap=",
-                ring_.size(), ")");
+                capacity_, ")");
         enlist();
         ring_[wrap(head_ + size_ + staged_)] = std::move(v);
         ++staged_;
@@ -97,7 +104,8 @@ class ChannelFifo
     /**
      * Enlist on @p dirty at the first staged push or pop of every
      * cycle, so the owner of the commit boundary commits only the
-     * channels that changed (and then clears the list).
+     * channels that changed (and then clears the list). The channel
+     * enlists its own address: it must not move afterwards.
      */
     void commitVia(std::vector<ChannelFifo *> *dirty) { dirty_ = dirty; }
 
@@ -105,7 +113,7 @@ class ChannelFifo
     std::size_t
     wrap(std::size_t i) const
     {
-        return i >= ring_.size() ? i - ring_.size() : i;
+        return i >= capacity_ ? i - capacity_ : i;
     }
 
     void
@@ -115,12 +123,13 @@ class ChannelFifo
             dirty_->push_back(this);
     }
 
-    std::vector<T> ring_;
+    std::size_t capacity_;
     std::size_t head_ = 0;
     std::size_t size_ = 0;   //!< committed entries
     std::size_t staged_ = 0; //!< pushes staged this cycle
     bool stagedPop_ = false;
     std::vector<ChannelFifo *> *dirty_ = nullptr;
+    std::array<T, kMaxChannelCapacity> ring_{};
     std::string name_;
 };
 

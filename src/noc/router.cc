@@ -3,8 +3,6 @@
 namespace canon
 {
 
-Router::Router(StatGroup &stats) : hops_(stats.counter("routerHops")) {}
-
 void
 Router::bindIn(Dir d, DataChannel *ch)
 {

@@ -46,7 +46,7 @@ using DataChannel = ChannelFifo<Vec4>;
 class Router
 {
   public:
-    explicit Router(StatGroup &stats);
+    explicit Router(StatGroup &stats) { stats.add("routerHops", hops_); }
 
     /** Attach the channel delivering data *into* this PE from @p d. */
     void bindIn(Dir d, DataChannel *ch);
@@ -115,7 +115,7 @@ class Router
     std::array<DataChannel *, kNumDirs> out_{};
     std::uint8_t usedIn_ = 0;  //!< directions read this cycle
     std::uint8_t usedOut_ = 0; //!< directions written this cycle
-    Counter &hops_;
+    Counter hops_;
 };
 
 } // namespace canon

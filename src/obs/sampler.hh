@@ -17,8 +17,9 @@
  * without this file.
  * A sample is a handful of pointer reads: every sampler probe is
  * resolved to direct Counter pointers at construction, which is safe
- * because StatGroup's maps are node-based and the fabric registers all
- * counters before it first ticks.
+ * because the counters are members of the fabric's components, which
+ * never move, and the fabric registers all of them before it first
+ * ticks.
  *
  * Capturing in the commit phase makes every series deterministic:
  * every counter bumps in the compute phase, so by any commit pass the

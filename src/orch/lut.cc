@@ -55,18 +55,6 @@ packOutput(const OutputFields &f)
     return w;
 }
 
-std::uint16_t
-lutIndex(std::uint8_t state, std::uint8_t msg_id, std::uint8_t cond_bits)
-{
-    panicIf(state >= kNumFsmStates, "lutIndex: state ", state,
-            " out of range");
-    panicIf(msg_id >= 8, "lutIndex: msgId ", msg_id, " out of range");
-    panicIf(cond_bits >= (1 << kNumCondBits), "lutIndex: cond bits ",
-            cond_bits, " out of range");
-    return static_cast<std::uint16_t>((state << 7) | (msg_id << 4) |
-                                      cond_bits);
-}
-
 void
 FsmLut::set(std::uint16_t index, const OutputFields &f)
 {

@@ -18,6 +18,7 @@
 #include <array>
 #include <cstdint>
 
+#include "common/logging.hh"
 #include "orch/config.hh"
 
 namespace canon
@@ -27,8 +28,17 @@ namespace canon
 std::uint64_t packOutput(const OutputFields &f);
 
 /** Compose a LUT index from the condition inputs. */
-std::uint16_t lutIndex(std::uint8_t state, std::uint8_t msg_id,
-                       std::uint8_t cond_bits);
+inline std::uint16_t
+lutIndex(std::uint8_t state, std::uint8_t msg_id, std::uint8_t cond_bits)
+{
+    panicIf(state >= kNumFsmStates, "lutIndex: state ", state,
+            " out of range");
+    panicIf(msg_id >= 8, "lutIndex: msgId ", msg_id, " out of range");
+    panicIf(cond_bits >= (1 << kNumCondBits), "lutIndex: cond bits ",
+            cond_bits, " out of range");
+    return static_cast<std::uint16_t>((state << 7) | (msg_id << 4) |
+                                      cond_bits);
+}
 
 class FsmLut
 {

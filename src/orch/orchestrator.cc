@@ -11,18 +11,18 @@ Orchestrator::Orchestrator(std::string name, int spad_capacity,
       flushPolicy_(policy.spadFlush),
       flushThreshold_(policy.spadFlush == SpadFlushPolicy::Adaptive
                           ? spadHighWaterMark(spad_capacity - 1)
-                          : spad_capacity - 1),
-      lutLookups_(stats.counter("lutLookups")),
-      instIssued_(stats.counter("instIssued")),
-      macIssued_(stats.counter("macIssued")),
-      stallCycles_(stats.counter("stallCycles")),
-      stateTransitions_(stats.counter("stateTransitions")),
-      msgsSent_(stats.counter("msgsSent")),
-      fwdAhead_(stats.counter("fwdAhead")),
-      fwdBehind_(stats.counter("fwdBehind")),
-      spadResidentSum_(stats.counter("spadResidentSum")),
-      spadCapCycles_(stats.counter("spadCapCycles"))
+                          : spad_capacity - 1)
 {
+    stats.add("lutLookups", lutLookups_);
+    stats.add("instIssued", instIssued_);
+    stats.add("macIssued", macIssued_);
+    stats.add("stallCycles", stallCycles_);
+    stats.add("stateTransitions", stateTransitions_);
+    stats.add("msgsSent", msgsSent_);
+    stats.add("fwdAhead", fwdAhead_);
+    stats.add("fwdBehind", fwdBehind_);
+    stats.add("spadResidentSum", spadResidentSum_);
+    stats.add("spadCapCycles", spadCapCycles_);
 }
 
 void

@@ -145,16 +145,16 @@ class Orchestrator final
     std::deque<OutRec> *outRecs_ = nullptr;
 
     // Statistics.
-    Counter &lutLookups_;
-    Counter &instIssued_;
-    Counter &macIssued_;
-    Counter &stallCycles_;
-    Counter &stateTransitions_;
-    Counter &msgsSent_;
-    Counter &fwdAhead_;
-    Counter &fwdBehind_;
-    Counter &spadResidentSum_; //!< sum of resident rows over cycles
-    Counter &spadCapCycles_;   //!< cycles pinned at the resident cap
+    Counter lutLookups_;
+    Counter instIssued_;
+    Counter macIssued_;
+    Counter stallCycles_;
+    Counter stateTransitions_;
+    Counter msgsSent_;
+    Counter fwdAhead_;
+    Counter fwdBehind_;
+    Counter spadResidentSum_; //!< sum of resident rows over cycles
+    Counter spadCapCycles_;   //!< cycles pinned at the resident cap
 };
 
 } // namespace canon

@@ -279,45 +279,4 @@ OrchProgram::compile()
     compiled_ = true;
 }
 
-const AddrMode &
-OrchProgram::addrMode(int i) const
-{
-    panicIf(i < 0 || i >= static_cast<int>(addrModes_.size()),
-            "addrMode index ", i, " out of menu");
-    return addrModes_[static_cast<std::size_t>(i)];
-}
-
-std::uint8_t
-OrchProgram::routeMode(int i) const
-{
-    panicIf(i < 0 || i >= static_cast<int>(routeModes_.size()),
-            "routeMode index ", i, " out of menu");
-    return routeModes_[static_cast<std::size_t>(i)];
-}
-
-const MsgMode &
-OrchProgram::msgMode(int i) const
-{
-    panicIf(i < 0 || i >= static_cast<int>(msgModes_.size()),
-            "msgMode index ", i, " out of menu");
-    return msgModes_[static_cast<std::size_t>(i)];
-}
-
-const MetaUpdate &
-OrchProgram::metaUpdate(int reg, int i) const
-{
-    panicIf(reg < 0 || reg > 1, "metaUpdate: bad register");
-    const auto &menu = metaUpdates_[reg];
-    panicIf(i < 0 || i >= static_cast<int>(menu.size()),
-            "metaUpdate index ", i, " out of menu");
-    return menu[static_cast<std::size_t>(i)];
-}
-
-const PredicateSet &
-OrchProgram::predicates(std::uint8_t state) const
-{
-    panicIf(state >= kNumFsmStates, "predicates: state out of range");
-    return predicates_[state];
-}
-
 } // namespace canon

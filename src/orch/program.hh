@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "orch/config.hh"
 #include "orch/lut.hh"
 #include "orch/msg_channel.hh"
@@ -130,13 +131,49 @@ class OrchProgram
 
     bool compiled() const { return compiled_; }
 
-    // ---- runtime accessors ------------------------------------------
+    // ---- runtime accessors (every orchestrator tick: inline) --------
     const FsmLut &lut() const { return lut_; }
-    const AddrMode &addrMode(int i) const;
-    std::uint8_t routeMode(int i) const;
-    const MsgMode &msgMode(int i) const;
-    const MetaUpdate &metaUpdate(int reg, int i) const;
-    const PredicateSet &predicates(std::uint8_t state) const;
+
+    const AddrMode &
+    addrMode(int i) const
+    {
+        panicIf(i < 0 || i >= static_cast<int>(addrModes_.size()),
+                "addrMode index ", i, " out of menu");
+        return addrModes_[static_cast<std::size_t>(i)];
+    }
+
+    std::uint8_t
+    routeMode(int i) const
+    {
+        panicIf(i < 0 || i >= static_cast<int>(routeModes_.size()),
+                "routeMode index ", i, " out of menu");
+        return routeModes_[static_cast<std::size_t>(i)];
+    }
+
+    const MsgMode &
+    msgMode(int i) const
+    {
+        panicIf(i < 0 || i >= static_cast<int>(msgModes_.size()),
+                "msgMode index ", i, " out of menu");
+        return msgModes_[static_cast<std::size_t>(i)];
+    }
+
+    const MetaUpdate &
+    metaUpdate(int reg, int i) const
+    {
+        panicIf(reg < 0 || reg > 1, "metaUpdate: bad register");
+        const auto &menu = metaUpdates_[reg];
+        panicIf(i < 0 || i >= static_cast<int>(menu.size()),
+                "metaUpdate index ", i, " out of menu");
+        return menu[static_cast<std::size_t>(i)];
+    }
+
+    const PredicateSet &
+    predicates(std::uint8_t state) const
+    {
+        panicIf(state >= kNumFsmStates, "predicates: state out of range");
+        return predicates_[state];
+    }
 
     std::uint8_t initialState() const { return initialState_; }
     std::uint8_t doneState() const { return doneState_; }

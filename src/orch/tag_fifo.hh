@@ -52,18 +52,15 @@ class TagFifo
 {
   public:
     TagFifo(int capacity, StatGroup &stats, int banks = 1)
-        : capacity_(capacity),
-          banks_(static_cast<std::size_t>(banks < 1 ? 1 : banks)),
-          searches_(stats.counter("bufferSearches")),
-          compares_(stats.counter("tagCompares")),
-          pushes_(stats.counter("bufferPushes"))
+        : capacity_(capacity)
     {
         panicIf(capacity <= 0, "TagFifo: capacity must be positive");
         panicIf(banks <= 0, "TagFifo: banks must be positive");
+        banks_.resize(static_cast<std::size_t>(banks));
+        stats.add("bufferSearches", searches_);
+        stats.add("tagCompares", compares_);
+        stats.add("bufferPushes", pushes_);
     }
-
-    int capacity() const { return capacity_; }
-    int numBanks() const { return static_cast<int>(banks_.size()); }
 
     /** Resident entries allowed while a row is still accumulating. */
     int residentCap() const { return capacity_ - 1; }
@@ -80,11 +77,16 @@ class TagFifo
     std::uint64_t searchCount() const { return searches_.value(); }
     std::uint64_t compareCount() const { return compares_.value(); }
 
-    /** Physical slot the current (unpushed) row accumulates into. */
+    /**
+     * Physical slot the current (unpushed) row accumulates into. The
+     * head is below capacity and the size never exceeds it, so one
+     * conditional subtract wraps the sum.
+     */
     int
     tailSlot() const
     {
-        return (headSlot_ + size()) % capacity_;
+        const int slot = headSlot_ + size();
+        return slot >= capacity_ ? slot - capacity_ : slot;
     }
 
     int
@@ -151,7 +153,8 @@ class TagFifo
                 "TagFifo: bank order diverged from global order");
         bank.pop_front();
         tags_.pop_front();
-        headSlot_ = (headSlot_ + 1) % capacity_;
+        if (++headSlot_ == capacity_)
+            headSlot_ = 0;
     }
 
     void
@@ -180,9 +183,9 @@ class TagFifo
     std::deque<std::uint16_t> tags_; //!< global FIFO order
     std::vector<std::deque<Entry>> banks_; //!< per-bank insertion order
     int headSlot_ = 0;
-    Counter &searches_;
-    Counter &compares_;
-    Counter &pushes_;
+    Counter searches_;
+    Counter compares_;
+    Counter pushes_;
 };
 
 } // namespace canon

@@ -15,15 +15,14 @@ Pe::Pe(const PeGeometry &geo, int dmem_slots, int spad_slots,
     : geo_(geo),
       name_("pe" + std::to_string(geo.row) + "_" +
             std::to_string(geo.col)),
-      dmem_("dmem", dmem_slots, 1, stats),
-      spad_("spad", spad_slots, 4, stats),
-      router_(stats),
-      busyCycles_(stats.counter("busyCycles")),
-      macOps_(stats.counter("macOps")),
-      aluOps_(stats.counter("aluOps")),
-      regReads_(stats.counter("regReads")),
-      regWrites_(stats.counter("regWrites"))
+      dmem_("dmem", dmem_slots, stats), spad_("spad", spad_slots, stats),
+      router_(stats)
 {
+    stats.add("busyCycles", busyCycles_);
+    stats.add("macOps", macOps_);
+    stats.add("aluOps", aluOps_);
+    stats.add("regReads", regReads_);
+    stats.add("regWrites", regWrites_);
 }
 
 bool

@@ -65,14 +65,13 @@ class Pe final
     void bindPipeline(InstPipeline *pipe) { pipe_ = pipe; }
 
     Router &router() { return router_; }
-    VecRam &dmem() { return dmem_; }
-    VecRam &spad() { return spad_; }
+    VecRam<Elem> &dmem() { return dmem_; }
+    VecRam<Word> &spad() { return spad_; }
 
     void setMode(PeMode m) { mode_ = m; }
     PeMode mode() const { return mode_; }
 
     const Vec4 &reg(int r) const { return regs_[r]; }
-    void pokeReg(int r, const Vec4 &v) { regs_[r] = v; }
 
     /**
      * True iff no instruction is in flight in the pipeline. Read it
@@ -139,8 +138,8 @@ class Pe final
 
     PeGeometry geo_;
     std::string name_;
-    VecRam dmem_;
-    VecRam spad_;
+    VecRam<Elem> dmem_;
+    VecRam<Word> spad_;
     Router router_;
     std::array<Vec4, addrspace::kRegSize> regs_{};
     InstPipeline *pipe_ = nullptr;
@@ -162,11 +161,11 @@ class Pe final
     int spadReadsThisCycle_ = 0;
     int spadWritesThisCycle_ = 0;
 
-    Counter &busyCycles_;
-    Counter &macOps_;
-    Counter &aluOps_;
-    Counter &regReads_;
-    Counter &regWrites_;
+    Counter busyCycles_;
+    Counter macOps_;
+    Counter aluOps_;
+    Counter regReads_;
+    Counter regWrites_;
 };
 
 } // namespace canon

@@ -39,10 +39,11 @@ randomSparse(int rows, int cols, double sparsity, Rng &rng, int magnitude)
     fatalIf(sparsity < 0.0 || sparsity > 1.0,
             "sparsity must be in [0,1], got ", sparsity);
     DenseMatrix m(rows, cols);
-    for (int r = 0; r < rows; ++r)
-        for (int c = 0; c < cols; ++c)
-            if (!rng.nextBool(sparsity))
-                m.at(r, c) = nonZeroValue(rng, magnitude);
+    // Row-major storage: one in-order pass draws the same stream as an
+    // (r, c) walk.
+    for (Elem &v : m.data())
+        if (!rng.nextBool(sparsity))
+            v = nonZeroValue(rng, magnitude);
     return m;
 }
 

@@ -6,19 +6,28 @@ namespace canon
 CsrMatrix
 CsrMatrix::fromDense(const DenseMatrix &d)
 {
+    // One pass, branch-free: every element is written at the cursor,
+    // which advances past nonzeros only (random sparsity would defeat
+    // a branch predictor). The arrays start at the dense size and are
+    // trimmed to the nonzeros at the end.
     CsrMatrix m(d.rows(), d.cols());
-    m.colIdx_.reserve(d.countNonZero());
-    m.values_.reserve(m.colIdx_.capacity());
-    for (int r = 0; r < d.rows(); ++r) {
+    m.colIdx_.resize(d.size());
+    m.values_.resize(d.size());
+    std::size_t n = 0;
+    const Elem *row = d.data().data();
+    for (int r = 0; r < d.rows(); ++r, row += d.cols()) {
         for (int c = 0; c < d.cols(); ++c) {
-            if (d.at(r, c) != 0) {
-                m.colIdx_.push_back(c);
-                m.values_.push_back(d.at(r, c));
-            }
+            m.colIdx_[n] = c;
+            m.values_[n] = row[c];
+            n += row[c] != 0;
         }
         m.rowPtr_[static_cast<std::size_t>(r) + 1] =
-            static_cast<std::int32_t>(m.colIdx_.size());
+            static_cast<std::int32_t>(n);
     }
+    m.colIdx_.resize(n);
+    m.values_.resize(n);
+    m.colIdx_.shrink_to_fit();
+    m.values_.shrink_to_fit();
     return m;
 }
 

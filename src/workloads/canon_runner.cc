@@ -139,9 +139,14 @@ CanonRunner::spmmExact(const CsrMatrix &a, const DenseMatrix &b,
     fatalIf(k_pad / cfg_.rows > cfg_.dmemSlots,
             "CanonRunner: K=", b.rows(),
             " exceeds on-chip capacity; tile K upstream");
-    const auto a_pad = a.cols() == k_pad ? a : padCsr(a, a.rows(), k_pad);
-    const auto b_pad =
-        b.rows() == k_pad ? b : padDense(b, k_pad, b.cols());
+    // Pad only a misaligned operand; an aligned one is used in place.
+    CsrMatrix a_padded;
+    DenseMatrix b_padded;
+    const CsrMatrix &a_pad =
+        a.cols() == k_pad ? a : (a_padded = padCsr(a, a.rows(), k_pad));
+    const DenseMatrix &b_pad =
+        b.rows() == k_pad ? b
+                          : (b_padded = padDense(b, k_pad, b.cols()));
 
     const auto passes = divCeil(static_cast<std::uint64_t>(b.cols()),
                                 static_cast<std::uint64_t>(tile_n));

@@ -176,5 +176,111 @@ TEST(CanonSpmm, UtilizationDropsWithSparsityImbalance)
     EXPECT_LE(deep, shallow);
 }
 
+/**
+ * Reference streams and data image for mapSpmm: each orchestrator's
+ * stream filters the whole of A for its K-slice.
+ */
+std::vector<std::vector<MetaToken>>
+sliceFilterStreams(const CsrMatrix &a, int rows, int h)
+{
+    std::vector<std::vector<MetaToken>> streams;
+    const auto &row_ptr = a.rowPtr();
+    for (int y = 0; y < rows; ++y) {
+        const int k_lo = y * h;
+        const int k_hi = k_lo + h;
+        std::vector<MetaToken> tokens;
+        for (int m = 0; m < a.rows(); ++m) {
+            bool any = false;
+            for (auto i = row_ptr[m]; i < row_ptr[m + 1]; ++i) {
+                const int k = a.colIdx()[i];
+                if (k < k_lo || k >= k_hi)
+                    continue;
+                tokens.push_back(MetaToken::nnz(
+                    static_cast<std::uint16_t>(k - k_lo), a.values()[i]));
+                any = true;
+            }
+            if (any)
+                tokens.push_back(
+                    MetaToken::rowEnd(static_cast<std::uint16_t>(m)));
+        }
+        streams.push_back(std::move(tokens));
+    }
+    return streams;
+}
+
+std::vector<std::vector<std::vector<Vec4>>>
+sliceImage(const DenseMatrix &b, int rows, int cols, int h)
+{
+    std::vector<std::vector<std::vector<Vec4>>> image(rows);
+    for (int y = 0; y < rows; ++y) {
+        image[y].resize(cols);
+        for (int x = 0; x < cols; ++x) {
+            image[y][x].resize(h);
+            for (int hh = 0; hh < h; ++hh)
+                for (int l = 0; l < kSimdWidth; ++l)
+                    image[y][x][hh][l] =
+                        b.at(y * h + hh, x * kSimdWidth + l);
+        }
+    }
+    return image;
+}
+
+std::vector<MetaToken>
+tokensOf(MetaStream s)
+{
+    std::vector<MetaToken> out;
+    for (; !s.exhausted(); s.advance())
+        out.push_back(s.peek(s.startCycle()));
+    return out;
+}
+
+TEST(CanonSpmm, MappingMatchesSliceFilter)
+{
+    // Random shapes with empty rows, whole K-slices left empty and
+    // nonzeros pinned to both edges of every live slice.
+    Rng rng(31);
+    for (int trial = 0; trial < 60; ++trial) {
+        const int rows = static_cast<int>(rng.nextRange(1, 8));
+        const int cols = static_cast<int>(rng.nextRange(1, 4));
+        const int h = static_cast<int>(rng.nextRange(1, 9));
+        const int m_rows = static_cast<int>(rng.nextRange(0, 30));
+        const int k = rows * h;
+        std::vector<bool> live_slice(rows);
+        for (int y = 0; y < rows; ++y)
+            live_slice[y] = rng.nextBool(0.7);
+
+        CsrMatrix a(m_rows, k);
+        for (int m = 0; m < m_rows; ++m) {
+            if (rng.nextBool(0.25))
+                continue; // empty row
+            for (int c = 0; c < k; ++c) {
+                const int y = c / h;
+                const bool edge = c % h == 0 || c % h == h - 1;
+                if (live_slice[y] && rng.nextBool(edge ? 0.6 : 0.3))
+                    a.append(m, c,
+                             static_cast<Elem>(rng.nextRange(1, 9)));
+            }
+        }
+        const auto b = randomDense(k, cols * kSimdWidth, rng);
+
+        CanonConfig cfg = smallConfig(rows, cols);
+        const auto map = mapSpmm(a, b, cfg);
+        const auto want = sliceFilterStreams(a, rows, h);
+        ASSERT_EQ(map.rowStreams.size(), want.size());
+        for (int y = 0; y < rows; ++y) {
+            const auto got = tokensOf(map.rowStreams[y]);
+            ASSERT_EQ(got.size(), want[y].size())
+                << "trial " << trial << " slice " << y;
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                EXPECT_EQ(got[i].kind, want[y][i].kind);
+                EXPECT_EQ(got[i].value, want[y][i].value);
+                EXPECT_EQ(got[i].data, want[y][i].data);
+            }
+        }
+        EXPECT_EQ(map.dmemImage, sliceImage(b, rows, cols, h))
+            << "trial " << trial;
+    }
+}
+
 } // namespace
 } // namespace canon

@@ -180,7 +180,7 @@ TEST(TagFifo, BankedSearchMatchesLinearReference)
         for (std::size_t i = 0; i < banked.size(); ++i) {
             auto &f = banked[i];
             EXPECT_EQ(f.search(probe), want)
-                << f.numBanks() << " banks, step " << step;
+                << bank_counts[i] << " banks, step " << step;
             EXPECT_EQ(f.size(), ref.size());
             EXPECT_EQ(f.tailSlot(), ref.tailSlot());
             if (!ref.empty()) {
@@ -204,7 +204,7 @@ TEST(TagFifo, BankedSearchMatchesLinearReference)
                   searches);
         EXPECT_LE(stats[i].counter("tagCompares").value(),
                   ref_compares)
-            << banked[i].numBanks() << " banks";
+            << bank_counts[i] << " banks";
     }
 }
 

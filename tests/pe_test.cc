@@ -77,6 +77,17 @@ inst(OpCode op, Addr a, Addr b, Addr r, std::uint8_t route = 0)
     return i;
 }
 
+/** Set register @p r to @p v through the datapath: a VMov from a
+ *  scratchpad slot, run until it commits. Clobbers that slot. */
+void
+loadReg(PeHarness &h, int r, const Vec4 &v)
+{
+    h.pe.spad().poke(7, v);
+    h.issue(inst(OpCode::VMov, as::spad(7), as::kNullAddr, as::reg(r)));
+    h.run(4);
+    ASSERT_EQ(h.pe.reg(r), v);
+}
+
 TEST(PePipeline, VMovThreeStageLatency)
 {
     PeHarness h;
@@ -84,7 +95,7 @@ TEST(PePipeline, VMovThreeStageLatency)
     h.issue(inst(OpCode::VMov, as::dmem(3), as::kNullAddr, as::reg(0)));
     // Tap at cycle 1 (issue latch), LOAD 1, EXEC 2, COMMIT 3.
     h.run(3);
-    EXPECT_TRUE(h.pe.reg(0).isZero());
+    EXPECT_EQ(h.pe.reg(0), Vec4{});
     h.run(1);
     EXPECT_EQ(h.pe.reg(0), (Vec4{{7, 8, 9, 10}}));
 }
@@ -119,7 +130,7 @@ TEST(PePipeline, VFlushZeroesSourceAndSendsSouth)
     h.issue(inst(OpCode::VFlush, as::spad(2), as::kNullAddr,
                  as::portOut(Dir::South)));
     h.run(5);
-    EXPECT_TRUE(h.pe.spad().read(2).isZero());
+    EXPECT_EQ(h.pe.spad().read(2), Vec4{});
     ASSERT_FALSE(h.south.empty());
     EXPECT_EQ(h.south.front(), (Vec4{{5, 6, 7, 8}}));
 }
@@ -250,7 +261,7 @@ TEST(PePipeline, ReadingOutPortOrNullPanics)
 TEST(PePipeline, ZeroAddrReadsZero)
 {
     PeHarness h;
-    h.pe.pokeReg(2, Vec4{{5, 5, 5, 5}});
+    loadReg(h, 2, Vec4{{5, 5, 5, 5}});
     h.issue(inst(OpCode::VAdd, as::kZeroAddr, as::reg(2), as::reg(3)));
     h.run(4);
     EXPECT_EQ(h.pe.reg(3), (Vec4{{5, 5, 5, 5}}));
@@ -259,7 +270,7 @@ TEST(PePipeline, ZeroAddrReadsZero)
 TEST(PePipeline, NullDestinationDiscards)
 {
     PeHarness h;
-    h.pe.pokeReg(0, Vec4{{1, 1, 1, 1}});
+    loadReg(h, 0, Vec4{{1, 1, 1, 1}});
     h.issue(
         inst(OpCode::VMov, as::reg(0), as::kNullAddr, as::kNullAddr));
     EXPECT_NO_THROW(h.run(4));
@@ -280,14 +291,83 @@ TEST(PePipeline, IdleWhenDrained)
 TEST(VecRam, BoundsAndStats)
 {
     StatGroup stats("t");
-    VecRam ram("dmem", 8, 1, stats);
-    EXPECT_EQ(ram.sizeBytes(), 32u);
+    VecRam<Elem> ram("dmem", 8, stats);
+    EXPECT_EQ(ram.slots(), 8);
     ram.write(3, Vec4{{1, 2, 3, 4}});
     EXPECT_EQ(ram.read(3), (Vec4{{1, 2, 3, 4}}));
     EXPECT_THROW(ram.read(8), PanicError);
     EXPECT_THROW(ram.write(-1, Vec4{}), PanicError);
     EXPECT_EQ(stats.sumCounter("dmemReads"), 1u);
     EXPECT_EQ(stats.sumCounter("dmemWrites"), 1u);
+}
+
+TEST(VecRam, SlotsValidatedBeforeAllocating)
+{
+    // A bad size is a PanicError naming the memory, not an allocation
+    // failure, and registers no counters.
+    StatGroup stats("t");
+    for (const int slots : {0, -1}) {
+        try {
+            VecRam<Elem> ram("dmem", slots, stats);
+            ADD_FAILURE() << slots << " slots accepted";
+        } catch (const PanicError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "VecRam dmem: slots must be positive"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_THROW(VecRam<Word>("spad", -1, stats), PanicError);
+    EXPECT_TRUE(stats.flatten().empty());
+}
+
+TEST(VecRam, DataMemoryHoldsInt8Lanes)
+{
+    StatGroup stats("t");
+    VecRam<Elem> ram("dmem", 4, stats);
+    const Vec4 extremes{{-128, 127, 0, -1}};
+    ram.write(0, extremes);
+    ram.poke(1, extremes);
+    EXPECT_EQ(ram.read(0), extremes);
+    EXPECT_EQ(ram.read(1), extremes);
+
+    // A lane outside INT8 panics, names the memory, and leaves the
+    // slot and the counters as they were.
+    for (const Word bad : {128, -129, 1 << 20}) {
+        for (const int lane : {0, 3}) {
+            Vec4 v = extremes;
+            v[lane] = bad;
+            for (const bool poke : {false, true}) {
+                try {
+                    if (poke)
+                        ram.poke(0, v);
+                    else
+                        ram.write(0, v);
+                    ADD_FAILURE() << bad << " stored in lane " << lane;
+                } catch (const PanicError &e) {
+                    EXPECT_NE(std::string(e.what()).find("VecRam dmem"),
+                              std::string::npos)
+                        << e.what();
+                }
+            }
+        }
+    }
+    EXPECT_EQ(ram.read(0), extremes);
+    EXPECT_EQ(stats.sumCounter("dmemReads"), 3u);
+    EXPECT_EQ(stats.sumCounter("dmemWrites"), 1u);
+}
+
+TEST(VecRam, ScratchpadHoldsInt32Lanes)
+{
+    StatGroup stats("t");
+    VecRam<Word> ram("spad", 2, stats);
+    const Vec4 wide{{1 << 20, -(1 << 20), 128, -129}};
+    ram.write(1, wide);
+    EXPECT_EQ(ram.read(1), wide);
+    ram.poke(0, Vec4::splat(1 << 20));
+    EXPECT_EQ(ram.read(0), Vec4::splat(1 << 20));
+    EXPECT_EQ(stats.sumCounter("spadReads"), 2u);
+    EXPECT_EQ(stats.sumCounter("spadWrites"), 1u);
 }
 
 } // namespace

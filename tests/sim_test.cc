@@ -43,6 +43,27 @@ TEST(ChannelFifo, OverflowPanics)
     EXPECT_THROW(ch.push(3), PanicError);
 }
 
+TEST(ChannelFifo, CapacityMustFitTheInlineRing)
+{
+    EXPECT_THROW(ChannelFifo<int>(0, "t"), PanicError);
+    EXPECT_THROW(ChannelFifo<int>(kMaxChannelCapacity + 1, "t"),
+                 PanicError);
+    // The largest ring fills, wraps and drains in order.
+    ChannelFifo<int> ch(kMaxChannelCapacity, "t");
+    int next_in = 0;
+    int next_out = 0;
+    for (int cycle = 0; cycle < 20; ++cycle) {
+        while (ch.canPush())
+            ch.push(next_in++);
+        if (!ch.empty()) {
+            EXPECT_EQ(ch.front(), next_out++);
+            ch.pop();
+        }
+        ch.commit();
+    }
+    EXPECT_EQ(ch.size(), kMaxChannelCapacity - 1);
+}
+
 TEST(ChannelFifo, PopEmptyPanics)
 {
     ChannelFifo<int> ch(2, "t");

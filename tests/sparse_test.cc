@@ -52,6 +52,72 @@ TEST(Matrix, CsrRoundTrip)
     EXPECT_EQ(toDense(csr), d);
 }
 
+/**
+ * Reference generator and CSR conversion: a bounds-checked (r, c)
+ * walk, appending each nonzero. The library's single-pass versions
+ * must match them exactly.
+ */
+DenseMatrix
+walkRandomSparse(int rows, int cols, double sparsity, Rng &rng,
+                 int magnitude = 4)
+{
+    DenseMatrix m(rows, cols);
+    for (int r = 0; r < rows; ++r)
+        for (int c = 0; c < cols; ++c)
+            if (!rng.nextBool(sparsity))
+                for (;;) {
+                    const auto v = static_cast<Elem>(
+                        rng.nextRange(-magnitude, magnitude));
+                    if (v != 0) {
+                        m.at(r, c) = v;
+                        break;
+                    }
+                }
+    return m;
+}
+
+CsrMatrix
+walkFromDense(const DenseMatrix &d)
+{
+    CsrMatrix m(d.rows(), d.cols());
+    for (int r = 0; r < d.rows(); ++r)
+        for (int c = 0; c < d.cols(); ++c)
+            if (d.at(r, c) != 0)
+                m.append(r, c, d.at(r, c));
+    return m;
+}
+
+bool
+sameCsr(const CsrMatrix &a, const CsrMatrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           a.rowPtr() == b.rowPtr() && a.colIdx() == b.colIdx() &&
+           a.values() == b.values();
+}
+
+TEST(Generate, SinglePassMatchesElementWalk)
+{
+    // Same matrix and the same generator state afterwards, so every
+    // draw that follows (B, masks, later seeds) is unchanged too.
+    Rng shapes(5);
+    for (int trial = 0; trial < 40; ++trial) {
+        const int rows = static_cast<int>(shapes.nextRange(0, 40));
+        const int cols = static_cast<int>(shapes.nextRange(0, 70));
+        const double sp = trial % 10 == 0 ? trial % 20 == 0 ? 0.0 : 1.0
+                                          : shapes.nextDouble();
+        const int mag = static_cast<int>(shapes.nextRange(1, 127));
+        const std::uint64_t seed = shapes.next();
+        Rng fast(seed);
+        Rng walk(seed);
+        const auto got = randomSparse(rows, cols, sp, fast, mag);
+        const auto want = walkRandomSparse(rows, cols, sp, walk, mag);
+        ASSERT_EQ(got, want) << rows << "x" << cols << " sp=" << sp;
+        EXPECT_EQ(fast.next(), walk.next());
+        EXPECT_TRUE(sameCsr(CsrMatrix::fromDense(got), walkFromDense(want)))
+            << rows << "x" << cols << " sp=" << sp;
+    }
+}
+
 TEST(Matrix, CsrAppendOrderEnforced)
 {
     CsrMatrix m(4, 4);
