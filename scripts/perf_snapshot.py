@@ -3,14 +3,14 @@
 one snapshot against another.
 
 Snapshot mode:
-    perf_snapshot.py sim_throughput.csv BENCH_20.json [--label LABEL]
+    perf_snapshot.py sim_throughput.csv BENCH_21.json [--label LABEL]
 
 Check mode (exits 1 on failure):
     perf_snapshot.py sim_throughput.csv current.json \
-        --check BENCH_20.json --tolerance 0.10
+        --check BENCH_21.json --tolerance 0.10
 
 Self-test mode (exits 1 if the check misjudges a synthetic run):
-    perf_snapshot.py --self-test --check BENCH_20.json
+    perf_snapshot.py --self-test --check BENCH_21.json
 
 Several CSVs may be given (repeated runs of the bench); each case
 takes its median calibrated rate across runs, while the deterministic

@@ -11,7 +11,7 @@
  * during the COMMIT stage" (Section 3.1). The PE model enforces the
  * compile-time operand restrictions; VecRam checks bounds and counts
  * accesses for the power model. Reads and writes run in every busy PE
- * tick, so they are defined here, inline.
+ * tick, so they are defined here and forced inline.
  *
  * The lane type is the fabricated width: VecRam<Elem> (INT8) is the
  * data memory, VecRam<Word> (INT32) the scratchpad. Lanes widen to a
@@ -47,7 +47,17 @@ class VecRam
 
     int slots() const { return static_cast<int>(data_.size()); }
 
-    Vec4
+    /** Panic unless @p slot names an entry of this memory. */
+    void
+    checkSlot(int slot) const
+    {
+        panicIf(slot < 0 || slot >= slots(), "VecRam ", name_, ": slot ",
+                slot, " out of ", slots());
+    }
+
+    // Forced inline: as a call, read() returns its Vec4 through memory
+    // and the PE's next load of it stalls on store forwarding.
+    [[gnu::always_inline]] Vec4
     read(int slot)
     {
         checkSlot(slot);
@@ -56,7 +66,7 @@ class VecRam
         return Vec4{{l[0], l[1], l[2], l[3]}};
     }
 
-    void
+    [[gnu::always_inline]] void
     write(int slot, const Vec4 &v)
     {
         checkSlot(slot);
@@ -74,13 +84,6 @@ class VecRam
 
   private:
     using Lanes = std::array<T, kSimdWidth>;
-
-    void
-    checkSlot(int slot) const
-    {
-        panicIf(slot < 0 || slot >= slots(), "VecRam ", name_, ": slot ",
-                slot, " out of ", slots());
-    }
 
     /** Narrow @p v into @p slot; a lane that does not fit panics
      *  before anything is stored. */

@@ -15,10 +15,14 @@
  * freezing stops propagation and every PE keeps re-executing its
  * latched instruction.
  *
- * issue() decodes the instruction once; the stages carry the
- * DecodedInst, so every PE of the row reads pre-classified operands.
- * The stages are a ring: a shift moves the head index instead of
- * copying every stage.
+ * issue() decodes the instruction once and resolves it against the
+ * instruction issued one cycle before (resolve() in
+ * isa/instruction.hh). Every streaming PE of the row loads the same
+ * instructions in the same order, so each control decision is made
+ * once per row, not once per PE and cycle. A frozen pipeline's taps
+ * repeat, which breaks that order: spatial-mode PEs resolve for
+ * themselves. The stages are a ring: a shift moves the head index
+ * instead of copying every stage.
  */
 
 #ifndef CANON_NOC_INST_PIPELINE_HH
@@ -44,15 +48,15 @@ class InstPipeline final
     /** Stage the instruction entering the row this cycle. */
     void issue(const Instruction &inst);
 
-    /** Instruction visible at PE column @p c this cycle. */
+    /** Instruction visible at PE column @p c this cycle, resolved. */
     const DecodedInst &
     tap(int c) const
     {
         panicIf(c < 0 || c >= columns_, "InstPipeline: tap ", c, " out of ",
                 columns_);
         std::size_t i = head_ + static_cast<std::size_t>(kIssueStagger * c);
-        if (i >= stages_.size())
-            i -= stages_.size();
+        if (i >= depth_)
+            i -= depth_;
         return stages_[i];
     }
 
@@ -70,11 +74,14 @@ class InstPipeline final
 
   private:
     int columns_;
-    /** Stage k is stages_[(head_ + k) % stages_.size()]; PE column c
-     *  taps stage kIssueStagger * c. */
+    /** stages_.size(), kept so a tap does not divide by the element
+     *  size. */
+    std::size_t depth_;
+    /** Stage k is stages_[(head_ + k) % depth_]; PE column c taps
+     *  stage kIssueStagger * c. */
     std::vector<DecodedInst> stages_;
     std::size_t head_ = 0;
-    DecodedInst staged_; //!< meaningful while issuedThisCycle_
+    DecodedInst staged_; //!< resolved; meaningful while issuedThisCycle_
     bool issuedThisCycle_ = false;
     bool frozen_ = false;
 };

@@ -6,22 +6,26 @@
  * channels, no runtime arbitration (Section 2.1). Determinism from the
  * staggered-issue model means the orchestrators *know* when each
  * channel is used; the router only switches circuits named by the
- * current instruction. The model enforces the paper's structural rule
- * -- one data transfer per cycle per direction -- by panicking when an
- * instruction stream violates it, since that is a compile-time bug,
+ * current instruction. The paper's structural rule -- one data
+ * transfer per cycle per direction -- is a property of the
+ * instruction, so it is decided once per instruction, not tracked
+ * here: resolve() (isa/instruction.hh) gives LOAD one pop per input
+ * port, and the PE's COMMIT panics when a result and a pass-through
+ * route name the same output port, since that is a compile-time bug,
  * not a runtime condition.
  *
  * Physical channels between neighbouring PEs are small ChannelFifos
  * owned by the fabric, kChannelDepth deep (below).
  *
- * The per-cycle calls (beginCycle, readIn, writeOut) run in every busy
- * PE tick, so they are defined here, inline.
+ * The per-cycle calls (canPop, readIn, writeOut) run in every busy PE
+ * tick, so they are defined here, inline.
  */
 
 #ifndef CANON_NOC_ROUTER_HH
 #define CANON_NOC_ROUTER_HH
 
 #include <array>
+#include <bit>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
@@ -54,14 +58,6 @@ class Router
     /** Attach the channel carrying data *out of* this PE towards @p d. */
     void bindOut(Dir d, DataChannel *ch);
 
-    /** Reset per-cycle direction-usage accounting. */
-    void
-    beginCycle()
-    {
-        usedIn_ = 0;
-        usedOut_ = 0;
-    }
-
     bool
     hasInput(Dir d) const
     {
@@ -69,30 +65,34 @@ class Router
         return ch && !ch->empty();
     }
 
-    /** Consume the head of the @p d input channel (once per cycle). */
+    /** True iff every input port in @p dirs (bit 1 << Dir) has data. */
+    bool
+    canPop(std::uint8_t dirs) const
+    {
+        for (unsigned m = dirs; m != 0; m &= m - 1)
+            if (!hasInput(static_cast<Dir>(std::countr_zero(m))))
+                return false;
+        return true;
+    }
+
+    /** Consume the head of the @p d input channel. */
     Vec4
     readIn(Dir d)
     {
         auto *ch = in_[static_cast<int>(d)];
         panicIf(!ch, "Router: no channel bound at ", dirName(d), "_IN");
-        panicIf(usedIn_ & bit(d), "Router: second ", dirName(d),
-                "_IN transfer in one cycle (one per direction per cycle)");
-        usedIn_ |= bit(d);
         ++hops_;
         Vec4 v = ch->front();
         ch->pop();
         return v;
     }
 
-    /** Push onto the @p d output channel (once per cycle). */
+    /** Push onto the @p d output channel. */
     void
     writeOut(Dir d, const Vec4 &v)
     {
         auto *ch = out_[static_cast<int>(d)];
         panicIf(!ch, "Router: no channel bound at ", dirName(d), "_OUT");
-        panicIf(usedOut_ & bit(d), "Router: second ", dirName(d),
-                "_OUT transfer in one cycle (one per direction per cycle)");
-        usedOut_ |= bit(d);
         ++hops_;
         ch->push(v);
     }
@@ -105,16 +105,8 @@ class Router
     }
 
   private:
-    static std::uint8_t
-    bit(Dir d)
-    {
-        return static_cast<std::uint8_t>(1u << static_cast<int>(d));
-    }
-
     std::array<DataChannel *, kNumDirs> in_{};
     std::array<DataChannel *, kNumDirs> out_{};
-    std::uint8_t usedIn_ = 0;  //!< directions read this cycle
-    std::uint8_t usedOut_ = 0; //!< directions written this cycle
     Counter hops_;
 };
 

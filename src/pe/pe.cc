@@ -1,5 +1,7 @@
 #include "pe/pe.hh"
 
+#include <bit>
+
 namespace canon
 {
 
@@ -31,77 +33,14 @@ Pe::idle() const
     return !ld_->valid && !ex_->valid;
 }
 
-Vec4
-Pe::readPort(Dir d)
-{
-    const auto bit =
-        static_cast<std::uint8_t>(1u << static_cast<int>(d));
-    auto &cached = portCache_[static_cast<int>(d)];
-    if (!(portCacheValid_ & bit)) {
-        cached = router_.readIn(d);
-        portCacheValid_ |= bit;
-    }
-    return cached;
-}
-
-Vec4
-Pe::readOperand(const Operand &a, const StageReg &fwd)
-{
-    // Forwarding: the instruction one stage ahead commits next cycle;
-    // a read of a local location it writes must observe its value via
-    // the forwarding network instead of the array (not counted as a
-    // memory access). VFlush additionally zeroes its op1 slot -- the
-    // slot the circular psum buffer hands to the very next row -- so
-    // that recycle-write forwards as well.
-    const bool local_read = a.region != AddrRegion::PortIn &&
-                            a.region != AddrRegion::PortOut;
-    if (fwd.valid && local_read) {
-        if (fwd.inst.op == OpCode::VFlush && fwd.inst.op1.addr == a.addr)
-            return Vec4{};
-        if (fwd.inst.res.addr == a.addr)
-            return fwd.result;
-    }
-
-    switch (a.region) {
-      case AddrRegion::Dmem:
-        ++dmemReadsThisCycle_;
-        panicIf(dmemReadsThisCycle_ > 1, name_,
-                ": two data-memory reads in one instruction");
-        return dmem_.read(a.offset);
-      case AddrRegion::Spad:
-        ++spadReadsThisCycle_;
-        panicIf(spadReadsThisCycle_ > 1, name_,
-                ": two scratchpad reads in one instruction");
-        return spad_.read(a.offset);
-      case AddrRegion::Reg:
-        ++regReads_;
-        return regs_[a.offset];
-      case AddrRegion::PortIn:
-        return readPort(static_cast<Dir>(a.offset));
-      case AddrRegion::Zero:
-        return Vec4{};
-      case AddrRegion::Null:
-      case AddrRegion::PortOut:
-      case AddrRegion::Invalid:
-        break;
-    }
-    panic(name_, ": illegal operand address ", as::toString(a.addr));
-}
-
 void
 Pe::writeDest(const Operand &a, const Vec4 &v)
 {
     switch (a.region) {
       case AddrRegion::Dmem:
-        ++dmemWritesThisCycle_;
-        panicIf(dmemWritesThisCycle_ > 1, name_,
-                ": two data-memory writes in one instruction window");
         dmem_.write(a.offset, v);
         return;
       case AddrRegion::Spad:
-        ++spadWritesThisCycle_;
-        panicIf(spadWritesThisCycle_ > 1, name_,
-                ": two scratchpad writes in one instruction window");
         spad_.write(a.offset, v);
         return;
       case AddrRegion::Reg:
@@ -113,112 +52,93 @@ Pe::writeDest(const Operand &a, const Vec4 &v)
         return;
       case AddrRegion::Null:
         return; // discard
-      case AddrRegion::PortIn:
-      case AddrRegion::Zero:
-      case AddrRegion::Invalid:
+      default: // PortIn, Zero, Invalid
         break;
     }
     panic(name_, ": illegal destination address ", as::toString(a.addr));
 }
 
 void
-Pe::commitStage(const StageReg &ex)
+Pe::commitStage(const StageReg &ex, std::uint8_t kills)
 {
     if (!ex.valid)
         return;
     const DecodedInst &inst = ex.inst;
-    const StageReg &ld = *ld_;
 
-    // Write coalescing: if the instruction one stage behind overwrites
-    // the same local location (the common back-to-back accumulation
-    // run, or a flush recycling the slot), this write is dead -- the
-    // value only ever travels the forwarding network. Real pipelines
-    // keep the run in the accumulate register and commit once, which
-    // is what keeps the scratchpad's power share modest at low
-    // sparsity (Figure 11).
-    auto next_overwrites = [&](const Operand &a) {
-        if (!ld.valid)
-            return false;
-        if (a.region == AddrRegion::PortOut || a.region == AddrRegion::Null)
-            return false;
-        if (ld.inst.res.addr == a.addr && ld.inst.op != OpCode::Nop &&
-            ld.inst.op != OpCode::Hold)
-            return true;
-        return ld.inst.op == OpCode::VFlush && ld.inst.op1.addr == a.addr;
-    };
-
+    // @p kills are the writes the instruction one stage behind makes
+    // dead (resolve()): their values only travel the forwarding network.
+    bool sent = false; // the result left through an output port
     switch (inst.op) {
-      case OpCode::Nop:
-      case OpCode::Hold:
-        break;
       case OpCode::SvMac:
       case OpCode::VvMac:
       case OpCode::VvMacW:
       case OpCode::VAdd:
       case OpCode::VMov:
-        if (!next_overwrites(inst.res))
+        if (!(kills & kKillRes))
             writeDest(inst.res, ex.result);
+        sent = inst.res.region == AddrRegion::PortOut;
         break;
       case OpCode::VFlush:
         writeDest(inst.res, ex.result);
+        sent = inst.res.region == AddrRegion::PortOut;
         // Recycle the flushed location: clear it to zero. Uses the
-        // location's write port (LOAD read it two cycles ago).
-        if (!next_overwrites(inst.op1))
+        // location's write port (LOAD read it two cycles ago), which
+        // res may already have taken.
+        if (!(kills & kKillOp1)) {
+            if (inst.op1.region == inst.res.region) {
+                panicIf(inst.res.region == AddrRegion::Dmem, name_,
+                        ": two data-memory writes in one instruction "
+                        "window");
+                panicIf(inst.res.region == AddrRegion::Spad, name_,
+                        ": two scratchpad writes in one instruction "
+                        "window");
+            }
             writeDest(inst.op1, Vec4{});
+        }
         break;
-      case OpCode::NumOpCodes:
-        panic(name_, ": corrupt opcode at COMMIT");
+      default: // Nop and Hold write nothing
+        break;
     }
 
     // Pass-through circuit routes emit at COMMIT so that a neighbour's
     // staggered LOAD sees the data exactly when its copy of the same
-    // instruction arrives.
-    if (ex.routeN2SValid)
-        router_.writeOut(Dir::South, ex.routeN2S);
-    if (ex.routeW2EValid)
-        router_.writeOut(Dir::East, ex.routeW2E);
+    // instruction arrives. One transfer per direction per cycle: a
+    // route may not take the port the result just left through.
+    if (inst.route & kRouteN2S) {
+        panicIf(sent && inst.res.offset == static_cast<Addr>(Dir::South),
+                "Router: second S_OUT transfer in one cycle (one per "
+                "direction per cycle)");
+        router_.writeOut(Dir::South, ex.in[static_cast<int>(Dir::North)]);
+    }
+    if (inst.route & kRouteW2E) {
+        panicIf(sent && inst.res.offset == static_cast<Addr>(Dir::East),
+                "Router: second E_OUT transfer in one cycle (one per "
+                "direction per cycle)");
+        router_.writeOut(Dir::East, ex.in[static_cast<int>(Dir::West)]);
+    }
 }
 
 void
-Pe::executeStage(StageReg &ld)
+Pe::executeStage(const StageReg &ld)
 {
+    // The result was computed at LOAD from the values LOAD latched;
+    // EXECUTE counts the lane's work in its own cycle.
     if (!ld.valid)
         return;
-
-    Vec4 r;
     switch (ld.inst.op) {
-      case OpCode::Nop:
-      case OpCode::Hold:
-        break;
       case OpCode::SvMac:
-        r = ld.acc;
-        r.mac(ld.a[0], ld.b);
-        macOps_ += kSimdWidth;
-        break;
       case OpCode::VvMac:
-        r = ld.acc;
-        r.mac(ld.a, ld.b);
-        macOps_ += kSimdWidth;
-        break;
       case OpCode::VvMacW:
-        r = ld.acc;
-        r.mac(ld.a, ld.b);
         macOps_ += kSimdWidth;
         break;
       case OpCode::VAdd:
-        r = ld.a;
-        r += ld.b;
-        aluOps_ += kSimdWidth;
-        break;
       case OpCode::VMov:
       case OpCode::VFlush:
-        r = ld.a;
         aluOps_ += kSimdWidth;
         break;
-      case OpCode::NumOpCodes:
-        panic(name_, ": corrupt opcode at EXECUTE");
+      default:
+        break;
     }
-    ld.result = r;
 }
 
 void
@@ -228,41 +148,98 @@ Pe::loadStage(const DecodedInst &inst, const StageReg &fwd, StageReg &ld)
     ld.valid = !inst.isNop();
     if (!ld.valid)
         return;
+    if (inst.fault != LoadFault::None || !router_.canPop(inst.pops))
+        [[unlikely]] loadFault(inst);
 
+    // Each input port the instruction names is popped once; every
+    // reader of the port, routes included, shares the vector.
+    for (unsigned m = inst.pops; m != 0; m &= m - 1) {
+        const int d = std::countr_zero(m);
+        ld.in[d] = router_.readIn(static_cast<Dir>(d));
+    }
+    const auto fetch = [&](Src s, Addr off) -> Vec4 {
+        switch (s) {
+          case Src::Zero:
+            return Vec4{};
+          case Src::Forward:
+            return fwd.result;
+          case Src::Dmem:
+            return dmem_.read(off);
+          case Src::Spad:
+            return spad_.read(off);
+          case Src::Reg:
+            ++regReads_;
+            return regs_[off];
+          default:
+            return ld.in[static_cast<int>(s) - static_cast<int>(Src::PortN)];
+        }
+    };
+    const Vec4 a = fetch(inst.src[kReadOp1], inst.op1.offset);
+    const Vec4 b = fetch(inst.src[kReadOp2], inst.op2.offset);
+    Vec4 r = fetch(inst.src[kReadAcc], inst.res.offset);
     switch (inst.op) {
-      case OpCode::Nop:
-      case OpCode::Hold:
-        break;
       case OpCode::SvMac:
-      case OpCode::VvMac:
-        ld.a = readOperand(inst.op1, fwd);
-        ld.b = readOperand(inst.op2, fwd);
-        ld.acc = readOperand(inst.res, fwd);
+        r.mac(a[0], b);
         break;
+      case OpCode::VvMac:
       case OpCode::VvMacW:
-        ld.a = readOperand(inst.op1, fwd);
-        ld.b = readOperand(inst.op2, fwd);
-        ld.acc = readPort(Dir::West);
+        r.mac(a, b);
         break;
       case OpCode::VAdd:
-        ld.a = readOperand(inst.op1, fwd);
-        ld.b = readOperand(inst.op2, fwd);
+        r = a + b;
         break;
       case OpCode::VMov:
       case OpCode::VFlush:
-        ld.a = readOperand(inst.op1, fwd);
+        r = a;
         break;
-      case OpCode::NumOpCodes:
-        panic(name_, ": corrupt opcode at LOAD");
+      default: // Nop and Hold read no addend: the zero vector
+        break;
     }
+    ld.result = r;
+}
 
-    // Pass-through routes latch their value at LOAD.
-    ld.routeN2SValid = inst.route & kRouteN2S;
-    if (ld.routeN2SValid)
-        ld.routeN2S = readPort(Dir::North);
-    ld.routeW2EValid = inst.route & kRouteW2E;
-    if (ld.routeW2EValid)
-        ld.routeW2E = readPort(Dir::West);
+void
+Pe::loadFault(const DecodedInst &inst)
+{
+    const std::array<const Operand *, kLoadReads> operand{
+        &inst.op1, &inst.op2, &inst.res};
+    std::uint8_t popped = 0;
+    const auto pop = [&](Dir d) {
+        if (!(popped & dirBit(d)))
+            router_.readIn(d); // panics if unbound or empty
+        popped |= dirBit(d);
+    };
+    const int reads = inst.fault == LoadFault::None
+                          ? static_cast<int>(kLoadReads)
+                          : inst.faultAt;
+    for (int i = 0; i < reads; ++i) {
+        const Src s = inst.src[i];
+        if (s == Src::Dmem)
+            dmem_.checkSlot(operand[i]->offset);
+        else if (s == Src::Spad)
+            spad_.checkSlot(operand[i]->offset);
+        else if (s >= Src::PortN)
+            pop(static_cast<Dir>(static_cast<int>(s) -
+                                 static_cast<int>(Src::PortN)));
+    }
+    switch (inst.fault) {
+      case LoadFault::None:
+        break;
+      case LoadFault::Opcode:
+        panic(name_, ": corrupt opcode at LOAD");
+      case LoadFault::TwoDmemReads:
+        panic(name_, ": two data-memory reads in one instruction");
+      case LoadFault::TwoSpadReads:
+        panic(name_, ": two scratchpad reads in one instruction");
+      case LoadFault::IllegalOperand:
+        panic(name_, ": illegal operand address ",
+              as::toString(operand[inst.faultAt]->addr));
+    }
+    if (inst.route & kRouteN2S)
+        pop(Dir::North);
+    if (inst.route & kRouteW2E)
+        pop(Dir::West);
+    panic(name_, ": LOAD found no faulty port");
 }
 
 bool
@@ -307,26 +284,25 @@ Pe::tickCompute()
         inst->isNop())
         return;
 
-    router_.beginCycle();
-    portCacheValid_ = 0;
-    dmemReadsThisCycle_ = dmemWritesThisCycle_ = 0;
-    spadReadsThisCycle_ = spadWritesThisCycle_ = 0;
-
     // Stages run newest-result-visible-first: COMMIT applies the
-    // in-flight write, EXECUTE produces the forwardable result, LOAD
-    // then reads with both visible -- exact sequential semantics.
-    // EXECUTE computes in place, so *ld_ holds next cycle's
-    // EXECUTE/COMMIT register; LOAD refills *ex_, which COMMIT has
-    // just retired. tickCommit() swaps the two roles.
+    // in-flight write, EXECUTE counts its work, LOAD then reads with
+    // both visible -- exact sequential semantics. *ld_ holds next
+    // cycle's EXECUTE/COMMIT register; LOAD refills *ex_, which COMMIT
+    // has just retired. tickCommit() swaps the two roles.
     const bool committed = ex_->valid;
-    commitStage(*ex_);
+    commitStage(*ex_, ld_->inst.kills);
     executeStage(*ld_);
 
     // The spatial firing rule reads port occupancy *after* this PE's
     // own COMMIT staged its pushes, exactly as the held hardware
-    // pipeline would observe it.
-    if (mode_ == PeMode::Spatial && !spatialReady(*inst))
-        inst = &kNop;
+    // pipeline would observe it. A held instruction repeats instead of
+    // following the row's issue order, so the PE resolves it against
+    // the instruction it loaded last cycle.
+    if (mode_ == PeMode::Spatial) {
+        held_ = spatialReady(*inst) ? *inst : kNop;
+        resolve(ld_->inst, held_);
+        inst = &held_;
+    }
     loadStage(*inst, *ld_, *ex_);
 
     if (ex_->valid || ld_->valid || committed)

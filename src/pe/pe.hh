@@ -11,16 +11,22 @@
  *           ROUTER_CONF emit here too.
  *
  * PEs carry no control state beyond the pipeline registers: they
- * execute whatever the instruction NoC delivers, with its addresses
- * already decoded at issue. Local memories and registers are
+ * execute whatever the instruction NoC delivers, already decoded and
+ * resolved against its predecessor (resolve() in isa/instruction.hh),
+ * so one tick is straight-line: pop each input port the instruction
+ * names once, read each operand from its resolved source, commit by
+ * the resolved dead-write bits. Local memories and registers are
  * PE-private, so stages apply in COMMIT->EXECUTE->LOAD order within a
  * cycle plus a single EXECUTE->LOAD forwarding path, which yields
  * exact sequential semantics for back-to-back accumulations into the
- * same location (the dense-GEMM inner loop).
+ * same location (the dense-GEMM inner loop). EXECUTE reads only what
+ * LOAD latched, so the model computes the result at LOAD; EXECUTE
+ * keeps its cycle for the op counters.
  *
  * Structural rules from Section 3.1 are enforced by panics: one
  * transfer per NoC direction per cycle, one read and one write port on
- * each local memory per cycle.
+ * each local memory per cycle. The LOAD-side ones are found by
+ * resolve() and raised when the instruction loads.
  */
 
 #ifndef CANON_PE_PE_HH
@@ -103,22 +109,29 @@ class Pe final
     struct StageReg
     {
         DecodedInst inst;
-        Vec4 a;      //!< op1 value
-        Vec4 b;      //!< op2 value
-        Vec4 acc;    //!< MAC addend: res's prior value, or west-in for
-                     //!< VvMacW
-        Vec4 result; //!< EXECUTE output (forwarding network)
-        Vec4 routeN2S;
-        Vec4 routeW2E;
-        bool routeN2SValid = false;
-        bool routeW2EValid = false;
+        Vec4 result; //!< computed at LOAD (forwarding network)
+        /** Vectors LOAD popped, by Dir (inst.pops names them); the
+         *  pass-through routes emit theirs at COMMIT. */
+        std::array<Vec4, kNumDirs> in;
         bool valid = false;
     };
 
-    void commitStage(const StageReg &ex);
-    void executeStage(StageReg &ld);
-    void loadStage(const DecodedInst &inst, const StageReg &fwd,
-                   StageReg &ld);
+    // One call each per busy tick: forced inline into tickCompute()
+    // (defined in pe.cc).
+    [[gnu::always_inline]] inline void commitStage(const StageReg &ex,
+                                                   std::uint8_t kills);
+    [[gnu::always_inline]] inline void executeStage(const StageReg &ld);
+    [[gnu::always_inline]] inline void
+    loadStage(const DecodedInst &inst, const StageReg &fwd, StageReg &ld);
+
+    /**
+     * Raise the panic LOAD hits on @p inst: the structural fault
+     * resolve() found, or an input port that is unbound or empty. The
+     * reads before it run first, in operand order, so a port or slot
+     * fault ahead of it fires instead, exactly as a read-by-read LOAD
+     * would.
+     */
+    [[noreturn, gnu::cold]] void loadFault(const DecodedInst &inst);
 
     /**
      * Spatial-mode firing rule: a held instruction executes only when
@@ -128,11 +141,8 @@ class Pe final
      */
     bool spatialReady(const DecodedInst &inst) const;
 
-    // Several calls per busy tick: forced inline (defined in pe.cc),
-    // since as calls their register saves cost about a tenth of a run.
-    [[gnu::always_inline]] inline Vec4 readOperand(const Operand &a,
-                                                   const StageReg &fwd);
-    [[gnu::always_inline]] inline Vec4 readPort(Dir d);
+    // Up to two calls per busy tick (a VFlush writes twice): forced
+    // inline too.
     [[gnu::always_inline]] inline void writeDest(const Operand &a,
                                                  const Vec4 &v);
 
@@ -148,18 +158,7 @@ class Pe final
     std::array<StageReg, 2> stages_{};
     StageReg *ld_ = &stages_[0]; //!< instruction between LOAD and EXECUTE
     StageReg *ex_ = &stages_[1]; //!< instruction between EXECUTE and COMMIT
-
-    // Per-cycle port-read cache: one physical pop feeds every consumer
-    // of the same input port in one instruction. Valid bits live in a
-    // bitmask so clearing the cache is a single store.
-    std::array<Vec4, kNumDirs> portCache_{};
-    std::uint8_t portCacheValid_ = 0;
-
-    // Per-cycle local-memory port accounting.
-    int dmemReadsThisCycle_ = 0;
-    int dmemWritesThisCycle_ = 0;
-    int spadReadsThisCycle_ = 0;
-    int spadWritesThisCycle_ = 0;
+    DecodedInst held_; //!< spatial mode: the held tap, resolved
 
     Counter busyCycles_;
     Counter macOps_;

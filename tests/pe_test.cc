@@ -205,13 +205,6 @@ TEST(PePipeline, ReadingEmptyPortPanics)
     EXPECT_THROW(h.run(3), PanicError);
 }
 
-TEST(PePipeline, TwoSpadReadsPanics)
-{
-    PeHarness h;
-    h.issue(inst(OpCode::VAdd, as::spad(0), as::spad(1), as::reg(0)));
-    EXPECT_THROW(h.run(3), PanicError);
-}
-
 /** Run @p cycles; the panic message, or "" if none was raised. */
 std::string
 panicOf(PeHarness &h, int cycles)
@@ -222,6 +215,16 @@ panicOf(PeHarness &h, int cycles)
         return e.what();
     }
     return "";
+}
+
+TEST(PePipeline, TwoSpadReadsPanics)
+{
+    PeHarness h;
+    h.issue(inst(OpCode::VAdd, as::spad(0), as::spad(1), as::reg(0)));
+    const std::string what = panicOf(h, 3);
+    EXPECT_NE(what.find("pe0_0: two scratchpad reads in one instruction"),
+              std::string::npos)
+        << what;
 }
 
 TEST(PePipeline, TwoDmemReadsPanics)
@@ -244,6 +247,60 @@ TEST(PePipeline, SecondSouthOutTransferPanics)
     const std::string what = panicOf(h, 4);
     EXPECT_NE(what.find("second S_OUT transfer"), std::string::npos)
         << what;
+}
+
+TEST(PePipeline, SecondEastOutTransferPanics)
+{
+    // res = E_OUT plus the W->E route: two E_OUT pushes in one COMMIT.
+    PeHarness h;
+    h.west.push(Vec4{{1, 1, 1, 1}});
+    h.west.commit();
+    h.issue(inst(OpCode::VMov, as::kZeroAddr, as::kNullAddr,
+                 as::portOut(Dir::East), kRouteW2E));
+    const std::string what = panicOf(h, 4);
+    EXPECT_NE(what.find("second E_OUT transfer in one cycle"),
+              std::string::npos)
+        << what;
+}
+
+TEST(PePipeline, VFlushTwoDmemWritesPanics)
+{
+    // A flush's res write and its recycle write of op1 both need the
+    // data memory's one write port.
+    PeHarness h;
+    h.pe.dmem().poke(0, Vec4{{1, 2, 3, 4}});
+    h.issue(inst(OpCode::VFlush, as::dmem(0), as::kNullAddr, as::dmem(1)));
+    const std::string what = panicOf(h, 4);
+    EXPECT_NE(what.find("pe0_0: two data-memory writes in one instruction "
+                        "window"),
+              std::string::npos)
+        << what;
+}
+
+TEST(PePipeline, VFlushTwoSpadWritesPanics)
+{
+    PeHarness h;
+    h.pe.spad().poke(0, Vec4{{1, 2, 3, 4}});
+    h.issue(inst(OpCode::VFlush, as::spad(0), as::kNullAddr, as::spad(1)));
+    const std::string what = panicOf(h, 4);
+    EXPECT_NE(what.find("pe0_0: two scratchpad writes in one instruction "
+                        "window"),
+              std::string::npos)
+        << what;
+}
+
+TEST(PePipeline, WritingInPortOrZeroPanics)
+{
+    for (const Addr a : {as::portIn(Dir::North), as::kZeroAddr}) {
+        PeHarness h;
+        h.issue(inst(OpCode::VMov, as::kZeroAddr, as::kNullAddr, a));
+        const std::string what = panicOf(h, 4);
+        EXPECT_NE(
+            what.find("pe0_0: illegal destination address " +
+                      as::toString(a)),
+            std::string::npos)
+            << what;
+    }
 }
 
 TEST(PePipeline, ReadingOutPortOrNullPanics)

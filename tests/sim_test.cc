@@ -6,6 +6,7 @@
  */
 
 #include <deque>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -178,6 +179,14 @@ TEST(ChannelFifo, EnlistsOnDirtyListOncePerCycle)
     EXPECT_EQ(dirty, (std::vector<ChannelFifo<int> *>{&b, &a}));
 }
 
+/** @p cur resolved against @p prev, as a tap shows it. */
+DecodedInst
+resolved(const DecodedInst &prev, DecodedInst cur)
+{
+    resolve(prev, cur);
+    return cur;
+}
+
 TEST(InstPipeline, StaggerIsThreeCyclesPerColumn)
 {
     // "issued to the first PE in cycle 1, then traverses a 3-cycle
@@ -189,16 +198,18 @@ TEST(InstPipeline, StaggerIsThreeCyclesPerColumn)
 
     pipe.issue(marker);
     pipe.tickCommit();
-    // Cycle 1: column 0 sees it.
-    EXPECT_EQ(pipe.tap(0), decode(marker));
+    // Cycle 1: column 0 sees it, resolved against the NOP before it.
+    const DecodedInst tapped = resolved(DecodedInst{}, decode(marker));
+    EXPECT_EQ(pipe.tap(0), tapped);
     EXPECT_TRUE(pipe.tap(1).isNop());
 
     for (int c = 1; c < 4; ++c) {
         for (int i = 0; i < kIssueStagger; ++i)
             pipe.tickCommit();
-        EXPECT_EQ(pipe.tap(c), decode(marker)) << "column " << c;
-        if (c + 1 < 4)
+        EXPECT_EQ(pipe.tap(c), tapped) << "column " << c;
+        if (c + 1 < 4) {
             EXPECT_TRUE(pipe.tap(c + 1).isNop());
+        }
     }
 }
 
@@ -225,14 +236,15 @@ TEST(InstPipeline, FreezeHoldsTaps)
     pipe.freeze(true);
     for (int t = 0; t < 10; ++t)
         pipe.tickCommit();
-    EXPECT_EQ(pipe.tap(0), decode(i)); // held in place
+    EXPECT_EQ(pipe.tap(0), resolved(DecodedInst{}, decode(i))); // held
 }
 
 TEST(InstPipeline, TapsFollowIssueOverSeveralLaps)
 {
     // 3 columns are 7 stages; 30 cycles of distinct issues lap the
     // ring four times. Column c always sees the instruction column 0
-    // saw kIssueStagger * c cycles earlier.
+    // saw kIssueStagger * c cycles earlier, resolved against the one
+    // issued the cycle before it.
     constexpr int kCols = 3;
     InstPipeline pipe(kCols);
     std::vector<Instruction> issued;
@@ -245,8 +257,11 @@ TEST(InstPipeline, TapsFollowIssueOverSeveralLaps)
         pipe.tickCommit();
         for (int c = 0; c < kCols; ++c) {
             const int src = t - kIssueStagger * c;
-            EXPECT_EQ(pipe.tap(c),
-                      src >= 0 ? decode(issued[src]) : DecodedInst{})
+            const DecodedInst prev =
+                src > 0 ? decode(issued[src - 1]) : DecodedInst{};
+            EXPECT_EQ(pipe.tap(c), src >= 0
+                                       ? resolved(prev, decode(issued[src]))
+                                       : DecodedInst{})
                 << "cycle " << t << " column " << c;
         }
     }
@@ -260,6 +275,9 @@ TEST(InstPipeline, FreezeHoldsTapsAfterWrap)
         i.op1 = addrspace::dmem(slot);
         return i;
     };
+    auto movAfter = [&mov](int slot) {
+        return resolved(decode(mov(slot - 1)), decode(mov(slot)));
+    };
     InstPipeline pipe(2); // 4 stages
     for (int t = 0; t < 10; ++t) {
         pipe.issue(mov(t));
@@ -270,13 +288,29 @@ TEST(InstPipeline, FreezeHoldsTapsAfterWrap)
         pipe.issue(mov(100 + t)); // dropped while frozen
         pipe.tickCommit();
     }
-    EXPECT_EQ(pipe.tap(0), decode(mov(9)));
-    EXPECT_EQ(pipe.tap(1), decode(mov(6)));
+    EXPECT_EQ(pipe.tap(0), movAfter(9));
+    EXPECT_EQ(pipe.tap(1), movAfter(6));
 
     pipe.freeze(false);
     pipe.tickCommit();
     EXPECT_TRUE(pipe.tap(0).isNop());
-    EXPECT_EQ(pipe.tap(1), decode(mov(7)));
+    EXPECT_EQ(pipe.tap(1), movAfter(7));
+}
+
+TEST(InstPipeline, ColumnsValidatedBeforeAllocating)
+{
+    // A bad width is a PanicError, not an allocation failure.
+    for (const int columns : {0, -1}) {
+        try {
+            InstPipeline pipe(columns);
+            ADD_FAILURE() << columns << " columns accepted";
+        } catch (const PanicError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "InstPipeline: need at least one column"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(InstPipeline, TapOutOfRangePanics)
