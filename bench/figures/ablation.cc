@@ -32,10 +32,11 @@ spadRunAtDepth(double sparsity, int depth, std::uint64_t seed)
 {
     CanonConfig cfg;
     cfg.spadEntries = depth;
-    Rng rng(seed);
-    const auto a = randomSparse(512, 256, sparsity, rng);
-    const auto b = randomDense(256, cfg.cols * kSimdWidth, rng);
-    return CanonRunner(cfg).spmmExact(CsrMatrix::fromDense(a), b).cycles;
+    return CanonRunner(cfg)
+        .run({"spmm", Workload::Spmm, 512, 256, cfg.cols * kSimdWidth,
+              sparsity},
+             seed)
+        .cycles;
 }
 
 std::uint64_t

@@ -27,6 +27,20 @@ namespace
 
 constexpr double kS1 = 0.15, kS2 = 0.45, kS3 = 0.80;
 
+/** The activation-sparse ResNet-50 conv layer (an im2col SpMM). */
+LayerSpec
+resnetLayer(double sparsity)
+{
+    return {"resnet50", Workload::Spmm, 784, 1152, 128, sparsity};
+}
+
+/** The unstructured sparse attention-score layer (an SDDMM). */
+LayerSpec
+attentionLayer(double sparsity)
+{
+    return {"attention", Workload::Sddmm, 512, 64, 512, sparsity};
+}
+
 /** The profile behind one power-breakdown row. */
 ExecutionProfile
 figure11Profile(std::size_t row)
@@ -39,19 +53,19 @@ figure11Profile(std::size_t row)
     CanonRunner runner(cfg);
     switch (row) {
       case 1:
-        return runner.gemmShape(784, 1152, 128, 1);
+        return runner.run({"gemm", Workload::Gemm, 784, 1152, 128}, 1);
       case 2:
-        return runner.spmmShape(784, 1152, 128, kS1, 2);
+        return runner.run(resnetLayer(kS1), 2);
       case 3:
-        return runner.sddmmShape(512, 64, 512, kS1, 3);
+        return runner.run(attentionLayer(kS1), 3);
       case 4:
-        return runner.spmmShape(784, 1152, 128, kS2, 4);
+        return runner.run(resnetLayer(kS2), 4);
       case 5:
-        return runner.sddmmShape(512, 64, 512, kS2, 5);
+        return runner.run(attentionLayer(kS2), 5);
       case 6:
-        return runner.spmmShape(784, 1152, 128, kS3, 6);
+        return runner.run(resnetLayer(kS3), 6);
       default:
-        return runner.sddmmShape(512, 64, 512, kS3, 7);
+        return runner.run(attentionLayer(kS3), 7);
     }
 }
 
@@ -117,10 +131,9 @@ figure11Bench()
         const auto &range = ranges[p.digits[0]];
 
         CanonRunner runner(CanonConfig::paper());
-        const auto a = runner.spmmShape(784, 1152, 128, range.sparsity,
-                                        range.seed);
-        const auto b = runner.sddmmShape(512, 64, 512, range.sparsity,
-                                         range.seed + 1);
+        const auto a = runner.run(resnetLayer(range.sparsity), range.seed);
+        const auto b =
+            runner.run(attentionLayer(range.sparsity), range.seed + 1);
         const auto trans =
             a.get("stateTransitions") + b.get("stateTransitions");
         const auto macs = a.get("laneMacs") + b.get("laneMacs");

@@ -13,7 +13,6 @@
 #include <cmath>
 
 #include "common/table.hh"
-#include "sparse/generate.hh"
 #include "workloads/canon_runner.hh"
 
 namespace canon
@@ -51,23 +50,20 @@ figure15Bench()
         const std::int64_t k = 32 * scale * 8 / 8 * 8; // K scales too
         const std::int64_t n = cfg.cols * kSimdWidth;
 
-        Rng rng(static_cast<std::uint64_t>(scale) * 100 +
-                static_cast<std::uint64_t>(sp * 10));
-        const auto a = randomSparse(static_cast<int>(m),
-                                    static_cast<int>(k), sp, rng);
-        const auto b = randomDense(static_cast<int>(k),
-                                   static_cast<int>(n), rng);
-        const auto csr = CsrMatrix::fromDense(a);
-
-        const auto prof = runner.spmmExact(csr, b);
+        // One column pass over the whole of M and K: simulated as is.
+        const auto prof =
+            runner.run({"spmm", Workload::Spmm, m, k, n, sp},
+                       static_cast<std::uint64_t>(scale) * 100 +
+                           static_cast<std::uint64_t>(sp * 10));
         const auto lanes =
             static_cast<std::uint64_t>(cfg.numPes() * kSimdWidth);
+        // Every nonzero multiplies an N-wide row of B.
+        const auto nnz = static_cast<double>(prof.get("laneMacs") /
+                                             static_cast<std::uint64_t>(n));
         // Ops per fetched element: 2*N MACs per nnz over the
         // coordinate+value bytes.
-        const double ai = 2.0 * static_cast<double>(csr.nnz()) *
-                          static_cast<double>(n) /
-                          (static_cast<double>(csr.nnz()) * 3.0 +
-                           static_cast<double>(m) * 2.0);
+        const double ai = 2.0 * nnz * static_cast<double>(n) /
+                          (nnz * 3.0 + static_cast<double>(m) * 2.0);
         return {{std::to_string(scale) + "x",
                  std::to_string(cfg.numPes()), Table::fmt(sp, 2),
                  Table::fmt(ai, 1),
@@ -93,16 +89,14 @@ figure15Bench()
         cfg.rows = 8;
         cfg.cols = 8 * scale;
         CanonRunner runner(cfg);
-        const std::int64_t k = 256;
         const std::int64_t n = cfg.cols * kSimdWidth;
 
-        Rng rng(900 + scale * 10 + static_cast<std::uint64_t>(sp * 10));
         // Deep M so fill/drain fractions do not masquerade as a
         // scale effect.
-        const auto a = randomSparse(256, static_cast<int>(k), sp, rng);
-        const auto b = randomDense(static_cast<int>(k),
-                                   static_cast<int>(n), rng);
-        const auto prof = runner.spmmExact(CsrMatrix::fromDense(a), b);
+        const auto prof =
+            runner.run({"spmm", Workload::Spmm, 256, 256, n, sp},
+                       900 + scale * 10 +
+                           static_cast<std::uint64_t>(sp * 10));
         return {{std::to_string(scale) + "x",
                  std::to_string(cfg.numPes()), Table::fmt(sp, 2),
                  Table::fmt(prof.utilization(static_cast<std::uint64_t>(
@@ -147,8 +141,9 @@ figure16Bench()
         const std::int64_t m = 4096, k = 1024, n = 1024;
 
         // Measure utilization on a proxy simulation at this sparsity.
-        const auto prof =
-            runner.spmmShape(256, k, cfg.cols * kSimdWidth, sp, 77);
+        const auto prof = runner.run(
+            {"spmm", Workload::Spmm, 256, k, cfg.cols * kSimdWidth, sp},
+            77);
         const double util =
             std::max(prof.utilization(static_cast<std::uint64_t>(
                          cfg.numPes() * kSimdWidth)),
@@ -210,11 +205,10 @@ figure17Bench()
         for (int d : depths) {
             CanonConfig cfg;
             cfg.spadEntries = d;
-            Rng rng(static_cast<std::uint64_t>(sp * 100) + 7);
-            const auto a = randomSparse(512, 256, sp, rng);
-            const auto b = randomDense(256, cfg.cols * kSimdWidth, rng);
-            const auto prof =
-                CanonRunner(cfg).spmmExact(CsrMatrix::fromDense(a), b);
+            const auto prof = CanonRunner(cfg).run(
+                {"spmm", Workload::Spmm, 512, 256,
+                 cfg.cols * kSimdWidth, sp},
+                static_cast<std::uint64_t>(sp * 100) + 7);
             row.push_back(Table::fmt(
                 prof.utilization(cfg.numPes() * kSimdWidth), 3));
         }

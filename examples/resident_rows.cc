@@ -65,7 +65,8 @@ measure(int fabric, int resident_rows, canon::SpadFlushPolicy flush)
     {
         canon::obs::ScopedCollector scope(col);
         canon::CanonRunner runner(cfg);
-        (void)runner.spmmShape(m, k, n, 0.7, 42, opt);
+        (void)runner.run({"spmm", canon::Workload::Spmm, m, k, n, 0.7},
+                         42, opt);
         seen = col.finish();
     }
 

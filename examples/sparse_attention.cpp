@@ -71,7 +71,8 @@ main()
 
     // At paper scale the structured mapping + proxy scaling kick in:
     CanonRunner runner(cfg);
-    const auto win1 = runner.sddmmWindowShape(4096, 64, 512, 9);
+    const auto win1 = runner.run(
+        {"win1", Workload::SddmmWindow, 4096, 64, 4096, 0.0, 512}, 9);
     const auto chunked =
         dense.sddmmWindow(4096, 64, 512);
     std::cout << "\nLongformer Win1 (seq 4K, window 512):\n"

@@ -27,30 +27,12 @@ checkStatName(const StatGroup &group, const std::string &name,
 } // namespace
 
 void
-StatGroup::checkCounterName(const std::string &name) const
+StatGroup::add(const std::string &name, Counter &ctr)
 {
     checkStatName(*this, name, "counter");
     panicIf(children_.count(name) != 0, "StatGroup '", name_,
             "': counter '", name,
             "' collides with a child group of the same name");
-}
-
-Counter &
-StatGroup::counter(const std::string &name)
-{
-    auto it = counters_.find(name);
-    if (it != counters_.end())
-        return *it->second;
-    checkCounterName(name);
-    Counter &ctr = owned_.emplace_back();
-    counters_.emplace(name, &ctr);
-    return ctr;
-}
-
-void
-StatGroup::add(const std::string &name, Counter &ctr)
-{
-    checkCounterName(name);
     panicIf(!counters_.emplace(name, &ctr).second, "StatGroup '", name_,
             "': duplicate counter '", name,
             "' (two components would claim one flat path)");

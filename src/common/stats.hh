@@ -12,7 +12,6 @@
 #define CANON_COMMON_STATS_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -61,18 +60,12 @@ class StatGroup
     StatGroup &operator=(const StatGroup &) = delete;
 
     /**
-     * Fetch the counter registered as @p name, or create one owned by
-     * the group (for callers with no component to own it). A name
-     * that contains '.' panics: it would forge a nested flat path and
+     * Register @p ctr, owned by the caller, as @p name. A name that
+     * contains '.' panics: it would forge a nested flat path and
      * silently shadow (or be shadowed by) a real child's entry in the
-     * flat view. So does a name already taken by a child group.
-     */
-    Counter &counter(const std::string &name);
-
-    /**
-     * Register @p ctr, owned by the caller, as @p name. The name rules
-     * of counter() apply, and a name already registered panics: two
-     * components would otherwise claim one flat path.
+     * flat view. So does a name already taken by a child group, and a
+     * name already registered: two components would otherwise claim
+     * one flat path.
      */
     void add(const std::string &name, Counter &ctr);
 
@@ -107,11 +100,8 @@ class StatGroup
     void flattenInto(const std::string &prefix,
                      std::map<std::string, std::uint64_t> &out) const;
 
-    void checkCounterName(const std::string &name) const;
-
     std::string name_;
     std::map<std::string, Counter *> counters_;
-    std::deque<Counter> owned_; //!< counters created by counter()
     std::map<std::string, std::unique_ptr<StatGroup>> children_;
 };
 

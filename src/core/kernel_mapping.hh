@@ -60,9 +60,6 @@ struct KernelMapping
     int outRows = 0;
     int outCols = 0;
     int eastColsPerRow = 0;
-
-    /** Useful work in the mapping: lane-MACs the kernel must perform. */
-    std::uint64_t expectedLaneMacs = 0;
 };
 
 } // namespace canon

@@ -1,5 +1,6 @@
 #include "kernels/dense_cadence.hh"
 
+#include "kernels/spmm.hh"
 #include "sparse/generate.hh"
 
 namespace canon
@@ -156,33 +157,17 @@ namespace
 {
 
 /**
- * Shared body of the two cadence mappings: checks shapes, slices B
- * into the PE data memories, and emits skewed per-row non-zero
- * streams.
+ * Shared body of the two cadence mappings: the row-sliced shape
+ * checks and B placement, then skewed per-row non-zero streams.
  */
 KernelMapping
 mapCadence(const DenseMatrix &a, const DenseMatrix &b, int cadence,
            const CanonConfig &cfg, const std::string &name)
 {
-    fatalIf(a.cols() != b.rows(), name, ": A is ", a.rows(), "x",
-            a.cols(), " but B is ", b.rows(), "x", b.cols());
-    fatalIf(b.cols() != cfg.cols * kSimdWidth, name, ": N=", b.cols(),
-            " must equal cols*4=", cfg.cols * kSimdWidth);
-    fatalIf(b.rows() % cfg.rows != 0, name, ": K=", b.rows(),
-            " must divide by rows=", cfg.rows);
-    const int h = b.rows() / cfg.rows;
-    fatalIf(h > cfg.dmemSlots, name, ": B tile of ", h,
-            " rows exceeds data memory");
-    fatalIf(a.rows() >= (1 << 14), name, ": M exceeds meta range");
-
-    KernelMapping map;
-    map.name = name;
+    KernelMapping map =
+        mapRowSliced(name, name, a.rows(), a.cols(), b, cfg);
     map.program = buildCadenceProgram(cadence);
-    map.collector = CollectorKind::South;
-    map.outRows = a.rows();
-    map.outCols = b.cols();
-    map.expectedLaneMacs = static_cast<std::uint64_t>(a.countNonZero()) *
-                           b.cols();
+    const int h = b.rows() / cfg.rows;
 
     const Cycle skew = static_cast<Cycle>(cadence) + 2;
     map.rowStreams.reserve(cfg.rows);
@@ -205,19 +190,6 @@ mapCadence(const DenseMatrix &a, const DenseMatrix &b, int cadence,
         }
         map.rowStreams.emplace_back(std::move(tokens),
                                     static_cast<Cycle>(y) * skew);
-    }
-
-    map.dmemImage.resize(cfg.rows);
-    for (int y = 0; y < cfg.rows; ++y) {
-        map.dmemImage[y].resize(cfg.cols);
-        for (int x = 0; x < cfg.cols; ++x) {
-            auto &slots = map.dmemImage[y][x];
-            slots.resize(h);
-            for (int hh = 0; hh < h; ++hh)
-                for (int l = 0; l < kSimdWidth; ++l)
-                    slots[hh][l] =
-                        b.at(y * h + hh, x * kSimdWidth + l);
-        }
     }
     return map;
 }

@@ -141,8 +141,6 @@ mapSddmm(const CsrMatrix &mask, const DenseMatrix &a,
     map.outRows = mask.rows();
     map.outCols = mask.cols();
     map.eastColsPerRow = h_blk;
-    map.expectedLaneMacs =
-        static_cast<std::uint64_t>(mask.nnz()) * a.cols();
 
     // North feed: step m delivers A[m]'s K-slice to every column.
     map.northFeed.resize(a.rows());

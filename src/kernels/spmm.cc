@@ -182,30 +182,52 @@ buildSpmmProgram()
 }
 
 KernelMapping
-mapSpmm(const CsrMatrix &a, const DenseMatrix &b, const CanonConfig &cfg)
+mapRowSliced(const std::string &who, const std::string &name,
+             int a_rows, int a_cols, const DenseMatrix &b,
+             const CanonConfig &cfg)
 {
-    fatalIf(a.cols() != b.rows(), "mapSpmm: A is ", a.rows(), "x",
-            a.cols(), " but B is ", b.rows(), "x", b.cols());
-    fatalIf(b.cols() != cfg.cols * kSimdWidth,
-            "mapSpmm: N=", b.cols(), " must equal cols*4=",
-            cfg.cols * kSimdWidth,
+    fatalIf(a_cols != b.rows(), who, ": A is ", a_rows, "x", a_cols,
+            " but B is ", b.rows(), "x", b.cols());
+    fatalIf(b.cols() != cfg.cols * kSimdWidth, who, ": N=", b.cols(),
+            " must equal cols*4=", cfg.cols * kSimdWidth,
             " (tile wider problems over multiple passes)");
-    fatalIf(b.rows() % cfg.rows != 0, "mapSpmm: K=", b.rows(),
+    fatalIf(b.rows() % cfg.rows != 0, who, ": K=", b.rows(),
             " must divide by rows=", cfg.rows);
     const int h = b.rows() / cfg.rows;
-    fatalIf(h > cfg.dmemSlots, "mapSpmm: B tile of ", h,
+    fatalIf(h > cfg.dmemSlots, who, ": B tile of ", h,
             " rows exceeds data memory (", cfg.dmemSlots, " slots)");
-    fatalIf(a.rows() >= (1 << 14), "mapSpmm: M=", a.rows(),
+    fatalIf(a_rows >= (1 << 14), who, ": M=", a_rows,
             " exceeds the 14-bit meta value range");
 
     KernelMapping map;
-    map.name = "spmm";
-    map.program = buildSpmmProgram();
+    map.name = name;
     map.collector = CollectorKind::South;
-    map.outRows = a.rows();
+    map.outRows = a_rows;
     map.outCols = b.cols();
-    map.expectedLaneMacs =
-        static_cast<std::uint64_t>(a.nnz()) * b.cols();
+
+    // Data placement: PE (y, x) holds B[y*H + h][4x .. 4x+4).
+    map.dmemImage.resize(cfg.rows);
+    for (int y = 0; y < cfg.rows; ++y) {
+        map.dmemImage[y].resize(cfg.cols);
+        for (int x = 0; x < cfg.cols; ++x) {
+            auto &slots = map.dmemImage[y][x];
+            slots.resize(h);
+            for (int hh = 0; hh < h; ++hh)
+                for (int l = 0; l < kSimdWidth; ++l)
+                    slots[hh][l] =
+                        b.at(y * h + hh, x * kSimdWidth + l);
+        }
+    }
+    return map;
+}
+
+KernelMapping
+mapSpmm(const CsrMatrix &a, const DenseMatrix &b, const CanonConfig &cfg)
+{
+    KernelMapping map =
+        mapRowSliced("mapSpmm", "spmm", a.rows(), a.cols(), b, cfg);
+    map.program = buildSpmmProgram();
+    const int h = b.rows() / cfg.rows;
 
     // Meta streams: orchestrator y sees the non-zeros of its K-slice,
     // each row that has any closed by a RowEnd. One pass over A deals
@@ -236,20 +258,6 @@ mapSpmm(const CsrMatrix &a, const DenseMatrix &b, const CanonConfig &cfg)
     map.rowStreams.reserve(cfg.rows);
     for (auto &t : tokens)
         map.rowStreams.emplace_back(std::move(t));
-
-    // Data placement: PE (y, x) holds B[y*H + h][4x .. 4x+4).
-    map.dmemImage.resize(cfg.rows);
-    for (int y = 0; y < cfg.rows; ++y) {
-        map.dmemImage[y].resize(cfg.cols);
-        for (int x = 0; x < cfg.cols; ++x) {
-            auto &slots = map.dmemImage[y][x];
-            slots.resize(h);
-            for (int hh = 0; hh < h; ++hh)
-                for (int l = 0; l < kSimdWidth; ++l)
-                    slots[hh][l] =
-                        b.at(y * h + hh, x * kSimdWidth + l);
-        }
-    }
     return map;
 }
 

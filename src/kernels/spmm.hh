@@ -48,6 +48,19 @@ constexpr std::uint8_t kDone = 4;
 /** Build the SpMM orchestrator program (Listing 1 as microcode). */
 std::shared_ptr<OrchProgram> buildSpmmProgram();
 
+/**
+ * The part of a row-sliced mapping (SpMM, GEMM, N:M) that does not
+ * depend on how A streams: checks that A (@p a_rows x @p a_cols)
+ * times @p b fits the fabric natively, each fatal message prefixed
+ * with @p who, then returns a South-collector mapping named @p name
+ * whose data memories hold B's K slices. The caller adds the program
+ * and the per-row meta streams.
+ */
+KernelMapping mapRowSliced(const std::string &who,
+                           const std::string &name, int a_rows,
+                           int a_cols, const DenseMatrix &b,
+                           const CanonConfig &cfg);
+
 /** Map A (sparse, MxK) times B (dense, KxN) onto the fabric. */
 KernelMapping mapSpmm(const CsrMatrix &a, const DenseMatrix &b,
                       const CanonConfig &cfg);

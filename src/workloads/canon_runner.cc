@@ -177,126 +177,103 @@ CanonRunner::spmmExact(const CsrMatrix &a, const DenseMatrix &b,
 }
 
 ExecutionProfile
-CanonRunner::spmmShape(std::int64_t m, std::int64_t k, std::int64_t n,
-                       double sparsity, std::uint64_t seed,
-                       const CanonRunOptions &opt) const
+CanonRunner::run(const LayerSpec &l, std::uint64_t seed,
+                 const CanonRunOptions &opt) const
 {
     const int tile_n = cfg_.cols * kSimdWidth;
-    const ProxyPlan proxy = plan(m, k, n, cfg_.rows, opt);
-
+    const auto m = static_cast<std::uint64_t>(l.m);
+    const auto k = static_cast<std::uint64_t>(l.k);
     Rng rng(seed);
-    const auto a = randomSparse(proxy.rows, proxy.depth, sparsity, rng);
-    const auto b = randomDense(
-        proxy.depth, static_cast<int>(proxy.simPasses) * tile_n, rng);
 
-    auto p = spmmExact(CsrMatrix::fromDense(a), b);
-    p.scale(proxy.factor);
-    return p;
-}
-
-ExecutionProfile
-CanonRunner::gemmShape(std::int64_t m, std::int64_t k, std::int64_t n,
-                       std::uint64_t seed,
-                       const CanonRunOptions &opt) const
-{
-    const int tile_n = cfg_.cols * kSimdWidth;
-    const ProxyPlan proxy = plan(m, k, n, cfg_.rows, opt);
-
-    Rng rng(seed);
-    const auto a = randomDense(proxy.rows, proxy.depth, rng);
-    const auto b = randomDense(proxy.depth, tile_n, rng);
-
-    auto p = runPasses(proxy.simPasses, "gemm", [&](std::uint64_t) {
-        return mapGemm(a, b, cfg_);
-    });
-    p.scale(proxy.factor);
-    p.add("offchipBytes",
-          spmmOffchipBytes(static_cast<std::uint64_t>(m) * k, m, k, n,
-                           proxy.passes));
-    return p;
-}
-
-ExecutionProfile
-CanonRunner::nmShape(std::int64_t m, std::int64_t k, std::int64_t n,
-                     int nm_n, int nm_m, std::uint64_t seed,
-                     const CanonRunOptions &opt) const
-{
-    const int tile_n = cfg_.cols * kSimdWidth;
-    // The K tile must divide by rows and each slice by the pattern M.
-    const ProxyPlan proxy = plan(m, k, n, cfg_.rows * nm_m, opt);
-
-    Rng rng(seed);
-    const auto a = nmStructured(proxy.rows, proxy.depth, nm_n, nm_m, rng);
-    const auto b = randomDense(proxy.depth, tile_n, rng);
-
-    auto p = runPasses(proxy.simPasses, "nm-spmm", [&](std::uint64_t) {
-        return mapNmSpmm(a, b, nm_n, nm_m, cfg_);
-    });
-    p.scale(proxy.factor);
-    const auto nnz = static_cast<std::uint64_t>(m) * k * nm_n / nm_m;
-    p.add("offchipBytes", spmmOffchipBytes(nnz, m, k, n, proxy.passes));
-    p.workload = "spmm-" + std::to_string(nm_n) + ":" +
-                 std::to_string(nm_m);
-    return p;
-}
-
-ExecutionProfile
-CanonRunner::sddmmShape(std::int64_t m, std::int64_t k, std::int64_t n,
-                        double mask_sparsity, std::uint64_t seed,
-                        const CanonRunOptions &opt) const
-{
-    // N is the depth SDDMM tiles over the fabric rows; K runs as one
-    // pass over the native K tile.
-    const int kp = cfg_.cols * kSimdWidth;
-    const ProxyPlan proxy = plan(m, n, kp, cfg_.rows, opt);
-
-    Rng rng(seed);
-    const auto a = randomDense(proxy.rows, kp, rng);
-    const auto b = randomDense(kp, proxy.depth, rng);
-    const auto mask =
-        randomMask(proxy.rows, proxy.depth, mask_sparsity, rng);
-
-    auto p = runPasses(proxy.simPasses, "sddmm", [&](std::uint64_t) {
-        return mapSddmm(mask, a, b, cfg_);
-    });
-    // Work per mask position and per streamed A vector both scale
-    // linearly in K (K/kp instruction repetitions), so the whole
-    // profile scales.
-    p.scale((static_cast<double>(m) / proxy.rows) *
-            (static_cast<double>(k) / kp) *
-            (static_cast<double>(n) / proxy.depth));
-    const auto mask_nnz = static_cast<std::uint64_t>(
-        static_cast<double>(m) * static_cast<double>(n) *
-        (1.0 - mask_sparsity));
-    p.add("offchipBytes", static_cast<std::uint64_t>(m) * k +
-                              static_cast<std::uint64_t>(k) * n +
-                              mask_nnz * 7);
-    return p;
-}
-
-ExecutionProfile
-CanonRunner::sddmmWindowShape(std::int64_t seq, std::int64_t k,
-                              std::int64_t window, std::uint64_t seed,
-                              const CanonRunOptions &opt) const
-{
-    // Section 4.1.3: sliding-window sparsity is *structured*, so the
-    // generic masked mapping (which would concentrate the diagonal
-    // band on one PE row at a time) is not used. Instead "the output
-    // sparsity is decomposed into dense rows, where each row
-    // corresponds to a vector-matrix multiplication" with the key
-    // tile resident and shifted for perfect reuse -- i.e. a dense
-    // (seq x k x window) product computing exactly the band, executed
-    // through the register-cadence program.
-    auto p = gemmShape(seq, k, window, seed, opt);
-    p.activity.erase("offchipBytes");
-    // Dense-stationary traffic: Q and K once, band scores out.
-    p.add("offchipBytes",
-          static_cast<std::uint64_t>(seq) * k * 2 +
-              static_cast<std::uint64_t>(static_cast<double>(seq) *
-                                         static_cast<double>(window)) *
-                  4);
-    p.workload = "sddmm-win";
-    return p;
+    switch (l.workload) {
+      case Workload::Spmm: {
+        const ProxyPlan proxy = plan(l.m, l.k, l.n, cfg_.rows, opt);
+        const auto a =
+            randomSparse(proxy.rows, proxy.depth, l.sparsity, rng);
+        const auto b = randomDense(
+            proxy.depth, static_cast<int>(proxy.simPasses) * tile_n, rng);
+        // spmmExact records the proxy's own off-chip traffic, which
+        // then scales with the rest of the profile.
+        auto p = spmmExact(CsrMatrix::fromDense(a), b);
+        p.scale(proxy.factor);
+        return p;
+      }
+      case Workload::Gemm:
+      case Workload::SddmmWindow: {
+        // Section 4.1.3: sliding-window sparsity is *structured*, so
+        // the generic masked mapping (which would concentrate the
+        // diagonal band on one PE row at a time) is not used. "The
+        // output sparsity is decomposed into dense rows, where each
+        // row corresponds to a vector-matrix multiplication" with the
+        // key tile resident and shifted for perfect reuse -- a dense
+        // (m x k x window) product through the register-cadence
+        // program.
+        const bool window = l.workload == Workload::SddmmWindow;
+        const std::int64_t n = window ? l.window : l.n;
+        const ProxyPlan proxy = plan(l.m, l.k, n, cfg_.rows, opt);
+        const auto a = randomDense(proxy.rows, proxy.depth, rng);
+        const auto b = randomDense(proxy.depth, tile_n, rng);
+        auto p = runPasses(proxy.simPasses, "gemm", [&](std::uint64_t) {
+            return mapGemm(a, b, cfg_);
+        });
+        p.scale(proxy.factor);
+        if (!window) {
+            p.add("offchipBytes",
+                  spmmOffchipBytes(m * k, l.m, l.k, n, proxy.passes));
+            return p;
+        }
+        // Dense-stationary traffic: Q and K once, band scores out.
+        p.add("offchipBytes",
+              m * k * 2 + m * static_cast<std::uint64_t>(n) * 4);
+        p.workload = "sddmm-win";
+        return p;
+      }
+      case Workload::SpmmNm: {
+        // The K tile must divide by rows and each slice by the
+        // pattern M.
+        const ProxyPlan proxy =
+            plan(l.m, l.k, l.n, cfg_.rows * l.nmM, opt);
+        const auto a =
+            nmStructured(proxy.rows, proxy.depth, l.nmN, l.nmM, rng);
+        const auto b = randomDense(proxy.depth, tile_n, rng);
+        auto p =
+            runPasses(proxy.simPasses, "nm-spmm", [&](std::uint64_t) {
+                return mapNmSpmm(a, b, l.nmN, l.nmM, cfg_);
+            });
+        p.scale(proxy.factor);
+        p.add("offchipBytes",
+              spmmOffchipBytes(m * k * l.nmN / l.nmM, l.m, l.k, l.n,
+                               proxy.passes));
+        p.workload = "spmm-" + std::to_string(l.nmN) + ":" +
+                     std::to_string(l.nmM);
+        return p;
+      }
+      case Workload::Sddmm: {
+        // N is the depth SDDMM tiles over the fabric rows; K runs as
+        // one pass over the native K tile.
+        const ProxyPlan proxy = plan(l.m, l.n, tile_n, cfg_.rows, opt);
+        const auto a = randomDense(proxy.rows, tile_n, rng);
+        const auto b = randomDense(tile_n, proxy.depth, rng);
+        const auto mask =
+            randomMask(proxy.rows, proxy.depth, l.sparsity, rng);
+        auto p = runPasses(proxy.simPasses, "sddmm", [&](std::uint64_t) {
+            return mapSddmm(mask, a, b, cfg_);
+        });
+        // Work per mask position and per streamed A vector both scale
+        // linearly in K (K/tile_n instruction repetitions), so the
+        // whole profile scales.
+        p.scale((static_cast<double>(l.m) / proxy.rows) *
+                (static_cast<double>(l.k) / tile_n) *
+                (static_cast<double>(l.n) / proxy.depth));
+        const auto mask_nnz = static_cast<std::uint64_t>(
+            static_cast<double>(l.m) * static_cast<double>(l.n) *
+            (1.0 - l.sparsity));
+        p.add("offchipBytes",
+              m * k + k * static_cast<std::uint64_t>(l.n) + mask_nnz * 7);
+        return p;
+      }
+    }
+    return {};
 }
 
 } // namespace canon

@@ -31,6 +31,7 @@
 #include "kernels/sddmm.hh"
 #include "kernels/spmm.hh"
 #include "sparse/generate.hh"
+#include "workloads/models.hh"
 
 namespace canon
 {
@@ -128,35 +129,16 @@ class CanonRunner
     ExecutionProfile spmmExact(const CsrMatrix &a, const DenseMatrix &b,
                                WordMatrix *result_out = nullptr) const;
 
-    /** Synthetic SpMM at (m, k, n) with unstructured @p sparsity. */
-    ExecutionProfile spmmShape(std::int64_t m, std::int64_t k,
-                               std::int64_t n, double sparsity,
-                               std::uint64_t seed,
-                               const CanonRunOptions &opt = {}) const;
-
-    /** Dense GEMM at (m, k, n). */
-    ExecutionProfile gemmShape(std::int64_t m, std::int64_t k,
-                               std::int64_t n, std::uint64_t seed,
-                               const CanonRunOptions &opt = {}) const;
-
-    /** N:M structured SpMM at (m, k, n). */
-    ExecutionProfile nmShape(std::int64_t m, std::int64_t k,
-                             std::int64_t n, int nm_n, int nm_m,
-                             std::uint64_t seed,
-                             const CanonRunOptions &opt = {}) const;
-
-    /** Unstructured SDDMM at (m, k, n) with output @p mask_sparsity. */
-    ExecutionProfile sddmmShape(std::int64_t m, std::int64_t k,
-                                std::int64_t n, double mask_sparsity,
-                                std::uint64_t seed,
-                                const CanonRunOptions &opt = {}) const;
-
-    /** Sliding-window SDDMM (seq x seq scores, band @p window). */
-    ExecutionProfile sddmmWindowShape(std::int64_t seq, std::int64_t k,
-                                      std::int64_t window,
-                                      std::uint64_t seed,
-                                      const CanonRunOptions &opt = {})
-        const;
+    /**
+     * Run one layer: plan its proxy, draw the proxy's operands from
+     * Rng(@p seed), map them, run every simulated pass and scale the
+     * profile back to the full layer. offchipBytes is the layer's
+     * dense-stationary traffic (unstructured SpMM scales its proxy's).
+     * A sliding-window SDDMM runs as the dense (m x k x window)
+     * product that computes exactly the band (Section 4.1.3).
+     */
+    ExecutionProfile run(const LayerSpec &layer, std::uint64_t seed,
+                         const CanonRunOptions &opt = {}) const;
 
   private:
     /**

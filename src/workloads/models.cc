@@ -5,6 +5,29 @@
 namespace canon
 {
 
+namespace
+{
+
+/**
+ * The 4096 -> 14336 -> 4096 MLP block LLaMA-8B and Mistral-7B share,
+ * at seq 512: SpMM on sparsified activations, dense GEMM otherwise.
+ */
+ModelSpec
+mlp4096x14336(const std::string &model, double sparsity)
+{
+    ModelSpec m;
+    m.name = model + (sparsity > 0.0 ? "-MLP(sparse)" : "-MLP(dense)");
+    const auto kind = sparsity > 0.0 ? Workload::Spmm : Workload::Gemm;
+    m.layers = {
+        {"gate_proj", kind, 512, 4096, 14336, sparsity, 0, 1},
+        {"up_proj", kind, 512, 4096, 14336, sparsity, 0, 1},
+        {"down_proj", kind, 512, 14336, 4096, sparsity, 0, 1},
+    };
+    return m;
+}
+
+} // namespace
+
 ModelSpec
 resnet50Conv(double sparsity)
 {
@@ -24,16 +47,7 @@ resnet50Conv(double sparsity)
 ModelSpec
 llama8bMlp(double sparsity)
 {
-    ModelSpec m;
-    m.name = sparsity > 0.0 ? "Llama8B-MLP(sparse)"
-                            : "Llama8B-MLP(dense)";
-    const auto kind = sparsity > 0.0 ? Workload::Spmm : Workload::Gemm;
-    m.layers = {
-        {"gate_proj", kind, 512, 4096, 14336, sparsity, 0, 1},
-        {"up_proj", kind, 512, 4096, 14336, sparsity, 0, 1},
-        {"down_proj", kind, 512, 14336, 4096, sparsity, 0, 1},
-    };
-    return m;
+    return mlp4096x14336("Llama8B", sparsity);
 }
 
 ModelSpec
@@ -52,16 +66,7 @@ llama8bAttn(double sparsity)
 ModelSpec
 mistral7bMlp(double sparsity)
 {
-    ModelSpec m;
-    m.name = sparsity > 0.0 ? "Mistral7B-MLP(sparse)"
-                            : "Mistral7B-MLP(dense)";
-    const auto kind = sparsity > 0.0 ? Workload::Spmm : Workload::Gemm;
-    m.layers = {
-        {"gate_proj", kind, 512, 4096, 14336, sparsity, 0, 1},
-        {"up_proj", kind, 512, 4096, 14336, sparsity, 0, 1},
-        {"down_proj", kind, 512, 14336, 4096, sparsity, 0, 1},
-    };
-    return m;
+    return mlp4096x14336("Mistral7B", sparsity);
 }
 
 ModelSpec

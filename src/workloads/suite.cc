@@ -41,25 +41,6 @@ sampleRowNnz(std::int64_t rows, std::int64_t k, double density,
 }
 
 ExecutionProfile
-canonProfile(const CanonRunner &canon, const LayerSpec &l,
-             std::uint64_t seed)
-{
-    switch (l.workload) {
-      case Workload::Gemm:
-        return canon.gemmShape(l.m, l.k, l.n, seed);
-      case Workload::Spmm:
-        return canon.spmmShape(l.m, l.k, l.n, l.sparsity, seed);
-      case Workload::SpmmNm:
-        return canon.nmShape(l.m, l.k, l.n, l.nmN, l.nmM, seed);
-      case Workload::Sddmm:
-        return canon.sddmmShape(l.m, l.k, l.n, l.sparsity, seed);
-      case Workload::SddmmWindow:
-        return canon.sddmmWindowShape(l.m, l.k, l.window, seed);
-    }
-    return {};
-}
-
-ExecutionProfile
 systolicProfile(const SystolicModel &model, const LayerSpec &l)
 {
     switch (l.workload) {
@@ -167,11 +148,7 @@ ArchSuite::spmmBimodal(std::int64_t m, std::int64_t k, std::int64_t n,
             // ZeD holds the whole B (its banks are sized for it), so
             // it runs the full output width in one pass: scale only
             // the m/k proxying.
-            std::vector<std::int64_t> rows;
-            rows.reserve(static_cast<std::size_t>(proxy.rows));
-            for (int i = 0; i < csr.rows(); ++i)
-                rows.push_back(csr.rowNnz(i));
-            auto zed_p = zed_.spmmRows(rows, n);
+            auto zed_p = zed_.spmm(csr, n);
             zed_p.scale((static_cast<double>(m) / proxy.rows) *
                         (static_cast<double>(k) / proxy.depth));
             r["zed"] = zed_p;
@@ -192,7 +169,7 @@ ArchSuite::run(const LayerSpec &layer, std::uint64_t seed) const
 {
     CaseResult r;
     if (enabled("canon"))
-        r["canon"] = canonProfile(canon_, layer, seed);
+        r["canon"] = canon_.run(layer, seed);
     if (enabled("systolic"))
         r["systolic"] = systolicProfile(systolic_, layer);
     if (enabled("systolic24"))

@@ -170,24 +170,29 @@ TEST(Bitfield, Helpers)
 
 TEST(Stats, CountersAndSums)
 {
+    Counter c, pe_events;
     StatGroup root("root");
-    auto &c = root.counter("events");
+    root.add("events", c);
     ++c;
     c += 4;
     EXPECT_EQ(c.value(), 5u);
 
-    auto &child = root.child("pe0");
-    child.counter("events") += 7;
+    root.child("pe0").add("events", pe_events);
+    pe_events += 7;
     EXPECT_EQ(root.sumCounter("events"), 12u);
 }
 
 TEST(Stats, FlattenPaths)
 {
+    Counter top, x, y;
     StatGroup root("root");
-    root.counter("top") += 1;
+    root.add("top", top);
     auto &a = root.child("a");
-    a.counter("x") += 2;
-    a.child("b").counter("y") += 3;
+    a.add("x", x);
+    a.child("b").add("y", y);
+    top += 1;
+    x += 2;
+    y += 3;
     const auto flat = root.flatten();
     EXPECT_EQ(flat.at("top"), 1u);
     EXPECT_EQ(flat.at("a.x"), 2u);
@@ -200,16 +205,19 @@ TEST(Stats, RegistrationCollisionsPanic)
     // shadow) another's in the flat view: duplicate child names,
     // counter/child name collisions, and '.'-forged paths all panic
     // at registration.
+    Counter x, n, other;
     StatGroup root("root");
-    root.child("a").counter("x") += 1;
+    root.child("a").add("x", x);
     EXPECT_THROW(root.child("a"), PanicError);
-    EXPECT_THROW(root.counter("a"), PanicError);
-    root.counter("n") += 1;
+    EXPECT_THROW(root.add("a", other), PanicError);
+    root.add("n", n);
     EXPECT_THROW(root.child("n"), PanicError);
-    EXPECT_THROW(root.counter("forged.path"), PanicError);
+    EXPECT_THROW(root.add("forged.path", other), PanicError);
     EXPECT_THROW(root.child("forged.path"), PanicError);
-    // Fetching an existing counter stays cheap and panic-free.
-    EXPECT_EQ(root.counter("n").value(), 1u);
+    // The rejected registrations left the flat view untouched.
+    const std::map<std::string, std::uint64_t> want = {{"a.x", 0},
+                                                       {"n", 0}};
+    EXPECT_EQ(root.flatten(), want);
 }
 
 TEST(Parse, WholeStringIntegersOnly)
@@ -260,17 +268,18 @@ TEST(Parse, WholeStringIntegersOnly)
 TEST(Stats, ComponentOwnedCounters)
 {
     // A component registers counters it holds as members; the group
-    // reads them in place and counter() fetches them by name.
-    StatGroup root("root");
+    // reads them in place.
     Counter hits;
     Counter misses;
+    Counter top;
+    StatGroup root("root");
     auto &cache = root.child("cache");
     cache.add("misses", misses);
     cache.add("hits", hits);
+    root.add("top", top);
     ++hits;
     misses += 3;
-    root.counter("top") += 1;
-    EXPECT_EQ(&cache.counter("hits"), &hits);
+    top += 1;
     EXPECT_EQ(root.sumCounter("misses"), 3u);
     const auto flat = root.flatten();
     EXPECT_EQ(flat.at("cache.hits"), 1u);
@@ -286,8 +295,7 @@ TEST(Stats, ComponentOwnedCounters)
                                              "cache.misses"};
     EXPECT_EQ(paths, expect);
 
-    // Two owners can never claim one path, and the name rules of
-    // counter() hold.
+    // Two owners can never claim one path, and the name rules hold.
     Counter other;
     EXPECT_THROW(cache.add("hits", other), PanicError);
     EXPECT_THROW(root.add("top", other), PanicError);
@@ -299,11 +307,15 @@ TEST(Stats, ComponentOwnedCounters)
 
 TEST(Stats, VisitCountersWalksFlatPathsInOrder)
 {
+    Counter top, x, y;
     StatGroup root("root");
-    root.counter("top") += 1;
+    root.add("top", top);
     auto &a = root.child("a");
-    a.counter("x") += 2;
-    a.child("b").counter("y") += 3;
+    a.add("x", x);
+    a.child("b").add("y", y);
+    top += 1;
+    x += 2;
+    y += 3;
     std::vector<std::string> paths;
     root.visitCounters(
         [&](const std::string &path, const Counter &ctr) {

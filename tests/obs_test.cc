@@ -277,8 +277,9 @@ TEST(Sampler, ExactCadenceMultipleSamplesOnceAtRunEnd)
     // 10 cycles at --sample-every 5: samples at 5 and 10, and the
     // final-interval capture must notice cycle 10 is already sampled
     // instead of duplicating it.
+    Counter c;
     StatGroup stats("fabric");
-    Counter &c = stats.counter("macOps");
+    stats.add("macOps", c);
     obs::CycleProbe s = samplingProbe(stats, 5);
     for (int i = 0; i < 10; ++i) {
         ++c;
@@ -297,8 +298,9 @@ TEST(Sampler, ExactCadenceMultipleSamplesOnceAtRunEnd)
 
 TEST(Sampler, RunShorterThanOneCadenceStillGetsFinalSample)
 {
+    Counter c;
     StatGroup stats("fabric");
-    Counter &c = stats.counter("macOps");
+    stats.add("macOps", c);
     obs::CycleProbe s = samplingProbe(stats, 100);
     for (int i = 0; i < 3; ++i) {
         ++c;

@@ -195,15 +195,13 @@ TEST(TagFifo, BankedSearchMatchesLinearReference)
     // (checked in aggregate: total compares <= searches * cap), and
     // banking strictly reduces total compare work at this
     // duplicate-heavy occupancy.
-    const auto searches = ref_stats.counter("bufferSearches").value();
-    const auto ref_compares = ref_stats.counter("tagCompares").value();
+    const auto searches = ref_stats.sumCounter("bufferSearches");
+    const auto ref_compares = ref_stats.sumCounter("tagCompares");
     EXPECT_EQ(searches, 4000u);
     EXPECT_LE(ref_compares, searches * kCapacity);
     for (std::size_t i = 0; i < banked.size(); ++i) {
-        EXPECT_EQ(stats[i].counter("bufferSearches").value(),
-                  searches);
-        EXPECT_LE(stats[i].counter("tagCompares").value(),
-                  ref_compares)
+        EXPECT_EQ(stats[i].sumCounter("bufferSearches"), searches);
+        EXPECT_LE(stats[i].sumCounter("tagCompares"), ref_compares)
             << bank_counts[i] << " banks";
     }
 }
@@ -214,8 +212,6 @@ TEST(TagFifo, SearchCountersAreMonotonePerProbe)
     // at most the resident population, and never decreases either.
     StatGroup stats("t");
     TagFifo f(8, stats, 4);
-    const auto &searches = stats.counter("bufferSearches");
-    const auto &compares = stats.counter("tagCompares");
 
     Rng rng(3);
     std::uint64_t prev_s = 0, prev_c = 0;
@@ -225,12 +221,14 @@ TEST(TagFifo, SearchCountersAreMonotonePerProbe)
         else if (!f.empty())
             f.pop();
         f.search(static_cast<std::uint16_t>(rng.nextBounded(12)));
-        EXPECT_EQ(searches.value(), prev_s + 1);
-        EXPECT_GE(compares.value(), prev_c);
-        EXPECT_LE(compares.value() - prev_c,
+        const auto searches = stats.sumCounter("bufferSearches");
+        const auto compares = stats.sumCounter("tagCompares");
+        EXPECT_EQ(searches, prev_s + 1);
+        EXPECT_GE(compares, prev_c);
+        EXPECT_LE(compares - prev_c,
                   static_cast<std::uint64_t>(f.size()));
-        prev_s = searches.value();
-        prev_c = compares.value();
+        prev_s = searches;
+        prev_c = compares;
     }
 }
 
@@ -257,13 +255,13 @@ TEST(TagFifo, ConstProbeDoesNotChargeCounters)
     ASSERT_TRUE(view.probe(4).has_value());
     EXPECT_EQ(*view.probe(4), 1);
     EXPECT_FALSE(view.probe(9).has_value());
-    EXPECT_EQ(stats.counter("bufferSearches").value(), 0u);
-    EXPECT_EQ(stats.counter("tagCompares").value(), 0u);
+    EXPECT_EQ(stats.sumCounter("bufferSearches"), 0u);
+    EXPECT_EQ(stats.sumCounter("tagCompares"), 0u);
 
     // The counted probe agrees with the uncounted one and charges.
     EXPECT_EQ(f.search(4), view.probe(4));
-    EXPECT_EQ(stats.counter("bufferSearches").value(), 1u);
-    EXPECT_GT(stats.counter("tagCompares").value(), 0u);
+    EXPECT_EQ(stats.sumCounter("bufferSearches"), 1u);
+    EXPECT_GT(stats.sumCounter("tagCompares"), 0u);
 }
 
 TEST(TagFifo, ConstFabricWalkCannotMutateStats)

@@ -19,6 +19,12 @@ namespace canon
 namespace
 {
 
+LayerSpec
+spmmLayer(std::int64_t m, std::int64_t k, std::int64_t n, double sparsity)
+{
+    return {"spmm", Workload::Spmm, m, k, n, sparsity};
+}
+
 TEST(CanonRunner, ExactTiledSpmmMatchesReference)
 {
     CanonConfig cfg;
@@ -39,6 +45,51 @@ TEST(CanonRunner, ExactTiledSpmmMatchesReference)
     EXPECT_EQ(c, reference::spmm(csr, b));
 }
 
+TEST(CanonRunner, UnitFactorSpmmLayerEqualsSpmmExact)
+{
+    // Figures 15 and 17 and the adaptive-spad ablation run plain SpMM
+    // layers through run() at shapes whose proxy is the whole layer.
+    // There run() must be exactly spmmExact on the operands it draws:
+    // randomSparse, then randomDense, from one Rng(seed).
+    const struct
+    {
+        int rows, cols;
+    } fabrics[] = {{8, 8}, {8, 16}, {16, 16}};
+    for (const auto &f : fabrics) {
+        for (int depth : {1, 4, 16}) {
+            for (double sp : {0.3, 0.8}) {
+                CanonConfig cfg;
+                cfg.rows = f.rows;
+                cfg.cols = f.cols;
+                cfg.spadEntries = depth;
+                const CanonRunner runner(cfg);
+                const int m = 96, k = 4 * f.rows;
+                const int n = f.cols * kSimdWidth;
+                const std::uint64_t seed = 40 + depth;
+                const std::string where =
+                    std::to_string(f.rows) + "x" +
+                    std::to_string(f.cols) + " depth " +
+                    std::to_string(depth) + " sparsity " +
+                    std::to_string(sp);
+                ASSERT_EQ(runner.plan(m, k, n, f.rows).factor, 1.0)
+                    << where;
+
+                const auto got = runner.run(spmmLayer(m, k, n, sp), seed);
+                Rng rng(seed);
+                const auto a = randomSparse(m, k, sp, rng);
+                const auto b = randomDense(k, n, rng);
+                const auto want =
+                    runner.spmmExact(CsrMatrix::fromDense(a), b);
+                EXPECT_EQ(got.arch, want.arch) << where;
+                EXPECT_EQ(got.workload, want.workload) << where;
+                EXPECT_EQ(got.cycles, want.cycles) << where;
+                EXPECT_EQ(got.peCount, want.peCount) << where;
+                EXPECT_EQ(got.activity, want.activity) << where;
+            }
+        }
+    }
+}
+
 TEST(CanonRunner, ProxyScalingConsistent)
 {
     // A proxy-scaled profile should approximate the exact run of the
@@ -54,14 +105,12 @@ TEST(CanonRunner, ProxyScalingConsistent)
     CanonRunOptions exact_opt;
     exact_opt.maxProxyRows = 1 << 20; // no scaling
     exact_opt.maxProxyPasses = 1 << 20;
-    const auto exact =
-        runner.spmmShape(m, k, n, sparsity, 9, exact_opt);
+    const auto exact = runner.run(spmmLayer(m, k, n, sparsity), 9, exact_opt);
 
     CanonRunOptions proxy_opt;
     proxy_opt.maxProxyRows = 64; // 4x M scaling
     proxy_opt.maxProxyPasses = 2;
-    const auto proxy =
-        runner.spmmShape(m, k, n, sparsity, 9, proxy_opt);
+    const auto proxy = runner.run(spmmLayer(m, k, n, sparsity), 9, proxy_opt);
 
     const double ratio = static_cast<double>(proxy.cycles) /
                          static_cast<double>(exact.cycles);
@@ -211,8 +260,8 @@ rawProxyCycles(int rows_cap, SpadFlushPolicy policy)
         CanonRunner runner(cfg);
         CanonRunOptions opt;
         opt.maxProxyRows = rows_cap;
-        (void)runner.spmmShape(1 << 20, 128, 16 * kSimdWidth, 0.7, 42,
-                               opt);
+        (void)runner.run(spmmLayer(1 << 20, 128, 16 * kSimdWidth, 0.7),
+                         42, opt);
         seen = col.finish();
     }
     return seen->runs.front().cycles;
@@ -251,9 +300,9 @@ TEST(CanonRunner, AdaptiveProxyConsistentAtLiftedCap)
     CanonRunOptions exact_opt;
     exact_opt.maxProxyRows = 1 << 20; // no scaling
     exact_opt.maxProxyPasses = 1 << 20;
-    const auto exact = runner.spmmShape(m, k, n, 0.7, 9, exact_opt);
+    const auto exact = runner.run(spmmLayer(m, k, n, 0.7), 9, exact_opt);
 
-    const auto proxy = runner.spmmShape(m, k, n, 0.7, 9, {});
+    const auto proxy = runner.run(spmmLayer(m, k, n, 0.7), 9);
 
     const double ratio = static_cast<double>(proxy.cycles) /
                          static_cast<double>(exact.cycles);
@@ -305,7 +354,7 @@ TEST(CanonRunner, BankingIsTimingInvariant)
         cfg.rows = 8;
         cfg.cols = 8;
         cfg.tagBanks = banks;
-        return CanonRunner(cfg).spmmShape(2048, 256, 32, 0.7, 21);
+        return CanonRunner(cfg).run(spmmLayer(2048, 256, 32, 0.7), 21);
     };
     const auto flat = run(1), banked = run(16);
     EXPECT_EQ(flat.cycles, banked.cycles);
@@ -343,12 +392,12 @@ TEST(CanonRunner, ProxyScalingConsistentOnLargerFabrics)
         exact_opt.maxProxyRows = 1 << 20; // no scaling
         exact_opt.maxProxyPasses = 1 << 20;
         const auto exact =
-            runner.spmmShape(c.m, c.k, c.n, 0.7, 9, exact_opt);
+            runner.run(spmmLayer(c.m, c.k, c.n, 0.7), 9, exact_opt);
 
         CanonRunOptions proxy_opt;
         proxy_opt.maxProxyRows = c.proxy_rows;
         const auto proxy =
-            runner.spmmShape(c.m, c.k, c.n, 0.7, 9, proxy_opt);
+            runner.run(spmmLayer(c.m, c.k, c.n, 0.7), 9, proxy_opt);
 
         const double ratio = static_cast<double>(proxy.cycles) /
                              static_cast<double>(exact.cycles);
@@ -370,7 +419,7 @@ TEST(CanonRunner, LargerFabricsPinnedScalingTrend)
         CanonConfig cfg;
         cfg.rows = size;
         cfg.cols = size;
-        return CanonRunner(cfg).spmmShape(1024, 256, 128, 0.7, 21);
+        return CanonRunner(cfg).run(spmmLayer(1024, 256, 128, 0.7), 21);
     };
     const auto p8 = run(8), p16 = run(16), p32 = run(32);
 
@@ -537,6 +586,10 @@ TEST(ArchSuite, RunDispatchesEveryWorkload)
     const double sp = 0.6;
     const int nm_n = 2, nm_m = 8;
     const auto rows = static_cast<std::size_t>(m);
+    const auto layer = [&](Workload w) {
+        return LayerSpec{"layer", w,      m,   k,    n,
+                         sp,      window, 1.0, nm_n, nm_m};
+    };
     // ZeD's unstructured row populations: Binomial(len, density) per
     // row, drawn from seed + 1 (exactly, at these small lengths).
     auto sampled = [&](std::int64_t len, double density) {
@@ -550,19 +603,19 @@ TEST(ArchSuite, RunDispatchesEveryWorkload)
 
     const std::vector<std::pair<Workload, CaseResult>> expected = {
         {Workload::Gemm,
-         {{"canon", canon.gemmShape(m, k, n, seed)},
+         {{"canon", canon.run(layer(Workload::Gemm), seed)},
           {"systolic", sys.gemm(m, k, n)},
           {"systolic24", s24.gemm(m, k, n)},
           {"zed", zed.gemm(m, k, n)},
           {"cgra", cgra.gemm(m, k, n)}}},
         {Workload::Spmm,
-         {{"canon", canon.spmmShape(m, k, n, sp, seed)},
+         {{"canon", canon.run(layer(Workload::Spmm), seed)},
           {"systolic", sys.spmm(m, k, n, sp)},
           {"systolic24", s24.spmm(m, k, n, sp)},
           {"zed", zed.spmmRows(sampled(k, 1.0 - sp), n)},
           {"cgra", cgra.spmm(m, k, n, sp)}}},
         {Workload::SpmmNm,
-         {{"canon", canon.nmShape(m, k, n, nm_n, nm_m, seed)},
+         {{"canon", canon.run(layer(Workload::SpmmNm), seed)},
           {"systolic", sys.gemm(m, k, n)},
           {"systolic24", s24.gemm(m, k, n, {nm_n, nm_m})},
           {"zed",
@@ -571,13 +624,13 @@ TEST(ArchSuite, RunDispatchesEveryWorkload)
           {"cgra",
            cgra.spmm(m, k, n, 1.0 - static_cast<double>(nm_n) / nm_m)}}},
         {Workload::Sddmm,
-         {{"canon", canon.sddmmShape(m, k, n, sp, seed)},
+         {{"canon", canon.run(layer(Workload::Sddmm), seed)},
           {"systolic", sys.sddmm(m, k, n, sp)},
           {"systolic24", s24.sddmm(m, k, n, sp)},
           {"zed", zed.sddmmRows(sampled(n, 1.0 - sp), k)},
           {"cgra", cgra.sddmm(m, k, n, sp)}}},
         {Workload::SddmmWindow,
-         {{"canon", canon.sddmmWindowShape(m, k, window, seed)},
+         {{"canon", canon.run(layer(Workload::SddmmWindow), seed)},
           {"systolic", sys.sddmmWindow(m, k, window)},
           {"systolic24", s24.sddmmWindow(m, k, window)},
           {"zed",
@@ -586,9 +639,7 @@ TEST(ArchSuite, RunDispatchesEveryWorkload)
     };
     ASSERT_EQ(expected.size(), cli::workloadTable().size());
     for (const auto &[workload, want] : expected) {
-        const LayerSpec layer{"layer", workload, m,    k,    n,
-                              sp,      window,   1.0,  nm_n, nm_m};
-        const CaseResult got = suite.run(layer, seed);
+        const CaseResult got = suite.run(layer(workload), seed);
         ASSERT_EQ(got.size(), want.size()) << cli::workloadName(workload);
         for (const auto &[arch, p] : want) {
             const ExecutionProfile &q = got.at(arch);
@@ -601,6 +652,17 @@ TEST(ArchSuite, RunDispatchesEveryWorkload)
             EXPECT_EQ(q.activity, p.activity) << where;
         }
     }
+
+    // Canon runs the window as the dense (m x k x window) product: the
+    // GEMM layer's profile under its own name and off-chip traffic.
+    auto band = canon.run(layer(Workload::SddmmWindow), seed);
+    auto dense = canon.run({"gemm", Workload::Gemm, m, k, window}, seed);
+    EXPECT_EQ(band.workload, "sddmm-win");
+    EXPECT_EQ(band.cycles, dense.cycles);
+    EXPECT_NE(band.get("offchipBytes"), dense.get("offchipBytes"));
+    band.activity.erase("offchipBytes");
+    dense.activity.erase("offchipBytes");
+    EXPECT_EQ(band.activity, dense.activity);
 }
 
 TEST(Models, SpecsPopulated)
