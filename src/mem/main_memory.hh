@@ -4,7 +4,9 @@
  *
  * The paper's configuration uses LPDDR5x at 17 GB/s (single-die x16,
  * Table 1). The fabric simulators record the bytes they move
- * (offchipBytes); Figure 16 turns those into required bandwidth.
+ * (offchipBytes); Table 1 prints this device. Figure 16 computes its
+ * own dense-stationary traffic from the problem shape and SRAM size
+ * and reads only utilization from the simulator.
  */
 
 #ifndef CANON_MEM_MAIN_MEMORY_HH

@@ -21,12 +21,9 @@
  * artifact derived from them -- are byte-identical across --jobs
  * values and tick-order shuffle seeds.
  *
- * Counts accumulate for the life of the fabric (take() snapshots
- * without resetting), matching the flat-stats semantics: for
- * workloads that reuse one fabric across passes, later runs include
- * earlier runs' cycles. The invariant is against AccountingSet::cycles
- * (the probe's observed-cycle count), which equals the run's elapsed
- * cycles for the common one-run-per-fabric scenarios.
+ * Counts accumulate for the life of the fabric, which runs one
+ * kernel. The invariant is against AccountingSet::cycles (the probe's
+ * observed-cycle count), which equals the run's elapsed cycles.
  */
 
 #ifndef CANON_OBS_ACCOUNTING_HH

@@ -50,23 +50,20 @@ enum class CacheEventKind
     Store, //!< freshly computed result persisted
 };
 
-/** One fabric execution inside a scenario (one measured pass). */
+/**
+ * One fabric execution inside a scenario: one per simulated layer
+ * (a fabric runs one kernel, so no record includes another's).
+ */
 struct FabricRunObs
 {
     std::uint64_t cycles = 0;
     /** Sampled series (empty unless --sample-every is active). */
     SeriesSet series;
-    /**
-     * Flat stats view at run end, captured only for --stats-json.
-     * Note: values are the owning fabric's cumulative counters; for
-     * workloads that reuse one fabric across passes, later runs
-     * include earlier runs' counts.
-     */
+    /** Flat stats view at run end, captured only for --stats-json. */
     std::map<std::string, std::uint64_t> flat;
     /**
      * Per-component cycle accounting + occupancy histograms (empty
-     * unless --cycle-accounting is active). Cumulative like flat:
-     * later passes on a reused fabric include earlier passes.
+     * unless --cycle-accounting is active).
      */
     AccountingSet accounting;
 };

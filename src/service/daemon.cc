@@ -161,9 +161,10 @@ Daemon::stop()
 
     // Drain: admitted submissions run to completion, up to the
     // deadline; past it, cancel cooperatively and report the leak.
+    bool drained = false;
     {
         std::unique_lock<std::mutex> lock(jobs_mutex_);
-        const bool drained = jobs_cv_.wait_for(
+        drained = jobs_cv_.wait_for(
             lock, std::chrono::milliseconds(config_.drainWaitMs),
             [this] { return running_jobs_.load() == 0; });
         if (!drained) {
@@ -171,6 +172,15 @@ Daemon::stop()
             for (auto &kv : live_jobs_)
                 kv.second->cancel();
         }
+    }
+    // A job polls its token only between scenarios, so one whose
+    // worker is blocked sending to a client that stopped reading
+    // never sees the cancel. Shutting down both directions fails that
+    // send with EPIPE: the job cancels and its handler can be joined.
+    if (!drained) {
+        std::lock_guard<std::mutex> lock(conn_mutex_);
+        for (auto &c : connections_)
+            c->fd.shutdownBoth();
     }
     admission_.close();
 

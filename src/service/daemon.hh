@@ -41,9 +41,11 @@
  * with Rejected(draining), accepted ones run to completion, idle
  * connections are woken with a read shutdown, and every handler
  * thread is joined. If the drain deadline passes with jobs still
- * running, they are cooperatively cancelled and the daemon reports
- * them as leaked (exitCode() 1) -- the CI gate asserts a clean
- * drain exits 0.
+ * running, they are cooperatively cancelled, every connection is
+ * shut down in both directions (so a send blocked on a client that
+ * stopped reading fails instead of hanging the join), and the daemon
+ * reports them as leaked (exitCode() 1) -- the CI gate asserts that
+ * a clean drain exits 0 and that a stalled client's drain exits 1.
  */
 
 #ifndef CANON_SERVICE_DAEMON_HH
@@ -155,8 +157,9 @@ class Daemon
 
     /**
      * Drain and shut down: reject new submissions, let accepted
-     * ones finish (up to drainWaitMs, then cancel cooperatively),
-     * wake idle connections, join every thread, close the socket.
+     * ones finish (up to drainWaitMs, then cancel cooperatively and
+     * shut every connection down), wake idle connections, join every
+     * thread, close the socket.
      * Idempotent. Returns exitCode().
      */
     int stop();

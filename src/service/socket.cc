@@ -50,6 +50,13 @@ Fd::shutdownRead() const
         ::shutdown(fd_, SHUT_RD);
 }
 
+void
+Fd::shutdownBoth() const
+{
+    if (fd_ >= 0)
+        ::shutdown(fd_, SHUT_RDWR);
+}
+
 Fd
 listenUnix(const std::string &path, std::string &error)
 {

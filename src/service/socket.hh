@@ -59,6 +59,12 @@ class Fd
     /** shutdown(2) the read side: wakes a blocked reader with EOF. */
     void shutdownRead() const;
 
+    /**
+     * shutdown(2) both sides: also fails a sender blocked on a peer
+     * that stopped reading, with EPIPE.
+     */
+    void shutdownBoth() const;
+
   private:
     int fd_ = -1;
 };

@@ -1,6 +1,7 @@
 #include "workloads/canon_runner.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/bitfield.hh"
 
@@ -17,41 +18,6 @@ roundUp(std::int64_t v, std::int64_t q)
     return divCeil(static_cast<std::uint64_t>(v),
                    static_cast<std::uint64_t>(q)) *
            q;
-}
-
-/** Re-home a CSR matrix into a padded (rows x cols) shape. */
-CsrMatrix
-padCsr(const CsrMatrix &a, int rows, int cols)
-{
-    CsrMatrix out(rows, cols);
-    const auto &rp = a.rowPtr();
-    for (int r = 0; r < a.rows(); ++r)
-        for (auto i = rp[r]; i < rp[r + 1]; ++i)
-            out.append(r, a.colIdx()[i], a.values()[i]);
-    return out;
-}
-
-/** Zero-pad a dense matrix to (rows x cols). */
-DenseMatrix
-padDense(const DenseMatrix &d, int rows, int cols)
-{
-    DenseMatrix out(rows, cols);
-    for (int r = 0; r < d.rows(); ++r)
-        for (int c = 0; c < d.cols(); ++c)
-            out.at(r, c) = d.at(r, c);
-    return out;
-}
-
-/** Slice columns [c0, c0+w) of @p d, zero-padded past the edge. */
-DenseMatrix
-sliceCols(const DenseMatrix &d, int c0, int w)
-{
-    DenseMatrix out(d.rows(), w);
-    for (int r = 0; r < d.rows(); ++r)
-        for (int c = 0; c < w; ++c)
-            if (c0 + c < d.cols())
-                out.at(r, c) = d.at(r, c0 + c);
-    return out;
 }
 
 /** Dense-stationary off-chip traffic for one SpMM-style execution. */
@@ -98,82 +64,32 @@ CanonRunner::plan(std::int64_t m, std::int64_t depth, std::int64_t n,
     p.depth = static_cast<int>(std::max<std::int64_t>(d, quantum));
     p.passes = divCeil(static_cast<std::uint64_t>(n),
                        static_cast<std::uint64_t>(cfg_.cols) * kSimdWidth);
-    p.simPasses = std::min<std::uint64_t>(
-        p.passes, static_cast<std::uint64_t>(opt.maxProxyPasses));
     p.factor = (static_cast<double>(m) / p.rows) *
                (static_cast<double>(depth) / p.depth) *
-               (static_cast<double>(p.passes) /
-                static_cast<double>(p.simPasses));
+               static_cast<double>(p.passes);
     return p;
 }
 
 ExecutionProfile
-CanonRunner::runPasses(
-    std::uint64_t passes, const std::string &kernel,
-    const std::function<KernelMapping(std::uint64_t)> &map,
-    const std::function<void(std::uint64_t, const CanonFabric &)>
-        &onPass) const
+CanonRunner::runFabric(KernelMapping mapping, const std::string &kernel,
+                       WordMatrix *result_out) const
 {
-    ExecutionProfile total;
-    total.arch = "canon";
-    total.workload = kernel;
-    total.peCount = static_cast<std::uint64_t>(cfg_.numPes());
-    for (std::uint64_t p = 0; p < passes; ++p) {
-        CanonFabric fabric(cfg_);
-        fabric.load(map(p));
-        fabric.run();
-        total.accumulate(fabric.profile(kernel));
-        if (onPass)
-            onPass(p, fabric);
-    }
-    return total;
+    CanonFabric fabric(cfg_);
+    fabric.load(std::move(mapping));
+    fabric.run();
+    if (result_out)
+        *result_out = fabric.result();
+    return fabric.profile(kernel);
 }
 
 ExecutionProfile
 CanonRunner::spmmExact(const CsrMatrix &a, const DenseMatrix &b,
                        WordMatrix *result_out) const
 {
-    const int tile_n = cfg_.cols * kSimdWidth;
-    const int k_pad =
-        static_cast<int>(roundUp(b.rows(), cfg_.rows));
-    fatalIf(k_pad / cfg_.rows > cfg_.dmemSlots,
-            "CanonRunner: K=", b.rows(),
-            " exceeds on-chip capacity; tile K upstream");
-    // Pad only a misaligned operand; an aligned one is used in place.
-    CsrMatrix a_padded;
-    DenseMatrix b_padded;
-    const CsrMatrix &a_pad =
-        a.cols() == k_pad ? a : (a_padded = padCsr(a, a.rows(), k_pad));
-    const DenseMatrix &b_pad =
-        b.rows() == k_pad ? b
-                          : (b_padded = padDense(b, k_pad, b.cols()));
-
-    const auto passes = divCeil(static_cast<std::uint64_t>(b.cols()),
-                                static_cast<std::uint64_t>(tile_n));
-    if (result_out)
-        *result_out = WordMatrix(a.rows(), b.cols());
-
-    auto total = runPasses(
-        passes, "spmm",
-        [&](std::uint64_t p) {
-            return mapSpmm(a_pad,
-                           sliceCols(b_pad, static_cast<int>(p) * tile_n,
-                                     tile_n),
-                           cfg_);
-        },
-        [&](std::uint64_t p, const CanonFabric &fabric) {
-            if (!result_out)
-                return;
-            const auto &r = fabric.result();
-            const int c0 = static_cast<int>(p) * tile_n;
-            for (int m = 0; m < r.rows(); ++m)
-                for (int c = 0; c < tile_n && c0 + c < b.cols(); ++c)
-                    result_out->at(m, c0 + c) = r.at(m, c);
-        });
-    total.add("offchipBytes",
-              spmmOffchipBytes(a.nnz(), a.rows(), b.rows(), b.cols(),
-                               passes));
-    return total;
+    auto p = runFabric(mapSpmm(a, b, cfg_), "spmm", result_out);
+    p.add("offchipBytes",
+          spmmOffchipBytes(a.nnz(), a.rows(), b.rows(), b.cols(), 1));
+    return p;
 }
 
 ExecutionProfile
@@ -190,8 +106,7 @@ CanonRunner::run(const LayerSpec &l, std::uint64_t seed,
         const ProxyPlan proxy = plan(l.m, l.k, l.n, cfg_.rows, opt);
         const auto a =
             randomSparse(proxy.rows, proxy.depth, l.sparsity, rng);
-        const auto b = randomDense(
-            proxy.depth, static_cast<int>(proxy.simPasses) * tile_n, rng);
+        const auto b = randomDense(proxy.depth, tile_n, rng);
         // spmmExact records the proxy's own off-chip traffic, which
         // then scales with the rest of the profile.
         auto p = spmmExact(CsrMatrix::fromDense(a), b);
@@ -213,9 +128,7 @@ CanonRunner::run(const LayerSpec &l, std::uint64_t seed,
         const ProxyPlan proxy = plan(l.m, l.k, n, cfg_.rows, opt);
         const auto a = randomDense(proxy.rows, proxy.depth, rng);
         const auto b = randomDense(proxy.depth, tile_n, rng);
-        auto p = runPasses(proxy.simPasses, "gemm", [&](std::uint64_t) {
-            return mapGemm(a, b, cfg_);
-        });
+        auto p = runFabric(mapGemm(a, b, cfg_), "gemm");
         p.scale(proxy.factor);
         if (!window) {
             p.add("offchipBytes",
@@ -236,10 +149,7 @@ CanonRunner::run(const LayerSpec &l, std::uint64_t seed,
         const auto a =
             nmStructured(proxy.rows, proxy.depth, l.nmN, l.nmM, rng);
         const auto b = randomDense(proxy.depth, tile_n, rng);
-        auto p =
-            runPasses(proxy.simPasses, "nm-spmm", [&](std::uint64_t) {
-                return mapNmSpmm(a, b, l.nmN, l.nmM, cfg_);
-            });
+        auto p = runFabric(mapNmSpmm(a, b, l.nmN, l.nmM, cfg_), "nm-spmm");
         p.scale(proxy.factor);
         p.add("offchipBytes",
               spmmOffchipBytes(m * k * l.nmN / l.nmM, l.m, l.k, l.n,
@@ -256,9 +166,7 @@ CanonRunner::run(const LayerSpec &l, std::uint64_t seed,
         const auto b = randomDense(tile_n, proxy.depth, rng);
         const auto mask =
             randomMask(proxy.rows, proxy.depth, l.sparsity, rng);
-        auto p = runPasses(proxy.simPasses, "sddmm", [&](std::uint64_t) {
-            return mapSddmm(mask, a, b, cfg_);
-        });
+        auto p = runFabric(mapSddmm(mask, a, b, cfg_), "sddmm");
         // Work per mask position and per streamed A vector both scale
         // linearly in K (K/tile_n instruction repetitions), so the
         // whole profile scales.

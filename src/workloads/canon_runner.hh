@@ -3,28 +3,27 @@
  * Paper-scale workloads on the Canon cycle simulator.
  *
  * The fabric natively executes tiles of shape N = cols*4 (output
- * columns) with B resident (dense-stationary, Section 6.4). This
- * runner:
+ * columns) with B resident (dense-stationary, Section 6.4). Every
+ * layer builds, loads and runs exactly one fabric. This runner:
  *
- *  - tiles wider problems into column passes (B slice swapped per
- *    pass, A re-streamed) and pads ragged edges with zeros,
+ *  - counts the column passes of wider problems (B slice swapped per
+ *    pass, A re-streamed) but simulates one: the orchestrators turn
+ *    meta tokens into control and never read data values, so every
+ *    pass repeats the first pass's cycles and activity exactly,
  *  - for very large shapes simulates a statistically representative
  *    proxy (full K so per-row-slice populations are authentic; M
- *    capped; one column pass) and scales cycles/activity by the exact
- *    replication factor -- valid because passes are i.i.d. and the
- *    per-row control overheads are M-linear,
- *  - records the off-chip traffic of the dense-stationary schedule
- *    for the bandwidth analysis of Figure 16.
+ *    capped) and scales cycles/activity by the exact replication
+ *    factor -- valid because the per-row control overheads are
+ *    M-linear,
+ *  - records the off-chip traffic of the dense-stationary schedule.
  *
  * Scaling decisions are recorded in the returned profile's workload
  * string; tests cross-validate proxy scaling against exact runs on
- * overlapping sizes.
+ * overlapping sizes, and the one simulated pass against every pass.
  */
 
 #ifndef CANON_WORKLOADS_CANON_RUNNER_HH
 #define CANON_WORKLOADS_CANON_RUNNER_HH
-
-#include <functional>
 
 #include "core/fabric.hh"
 #include "kernels/dense_cadence.hh"
@@ -82,7 +81,6 @@ struct CanonRunOptions
      * silently thinning sample.
      */
     int maxProxyRows = 0;
-    int maxProxyPasses = 1;  //!< column passes actually simulated
 
     /** The row cap in effect for @p cfg (explicit or derived). */
     int effectiveProxyRows(const CanonConfig &cfg) const;
@@ -90,16 +88,16 @@ struct CanonRunOptions
 
 /**
  * The proxy one Canon execution simulates in place of its full
- * problem, and the factor that scales the proxy's profile back up:
- * (m / rows) * (full depth / depth) * (passes / simPasses).
+ * problem -- one column pass of rows x depth -- and the factor that
+ * scales the proxy's profile back up:
+ * (m / rows) * (full depth / depth) * passes.
  */
 struct ProxyPlan
 {
-    int rows = 0;                //!< simulated output rows
-    int depth = 0;               //!< simulated depth (K; N for SDDMM)
-    std::uint64_t passes = 0;    //!< column passes of the full problem
-    std::uint64_t simPasses = 0; //!< column passes simulated
-    double factor = 0.0;         //!< replication factor
+    int rows = 0;             //!< simulated output rows
+    int depth = 0;            //!< simulated depth (K; N for SDDMM)
+    std::uint64_t passes = 0; //!< column passes of the full problem
+    double factor = 0.0;      //!< replication factor
 };
 
 class CanonRunner
@@ -118,21 +116,25 @@ class CanonRunner
      * over the fabric rows, clamped to rows x dmemSlots and rounded
      * up to @p quantum (the fabric height, or height x M for N:M),
      * stepping back one quantum when rounding overshoots the
-     * capacity; and n / (cols x 4) column passes, of which at most
-     * opt.maxProxyPasses are simulated.
+     * capacity; and ceil(n / (cols x 4)) column passes, all counted
+     * by the factor.
      */
     ProxyPlan plan(std::int64_t m, std::int64_t depth, std::int64_t n,
                    int quantum, const CanonRunOptions &opt = {}) const;
 
-    /** Exact run of a concrete sparse matrix (shapes must be
-     *  fabric-tileable after zero padding). */
+    /**
+     * Exact run of a concrete sparse matrix: one column pass, so the
+     * operands must be the ones mapSpmm accepts (K a multiple of the
+     * fabric rows within its data memory, N = cols x 4). The product
+     * lands in @p result_out when given.
+     */
     ExecutionProfile spmmExact(const CsrMatrix &a, const DenseMatrix &b,
                                WordMatrix *result_out = nullptr) const;
 
     /**
      * Run one layer: plan its proxy, draw the proxy's operands from
-     * Rng(@p seed), map them, run every simulated pass and scale the
-     * profile back to the full layer. offchipBytes is the layer's
+     * Rng(@p seed), map them, run the one simulated pass and scale
+     * the profile back to the full layer. offchipBytes is the layer's
      * dense-stationary traffic (unstructured SpMM scales its proxy's).
      * A sliding-window SDDMM runs as the dense (m x k x window)
      * product that computes exactly the band (Section 4.1.3).
@@ -142,16 +144,14 @@ class CanonRunner
 
   private:
     /**
-     * The one place a workload builds, loads and runs a fabric: one
-     * fresh fabric per pass, loaded with @p map(pass) and run to
-     * completion, its profile accumulated under @p kernel. @p onPass,
-     * when set, sees each finished fabric.
+     * The one place a workload builds, loads and runs a fabric: a
+     * fresh fabric loaded with @p mapping and run to completion. Its
+     * profile comes back under @p kernel, and its result matrix lands
+     * in @p result_out when given.
      */
-    ExecutionProfile runPasses(
-        std::uint64_t passes, const std::string &kernel,
-        const std::function<KernelMapping(std::uint64_t)> &map,
-        const std::function<void(std::uint64_t, const CanonFabric &)>
-            &onPass = {}) const;
+    ExecutionProfile runFabric(KernelMapping mapping,
+                               const std::string &kernel,
+                               WordMatrix *result_out = nullptr) const;
 
     CanonConfig cfg_;
 };

@@ -8,14 +8,18 @@
  * streaming, warm reruns executing zero simulation jobs, per-request
  * cache deltas for sequential clients of one shared engine,
  * byte-identical result streams for concurrent clients, quota and
- * draining rejections, cross-connection cancellation, and graceful
- * drain.
+ * draining rejections, cross-connection cancellation, graceful
+ * drain, and a bounded drain past a client that stopped reading.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <future>
 #include <thread>
+
+#include <sys/socket.h>
 
 #include "common/rng.hh"
 #include "fuzz.hh"
@@ -872,6 +876,66 @@ TEST(Daemon, DrainingRejectsNewSubmitsAndStopsCleanly)
     EXPECT_NE(fx.daemon->statsText().find(
                   "service.requests.rejected.draining: 1"),
               std::string::npos);
+}
+
+TEST(Daemon, DrainDeadlineUnblocksAClientThatStoppedReading)
+{
+    // A client that shrinks its receive buffer, submits a long sweep
+    // and never reads: the one pool worker blocks sending it a Result
+    // frame. Past the drain deadline stop() must cancel the job, get
+    // the worker out of its send and return 1 -- not hang.
+    DaemonConfig cfg;
+    cfg.jobs = 1;
+    cfg.drainWaitMs = 200;
+    DaemonFixture fx("svc_stalled", cfg);
+
+    std::string error;
+    Fd fd = connectUnix(fx.daemon->config().socketPath, error);
+    ASSERT_TRUE(fd.valid()) << error;
+    const int rcvbuf = 4096;
+    ASSERT_EQ(::setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                           sizeof(rcvbuf)),
+              0);
+    ASSERT_TRUE(
+        sendFrame(fd, Frame{MsgType::Hello, "proto=canon-rpc-1\n"}));
+    std::string seeds = "1";
+    for (int s = 2; s <= 2000; ++s)
+        seeds += "," + std::to_string(s);
+    SubmitBody body;
+    body.client = "stalled";
+    body.opt("workload", "spmm")
+        .opt("m", "16")
+        .opt("k", "16")
+        .opt("n", "16")
+        .sweep("seed", seeds);
+    const std::string payload = encodeSubmit(body, error);
+    ASSERT_TRUE(sendFrame(fd, Frame{MsgType::Submit, payload})) << error;
+
+    // The stream has stalled once the streamed count stops moving for
+    // half a second short of the whole sweep.
+    const auto &streamed = fx.daemon->stats().scenariosStreamed;
+    std::uint64_t seen = 0;
+    for (int quiet = 0, polls = 0; quiet < 5 && polls < 600; ++polls) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        const std::uint64_t now = streamed.load();
+        quiet = now > 0 && now == seen ? quiet + 1 : 0;
+        seen = now;
+    }
+    ASSERT_GT(seen, 0u);
+    ASSERT_LT(seen, 2000u) << "the sweep never blocked on the client";
+
+    auto stopped = std::async(std::launch::async,
+                              [&] { return fx.daemon->stop(); });
+    const bool returned = stopped.wait_for(std::chrono::seconds(5)) ==
+                          std::future_status::ready;
+    // Closing the client fails the blocked send, so a daemon that
+    // missed its deadline fails this test instead of hanging it.
+    if (!returned)
+        fd.reset();
+    EXPECT_TRUE(returned)
+        << "stop() still blocked 5 s after a 200 ms drain deadline";
+    EXPECT_EQ(stopped.get(), 1);
+    EXPECT_EQ(fx.daemon->exitCode(), 1);
 }
 
 } // namespace

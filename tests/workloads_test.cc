@@ -1,9 +1,9 @@
 /**
  * @file
- * Workload-layer tests: the tiled Canon runner against the gold
- * reference, proxy-scaling cross-validation, the cross-architecture
- * suite's qualitative orderings (the paper's headline claims), and
- * PolyBench/model descriptor sanity.
+ * Workload-layer tests: the Canon runner's column passes against
+ * the gold reference, proxy-scaling cross-validation, the
+ * cross-architecture suite's qualitative orderings (the paper's
+ * headline claims), and PolyBench/model descriptor sanity.
  */
 
 #include <gtest/gtest.h>
@@ -25,24 +25,63 @@ spmmLayer(std::int64_t m, std::int64_t k, std::int64_t n, double sparsity)
     return {"spmm", Workload::Spmm, m, k, n, sparsity};
 }
 
-TEST(CanonRunner, ExactTiledSpmmMatchesReference)
+/** Columns [c0, c0 + w) of @p d, zero past its last column. */
+DenseMatrix
+columnSlice(const DenseMatrix &d, int c0, int w)
 {
-    CanonConfig cfg;
-    cfg.rows = 4;
-    cfg.cols = 4;
-    cfg.spadEntries = 8;
-    CanonRunner runner(cfg);
+    DenseMatrix out(d.rows(), w);
+    for (int r = 0; r < d.rows(); ++r)
+        for (int c = 0; c < w && c0 + c < d.cols(); ++c)
+            out.at(r, c) = d.at(r, c0 + c);
+    return out;
+}
 
-    Rng rng(5);
-    // N = 40 spans 2.5 native tiles; K = 20 needs padding to 20->20
-    // (rows=4 divides 20).
-    const auto a = randomSparse(30, 20, 0.6, rng);
-    const auto b = randomDense(20, 40, rng);
-    const auto csr = CsrMatrix::fromDense(a);
+TEST(CanonRunner, ScaledRunEqualsEveryColumnPass)
+{
+    // run() simulates one column pass and scales by the pass count:
+    // the orchestrators never read data values, so every pass of the
+    // dense-stationary schedule repeats the first. With no M proxy,
+    // the scaled run must equal spmmExact summed over every B column
+    // slice -- the last one zero-padded when N is ragged -- and each
+    // slice must compute its exact product.
+    const struct
+    {
+        int rows, cols, n;
+    } cases[] = {{4, 4, 40}, {8, 8, 96}, {8, 16, 100}};
+    for (const auto &c : cases) {
+        CanonConfig cfg;
+        cfg.rows = c.rows;
+        cfg.cols = c.cols;
+        cfg.spadEntries = 8;
+        const CanonRunner runner(cfg);
+        const int m = 48, k = 4 * c.rows;
+        const int tile_n = c.cols * kSimdWidth;
+        const int passes = (c.n + tile_n - 1) / tile_n;
+        const std::string where = std::to_string(c.rows) + "x" +
+                                  std::to_string(c.cols) + " N=" +
+                                  std::to_string(c.n);
+        ASSERT_EQ(runner.plan(m, k, c.n, c.rows).factor, passes) << where;
 
-    WordMatrix c;
-    runner.spmmExact(csr, b, &c);
-    EXPECT_EQ(c, reference::spmm(csr, b));
+        const auto got = runner.run(spmmLayer(m, k, c.n, 0.6), 5);
+        Rng rng(5);
+        const auto a = CsrMatrix::fromDense(randomSparse(m, k, 0.6, rng));
+        const auto b = randomDense(k, c.n, rng);
+        ExecutionProfile want;
+        for (int p = 0; p < passes; ++p) {
+            const auto slice = columnSlice(b, p * tile_n, tile_n);
+            WordMatrix product;
+            const auto pass = runner.spmmExact(a, slice, &product);
+            EXPECT_EQ(product, reference::spmm(a, slice))
+                << where << " pass " << p;
+            if (p == 0)
+                want = pass;
+            else
+                want.accumulate(pass);
+        }
+        EXPECT_EQ(got.workload, want.workload) << where;
+        EXPECT_EQ(got.cycles, want.cycles) << where;
+        EXPECT_EQ(got.activity, want.activity) << where;
+    }
 }
 
 TEST(CanonRunner, UnitFactorSpmmLayerEqualsSpmmExact)
@@ -103,13 +142,11 @@ TEST(CanonRunner, ProxyScalingConsistent)
     const double sparsity = 0.7;
 
     CanonRunOptions exact_opt;
-    exact_opt.maxProxyRows = 1 << 20; // no scaling
-    exact_opt.maxProxyPasses = 1 << 20;
+    exact_opt.maxProxyRows = 1 << 20; // no M proxy
     const auto exact = runner.run(spmmLayer(m, k, n, sparsity), 9, exact_opt);
 
     CanonRunOptions proxy_opt;
     proxy_opt.maxProxyRows = 64; // 4x M scaling
-    proxy_opt.maxProxyPasses = 2;
     const auto proxy = runner.run(spmmLayer(m, k, n, sparsity), 9, proxy_opt);
 
     const double ratio = static_cast<double>(proxy.cycles) /
@@ -219,25 +256,16 @@ TEST(CanonRunner, ProxyPlanClampsAndRoundsDepth)
     EXPECT_DOUBLE_EQ(p.factor, (1024.0 / 512) * (200.0 / 96) * 1.0);
 }
 
-TEST(CanonRunner, ProxyPlanHonoursMaxProxyPasses)
+TEST(CanonRunner, ProxyPlanFactorCountsEveryColumnPass)
 {
-    // 8 columns x 4 lanes: N = 80 is three 32-column passes.
+    // 8 columns x 4 lanes: N = 80 is three 32-column passes, the last
+    // one ragged. One pass is simulated; the factor counts all three.
     const CanonRunner runner;
-    CanonRunOptions opt;
-    const ProxyPlan one = runner.plan(64, 64, 80, 8, opt);
-    EXPECT_EQ(one.passes, 3u);
-    EXPECT_EQ(one.simPasses, 1u);
-    EXPECT_DOUBLE_EQ(one.factor, 3.0);
-
-    opt.maxProxyPasses = 2;
-    const ProxyPlan two = runner.plan(64, 64, 80, 8, opt);
-    EXPECT_EQ(two.simPasses, 2u);
-    EXPECT_DOUBLE_EQ(two.factor, 1.5);
-
-    opt.maxProxyPasses = 8;
-    const ProxyPlan all = runner.plan(64, 64, 80, 8, opt);
-    EXPECT_EQ(all.simPasses, 3u);
-    EXPECT_DOUBLE_EQ(all.factor, 1.0);
+    const ProxyPlan p = runner.plan(64, 64, 80, 8);
+    EXPECT_EQ(p.rows, 64);
+    EXPECT_EQ(p.depth, 64);
+    EXPECT_EQ(p.passes, 3u);
+    EXPECT_DOUBLE_EQ(p.factor, 3.0);
 }
 
 /** Raw (unscaled) proxy cycles of one 16x16 SpMM run at @p rows
@@ -298,8 +326,7 @@ TEST(CanonRunner, AdaptiveProxyConsistentAtLiftedCap)
     const std::int64_t m = 8192, k = 512, n = 64;
 
     CanonRunOptions exact_opt;
-    exact_opt.maxProxyRows = 1 << 20; // no scaling
-    exact_opt.maxProxyPasses = 1 << 20;
+    exact_opt.maxProxyRows = 1 << 20; // no M proxy
     const auto exact = runner.run(spmmLayer(m, k, n, 0.7), 9, exact_opt);
 
     const auto proxy = runner.run(spmmLayer(m, k, n, 0.7), 9);
@@ -389,9 +416,8 @@ TEST(CanonRunner, ProxyScalingConsistentOnLargerFabrics)
         CanonRunner runner(cfg);
 
         CanonRunOptions exact_opt;
-        exact_opt.maxProxyRows = 1 << 20; // no scaling
-        exact_opt.maxProxyPasses = 1 << 20;
-        const auto exact =
+        exact_opt.maxProxyRows = 1 << 20; // no M proxy
+            const auto exact =
             runner.run(spmmLayer(c.m, c.k, c.n, 0.7), 9, exact_opt);
 
         CanonRunOptions proxy_opt;
