@@ -90,16 +90,31 @@ StatGroup::visitCounters(
     const std::function<void(const std::string &path,
                              const Counter &ctr)> &fn) const
 {
+    std::string path;
+    visitInto(path, fn);
+}
+
+void
+StatGroup::visitInto(
+    std::string &path,
+    const std::function<void(const std::string &path,
+                             const Counter &ctr)> &fn) const
+{
     // Mirrors flattenInto: counters first, then children, both in
     // the maps' lexicographic name order, so the enumeration is
-    // deterministic and independent of registration order.
-    for (const auto &[name, ctr] : counters_)
-        fn(name, *ctr);
-    for (const auto &[name, child] : children_)
-        child->visitCounters([&](const std::string &path,
-                                 const Counter &ctr) {
-            fn(name + "." + path, ctr);
-        });
+    // deterministic and independent of registration order. One path
+    // buffer grows and shrinks along the walk.
+    const std::size_t prefix = path.size();
+    for (const auto &[name, ctr] : counters_) {
+        path.append(name);
+        fn(path, *ctr);
+        path.resize(prefix);
+    }
+    for (const auto &[name, child] : children_) {
+        path.append(name).push_back('.');
+        child->visitInto(path, fn);
+        path.resize(prefix);
+    }
 }
 
 } // namespace canon

@@ -89,8 +89,9 @@ class StatGroup
      * Visit every counter in the subtree as (flat dotted path,
      * counter), counters of a group before its children, names in
      * lexicographic order -- the deterministic enumeration the
-     * cycle sampler resolves its probes from. The visited references
-     * stay valid while the components that registered them live.
+     * cycle sampler resolves its probes from. The visited counters
+     * stay valid while the components that registered them live; the
+     * path string only during the call.
      */
     void visitCounters(
         const std::function<void(const std::string &path,
@@ -99,6 +100,12 @@ class StatGroup
   private:
     void flattenInto(const std::string &prefix,
                      std::map<std::string, std::uint64_t> &out) const;
+
+    /** visitCounters() below @p path, this group's prefix. */
+    void visitInto(std::string &path,
+                   const std::function<void(const std::string &path,
+                                            const Counter &ctr)> &fn)
+        const;
 
     std::string name_;
     std::map<std::string, Counter *> counters_;

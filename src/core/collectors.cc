@@ -31,6 +31,14 @@ SouthCollector::pendingEmpty() const
 }
 
 void
+SouthCollector::foldToColumnZero()
+{
+    chans_.resize(1);
+    expect_.resize(1);
+    folded_ = true;
+}
+
+void
 SouthCollector::tickCompute()
 {
     // One message per cycle fans out to one expected vector per column.
@@ -65,6 +73,10 @@ SouthCollector::tickCompute()
                         "SouthCollector: nonzero psum outside the "
                         "output shape at (", rid, ",", col, ")");
         }
+        panicIf(folded_ && rid >= out_->rows(),
+                "SouthCollector: psum for row ", rid,
+                " outside the output shape (folded run: the other "
+                "columns' values are unknown)");
     }
 }
 

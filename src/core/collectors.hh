@@ -58,6 +58,14 @@ class SouthCollector final
 
     bool pendingEmpty() const;
 
+    /**
+     * Collect column 0 only, for a folded run (CanonFabric::
+     * runForProfile), in which no other column's vector arrives. The
+     * other columns' values are never computed, so a psum for a row
+     * outside the output then panics whatever its value.
+     */
+    void foldToColumnZero();
+
     void tickCompute();
 
   private:
@@ -65,6 +73,7 @@ class SouthCollector final
     std::vector<DataChannel *> chans_;
     std::vector<std::deque<std::uint16_t>> expect_; // per column: rids
     WordMatrix *out_;
+    bool folded_ = false;
 };
 
 /**

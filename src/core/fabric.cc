@@ -1,5 +1,9 @@
 #include "core/fabric.hh"
 
+#include <algorithm>
+#include <array>
+#include <string_view>
+
 #include "common/rng.hh"
 #include "obs/collector.hh"
 #include "obs/sampler.hh"
@@ -71,10 +75,6 @@ CanonFabric::CanonFabric(const CanonConfig &cfg,
         orch->bindWestChannel(&horiz(r, 0));
         orch->bindMsgIn(msg_[r].get());
         orch->bindMsgOut(msg_[r + 1].get());
-        std::vector<DataChannel *> south;
-        for (int c = 0; c < cfg_.cols; ++c)
-            south.push_back(&vert(r + 1, c));
-        orch->bindSouthData(std::move(south));
         orch->bindOutRecQueue(&outRecs_[r]);
         orchs_.push_back(std::move(orch));
         for (int c = 0; c < cfg_.cols; ++c)
@@ -132,6 +132,15 @@ CanonFabric::orch(int r) const
     panicIf(r < 0 || r >= cfg_.rows, "CanonFabric::orch(", r,
             ") out of range");
     return *orchs_[r];
+}
+
+const WordMatrix &
+CanonFabric::result() const
+{
+    fatalIf(folded_, "CanonFabric::result: a folded run (runForProfile) "
+                     "computes only column 0's values; call run() to "
+                     "read the product");
+    return out_;
 }
 
 void
@@ -283,6 +292,9 @@ CanonFabric::step()
             for (auto *p : peTicks_)
                 p->tickCompute();
             break;
+          case Group::ColumnZero:
+            tickColumnZero();
+            break;
           case Group::SouthCollector:
             southCollector_->tickCompute();
             break;
@@ -331,8 +343,75 @@ CanonFabric::step()
     ++now_;
 }
 
+bool
+CanonFabric::foldable() const
+{
+    // now_ == 0: a fabric that has already stepped keeps its columns'
+    // own counters, which the fold would overwrite.
+    return now_ == 0 && !spatial_ && !probe_ && southCollector_ &&
+           !feeder_ && cfg_.cols >= 2 && !mapping_.program->writesDmem();
+}
+
+void
+CanonFabric::fold()
+{
+    folded_ = true;
+    // Column 0 ticks in the order the full run ticks it.
+    std::erase_if(peTicks_, [](const Pe *p) { return p->col() != 0; });
+    for (Pe *p : peTicks_)
+        foldRows_.push_back(
+            {p, pipes_[static_cast<std::size_t>(p->row())].get(),
+             &horiz(p->row(), 1)});
+    std::replace(computeGroups_.begin(), computeGroups_.end(), Group::Pes,
+                 Group::ColumnZero);
+    southCollector_->foldToColumnZero();
+}
+
+void
+CanonFabric::tickColumnZero()
+{
+    // Column c is column 0 delayed 3c cycles, so the full run ends
+    // once done() holds and column 0 has been quiet for the 3(cols-1)
+    // cycles the last column lags. Column 0 is busy at a cycle if a
+    // PE is not idle or the collector still drains its south edge,
+    // and at the cycle after it sends a vector east: the last column
+    // then holds that vector on the east edge. The channels between
+    // its rows cannot change while its PEs idle, and done() requires
+    // them empty.
+    bool busy = !vert(cfg_.rows, 0).empty();
+    bool sent = false;
+    for (const FoldedRow &row : foldRows_) {
+        busy |= !row.pe->idle();
+        row.pe->tickCompute();
+        sent |= row.east->pushStaged();
+        // Column 1 loads what column 0 loaded 3 cycles ago, and pops
+        // what column 0 sent east with the checks its LOAD makes.
+        if (row.pipe->tap(1).pops & dirBit(Dir::West)) {
+            (void)row.east->front();
+            row.east->pop();
+        }
+    }
+    const Cycle lag = kIssueStagger * (cfg_.cols - 1) + 1;
+    if (sent)
+        quietFrom_ = now_ + 1 + lag;
+    else if (busy)
+        quietFrom_ = now_ + lag;
+}
+
 Cycle
 CanonFabric::run(Cycle max_cycles)
+{
+    return runLoop(max_cycles, false);
+}
+
+Cycle
+CanonFabric::runForProfile(Cycle max_cycles)
+{
+    return runLoop(max_cycles, true);
+}
+
+Cycle
+CanonFabric::runLoop(Cycle max_cycles, bool may_fold)
 {
     fatalIf(!loaded_, "CanonFabric::run: no kernel loaded");
     obs::Collector *col = obs::current();
@@ -344,14 +423,21 @@ CanonFabric::run(Cycle max_cycles)
             col->accounting() ? makeAccountant() : nullptr);
         commitGroups_.push_back(Group::Probe);
     }
+    const bool folding = may_fold && !folded_ && foldable();
+    if (folding)
+        fold();
     const Cycle start = now_;
-    while (!done()) {
+    while (now_ < quietFrom_ || !done()) {
         panicIf(now_ - start >= max_cycles,
                 "CanonFabric watchdog: no completion after ", max_cycles,
                 " cycles");
         step();
     }
     const Cycle elapsed = now_ - start;
+    if (folding)
+        for (int r = 0; r < cfg_.rows; ++r)
+            for (int c = 1; c < cfg_.cols; ++c)
+                pes_[peIndex(r, c)]->mirrorCounters(*pes_[peIndex(r, 0)]);
     if (col) {
         obs::SeriesSet series;
         obs::AccountingSet accounting;
@@ -429,27 +515,43 @@ CanonFabric::profile(const std::string &workload) const
     p.workload = workload;
     p.cycles = now_;
     p.peCount = static_cast<std::uint64_t>(cfg_.numPes());
-    p.add("laneMacs", stats_.sumCounter("macOps"));
-    p.add("aluOps", stats_.sumCounter("aluOps"));
-    p.add("dmemReads", stats_.sumCounter("dmemReads"));
-    p.add("dmemWrites", stats_.sumCounter("dmemWrites"));
-    p.add("spadReads", stats_.sumCounter("spadReads"));
-    p.add("spadWrites", stats_.sumCounter("spadWrites"));
-    p.add("routerHops", stats_.sumCounter("routerHops"));
-    p.add("regReads", stats_.sumCounter("regReads"));
-    p.add("regWrites", stats_.sumCounter("regWrites"));
-    p.add("lutLookups", stats_.sumCounter("lutLookups"));
-    p.add("bufferSearches", stats_.sumCounter("bufferSearches"));
-    p.add("tagCompares", stats_.sumCounter("tagCompares"));
-    p.add("spadResidentSum", stats_.sumCounter("spadResidentSum"));
-    p.add("spadCapCycles", stats_.sumCounter("spadCapCycles"));
-    p.add("stateTransitions", stats_.sumCounter("stateTransitions"));
-    p.add("orchCycles",
-          static_cast<std::uint64_t>(cfg_.rows) * now_);
-    // Every issued instruction traverses the whole row's dedicated
-    // instruction NoC.
-    p.add("instHops", stats_.sumCounter("instIssued") *
-                          static_cast<std::uint64_t>(cfg_.cols));
+
+    // Each key sums one counter name over the fabric, in one pass.
+    // instIssued is last: every issued instruction traverses the whole
+    // row's dedicated instruction NoC.
+    static constexpr std::array<std::pair<std::string_view, const char *>,
+                                16>
+        kSums{{{"macOps", "laneMacs"},
+               {"aluOps", "aluOps"},
+               {"dmemReads", "dmemReads"},
+               {"dmemWrites", "dmemWrites"},
+               {"spadReads", "spadReads"},
+               {"spadWrites", "spadWrites"},
+               {"routerHops", "routerHops"},
+               {"regReads", "regReads"},
+               {"regWrites", "regWrites"},
+               {"lutLookups", "lutLookups"},
+               {"bufferSearches", "bufferSearches"},
+               {"tagCompares", "tagCompares"},
+               {"spadResidentSum", "spadResidentSum"},
+               {"spadCapCycles", "spadCapCycles"},
+               {"stateTransitions", "stateTransitions"},
+               {"instIssued", "instHops"}}};
+    std::array<std::uint64_t, kSums.size()> sums{};
+    stats_.visitCounters([&](const std::string &path, const Counter &ctr) {
+        const std::string_view leaf =
+            std::string_view(path).substr(path.rfind('.') + 1);
+        for (std::size_t i = 0; i < kSums.size(); ++i) {
+            if (kSums[i].first == leaf) {
+                sums[i] += ctr.value();
+                return;
+            }
+        }
+    });
+    sums.back() *= static_cast<std::uint64_t>(cfg_.cols);
+    for (std::size_t i = 0; i < kSums.size(); ++i)
+        p.add(kSums[i].second, sums[i]);
+    p.add("orchCycles", static_cast<std::uint64_t>(cfg_.rows) * now_);
     return p;
 }
 

@@ -22,6 +22,15 @@
  * commit phase channels, pipelines and PEs publish them. So the order
  * groups and their members tick in within a phase cannot be observed,
  * which the shuffle seed proves.
+ *
+ * A caller that wants only the cycles and the counters calls
+ * runForProfile() instead of run(). When the fabric can, it then runs
+ * *folded*: only column 0 ticks, since PE column c repeats column 0's
+ * pops, pushes, counters and panics exactly 3c cycles later (the
+ * orchestrators never read data values, and a streaming PE never
+ * stalls). The run ends when the full one would, and every other PE
+ * then takes its row's column-0 counters, so cycles, profile and stats
+ * are identical to run()'s; only result() is gone.
  */
 
 #ifndef CANON_CORE_FABRIC_HH
@@ -78,13 +87,24 @@ class CanonFabric
      */
     Cycle run(Cycle max_cycles = 500'000'000);
 
+    /**
+     * run() for a caller that never reads result(): folded (see the
+     * file comment) when the fabric has not stepped yet, is in
+     * streaming mode, unobserved (no obs probe), collects at the south
+     * edge with no north feed, has two or more columns, and runs a
+     * program that cannot write data memory (a data-memory write
+     * checks its value, which only column 0 computes). Otherwise it is
+     * run(). After a folded run result() is fatal.
+     */
+    Cycle runForProfile(Cycle max_cycles = 500'000'000);
+
     /** Advance exactly one cycle: the compute, then the commit phase. */
     void step();
 
     Cycle cycles() const { return now_; }
 
-    /** The assembled output matrix. */
-    const WordMatrix &result() const { return out_; }
+    /** The assembled output matrix; fatal after a folded run. */
+    const WordMatrix &result() const;
 
     // ---- spatial mode (Appendix D) -----------------------------------
     /**
@@ -135,6 +155,16 @@ class CanonFabric
         EdgeSink,
         NorthFeeder,
         Probe,
+        ColumnZero, //!< the compute phase's Pes group, folded
+    };
+
+    /** One row of a folded run: its column-0 PE, the row's pipeline,
+     *  and the channel from column 0 into column 1. */
+    struct FoldedRow
+    {
+        Pe *pe;
+        const InstPipeline *pipe;
+        DataChannel *east;
     };
 
     int peIndex(int r, int c) const { return r * cfg_.cols + c; }
@@ -160,6 +190,18 @@ class CanonFabric
     }
 
     bool channelsDrained() const;
+
+    Cycle runLoop(Cycle max_cycles, bool may_fold);
+
+    /** Whether this fabric may run folded (runForProfile()). */
+    bool foldable() const;
+
+    /** Switch the loaded fabric to folded ticking. */
+    void fold();
+
+    /** The compute phase of a folded run's PEs: column 0, and column
+     *  1's pops of what column 0 sends east. */
+    void tickColumnZero();
 
     /** A cycle accountant over every component (--cycle-accounting). */
     std::unique_ptr<obs::CycleAccountant> makeAccountant() const;
@@ -222,9 +264,25 @@ class CanonFabric
      */
     std::vector<DataChannel *> dirtyData_;
 
+    /**
+     * A folded run's rows, in the order the PEs group ticks column 0.
+     * Empty unless folded.
+     */
+    std::vector<FoldedRow> foldRows_;
+
+    /**
+     * The first cycle a folded run may end: 3(cols - 1) + 1 cycles
+     * after the last one at which column 0 was busy -- a PE not idle,
+     * a vector at its south edge, or a vector sent east the cycle
+     * before -- so that the last column is quiet too. 0 when not
+     * folded.
+     */
+    Cycle quietFrom_ = 0;
+
     std::uint64_t shuffleSeed_ = 0;
     bool loaded_ = false;
     bool spatial_ = false;
+    bool folded_ = false;
 };
 
 } // namespace canon

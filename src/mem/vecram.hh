@@ -74,6 +74,18 @@ class VecRam
         ++writes_;
     }
 
+    /**
+     * Add @p src's access counts to this memory's, which are still
+     * zero: a PE the folded run never ticked takes its row's column-0
+     * counts (CanonFabric::runForProfile).
+     */
+    void
+    mirrorCounters(const VecRam &src)
+    {
+        reads_ += src.reads_.value();
+        writes_ += src.writes_.value();
+    }
+
     /** Direct initialization (data placement before execution). */
     void
     poke(int slot, const Vec4 &v)

@@ -49,6 +49,9 @@ class ChannelFifo
     bool empty() const { return size_ == 0; }
     std::size_t size() const { return size_; }
 
+    /** True when a push is staged this cycle, until the commit. */
+    bool pushStaged() const { return staged_ != 0; }
+
     /**
      * Space check for a producer this cycle. Conservative: staged pushes
      * count against capacity, staged pops do not free space until the

@@ -104,6 +104,10 @@ class Router
         return ch && ch->canPush();
     }
 
+    /** Add @p src's hop count to this router's, which is still zero
+     *  (see VecRam::mirrorCounters). */
+    void mirrorCounters(const Router &src) { hops_ += src.hops_.value(); }
+
   private:
     std::array<DataChannel *, kNumDirs> in_{};
     std::array<DataChannel *, kNumDirs> out_{};

@@ -160,15 +160,6 @@ Orchestrator::evalAddr(const AddrMode &m, const MetaToken &token,
     panic("Orchestrator ", name_, ": bad address mode");
 }
 
-bool
-Orchestrator::southHasSpace() const
-{
-    for (auto *ch : southData_)
-        if (!ch->canPush())
-            return false;
-    return !msgOut_ || msgOut_->canPush();
-}
-
 void
 Orchestrator::applyMetaUpdate(int reg, const MetaUpdate &u,
                               const MetaToken &token, const OrchMsg &msg)
@@ -249,8 +240,11 @@ Orchestrator::tickCompute()
     const OutputFields &f = prog_->lut().lookup(idx);
     ++lutLookups_;
 
-    // 3. Structural stall: actions that push south wait for space.
-    if (f.stallable && !southHasSpace()) {
+    // 3. Structural stall: actions that push south wait for space in
+    //    the message window. Every southbound vector is announced by
+    //    one message, so the window also bounds the data channels
+    //    (kChannelDepth in noc/router.hh) and is the only check.
+    if (f.stallable && msgOut_ && !msgOut_->canPush()) {
         ++stallCycles_;
         pipe_->issue(nopInst());
         return;

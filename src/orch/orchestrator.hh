@@ -15,11 +15,11 @@
  *      state-meta updates, buffer push/pop, stream/message consumption,
  *      west-edge data injection, and the FSM state transition.
  *
- * If the emitted action needs space in the southbound channels and
- * none is available, the orchestrator stalls in place (issues a NOP
- * and re-evaluates next cycle); stall propagation between rows is how
- * load imbalance manifests, which the scratchpad depth then absorbs
- * (Section 6.5 / Figure 17).
+ * If the emitted action pushes south and the message window to the
+ * southern orchestrator is full, the orchestrator stalls in place
+ * (issues a NOP and re-evaluates next cycle); stall propagation
+ * between rows is how load imbalance manifests, which the scratchpad
+ * depth then absorbs (Section 6.5 / Figure 17).
  *
  * An OrchPolicy layers scheduling knobs over the kernel microcode:
  * the tag buffer's associative search can be banked (--tag-banks),
@@ -66,10 +66,6 @@ class Orchestrator final
     void bindWestChannel(DataChannel *ch) { westChan_ = ch; }
     void bindMsgIn(MsgChannel *ch) { msgIn_ = ch; }
     void bindMsgOut(MsgChannel *ch) { msgOut_ = ch; }
-    void bindSouthData(std::vector<DataChannel *> chans)
-    {
-        southData_ = std::move(chans);
-    }
     void bindOutRecQueue(std::deque<OutRec> *q) { outRecs_ = q; }
 
     // ---- programming (done by the kernel mapper before execution) ----
@@ -110,7 +106,6 @@ class Orchestrator final
                            const OrchMsg &msg) const;
     Addr evalAddr(const AddrMode &m, const MetaToken &token,
                   const OrchMsg &msg);
-    bool southHasSpace() const;
     void applyMetaUpdate(int reg, const MetaUpdate &u,
                          const MetaToken &token, const OrchMsg &msg);
     bool holdMergeMsg(const MetaToken &token, const OrchMsg &msg);
@@ -141,7 +136,6 @@ class Orchestrator final
     DataChannel *westChan_ = nullptr;
     MsgChannel *msgIn_ = nullptr;
     MsgChannel *msgOut_ = nullptr;
-    std::vector<DataChannel *> southData_;
     std::deque<OutRec> *outRecs_ = nullptr;
 
     // Statistics.

@@ -177,6 +177,28 @@ Rule::matches(std::uint8_t msg_id, std::uint8_t cond_bits) const
 // OrchProgram
 // ---------------------------------------------------------------------
 
+namespace
+{
+
+/** True if @p m can generate a data-memory address. */
+bool
+reachesDmem(const AddrMode &m)
+{
+    namespace as = addrspace;
+    switch (m.kind) {
+      case AddrMode::Kind::Fixed:
+        return as::region(m.base) == AddrRegion::Dmem;
+      case AddrMode::Kind::Indexed:
+        // base + ((value & mask) << shift), wrapping at 16 bits.
+        return m.base < as::kDmemBase + as::kDmemSize || m.shift >= 16 ||
+               m.base + (std::uint32_t{m.mask} << m.shift) > 0xFFFF;
+      default: // Null, Zero and the scratchpad modes
+        return false;
+    }
+}
+
+} // namespace
+
 OrchProgram::OrchProgram(std::string name) : name_(std::move(name))
 {
     // Mode index 0 is always the neutral entry so unset fields decode
@@ -276,6 +298,26 @@ OrchProgram::compile()
             }
         }
     }
+    const auto dmem = [this](int mode) {
+        return mode < static_cast<int>(addrModes_.size()) &&
+               reachesDmem(addrModes_[static_cast<std::size_t>(mode)]);
+    };
+    writesDmem_ = std::any_of(rules_.begin(), rules_.end(),
+                              [&](const Rule &r) {
+        const OutputFields &f = r.fields();
+        switch (f.peOp) {
+          case OpCode::VFlush:
+            return dmem(f.op1Mode) || dmem(f.resMode);
+          case OpCode::SvMac:
+          case OpCode::VvMac:
+          case OpCode::VvMacW:
+          case OpCode::VAdd:
+          case OpCode::VMov:
+            return dmem(f.resMode);
+          default: // Nop and Hold write nothing; LOAD rejects the rest
+            return false;
+        }
+    });
     compiled_ = true;
 }
 

@@ -131,6 +131,14 @@ class OrchProgram
 
     bool compiled() const { return compiled_; }
 
+    /**
+     * True unless no rule can write data memory: none names a
+     * data-memory address (or an indexed mode that can reach one) as
+     * the result of a writing op or as a VFlush's recycled op1. Known
+     * once compiled.
+     */
+    bool writesDmem() const { return writesDmem_; }
+
     // ---- runtime accessors (every orchestrator tick: inline) --------
     const FsmLut &lut() const { return lut_; }
 
@@ -197,6 +205,7 @@ class OrchProgram
     std::uint16_t condConst_ = 0;
     std::uint16_t condConstB_ = 0;
     std::uint8_t mergeMsgId_ = 0; // kMsgNone
+    bool writesDmem_ = true;
     bool compiled_ = false;
 };
 

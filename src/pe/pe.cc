@@ -27,10 +27,17 @@ Pe::Pe(const PeGeometry &geo, int dmem_slots, int spad_slots,
     stats.add("regWrites", regWrites_);
 }
 
-bool
-Pe::idle() const
+void
+Pe::mirrorCounters(const Pe &src)
 {
-    return !ld_->valid && !ex_->valid;
+    busyCycles_ += src.busyCycles_.value();
+    macOps_ += src.macOps_.value();
+    aluOps_ += src.aluOps_.value();
+    regReads_ += src.regReads_.value();
+    regWrites_ += src.regWrites_.value();
+    dmem_.mirrorCounters(src.dmem_);
+    spad_.mirrorCounters(src.spad_);
+    router_.mirrorCounters(src.router_);
 }
 
 void

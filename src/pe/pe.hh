@@ -81,10 +81,11 @@ class Pe final
 
     /**
      * True iff no instruction is in flight in the pipeline. Read it
-     * between cycles: tickCompute() refills a stage register in place,
-     * and the pair is consistent again only after tickCommit().
+     * before the PE's tickCompute() of a cycle: that refills a stage
+     * register in place, and the pair is consistent again only after
+     * tickCommit().
      */
-    bool idle() const;
+    bool idle() const { return !ld_->valid && !ex_->valid; }
 
     /** Counter read for the obs cycle accountant (a cycle with no
      *  busyCycles delta is an idle cycle). */
@@ -95,6 +96,14 @@ class Pe final
 
     int row() const { return geo_.row; }
     int col() const { return geo_.col; }
+
+    /**
+     * Add every counter of @p src, its memories' and its router's to
+     * this PE's, all still zero: a PE the folded run never ticked
+     * repeats its row's column 0 exactly, 3 cycles per column later
+     * (CanonFabric::runForProfile).
+     */
+    void mirrorCounters(const Pe &src);
 
     void tickCompute();
 

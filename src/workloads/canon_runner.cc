@@ -76,9 +76,13 @@ CanonRunner::runFabric(KernelMapping mapping, const std::string &kernel,
 {
     CanonFabric fabric(cfg_);
     fabric.load(std::move(mapping));
-    fabric.run();
-    if (result_out)
+    if (result_out) {
+        fabric.run();
         *result_out = fabric.result();
+    } else {
+        // The product is discarded: let the fabric fold its columns.
+        fabric.runForProfile();
+    }
     return fabric.profile(kernel);
 }
 

@@ -10,6 +10,10 @@
  *    pass, A re-streamed) but simulates one: the orchestrators turn
  *    meta tokens into control and never read data values, so every
  *    pass repeats the first pass's cycles and activity exactly,
+ *  - runs that fabric folded (CanonFabric::runForProfile) whenever it
+ *    discards the product: for the same reason, PE column c repeats
+ *    column 0 three cycles per column later, so only column 0 is
+ *    simulated and the profile is unchanged,
  *  - for very large shapes simulates a statistically representative
  *    proxy (full K so per-row-slice populations are authentic; M
  *    capped) and scales cycles/activity by the exact replication
@@ -147,7 +151,8 @@ class CanonRunner
      * The one place a workload builds, loads and runs a fabric: a
      * fresh fabric loaded with @p mapping and run to completion. Its
      * profile comes back under @p kernel, and its result matrix lands
-     * in @p result_out when given.
+     * in @p result_out when given; without @p result_out the fabric
+     * may run folded.
      */
     ExecutionProfile runFabric(KernelMapping mapping,
                                const std::string &kernel,
