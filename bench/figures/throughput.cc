@@ -125,7 +125,7 @@ canonThroughput(int rows, int cols, SpadFlushPolicy flush, int a_rows,
     Rng rng(1);
     const auto a = randomSparse(a_rows, a_cols, sparsity, rng);
     const auto b = randomDense(a_cols, cfg.cols * kSimdWidth, rng);
-    const auto mapping = mapSpmm(CsrMatrix::fromDense(a), b, cfg);
+    const auto mapping = mapSpmm(a, b, cfg);
     return timeLoop(iterations, "sim-cycles/s", [&]() {
         CanonFabric fabric(cfg);
         fabric.load(mapping);

@@ -31,8 +31,7 @@ main()
 {
     // --- 1. a 60%-sparse A (64x64) and dense B (64x32) -------------
     Rng rng(/*seed=*/42);
-    const auto a_dense = randomSparse(64, 64, /*sparsity=*/0.6, rng);
-    const auto a = CsrMatrix::fromDense(a_dense);
+    const auto a = randomSparse(64, 64, /*sparsity=*/0.6, rng);
     const auto b = randomDense(64, 32, rng);
     std::cout << "A: 64x64, " << a.nnz() << " non-zeros ("
               << static_cast<int>(a.sparsity() * 100) << "% sparse)\n";

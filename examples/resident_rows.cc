@@ -2,17 +2,18 @@
  * @file
  * Measure the per-resident-row cycle cost curve that justifies the
  * proxy-row caps (kMinProxyRows / kMinProxyRowsAdaptive /
- * effectiveProxyRows) in the CanonRunner scaling model.
+ * proxyRowCap) in the CanonRunner scaling model.
  *
- * For 16x16 and 32x32 fabrics, this drives a large synthetic SpMM
- * through CanonRunner with explicit CanonRunOptions::maxProxyRows
- * overrides, under both scratchpad flush policies (--spad-flush
- * eager | adaptive). A Collector from the obs layer is installed
- * around each run: the scaling model reports *scaled* cycles, but
- * FabricRunObs records the raw simulated cycles of the proxy itself,
- * which is what the per-row cost is defined over. The flat stats of
- * the same observation give the scratchpad cap-pressure share that
- * explains the shape of each curve.
+ * For 16x16 and 32x32 fabrics, this simulates the proxy that
+ * CanonRunner::run would draw for a large synthetic SpMM if its row
+ * cap were R, for R = 256..4096, under both scratchpad flush policies
+ * (--spad-flush eager | adaptive): from Rng(42), an R x 128 A at 70%
+ * sparsity, then a dense 128 x (cols x 4) B, run through
+ * CanonRunner::spmmExact. A Collector from the obs layer is installed
+ * around each run: FabricRunObs records the raw simulated cycles of
+ * the proxy, which is what the per-row cost is defined over. The flat
+ * stats of the same observation give the scratchpad cap-pressure
+ * share that explains the shape of each curve.
  *
  * Output: an aligned table on stdout and resident_rows.csv in the
  * CWD (consumed by docs/resident_rows.md).
@@ -47,15 +48,13 @@ measure(int fabric, int resident_rows, canon::SpadFlushPolicy flush)
     cfg.cols = fabric;
     cfg.spadFlush = flush;
 
-    canon::CanonRunOptions opt;
-    opt.maxProxyRows = resident_rows;
-
-    // M far beyond every cap so the proxy path always engages and the
-    // simulated row count is exactly the override; full K so row-slice
-    // populations are authentic, one column pass.
-    const std::int64_t m = 1 << 20;
-    const std::int64_t k = 128;
-    const std::int64_t n = fabric * canon::kSimdWidth;
+    // What run() simulates for an M far beyond every cap: R rows of
+    // the full K = 128 (so row-slice populations are authentic) and
+    // one column pass, drawn A then B from one Rng(seed).
+    const int k = 128;
+    canon::Rng rng(42);
+    const auto a = canon::randomSparse(resident_rows, k, 0.7, rng);
+    const auto b = canon::randomDense(k, fabric * canon::kSimdWidth, rng);
 
     canon::obs::ObsOptions obs_opt;
     obs_opt.statsJsonOut = "(memory)"; // enables flat-stats capture;
@@ -64,9 +63,7 @@ measure(int fabric, int resident_rows, canon::SpadFlushPolicy flush)
     std::shared_ptr<const canon::obs::ScenarioObs> seen;
     {
         canon::obs::ScopedCollector scope(col);
-        canon::CanonRunner runner(cfg);
-        (void)runner.run({"spmm", canon::Workload::Spmm, m, k, n, 0.7},
-                         42, opt);
+        (void)canon::CanonRunner(cfg).spmmExact(a, b);
         seen = col.finish();
     }
 

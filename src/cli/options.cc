@@ -8,6 +8,7 @@
 
 #include "common/logging.hh"
 #include "common/parse.hh"
+#include "isa/address_space.hh"
 #include "workloads/models.hh"
 
 namespace canon
@@ -195,9 +196,14 @@ constexpr OptionRule kOptionTable[] = {
      }},
     intOption<&Options::window, 1, kMaxDim>("window", Scenario),
     intOption<&Options::seed, 0, kMaxSeed>("seed", Scenario),
-    intOption<&CanonConfig::rows, 1, 1024>("rows", Fabric),
-    intOption<&CanonConfig::cols, 1, 1024>("cols", Fabric),
-    intOption<&CanonConfig::spadEntries, 1, 65536>("spad", Fabric),
+    // Fabric options accept only fabrics that can run: CanonFabric
+    // takes at most kSpadSize psum entries and kDmemSize slots per PE.
+    // 64 is the widest side any figure (8x64), example or test builds;
+    // a 1024x1024 fabric's data memories alone would take 4 GB.
+    intOption<&CanonConfig::rows, 1, 64>("rows", Fabric),
+    intOption<&CanonConfig::cols, 1, 64>("cols", Fabric),
+    intOption<&CanonConfig::spadEntries, 1, addrspace::kSpadSize>("spad",
+                                                                  Fabric),
     intOption<&CanonConfig::tagBanks, 1, 64>("tag-banks", Fabric),
     {"spad-flush", Fabric,
      [](Options &o, Arg, Arg v) -> std::string {
@@ -209,7 +215,8 @@ constexpr OptionRule kOptionTable[] = {
      [](const Options &o) -> std::string {
          return spadFlushName(o.fabric.spadFlush);
      }},
-    intOption<&CanonConfig::dmemSlots, 1, 1 << 26>("dmem", Fabric),
+    intOption<&CanonConfig::dmemSlots, 1, addrspace::kDmemSize>("dmem",
+                                                                Fabric),
     // Scales the stored profiles' time/energy/power cells at display
     // time, so one cached result serves every clock.
     {"clock-ghz", Render,

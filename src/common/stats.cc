@@ -59,11 +59,12 @@ std::uint64_t
 StatGroup::sumCounter(const std::string &leaf) const
 {
     std::uint64_t total = 0;
-    auto it = counters_.find(leaf);
-    if (it != counters_.end())
-        total += it->second->value();
-    for (const auto &[_, child] : children_)
-        total += child->sumCounter(leaf);
+    visitCounters([&](const std::string &path, const Counter &ctr) {
+        // The counter's own name is the path after its last '.'
+        // (npos + 1 == 0 when it sits at the top).
+        if (path.compare(path.rfind('.') + 1, std::string::npos, leaf) == 0)
+            total += ctr.value();
+    });
     return total;
 }
 
@@ -71,18 +72,10 @@ std::map<std::string, std::uint64_t>
 StatGroup::flatten() const
 {
     std::map<std::string, std::uint64_t> out;
-    flattenInto("", out);
+    visitCounters([&](const std::string &path, const Counter &ctr) {
+        out.emplace(path, ctr.value());
+    });
     return out;
-}
-
-void
-StatGroup::flattenInto(const std::string &prefix,
-                       std::map<std::string, std::uint64_t> &out) const
-{
-    for (const auto &[name, ctr] : counters_)
-        out[prefix + name] = ctr->value();
-    for (const auto &[name, child] : children_)
-        child->flattenInto(prefix + name + ".", out);
 }
 
 void
@@ -100,10 +93,10 @@ StatGroup::visitInto(
     const std::function<void(const std::string &path,
                              const Counter &ctr)> &fn) const
 {
-    // Mirrors flattenInto: counters first, then children, both in
-    // the maps' lexicographic name order, so the enumeration is
-    // deterministic and independent of registration order. One path
-    // buffer grows and shrinks along the walk.
+    // Counters first, then children, both in the maps' lexicographic
+    // name order, so the enumeration is deterministic and independent
+    // of registration order. One path buffer grows and shrinks along
+    // the walk.
     const std::size_t prefix = path.size();
     for (const auto &[name, ctr] : counters_) {
         path.append(name);

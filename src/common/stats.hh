@@ -98,9 +98,6 @@ class StatGroup
                                  const Counter &ctr)> &fn) const;
 
   private:
-    void flattenInto(const std::string &prefix,
-                     std::map<std::string, std::uint64_t> &out) const;
-
     /** visitCounters() below @p path, this group's prefix. */
     void visitInto(std::string &path,
                    const std::function<void(const std::string &path,

@@ -21,6 +21,25 @@ nonZeroValue(Rng &rng, int magnitude)
     }
 }
 
+/**
+ * Walk a rows x cols matrix in row-major order: each entry is live
+ * unless rng.nextBool(its row's sparsity -- @p sparsity_even on even
+ * rows, @p sparsity_odd on odd ones), and a live entry takes
+ * @p value().
+ */
+template <typename Value>
+CsrMatrix
+drawCsr(int rows, int cols, double sparsity_even, double sparsity_odd,
+        Rng &rng, Value value)
+{
+    return CsrMatrix::fromRows(rows, cols, [&](int r, auto push) {
+        const double sp = r % 2 == 0 ? sparsity_even : sparsity_odd;
+        for (int c = 0; c < cols; ++c)
+            if (!rng.nextBool(sp))
+                push(c, value());
+    });
+}
+
 } // namespace
 
 DenseMatrix
@@ -33,32 +52,21 @@ randomDense(int rows, int cols, Rng &rng, int magnitude)
     return m;
 }
 
-DenseMatrix
+CsrMatrix
 randomSparse(int rows, int cols, double sparsity, Rng &rng, int magnitude)
 {
     fatalIf(sparsity < 0.0 || sparsity > 1.0,
             "sparsity must be in [0,1], got ", sparsity);
-    DenseMatrix m(rows, cols);
-    // Row-major storage: one in-order pass draws the same stream as an
-    // (r, c) walk.
-    for (Elem &v : m.data())
-        if (!rng.nextBool(sparsity))
-            v = nonZeroValue(rng, magnitude);
-    return m;
+    return drawCsr(rows, cols, sparsity, sparsity, rng,
+                   [&] { return nonZeroValue(rng, magnitude); });
 }
 
-DenseMatrix
+CsrMatrix
 randomSparseBimodal(int rows, int cols, double sparsity_a,
                     double sparsity_b, Rng &rng, int magnitude)
 {
-    DenseMatrix m(rows, cols);
-    for (int r = 0; r < rows; ++r) {
-        const double sp = (r % 2 == 0) ? sparsity_a : sparsity_b;
-        for (int c = 0; c < cols; ++c)
-            if (!rng.nextBool(sp))
-                m.at(r, c) = nonZeroValue(rng, magnitude);
-    }
-    return m;
+    return drawCsr(rows, cols, sparsity_a, sparsity_b, rng,
+                   [&] { return nonZeroValue(rng, magnitude); });
 }
 
 DenseMatrix
@@ -101,9 +109,8 @@ CsrMatrix
 slidingWindowMask(int query_len, int key_len, int window)
 {
     fatalIf(window <= 0, "window must be positive, got ", window);
-    CsrMatrix mask(query_len, key_len);
     const int half = window / 2;
-    for (int i = 0; i < query_len; ++i) {
+    return CsrMatrix::fromRows(query_len, key_len, [&](int i, auto push) {
         // Centre of the band for query i, in key coordinates.
         const int centre = key_len == query_len
                                ? i
@@ -114,9 +121,8 @@ slidingWindowMask(int query_len, int key_len, int window)
         const int lo = std::max(0, centre - half);
         const int hi = std::min(key_len - 1, centre + half);
         for (int j = lo; j <= hi; ++j)
-            mask.append(i, j, 1);
-    }
-    return mask;
+            push(j, 1);
+    });
 }
 
 CsrMatrix
@@ -124,12 +130,8 @@ randomMask(int rows, int cols, double sparsity, Rng &rng)
 {
     fatalIf(sparsity < 0.0 || sparsity > 1.0,
             "sparsity must be in [0,1], got ", sparsity);
-    CsrMatrix mask(rows, cols);
-    for (int r = 0; r < rows; ++r)
-        for (int c = 0; c < cols; ++c)
-            if (!rng.nextBool(sparsity))
-                mask.append(r, c, 1);
-    return mask;
+    return drawCsr(rows, cols, sparsity, sparsity, rng,
+                   [] { return Elem{1}; });
 }
 
 } // namespace canon

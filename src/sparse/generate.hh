@@ -13,7 +13,9 @@
  *  - sliding-window (diagonal band) output masks for window attention.
  *
  * Values are small nonzero INT8s so that INT32 accumulation is exact
- * for every problem size used in tests and benches.
+ * for every problem size used in tests and benches. Sparse operands and
+ * masks come back as CSR, filled row by row in one row-major pass that
+ * makes exactly the draws an (r, c) walk over the dense matrix would.
  */
 
 #ifndef CANON_SPARSE_GENERATE_HH
@@ -33,8 +35,8 @@ DenseMatrix randomDense(int rows, int cols, Rng &rng, int magnitude = 4);
  * (1 - sparsity), independently. Per-row nnz therefore varies -- the
  * imbalance Canon's buffer management is designed to absorb.
  */
-DenseMatrix randomSparse(int rows, int cols, double sparsity, Rng &rng,
-                         int magnitude = 4);
+CsrMatrix randomSparse(int rows, int cols, double sparsity, Rng &rng,
+                       int magnitude = 4);
 
 /**
  * Skewed sparse matrix: alternating rows at @p sparsity_a and
@@ -42,9 +44,9 @@ DenseMatrix randomSparse(int rows, int cols, double sparsity, Rng &rng,
  * activation tensors, where row-granular accelerators hit their
  * long-row balancing cliff (Section 6.2's S3 discussion).
  */
-DenseMatrix randomSparseBimodal(int rows, int cols, double sparsity_a,
-                                double sparsity_b, Rng &rng,
-                                int magnitude = 4);
+CsrMatrix randomSparseBimodal(int rows, int cols, double sparsity_a,
+                              double sparsity_b, Rng &rng,
+                              int magnitude = 4);
 
 /**
  * N:M structured sparsity: exactly @p n nonzeros in every aligned group
@@ -65,7 +67,10 @@ bool conformsToNm(const DenseMatrix &a, int n, int m);
  */
 CsrMatrix slidingWindowMask(int query_len, int key_len, int window);
 
-/** Random unstructured binary mask with target output sparsity. */
+/**
+ * Random unstructured binary mask with target output sparsity: the
+ * entry draws of randomSparse, with every live value 1.
+ */
 CsrMatrix randomMask(int rows, int cols, double sparsity, Rng &rng);
 
 } // namespace canon

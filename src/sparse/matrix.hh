@@ -104,20 +104,41 @@ using WordMatrix = Matrix<Word>;
 /**
  * Compressed Sparse Row matrix with INT8 values. The canonical exchange
  * format between generators, the Canon meta-data streams, and the
- * baseline accelerator models.
+ * baseline accelerator models: the orchestrators turn its sparse
+ * coordinates into control, so every sparse operand is built in this
+ * form, once, row by row through fromRows().
  */
 class CsrMatrix
 {
   public:
-    CsrMatrix() : rowPtr_(1, 0) {}
-
-    CsrMatrix(int rows, int cols) : rows_(rows), cols_(cols)
+    /**
+     * Build complete rows in order: @p fill(r, push) runs once for
+     * each r in [0, rows) and calls push(col, value) for each entry of
+     * row r. Panics on a column outside [0, cols), a column that does
+     * not ascend within its row, or an explicit zero.
+     */
+    template <typename Fill>
+    static CsrMatrix
+    fromRows(int rows, int cols, Fill fill)
     {
-        rowPtr_.assign(static_cast<std::size_t>(rows) + 1, 0);
+        CsrMatrix m(rows, cols);
+        for (int r = 0; r < rows; ++r) {
+            const std::size_t first = m.colIdx_.size();
+            fill(r, [&](int col, Elem value) {
+                panicIf(col < 0 || col >= cols, "CsrMatrix: col ", col,
+                        " out of ", cols, " in row ", r);
+                panicIf(m.colIdx_.size() > first && col <= m.colIdx_.back(),
+                        "CsrMatrix: columns must ascend within row ", r);
+                panicIf(value == 0, "CsrMatrix: explicit zero at (", r, ",",
+                        col, ")");
+                m.colIdx_.push_back(col);
+                m.values_.push_back(value);
+            });
+            m.rowPtr_[static_cast<std::size_t>(r) + 1] =
+                static_cast<std::int32_t>(m.colIdx_.size());
+        }
+        return m;
     }
-
-    /** Build from a dense matrix, dropping zeros. */
-    static CsrMatrix fromDense(const DenseMatrix &d);
 
     int rows() const { return rows_; }
     int cols() const { return cols_; }
@@ -126,21 +147,11 @@ class CsrMatrix
     int
     rowNnz(int r) const
     {
-        syncRowPtr();
         return rowPtr_[static_cast<std::size_t>(r) + 1] -
                rowPtr_[static_cast<std::size_t>(r)];
     }
 
-    /** Append an entry; rows must be appended in order, cols ascending. */
-    void append(int row, int col, Elem value);
-
-    const std::vector<std::int32_t> &
-    rowPtr() const
-    {
-        syncRowPtr();
-        return rowPtr_;
-    }
-
+    const std::vector<std::int32_t> &rowPtr() const { return rowPtr_; }
     const std::vector<std::int32_t> &colIdx() const { return colIdx_; }
     const std::vector<Elem> &values() const { return values_; }
 
@@ -153,18 +164,18 @@ class CsrMatrix
     }
 
   private:
-    /** Patch rowPtr entries past the construction cursor (lazy append). */
-    void syncRowPtr() const;
+    CsrMatrix(int rows, int cols) : rows_(rows), cols_(cols)
+    {
+        panicIf(rows < 0 || cols < 0, "CsrMatrix: negative shape ", rows,
+                "x", cols);
+        rowPtr_.assign(static_cast<std::size_t>(rows) + 1, 0);
+    }
 
     int rows_ = 0;
     int cols_ = 0;
-    mutable std::vector<std::int32_t> rowPtr_;
+    std::vector<std::int32_t> rowPtr_;
     std::vector<std::int32_t> colIdx_;
     std::vector<Elem> values_;
-
-    /** Last row touched by append(); -1 when empty / fully synced. */
-    int cursorRow_ = -1;
-    mutable bool dirty_ = false;
 };
 
 } // namespace canon

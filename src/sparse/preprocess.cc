@@ -47,14 +47,12 @@ permuteRows(const CsrMatrix &a, const RowPermutation &p)
 {
     panicIf(static_cast<int>(p.perm.size()) != a.rows(),
             "permuteRows: size mismatch");
-    CsrMatrix out(a.rows(), a.cols());
     const auto &rp = a.rowPtr();
-    for (int nr = 0; nr < a.rows(); ++nr) {
+    return CsrMatrix::fromRows(a.rows(), a.cols(), [&](int nr, auto push) {
         const int orig = p.perm[static_cast<std::size_t>(nr)];
         for (auto i = rp[orig]; i < rp[orig + 1]; ++i)
-            out.append(nr, a.colIdx()[i], a.values()[i]);
-    }
-    return out;
+            push(a.colIdx()[i], a.values()[i]);
+    });
 }
 
 } // namespace canon

@@ -35,10 +35,8 @@ spmmOffchipBytes(std::uint64_t nnz, std::int64_t m, std::int64_t k,
 } // namespace
 
 int
-CanonRunOptions::effectiveProxyRows(const CanonConfig &cfg) const
+proxyRowCap(const CanonConfig &cfg)
 {
-    if (maxProxyRows > 0)
-        return maxProxyRows;
     const int base = cfg.spadFlush == SpadFlushPolicy::Adaptive
                          ? kMinProxyRowsAdaptive
                          : kMinProxyRows;
@@ -50,7 +48,7 @@ CanonRunOptions::effectiveProxyRows(const CanonConfig &cfg) const
 
 ProxyPlan
 CanonRunner::plan(std::int64_t m, std::int64_t depth, std::int64_t n,
-                  int quantum, const CanonRunOptions &opt) const
+                  int quantum) const
 {
     const std::int64_t cap =
         static_cast<std::int64_t>(cfg_.rows) * cfg_.dmemSlots;
@@ -60,7 +58,7 @@ CanonRunner::plan(std::int64_t m, std::int64_t depth, std::int64_t n,
 
     ProxyPlan p;
     p.rows = static_cast<int>(
-        std::min<std::int64_t>(m, opt.effectiveProxyRows(cfg_)));
+        std::min<std::int64_t>(m, proxyRowCap(cfg_)));
     p.depth = static_cast<int>(std::max<std::int64_t>(d, quantum));
     p.passes = divCeil(static_cast<std::uint64_t>(n),
                        static_cast<std::uint64_t>(cfg_.cols) * kSimdWidth);
@@ -71,34 +69,26 @@ CanonRunner::plan(std::int64_t m, std::int64_t depth, std::int64_t n,
 }
 
 ExecutionProfile
-CanonRunner::runFabric(KernelMapping mapping, const std::string &kernel,
-                       WordMatrix *result_out) const
+CanonRunner::runFabric(KernelMapping mapping,
+                       const std::string &kernel) const
 {
     CanonFabric fabric(cfg_);
     fabric.load(std::move(mapping));
-    if (result_out) {
-        fabric.run();
-        *result_out = fabric.result();
-    } else {
-        // The product is discarded: let the fabric fold its columns.
-        fabric.runForProfile();
-    }
+    fabric.runForProfile();
     return fabric.profile(kernel);
 }
 
 ExecutionProfile
-CanonRunner::spmmExact(const CsrMatrix &a, const DenseMatrix &b,
-                       WordMatrix *result_out) const
+CanonRunner::spmmExact(const CsrMatrix &a, const DenseMatrix &b) const
 {
-    auto p = runFabric(mapSpmm(a, b, cfg_), "spmm", result_out);
+    auto p = runFabric(mapSpmm(a, b, cfg_), "spmm");
     p.add("offchipBytes",
           spmmOffchipBytes(a.nnz(), a.rows(), b.rows(), b.cols(), 1));
     return p;
 }
 
 ExecutionProfile
-CanonRunner::run(const LayerSpec &l, std::uint64_t seed,
-                 const CanonRunOptions &opt) const
+CanonRunner::run(const LayerSpec &l, std::uint64_t seed) const
 {
     const int tile_n = cfg_.cols * kSimdWidth;
     const auto m = static_cast<std::uint64_t>(l.m);
@@ -107,13 +97,13 @@ CanonRunner::run(const LayerSpec &l, std::uint64_t seed,
 
     switch (l.workload) {
       case Workload::Spmm: {
-        const ProxyPlan proxy = plan(l.m, l.k, l.n, cfg_.rows, opt);
+        const ProxyPlan proxy = plan(l.m, l.k, l.n, cfg_.rows);
         const auto a =
             randomSparse(proxy.rows, proxy.depth, l.sparsity, rng);
         const auto b = randomDense(proxy.depth, tile_n, rng);
         // spmmExact records the proxy's own off-chip traffic, which
         // then scales with the rest of the profile.
-        auto p = spmmExact(CsrMatrix::fromDense(a), b);
+        auto p = spmmExact(a, b);
         p.scale(proxy.factor);
         return p;
       }
@@ -129,7 +119,7 @@ CanonRunner::run(const LayerSpec &l, std::uint64_t seed,
         // program.
         const bool window = l.workload == Workload::SddmmWindow;
         const std::int64_t n = window ? l.window : l.n;
-        const ProxyPlan proxy = plan(l.m, l.k, n, cfg_.rows, opt);
+        const ProxyPlan proxy = plan(l.m, l.k, n, cfg_.rows);
         const auto a = randomDense(proxy.rows, proxy.depth, rng);
         const auto b = randomDense(proxy.depth, tile_n, rng);
         auto p = runFabric(mapGemm(a, b, cfg_), "gemm");
@@ -149,7 +139,7 @@ CanonRunner::run(const LayerSpec &l, std::uint64_t seed,
         // The K tile must divide by rows and each slice by the
         // pattern M.
         const ProxyPlan proxy =
-            plan(l.m, l.k, l.n, cfg_.rows * l.nmM, opt);
+            plan(l.m, l.k, l.n, cfg_.rows * l.nmM);
         const auto a =
             nmStructured(proxy.rows, proxy.depth, l.nmN, l.nmM, rng);
         const auto b = randomDense(proxy.depth, tile_n, rng);
@@ -165,7 +155,7 @@ CanonRunner::run(const LayerSpec &l, std::uint64_t seed,
       case Workload::Sddmm: {
         // N is the depth SDDMM tiles over the fabric rows; K runs as
         // one pass over the native K tile.
-        const ProxyPlan proxy = plan(l.m, l.n, tile_n, cfg_.rows, opt);
+        const ProxyPlan proxy = plan(l.m, l.n, tile_n, cfg_.rows);
         const auto a = randomDense(proxy.rows, tile_n, rng);
         const auto b = randomDense(tile_n, proxy.depth, rng);
         const auto mask =

@@ -3,27 +3,31 @@
  * Paper-scale workloads on the Canon cycle simulator.
  *
  * The fabric natively executes tiles of shape N = cols*4 (output
- * columns) with B resident (dense-stationary, Section 6.4). Every
- * layer builds, loads and runs exactly one fabric. This runner:
+ * columns) with B resident (dense-stationary, Section 6.4). A layer's
+ * profile is a function of the fabric, the layer and the seed alone:
+ * no caller tunes how it is simulated. Every layer builds, loads and
+ * runs exactly one fabric, and this runner:
  *
  *  - counts the column passes of wider problems (B slice swapped per
  *    pass, A re-streamed) but simulates one: the orchestrators turn
  *    meta tokens into control and never read data values, so every
  *    pass repeats the first pass's cycles and activity exactly,
- *  - runs that fabric folded (CanonFabric::runForProfile) whenever it
- *    discards the product: for the same reason, PE column c repeats
- *    column 0 three cycles per column later, so only column 0 is
- *    simulated and the profile is unchanged,
+ *  - always runs that fabric for its profile, folded where it can
+ *    (CanonFabric::runForProfile): for the same reason, PE column c
+ *    repeats column 0 three cycles per column later, so only column 0
+ *    is simulated and the profile is unchanged. It never computes a
+ *    product; code that checks one builds its own fabric,
  *  - for very large shapes simulates a statistically representative
  *    proxy (full K so per-row-slice populations are authentic; M
- *    capped) and scales cycles/activity by the exact replication
- *    factor -- valid because the per-row control overheads are
- *    M-linear,
+ *    capped by proxyRowCap) and scales cycles/activity by the exact
+ *    replication factor -- valid because the per-row control
+ *    overheads are M-linear,
  *  - records the off-chip traffic of the dense-stationary schedule.
  *
- * Scaling decisions are recorded in the returned profile's workload
- * string; tests cross-validate proxy scaling against exact runs on
- * overlapping sizes, and the one simulated pass against every pass.
+ * Tests cross-validate proxy scaling against exact runs of the full
+ * matrix, and the one simulated pass against every pass. Code that
+ * wants a chosen proxy size draws the operands itself and calls
+ * spmmExact, exactly as run() does for the SpMM proxy.
  */
 
 #ifndef CANON_WORKLOADS_CANON_RUNNER_HH
@@ -70,25 +74,17 @@ inline constexpr int kMinProxyRowsAdaptive = 2048;
  */
 inline constexpr int kMinProxySlicesPerRow = 16;
 
-struct CanonRunOptions
-{
-    /**
-     * Cap on simulated output rows; 0 (the default) derives the cap
-     * from the fabric via effectiveProxyRows(): at least
-     * kMinProxyRows (kMinProxyRowsAdaptive under the adaptive flush
-     * policy, whose flat cost curve affords the larger sample), at
-     * least kMinProxySlicesPerRow slices per orchestrator row,
-     * rounded up to a multiple of the fabric height so every
-     * orchestrator row simulates the same number of row-slices. For
-     * the 8x8..32x32 fabrics the eager floor derives the historical
-     * 512; taller fabrics get proportionally more rows instead of a
-     * silently thinning sample.
-     */
-    int maxProxyRows = 0;
-
-    /** The row cap in effect for @p cfg (explicit or derived). */
-    int effectiveProxyRows(const CanonConfig &cfg) const;
-};
+/**
+ * The most output rows a proxy of a layer on @p cfg simulates: at
+ * least kMinProxyRows (kMinProxyRowsAdaptive under the adaptive flush
+ * policy, whose flat cost curve affords the larger sample), at least
+ * kMinProxySlicesPerRow slices per orchestrator row, rounded up to a
+ * multiple of the fabric height so every orchestrator row simulates
+ * the same number of row-slices. For the 8x8..32x32 fabrics the eager
+ * floor gives 512; taller fabrics get proportionally more rows
+ * instead of a silently thinning sample.
+ */
+int proxyRowCap(const CanonConfig &cfg);
 
 /**
  * The proxy one Canon execution simulates in place of its full
@@ -116,24 +112,25 @@ class CanonRunner
 
     /**
      * The proxy of an (m x depth) by (depth x n) execution: rows
-     * capped by CanonRunOptions::effectiveProxyRows; the depth tiled
-     * over the fabric rows, clamped to rows x dmemSlots and rounded
-     * up to @p quantum (the fabric height, or height x M for N:M),
+     * capped by proxyRowCap(config()); the depth tiled over the
+     * fabric rows, clamped to rows x dmemSlots and rounded up to
+     * @p quantum (the fabric height, or height x M for N:M),
      * stepping back one quantum when rounding overshoots the
      * capacity; and ceil(n / (cols x 4)) column passes, all counted
      * by the factor.
      */
     ProxyPlan plan(std::int64_t m, std::int64_t depth, std::int64_t n,
-                   int quantum, const CanonRunOptions &opt = {}) const;
+                   int quantum) const;
 
     /**
-     * Exact run of a concrete sparse matrix: one column pass, so the
-     * operands must be the ones mapSpmm accepts (K a multiple of the
-     * fabric rows within its data memory, N = cols x 4). The product
-     * lands in @p result_out when given.
+     * Profile of one exact run of a concrete sparse matrix: one
+     * column pass, so the operands must be the ones mapSpmm accepts
+     * (K a multiple of the fabric rows within its data memory, N =
+     * cols x 4). The product is not kept; code that checks it builds
+     * its own fabric.
      */
-    ExecutionProfile spmmExact(const CsrMatrix &a, const DenseMatrix &b,
-                               WordMatrix *result_out = nullptr) const;
+    ExecutionProfile spmmExact(const CsrMatrix &a,
+                               const DenseMatrix &b) const;
 
     /**
      * Run one layer: plan its proxy, draw the proxy's operands from
@@ -143,20 +140,17 @@ class CanonRunner
      * A sliding-window SDDMM runs as the dense (m x k x window)
      * product that computes exactly the band (Section 4.1.3).
      */
-    ExecutionProfile run(const LayerSpec &layer, std::uint64_t seed,
-                         const CanonRunOptions &opt = {}) const;
+    ExecutionProfile run(const LayerSpec &layer, std::uint64_t seed) const;
 
   private:
     /**
      * The one place a workload builds, loads and runs a fabric: a
-     * fresh fabric loaded with @p mapping and run to completion. Its
-     * profile comes back under @p kernel, and its result matrix lands
-     * in @p result_out when given; without @p result_out the fabric
-     * may run folded.
+     * fresh fabric loaded with @p mapping and run to completion for
+     * its profile (folded where the fabric allows), which comes back
+     * under @p kernel.
      */
     ExecutionProfile runFabric(KernelMapping mapping,
-                               const std::string &kernel,
-                               WordMatrix *result_out = nullptr) const;
+                               const std::string &kernel) const;
 
     CanonConfig cfg_;
 };

@@ -133,8 +133,8 @@ ArchSuite::spmmBimodal(std::int64_t m, std::int64_t k, std::int64_t n,
         const auto &cfg = canon_.config();
         const ProxyPlan proxy = canon_.plan(m, k, n, cfg.rows);
         Rng rng(seed);
-        const auto csr = CsrMatrix::fromDense(randomSparseBimodal(
-            proxy.rows, proxy.depth, sparsity_a, sparsity_b, rng));
+        const auto csr = randomSparseBimodal(proxy.rows, proxy.depth,
+                                             sparsity_a, sparsity_b, rng);
 
         if (enabled("canon")) {
             auto canon_p = canon_.spmmExact(

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/fabric.hh"
+#include "csr.hh"
 #include "kernels/dense_cadence.hh"
 #include "sparse/generate.hh"
 #include "sparse/reference.hh"
@@ -123,7 +124,7 @@ TEST_P(NmSweep, MatchesReference)
     fabric.load(mapNmSpmm(a, b, p.n, p.m, cfg));
     fabric.run();
     EXPECT_EQ(fabric.result(),
-              reference::spmm(CsrMatrix::fromDense(a), b));
+              reference::spmm(fromDense(a), b));
 }
 
 INSTANTIATE_TEST_SUITE_P(

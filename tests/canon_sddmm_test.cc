@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/fabric.hh"
+#include "csr.hh"
 #include "kernels/sddmm.hh"
 #include "sparse/generate.hh"
 #include "sparse/reference.hh"
@@ -44,8 +45,9 @@ TEST(CanonSddmm, SingleElementMask)
     Rng rng(1);
     const auto a = randomDense(4, 16, rng);
     const auto b = randomDense(16, 8, rng);
-    CsrMatrix mask(4, 8);
-    mask.append(2, 5, 1);
+    DenseMatrix live(4, 8);
+    live.at(2, 5) = 1;
+    const auto mask = fromDense(live);
 
     EXPECT_EQ(runSddmm(mask, a, b, cfg), reference::sddmm(mask, a, b));
 }
@@ -68,7 +70,7 @@ TEST(CanonSddmm, EmptyMask)
     Rng rng(3);
     const auto a = randomDense(6, 16, rng);
     const auto b = randomDense(16, 8, rng);
-    const CsrMatrix mask(6, 8);
+    const auto mask = fromDense(DenseMatrix(6, 8));
 
     EXPECT_EQ(runSddmm(mask, a, b, cfg), WordMatrix(6, 8));
 }
@@ -148,14 +150,15 @@ TEST(CanonSddmm, DeeperWindowNoSlower)
     const auto a = randomDense(m, 16, rng);
     const auto b = randomDense(16, 16, rng);
     // Heavily skewed mask: one row block owns most of the work.
-    CsrMatrix mask(m, 16);
+    DenseMatrix live(m, 16);
     for (int i = 0; i < m; ++i) {
         for (int j = 0; j < 16; ++j) {
             const bool heavy = j < 4; // block of PE row 0
             if (heavy || rng.nextBool(0.1))
-                mask.append(i, j, 1);
+                live.at(i, j) = 1;
         }
     }
+    const auto mask = fromDense(live);
 
     auto cycles_at = [&](int spad) {
         const auto cfg = sddmmConfig(4, 4, spad);

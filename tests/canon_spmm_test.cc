@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/fabric.hh"
+#include "csr.hh"
 #include "kernels/spmm.hh"
 #include "sparse/generate.hh"
 #include "sparse/reference.hh"
@@ -46,7 +47,7 @@ TEST(CanonSpmm, TinyDiagonal)
         a.at(i, i) = static_cast<Elem>(i + 1);
     Rng rng(1);
     const auto b = randomDense(k, n, rng);
-    const auto csr = CsrMatrix::fromDense(a);
+    const auto csr = fromDense(a);
 
     EXPECT_EQ(runSpmm(csr, b, cfg), reference::spmm(csr, b));
 }
@@ -55,9 +56,8 @@ TEST(CanonSpmm, SingleRowManyNnz)
 {
     const auto cfg = smallConfig();
     Rng rng(2);
-    const auto a = randomSparse(1, 16, 0.2, rng);
+    const auto csr = randomSparse(1, 16, 0.2, rng);
     const auto b = randomDense(16, 16, rng);
-    const auto csr = CsrMatrix::fromDense(a);
 
     EXPECT_EQ(runSpmm(csr, b, cfg), reference::spmm(csr, b));
 }
@@ -68,7 +68,7 @@ TEST(CanonSpmm, EmptyMatrix)
     Rng rng(3);
     const DenseMatrix a(8, 16); // all zeros
     const auto b = randomDense(16, 16, rng);
-    const auto csr = CsrMatrix::fromDense(a);
+    const auto csr = fromDense(a);
 
     const auto c = runSpmm(csr, b, cfg);
     EXPECT_EQ(c, WordMatrix(8, 16));
@@ -82,7 +82,7 @@ TEST(CanonSpmm, DenseViaSpmm)
     const auto b = randomDense(16, 16, rng);
 
     CanonFabric fabric(cfg);
-    fabric.load(mapSpmm(CsrMatrix::fromDense(a), b, cfg));
+    fabric.load(mapSpmm(fromDense(a), b, cfg));
     fabric.run();
     EXPECT_EQ(fabric.result(), reference::gemm(a, b));
 }
@@ -107,9 +107,8 @@ TEST_P(SpmmSweep, MatchesReference)
     const auto p = GetParam();
     const auto cfg = smallConfig(p.rows, p.cols, p.spad);
     Rng rng(p.seed);
-    const auto a = randomSparse(p.m, p.k, p.sparsity, rng);
+    const auto csr = randomSparse(p.m, p.k, p.sparsity, rng);
     const auto b = randomDense(p.k, cfg.cols * kSimdWidth, rng);
-    const auto csr = CsrMatrix::fromDense(a);
 
     EXPECT_EQ(runSpmm(csr, b, cfg), reference::spmm(csr, b))
         << "sparsity=" << p.sparsity << " spad=" << p.spad;
@@ -148,9 +147,8 @@ TEST(CanonSpmm, PaperConfigModerate)
 {
     const auto cfg = CanonConfig::paper();
     Rng rng(42);
-    const auto a = randomSparse(64, 64, 0.6, rng);
+    const auto csr = randomSparse(64, 64, 0.6, rng);
     const auto b = randomDense(64, cfg.cols * kSimdWidth, rng);
-    const auto csr = CsrMatrix::fromDense(a);
 
     EXPECT_EQ(runSpmm(csr, b, cfg), reference::spmm(csr, b));
 }
@@ -160,9 +158,8 @@ TEST(CanonSpmm, UtilizationDropsWithSparsityImbalance)
     // At equal nnz-work, a deeper scratchpad should never hurt and at
     // high sparsity should help (Figure 17's qualitative shape).
     Rng rng(77);
-    const auto a = randomSparse(96, 32, 0.8, rng);
+    const auto csr = randomSparse(96, 32, 0.8, rng);
     const auto b = randomDense(32, 16, rng);
-    const auto csr = CsrMatrix::fromDense(a);
 
     auto run_cycles = [&](int spad) {
         const auto cfg = smallConfig(4, 4, spad);
@@ -249,7 +246,7 @@ TEST(CanonSpmm, MappingMatchesSliceFilter)
         for (int y = 0; y < rows; ++y)
             live_slice[y] = rng.nextBool(0.7);
 
-        CsrMatrix a(m_rows, k);
+        DenseMatrix a_dense(m_rows, k);
         for (int m = 0; m < m_rows; ++m) {
             if (rng.nextBool(0.25))
                 continue; // empty row
@@ -257,10 +254,11 @@ TEST(CanonSpmm, MappingMatchesSliceFilter)
                 const int y = c / h;
                 const bool edge = c % h == 0 || c % h == h - 1;
                 if (live_slice[y] && rng.nextBool(edge ? 0.6 : 0.3))
-                    a.append(m, c,
-                             static_cast<Elem>(rng.nextRange(1, 9)));
+                    a_dense.at(m, c) =
+                        static_cast<Elem>(rng.nextRange(1, 9));
             }
         }
+        const auto a = fromDense(a_dense);
         const auto b = randomDense(k, cols * kSimdWidth, rng);
 
         CanonConfig cfg = smallConfig(rows, cols);

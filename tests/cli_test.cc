@@ -84,7 +84,7 @@ TEST(CliOptions, AcceptsBothOptionSpellings)
 TEST(CliOptions, ParsesFabricAndModeOptions)
 {
     auto res = parse({"--rows=4", "--cols=16", "--spad=32",
-                      "--dmem=2048", "--clock-ghz=1.5",
+                      "--dmem=512", "--clock-ghz=1.5",
                       "--arch=canon,zed", "--sparsity=0.9",
                       "--seed=42", "--csv=/tmp/out.csv"});
     ASSERT_TRUE(res.ok) << res.error;
@@ -92,7 +92,7 @@ TEST(CliOptions, ParsesFabricAndModeOptions)
     EXPECT_EQ(o.fabric.rows, 4);
     EXPECT_EQ(o.fabric.cols, 16);
     EXPECT_EQ(o.fabric.spadEntries, 32);
-    EXPECT_EQ(o.fabric.dmemSlots, 2048);
+    EXPECT_EQ(o.fabric.dmemSlots, 512);
     EXPECT_DOUBLE_EQ(o.fabric.clockGhz, 1.5);
     EXPECT_EQ(o.archs, (std::vector<std::string>{"canon", "zed"}));
     EXPECT_DOUBLE_EQ(o.sparsity, 0.9);
@@ -161,6 +161,45 @@ TEST(CliOptions, RejectsBadSparsityAndClock)
     EXPECT_FALSE(parse({"--sparsity", "-0.1"}).ok);
     EXPECT_FALSE(parse({"--sparsity", "dense"}).ok);
     EXPECT_FALSE(parse({"--clock-ghz", "0"}).ok);
+}
+
+TEST(CliOptions, FabricOptionsAcceptOnlyFabricsThatRun)
+{
+    // CanonFabric takes at most 256 psum entries and 1024 dmem slots;
+    // rows and cols stop at 64. Past a bound, a flag is a parse error
+    // and a sweep axis a usage error (exit 2), both with the range.
+    const struct
+    {
+        const char *key, *bad, *range;
+    } cases[] = {
+        {"spad", "300", "[1, 256]"},
+        {"dmem", "1025", "[1, 1024]"},
+        {"rows", "65", "[1, 64]"},
+        {"cols", "65", "[1, 64]"},
+    };
+    for (const auto &c : cases) {
+        const std::string key = c.key;
+        const std::string message = "option '--" + key +
+                                    "' expects an integer in " + c.range +
+                                    ", got '" + c.bad + "'";
+        const auto flag = parse({"--" + key, c.bad});
+        EXPECT_FALSE(flag.ok) << key;
+        EXPECT_NE(flag.error.find(message), std::string::npos)
+            << flag.error;
+
+        const auto sweep =
+            parse({"--sweep", key + "=4," + c.bad, "--m", "16", "--k",
+                   "16", "--n", "16"});
+        ASSERT_TRUE(sweep.ok) << sweep.error; // validated by the runner
+        std::ostringstream out, err;
+        EXPECT_EQ(runScenario(sweep.options, out, err), 2) << key;
+        EXPECT_NE(err.str().find(message), std::string::npos) << err.str();
+        EXPECT_TRUE(out.str().empty()) << out.str();
+    }
+    // The bounds themselves run.
+    EXPECT_TRUE(parse({"--spad", "256", "--dmem", "1024", "--rows", "64",
+                       "--cols", "64"})
+                    .ok);
 }
 
 TEST(CliOptions, RejectsBadNmPattern)

@@ -48,7 +48,7 @@ TEST(Fabric, SingleUsePerKernel)
     Rng rng(1);
     const auto a = randomSparse(4, 4, 0.5, rng);
     const auto b = randomDense(4, 8, rng);
-    const auto map = mapSpmm(CsrMatrix::fromDense(a), b, cfg);
+    const auto map = mapSpmm(a, b, cfg);
 
     CanonFabric fabric(cfg);
     fabric.load(map);
@@ -70,8 +70,8 @@ TEST(MappingErrors, SpmmShapeChecks)
     Rng rng(2);
     const auto b_bad_n = randomDense(64, 48, rng);
     const auto b_bad_k = randomDense(63, 32, rng);
-    const auto a64 = CsrMatrix::fromDense(randomSparse(8, 64, 0.5, rng));
-    const auto a63 = CsrMatrix::fromDense(randomSparse(8, 63, 0.5, rng));
+    const auto a64 = randomSparse(8, 64, 0.5, rng);
+    const auto a63 = randomSparse(8, 63, 0.5, rng);
 
     EXPECT_THROW(mapSpmm(a64, b_bad_n, cfg), FatalError);
     EXPECT_THROW(mapSpmm(a63, b_bad_k, cfg), FatalError);
@@ -213,7 +213,7 @@ TEST(Profile, FabricExportsActivity)
     const auto a = randomSparse(16, 16, 0.5, rng);
     const auto b = randomDense(16, 8, rng);
     CanonFabric fabric(cfg);
-    fabric.load(mapSpmm(CsrMatrix::fromDense(a), b, cfg));
+    fabric.load(mapSpmm(a, b, cfg));
     fabric.run();
     const auto p = fabric.profile("t");
     EXPECT_EQ(p.cycles, fabric.cycles());
@@ -238,7 +238,7 @@ TEST(Determinism, RegistrationShuffleLeavesResultsIdentical)
         const auto a = randomSparse(16, 16, 0.5, rng);
         const auto b = randomDense(16, 16, rng);
         CanonFabric fabric(cfg, shuffle_seed);
-        fabric.load(mapSpmm(CsrMatrix::fromDense(a), b, cfg));
+        fabric.load(mapSpmm(a, b, cfg));
         fabric.run();
         return std::pair{fabric.result(), fabric.profile("shuffle")};
     };

@@ -246,7 +246,7 @@ TEST(ScenarioRequest, TypedSettersMatchParsedOptions)
         .set("rows", "4")
         .set("cols", "16")
         .set("spad", "32")
-        .set("dmem", "2048")
+        .set("dmem", "512")
         .set("clock-ghz", "1.5")
         .archs({"canon", "zed"});
     ASSERT_TRUE(req.validate()) << req.error();
@@ -254,7 +254,7 @@ TEST(ScenarioRequest, TypedSettersMatchParsedOptions)
     auto res = parse({"--workload", "spmm-nm", "--m", "128", "--k",
                       "256", "--n", "32", "--nm", "2:8", "--seed",
                       "9", "--rows", "4", "--cols", "16", "--spad",
-                      "32", "--dmem", "2048", "--clock-ghz", "1.5",
+                      "32", "--dmem", "512", "--clock-ghz", "1.5",
                       "--arch", "canon,zed"});
     ASSERT_TRUE(res.ok) << res.error;
     EXPECT_EQ(cache::scenarioKey(req.options()).canonical,

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "core/fabric.hh"
+#include "csr.hh"
 #include "kernels/spmm.hh"
 #include "sparse/generate.hh"
 
@@ -117,11 +118,9 @@ TEST(FailureInjection, StreamValueBeyondMetaRangeRejected)
 {
     const auto cfg = tinyConfig();
     Rng rng(10);
-    const auto big = randomSparse(2, 8, 0.5, rng);
-    auto csr = CsrMatrix::fromDense(big);
     const auto b = randomDense(8, 8, rng);
     // M >= 2^14 must be rejected by the mapper, not wrap silently.
-    CsrMatrix giant(1 << 14, 8);
+    const auto giant = fromDense(DenseMatrix(1 << 14, 8));
     EXPECT_THROW(mapSpmm(giant, b, cfg), FatalError);
 }
 

@@ -24,6 +24,7 @@
 
 #include "cli/options.hh"
 #include "core/fabric.hh"
+#include "csr.hh"
 #include "engine/engine.hh"
 #include "kernels/dense_cadence.hh"
 #include "kernels/sddmm.hh"
@@ -194,8 +195,7 @@ TEST(Fold, MatchesFullRunOnEveryRowSlicedKernel)
                 const int k = rows * static_cast<int>(pick.nextRange(1, 6));
                 const double sparsity = pick.nextDouble() * 0.95;
                 const auto a = randomSparse(m, k, sparsity, rng);
-                map = mapSpmm(CsrMatrix::fromDense(a),
-                              randomDense(k, tile_n, rng), cfg);
+                map = mapSpmm(a, randomDense(k, tile_n, rng), cfg);
             } else if (k_name == "nm-spmm") {
                 const int pattern = pick.nextBool(0.5) ? 4 : 8;
                 const int keep = static_cast<int>(pick.nextRange(1, 2));
@@ -366,7 +366,7 @@ TEST(Fold, ResultAfterFoldedRunIsFatal)
     cfg.rows = 2;
     cfg.cols = 2;
     Rng rng(41);
-    const auto a = CsrMatrix::fromDense(randomSparse(8, 8, 0.5, rng));
+    const auto a = randomSparse(8, 8, 0.5, rng);
     const auto b = randomDense(8, 8, rng);
     CanonFabric folded(cfg);
     folded.load(mapSpmm(a, b, cfg));
@@ -387,7 +387,7 @@ TEST(Fold, IneligibleFabricsRunInFull)
     cfg.rows = 2;
     cfg.cols = 4;
     Rng rng(42);
-    const auto a = CsrMatrix::fromDense(randomSparse(12, 8, 0.5, rng));
+    const auto a = randomSparse(12, 8, 0.5, rng);
     const auto b = randomDense(8, 16, rng);
 
     {
@@ -462,7 +462,7 @@ TEST(Fold, ProgramsOfTheFoldedKernelsNeverWriteDataMemory)
     const auto a = randomDense(16, 32, rng);
     const auto b = randomDense(32, cfg.cols * kSimdWidth, rng);
     EXPECT_FALSE(
-        mapSpmm(CsrMatrix::fromDense(a), b, cfg).program->writesDmem());
+        mapSpmm(fromDense(a), b, cfg).program->writesDmem());
     EXPECT_FALSE(mapGemm(a, b, cfg).program->writesDmem());
     EXPECT_FALSE(mapNmSpmm(nmStructured(16, 32, 2, 4, rng), b, 2, 4, cfg)
                      .program->writesDmem());
@@ -516,8 +516,8 @@ TEST(Fold, MisScheduledMappingsPanicAlike)
         // A non-zero whose coordinate lies past the data memory.
         const auto a = randomSparse(16, 32, gemm ? 0.0 : 0.5, rng);
         const auto b = randomDense(32, cfg.cols * kSimdWidth, rng);
-        KernelMapping map = gemm ? mapGemm(a, b, cfg)
-                                 : mapSpmm(CsrMatrix::fromDense(a), b, cfg);
+        KernelMapping map = gemm ? mapGemm(toDense(a), b, cfg)
+                                 : mapSpmm(a, b, cfg);
         auto row = tokens(map, 1);
         for (auto &t : row) {
             if (t.kind == TokenKind::Nnz) {
@@ -545,7 +545,7 @@ TEST(Determinism, FoldedRunsIdenticalUnderShuffles)
     const auto dense = randomDense(24, 16, rng);
     const auto b = randomDense(16, 16, rng);
     for (const KernelMapping &map :
-         {mapSpmm(CsrMatrix::fromDense(sparse), b, cfg),
+         {mapSpmm(sparse, b, cfg),
           mapGemm(dense, b, cfg)}) {
         const Outcome full = execute(cfg, map, false);
         for (std::uint64_t seed : {0ull, 1ull, 2ull, 3ull})

@@ -355,7 +355,7 @@ sampledRun(std::uint64_t shuffle_seed, bool observe,
 
     ObservedRun out;
     CanonFabric fabric(cfg, shuffle_seed);
-    fabric.load(mapSpmm(CsrMatrix::fromDense(a), b, cfg));
+    fabric.load(mapSpmm(a, b, cfg));
     if (observe) {
         obs::Collector col(opt);
         obs::ScopedCollector scope(col);
@@ -485,7 +485,7 @@ accountedRun(std::uint64_t shuffle_seed, bool sample = true)
 
     ObservedRun out;
     CanonFabric fabric(cfg, shuffle_seed);
-    fabric.load(mapSpmm(CsrMatrix::fromDense(a), b, cfg));
+    fabric.load(mapSpmm(a, b, cfg));
     obs::Collector col(opt);
     {
         obs::ScopedCollector scope(col);
@@ -607,7 +607,7 @@ TEST(Accounting, DisabledRunRegistersNoExtraPartitions)
         const auto a = randomSparse(32, 16, 0.5, rng);
         const auto b = randomDense(16, 8, rng);
         CanonFabric fabric(cfg, 0);
-        fabric.load(mapSpmm(CsrMatrix::fromDense(a), b, cfg));
+        fabric.load(mapSpmm(a, b, cfg));
         if (accounting || sample_every > 0) {
             obs::ObsOptions opt;
             opt.cycleAccounting = accounting;

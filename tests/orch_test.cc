@@ -12,6 +12,7 @@
 
 #include "common/rng.hh"
 #include "core/fabric.hh"
+#include "csr.hh"
 #include "kernels/spmm.hh"
 #include "orch/lut.hh"
 #include "orch/tag_fifo.hh"
@@ -276,9 +277,8 @@ TEST(TagFifo, ConstFabricWalkCannotMutateStats)
     CanonFabric fabric(cfg);
 
     Rng rng(11);
-    const auto a = randomSparse(32, 16, 0.5, rng);
+    const auto csr = randomSparse(32, 16, 0.5, rng);
     const auto b = randomDense(16, 16, rng);
-    const auto csr = CsrMatrix::fromDense(a);
     fabric.load(mapSpmm(csr, b, cfg));
     fabric.run();
 
@@ -343,9 +343,8 @@ TEST(Program, SpmmBitstreamLoadsAndRuns)
     cfg.cols = 2;
     cfg.spadEntries = 2;
     Rng rng(5);
-    const auto a = randomSparse(8, 8, 0.5, rng);
+    const auto csr = randomSparse(8, 8, 0.5, rng);
     const auto b = randomDense(8, 8, rng);
-    const auto csr = CsrMatrix::fromDense(a);
 
     CanonFabric fabric(cfg);
     fabric.load(mapSpmm(csr, b, cfg));
@@ -370,7 +369,7 @@ TEST(SpmmFsm, Case1NormalMacStaysInMacState)
     for (int kk = 0; kk < 8; ++kk)
         a.at(0, kk) = 1;
     const auto b = randomDense(8, 8, rng);
-    const auto csr = CsrMatrix::fromDense(a);
+    const auto csr = fromDense(a);
 
     CanonFabric fabric(cfg);
     fabric.load(mapSpmm(csr, b, cfg));
@@ -391,9 +390,8 @@ TEST(SpmmFsm, Case2ManagedPsumAccumulates)
     cfg.cols = 2;
     cfg.spadEntries = 8;
     Rng rng(7);
-    const auto a = randomSparse(16, 8, 0.2, rng); // dense-ish
+    const auto csr = randomSparse(16, 8, 0.2, rng); // dense-ish
     const auto b = randomDense(8, 8, rng);
-    const auto csr = CsrMatrix::fromDense(a);
 
     CanonFabric fabric(cfg);
     fabric.load(mapSpmm(csr, b, cfg));
@@ -425,7 +423,7 @@ TEST(SpmmFsm, Case3ImbalanceCausesBypass)
             a.at(m, 4) = 1; // slice of PE row 1: one lonely nnz
     }
     const auto b = randomDense(8, 8, rng);
-    const auto csr = CsrMatrix::fromDense(a);
+    const auto csr = fromDense(a);
 
     CanonFabric fabric(cfg);
     fabric.load(mapSpmm(csr, b, cfg));

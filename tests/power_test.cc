@@ -102,7 +102,7 @@ TEST(Energy, SparsityShiftsPowerIntoScratchpad)
 
     const auto as = randomSparse(64, 64, 0.8, rng);
     CanonFabric sp_fab(cfg);
-    sp_fab.load(mapSpmm(CsrMatrix::fromDense(as), b, cfg));
+    sp_fab.load(mapSpmm(as, b, cfg));
     sp_fab.run();
     const auto sp_r = model.evaluate(sp_fab.profile("spmm"));
     EXPECT_GT(sp_r.category("spadRead") + sp_r.category("spadWrite"),

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/fabric.hh"
+#include "csr.hh"
 #include "kernels/dense_cadence.hh"
 #include "kernels/sddmm.hh"
 #include "kernels/spmm.hh"
@@ -125,9 +126,10 @@ TEST(SddmmFsm, AllRowsForwardEveryAVector)
     const int m = 16;
     const auto a = randomDense(m, 8, rng);
     const auto b = randomDense(8, 8, rng);
-    CsrMatrix mask(m, 8); // only row block 0 has work
+    DenseMatrix live(m, 8); // only row block 0 has work
     for (int i = 0; i < m; ++i)
-        mask.append(i, 1, 1);
+        live.at(i, 1) = 1;
+    const auto mask = fromDense(live);
     CanonFabric fabric(cfg);
     fabric.load(mapSddmm(mask, a, b, cfg));
     fabric.run();

@@ -47,7 +47,7 @@ TEST(Determinism, IdenticalRunsBitIdentical)
         const auto a = randomSparse(48, 32, 0.7, rng);
         const auto b = randomDense(32, 16, rng);
         CanonFabric fabric(cfg);
-        fabric.load(mapSpmm(CsrMatrix::fromDense(a), b, cfg));
+        fabric.load(mapSpmm(a, b, cfg));
         fabric.run();
         return std::tuple{fabric.cycles(), fabric.result(),
                           fabric.stats().flatten()};
@@ -68,7 +68,7 @@ TEST(TimeLapsed, ColumnsReplicateColumnZeroDelayed)
     const auto a = randomSparse(24, 32, 0.5, rng);
     const auto b = randomDense(32, 16, rng);
     CanonFabric fabric(cfg);
-    fabric.load(mapSpmm(CsrMatrix::fromDense(a), b, cfg));
+    fabric.load(mapSpmm(a, b, cfg));
 
     // Tap the instruction pipeline of row 0 every cycle.
     std::vector<std::vector<std::uint64_t>> seen(
@@ -100,9 +100,8 @@ TEST(WorkConservation, LaneMacsMatchMappingAcrossSweep)
         for (int depth : {1, 4, 16}) {
             const auto cfg = cfg44(depth);
             Rng rng(static_cast<std::uint64_t>(sp * 100) + depth);
-            const auto a = randomSparse(32, 32, sp, rng);
+            const auto csr = randomSparse(32, 32, sp, rng);
             const auto b = randomDense(32, 16, rng);
-            const auto csr = CsrMatrix::fromDense(a);
             CanonFabric fabric(cfg);
             const auto mapping = mapSpmm(csr, b, cfg);
             const auto expected =
@@ -125,7 +124,7 @@ TEST(Monotonic, MoreWorkNeverFewerCycles)
         Rng gen(99); // same base pattern, growing density
         const auto a = randomSparse(40, 32, 1.0 - density, gen);
         CanonFabric fabric(cfg);
-        fabric.load(mapSpmm(CsrMatrix::fromDense(a), b, cfg));
+        fabric.load(mapSpmm(a, b, cfg));
         const auto cycles = fabric.run();
         EXPECT_GE(cycles + 64, prev)
             << "density " << density; // small slack for drain noise
@@ -140,7 +139,7 @@ TEST(Channels, AllDrainedAfterCompletion)
     const auto a = randomSparse(64, 32, 0.85, rng);
     const auto b = randomDense(32, 16, rng);
     CanonFabric fabric(cfg);
-    fabric.load(mapSpmm(CsrMatrix::fromDense(a), b, cfg));
+    fabric.load(mapSpmm(a, b, cfg));
     fabric.run();
     // done() itself requires drained channels; assert it is stable.
     for (int i = 0; i < 8; ++i) {
@@ -148,7 +147,7 @@ TEST(Channels, AllDrainedAfterCompletion)
         EXPECT_TRUE(fabric.done());
     }
     EXPECT_EQ(fabric.result(),
-              reference::spmm(CsrMatrix::fromDense(a), b));
+              reference::spmm(a, b));
 }
 
 TEST(Stress, ManySeedsManyShapes)
@@ -171,9 +170,8 @@ TEST(Stress, ManySeedsManyShapes)
         const double sp = meta.nextDouble();
 
         Rng rng(1000 + t);
-        const auto a = randomSparse(m, k, sp, rng);
+        const auto csr = randomSparse(m, k, sp, rng);
         const auto b = randomDense(k, n, rng);
-        const auto csr = CsrMatrix::fromDense(a);
         CanonFabric fabric(cfg);
         fabric.load(mapSpmm(csr, b, cfg));
         fabric.run();

@@ -606,6 +606,40 @@ TEST(Daemon, InvalidRequestGetsTypedRejection)
     EXPECT_NE(outcome.message.find("--sparsity"), std::string::npos);
 }
 
+TEST(Daemon, UnrunnableFabricIsRejectedBeforeAdmission)
+{
+    // A fabric CanonFabric cannot build is an invalid request, as a
+    // single option or as a sweep axis, and never reaches admission.
+    DaemonFixture fx("svc_unrunnable");
+    Client c = fx.connect();
+
+    for (const bool as_sweep : {false, true}) {
+        SubmitBody body;
+        body.client = "alice";
+        body.opt("workload", "spmm");
+        if (as_sweep)
+            body.sweep("spad", "16,300");
+        else
+            body.opt("spad", "300");
+        SubmitOutcome outcome;
+        std::string error;
+        ASSERT_TRUE(c.submit(body, {}, outcome, error)) << error;
+        EXPECT_FALSE(outcome.accepted);
+        EXPECT_EQ(outcome.reason, RejectReason::InvalidRequest);
+        EXPECT_NE(outcome.message.find(
+                      "option '--spad' expects an integer in [1, 256]"),
+                  std::string::npos)
+            << outcome.message;
+    }
+    std::string text, error;
+    ASSERT_TRUE(c.stats(text, error)) << error;
+    EXPECT_NE(text.find("service.requests.rejected.invalid_request: 2"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("service.requests.admitted: 0"), std::string::npos)
+        << text;
+}
+
 TEST(Daemon, PlanOfAnInvalidRequestIsRejected)
 {
     DaemonFixture fx("svc_plan_invalid");

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "csr.hh"
 #include "sparse/generate.hh"
 #include "sparse/preprocess.hh"
 #include "sparse/reference.hh"
@@ -15,20 +16,6 @@ namespace canon
 {
 namespace
 {
-
-/** Expand @p m back into a dense matrix. */
-DenseMatrix
-toDense(const CsrMatrix &m)
-{
-    DenseMatrix d(m.rows(), m.cols());
-    const auto &row_ptr = m.rowPtr();
-    for (int r = 0; r < m.rows(); ++r)
-        for (auto i = row_ptr[static_cast<std::size_t>(r)];
-             i < row_ptr[static_cast<std::size_t>(r) + 1]; ++i)
-            d.at(r, m.colIdx()[static_cast<std::size_t>(i)]) =
-                m.values()[static_cast<std::size_t>(i)];
-    return d;
-}
 
 TEST(Matrix, DenseBasics)
 {
@@ -43,56 +30,54 @@ TEST(Matrix, DenseBasics)
     EXPECT_THROW(m.at(0, 4), PanicError);
 }
 
-TEST(Matrix, CsrRoundTrip)
-{
-    Rng rng(1);
-    const auto d = randomSparse(13, 17, 0.6, rng);
-    const auto csr = CsrMatrix::fromDense(d);
-    EXPECT_EQ(csr.nnz(), d.countNonZero());
-    EXPECT_EQ(toDense(csr), d);
-}
-
-/**
- * Reference generator and CSR conversion: a bounds-checked (r, c)
- * walk, appending each nonzero. The library's single-pass versions
- * must match them exactly.
- */
-DenseMatrix
-walkRandomSparse(int rows, int cols, double sparsity, Rng &rng,
-                 int magnitude = 4)
-{
-    DenseMatrix m(rows, cols);
-    for (int r = 0; r < rows; ++r)
-        for (int c = 0; c < cols; ++c)
-            if (!rng.nextBool(sparsity))
-                for (;;) {
-                    const auto v = static_cast<Elem>(
-                        rng.nextRange(-magnitude, magnitude));
-                    if (v != 0) {
-                        m.at(r, c) = v;
-                        break;
-                    }
-                }
-    return m;
-}
-
-CsrMatrix
-walkFromDense(const DenseMatrix &d)
-{
-    CsrMatrix m(d.rows(), d.cols());
-    for (int r = 0; r < d.rows(); ++r)
-        for (int c = 0; c < d.cols(); ++c)
-            if (d.at(r, c) != 0)
-                m.append(r, c, d.at(r, c));
-    return m;
-}
-
 bool
 sameCsr(const CsrMatrix &a, const CsrMatrix &b)
 {
     return a.rows() == b.rows() && a.cols() == b.cols() &&
            a.rowPtr() == b.rowPtr() && a.colIdx() == b.colIdx() &&
            a.values() == b.values();
+}
+
+TEST(Matrix, CsrRoundTrip)
+{
+    Rng rng(1);
+    const auto csr = randomSparse(13, 17, 0.6, rng);
+    const auto d = toDense(csr);
+    EXPECT_EQ(csr.nnz(), d.countNonZero());
+    EXPECT_TRUE(sameCsr(fromDense(d), csr));
+}
+
+/**
+ * Reference generator: a bounds-checked (r, c) walk over a dense
+ * matrix. Rows alternate between @p sparsity_even and
+ * @p sparsity_odd; a live entry draws a nonzero value of at most
+ * @p magnitude, or is 1 when @p magnitude is 0 (a mask). The
+ * library's CSR generators must equal it compacted to CSR.
+ */
+DenseMatrix
+walkSparse(int rows, int cols, double sparsity_even, double sparsity_odd,
+           Rng &rng, int magnitude)
+{
+    DenseMatrix m(rows, cols);
+    for (int r = 0; r < rows; ++r) {
+        for (int c = 0; c < cols; ++c) {
+            if (rng.nextBool(r % 2 == 0 ? sparsity_even : sparsity_odd))
+                continue;
+            if (magnitude == 0) {
+                m.at(r, c) = 1;
+                continue;
+            }
+            for (;;) {
+                const auto v = static_cast<Elem>(
+                    rng.nextRange(-magnitude, magnitude));
+                if (v != 0) {
+                    m.at(r, c) = v;
+                    break;
+                }
+            }
+        }
+    }
+    return m;
 }
 
 TEST(Generate, SinglePassMatchesElementWalk)
@@ -107,35 +92,86 @@ TEST(Generate, SinglePassMatchesElementWalk)
                                           : shapes.nextDouble();
         const int mag = static_cast<int>(shapes.nextRange(1, 127));
         const std::uint64_t seed = shapes.next();
-        Rng fast(seed);
-        Rng walk(seed);
-        const auto got = randomSparse(rows, cols, sp, fast, mag);
-        const auto want = walkRandomSparse(rows, cols, sp, walk, mag);
-        ASSERT_EQ(got, want) << rows << "x" << cols << " sp=" << sp;
-        EXPECT_EQ(fast.next(), walk.next());
-        EXPECT_TRUE(sameCsr(CsrMatrix::fromDense(got), walkFromDense(want)))
-            << rows << "x" << cols << " sp=" << sp;
+        const auto check = [&](const char *name, auto generate,
+                               double sp_odd, int walk_mag) {
+            Rng fast(seed);
+            Rng walk(seed);
+            const auto got = generate(fast);
+            const auto want =
+                fromDense(walkSparse(rows, cols, sp, sp_odd, walk, walk_mag));
+            EXPECT_TRUE(sameCsr(got, want))
+                << name << " " << rows << "x" << cols << " sp=" << sp;
+            EXPECT_EQ(fast.next(), walk.next()) << name;
+        };
+        check(
+            "randomSparse",
+            [&](Rng &rng) { return randomSparse(rows, cols, sp, rng, mag); },
+            sp, mag);
+        check(
+            "randomSparseBimodal",
+            [&](Rng &rng) {
+                return randomSparseBimodal(rows, cols, sp, 1.0 - sp, rng,
+                                           mag);
+            },
+            1.0 - sp, mag);
+        check(
+            "randomMask",
+            [&](Rng &rng) { return randomMask(rows, cols, sp, rng); }, sp,
+            0);
     }
+}
+
+/**
+ * The panic message of building a 4x4 CSR whose row 1 holds @p cols,
+ * each with @p value, or "".
+ */
+std::string
+row1Panic(const std::vector<int> &cols, Elem value = 1)
+{
+    try {
+        (void)CsrMatrix::fromRows(4, 4, [&](int r, auto push) {
+            if (r == 1)
+                for (int c : cols)
+                    push(c, value);
+        });
+    } catch (const PanicError &e) {
+        return e.what();
+    }
+    return {};
 }
 
 TEST(Matrix, CsrAppendOrderEnforced)
 {
-    CsrMatrix m(4, 4);
-    m.append(1, 2, 5);
-    EXPECT_THROW(m.append(0, 0, 1), PanicError); // row went backwards
-    EXPECT_THROW(m.append(1, 2, 1), PanicError); // column not ascending
-    EXPECT_THROW(m.append(1, 1, 1), PanicError);
-    EXPECT_NO_THROW(m.append(1, 3, 1));
-    EXPECT_NO_THROW(m.append(3, 0, 1)); // skipping rows is fine
-    EXPECT_EQ(m.rowNnz(1), 2);
+    // Complete rows in order: rows 0 and 2 are empty, row 1 holds
+    // columns 2 and 3, row 3 starts over at column 0.
+    const auto m = CsrMatrix::fromRows(4, 4, [](int r, auto push) {
+        if (r == 1) {
+            push(2, 5);
+            push(3, 1);
+        }
+        if (r == 3)
+            push(0, 1);
+    });
+    EXPECT_EQ(m.rowPtr(), (std::vector<std::int32_t>{0, 0, 2, 2, 3}));
+    EXPECT_EQ(m.colIdx(), (std::vector<std::int32_t>{2, 3, 0}));
+    EXPECT_EQ(m.values(), (std::vector<Elem>{5, 1, 1}));
     EXPECT_EQ(m.rowNnz(2), 0);
-    EXPECT_EQ(m.rowNnz(3), 1);
+
+    const auto fails = [](const std::string &what, const char *rule) {
+        EXPECT_NE(what.find(rule), std::string::npos)
+            << "want '" << rule << "', got '" << what << "'";
+    };
+    fails(row1Panic({2, 2}), "columns must ascend within row 1");
+    fails(row1Panic({3, 2}), "columns must ascend within row 1");
+    fails(row1Panic({2, 4}), "col 4 out of 4 in row 1");
+    fails(row1Panic({-1}), "col -1 out of 4 in row 1");
+    EXPECT_EQ(row1Panic({0, 3}), "");
 }
 
 TEST(Matrix, CsrRejectsExplicitZero)
 {
-    CsrMatrix m(2, 2);
-    EXPECT_THROW(m.append(0, 0, 0), PanicError);
+    EXPECT_NE(row1Panic({3}, 0).find("explicit zero at (1,3)"),
+              std::string::npos);
 }
 
 struct GenParam
@@ -230,8 +266,7 @@ TEST(Reference, SpmmEqualsGemmOnDensified)
     Rng rng(20);
     const auto a = randomSparse(9, 12, 0.5, rng);
     const auto b = randomDense(12, 7, rng);
-    EXPECT_EQ(reference::spmm(CsrMatrix::fromDense(a), b),
-              reference::gemm(a, b));
+    EXPECT_EQ(reference::spmm(a, b), reference::gemm(toDense(a), b));
 }
 
 TEST(Reference, SddmmEqualsMaskedGemm)
@@ -258,8 +293,7 @@ TEST(Reference, ShapeChecks)
 TEST(Preprocess, PermutationIsBijective)
 {
     Rng rng(30);
-    const auto a =
-        CsrMatrix::fromDense(randomSparse(33, 16, 0.6, rng));
+    const auto a = randomSparse(33, 16, 0.6, rng);
     const auto p = balancedRowOrder(a);
     std::vector<bool> seen(33, false);
     for (int r = 0; r < 33; ++r) {
@@ -276,8 +310,7 @@ TEST(Preprocess, SnakeOrderBalancesWindows)
     // Any contiguous window of the balanced order should carry close
     // to the average work even when the input is heavily skewed.
     Rng rng(31);
-    const auto a = CsrMatrix::fromDense(
-        randomSparseBimodal(64, 64, 0.1, 0.95, rng));
+    const auto a = randomSparseBimodal(64, 64, 0.1, 0.95, rng);
     const auto p = balancedRowOrder(a);
     const auto bal = permuteRows(a, p);
 
@@ -296,9 +329,8 @@ TEST(Preprocess, SnakeOrderBalancesWindows)
 TEST(Preprocess, UnpermuteRestoresReference)
 {
     Rng rng(32);
-    const auto a_dense = randomSparse(20, 16, 0.5, rng);
+    const auto a = randomSparse(20, 16, 0.5, rng);
     const auto b = randomDense(16, 8, rng);
-    const auto a = CsrMatrix::fromDense(a_dense);
     const auto p = balancedRowOrder(a);
     const auto permuted = permuteRows(a, p);
 
@@ -313,10 +345,9 @@ TEST(Preprocess, BimodalGeneratorAlternates)
     // Even rows dense-ish, odd rows sparse.
     double even = 0.0, odd = 0.0;
     for (int r = 0; r < 32; r += 2)
-        even += static_cast<double>(
-            CsrMatrix::fromDense(m).rowNnz(r));
+        even += static_cast<double>(m.rowNnz(r));
     for (int r = 1; r < 32; r += 2)
-        odd += static_cast<double>(CsrMatrix::fromDense(m).rowNnz(r));
+        odd += static_cast<double>(m.rowNnz(r));
     EXPECT_GT(even, odd * 4);
 }
 

@@ -25,6 +25,28 @@ spmmLayer(std::int64_t m, std::int64_t k, std::int64_t n, double sparsity)
     return {"spmm", Workload::Spmm, m, k, n, sparsity};
 }
 
+/**
+ * An SpMM layer's profile from a proxy of @p rows rows: run()'s
+ * operands drawn for @p rows rows from Rng(@p seed), A then B, through
+ * spmmExact, and scaled to the full layer as run() scales its own
+ * proxy. rows = m is the exact run of the full matrix.
+ */
+ExecutionProfile
+spmmWithProxyRows(const CanonRunner &runner, const LayerSpec &l,
+                  std::uint64_t seed, int rows)
+{
+    const CanonConfig &cfg = runner.config();
+    const ProxyPlan plan = runner.plan(l.m, l.k, l.n, cfg.rows);
+    Rng rng(seed);
+    const auto a = randomSparse(rows, plan.depth, l.sparsity, rng);
+    const auto b = randomDense(plan.depth, cfg.cols * kSimdWidth, rng);
+    auto p = runner.spmmExact(a, b);
+    p.scale((static_cast<double>(l.m) / rows) *
+            (static_cast<double>(l.k) / plan.depth) *
+            static_cast<double>(plan.passes));
+    return p;
+}
+
 /** Columns [c0, c0 + w) of @p d, zero past its last column. */
 DenseMatrix
 columnSlice(const DenseMatrix &d, int c0, int w)
@@ -43,7 +65,7 @@ TEST(CanonRunner, ScaledRunEqualsEveryColumnPass)
     // dense-stationary schedule repeats the first. With no M proxy,
     // the scaled run must equal spmmExact summed over every B column
     // slice -- the last one zero-padded when N is ragged -- and each
-    // slice must compute its exact product.
+    // slice must compute its exact product on a fabric of its own.
     const struct
     {
         int rows, cols, n;
@@ -64,15 +86,17 @@ TEST(CanonRunner, ScaledRunEqualsEveryColumnPass)
 
         const auto got = runner.run(spmmLayer(m, k, c.n, 0.6), 5);
         Rng rng(5);
-        const auto a = CsrMatrix::fromDense(randomSparse(m, k, 0.6, rng));
+        const auto a = randomSparse(m, k, 0.6, rng);
         const auto b = randomDense(k, c.n, rng);
         ExecutionProfile want;
         for (int p = 0; p < passes; ++p) {
             const auto slice = columnSlice(b, p * tile_n, tile_n);
-            WordMatrix product;
-            const auto pass = runner.spmmExact(a, slice, &product);
-            EXPECT_EQ(product, reference::spmm(a, slice))
+            CanonFabric fabric(cfg);
+            fabric.load(mapSpmm(a, slice, cfg));
+            fabric.run();
+            EXPECT_EQ(fabric.result(), reference::spmm(a, slice))
                 << where << " pass " << p;
+            const auto pass = runner.spmmExact(a, slice);
             if (p == 0)
                 want = pass;
             else
@@ -117,8 +141,7 @@ TEST(CanonRunner, UnitFactorSpmmLayerEqualsSpmmExact)
                 Rng rng(seed);
                 const auto a = randomSparse(m, k, sp, rng);
                 const auto b = randomDense(k, n, rng);
-                const auto want =
-                    runner.spmmExact(CsrMatrix::fromDense(a), b);
+                const auto want = runner.spmmExact(a, b);
                 EXPECT_EQ(got.arch, want.arch) << where;
                 EXPECT_EQ(got.workload, want.workload) << where;
                 EXPECT_EQ(got.cycles, want.cycles) << where;
@@ -132,27 +155,29 @@ TEST(CanonRunner, UnitFactorSpmmLayerEqualsSpmmExact)
 TEST(CanonRunner, ProxyScalingConsistent)
 {
     // A proxy-scaled profile should approximate the exact run of the
-    // full shape (same sparsity, same fabric).
+    // full matrix (same sparsity, same fabric). M is four times the
+    // derived 512-row cap, so run() simulates a 4x M proxy.
     CanonConfig cfg;
     cfg.rows = 4;
     cfg.cols = 4;
     CanonRunner runner(cfg);
 
-    const std::int64_t m = 256, k = 64, n = 64;
-    const double sparsity = 0.7;
+    const auto layer = spmmLayer(2048, 64, 64, 0.7);
+    ASSERT_EQ(runner.plan(layer.m, layer.k, layer.n, cfg.rows).rows, 512);
 
-    CanonRunOptions exact_opt;
-    exact_opt.maxProxyRows = 1 << 20; // no M proxy
-    const auto exact = runner.run(spmmLayer(m, k, n, sparsity), 9, exact_opt);
-
-    CanonRunOptions proxy_opt;
-    proxy_opt.maxProxyRows = 64; // 4x M scaling
-    const auto proxy = runner.run(spmmLayer(m, k, n, sparsity), 9, proxy_opt);
+    const auto exact =
+        spmmWithProxyRows(runner, layer, 9, static_cast<int>(layer.m));
+    const auto proxy = runner.run(layer, 9);
 
     const double ratio = static_cast<double>(proxy.cycles) /
                          static_cast<double>(exact.cycles);
     EXPECT_NEAR(ratio, 1.0, 0.15)
         << "proxy " << proxy.cycles << " vs exact " << exact.cycles;
+
+    // At the cap the helper draws and scales what run() does.
+    const auto at_cap = spmmWithProxyRows(runner, layer, 9, 512);
+    EXPECT_EQ(at_cap.cycles, proxy.cycles);
+    EXPECT_EQ(at_cap.activity, proxy.activity);
 }
 
 TEST(CanonRunner, ProxyRowCapDerivesFromFabricHeight)
@@ -162,11 +187,10 @@ TEST(CanonRunner, ProxyRowCapDerivesFromFabricHeight)
     // to a multiple of the height. 8x8 through 32x32 keep the
     // historical 512; taller fabrics scale instead of thinning each
     // orchestrator's sample.
-    const CanonRunOptions opt;
-    const auto cap = [&](int rows) {
+    const auto cap = [](int rows) {
         CanonConfig cfg;
         cfg.rows = rows;
-        return opt.effectiveProxyRows(cfg);
+        return proxyRowCap(cfg);
     };
     EXPECT_EQ(cap(8), 512);
     EXPECT_EQ(cap(16), 512);
@@ -174,12 +198,6 @@ TEST(CanonRunner, ProxyRowCapDerivesFromFabricHeight)
     EXPECT_EQ(cap(24), 528);  // rounded up to a multiple of 24
     EXPECT_EQ(cap(48), 768);  // 16 slices/row beats the 512 floor
     EXPECT_EQ(cap(64), 1024);
-
-    CanonRunOptions explicit_opt;
-    explicit_opt.maxProxyRows = 64; // explicit settings win
-    CanonConfig cfg;
-    cfg.rows = 64;
-    EXPECT_EQ(explicit_opt.effectiveProxyRows(cfg), 64);
 }
 
 TEST(CanonRunner, AdaptiveFlushLiftsProxyRowFloor)
@@ -189,31 +207,23 @@ TEST(CanonRunner, AdaptiveFlushLiftsProxyRowFloor)
     // the derived cap starts from the 4x larger
     // kMinProxyRowsAdaptive floor. Eager keeps the historical 512
     // pins of ProxyRowCapDerivesFromFabricHeight untouched.
-    const CanonRunOptions opt;
-    const auto cap = [&](int rows) {
+    const auto cap = [](int rows) {
         CanonConfig cfg;
         cfg.rows = rows;
         cfg.spadFlush = SpadFlushPolicy::Adaptive;
-        return opt.effectiveProxyRows(cfg);
+        return proxyRowCap(cfg);
     };
     EXPECT_EQ(cap(8), 2048);
     EXPECT_EQ(cap(16), 2048);
     EXPECT_EQ(cap(32), 2048);
     EXPECT_EQ(cap(24), 2064); // rounded up to a multiple of 24
     EXPECT_EQ(cap(64), 2048);
-
-    CanonRunOptions explicit_opt;
-    explicit_opt.maxProxyRows = 64; // explicit settings still win
-    CanonConfig cfg;
-    cfg.rows = 16;
-    cfg.spadFlush = SpadFlushPolicy::Adaptive;
-    EXPECT_EQ(explicit_opt.effectiveProxyRows(cfg), 64);
 }
 
 TEST(CanonRunner, ProxyPlanRowsFromEffectiveProxyRows)
 {
     // Every shape's simulated rows come from plan(), which takes them
-    // from effectiveProxyRows: eager and adaptive floors, the
+    // from proxyRowCap: eager and adaptive floors, the
     // height-rounded 24-row cap, and a short M simulated whole.
     const auto rows = [](int height, SpadFlushPolicy policy,
                          std::int64_t m) {
@@ -221,7 +231,7 @@ TEST(CanonRunner, ProxyPlanRowsFromEffectiveProxyRows)
         cfg.rows = height;
         cfg.spadFlush = policy;
         const CanonRunner runner(cfg);
-        const int cap = CanonRunOptions{}.effectiveProxyRows(cfg);
+        const int cap = proxyRowCap(cfg);
         const int got = runner.plan(m, 64, 32, height).rows;
         EXPECT_EQ(got, std::min<std::int64_t>(m, cap));
         return got;
@@ -230,11 +240,6 @@ TEST(CanonRunner, ProxyPlanRowsFromEffectiveProxyRows)
     EXPECT_EQ(rows(8, SpadFlushPolicy::Adaptive, 100000), 2048);
     EXPECT_EQ(rows(24, SpadFlushPolicy::Eager, 100000), 528);
     EXPECT_EQ(rows(8, SpadFlushPolicy::Eager, 300), 300);
-
-    CanonRunOptions explicit_opt;
-    explicit_opt.maxProxyRows = 64;
-    EXPECT_EQ(CanonRunner().plan(100000, 64, 32, 8, explicit_opt).rows,
-              64);
 }
 
 TEST(CanonRunner, ProxyPlanClampsAndRoundsDepth)
@@ -268,7 +273,7 @@ TEST(CanonRunner, ProxyPlanFactorCountsEveryColumnPass)
     EXPECT_DOUBLE_EQ(p.factor, 3.0);
 }
 
-/** Raw (unscaled) proxy cycles of one 16x16 SpMM run at @p rows
+/** Raw (unscaled) proxy cycles of one 16x16 SpMM run at @p rows_cap
  *  simulated resident rows, observed through an installed Collector
  *  the way examples/resident_rows.cc measures the curve. */
 static std::uint64_t
@@ -285,11 +290,9 @@ rawProxyCycles(int rows_cap, SpadFlushPolicy policy)
     std::shared_ptr<const obs::ScenarioObs> seen;
     {
         obs::ScopedCollector scope(col);
-        CanonRunner runner(cfg);
-        CanonRunOptions opt;
-        opt.maxProxyRows = rows_cap;
-        (void)runner.run(spmmLayer(1 << 20, 128, 16 * kSimdWidth, 0.7),
-                         42, opt);
+        (void)spmmWithProxyRows(
+            CanonRunner(cfg), spmmLayer(1 << 20, 128, 16 * kSimdWidth, 0.7),
+            42, rows_cap);
         seen = col.finish();
     }
     return seen->runs.front().cycles;
@@ -323,13 +326,10 @@ TEST(CanonRunner, AdaptiveProxyConsistentAtLiftedCap)
     cfg.spadFlush = SpadFlushPolicy::Adaptive;
     CanonRunner runner(cfg);
 
-    const std::int64_t m = 8192, k = 512, n = 64;
-
-    CanonRunOptions exact_opt;
-    exact_opt.maxProxyRows = 1 << 20; // no M proxy
-    const auto exact = runner.run(spmmLayer(m, k, n, 0.7), 9, exact_opt);
-
-    const auto proxy = runner.run(spmmLayer(m, k, n, 0.7), 9);
+    const auto layer = spmmLayer(8192, 512, 64, 0.7);
+    const auto exact =
+        spmmWithProxyRows(runner, layer, 9, static_cast<int>(layer.m));
+    const auto proxy = runner.run(layer, 9);
 
     const double ratio = static_cast<double>(proxy.cycles) /
                          static_cast<double>(exact.cycles);
@@ -344,9 +344,8 @@ TEST(CanonRunner, PolicyAndBankingPreserveResults)
     // merges happen in, every configuration must produce the
     // reference product bit-for-bit.
     Rng rng(5);
-    const auto a = randomSparse(64, 32, 0.6, rng);
+    const auto csr = randomSparse(64, 32, 0.6, rng);
     const auto b = randomDense(32, 32, rng);
-    const auto csr = CsrMatrix::fromDense(a);
     const auto want = reference::spmm(csr, b);
 
     const struct
@@ -365,9 +364,10 @@ TEST(CanonRunner, PolicyAndBankingPreserveResults)
         cfg.cols = 8;
         cfg.tagBanks = c.banks;
         cfg.spadFlush = c.flush;
-        WordMatrix got;
-        CanonRunner(cfg).spmmExact(csr, b, &got);
-        EXPECT_EQ(got, want)
+        CanonFabric fabric(cfg);
+        fabric.load(mapSpmm(csr, b, cfg));
+        fabric.run();
+        EXPECT_EQ(fabric.result(), want)
             << c.banks << " banks, " << spadFlushName(c.flush);
     }
 }
@@ -415,15 +415,11 @@ TEST(CanonRunner, ProxyScalingConsistentOnLargerFabrics)
         cfg.cols = c.size;
         CanonRunner runner(cfg);
 
-        CanonRunOptions exact_opt;
-        exact_opt.maxProxyRows = 1 << 20; // no M proxy
-            const auto exact =
-            runner.run(spmmLayer(c.m, c.k, c.n, 0.7), 9, exact_opt);
-
-        CanonRunOptions proxy_opt;
-        proxy_opt.maxProxyRows = c.proxy_rows;
+        const auto layer = spmmLayer(c.m, c.k, c.n, 0.7);
+        const auto exact = spmmWithProxyRows(runner, layer, 9,
+                                             static_cast<int>(c.m));
         const auto proxy =
-            runner.run(spmmLayer(c.m, c.k, c.n, 0.7), 9, proxy_opt);
+            spmmWithProxyRows(runner, layer, 9, c.proxy_rows);
 
         const double ratio = static_cast<double>(proxy.cycles) /
                              static_cast<double>(exact.cycles);
