@@ -101,7 +101,7 @@ main()
 
     // --- 7. and the CLI's tables say what can run -------------------
     std::cout << "engine knows " << cli::workloadTable().size()
-              << " workloads, " << knownModelNames().size()
+              << " workloads, " << modelTable().size()
               << " models, " << cli::knownArchs().size()
               << " architectures\n";
     return 0;

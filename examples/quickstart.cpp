@@ -58,7 +58,7 @@ main()
               << "FSM transitions:   " << profile.get("stateTransitions")
               << "\n"
               << "stall cycles:      "
-              << fabric.stats().sumCounter("stallCycles") << "\n";
+              << fabric.sumCounter("stallCycles") << "\n";
 
     EnergyModel energy;
     const auto r = energy.evaluate(profile);

@@ -62,11 +62,9 @@ class Dfg
                 "Dfg ", name_, ": bad edge ", from, "->", to);
         panicIf(from == to, "Dfg ", name_, ": self edge on ", from);
         preds_[static_cast<std::size_t>(to)].push_back(from);
-        ++edges_;
     }
 
     int size() const { return static_cast<int>(nodes_.size()); }
-    int edgeCount() const { return edges_; }
     const std::string &name() const { return name_; }
     const DfgNode &node(int id) const
     {
@@ -85,7 +83,6 @@ class Dfg
     std::string name_;
     std::vector<DfgNode> nodes_;
     std::vector<std::vector<int>> preds_;
-    int edges_ = 0;
 };
 
 } // namespace canon

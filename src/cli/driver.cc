@@ -116,21 +116,20 @@ renderDryRun(const engine::ScenarioRequest &req, engine::Engine &eng,
 
     Table table("canonsim dry-run");
     table.header({"Scenario", "Point", "CacheKey", "Forecast"});
-    std::size_t hits = 0, misses = 0;
-    for (const auto &p : plans) {
-        hits += p.forecast == engine::ScenarioPlan::Forecast::Hit;
-        misses += p.forecast != engine::ScenarioPlan::Forecast::Hit;
+    for (const auto &p : plans)
         table.addRow({p.job.options.workloadLabel(),
                       p.job.point.empty() ? "-" : p.job.point,
                       p.key.digest(),
                       engine::forecastName(p.forecast)});
-    }
     table.print(out);
 
-    if (eng.store())
-        out << "\ndry-run forecast: " << hits << " hits, " << misses
+    if (eng.store()) {
+        const std::size_t misses = engine::missCount(plans);
+        out << "\ndry-run forecast: " << plans.size() - misses
+            << " hits, " << misses
             << " misses; simulation jobs to execute: " << misses
             << "\n";
+    }
     return 0;
 }
 

@@ -143,13 +143,13 @@ constexpr OptionRule kOptionTable[] = {
              o.model.clear();
              return {};
          }
-         if (contains(knownModelNames(), v)) {
+         if (findModel(v)) {
              o.model = v;
              return {};
          }
          std::string names;
-         for (const auto &name : knownModelNames())
-             names += name + ", ";
+         for (const auto &m : modelTable())
+             names += m.name + ", ";
          return "unknown model '" + v + "' (" + names + "none)";
      },
      [](const Options &o) {
@@ -450,7 +450,8 @@ relevantScenarioKeys(const Options &opt)
     static const std::vector<std::string> knob = {"model", "sparsity",
                                                   "seed"};
     static const std::vector<std::string> fixed = {"model", "seed"};
-    return modelUsesSparsity(opt.model) ? knob : fixed;
+    const ModelInfo *model = findModel(opt.model);
+    return model && model->sparsity ? knob : fixed;
 }
 
 bool
@@ -507,10 +508,10 @@ listText()
 
     oss << "\nModels (--model M; layer shapes are pinned by the"
            " model):\n";
-    for (const auto &name : knownModelNames()) {
+    for (const auto &m : modelTable()) {
         Options opt;
-        opt.model = name;
-        oss << "  " << pad(name, 16) << join(relevantScenarioKeys(opt))
+        opt.model = m.name;
+        oss << "  " << pad(m.name, 16) << join(relevantScenarioKeys(opt))
             << "\n";
     }
 
@@ -527,7 +528,7 @@ listText()
 const char *
 usageText()
 {
-    // The model menu is derived from knownModelNames() so the help
+    // The model menu is derived from modelTable() so the help
     // text cannot drift from the registry; the assembled text is
     // cached because callers expect a stable const char *.
     static const std::string text = std::string(
@@ -543,9 +544,8 @@ usageText()
         "  --model M         run a whole model instead of one shape\n"
         "                    (" + []() {
                                   std::string names;
-                                  for (const auto &n :
-                                       knownModelNames())
-                                      names += n + " | ";
+                                  for (const auto &m : modelTable())
+                                      names += m.name + " | ";
                                   return names;
                               }() + "none;\n"
         "                    --sparsity overrides the canonical\n"

@@ -232,7 +232,7 @@ std::string keyedOptionText(const Options &opt);
 
 /**
  * The `canonsim --list` report (also canond's List reply), rendered
- * from the workload table, knownModelNames(), knownArchs() and the
+ * from the workload table, modelTable(), knownArchs() and the
  * option table, so it cannot drift from what the grammar accepts.
  */
 std::string listText();

@@ -15,7 +15,7 @@ CanonFabric::~CanonFabric() = default;
 
 CanonFabric::CanonFabric(const CanonConfig &cfg,
                          std::uint64_t shuffle_seed)
-    : cfg_(cfg), stats_("fabric"), shuffleSeed_(shuffle_seed)
+    : cfg_(cfg), shuffleSeed_(shuffle_seed)
 {
     fatalIf(cfg_.rows <= 0 || cfg_.cols <= 0,
             "CanonFabric: non-positive array shape");
@@ -51,11 +51,9 @@ CanonFabric::CanonFabric(const CanonConfig &cfg,
     // PEs.
     for (int r = 0; r < cfg_.rows; ++r) {
         for (int c = 0; c < cfg_.cols; ++c) {
-            auto &pe_stats = stats_.child(
-                "pe" + std::to_string(r) + "_" + std::to_string(c));
             auto pe = std::make_unique<Pe>(PeGeometry{r, c},
                                            cfg_.dmemSlots,
-                                           cfg_.spadEntries, pe_stats);
+                                           cfg_.spadEntries);
             pe->router().bindIn(Dir::North, &vert(r, c));
             pe->router().bindOut(Dir::South, &vert(r + 1, c));
             pe->router().bindIn(Dir::West, &horiz(r, c));
@@ -67,10 +65,9 @@ CanonFabric::CanonFabric(const CanonConfig &cfg,
     // Per-row instruction pipelines and orchestrators.
     for (int r = 0; r < cfg_.rows; ++r) {
         pipes_.push_back(std::make_unique<InstPipeline>(cfg_.cols));
-        auto &orch_stats = stats_.child("orch" + std::to_string(r));
         auto orch = std::make_unique<Orchestrator>(
-            "orch" + std::to_string(r), cfg_.spadEntries, orch_stats,
-            now_, OrchPolicy{cfg_.tagBanks, cfg_.spadFlush});
+            "orch" + std::to_string(r), cfg_.spadEntries, now_,
+            OrchPolicy{cfg_.tagBanks, cfg_.spadFlush});
         orch->bindPipeline(pipes_.back().get());
         orch->bindWestChannel(&horiz(r, 0));
         orch->bindMsgIn(msg_[r].get());
@@ -346,8 +343,8 @@ CanonFabric::step()
 bool
 CanonFabric::foldable() const
 {
-    // now_ == 0: a fabric that has already stepped keeps its columns'
-    // own counters, which the fold would overwrite.
+    // now_ == 0: a fabric that has already stepped has counted in
+    // its other columns, which the folded enumeration would hide.
     return now_ == 0 && !spatial_ && !probe_ && southCollector_ &&
            !feeder_ && cfg_.cols >= 2 && !mapping_.program->writesDmem();
 }
@@ -416,10 +413,16 @@ CanonFabric::runLoop(Cycle max_cycles, bool may_fold)
     fatalIf(!loaded_, "CanonFabric::run: no kernel loaded");
     obs::Collector *col = obs::current();
     if (col && (col->sampling() || col->accounting()) && !probe_) {
+        std::unique_ptr<obs::CycleSampler> sampler;
+        if (col->sampling()) {
+            sampler = std::make_unique<obs::CycleSampler>();
+            forEachCounter([&](std::string_view group,
+                               std::string_view leaf, const Counter &ctr) {
+                sampler->track(group, leaf, ctr);
+            });
+        }
         probe_ = std::make_unique<obs::CycleProbe>(
-            col->options().sampleEvery,
-            col->sampling() ? std::make_unique<obs::CycleSampler>(stats_)
-                            : nullptr,
+            col->options().sampleEvery, std::move(sampler),
             col->accounting() ? makeAccountant() : nullptr);
         commitGroups_.push_back(Group::Probe);
     }
@@ -434,10 +437,6 @@ CanonFabric::runLoop(Cycle max_cycles, bool may_fold)
         step();
     }
     const Cycle elapsed = now_ - start;
-    if (folding)
-        for (int r = 0; r < cfg_.rows; ++r)
-            for (int c = 1; c < cfg_.cols; ++c)
-                pes_[peIndex(r, c)]->mirrorCounters(*pes_[peIndex(r, 0)]);
     if (col) {
         obs::SeriesSet series;
         obs::AccountingSet accounting;
@@ -446,7 +445,10 @@ CanonFabric::runLoop(Cycle max_cycles, bool may_fold)
             series = probe_->takeSeries();
             accounting = probe_->takeAccounting();
         }
-        col->recordFabricRun(stats_, elapsed, std::move(series),
+        col->recordFabricRun(col->options().wantFlatStats()
+                                 ? flatStats()
+                                 : std::map<std::string, std::uint64_t>{},
+                             elapsed, std::move(series),
                              std::move(accounting));
     }
     return elapsed;
@@ -507,6 +509,31 @@ CanonFabric::popEast(int r)
     return v;
 }
 
+std::map<std::string, std::uint64_t>
+CanonFabric::flatStats() const
+{
+    std::map<std::string, std::uint64_t> flat;
+    forEachCounter([&](std::string_view group, std::string_view leaf,
+                       const Counter &ctr) {
+        std::string path(group);
+        path.append(".").append(leaf);
+        flat.emplace(std::move(path), ctr.value());
+    });
+    return flat;
+}
+
+std::uint64_t
+CanonFabric::sumCounter(std::string_view leaf) const
+{
+    std::uint64_t total = 0;
+    forEachCounter([&](std::string_view, std::string_view name,
+                       const Counter &ctr) {
+        if (name == leaf)
+            total += ctr.value();
+    });
+    return total;
+}
+
 ExecutionProfile
 CanonFabric::profile(const std::string &workload) const
 {
@@ -538,9 +565,8 @@ CanonFabric::profile(const std::string &workload) const
                {"stateTransitions", "stateTransitions"},
                {"instIssued", "instHops"}}};
     std::array<std::uint64_t, kSums.size()> sums{};
-    stats_.visitCounters([&](const std::string &path, const Counter &ctr) {
-        const std::string_view leaf =
-            std::string_view(path).substr(path.rfind('.') + 1);
+    forEachCounter([&](std::string_view, std::string_view leaf,
+                       const Counter &ctr) {
         for (std::size_t i = 0; i < kSums.size(); ++i) {
             if (kSums[i].first == leaf) {
                 sums[i] += ctr.value();

@@ -23,21 +23,30 @@
  * groups and their members tick in within a phase cannot be observed,
  * which the shuffle seed proves.
  *
+ * Statistics are the components' own Counter members.
+ * forEachCounter() enumerates them as (group, leaf, counter) on
+ * demand, and profile(), flatStats(), sumCounter() and the cycle
+ * sampler read that enumeration; nothing is registered.
+ *
  * A caller that wants only the cycles and the counters calls
  * runForProfile() instead of run(). When the fabric can, it then runs
  * *folded*: only column 0 ticks, since PE column c repeats column 0's
  * pops, pushes, counters and panics exactly 3c cycles later (the
  * orchestrators never read data values, and a streaming PE never
- * stalls). The run ends when the full one would, and every other PE
- * then takes its row's column-0 counters, so cycles, profile and stats
- * are identical to run()'s; only result() is gone.
+ * stalls). The run ends when the full one would, and the enumeration
+ * then reports each row's column-0 counters under every column's
+ * name, so cycles, profile and stats are identical to run()'s; only
+ * result() is gone.
  */
 
 #ifndef CANON_CORE_FABRIC_HH
 #define CANON_CORE_FABRIC_HH
 
+#include <map>
 #include <memory>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/collectors.hh"
@@ -125,7 +134,40 @@ class CanonFabric
     Pe &pe(int r, int c);
     Orchestrator &orch(int r);
     const Orchestrator &orch(int r) const;
-    StatGroup &stats() { return stats_; }
+
+    /**
+     * Visit every counter as (group, leaf, counter), one group.leaf
+     * path each: orchestrator r's, its tag buffer's included, in
+     * group "orchR", and PE (r, c)'s, its memories' and router's
+     * included, in group "peR_C". The names are valid during the
+     * call; the visiting order is not part of the contract. After a
+     * folded run PE (r, c) reports PE (r, 0)'s counters, which it
+     * repeats, while its own stay zero.
+     */
+    template <typename Fn>
+    void
+    forEachCounter(Fn &&fn) const
+    {
+        for (const auto &o : orchs_)
+            o->forEachCounter(
+                [&](std::string_view leaf, const Counter &ctr) {
+                    fn(std::string_view(o->name()), leaf, ctr);
+                });
+        for (const auto &p : pes_) {
+            const Pe &src = folded_ ? *pes_[peIndex(p->row(), 0)] : *p;
+            src.forEachCounter(
+                [&](std::string_view leaf, const Counter &ctr) {
+                    fn(std::string_view(p->name()), leaf, ctr);
+                });
+        }
+    }
+
+    /** Every counter by its "group.leaf" path: the stats JSON's flat
+     *  view. */
+    std::map<std::string, std::uint64_t> flatStats() const;
+
+    /** The sum of every counter named @p leaf, fabric-wide. */
+    std::uint64_t sumCounter(std::string_view leaf) const;
 
     /** Group passes per cycle (zero-cost-when-off tests). */
     std::size_t phaseGroups() const
@@ -207,7 +249,6 @@ class CanonFabric
     std::unique_ptr<obs::CycleAccountant> makeAccountant() const;
 
     CanonConfig cfg_;
-    StatGroup stats_;
     Cycle now_ = 0;
 
     std::vector<std::unique_ptr<Pe>> pes_;

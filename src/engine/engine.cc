@@ -20,11 +20,14 @@ runScenarioCases(const cli::Options &opt)
                           opt.archs.empty()
                               ? std::vector<std::string>{"canon"}
                               : opt.archs);
-    if (!opt.model.empty())
-        return suite.model(opt.sparsitySet
-                               ? modelByName(opt.model, opt.sparsity)
-                               : modelByName(opt.model),
-                           opt.seed);
+    if (!opt.model.empty()) {
+        const ModelInfo *model = findModel(opt.model);
+        fatalIf(!model, "unknown model '", opt.model, "'");
+        return suite.model(
+            model->build(opt.sparsitySet ? opt.sparsity
+                                         : model->sparsity.value_or(0.0)),
+            opt.seed);
+    }
     // A shape scenario is a one-layer model.
     return suite.run({cli::workloadName(opt.workload), opt.workload,
                       opt.m, opt.k, opt.n, opt.sparsity, opt.window,
@@ -54,6 +57,15 @@ forecastName(ScenarioPlan::Forecast f)
         return "uncached";
     }
     return "?";
+}
+
+std::size_t
+missCount(const std::vector<ScenarioPlan> &plans)
+{
+    return static_cast<std::size_t>(
+        std::count_if(plans.begin(), plans.end(), [](const auto &p) {
+            return p.forecast != ScenarioPlan::Forecast::Hit;
+        }));
 }
 
 Engine::Engine(EngineConfig config)

@@ -103,6 +103,10 @@ struct ScenarioPlan
 /** Plan forecast as the word dry-run reports print. */
 const char *forecastName(ScenarioPlan::Forecast f);
 
+/** The scenarios of @p plans that would simulate: every one not
+ *  forecast a hit. */
+std::size_t missCount(const std::vector<ScenarioPlan> &plans);
+
 class Engine
 {
   public:

@@ -17,11 +17,9 @@ checkedSlots(const std::string &name, int slots)
 } // namespace
 
 template <typename T>
-VecRam<T>::VecRam(std::string name, int slots, StatGroup &stats)
+VecRam<T>::VecRam(std::string name, int slots)
     : name_(std::move(name)), data_(checkedSlots(name_, slots))
 {
-    stats.add(name_ + "Reads", reads_);
-    stats.add(name_ + "Writes", writes_);
 }
 
 template class VecRam<Elem>;

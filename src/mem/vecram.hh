@@ -40,10 +40,10 @@ class VecRam
   public:
     /**
      * @param name  instance name for diagnostics; the access counters
-     *              register as `<name>Reads` / `<name>Writes`
+     *              are named `<name>Reads` / `<name>Writes`
      * @param slots number of vector entries
      */
-    VecRam(std::string name, int slots, StatGroup &stats);
+    VecRam(std::string name, int slots);
 
     int slots() const { return static_cast<int>(data_.size()); }
 
@@ -74,16 +74,13 @@ class VecRam
         ++writes_;
     }
 
-    /**
-     * Add @p src's access counts to this memory's, which are still
-     * zero: a PE the folded run never ticked takes its row's column-0
-     * counts (CanonFabric::runForProfile).
-     */
+    /** Visit the access counters as (leaf name, counter). */
+    template <typename Fn>
     void
-    mirrorCounters(const VecRam &src)
+    forEachCounter(Fn &&fn) const
     {
-        reads_ += src.reads_.value();
-        writes_ += src.writes_.value();
+        fn(name_ + "Reads", reads_);
+        fn(name_ + "Writes", writes_);
     }
 
     /** Direct initialization (data placement before execution). */

@@ -50,8 +50,6 @@ using DataChannel = ChannelFifo<Vec4>;
 class Router
 {
   public:
-    explicit Router(StatGroup &stats) { stats.add("routerHops", hops_); }
-
     /** Attach the channel delivering data *into* this PE from @p d. */
     void bindIn(Dir d, DataChannel *ch);
 
@@ -104,9 +102,13 @@ class Router
         return ch && ch->canPush();
     }
 
-    /** Add @p src's hop count to this router's, which is still zero
-     *  (see VecRam::mirrorCounters). */
-    void mirrorCounters(const Router &src) { hops_ += src.hops_.value(); }
+    /** Visit the hop counter as (leaf name, counter). */
+    template <typename Fn>
+    void
+    forEachCounter(Fn &&fn) const
+    {
+        fn("routerHops", hops_);
+    }
 
   private:
     std::array<DataChannel *, kNumDirs> in_{};

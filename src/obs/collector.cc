@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "common/stats.hh"
-
 namespace canon
 {
 namespace obs
@@ -17,14 +15,14 @@ thread_local Collector *tlsCollector = nullptr;
 } // namespace
 
 void
-Collector::recordFabricRun(const StatGroup &stats, std::uint64_t cycles,
-                           SeriesSet series, AccountingSet accounting)
+Collector::recordFabricRun(std::map<std::string, std::uint64_t> flat,
+                           std::uint64_t cycles, SeriesSet series,
+                           AccountingSet accounting)
 {
     FabricRunObs run;
     run.cycles = cycles;
     run.series = std::move(series);
-    if (obs_.options.wantFlatStats())
-        run.flat = stats.flatten();
+    run.flat = std::move(flat);
     run.accounting = std::move(accounting);
     obs_.runs.push_back(std::move(run));
 }

@@ -35,9 +35,6 @@
 
 namespace canon
 {
-
-class StatGroup;
-
 namespace obs
 {
 
@@ -90,9 +87,13 @@ class Collector
     bool sampling() const { return obs_.options.sampling(); }
     bool accounting() const { return obs_.options.cycleAccounting; }
 
-    /** Record one finished fabric run (called by CanonFabric::run). */
-    void recordFabricRun(const StatGroup &stats, std::uint64_t cycles,
-                         SeriesSet series,
+    /**
+     * Record one finished fabric run (called by CanonFabric::run).
+     * @p flat is the fabric's flat stats view, which it builds only
+     * when options().wantFlatStats() holds (empty otherwise).
+     */
+    void recordFabricRun(std::map<std::string, std::uint64_t> flat,
+                         std::uint64_t cycles, SeriesSet series,
                          AccountingSet accounting = {});
 
     void recordCacheEvent(CacheEventKind kind)

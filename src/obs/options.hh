@@ -26,7 +26,7 @@ namespace obs
 struct ObsOptions
 {
     /**
-     * Cycle-resolved sampling cadence: capture the tracked StatGroup
+     * Cycle-resolved sampling cadence: capture the tracked fabric
      * counters every N simulated cycles (plus one final sample at run
      * end). 0 disables the sampler entirely; with cycle accounting
      * also off the fabric ticks no probe group, so disabled

@@ -1,8 +1,5 @@
 #include "obs/sampler.hh"
 
-#include <map>
-#include <utility>
-
 #include "common/logging.hh"
 #include "common/stats.hh"
 
@@ -21,7 +18,7 @@ const char *const kFabricMetrics[] = {
     "spadCapCycles",  "instIssued",
 };
 
-/** Metrics additionally split out per top-level "orch*" child. */
+/** Metrics additionally split out per "orch*" group. */
 const char *const kOrchMetrics[] = {
     "spadResidentSum",
     "spadCapCycles",
@@ -29,56 +26,30 @@ const char *const kOrchMetrics[] = {
     "stallCycles",
 };
 
-std::string
-leafOf(const std::string &path)
-{
-    auto dot = path.rfind('.');
-    return dot == std::string::npos ? path : path.substr(dot + 1);
-}
-
-std::string
-topOf(const std::string &path)
-{
-    auto dot = path.find('.');
-    return dot == std::string::npos ? std::string() : path.substr(0, dot);
-}
-
 } // namespace
 
-CycleSampler::CycleSampler(const StatGroup &stats)
+void
+CycleSampler::track(std::string_view group, std::string_view leaf,
+                    const Counter &ctr)
 {
-    // (metric, component) -> summed counter sources. std::map keys the
-    // probe order, so the series layout is independent of counter
-    // registration order (visitCounters is itself lexicographic).
-    std::map<std::pair<std::string, std::string>,
-             std::vector<const Counter *>>
-        probes;
-    stats.visitCounters([&](const std::string &path, const Counter &c) {
-        const std::string leaf = leafOf(path);
-        for (const char *m : kFabricMetrics)
+    for (const char *m : kFabricMetrics)
+        if (leaf == m)
+            probes_[{std::string(leaf), "fabric"}].sources.push_back(&ctr);
+    if (group.starts_with("orch"))
+        for (const char *m : kOrchMetrics)
             if (leaf == m)
-                probes[{leaf, "fabric"}].push_back(&c);
-        const std::string top = topOf(path);
-        if (top.rfind("orch", 0) == 0)
-            for (const char *m : kOrchMetrics)
-                if (leaf == m)
-                    probes[{leaf, top}].push_back(&c);
-    });
-
-    probes_.reserve(probes.size());
-    for (auto &[key, sources] : probes)
-        probes_.push_back({key.first, key.second, std::move(sources)});
-    points_.resize(probes_.size());
+                probes_[{std::string(leaf), std::string(group)}]
+                    .sources.push_back(&ctr);
 }
 
 void
 CycleSampler::capture(std::uint64_t cycle)
 {
-    for (std::size_t i = 0; i < probes_.size(); ++i) {
+    for (auto &[key, probe] : probes_) {
         std::uint64_t sum = 0;
-        for (const Counter *c : probes_[i].sources)
+        for (const Counter *c : probe.sources)
             sum += c->value();
-        points_[i].push_back({cycle, sum});
+        probe.points.push_back({cycle, sum});
     }
 }
 
@@ -87,12 +58,12 @@ CycleSampler::take()
 {
     SeriesSet out;
     out.series.reserve(probes_.size());
-    for (std::size_t i = 0; i < probes_.size(); ++i) {
+    for (auto &[key, probe] : probes_) {
         Series s;
-        s.metric = probes_[i].metric;
-        s.component = probes_[i].component;
-        s.points = std::move(points_[i]);
-        points_[i].clear();
+        s.metric = key.first;
+        s.component = key.second;
+        s.points = std::move(probe.points);
+        probe.points.clear();
         out.series.push_back(std::move(s));
     }
     return out;

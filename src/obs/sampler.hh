@@ -6,20 +6,20 @@
  * CycleProbe is the one obs group a fabric ticks. It is commit-only,
  * ticked after every other commit group, and it owns the single
  * cadence and final-capture rule for both cycle-resolved instruments:
- * the CycleSampler below, which reads a fixed probe set out of a
- * StatGroup tree, and the CycleAccountant (accounting.hh), which
- * classifies every component-cycle.
+ * the CycleSampler below, which sums a fixed probe set of a fabric's
+ * counters, and the CycleAccountant (accounting.hh), which classifies
+ * every component-cycle.
  *
  * Zero-cost-when-off is structural, not branchy: CanonFabric::run()
  * constructs a probe and appends its commit group only when the
  * observing collector asks for sampling or cycle accounting, so an
  * unobserved cycle loop ticks exactly the groups it would have ticked
  * without this file.
- * A sample is a handful of pointer reads: every sampler probe is
- * resolved to direct Counter pointers at construction, which is safe
- * because the counters are members of the fabric's components, which
- * never move, and the fabric registers all of them before it first
- * ticks.
+ * A sample is a handful of pointer reads: the fabric hands the
+ * sampler every counter it enumerates (CanonFabric::forEachCounter)
+ * before it first ticks, and each probe keeps direct Counter
+ * pointers, which is safe because the counters are members of the
+ * fabric's components, which never move.
  *
  * Capturing in the commit phase makes every series deterministic:
  * every counter bumps in the compute phase, so by any commit pass the
@@ -31,8 +31,11 @@
 #define CANON_OBS_SAMPLER_HH
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/accounting.hh"
@@ -41,7 +44,6 @@
 namespace canon
 {
 
-class StatGroup;
 class Counter;
 
 namespace obs
@@ -51,13 +53,15 @@ class CycleSampler final
 {
   public:
     /**
-     * Resolve the probe set against @p stats (a fabric stats tree).
-     *
-     * Probes: each tracked metric is summed fabric-wide into component
-     * "fabric", and the orchestrator residency/matching metrics are
-     * additionally split per top-level "orch*" child.
+     * Add @p ctr, counter @p leaf of group @p group, to the probes
+     * it feeds: each tracked metric is summed fabric-wide into
+     * component "fabric", and the orchestrator residency/matching
+     * metrics are additionally split per "orch*" group. A counter no
+     * probe tracks is ignored. Track every counter before the first
+     * capture().
      */
-    explicit CycleSampler(const StatGroup &stats);
+    void track(std::string_view group, std::string_view leaf,
+               const Counter &ctr);
 
     /** Record every probe's current value at @p cycle. */
     void capture(std::uint64_t cycle);
@@ -68,13 +72,12 @@ class CycleSampler final
   private:
     struct Probe
     {
-        std::string metric;
-        std::string component;
         std::vector<const Counter *> sources;
+        std::vector<SeriesPoint> points;
     };
 
-    std::vector<Probe> probes_;
-    std::vector<std::vector<SeriesPoint>> points_;
+    /** Keyed by (metric, component), which fixes the series order. */
+    std::map<std::pair<std::string, std::string>, Probe> probes_;
 };
 
 class CycleProbe final

@@ -4,25 +4,13 @@ namespace canon
 {
 
 Orchestrator::Orchestrator(std::string name, int spad_capacity,
-                           StatGroup &stats, const Cycle &now,
-                           const OrchPolicy &policy)
-    : name_(std::move(name)),
-      fifo_(spad_capacity, stats, policy.tagBanks), now_(now),
-      flushPolicy_(policy.spadFlush),
+                           const Cycle &now, const OrchPolicy &policy)
+    : name_(std::move(name)), fifo_(spad_capacity, policy.tagBanks),
+      now_(now), flushPolicy_(policy.spadFlush),
       flushThreshold_(policy.spadFlush == SpadFlushPolicy::Adaptive
                           ? spadHighWaterMark(spad_capacity - 1)
                           : spad_capacity - 1)
 {
-    stats.add("lutLookups", lutLookups_);
-    stats.add("instIssued", instIssued_);
-    stats.add("macIssued", macIssued_);
-    stats.add("stallCycles", stallCycles_);
-    stats.add("stateTransitions", stateTransitions_);
-    stats.add("msgsSent", msgsSent_);
-    stats.add("fwdAhead", fwdAhead_);
-    stats.add("fwdBehind", fwdBehind_);
-    stats.add("spadResidentSum", spadResidentSum_);
-    stats.add("spadCapCycles", spadCapCycles_);
 }
 
 void

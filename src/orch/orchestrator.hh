@@ -58,8 +58,8 @@ class Orchestrator final
 {
   public:
     /** @p now is the fabric's cycle counter (the stream timestamps). */
-    Orchestrator(std::string name, int spad_capacity, StatGroup &stats,
-                 const Cycle &now, const OrchPolicy &policy = {});
+    Orchestrator(std::string name, int spad_capacity, const Cycle &now,
+                 const OrchPolicy &policy = {});
 
     // ---- wiring ------------------------------------------------------
     void bindPipeline(InstPipeline *pipe) { pipe_ = pipe; }
@@ -88,6 +88,25 @@ class Orchestrator final
     std::uint64_t instIssuedValue() const
     {
         return instIssued_.value();
+    }
+
+    /** Visit every counter, the tag buffer's included, as (leaf
+     *  name, counter). */
+    template <typename Fn>
+    void
+    forEachCounter(Fn &&fn) const
+    {
+        fn("lutLookups", lutLookups_);
+        fn("instIssued", instIssued_);
+        fn("macIssued", macIssued_);
+        fn("stallCycles", stallCycles_);
+        fn("stateTransitions", stateTransitions_);
+        fn("msgsSent", msgsSent_);
+        fn("fwdAhead", fwdAhead_);
+        fn("fwdBehind", fwdBehind_);
+        fn("spadResidentSum", spadResidentSum_);
+        fn("spadCapCycles", spadCapCycles_);
+        fifo_.forEachCounter(fn);
     }
 
     /** All effects stage through channels that commit themselves,

@@ -51,15 +51,11 @@ namespace canon
 class TagFifo
 {
   public:
-    TagFifo(int capacity, StatGroup &stats, int banks = 1)
-        : capacity_(capacity)
+    explicit TagFifo(int capacity, int banks = 1) : capacity_(capacity)
     {
         panicIf(capacity <= 0, "TagFifo: capacity must be positive");
         panicIf(banks <= 0, "TagFifo: banks must be positive");
         banks_.resize(static_cast<std::size_t>(banks));
-        stats.add("bufferSearches", searches_);
-        stats.add("tagCompares", compares_);
-        stats.add("bufferPushes", pushes_);
     }
 
     /** Resident entries allowed while a row is still accumulating. */
@@ -76,6 +72,16 @@ class TagFifo
      *  the search-length histogram). */
     std::uint64_t searchCount() const { return searches_.value(); }
     std::uint64_t compareCount() const { return compares_.value(); }
+
+    /** Visit the cost counters as (leaf name, counter). */
+    template <typename Fn>
+    void
+    forEachCounter(Fn &&fn) const
+    {
+        fn("bufferSearches", searches_);
+        fn("tagCompares", compares_);
+        fn("bufferPushes", pushes_);
+    }
 
     /**
      * Physical slot the current (unpushed) row accumulates into. The
@@ -106,8 +112,7 @@ class TagFifo
     /**
      * is_managing(tag): physical slot if resident, nullopt if not.
      * Non-const because a probe is charged work: it bumps the
-     * bufferSearches/tagCompares cost counters. Diagnostic walks over
-     * a const fabric use probe() instead.
+     * bufferSearches/tagCompares cost counters.
      */
     std::optional<int>
     search(std::uint16_t tag)
@@ -119,17 +124,6 @@ class TagFifo
             if (e.tag == tag)
                 return e.slot;
         }
-        return std::nullopt;
-    }
-
-    /** Uncounted const lookup for diagnostics/tests: same result as
-     *  search(), charges nothing to the cost model. */
-    std::optional<int>
-    probe(std::uint16_t tag) const
-    {
-        for (const Entry &e : banks_[bankOf(tag)])
-            if (e.tag == tag)
-                return e.slot;
         return std::nullopt;
     }
 

@@ -70,9 +70,9 @@ struct MetaToken
 
 /**
  * The per-orchestrator meta-data input stream, produced by the EDDO
- * memory movers from the kernel's sparse structure. startCycle gives
- * compile-time skew (the systolic alignment used by the dense/N:M
- * programs).
+ * memory movers from the kernel's sparse structure. The start cycle
+ * gives compile-time skew (the systolic alignment used by the
+ * dense/N:M programs).
  */
 class MetaStream
 {
@@ -112,7 +112,6 @@ class MetaStream
     bool exhausted() const { return pos_ >= tokens_.size(); }
     std::size_t size() const { return tokens_.size(); }
     std::size_t position() const { return pos_; }
-    Cycle startCycle() const { return startCycle_; }
 
     void
     reset()

@@ -12,32 +12,12 @@ namespace
 constexpr DecodedInst kNop{};
 }
 
-Pe::Pe(const PeGeometry &geo, int dmem_slots, int spad_slots,
-       StatGroup &stats)
+Pe::Pe(const PeGeometry &geo, int dmem_slots, int spad_slots)
     : geo_(geo),
       name_("pe" + std::to_string(geo.row) + "_" +
             std::to_string(geo.col)),
-      dmem_("dmem", dmem_slots, stats), spad_("spad", spad_slots, stats),
-      router_(stats)
+      dmem_("dmem", dmem_slots), spad_("spad", spad_slots)
 {
-    stats.add("busyCycles", busyCycles_);
-    stats.add("macOps", macOps_);
-    stats.add("aluOps", aluOps_);
-    stats.add("regReads", regReads_);
-    stats.add("regWrites", regWrites_);
-}
-
-void
-Pe::mirrorCounters(const Pe &src)
-{
-    busyCycles_ += src.busyCycles_.value();
-    macOps_ += src.macOps_.value();
-    aluOps_ += src.aluOps_.value();
-    regReads_ += src.regReads_.value();
-    regWrites_ += src.regWrites_.value();
-    dmem_.mirrorCounters(src.dmem_);
-    spad_.mirrorCounters(src.spad_);
-    router_.mirrorCounters(src.router_);
 }
 
 void

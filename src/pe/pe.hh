@@ -61,8 +61,7 @@ struct PeGeometry
 class Pe final
 {
   public:
-    Pe(const PeGeometry &geo, int dmem_slots, int spad_slots,
-       StatGroup &stats);
+    Pe(const PeGeometry &geo, int dmem_slots, int spad_slots);
 
     // ld_ and ex_ point into this object.
     Pe(const Pe &) = delete;
@@ -97,13 +96,24 @@ class Pe final
     int row() const { return geo_.row; }
     int col() const { return geo_.col; }
 
-    /**
-     * Add every counter of @p src, its memories' and its router's to
-     * this PE's, all still zero: a PE the folded run never ticked
-     * repeats its row's column 0 exactly, 3 cycles per column later
-     * (CanonFabric::runForProfile).
-     */
-    void mirrorCounters(const Pe &src);
+    /** "peR_C": diagnostics, and the group of this PE's counters. */
+    const std::string &name() const { return name_; }
+
+    /** Visit every counter, its memories' and its router's included,
+     *  as (leaf name, counter). */
+    template <typename Fn>
+    void
+    forEachCounter(Fn &&fn) const
+    {
+        fn("busyCycles", busyCycles_);
+        fn("macOps", macOps_);
+        fn("aluOps", aluOps_);
+        fn("regReads", regReads_);
+        fn("regWrites", regWrites_);
+        dmem_.forEachCounter(fn);
+        spad_.forEachCounter(fn);
+        router_.forEachCounter(fn);
+    }
 
     void tickCompute();
 

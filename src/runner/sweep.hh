@@ -71,8 +71,6 @@ class Grid
 
     bool hasAxis(const std::string &key) const;
 
-    std::size_t axisCount() const { return axes_.size(); }
-
     /** Product of the axis lengths; 1 when no axis was declared. */
     std::size_t pointCount() const;
 
@@ -113,9 +111,6 @@ class SweepSpec
      */
     std::string addAxis(const std::string &key,
                         const std::string &values);
-
-    /** Number of declared axes. */
-    std::size_t axisCount() const { return grid_.axisCount(); }
 
     /** Product of the axis lengths; 1 when no axis was declared. */
     std::size_t jobCount() const { return grid_.pointCount(); }

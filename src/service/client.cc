@@ -38,12 +38,10 @@ Client::connect(const std::string &socketPath)
     KvPairs records;
     if (decodeKv(reply.payload, records, error)) {
         for (const auto &kv : records) {
-            if (kv.first == "workers" &&
-                !parseInt(kv.second, daemon_workers_)) {
+            int workers = 0;
+            if (kv.first == "workers" && !parseInt(kv.second, workers)) {
                 fd_.reset();
                 return "malformed handshake reply: workers=" + kv.second;
-            } else if (kv.first == "cache") {
-                daemon_cache_on_ = kv.second == "on";
             }
         }
     }

@@ -65,10 +65,6 @@ class Client
     bool connected() const { return fd_.valid(); }
     void close() { fd_.reset(); }
 
-    /** Daemon facts from the handshake. */
-    int daemonWorkers() const { return daemon_workers_; }
-    bool daemonCacheOn() const { return daemon_cache_on_; }
-
     /**
      * Called once per streamed Result frame, in expansion order:
      * the scenario's expansion index and its rendered text block.
@@ -108,8 +104,6 @@ class Client
 
     Fd fd_;
     FrameDecoder decoder_;
-    int daemon_workers_ = 0;
-    bool daemon_cache_on_ = false;
 };
 
 } // namespace service

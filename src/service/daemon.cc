@@ -401,9 +401,7 @@ Daemon::handleSubmit(const Fd &fd, const SubmitBody &body)
     // plan() is the cheap cost forecast: it simulates nothing and
     // touches no cache counters, so it can gate every submission.
     const std::vector<engine::ScenarioPlan> plans = engine_.plan(req);
-    std::uint64_t predicted = 0;
-    for (const auto &p : plans)
-        predicted += p.forecast != engine::ScenarioPlan::Forecast::Hit;
+    const std::uint64_t predicted = engine::missCount(plans);
     if (config_.jobQuota != 0 && predicted > config_.jobQuota) {
         sendRejected(fd, RejectReason::QuotaExceeded,
                      "forecast " + std::to_string(predicted) +

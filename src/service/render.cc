@@ -91,25 +91,22 @@ renderPlanText(const std::vector<engine::ScenarioPlan> &plans,
                bool cached)
 {
     std::string out;
-    std::size_t hits = 0, misses = 0;
-    for (const auto &p : plans) {
-        hits += p.forecast == engine::ScenarioPlan::Forecast::Hit;
-        misses += p.forecast != engine::ScenarioPlan::Forecast::Hit;
+    for (const auto &p : plans)
         out += "plan " + std::to_string(p.job.index) + ": " +
                p.job.options.workloadLabel() + " [" +
                (p.job.point.empty() ? "-" : p.job.point) + "] key=" +
                p.key.digest() + " forecast=" +
                engine::forecastName(p.forecast) + "\n";
-    }
+    const std::size_t misses = engine::missCount(plans);
     if (cached)
-        out += "plan forecast: " + std::to_string(hits) + " hits, " +
-               std::to_string(misses) +
+        out += "plan forecast: " + std::to_string(plans.size() - misses) +
+               " hits, " + std::to_string(misses) +
                " misses; simulation jobs to execute: " +
                std::to_string(misses) + "\n";
     else
         out += "plan forecast: uncached; simulation jobs to"
                " execute: " +
-               std::to_string(plans.size()) + "\n";
+               std::to_string(misses) + "\n";
     return out;
 }
 

@@ -27,12 +27,6 @@ struct RowPermutation
 {
     std::vector<int> perm;
 
-    int
-    oldRow(int new_row) const
-    {
-        return perm[static_cast<std::size_t>(new_row)];
-    }
-
     /** Undo the permutation on a result matrix's rows. */
     WordMatrix unpermute(const WordMatrix &c) const;
 };

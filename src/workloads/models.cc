@@ -1,7 +1,5 @@
 #include "workloads/models.hh"
 
-#include "common/logging.hh"
-
 namespace canon
 {
 
@@ -97,62 +95,29 @@ longformerAttn()
     return m;
 }
 
-const std::vector<std::string> &
-knownModelNames()
+const std::vector<ModelInfo> &
+modelTable()
 {
-    static const std::vector<std::string> names = {
-        "resnet50",      "llama8b-mlp",   "llama8b-attn",
-        "mistral7b-mlp", "mistral7b-attn", "longformer",
+    static const std::vector<ModelInfo> table = {
+        {"resnet50", resnet50Conv, 0.5},
+        {"llama8b-mlp", llama8bMlp, 0.7},
+        {"llama8b-attn", llama8bAttn, 0.7},
+        {"mistral7b-mlp", mistral7bMlp, 0.7},
+        {"mistral7b-attn", [](double) { return mistral7bAttn(); },
+         std::nullopt},
+        {"longformer", [](double) { return longformerAttn(); },
+         std::nullopt},
     };
-    return names;
+    return table;
 }
 
-ModelSpec
-modelByName(const std::string &name, double sparsity)
+const ModelInfo *
+findModel(const std::string &name)
 {
-    if (name == "resnet50")
-        return resnet50Conv(sparsity);
-    if (name == "llama8b-mlp")
-        return llama8bMlp(sparsity);
-    if (name == "llama8b-attn")
-        return llama8bAttn(sparsity);
-    if (name == "mistral7b-mlp")
-        return mistral7bMlp(sparsity);
-    if (name == "mistral7b-attn")
-        return mistral7bAttn();
-    if (name == "longformer")
-        return longformerAttn();
-    fatal("unknown model '", name, "'");
-    return {};
-}
-
-bool
-modelUsesSparsity(const std::string &name)
-{
-    // Derived from the registry rather than a parallel name list (a
-    // list would silently drift when a model is added): the model has
-    // a sparsity knob iff moving the knob changes its layer specs.
-    for (const auto &known : knownModelNames()) {
-        if (known != name)
-            continue;
-        const ModelSpec lo = modelByName(name, 0.25);
-        const ModelSpec hi = modelByName(name, 0.75);
-        for (std::size_t i = 0;
-             i < lo.layers.size() && i < hi.layers.size(); ++i)
-            if (lo.layers[i].sparsity != hi.layers[i].sparsity)
-                return true;
-        return false;
-    }
-    return false;
-}
-
-ModelSpec
-modelByName(const std::string &name)
-{
-    // Canonical Figure-14 sparsities (see bench_fig14_edp.cc).
-    if (name == "resnet50")
-        return resnet50Conv(0.5);
-    return modelByName(name, 0.7);
+    for (const ModelInfo &m : modelTable())
+        if (m.name == name)
+            return &m;
+    return nullptr;
 }
 
 } // namespace canon

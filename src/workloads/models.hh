@@ -13,6 +13,7 @@
 #define CANON_WORKLOADS_MODELS_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,35 +70,28 @@ ModelSpec mistral7bAttn();
 /** BERT + Longformer window (Win1: window 512, seq 4K). */
 ModelSpec longformerAttn();
 
-/**
- * CLI names of every predefined model, in Figure-14 order
- * ("resnet50", "llama8b-mlp", ...).
- */
-const std::vector<std::string> &knownModelNames();
+/** A predefined model, as the CLI's --model names it. */
+struct ModelInfo
+{
+    std::string name; //!< "resnet50", "llama8b-mlp", ...
+    /** Build the model; the argument feeds its sparsified layers. */
+    ModelSpec (*build)(double sparsity);
+    /**
+     * The canonical Figure-14 sparsity a CLI run builds the model at
+     * unless --sparsity overrides it, so CLI model runs reproduce the
+     * bench figures by default. Empty for the window-structured
+     * attention models (mistral7b-attn, longformer), whose builders
+     * take no sparsity, which the CLI's relevance matrix and the
+     * result cache rely on.
+     */
+    std::optional<double> sparsity;
+};
 
-/**
- * Look up a model by its CLI name. @p sparsity feeds the model's
- * sparsified layers (ignored by the purely window-structured
- * attention models). Throws FatalError for an unknown name; callers
- * validate against knownModelNames() first.
- */
-ModelSpec modelByName(const std::string &name, double sparsity);
+/** Every predefined model, in Figure-14 order. */
+const std::vector<ModelInfo> &modelTable();
 
-/**
- * Same lookup at each model's canonical Figure-14 sparsity
- * (ResNet-50 at 0.5, the LLaMA/Mistral sparse variants at 0.7), so
- * CLI model runs reproduce the bench figures by default.
- */
-ModelSpec modelByName(const std::string &name);
-
-/**
- * True when model @p name has a sparsity knob (i.e. modelByName's
- * sparsity argument feeds its layers). The purely window-structured
- * attention models (mistral7b-attn, longformer) ignore it, which the
- * CLI's relevance matrix and the result cache rely on. Unknown names
- * report false.
- */
-bool modelUsesSparsity(const std::string &name);
+/** The model named @p name, or nullptr when there is none. */
+const ModelInfo *findModel(const std::string &name);
 
 } // namespace canon
 

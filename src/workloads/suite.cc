@@ -1,5 +1,6 @@
 #include "workloads/suite.hh"
 
+#include <algorithm>
 #include <cmath>
 
 namespace canon

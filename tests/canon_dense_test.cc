@@ -80,8 +80,8 @@ TEST(CanonGemm, NoScratchpadTraffic)
     CanonFabric fabric(cfg);
     fabric.load(mapGemm(a, b, cfg));
     fabric.run();
-    EXPECT_EQ(fabric.stats().sumCounter("spadReads"), 0u);
-    EXPECT_EQ(fabric.stats().sumCounter("spadWrites"), 0u);
+    EXPECT_EQ(fabric.sumCounter("spadReads"), 0u);
+    EXPECT_EQ(fabric.sumCounter("spadWrites"), 0u);
 }
 
 TEST(CanonGemm, HighUtilization)

@@ -6,6 +6,8 @@
  * parameterized tests; every comparison is exact INT32 equality.
  */
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "core/fabric.hh"
@@ -225,9 +227,11 @@ sliceImage(const DenseMatrix &b, int rows, int cols, int h)
 std::vector<MetaToken>
 tokensOf(MetaStream s)
 {
+    // Past any start cycle, peek() shows the stream's tokens.
+    constexpr Cycle kPastAnyStart = std::numeric_limits<Cycle>::max();
     std::vector<MetaToken> out;
     for (; !s.exhausted(); s.advance())
-        out.push_back(s.peek(s.startCycle()));
+        out.push_back(s.peek(kPastAnyStart));
     return out;
 }
 

@@ -700,7 +700,7 @@ TEST(Registry, WorkloadsDeriveFromTheRelevanceMatrix)
 
 TEST(Registry, ModelsDeriveFromTheModelRegistry)
 {
-    // The --list model section: one line per knownModelNames() entry,
+    // The --list model section: one line per modelTable() entry,
     // in order, naming the keys relevantScenarioKeys() says it reads.
     std::istringstream in(listText());
     std::string line;
@@ -712,10 +712,10 @@ TEST(Registry, ModelsDeriveFromTheModelRegistry)
         rows.emplace_back(std::istream_iterator<std::string>(words),
                           std::istream_iterator<std::string>());
     }
-    ASSERT_EQ(rows.size(), knownModelNames().size());
+    ASSERT_EQ(rows.size(), modelTable().size());
     for (std::size_t i = 0; i < rows.size(); ++i) {
         Options opt;
-        opt.model = knownModelNames()[i];
+        opt.model = modelTable()[i].name;
         std::vector<std::string> expect = {opt.model};
         for (const auto &key : relevantScenarioKeys(opt))
             expect.push_back(key);
@@ -770,9 +770,9 @@ TEST(Registry, SweepableKeysRoundTripThroughTheGrammar)
     for (const auto &info : workloadTable())
         for (const auto &key : info.options)
             EXPECT_TRUE(advertised(key)) << key;
-    for (const auto &name : knownModelNames()) {
+    for (const auto &m : modelTable()) {
         Options model;
-        model.model = name;
+        model.model = m.name;
         for (const auto &key : relevantScenarioKeys(model))
             EXPECT_TRUE(advertised(key)) << key;
     }
@@ -786,8 +786,8 @@ TEST(Registry, ListTextNamesEverythingRunnable)
     for (const auto &info : workloadTable())
         EXPECT_NE(text.find(info.name), std::string::npos)
             << info.name;
-    for (const auto &name : knownModelNames())
-        EXPECT_NE(text.find(name), std::string::npos) << name;
+    for (const auto &m : modelTable())
+        EXPECT_NE(text.find(m.name), std::string::npos) << m.name;
     for (const auto &arch : knownArchs())
         EXPECT_NE(text.find(arch), std::string::npos) << arch;
     for (const auto &key : scenarioOptionKeys())

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the common substrate: logging discipline,
- * deterministic RNG, bit-slice helpers, the integer parser, the
- * statistics tree and the bench table printer.
+ * deterministic RNG, bit-slice helpers, the integer parser and the
+ * bench table printer.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include "common/logging.hh"
 #include "common/parse.hh"
 #include "common/rng.hh"
-#include "common/stats.hh"
 #include "common/table.hh"
 
 namespace canon
@@ -168,58 +167,6 @@ TEST(Bitfield, Helpers)
     EXPECT_EQ(divCeil(8, 4), 2u);
 }
 
-TEST(Stats, CountersAndSums)
-{
-    Counter c, pe_events;
-    StatGroup root("root");
-    root.add("events", c);
-    ++c;
-    c += 4;
-    EXPECT_EQ(c.value(), 5u);
-
-    root.child("pe0").add("events", pe_events);
-    pe_events += 7;
-    EXPECT_EQ(root.sumCounter("events"), 12u);
-}
-
-TEST(Stats, FlattenPaths)
-{
-    Counter top, x, y;
-    StatGroup root("root");
-    root.add("top", top);
-    auto &a = root.child("a");
-    a.add("x", x);
-    a.child("b").add("y", y);
-    top += 1;
-    x += 2;
-    y += 3;
-    const auto flat = root.flatten();
-    EXPECT_EQ(flat.at("top"), 1u);
-    EXPECT_EQ(flat.at("a.x"), 2u);
-    EXPECT_EQ(flat.at("a.b.y"), 3u);
-}
-
-TEST(Stats, RegistrationCollisionsPanic)
-{
-    // One component's stats must never silently merge into (or
-    // shadow) another's in the flat view: duplicate child names,
-    // counter/child name collisions, and '.'-forged paths all panic
-    // at registration.
-    Counter x, n, other;
-    StatGroup root("root");
-    root.child("a").add("x", x);
-    EXPECT_THROW(root.child("a"), PanicError);
-    EXPECT_THROW(root.add("a", other), PanicError);
-    root.add("n", n);
-    EXPECT_THROW(root.child("n"), PanicError);
-    EXPECT_THROW(root.add("forged.path", other), PanicError);
-    EXPECT_THROW(root.child("forged.path"), PanicError);
-    // The rejected registrations left the flat view untouched.
-    const std::map<std::string, std::uint64_t> want = {{"a.x", 0},
-                                                       {"n", 0}};
-    EXPECT_EQ(root.flatten(), want);
-}
-
 TEST(Parse, WholeStringIntegersOnly)
 {
     struct Case
@@ -263,68 +210,6 @@ TEST(Parse, WholeStringIntegersOnly)
     EXPECT_FALSE(parseInt("2147483648", i));
     EXPECT_TRUE(parseInt("-2147483648", i));
     EXPECT_EQ(i, INT32_MIN);
-}
-
-TEST(Stats, ComponentOwnedCounters)
-{
-    // A component registers counters it holds as members; the group
-    // reads them in place.
-    Counter hits;
-    Counter misses;
-    Counter top;
-    StatGroup root("root");
-    auto &cache = root.child("cache");
-    cache.add("misses", misses);
-    cache.add("hits", hits);
-    root.add("top", top);
-    ++hits;
-    misses += 3;
-    top += 1;
-    EXPECT_EQ(root.sumCounter("misses"), 3u);
-    const auto flat = root.flatten();
-    EXPECT_EQ(flat.at("cache.hits"), 1u);
-    EXPECT_EQ(flat.at("cache.misses"), 3u);
-    EXPECT_EQ(flat.at("top"), 1u);
-
-    // Registration order does not leak into the enumeration.
-    std::vector<std::string> paths;
-    root.visitCounters([&](const std::string &path, const Counter &) {
-        paths.push_back(path);
-    });
-    const std::vector<std::string> expect = {"top", "cache.hits",
-                                             "cache.misses"};
-    EXPECT_EQ(paths, expect);
-
-    // Two owners can never claim one path, and the name rules hold.
-    Counter other;
-    EXPECT_THROW(cache.add("hits", other), PanicError);
-    EXPECT_THROW(root.add("top", other), PanicError);
-    EXPECT_THROW(root.add("cache", other), PanicError);
-    EXPECT_THROW(root.add("forged.path", other), PanicError);
-    EXPECT_THROW(root.add("", other), PanicError);
-    EXPECT_EQ(root.flatten().size(), 3u);
-}
-
-TEST(Stats, VisitCountersWalksFlatPathsInOrder)
-{
-    Counter top, x, y;
-    StatGroup root("root");
-    root.add("top", top);
-    auto &a = root.child("a");
-    a.add("x", x);
-    a.child("b").add("y", y);
-    top += 1;
-    x += 2;
-    y += 3;
-    std::vector<std::string> paths;
-    root.visitCounters(
-        [&](const std::string &path, const Counter &ctr) {
-            paths.push_back(path + "=" +
-                            std::to_string(ctr.value()));
-        });
-    const std::vector<std::string> expect = {"top=1", "a.x=2",
-                                             "a.b.y=3"};
-    EXPECT_EQ(paths, expect);
 }
 
 TEST(Table, FormattingHelpers)

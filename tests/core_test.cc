@@ -6,6 +6,11 @@
  * behaviour visible through the activity counters.
  */
 
+#include <set>
+#include <string>
+#include <string_view>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "core/fabric.hh"
@@ -62,6 +67,33 @@ TEST(Fabric, RunWithoutLoadFails)
     cfg.cols = 2;
     CanonFabric fabric(cfg);
     EXPECT_THROW(fabric.run(), FatalError);
+}
+
+TEST(Fabric, EveryCounterHasItsOwnPath)
+{
+    // Nothing checks counter names when a fabric is built, so this
+    // does: every group.leaf path is distinct, and each PE names 10
+    // counters (its memories' and router's included) and each
+    // orchestrator 13 (its tag buffer's included).
+    for (const auto &[rows, cols] :
+         {std::pair{8, 8}, std::pair{4, 16}, std::pair{64, 4}}) {
+        CanonConfig cfg;
+        cfg.rows = rows;
+        cfg.cols = cols;
+        const CanonFabric fabric(cfg);
+        std::set<std::string> paths;
+        std::size_t visits = 0;
+        fabric.forEachCounter([&](std::string_view group,
+                                  std::string_view leaf, const Counter &) {
+            ++visits;
+            paths.insert(std::string(group) + "." + std::string(leaf));
+        });
+        const auto want =
+            static_cast<std::size_t>(rows * cols * 10 + rows * 13);
+        EXPECT_EQ(visits, want) << rows << "x" << cols;
+        EXPECT_EQ(paths.size(), want) << rows << "x" << cols;
+        EXPECT_EQ(fabric.flatStats().size(), want) << rows << "x" << cols;
+    }
 }
 
 TEST(MappingErrors, SpmmShapeChecks)
@@ -198,8 +230,8 @@ TEST(WriteCoalescing, DenseRunsCommitOncePerRow)
     CanonFabric fabric(cfg);
     fabric.load(mapGemm(a, b, cfg));
     fabric.run();
-    const auto macs = fabric.stats().sumCounter("macOps") / kSimdWidth;
-    const auto reg_writes = fabric.stats().sumCounter("regWrites");
+    const auto macs = fabric.sumCounter("macOps") / kSimdWidth;
+    const auto reg_writes = fabric.sumCounter("regWrites");
     EXPECT_LT(reg_writes, macs / 4)
         << "back-to-back accumulation should coalesce";
 }

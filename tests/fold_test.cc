@@ -15,6 +15,7 @@
 
 #include <array>
 #include <functional>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -61,7 +62,7 @@ execute(const CanonConfig &cfg, const KernelMapping &map, bool fold,
         EXPECT_THROW(fabric.result(), FatalError) << "the run did not fold";
     }
     out.profile = fabric.profile("fold");
-    out.stats = fabric.stats().flatten();
+    out.stats = fabric.flatStats();
     return out;
 }
 
@@ -80,9 +81,11 @@ std::vector<MetaToken>
 tokens(const KernelMapping &map, int row)
 {
     MetaStream s = map.rowStreams[static_cast<std::size_t>(row)];
+    // Past any start cycle, peek() shows the stream's tokens.
+    constexpr Cycle kPastAnyStart = std::numeric_limits<Cycle>::max();
     std::vector<MetaToken> out;
     for (; !s.exhausted(); s.advance())
-        out.push_back(s.peek(s.startCycle()));
+        out.push_back(s.peek(kPastAnyStart));
     return out;
 }
 
@@ -337,7 +340,7 @@ TEST(Fold, MatchesFullRunOnRandomPrograms)
             fabric.load(map);
             full.cycles = fabric.run(2'000);
             full.profile = fabric.profile("fold");
-            full.stats = fabric.stats().flatten();
+            full.stats = fabric.flatStats();
         });
         Outcome folded;
         const std::string folded_panic = panicText([&] {
@@ -346,7 +349,7 @@ TEST(Fold, MatchesFullRunOnRandomPrograms)
             folded.cycles = fabric.runForProfile(2'000);
             EXPECT_THROW(fabric.result(), FatalError);
             folded.profile = fabric.profile("fold");
-            folded.stats = fabric.stats().flatten();
+            folded.stats = fabric.flatStats();
         });
         const std::string what = "program " + std::to_string(i);
         EXPECT_EQ(folded_panic, full_panic) << what;

@@ -263,13 +263,14 @@ TEST(Histogram, RecordCountsAndLabels)
 // Probe cadence edges (driven directly, no fabric).
 // ---------------------------------------------------------------------
 
-/** A probe partition driving only a sampler over @p stats. */
+/** A probe partition driving only a sampler over one PE's
+ *  @p mac_ops counter. */
 obs::CycleProbe
-samplingProbe(const StatGroup &stats, std::uint64_t every)
+samplingProbe(const Counter &mac_ops, std::uint64_t every)
 {
-    return obs::CycleProbe(every,
-                           std::make_unique<obs::CycleSampler>(stats),
-                           nullptr);
+    auto sampler = std::make_unique<obs::CycleSampler>();
+    sampler->track("pe0_0", "macOps", mac_ops);
+    return obs::CycleProbe(every, std::move(sampler), nullptr);
 }
 
 TEST(Sampler, ExactCadenceMultipleSamplesOnceAtRunEnd)
@@ -278,9 +279,7 @@ TEST(Sampler, ExactCadenceMultipleSamplesOnceAtRunEnd)
     // final-interval capture must notice cycle 10 is already sampled
     // instead of duplicating it.
     Counter c;
-    StatGroup stats("fabric");
-    stats.add("macOps", c);
-    obs::CycleProbe s = samplingProbe(stats, 5);
+    obs::CycleProbe s = samplingProbe(c, 5);
     for (int i = 0; i < 10; ++i) {
         ++c;
         s.tickCommit();
@@ -299,9 +298,7 @@ TEST(Sampler, ExactCadenceMultipleSamplesOnceAtRunEnd)
 TEST(Sampler, RunShorterThanOneCadenceStillGetsFinalSample)
 {
     Counter c;
-    StatGroup stats("fabric");
-    stats.add("macOps", c);
-    obs::CycleProbe s = samplingProbe(stats, 100);
+    obs::CycleProbe s = samplingProbe(c, 100);
     for (int i = 0; i < 3; ++i) {
         ++c;
         s.tickCommit();
@@ -365,8 +362,8 @@ sampledRun(std::uint64_t shuffle_seed, bool observe,
         out.cycles = fabric.run();
     }
     out.result = fabric.result();
-    out.flat = fabric.stats().flatten();
-    out.macOps = fabric.stats().sumCounter("macOps");
+    out.flat = fabric.flatStats();
+    out.macOps = fabric.sumCounter("macOps");
     return out;
 }
 
@@ -493,7 +490,7 @@ accountedRun(std::uint64_t shuffle_seed, bool sample = true)
     }
     out.obs = col.finish();
     out.result = fabric.result();
-    out.flat = fabric.stats().flatten();
+    out.flat = fabric.flatStats();
     return out;
 }
 

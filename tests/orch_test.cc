@@ -72,8 +72,7 @@ TEST(Lut, IndexComposition)
 
 TEST(TagFifo, CircularSlotAssignment)
 {
-    StatGroup stats("t");
-    TagFifo f(4, stats);
+    TagFifo f(4);
     EXPECT_EQ(f.residentCap(), 3);
     EXPECT_EQ(f.tailSlot(), 0);
 
@@ -96,8 +95,7 @@ TEST(TagFifo, CircularSlotAssignment)
 
 TEST(TagFifo, SearchFindsPhysicalSlot)
 {
-    StatGroup stats("t");
-    TagFifo f(4, stats);
+    TagFifo f(4);
     f.push(5);
     f.push(9);
     f.pop(); // head now 9 at slot 1
@@ -111,8 +109,7 @@ TEST(TagFifo, SearchFindsPhysicalSlot)
 
 TEST(TagFifo, DepthOneDegeneratesToSingleRegister)
 {
-    StatGroup stats("t");
-    TagFifo f(1, stats);
+    TagFifo f(1);
     EXPECT_EQ(f.residentCap(), 0);
     EXPECT_TRUE(f.atResidentCap());
     // Push-then-pop in one row-end cycle: the just-pushed entry is
@@ -127,14 +124,13 @@ TEST(TagFifo, DepthOneDegeneratesToSingleRegister)
 
 TEST(TagFifo, OverCapacityPanics)
 {
-    StatGroup stats("t");
-    TagFifo f(2, stats);
+    TagFifo f(2);
     f.push(1);
     f.push(2);
     EXPECT_THROW(f.push(3), PanicError);
-    EXPECT_THROW(TagFifo(0, stats), PanicError);
-    EXPECT_THROW(TagFifo(4, stats, 0), PanicError);
-    EXPECT_THROW(TagFifo(4, stats, -3), PanicError);
+    EXPECT_THROW(TagFifo(0), PanicError);
+    EXPECT_THROW(TagFifo(4, 0), PanicError);
+    EXPECT_THROW(TagFifo(4, -3), PanicError);
 }
 
 TEST(TagFifo, BankedSearchMatchesLinearReference)
@@ -148,15 +144,11 @@ TEST(TagFifo, BankedSearchMatchesLinearReference)
     constexpr int kCapacity = 16;
     const int bank_counts[] = {2, 3, 4, 7, 8, 16, 64};
 
-    StatGroup ref_stats("ref");
-    TagFifo ref(kCapacity, ref_stats, 1);
+    TagFifo ref(kCapacity, 1);
 
-    std::deque<StatGroup> stats;
     std::deque<TagFifo> banked;
-    for (int banks : bank_counts) {
-        stats.emplace_back("b" + std::to_string(banks));
-        banked.emplace_back(kCapacity, stats.back(), banks);
-    }
+    for (int banks : bank_counts)
+        banked.emplace_back(kCapacity, banks);
 
     Rng rng(77);
     for (int step = 0; step < 4000; ++step) {
@@ -196,13 +188,13 @@ TEST(TagFifo, BankedSearchMatchesLinearReference)
     // (checked in aggregate: total compares <= searches * cap), and
     // banking strictly reduces total compare work at this
     // duplicate-heavy occupancy.
-    const auto searches = ref_stats.sumCounter("bufferSearches");
-    const auto ref_compares = ref_stats.sumCounter("tagCompares");
+    const auto searches = ref.searchCount();
+    const auto ref_compares = ref.compareCount();
     EXPECT_EQ(searches, 4000u);
     EXPECT_LE(ref_compares, searches * kCapacity);
     for (std::size_t i = 0; i < banked.size(); ++i) {
-        EXPECT_EQ(stats[i].sumCounter("bufferSearches"), searches);
-        EXPECT_LE(stats[i].sumCounter("tagCompares"), ref_compares)
+        EXPECT_EQ(banked[i].searchCount(), searches);
+        EXPECT_LE(banked[i].compareCount(), ref_compares)
             << bank_counts[i] << " banks";
     }
 }
@@ -211,8 +203,7 @@ TEST(TagFifo, SearchCountersAreMonotonePerProbe)
 {
     // Each counted probe bumps searches by exactly 1 and compares by
     // at most the resident population, and never decreases either.
-    StatGroup stats("t");
-    TagFifo f(8, stats, 4);
+    TagFifo f(8, 4);
 
     Rng rng(3);
     std::uint64_t prev_s = 0, prev_c = 0;
@@ -222,8 +213,8 @@ TEST(TagFifo, SearchCountersAreMonotonePerProbe)
         else if (!f.empty())
             f.pop();
         f.search(static_cast<std::uint16_t>(rng.nextBounded(12)));
-        const auto searches = stats.sumCounter("bufferSearches");
-        const auto compares = stats.sumCounter("tagCompares");
+        const auto searches = f.searchCount();
+        const auto compares = f.compareCount();
         EXPECT_EQ(searches, prev_s + 1);
         EXPECT_GE(compares, prev_c);
         EXPECT_LE(compares - prev_c,
@@ -234,7 +225,7 @@ TEST(TagFifo, SearchCountersAreMonotonePerProbe)
 }
 
 // The cost counters may only move through the explicit non-const
-// probe API: a const view of the buffer (e.g. a diagnostic walk over
+// search API: a const view of the buffer (e.g. a diagnostic walk over
 // a const fabric) exposes no counted search at compile time.
 template <typename T>
 concept ConstCountedSearch =
@@ -242,34 +233,35 @@ concept ConstCountedSearch =
 static_assert(!ConstCountedSearch<TagFifo>,
               "search() charges cost counters and must not be"
               " callable through a const buffer view");
-static_assert(requires(const TagFifo t) { t.probe(std::uint16_t{0}); },
-              "probe() is the uncounted const lookup");
 
 TEST(TagFifo, ConstProbeDoesNotChargeCounters)
 {
-    StatGroup stats("t");
-    TagFifo f(8, stats, 2);
+    TagFifo f(8, 2);
     f.push(3);
     f.push(4);
 
+    // Every query a const view offers is uncounted.
     const TagFifo &view = f;
-    ASSERT_TRUE(view.probe(4).has_value());
-    EXPECT_EQ(*view.probe(4), 1);
-    EXPECT_FALSE(view.probe(9).has_value());
-    EXPECT_EQ(stats.sumCounter("bufferSearches"), 0u);
-    EXPECT_EQ(stats.sumCounter("tagCompares"), 0u);
+    EXPECT_EQ(view.size(), 2);
+    EXPECT_EQ(view.headTag(), 3);
+    EXPECT_EQ(view.headSlot(), 0);
+    EXPECT_EQ(view.tailSlot(), 2);
+    EXPECT_FALSE(view.atResidentCap());
+    EXPECT_EQ(view.searchCount(), 0u);
+    EXPECT_EQ(view.compareCount(), 0u);
 
-    // The counted probe agrees with the uncounted one and charges.
-    EXPECT_EQ(f.search(4), view.probe(4));
-    EXPECT_EQ(stats.sumCounter("bufferSearches"), 1u);
-    EXPECT_GT(stats.sumCounter("tagCompares"), 0u);
+    // The counted probe finds tag 4 in the slot its push took and
+    // charges.
+    EXPECT_EQ(f.search(4), 1);
+    EXPECT_EQ(f.searchCount(), 1u);
+    EXPECT_GT(f.compareCount(), 0u);
 }
 
 TEST(TagFifo, ConstFabricWalkCannotMutateStats)
 {
     // End-to-end version of the const-correctness pin: walking every
-    // orchestrator buffer of a finished (const) fabric with probe()
-    // leaves the fabric's stat snapshot untouched.
+    // orchestrator buffer and every counter of a finished (const)
+    // fabric leaves the fabric's stat snapshot untouched.
     CanonConfig cfg;
     cfg.rows = 4;
     cfg.cols = 4;
@@ -284,9 +276,14 @@ TEST(TagFifo, ConstFabricWalkCannotMutateStats)
 
     const CanonFabric &view = fabric;
     const auto before = view.profile("walk");
-    for (int r = 0; r < cfg.rows; ++r)
-        for (std::uint16_t tag = 0; tag < 64; ++tag)
-            (void)view.orch(r).buffer().probe(tag);
+    for (int r = 0; r < cfg.rows; ++r) {
+        const TagFifo &buffer = view.orch(r).buffer();
+        if (!buffer.empty())
+            (void)buffer.headTag();
+        (void)buffer.tailSlot();
+    }
+    (void)view.flatStats();
+    (void)view.sumCounter("bufferSearches");
     const auto after = view.profile("walk");
     EXPECT_EQ(after.get("bufferSearches"),
               before.get("bufferSearches"));
@@ -429,7 +426,7 @@ TEST(SpmmFsm, Case3ImbalanceCausesBypass)
     fabric.load(mapSpmm(csr, b, cfg));
     fabric.run();
 
-    const auto flat = fabric.stats().flatten();
+    const auto flat = fabric.flatStats();
     const auto fwd = flat.at("orch1.fwdAhead") + flat.at("orch1.fwdBehind");
     EXPECT_GT(fwd, 0u) << "row 1 should have bypassed late psums";
     EXPECT_EQ(fabric.result(), reference::spmm(csr, b));

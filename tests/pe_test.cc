@@ -8,6 +8,7 @@
  */
 
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -25,7 +26,7 @@ class PeHarness
 {
   public:
     PeHarness()
-        : stats("t"), pe(PeGeometry{0, 0}, 64, 8, stats), pipe(1),
+        : pe(PeGeometry{0, 0}, 64, 8), pipe(1),
           north(8, "n"), south(8, "s"), east(8, "e"), west(8, "w")
     {
         pe.bindPipeline(&pipe);
@@ -59,7 +60,6 @@ class PeHarness
             step();
     }
 
-    StatGroup stats;
     Pe pe;
     InstPipeline pipe;
     DataChannel north, south, east, west;
@@ -345,27 +345,38 @@ TEST(PePipeline, IdleWhenDrained)
     EXPECT_TRUE(h.pe.idle());
 }
 
+/** The counter @p leaf of @p ram's counter list (0 when unnamed). */
+template <typename T>
+std::uint64_t
+counter(const VecRam<T> &ram, std::string_view leaf)
+{
+    std::uint64_t value = 0;
+    ram.forEachCounter([&](std::string_view name, const Counter &ctr) {
+        if (name == leaf)
+            value += ctr.value();
+    });
+    return value;
+}
+
 TEST(VecRam, BoundsAndStats)
 {
-    StatGroup stats("t");
-    VecRam<Elem> ram("dmem", 8, stats);
+    VecRam<Elem> ram("dmem", 8);
     EXPECT_EQ(ram.slots(), 8);
     ram.write(3, Vec4{{1, 2, 3, 4}});
     EXPECT_EQ(ram.read(3), (Vec4{{1, 2, 3, 4}}));
     EXPECT_THROW(ram.read(8), PanicError);
     EXPECT_THROW(ram.write(-1, Vec4{}), PanicError);
-    EXPECT_EQ(stats.sumCounter("dmemReads"), 1u);
-    EXPECT_EQ(stats.sumCounter("dmemWrites"), 1u);
+    EXPECT_EQ(counter(ram, "dmemReads"), 1u);
+    EXPECT_EQ(counter(ram, "dmemWrites"), 1u);
 }
 
 TEST(VecRam, SlotsValidatedBeforeAllocating)
 {
     // A bad size is a PanicError naming the memory, not an allocation
-    // failure, and registers no counters.
-    StatGroup stats("t");
+    // failure.
     for (const int slots : {0, -1}) {
         try {
-            VecRam<Elem> ram("dmem", slots, stats);
+            VecRam<Elem> ram("dmem", slots);
             ADD_FAILURE() << slots << " slots accepted";
         } catch (const PanicError &e) {
             EXPECT_NE(std::string(e.what()).find(
@@ -374,14 +385,12 @@ TEST(VecRam, SlotsValidatedBeforeAllocating)
                 << e.what();
         }
     }
-    EXPECT_THROW(VecRam<Word>("spad", -1, stats), PanicError);
-    EXPECT_TRUE(stats.flatten().empty());
+    EXPECT_THROW(VecRam<Word>("spad", -1), PanicError);
 }
 
 TEST(VecRam, DataMemoryHoldsInt8Lanes)
 {
-    StatGroup stats("t");
-    VecRam<Elem> ram("dmem", 4, stats);
+    VecRam<Elem> ram("dmem", 4);
     const Vec4 extremes{{-128, 127, 0, -1}};
     ram.write(0, extremes);
     ram.poke(1, extremes);
@@ -410,21 +419,20 @@ TEST(VecRam, DataMemoryHoldsInt8Lanes)
         }
     }
     EXPECT_EQ(ram.read(0), extremes);
-    EXPECT_EQ(stats.sumCounter("dmemReads"), 3u);
-    EXPECT_EQ(stats.sumCounter("dmemWrites"), 1u);
+    EXPECT_EQ(counter(ram, "dmemReads"), 3u);
+    EXPECT_EQ(counter(ram, "dmemWrites"), 1u);
 }
 
 TEST(VecRam, ScratchpadHoldsInt32Lanes)
 {
-    StatGroup stats("t");
-    VecRam<Word> ram("spad", 2, stats);
+    VecRam<Word> ram("spad", 2);
     const Vec4 wide{{1 << 20, -(1 << 20), 128, -129}};
     ram.write(1, wide);
     EXPECT_EQ(ram.read(1), wide);
     ram.poke(0, Vec4::splat(1 << 20));
     EXPECT_EQ(ram.read(0), Vec4::splat(1 << 20));
-    EXPECT_EQ(stats.sumCounter("spadReads"), 2u);
-    EXPECT_EQ(stats.sumCounter("spadWrites"), 1u);
+    EXPECT_EQ(counter(ram, "spadReads"), 2u);
+    EXPECT_EQ(counter(ram, "spadWrites"), 1u);
 }
 
 } // namespace

@@ -37,7 +37,7 @@ TEST(CadenceFsm, FlushEveryCadence)
 
     // Row 0 sends only its own flushes; row 1 additionally relays
     // nothing when merges succeed.
-    const auto row0 = fabric.stats().flatten().at("orch0.msgsSent");
+    const auto row0 = fabric.flatStats().at("orch0.msgsSent");
     EXPECT_EQ(row0, static_cast<std::uint64_t>(m));
 }
 
@@ -57,8 +57,8 @@ TEST(CadenceFsm, MergesDominateBypassesWhenAligned)
     fabric.run();
 
     const auto bypasses =
-        fabric.stats().sumCounter("fwdAhead") +
-        fabric.stats().sumCounter("fwdBehind");
+        fabric.sumCounter("fwdAhead") +
+        fabric.sumCounter("fwdBehind");
     // Upstream psums total m * (rows-1); demand high merge rates.
     EXPECT_LT(bypasses, static_cast<std::uint64_t>(m) * 3 / 2)
         << "skew/merge window should absorb nearly all psums";

@@ -50,7 +50,7 @@ TEST(Determinism, IdenticalRunsBitIdentical)
         fabric.load(mapSpmm(a, b, cfg));
         fabric.run();
         return std::tuple{fabric.cycles(), fabric.result(),
-                          fabric.stats().flatten()};
+                          fabric.flatStats()};
     };
     const auto first = run();
     const auto second = run();
@@ -86,7 +86,7 @@ TEST(TimeLapsed, ColumnsReplicateColumnZeroDelayed)
     }
     // The stronger check: identical MAC counts per column of a row
     // (same instruction stream), with stagger absorbed by run length.
-    const auto flat = fabric.stats().flatten();
+    const auto flat = fabric.flatStats();
     const auto macs0 = flat.at("pe0_0.macOps");
     for (int c = 1; c < cfg.cols; ++c) {
         const auto macs = flat.at("pe0_" + std::to_string(c) + ".macOps");
@@ -108,7 +108,7 @@ TEST(WorkConservation, LaneMacsMatchMappingAcrossSweep)
                 static_cast<std::uint64_t>(csr.nnz()) * b.cols();
             fabric.load(mapping);
             fabric.run();
-            EXPECT_EQ(fabric.stats().sumCounter("macOps"), expected)
+            EXPECT_EQ(fabric.sumCounter("macOps"), expected)
                 << "sparsity " << sp << " depth " << depth;
         }
     }

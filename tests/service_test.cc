@@ -528,8 +528,6 @@ TEST(Daemon, HandshakeListAndStats)
 {
     DaemonFixture fx("svc_hello");
     Client c = fx.connect();
-    EXPECT_EQ(c.daemonWorkers(), 2);
-    EXPECT_FALSE(c.daemonCacheOn());
 
     std::string text, error;
     ASSERT_TRUE(c.list(text, error)) << error;
@@ -537,6 +535,8 @@ TEST(Daemon, HandshakeListAndStats)
 
     ASSERT_TRUE(c.stats(text, error)) << error;
     EXPECT_NE(text.find("service.proto: canon-rpc-1"),
+              std::string::npos);
+    EXPECT_NE(text.find("service.engine.workers: 2"),
               std::string::npos);
     EXPECT_NE(text.find("service.engine.cache: off"),
               std::string::npos);
@@ -669,7 +669,6 @@ TEST(Daemon, WarmRerunAndPerRequestDeltasForSequentialClients)
 
     // Client A runs cold: the delta reports 3 misses, 3 stores.
     Client a = fx.connect();
-    EXPECT_TRUE(a.daemonCacheOn());
     SubmitOutcome first;
     std::string error;
     std::string stream_a;

@@ -297,7 +297,7 @@ TEST(Preprocess, PermutationIsBijective)
     const auto p = balancedRowOrder(a);
     std::vector<bool> seen(33, false);
     for (int r = 0; r < 33; ++r) {
-        const int o = p.oldRow(r);
+        const int o = p.perm[static_cast<std::size_t>(r)];
         ASSERT_GE(o, 0);
         ASSERT_LT(o, 33);
         EXPECT_FALSE(seen[static_cast<std::size_t>(o)]);

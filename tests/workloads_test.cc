@@ -701,5 +701,24 @@ TEST(Models, SpecsPopulated)
     }
 }
 
+TEST(Models, CanonicalSparsityIffTheLayersTakeOne)
+{
+    // The CLI's relevance matrix and the cache key leave --sparsity
+    // out of a model run exactly when the table gives the model no
+    // canonical sparsity, so that must hold exactly when the builder
+    // ignores its argument.
+    for (const ModelInfo &m : modelTable()) {
+        const ModelSpec lo = m.build(0.25);
+        const ModelSpec hi = m.build(0.75);
+        ASSERT_EQ(lo.layers.size(), hi.layers.size()) << m.name;
+        bool differ = false;
+        for (std::size_t i = 0; i < lo.layers.size(); ++i)
+            differ |= lo.layers[i].sparsity != hi.layers[i].sparsity;
+        EXPECT_EQ(m.sparsity.has_value(), differ) << m.name;
+        EXPECT_EQ(findModel(m.name), &m);
+    }
+    EXPECT_EQ(findModel("gpt5"), nullptr);
+}
+
 } // namespace
 } // namespace canon
