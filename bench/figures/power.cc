@@ -93,15 +93,18 @@ figure11Bench()
         const double pes =
             profile.peCount ? static_cast<double>(profile.peCount)
                             : 64.0;
-        auto mw = [&](const std::string &cat) {
+        auto mw = [&](EnergyCategory cat) {
             return Table::fmt(
                 r.category(cat) / static_cast<double>(r.cycles) / pes,
                 3);
         };
         const double total_mw =
             r.totalPj / static_cast<double>(r.cycles) / pes;
-        return {{p.value("workload"), mw("dataMem"), mw("spadRead"),
-                 mw("spadWrite"), mw("compute"), mw("controlRouting"),
+        return {{p.value("workload"), mw(EnergyCategory::DataMem),
+                 mw(EnergyCategory::SpadRead),
+                 mw(EnergyCategory::SpadWrite),
+                 mw(EnergyCategory::Compute),
+                 mw(EnergyCategory::ControlRouting),
                  Table::fmt(total_mw, 3)}};
     };
     bench.add(std::move(power_t));
@@ -134,9 +137,10 @@ figure11Bench()
         const auto a = runner.run(resnetLayer(range.sparsity), range.seed);
         const auto b =
             runner.run(attentionLayer(range.sparsity), range.seed + 1);
-        const auto trans =
-            a.get("stateTransitions") + b.get("stateTransitions");
-        const auto macs = a.get("laneMacs") + b.get("laneMacs");
+        const auto trans = a.get(Activity::StateTransitions) +
+                           b.get(Activity::StateTransitions);
+        const auto macs =
+            a.get(Activity::LaneMacs) + b.get(Activity::LaneMacs);
         return {{range.label, Table::fmtInt(trans),
                  Table::fmtInt(trans * 1'000'000 / macs),
                  range.paper}};

@@ -58,8 +58,9 @@ figure15Bench()
         const auto lanes =
             static_cast<std::uint64_t>(cfg.numPes() * kSimdWidth);
         // Every nonzero multiplies an N-wide row of B.
-        const auto nnz = static_cast<double>(prof.get("laneMacs") /
-                                             static_cast<std::uint64_t>(n));
+        const auto nnz =
+            static_cast<double>(prof.get(Activity::LaneMacs) /
+                                static_cast<std::uint64_t>(n));
         // Ops per fetched element: 2*N MACs per nnz over the
         // coordinate+value bytes.
         const double ai = 2.0 * nnz * static_cast<double>(n) /

@@ -55,8 +55,8 @@ main()
     std::cout << "cycles:            " << cycles << "\n"
               << "lane utilization:  "
               << profile.utilization(cfg.numPes() * kSimdWidth) << "\n"
-              << "FSM transitions:   " << profile.get("stateTransitions")
-              << "\n"
+              << "FSM transitions:   "
+              << profile.get(Activity::StateTransitions) << "\n"
               << "stall cycles:      "
               << fabric.sumCounter("stallCycles") << "\n";
 

@@ -39,10 +39,10 @@ CgraModel::emulate(ExecutionProfile p) const
     // Each configured PE re-fetches its (held) instruction and drives
     // its crossbar switch every active cycle; data hops between
     // neighbours replace the systolic array's hardwired shifts.
-    p.activity.erase("shiftOps");
-    p.add("instFetches",
+    p.erase(Activity::ShiftOps);
+    p.add(Activity::InstFetches,
           p.cycles * static_cast<std::uint64_t>(cfg_.numPes()));
-    p.add("routerHops", p.get("macSlots"));
+    p.add(Activity::RouterHops, p.get(Activity::MacSlots));
     return p;
 }
 
@@ -125,12 +125,12 @@ CgraModel::loopKernel(const Dfg &body, std::int64_t iters, int rec_mii,
             ++alu_nodes;
         }
     }
-    p.add("laneMacs", static_cast<std::uint64_t>(iters) * mac_nodes);
-    p.add("aluOps", static_cast<std::uint64_t>(iters) * alu_nodes);
-    p.add("edgeSramReads",
+    p.add(Activity::LaneMacs, static_cast<std::uint64_t>(iters) * mac_nodes);
+    p.add(Activity::AluOps, static_cast<std::uint64_t>(iters) * alu_nodes);
+    p.add(Activity::EdgeSramReads,
           static_cast<std::uint64_t>(iters) * mem_nodes);
-    p.add("routerHops", waves * mapping.routeHops);
-    p.add("instFetches",
+    p.add(Activity::RouterHops, waves * mapping.routeHops);
+    p.add(Activity::InstFetches,
           p.cycles * static_cast<std::uint64_t>(mapping.pesUsed));
     return p;
 }

@@ -112,11 +112,12 @@ SystolicModel::gemm(std::int64_t m, std::int64_t k, std::int64_t n,
         useful = static_cast<std::uint64_t>(m) * n *
                  (static_cast<std::uint64_t>(k) * input_nm.first /
                   input_nm.second);
-        p.add("nmSelectOps", static_cast<std::uint64_t>(m) * k_eff * n);
+        p.add(Activity::NmSelectOps,
+              static_cast<std::uint64_t>(m) * k_eff * n);
     }
 
     p.cycles = gemmCycles(m, k_eff, n);
-    p.add("laneMacs", useful);
+    p.add(Activity::LaneMacs, useful);
 
     const auto ktiles = divCeil(static_cast<std::uint64_t>(k_eff),
                                 static_cast<std::uint64_t>(cfg_.rows));
@@ -124,16 +125,16 @@ SystolicModel::gemm(std::int64_t m, std::int64_t k, std::int64_t n,
                                 static_cast<std::uint64_t>(cfg_.cols));
     // Energy-active MAC slots: every PE switches while a tile streams,
     // and its A/psum shift registers move every one of those cycles.
-    p.add("macSlots", ktiles * ntiles * static_cast<std::uint64_t>(m) *
+    p.add(Activity::MacSlots, ktiles * ntiles * static_cast<std::uint64_t>(m) *
                           cfg_.numMacs());
-    p.add("shiftOps", p.get("macSlots"));
+    p.add(Activity::ShiftOps, p.get(Activity::MacSlots));
     // Edge SRAM traffic: activations re-read per n-tile, weights once
     // per tile, psums spilled/merged across k-tiles.
-    p.add("edgeSramReads",
+    p.add(Activity::EdgeSramReads,
           ntiles * ktiles * static_cast<std::uint64_t>(m) * cfg_.rows +
               static_cast<std::uint64_t>(k_eff) * n +
               static_cast<std::uint64_t>(m) * n * (ktiles - 1));
-    p.add("edgeSramWrites",
+    p.add(Activity::EdgeSramWrites,
           static_cast<std::uint64_t>(m) * n * ktiles);
     return p;
 }

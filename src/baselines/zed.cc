@@ -68,13 +68,13 @@ ZedModel::runRows(const std::vector<std::int64_t> &row_work,
                     static_cast<std::uint64_t>(cfg_.lanesPerCluster)));
     }
     p.cycles = std::max<std::uint64_t>(makespan(row_cycles), 1);
-    p.add("laneMacs", units * words_per_unit);
-    p.add("decodeOps", units);
-    p.add("crossbarXfers", units);
+    p.add(Activity::LaneMacs, units * words_per_unit);
+    p.add(Activity::DecodeOps, units);
+    p.add(Activity::CrossbarXfers, units);
     // Operand fetches from the banked SRAM: one word per lane-MAC
     // (B-row words for SpMM, A/B words for SDDMM) plus outputs.
-    p.add("edgeSramReads", units * words_per_unit);
-    p.add("edgeSramWrites", units * words_per_unit / 4);
+    p.add(Activity::EdgeSramReads, units * words_per_unit);
+    p.add(Activity::EdgeSramWrites, units * words_per_unit / 4);
     return p;
 }
 

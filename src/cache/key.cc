@@ -11,14 +11,15 @@ namespace cache
 namespace
 {
 
-/** FNV-1a 64 with a caller-chosen offset basis. */
+/** FNV-1a 64 over the chars [first, last). */
+template <typename It>
 std::uint64_t
-fnv1a64(const std::string &text, std::uint64_t basis)
+fnv1a64(It first, It last)
 {
     constexpr std::uint64_t prime = 1099511628211ull;
-    std::uint64_t h = basis;
-    for (unsigned char c : text) {
-        h ^= c;
+    std::uint64_t h = 14695981039346656037ull;
+    for (; first != last; ++first) {
+        h ^= static_cast<unsigned char>(*first);
         h *= prime;
     }
     return h;
@@ -59,14 +60,12 @@ canonicalArchs(const cli::Options &opt)
 std::string
 ScenarioKey::digest() const
 {
-    // Two independent passes (standard basis, and the same basis run
-    // over the reversed string) give 128 bits; the store verifies the
-    // canonical text anyway, so this only has to make accidental
-    // file-name collisions vanishingly rare.
-    const std::uint64_t a = fnv1a64(canonical, 14695981039346656037ull);
-    std::string reversed(canonical.rbegin(), canonical.rend());
-    const std::uint64_t b = fnv1a64(reversed, 14695981039346656037ull);
-    return hex64(a) + hex64(b);
+    // Two independent passes (forward, and backward over the same
+    // text) give 128 bits; the store verifies the canonical text
+    // anyway, so this only has to make accidental file-name
+    // collisions vanishingly rare.
+    return hex64(fnv1a64(canonical.begin(), canonical.end())) +
+           hex64(fnv1a64(canonical.rbegin(), canonical.rend()));
 }
 
 ScenarioKey

@@ -1,5 +1,6 @@
 #include "cache/payload.hh"
 
+#include <charconv>
 #include <sstream>
 
 #include "common/parse.hh"
@@ -12,19 +13,17 @@ namespace cache
 namespace
 {
 
-/** Forward-only reader over a payload string. */
+/** Forward-only reader over a payload. */
 struct Cursor
 {
-    const std::string &text;
+    std::string_view text;
     std::size_t pos = 0;
 
     /** Read up to the next '\n' (consumed, not returned). */
-    bool line(std::string &out)
+    bool line(std::string_view &out)
     {
-        if (pos >= text.size())
-            return false;
         const std::size_t nl = text.find('\n', pos);
-        if (nl == std::string::npos)
+        if (nl == std::string_view::npos)
             return false;
         out = text.substr(pos, nl - pos);
         pos = nl + 1;
@@ -32,7 +31,7 @@ struct Cursor
     }
 
     /** Read exactly @p n raw bytes followed by a '\n'. */
-    bool bytes(std::size_t n, std::string &out)
+    bool bytes(std::size_t n, std::string_view &out)
     {
         // pos <= size always; comparing against the remainder keeps
         // a hostile n from wrapping pos + n around.
@@ -46,23 +45,63 @@ struct Cursor
     bool done() const { return pos == text.size(); }
 };
 
-/** Parse "<tag> <u64>"; false unless the line matches exactly. */
-bool
-taggedU64(const std::string &line, const std::string &tag,
-          std::uint64_t &out)
-{
-    return line.rfind(tag + " ", 0) == 0 &&
-           parseInt(std::string_view(line).substr(tag.size() + 1), out);
-}
-
 /** Split off the rest-of-line value of "<tag> <value>". */
 bool
-taggedRest(const std::string &line, const std::string &tag,
-           std::string &out)
+taggedRest(std::string_view line, std::string_view tag,
+           std::string_view &out)
 {
-    if (line.rfind(tag + " ", 0) != 0)
+    if (line.size() <= tag.size() || !line.starts_with(tag) ||
+        line[tag.size()] != ' ')
         return false;
     out = line.substr(tag.size() + 1);
+    return true;
+}
+
+/** Parse "<tag> <u64>"; false unless the line matches exactly. */
+bool
+taggedU64(std::string_view line, std::string_view tag,
+          std::uint64_t &out)
+{
+    std::string_view rest;
+    return taggedRest(line, tag, rest) && parseInt(rest, out);
+}
+
+void
+appendU64(std::string &out, std::uint64_t v)
+{
+    char buf[20];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+/** Decode one "entry" block's fields after its name line. */
+bool
+decodeProfile(Cursor &cur, ExecutionProfile &p)
+{
+    std::string_view line, text;
+    std::uint64_t activity = 0;
+    if (!cur.line(line) || !taggedRest(line, "arch", text))
+        return false;
+    p.arch = text;
+    if (!cur.line(line) || !taggedRest(line, "workload", text))
+        return false;
+    p.workload = text;
+    if (!cur.line(line) || !taggedU64(line, "cycles", p.cycles) ||
+        !cur.line(line) || !taggedU64(line, "pes", p.peCount) ||
+        !cur.line(line) || !taggedU64(line, "activity", activity))
+        return false;
+    for (std::uint64_t i = 0; i < activity; ++i) {
+        if (!cur.line(line))
+            return false;
+        // "<name> <u64>": an unknown or repeated name is corruption.
+        const std::size_t space = line.find(' ');
+        if (space == std::string_view::npos)
+            return false;
+        const auto a = activityByName(line.substr(0, space));
+        std::uint64_t value = 0;
+        if (!a || p.has(*a) || !parseInt(line.substr(space + 1), value))
+            return false;
+        p.add(*a, value);
+    }
     return true;
 }
 
@@ -71,63 +110,46 @@ taggedRest(const std::string &line, const std::string &tag,
 std::string
 encodeCaseResult(const CaseResult &cases)
 {
-    std::ostringstream oss;
-    oss << "caseresult " << cases.size() << "\n";
+    std::string out = "caseresult ";
+    appendU64(out, cases.size());
+    out += '\n';
     for (const auto &[name, p] : cases) {
-        oss << "entry " << name << "\n"
-            << "arch " << p.arch << "\n"
-            << "workload " << p.workload << "\n"
-            << "cycles " << p.cycles << "\n"
-            << "pes " << p.peCount << "\n"
-            << "activity " << p.activity.size() << "\n";
-        for (const auto &[key, value] : p.activity)
-            oss << key << " " << value << "\n";
+        out.append("entry ").append(name);
+        out.append("\narch ").append(p.arch);
+        out.append("\nworkload ").append(p.workload);
+        out.append("\ncycles ");
+        appendU64(out, p.cycles);
+        out.append("\npes ");
+        appendU64(out, p.peCount);
+        out.append("\nactivity ");
+        appendU64(out, p.activityCount());
+        out += '\n';
+        p.forEachActivity([&out](Activity a, std::uint64_t v) {
+            out.append(activityName(a)) += ' ';
+            appendU64(out, v);
+            out += '\n';
+        });
     }
-    return oss.str();
+    return out;
 }
 
 bool
-decodeCaseResult(const std::string &payload, CaseResult &out)
+decodeCaseResult(std::string_view payload, CaseResult &out)
 {
     out.clear();
     Cursor cur{payload};
-    std::string line;
+    std::string_view line, name;
     std::uint64_t entries = 0;
     if (!cur.line(line) || !taggedU64(line, "caseresult", entries))
         return false;
 
     for (std::uint64_t e = 0; e < entries; ++e) {
-        std::string name;
         if (!cur.line(line) || !taggedRest(line, "entry", name) ||
-            name.empty() || out.count(name) != 0)
+            name.empty())
             return false;
-        ExecutionProfile p;
-        std::uint64_t activity = 0;
-        if (!cur.line(line) || !taggedRest(line, "arch", p.arch))
+        const auto [it, fresh] = out.try_emplace(std::string(name));
+        if (!fresh || !decodeProfile(cur, it->second))
             return false;
-        if (!cur.line(line) ||
-            !taggedRest(line, "workload", p.workload))
-            return false;
-        if (!cur.line(line) || !taggedU64(line, "cycles", p.cycles))
-            return false;
-        if (!cur.line(line) || !taggedU64(line, "pes", p.peCount))
-            return false;
-        if (!cur.line(line) || !taggedU64(line, "activity", activity))
-            return false;
-        for (std::uint64_t a = 0; a < activity; ++a) {
-            if (!cur.line(line))
-                return false;
-            const std::size_t space = line.find(' ');
-            if (space == 0 || space == std::string::npos)
-                return false;
-            const std::string key = line.substr(0, space);
-            std::uint64_t value = 0;
-            if (!taggedU64(line, key, value) ||
-                p.activity.count(key) != 0)
-                return false;
-            p.activity.emplace(key, value);
-        }
-        out.emplace(std::move(name), std::move(p));
     }
     return cur.done();
 }
@@ -146,11 +168,11 @@ encodeRows(const RowTable &rows)
 }
 
 bool
-decodeRows(const std::string &payload, RowTable &out)
+decodeRows(std::string_view payload, RowTable &out)
 {
     out.clear();
     Cursor cur{payload};
-    std::string line;
+    std::string_view line;
     std::uint64_t nrows = 0;
     if (!cur.line(line) || !taggedU64(line, "rows", nrows))
         return false;
@@ -164,11 +186,11 @@ decodeRows(const std::string &payload, RowTable &out)
         std::vector<std::string> row;
         for (std::uint64_t c = 0; c < ncells; ++c) {
             std::uint64_t len = 0;
-            std::string cell;
+            std::string_view cell;
             if (!cur.line(line) || !taggedU64(line, "cell", len) ||
                 !cur.bytes(len, cell))
                 return false;
-            row.push_back(std::move(cell));
+            row.emplace_back(cell);
         }
         out.push_back(std::move(row));
     }

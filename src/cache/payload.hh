@@ -17,6 +17,7 @@
 #define CANON_CACHE_PAYLOAD_HH
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "workloads/suite.hh"
@@ -34,15 +35,17 @@ std::string encodeCaseResult(const CaseResult &cases);
 
 /**
  * Parse @p payload into @p out. Returns false (leaving @p out
- * unspecified) on any structural error.
+ * unspecified) on any structural error, including an activity name
+ * that is not an Activity's, a name repeated within one entry, or a
+ * value that does not fit 64 bits.
  */
-bool decodeCaseResult(const std::string &payload, CaseResult &out);
+bool decodeCaseResult(std::string_view payload, CaseResult &out);
 
 /** Serialize table rows; cells are length-prefixed (any bytes). */
 std::string encodeRows(const RowTable &rows);
 
 /** Parse @p payload into @p out; false on any structural error. */
-bool decodeRows(const std::string &payload, RowTable &out);
+bool decodeRows(std::string_view payload, RowTable &out);
 
 } // namespace cache
 } // namespace canon

@@ -1,9 +1,15 @@
 #include "cache/store.hh"
 
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
 #include <random>
 #include <sstream>
+#include <string_view>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 namespace canon
 {
@@ -44,7 +50,11 @@ ResultStore::prepare() const
 std::string
 ResultStore::entryPath(const ScenarioKey &key) const
 {
-    return (std::filesystem::path(dir_) / key.fileName()).string();
+    // path(dir_) / name, spelled without building a path.
+    std::string path = dir_;
+    if (!path.empty() && path.back() != '/')
+        path += '/';
+    return path += key.fileName();
 }
 
 std::optional<std::string>
@@ -52,25 +62,46 @@ ResultStore::lookup(const ScenarioKey &key) const
 {
     if (!readsEnabled())
         return std::nullopt;
-    std::ifstream f(entryPath(key), std::ios::binary);
-    if (!f)
+    // O_NONBLOCK: a FIFO planted under an entry name must not block
+    // the open; fstat then rejects anything but a regular file.
+    const int fd = ::open(entryPath(key).c_str(),
+                          O_RDONLY | O_CLOEXEC | O_NONBLOCK);
+    if (fd < 0)
         return std::nullopt;
-    std::string text((std::istreambuf_iterator<char>(f)),
-                     std::istreambuf_iterator<char>());
+    std::string text;
+    struct stat st;
+    bool whole = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) &&
+                 static_cast<std::uint64_t>(st.st_size) <= kMaxEntryBytes;
+    if (whole) {
+        // Published entries never change (writers rename a complete
+        // file into place), so st_size is the entry's size.
+        text.resize(static_cast<std::size_t>(st.st_size));
+        std::size_t got = 0;
+        while (whole && got < text.size()) {
+            const ssize_t n = ::read(fd, text.data() + got,
+                                     text.size() - got);
+            if (n < 0 && errno == EINTR)
+                continue;
+            whole = n > 0;
+            got += whole ? static_cast<std::size_t>(n) : 0;
+        }
+    }
+    ::close(fd);
+    if (!whole)
+        return std::nullopt;
 
     // Magic line, then the full canonical key: a digest collision or
     // a stale/torn entry fails verification and reads as a miss.
-    if (text.rfind(kMagicLine, 0) != 0)
-        return std::nullopt;
-    const std::size_t key_start = std::char_traits<char>::length(
-        kMagicLine);
-    const std::size_t key_end = text.find('\n', key_start);
-    if (key_end == std::string::npos ||
-        text.compare(key_start, key_end - key_start, key.canonical) !=
-            0)
+    const std::string_view magic = kMagicLine;
+    const std::size_t key_end = magic.size() + key.canonical.size();
+    if (text.size() <= key_end || !text.starts_with(magic) ||
+        text.compare(magic.size(), key.canonical.size(),
+                     key.canonical) != 0 ||
+        text[key_end] != '\n')
         return std::nullopt;
 
-    return text.substr(key_end + 1);
+    text.erase(0, key_end + 1);
+    return text;
 }
 
 bool

@@ -42,6 +42,13 @@ namespace canon
 namespace cache
 {
 
+/**
+ * Largest entry file lookup() reads. Far above any payload (a
+ * five-architecture CaseResult is about 2 KB); a larger file under an
+ * entry name is a miss, read no further than its fstat.
+ */
+inline constexpr std::uint64_t kMaxEntryBytes = 16u << 20; // 16 MiB
+
 /** Snapshot of a store's counters. */
 struct CacheStats
 {
@@ -95,8 +102,11 @@ class ResultStore
 
     /**
      * Fetch the payload stored under @p key. Returns nullopt when
-     * reads are disabled by the mode, the entry is absent, carries a
-     * different canonical key, or predates the store format. Never
+     * reads are disabled by the mode, the entry is absent, is not a
+     * regular file, is larger than kMaxEntryBytes, carries a
+     * different canonical key, or predates the store format. It
+     * opens, fstats and reads the file once (sized by the fstat) and
+     * checks the magic line and key in the read buffer. Never
      * touches the counters: the caller records the hit only once the
      * payload proves usable (recordHit), so a fetched-but-
      * undecodable entry counts as exactly one miss, not as both.

@@ -1,7 +1,7 @@
 #include "cli/options.hh"
 
 #include <algorithm>
-#include <iomanip>
+#include <charconv>
 #include <limits>
 #include <sstream>
 #include <type_traits>
@@ -16,6 +16,25 @@ namespace canon
 namespace cli
 {
 
+std::string
+canonicalDouble(double v)
+{
+    // %.{prec}g, as an ostream at setprecision(prec) prints; the
+    // first precision that reads back exactly wins, 17 always does.
+    char buf[32];
+    char *end = buf;
+    for (int prec = 1; prec <= 17; ++prec) {
+        end = std::to_chars(buf, buf + sizeof(buf), v,
+                            std::chars_format::general, prec)
+                  .ptr;
+        double back = 0.0;
+        const auto [ptr, ec] = std::from_chars(buf, end, back);
+        if (ec == std::errc() && ptr == end && back == v)
+            break;
+    }
+    return {buf, end};
+}
+
 namespace
 {
 
@@ -27,27 +46,6 @@ parseDouble(const std::string &s, double &out)
     std::istringstream iss(s);
     iss >> out;
     return iss && iss.eof();
-}
-
-/**
- * Shortest decimal text that round-trips to exactly @p v, so "0.5",
- * ".50", and "0.50" all canonicalize to "0.5" while distinct doubles
- * stay distinct (17 significant digits always round-trip).
- */
-std::string
-canonicalDouble(double v)
-{
-    for (int prec = 1; prec <= 17; ++prec) {
-        std::ostringstream oss;
-        oss << std::setprecision(prec) << v;
-        double back = 0.0;
-        std::istringstream iss(oss.str());
-        if ((iss >> back) && back == v)
-            return oss.str();
-    }
-    std::ostringstream oss;
-    oss << std::setprecision(17) << v;
-    return oss.str();
 }
 
 bool
@@ -404,23 +402,36 @@ Options::workloadLabel() const
 {
     if (!model.empty())
         return model + " model";
-    std::ostringstream oss;
-    oss << workloadName(workload) << " " << m << "x" << k << "x" << n;
+    // The text an ostream prints: integers in full, the sparsity at
+    // the default precision ("%.6g").
+    char buf[32];
+    std::string out = workloadName(workload);
+    auto num = [&](const char *sep, std::int64_t v) {
+        out.append(sep).append(buf,
+                               std::to_chars(buf, buf + sizeof(buf), v).ptr);
+    };
+    num(" ", m);
+    num("x", k);
+    num("x", n);
     switch (workload) {
       case Workload::Spmm:
       case Workload::Sddmm:
-        oss << " s=" << sparsity;
+        out.append(" s=").append(
+            buf, std::to_chars(buf, buf + sizeof(buf), sparsity,
+                               std::chars_format::general, 6)
+                     .ptr);
         break;
       case Workload::SpmmNm:
-        oss << " " << nmN << ":" << nmM;
+        num(" ", nmN);
+        num(":", nmM);
         break;
       case Workload::SddmmWindow:
-        oss << " w=" << window;
+        num(" w=", window);
         break;
       case Workload::Gemm:
         break;
     }
-    return oss.str();
+    return out;
 }
 
 const std::vector<std::string> &

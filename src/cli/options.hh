@@ -221,6 +221,14 @@ bool optionRelevant(const Options &opt, const std::string &key);
 std::string optionValueText(const Options &opt, const std::string &key);
 
 /**
+ * Shortest decimal text that round-trips to exactly @p v, so "0.5",
+ * ".50", and "0.50" all canonicalize to "0.5" while distinct doubles
+ * stay distinct: the fewest significant digits (1 to 17, "%.*g")
+ * that read back as @p v.
+ */
+std::string canonicalDouble(double v);
+
+/**
  * " key=value" for every option that shapes @p opt's simulated
  * result, in canonical order: the keyed fabric options, then
  * relevantScenarioKeys(opt). Render-only options (--clock-ghz, which

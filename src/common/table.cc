@@ -1,5 +1,6 @@
 #include "common/table.hh"
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -29,24 +30,35 @@ Table::addRow(std::vector<std::string> cells)
 std::string
 Table::fmt(double v, int prec)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f", prec, v);
-    return buf;
+    // Room for any double at %.*f with prec up to about 150 digits
+    // (DBL_MAX has 309 integer digits); wider requests fall back to
+    // snprintf, which to_chars matches byte for byte.
+    char buf[480];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v,
+                                         std::chars_format::fixed, prec);
+    if (ec == std::errc())
+        return {buf, end};
+    std::string out(
+        static_cast<std::size_t>(std::snprintf(nullptr, 0, "%.*f", prec, v)),
+        '\0');
+    std::snprintf(out.data(), out.size() + 1, "%.*f", prec, v);
+    return out;
 }
 
 std::string
 Table::fmtInt(std::uint64_t v)
 {
-    std::string raw = std::to_string(v);
+    char raw[20];
+    const std::size_t digits =
+        static_cast<std::size_t>(std::to_chars(raw, raw + 20, v).ptr - raw);
     std::string out;
-    int count = 0;
-    for (auto it = raw.rbegin(); it != raw.rend(); ++it) {
-        if (count && count % 3 == 0)
+    out.reserve(digits + (digits - 1) / 3);
+    for (std::size_t i = 0; i < digits; ++i) {
+        if (i != 0 && (digits - i) % 3 == 0)
             out.push_back(',');
-        out.push_back(*it);
-        ++count;
+        out.push_back(raw[i]);
     }
-    return {out.rbegin(), out.rend()};
+    return out;
 }
 
 void
@@ -63,19 +75,20 @@ Table::print(std::ostream &os) const
     for (auto w : widths)
         total += w + 2;
 
-    os << "\n=== " << title_ << " ===\n";
-    auto rule = std::string(total, '-');
+    // Rendered into one buffer and written once: a stream insert per
+    // cell and per padding string cost more than the cells themselves.
+    std::string out = "\n=== " + title_ + " ===\n";
+    out.reserve(out.size() + (rows_.size() + 2) * (total + 1));
     auto print_row = [&](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            os << row[c]
-               << std::string(widths[c] - row[c].size() + 2, ' ');
-        }
-        os << "\n";
+        for (std::size_t c = 0; c < row.size(); ++c)
+            out.append(row[c]).append(widths[c] - row[c].size() + 2, ' ');
+        out += '\n';
     };
     print_row(header_);
-    os << rule << "\n";
+    out.append(total, '-') += '\n';
     for (const auto &row : rows_)
         print_row(row);
+    os.write(out.data(), static_cast<std::streamsize>(out.size()));
     os << std::flush;
 }
 

@@ -543,27 +543,28 @@ CanonFabric::profile(const std::string &workload) const
     p.cycles = now_;
     p.peCount = static_cast<std::uint64_t>(cfg_.numPes());
 
-    // Each key sums one counter name over the fabric, in one pass.
-    // instIssued is last: every issued instruction traverses the whole
-    // row's dedicated instruction NoC.
-    static constexpr std::array<std::pair<std::string_view, const char *>,
+    // Each activity sums one counter name over the fabric, in one
+    // pass. instIssued is last: every issued instruction traverses
+    // the whole row's dedicated instruction NoC.
+    using enum Activity;
+    static constexpr std::array<std::pair<std::string_view, Activity>,
                                 16>
-        kSums{{{"macOps", "laneMacs"},
-               {"aluOps", "aluOps"},
-               {"dmemReads", "dmemReads"},
-               {"dmemWrites", "dmemWrites"},
-               {"spadReads", "spadReads"},
-               {"spadWrites", "spadWrites"},
-               {"routerHops", "routerHops"},
-               {"regReads", "regReads"},
-               {"regWrites", "regWrites"},
-               {"lutLookups", "lutLookups"},
-               {"bufferSearches", "bufferSearches"},
-               {"tagCompares", "tagCompares"},
-               {"spadResidentSum", "spadResidentSum"},
-               {"spadCapCycles", "spadCapCycles"},
-               {"stateTransitions", "stateTransitions"},
-               {"instIssued", "instHops"}}};
+        kSums{{{"macOps", LaneMacs},
+               {"aluOps", AluOps},
+               {"dmemReads", DmemReads},
+               {"dmemWrites", DmemWrites},
+               {"spadReads", SpadReads},
+               {"spadWrites", SpadWrites},
+               {"routerHops", RouterHops},
+               {"regReads", RegReads},
+               {"regWrites", RegWrites},
+               {"lutLookups", LutLookups},
+               {"bufferSearches", BufferSearches},
+               {"tagCompares", TagCompares},
+               {"spadResidentSum", SpadResidentSum},
+               {"spadCapCycles", SpadCapCycles},
+               {"stateTransitions", StateTransitions},
+               {"instIssued", InstHops}}};
     std::array<std::uint64_t, kSums.size()> sums{};
     forEachCounter([&](std::string_view, std::string_view leaf,
                        const Counter &ctr) {
@@ -577,7 +578,7 @@ CanonFabric::profile(const std::string &workload) const
     sums.back() *= static_cast<std::uint64_t>(cfg_.cols);
     for (std::size_t i = 0; i < kSums.size(); ++i)
         p.add(kSums[i].second, sums[i]);
-    p.add("orchCycles", static_cast<std::uint64_t>(cfg_.rows) * now_);
+    p.add(OrchCycles, static_cast<std::uint64_t>(cfg_.rows) * now_);
     return p;
 }
 

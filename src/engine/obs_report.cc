@@ -307,8 +307,9 @@ ObsReport::writeStatsJson(std::ostream &os) const
                 w.kv("peCount", p.peCount);
                 w.key("activity");
                 w.beginObject();
-                for (const auto &[k, v] : p.activity)
-                    w.kv(k, v);
+                p.forEachActivity([&w](Activity a, std::uint64_t v) {
+                    w.kv(activityName(a), v);
+                });
                 w.endObject();
                 w.endObject();
             }

@@ -22,7 +22,7 @@ JsonWriter::separate()
 }
 
 void
-JsonWriter::escape(const std::string &s)
+JsonWriter::escape(std::string_view s)
 {
     os_ << '"';
     for (char c : s) {
@@ -85,7 +85,7 @@ JsonWriter::endArray()
 }
 
 void
-JsonWriter::key(const std::string &k)
+JsonWriter::key(std::string_view k)
 {
     separate();
     escape(k);

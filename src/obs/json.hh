@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace canon
@@ -35,7 +36,7 @@ class JsonWriter
     void endArray();
 
     /** Emit an object key; must be followed by exactly one value. */
-    void key(const std::string &k);
+    void key(std::string_view k);
 
     void value(const std::string &s);
     void value(const char *s);
@@ -45,7 +46,7 @@ class JsonWriter
     /** key() + value() in one call. */
     template <typename T>
     void
-    kv(const std::string &k, const T &v)
+    kv(std::string_view k, const T &v)
     {
         key(k);
         value(v);
@@ -53,7 +54,7 @@ class JsonWriter
 
   private:
     void separate();
-    void escape(const std::string &s);
+    void escape(std::string_view s);
 
     std::ostream &os_;
     // One frame per open container: true after the first element, so

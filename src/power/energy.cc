@@ -8,57 +8,53 @@ namespace canon
 EnergyReport
 EnergyModel::evaluate(const ExecutionProfile &p, double clock_ghz) const
 {
+    using enum Activity;
     EnergyReport r;
     r.cycles = p.cycles;
     r.clockGhz = clock_ghz;
+    auto n = [&p](Activity a) { return static_cast<double>(p.get(a)); };
+    auto cat = [&r](EnergyCategory c) -> double & {
+        return r.categoriesPj[static_cast<std::size_t>(c)];
+    };
 
     // Energy-active MAC events: systolic-style models report padded
     // activity in macSlots; cycle simulators report exact laneMacs.
     const auto mac_events =
-        std::max(p.get("macSlots"), p.get("laneMacs"));
+        std::max(p.get(MacSlots), p.get(LaneMacs));
 
-    r.categoriesPj["compute"] =
+    cat(EnergyCategory::Compute) =
         static_cast<double>(mac_events) * params_.macInt8Pj +
-        static_cast<double>(p.get("aluOps")) * params_.aluAddPj +
-        static_cast<double>(p.get("shiftOps")) * params_.shiftOpPj +
-        static_cast<double>(p.get("nmSelectOps")) * params_.nmSelectPj;
+        n(AluOps) * params_.aluAddPj + n(ShiftOps) * params_.shiftOpPj +
+        n(NmSelectOps) * params_.nmSelectPj;
 
-    r.categoriesPj["dataMem"] =
-        static_cast<double>(p.get("dmemReads")) * params_.dmemReadPj +
-        static_cast<double>(p.get("dmemWrites")) * params_.dmemWritePj +
-        static_cast<double>(p.get("edgeSramReads")) *
-            params_.edgeSramReadPj +
-        static_cast<double>(p.get("edgeSramWrites")) *
-            params_.edgeSramWritePj;
+    cat(EnergyCategory::DataMem) =
+        n(DmemReads) * params_.dmemReadPj +
+        n(DmemWrites) * params_.dmemWritePj +
+        n(EdgeSramReads) * params_.edgeSramReadPj +
+        n(EdgeSramWrites) * params_.edgeSramWritePj;
 
-    r.categoriesPj["spadRead"] =
-        static_cast<double>(p.get("spadReads")) * params_.spadReadPj;
-    r.categoriesPj["spadWrite"] =
-        static_cast<double>(p.get("spadWrites")) * params_.spadWritePj;
+    cat(EnergyCategory::SpadRead) = n(SpadReads) * params_.spadReadPj;
+    cat(EnergyCategory::SpadWrite) = n(SpadWrites) * params_.spadWritePj;
 
-    r.categoriesPj["controlRouting"] =
-        static_cast<double>(p.get("routerHops")) * params_.routerHopPj +
-        static_cast<double>(p.get("instHops")) * params_.instHopPj +
-        static_cast<double>(p.get("lutLookups")) * params_.lutLookupPj +
-        static_cast<double>(p.get("orchCycles")) * params_.orchCyclePj +
-        static_cast<double>(p.get("bufferSearches")) *
-            params_.bufferSearchPj +
-        static_cast<double>(p.get("stateTransitions")) *
-            params_.stateTransitionPj +
-        static_cast<double>(p.get("regReads") + p.get("regWrites")) *
+    cat(EnergyCategory::ControlRouting) =
+        n(RouterHops) * params_.routerHopPj +
+        n(InstHops) * params_.instHopPj +
+        n(LutLookups) * params_.lutLookupPj +
+        n(OrchCycles) * params_.orchCyclePj +
+        n(BufferSearches) * params_.bufferSearchPj +
+        n(StateTransitions) * params_.stateTransitionPj +
+        static_cast<double>(p.get(RegReads) + p.get(RegWrites)) *
             params_.regAccessPj +
-        static_cast<double>(p.get("decodeOps")) * params_.decodeOpPj +
-        static_cast<double>(p.get("crossbarXfers")) *
-            params_.crossbarXferPj +
-        static_cast<double>(p.get("instFetches")) *
-            params_.instFetchPj;
+        n(DecodeOps) * params_.decodeOpPj +
+        n(CrossbarXfers) * params_.crossbarXferPj +
+        n(InstFetches) * params_.instFetchPj;
 
-    r.categoriesPj["leakage"] =
+    cat(EnergyCategory::Leakage) =
         static_cast<double>(p.peCount) *
         static_cast<double>(p.cycles) * params_.leakagePerPeCyclePj;
 
     r.totalPj = 0.0;
-    for (const auto &[_, v] : r.categoriesPj)
+    for (const double v : r.categoriesPj)
         r.totalPj += v;
     return r;
 }

@@ -17,8 +17,9 @@
 #ifndef CANON_POWER_ENERGY_HH
 #define CANON_POWER_ENERGY_HH
 
-#include <map>
-#include <string>
+#include <array>
+#include <cstddef>
+#include <cstdint>
 
 #include "power/profile.hh"
 
@@ -69,9 +70,26 @@ struct EnergyParams
     double leakagePerPeCyclePj = 0.03;
 };
 
+/**
+ * Figure 11's energy categories. EnergyModel::evaluate sums them into
+ * totalPj in this order (the ASCII order of their names), so the
+ * total's rounding is fixed by the enumerator order.
+ */
+enum class EnergyCategory : std::uint8_t
+{
+    Compute,        //!< MACs, ALU ops, systolic shifts, 2:4 selects
+    ControlRouting, //!< NoC hops, LUT, orchestrator, tag probes, ...
+    DataMem,        //!< per-PE data memory and edge SRAM
+    Leakage,        //!< static power, per PE-cycle
+    SpadRead,       //!< scratchpad reads
+    SpadWrite,      //!< scratchpad writes
+};
+
+inline constexpr std::size_t kEnergyCategoryCount = 6;
+
 struct EnergyReport
 {
-    std::map<std::string, double> categoriesPj;
+    std::array<double, kEnergyCategoryCount> categoriesPj{};
     double totalPj = 0.0;
     std::uint64_t cycles = 0;
     double clockGhz = 1.0;
@@ -95,10 +113,9 @@ struct EnergyReport
     double edp() const { return totalJoules() * seconds(); }
 
     double
-    category(const std::string &name) const
+    category(EnergyCategory c) const
     {
-        auto it = categoriesPj.find(name);
-        return it == categoriesPj.end() ? 0.0 : it->second;
+        return categoriesPj[static_cast<std::size_t>(c)];
     }
 };
 

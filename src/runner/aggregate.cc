@@ -34,8 +34,8 @@ statsCells(const CanonConfig &cfg, const ExecutionProfile &profile,
         Table::fmtInt(profile.cycles),
         Table::fmt(rep.seconds() * 1e6, 3),
         Table::fmt(100.0 * profile.utilization(macs), 1),
-        Table::fmtInt(profile.get("laneMacs")),
-        Table::fmtInt(profile.get("stateTransitions")),
+        Table::fmtInt(profile.get(Activity::LaneMacs)),
+        Table::fmtInt(profile.get(Activity::StateTransitions)),
         Table::fmt(rep.totalJoules() * 1e6, 3),
         Table::fmt(rep.watts() * 1e3, 2),
         perf,
@@ -46,26 +46,27 @@ statsCells(const CanonConfig &cfg, const ExecutionProfile &profile,
         // carry orchestrator counters (canon); baselines render "X".
         // The occupancy denominator is orchestrator-cycles (rows x
         // cycles): SpadOcc is mean resident rows per orchestrator.
-        const bool probed =
-            profile.activity.count("spadResidentSum") != 0;
+        const bool probed = profile.has(Activity::SpadResidentSum);
         const double orch_cycles =
-            static_cast<double>(profile.get("orchCycles"));
+            static_cast<double>(profile.get(Activity::OrchCycles));
         if (probed && orch_cycles > 0.0) {
             cells.push_back(Table::fmt(
                 static_cast<double>(
-                    profile.get("spadResidentSum")) / orch_cycles,
+                    profile.get(Activity::SpadResidentSum)) /
+                    orch_cycles,
                 2));
             cells.push_back(Table::fmt(
                 100.0 *
                     static_cast<double>(
-                        profile.get("spadCapCycles")) / orch_cycles,
+                        profile.get(Activity::SpadCapCycles)) /
+                    orch_cycles,
                 1));
-            const auto probes = profile.get("bufferSearches");
+            const auto probes = profile.get(Activity::BufferSearches);
             cells.push_back(
                 probes == 0
                     ? "X"
                     : Table::fmt(static_cast<double>(
-                                     profile.get("tagCompares")) /
+                                     profile.get(Activity::TagCompares)) /
                                      static_cast<double>(probes),
                                  2));
         } else {

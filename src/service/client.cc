@@ -58,6 +58,7 @@ Client::readReply(Frame &frame, std::string &error)
         error = "daemon closed the connection";
         return false;
       case ReadStatus::Error:
+      case ReadStatus::Timeout:
         break;
     }
     return false;

@@ -249,10 +249,16 @@ Daemon::handleConnection(Connection *conn)
     bool alive = true;
 
     while (alive) {
-        const ReadStatus status =
-            readFrame(fd, decoder, frame, error);
+        const ReadStatus status = readFrame(
+            fd, decoder, frame, error, hello_done ? -1 : kHelloDeadlineMs);
         if (status == ReadStatus::Eof)
             break;
+        if (status == ReadStatus::Timeout) {
+            stats_.rejectedProtocol.fetch_add(1);
+            sendFrame(fd, textFrame(MsgType::Error,
+                                    "protocol error: hello-timeout"));
+            break;
+        }
         if (status == ReadStatus::Error) {
             stats_.rejectedProtocol.fetch_add(1);
             sendFrame(fd, textFrame(MsgType::Error, error));

@@ -30,6 +30,10 @@
  *  5. a Done frame reports the per-request cache delta, failure and
  *     cancellation counts, and the admission wait.
  *
+ * Handshake: a connection must send Hello within kHelloDeadlineMs;
+ * a peer that stays silent gets Error("protocol error: hello-timeout")
+ * and is closed, so it cannot hold a handler thread until shutdown.
+ *
  * Cancellation: every running submission has a runner::CancelToken
  * registered under its job id; a Cancel frame (from any connection)
  * latches it and the pool skips every scenario it has not started.
@@ -71,6 +75,9 @@ namespace canon
 {
 namespace service
 {
+
+/** How long a new connection may take to send its Hello frame. */
+inline constexpr int kHelloDeadlineMs = 5000;
 
 struct DaemonConfig
 {

@@ -1,8 +1,10 @@
 #include "service/socket.hh"
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -149,8 +151,11 @@ sendFrame(const Fd &fd, const Frame &frame)
 
 ReadStatus
 readFrame(const Fd &fd, FrameDecoder &decoder, Frame &out,
-          std::string &error)
+          std::string &error, int timeout_ms)
 {
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point deadline =
+        Clock::now() + std::chrono::milliseconds(timeout_ms);
     char buf[4096];
     for (;;) {
         switch (decoder.next(out)) {
@@ -162,6 +167,25 @@ readFrame(const Fd &fd, FrameDecoder &decoder, Frame &out,
             return ReadStatus::Error;
           case FrameDecoder::Status::NeedMore:
             break;
+        }
+        if (timeout_ms >= 0) {
+            // Whole milliseconds left, rounded up so the wait never
+            // ends before the deadline.
+            const auto left =
+                std::chrono::ceil<std::chrono::milliseconds>(
+                    deadline - Clock::now())
+                    .count();
+            pollfd pfd{fd.get(), POLLIN, 0};
+            const int rc =
+                left > 0 ? ::poll(&pfd, 1, static_cast<int>(left)) : 0;
+            if (rc < 0 && errno == EINTR)
+                continue;
+            if (rc < 0) {
+                error = errnoText("poll");
+                return ReadStatus::Error;
+            }
+            if (rc == 0)
+                return ReadStatus::Timeout;
         }
         const ssize_t n = ::recv(fd.get(), buf, sizeof(buf), 0);
         if (n < 0) {

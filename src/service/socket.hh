@@ -89,9 +89,10 @@ bool sendFrame(const Fd &fd, const Frame &frame);
 /** Outcome of one blocking framed read. */
 enum class ReadStatus
 {
-    Frame,  //!< @p out holds the next frame
-    Eof,    //!< peer closed (or shutdownRead) between frames
-    Error,  //!< I/O failure or protocol decode error; see message
+    Frame,   //!< @p out holds the next frame
+    Eof,     //!< peer closed (or shutdownRead) between frames
+    Error,   //!< I/O failure or protocol decode error; see message
+    Timeout, //!< no whole frame before the deadline
 };
 
 /**
@@ -99,9 +100,11 @@ enum class ReadStatus
  * the middle of a frame is an Error (truncated stream), between
  * frames a clean Eof. On Error, @p error carries the reason
  * (including the typed DecodeError name for protocol violations).
+ * A @p timeout_ms of 0 or more bounds the whole read: a frame not
+ * complete that many milliseconds after the call is a Timeout.
  */
 ReadStatus readFrame(const Fd &fd, FrameDecoder &decoder, Frame &out,
-                     std::string &error);
+                     std::string &error, int timeout_ms = -1);
 
 } // namespace service
 } // namespace canon

@@ -82,7 +82,7 @@ ExecutionProfile
 CanonRunner::spmmExact(const CsrMatrix &a, const DenseMatrix &b) const
 {
     auto p = runFabric(mapSpmm(a, b, cfg_), "spmm");
-    p.add("offchipBytes",
+    p.add(Activity::OffchipBytes,
           spmmOffchipBytes(a.nnz(), a.rows(), b.rows(), b.cols(), 1));
     return p;
 }
@@ -125,12 +125,12 @@ CanonRunner::run(const LayerSpec &l, std::uint64_t seed) const
         auto p = runFabric(mapGemm(a, b, cfg_), "gemm");
         p.scale(proxy.factor);
         if (!window) {
-            p.add("offchipBytes",
+            p.add(Activity::OffchipBytes,
                   spmmOffchipBytes(m * k, l.m, l.k, n, proxy.passes));
             return p;
         }
         // Dense-stationary traffic: Q and K once, band scores out.
-        p.add("offchipBytes",
+        p.add(Activity::OffchipBytes,
               m * k * 2 + m * static_cast<std::uint64_t>(n) * 4);
         p.workload = "sddmm-win";
         return p;
@@ -145,7 +145,7 @@ CanonRunner::run(const LayerSpec &l, std::uint64_t seed) const
         const auto b = randomDense(proxy.depth, tile_n, rng);
         auto p = runFabric(mapNmSpmm(a, b, l.nmN, l.nmM, cfg_), "nm-spmm");
         p.scale(proxy.factor);
-        p.add("offchipBytes",
+        p.add(Activity::OffchipBytes,
               spmmOffchipBytes(m * k * l.nmN / l.nmM, l.m, l.k, l.n,
                                proxy.passes));
         p.workload = "spmm-" + std::to_string(l.nmN) + ":" +
@@ -170,7 +170,7 @@ CanonRunner::run(const LayerSpec &l, std::uint64_t seed) const
         const auto mask_nnz = static_cast<std::uint64_t>(
             static_cast<double>(l.m) * static_cast<double>(l.n) *
             (1.0 - l.sparsity));
-        p.add("offchipBytes",
+        p.add(Activity::OffchipBytes,
               m * k + k * static_cast<std::uint64_t>(l.n) + mask_nnz * 7);
         return p;
       }

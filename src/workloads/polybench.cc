@@ -231,19 +231,19 @@ canonPolybench(const PolybenchKernel &k, const CanonConfig &cfg)
         if (op == DfgOp::Load || op == DfgOp::Store)
             ++mem_nodes;
     }
-    p.add("laneMacs", static_cast<std::uint64_t>(k.iters) * mul_like);
-    p.add("aluOps",
+    p.add(Activity::LaneMacs, static_cast<std::uint64_t>(k.iters) * mul_like);
+    p.add(Activity::AluOps,
           static_cast<std::uint64_t>(k.iters) *
               (add_like > mul_like ? add_like - mul_like : 0));
-    p.add("dmemReads",
+    p.add(Activity::DmemReads,
           static_cast<std::uint64_t>(k.iters) * mem_nodes / 4);
-    p.add("orchCycles",
+    p.add(Activity::OrchCycles,
           p.cycles * static_cast<std::uint64_t>(cfg.rows));
-    p.add("lutLookups",
+    p.add(Activity::LutLookups,
           p.cycles * static_cast<std::uint64_t>(cfg.rows));
-    p.add("instHops", p.cycles * static_cast<std::uint64_t>(
+    p.add(Activity::InstHops, p.cycles * static_cast<std::uint64_t>(
                                      cfg.rows * cfg.cols));
-    p.add("routerHops",
+    p.add(Activity::RouterHops,
           static_cast<std::uint64_t>(k.iters) * mem_nodes / 8);
     return p;
 }

@@ -75,7 +75,7 @@ TEST(Systolic, TwoFourHalvesEffectiveK)
     const auto s28 = m24.gemm(256, 256, 256, {2, 8});
     EXPECT_EQ(s28.cycles, s24.cycles);
     // But its useful work is half, which perf-per-op accounting sees.
-    EXPECT_LT(s28.get("laneMacs"), s24.get("laneMacs"));
+    EXPECT_LT(s28.get(Activity::LaneMacs), s24.get(Activity::LaneMacs));
 }
 
 TEST(Systolic, DenseVariantIgnoresStructure)
@@ -90,7 +90,7 @@ TEST(Systolic, WindowChunkingCoversBandTwice)
     SystolicModel model(SystolicConfig{});
     const auto p = model.sddmmWindow(1024, 64, 128);
     // Chunked scores = seq * 2w = 2x the band.
-    EXPECT_EQ(p.get("laneMacs"),
+    EXPECT_EQ(p.get(Activity::LaneMacs),
               2ull * 1024 * 128 * 64);
 }
 
@@ -149,7 +149,7 @@ TEST(Zed, EmptyRowsSkipped)
     std::vector<std::int64_t> rows(100, 0);
     rows[50] = 8;
     const auto p = zed.spmmRows(rows, 16);
-    EXPECT_EQ(p.get("decodeOps"), 8u);
+    EXPECT_EQ(p.get(Activity::DecodeOps), 8u);
     EXPECT_LT(p.cycles, 30u);
 }
 
@@ -303,7 +303,7 @@ TEST(Cgra, TensorEmulationTracksSystolic)
     SystolicModel sys(SystolicConfig{});
     EXPECT_EQ(cgra.gemm(128, 128, 128).cycles,
               sys.gemm(128, 128, 128).cycles);
-    EXPECT_GT(cgra.gemm(128, 128, 128).get("instFetches"), 0u);
+    EXPECT_GT(cgra.gemm(128, 128, 128).get(Activity::InstFetches), 0u);
 }
 
 } // namespace

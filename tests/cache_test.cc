@@ -18,6 +18,8 @@
 #include <sstream>
 #include <thread>
 
+#include <sys/stat.h>
+
 #include "cache/key.hh"
 #include "cache/mode.hh"
 #include "cache/payload.hh"
@@ -204,8 +206,8 @@ TEST(Payload, CaseResultRoundTripsLosslessly)
     canon_p.workload = "spmm proxy m 512/2048"; // spaces survive
     canon_p.cycles = 1'253'184;
     canon_p.peCount = 64;
-    canon_p.activity = {{"laneMacs", 123456789ull},
-                        {"offchipBytes", 42ull}};
+    canon_p.add(Activity::LaneMacs, 123456789ull);
+    canon_p.add(Activity::OffchipBytes, 42ull);
     cases["canon"] = canon_p;
     ExecutionProfile zed_p;
     zed_p.arch = "zed";
@@ -236,6 +238,96 @@ TEST(Payload, CaseResultDecoderIsStrict)
     EXPECT_FALSE(
         decodeCaseResult(good.substr(0, good.size() / 2), out));
     EXPECT_FALSE(decodeCaseResult(good + "trailing\n", out));
+}
+
+TEST(Payload, ActivityNamesAscendAndNameEveryCounter)
+{
+    // Index order is the payload's and --stats-json's key order, so
+    // the names must ascend strictly; each name maps back to its
+    // counter and nothing else maps.
+    for (std::size_t i = 1; i < kActivityCount; ++i)
+        EXPECT_LT(kActivityNames[i - 1], kActivityNames[i]) << i;
+    for (std::size_t i = 0; i < kActivityCount; ++i) {
+        const auto a = static_cast<Activity>(i);
+        EXPECT_EQ(activityByName(activityName(a)), a);
+    }
+    for (const char *name : {"", "laneMac", "laneMacsX", "LaneMacs",
+                             "zzz", "aaa", "macOps"})
+        EXPECT_FALSE(activityByName(name).has_value()) << name;
+}
+
+TEST(Payload, RandomProfilesRoundTripByteIdentically)
+{
+    // Random subsets of the counters, each present counter 0, 2^64-1
+    // or a random value: encode -> decode -> encode is the identity,
+    // and the decode equals what was encoded, presence included.
+    Rng rng(31);
+    for (int round = 0; round < 300; ++round) {
+        CaseResult cases;
+        const std::uint64_t archs = rng.nextBounded(5) + 1;
+        for (std::uint64_t e = 0; e < archs; ++e) {
+            ExecutionProfile p;
+            p.arch = "arch" + std::to_string(e);
+            p.workload = rng.nextBool(0.5) ? "spmm" : "gemm proxy 8x8";
+            p.cycles = rng.next();
+            p.peCount = rng.nextBounded(4096);
+            for (std::size_t i = 0; i < kActivityCount; ++i) {
+                if (!rng.nextBool(0.5))
+                    continue;
+                const std::uint64_t pick = rng.nextBounded(3);
+                p.add(static_cast<Activity>(i),
+                      pick == 0   ? 0
+                      : pick == 1 ? UINT64_MAX
+                                  : rng.next());
+            }
+            cases[p.arch] = p;
+        }
+        const std::string bytes = encodeCaseResult(cases);
+        CaseResult back;
+        ASSERT_TRUE(decodeCaseResult(bytes, back)) << bytes;
+        EXPECT_EQ(encodeCaseResult(back), bytes);
+        ASSERT_EQ(back.size(), cases.size());
+        for (const auto &[name, p] : cases) {
+            const ExecutionProfile &q = back.at(name);
+            EXPECT_EQ(q.arch, p.arch);
+            EXPECT_EQ(q.workload, p.workload);
+            EXPECT_EQ(q.cycles, p.cycles);
+            EXPECT_EQ(q.peCount, p.peCount);
+            EXPECT_EQ(q.activity, p.activity) << name;
+        }
+    }
+}
+
+TEST(Payload, UnknownRepeatedOrOversizeActivityIsRejected)
+{
+    const auto entry = [](const std::string &lines, int count) {
+        return "caseresult 1\nentry canon\narch canon\nworkload spmm\n"
+               "cycles 5\npes 64\nactivity " +
+               std::to_string(count) + "\n" + lines;
+    };
+    CaseResult out;
+    ASSERT_TRUE(decodeCaseResult(
+        entry("laneMacs 0\ntagCompares 18446744073709551615\n", 2), out));
+    EXPECT_TRUE(out.at("canon").has(Activity::LaneMacs));
+    EXPECT_EQ(out.at("canon").get(Activity::LaneMacs), 0u);
+    EXPECT_FALSE(out.at("canon").has(Activity::AluOps));
+    EXPECT_EQ(out.at("canon").get(Activity::TagCompares), UINT64_MAX);
+
+    // A name no Activity carries.
+    EXPECT_FALSE(decodeCaseResult(entry("macOps 1\n", 1), out));
+    EXPECT_FALSE(decodeCaseResult(entry(" 1\n", 1), out));
+    // A name twice, with equal or different values.
+    EXPECT_FALSE(
+        decodeCaseResult(entry("laneMacs 1\nlaneMacs 1\n", 2), out));
+    EXPECT_FALSE(
+        decodeCaseResult(entry("aluOps 1\nlaneMacs 2\naluOps 3\n", 3),
+                         out));
+    // A value above 2^64 - 1, or not a plain decimal.
+    EXPECT_FALSE(decodeCaseResult(
+        entry("laneMacs 18446744073709551616\n", 1), out));
+    EXPECT_FALSE(decodeCaseResult(entry("laneMacs -1\n", 1), out));
+    EXPECT_FALSE(decodeCaseResult(entry("laneMacs  1\n", 1), out));
+    EXPECT_FALSE(decodeCaseResult(entry("laneMacs\n", 1), out));
 }
 
 TEST(Payload, RowsRoundTripThroughHostileCells)
@@ -271,14 +363,27 @@ TEST(Payload, FuzzedPayloadsNeverThrow)
     p.workload = "spmm proxy";
     p.cycles = 1234;
     p.peCount = 64;
-    p.activity = {{"laneMacs", 99ull}, {"offchipBytes", 7ull}};
+    for (std::size_t i = 0; i < kActivityCount; i += 3)
+        p.add(static_cast<Activity>(i), 99ull * i);
     cases["canon"] = p;
+    p.arch = "zed";
+    p.erase(Activity::AluOps);
+    cases["zed"] = p;
     const RowTable rows = {{"a", "1,000"}, {"", "line\nbreak"}};
 
     CaseResult cases_out;
     RowTable rows_out;
-    for (const auto &bytes : fuzzInputs(encodeCaseResult(cases), 11))
-        EXPECT_NO_THROW(decodeCaseResult(bytes, cases_out));
+    for (const auto &bytes : fuzzInputs(encodeCaseResult(cases), 11)) {
+        bool ok = false;
+        EXPECT_NO_THROW(ok = decodeCaseResult(bytes, cases_out));
+        // Whatever decodes is a valid CaseResult: it re-encodes to
+        // bytes that decode to the same profiles.
+        if (!ok)
+            continue;
+        CaseResult again;
+        ASSERT_TRUE(decodeCaseResult(encodeCaseResult(cases_out), again));
+        EXPECT_EQ(encodeCaseResult(again), encodeCaseResult(cases_out));
+    }
     for (const auto &bytes : fuzzInputs(encodeRows(rows), 12))
         EXPECT_NO_THROW(decodeRows(bytes, rows_out));
     // A cell length of 2^64 - 1 must not wrap the cursor into a
@@ -341,6 +446,42 @@ TEST(ResultStoreTest, LookupVerifiesTheFullCanonicalKey)
         f << "canon-cache 1\n" << key.canonical << "\npayload\n";
     }
     EXPECT_TRUE(store.lookup(key).has_value());
+}
+
+TEST(ResultStoreTest, LookupReadsOnlyRegularFilesUpToTheCap)
+{
+    const std::string dir = scratchDir("cache_store_cap");
+    ResultStore store(dir, Mode::ReadWrite);
+    ASSERT_EQ(store.prepare(), "");
+    const ScenarioKey key = figureKey("b", "t", "p=1");
+    const std::string path = dir + key.fileName();
+    const std::string header = "canon-cache 1\n" + key.canonical + "\n";
+
+    // A well-formed entry padded to exactly the cap still hits; one
+    // byte more is a miss decided from its size alone (the file is
+    // sparse, so the test writes almost nothing).
+    {
+        std::ofstream f(path, std::ios::binary);
+        f << header << "payload\n";
+    }
+    std::filesystem::resize_file(path, kMaxEntryBytes);
+    const auto at_cap = store.lookup(key);
+    ASSERT_TRUE(at_cap.has_value());
+    EXPECT_EQ(at_cap->size(), kMaxEntryBytes - header.size());
+    EXPECT_EQ(at_cap->substr(0, 8), "payload\n");
+    std::filesystem::resize_file(path, kMaxEntryBytes + 1);
+    EXPECT_FALSE(store.lookup(key).has_value());
+
+    // A directory or a FIFO under the entry name is a miss, and the
+    // FIFO, which has no writer, must not block the lookup.
+    std::filesystem::remove(path);
+    std::filesystem::create_directory(path);
+    EXPECT_FALSE(store.lookup(key).has_value());
+    std::filesystem::remove(path);
+    ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+    EXPECT_FALSE(store.lookup(key).has_value());
+    std::filesystem::remove(path);
+    EXPECT_EQ(store.stats().hits, 0u);
 }
 
 TEST(ResultStoreTest, ModesGateReadsWritesAndOverwrites)

@@ -9,8 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <fstream>
+#include <iomanip>
 #include <iterator>
+#include <limits>
 #include <sstream>
 
 #include "cache/key.hh"
@@ -510,7 +514,7 @@ TEST(CliDriver, DenseCadenceSmokeRun)
     const ExecutionProfile &p = r.at("canon");
     EXPECT_GT(p.cycles, 0u);
     // Dense 32x32x32 INT8 GEMM: exactly m*k*n lane MACs.
-    EXPECT_EQ(p.get("laneMacs"), 32u * 32u * 32u);
+    EXPECT_EQ(p.get(Activity::LaneMacs), 32u * 32u * 32u);
 }
 
 TEST(CliDriver, SpmmSmokeRun)
@@ -520,9 +524,9 @@ TEST(CliDriver, SpmmSmokeRun)
     ASSERT_EQ(r.count("canon"), 1u);
     const ExecutionProfile &p = r.at("canon");
     EXPECT_GT(p.cycles, 0u);
-    EXPECT_GT(p.get("laneMacs"), 0u);
+    EXPECT_GT(p.get(Activity::LaneMacs), 0u);
     // Half-sparse input must do fewer MACs than the dense run.
-    EXPECT_LT(p.get("laneMacs"), 32u * 32u * 32u);
+    EXPECT_LT(p.get(Activity::LaneMacs), 32u * 32u * 32u);
 }
 
 TEST(CliDriver, SddmmSmokeRun)
@@ -531,7 +535,7 @@ TEST(CliDriver, SddmmSmokeRun)
     CaseResult r = engine::runScenarioCases(o);
     ASSERT_EQ(r.count("canon"), 1u);
     EXPECT_GT(r.at("canon").cycles, 0u);
-    EXPECT_GT(r.at("canon").get("laneMacs"), 0u);
+    EXPECT_GT(r.at("canon").get(Activity::LaneMacs), 0u);
 }
 
 TEST(CliDriver, BaselineComparisonIncludesRequestedArchs)
@@ -574,7 +578,7 @@ TEST(CliDriver, ModelRunAccumulatesLayersOnCanon)
     CaseResult r = engine::runScenarioCases(o);
     ASSERT_EQ(r.count("canon"), 1u);
     EXPECT_GT(r.at("canon").cycles, 0u);
-    EXPECT_GT(r.at("canon").get("laneMacs"), 0u);
+    EXPECT_GT(r.at("canon").get(Activity::LaneMacs), 0u);
     EXPECT_EQ(r.at("canon").workload, "Llama8B-Attn");
 }
 
@@ -874,6 +878,59 @@ TEST(OptionFuzz, ScenarioGrammarNeverThrowsAndEqualValuesShareAKey)
         }
         EXPECT_FALSE(distinct.empty()) << key;
     }
+}
+
+/** canonicalDouble over iostreams, as options.cc first spelled it. */
+std::string
+streamCanonicalDouble(double v)
+{
+    for (int prec = 1; prec <= 17; ++prec) {
+        std::ostringstream oss;
+        oss << std::setprecision(prec) << v;
+        double back = 0.0;
+        std::istringstream iss(oss.str());
+        if ((iss >> back) && back == v)
+            return oss.str();
+    }
+    std::ostringstream oss;
+    oss << std::setprecision(17) << v;
+    return oss.str();
+}
+
+TEST(CanonicalDouble, MatchesTheStreamSpelling)
+{
+    // The text is part of every cache key, so the charconv version
+    // must spell each double exactly as the stream version did: short
+    // decimals like option values, uniform fractions, and raw bit
+    // patterns (NaN, infinities, subnormals and 17-digit values).
+    Rng rng(23);
+    std::vector<double> values = {
+        0.0, -0.0, 0.5, 0.1, 1.0 / 3.0, 1e-320,
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+    };
+    auto fromBits = [](std::uint64_t bits) {
+        double v;
+        std::memcpy(&v, &bits, sizeof(v));
+        return v;
+    };
+    for (int i = 0; i < 85000; ++i)
+        values.push_back(static_cast<double>(rng.nextRange(0, 999999)) /
+                         std::pow(10.0, rng.nextRange(0, 9)));
+    for (int i = 0; i < 10000; ++i)
+        values.push_back(rng.nextDouble());
+    for (int i = 0; i < 5000; ++i)
+        values.push_back(fromBits(rng.next()));
+    for (int i = 0; i < 1000; ++i) // subnormals
+        values.push_back(fromBits(rng.next() >> 12));
+    ASSERT_GE(values.size(), 100000u);
+    for (const double v : values)
+        EXPECT_EQ(canonicalDouble(v), streamCanonicalDouble(v))
+            << std::hexfloat << v;
 }
 
 TEST(OptionFuzz, CommonFlagGrammarNeverThrows)

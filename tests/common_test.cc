@@ -2,10 +2,14 @@
  * @file
  * Unit tests for the common substrate: logging discipline,
  * deterministic RNG, bit-slice helpers, the integer parser and the
- * bench table printer.
+ * bench table printer and its number formatting.
  */
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdio>
+#include <limits>
 
 #include "common/bitfield.hh"
 #include "common/logging.hh"
@@ -217,6 +221,51 @@ TEST(Table, FormattingHelpers)
     EXPECT_EQ(Table::fmt(3.14159, 2), "3.14");
     EXPECT_EQ(Table::fmtInt(1234567), "1,234,567");
     EXPECT_EQ(Table::fmtInt(12), "12");
+    EXPECT_EQ(Table::fmtInt(0), "0");
+    EXPECT_EQ(Table::fmtInt(UINT64_MAX), "18,446,744,073,709,551,615");
+}
+
+TEST(Table, FmtMatchesPrintfFixed)
+{
+    // Table cells are printf's "%.*f" bytes: rounding of halfway
+    // cases, signs, zeros, non-finite values and numbers of hundreds
+    // of digits.
+    std::vector<double> values = {
+        0.0,
+        -0.0,
+        1e300,
+        -1e300,
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+        123456789.125,
+        2.675,
+        1.005,
+    };
+    // k + 1/2 units of the last place kept, for every precision.
+    for (int p = 0; p <= 6; ++p)
+        for (int k = 0; k < 40; ++k)
+            values.push_back((k + 0.5) / std::pow(10.0, p));
+    Rng rng(19);
+    for (int i = 0; i < 2000; ++i)
+        values.push_back((rng.nextDouble() - 0.5) *
+                         std::pow(10.0, rng.nextRange(-8, 12)));
+    const std::size_t n = values.size();
+    for (std::size_t i = 0; i < n; ++i)
+        values.push_back(-values[i]);
+
+    for (const double v : values)
+        for (int p = 0; p <= 6; ++p) {
+            std::string want(
+                static_cast<std::size_t>(
+                    std::snprintf(nullptr, 0, "%.*f", p, v)),
+                '\0');
+            std::snprintf(want.data(), want.size() + 1, "%.*f", p, v);
+            EXPECT_EQ(Table::fmt(v, p), want) << v << " at " << p;
+        }
 }
 
 TEST(Table, RowWidthEnforced)

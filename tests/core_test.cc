@@ -249,9 +249,9 @@ TEST(Profile, FabricExportsActivity)
     fabric.run();
     const auto p = fabric.profile("t");
     EXPECT_EQ(p.cycles, fabric.cycles());
-    EXPECT_GT(p.get("laneMacs"), 0u);
-    EXPECT_GT(p.get("lutLookups"), 0u);
-    EXPECT_GT(p.get("instHops"), 0u);
+    EXPECT_GT(p.get(Activity::LaneMacs), 0u);
+    EXPECT_GT(p.get(Activity::LutLookups), 0u);
+    EXPECT_GT(p.get(Activity::InstHops), 0u);
     EXPECT_EQ(p.peCount, 4u);
 }
 
@@ -316,14 +316,14 @@ TEST(Profile, ScaleAndAccumulate)
 {
     ExecutionProfile a;
     a.cycles = 100;
-    a.add("laneMacs", 1000);
+    a.add(Activity::LaneMacs, 1000);
     ExecutionProfile b = a;
     b.accumulate(a);
     EXPECT_EQ(b.cycles, 200u);
-    EXPECT_EQ(b.get("laneMacs"), 2000u);
+    EXPECT_EQ(b.get(Activity::LaneMacs), 2000u);
     b.scale(0.5);
     EXPECT_EQ(b.cycles, 100u);
-    EXPECT_EQ(b.get("laneMacs"), 1000u);
+    EXPECT_EQ(b.get(Activity::LaneMacs), 1000u);
     EXPECT_DOUBLE_EQ(a.utilization(10), 1.0);
 }
 

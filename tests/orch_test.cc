@@ -285,9 +285,10 @@ TEST(TagFifo, ConstFabricWalkCannotMutateStats)
     (void)view.flatStats();
     (void)view.sumCounter("bufferSearches");
     const auto after = view.profile("walk");
-    EXPECT_EQ(after.get("bufferSearches"),
-              before.get("bufferSearches"));
-    EXPECT_EQ(after.get("tagCompares"), before.get("tagCompares"));
+    EXPECT_EQ(after.get(Activity::BufferSearches),
+              before.get(Activity::BufferSearches));
+    EXPECT_EQ(after.get(Activity::TagCompares),
+              before.get(Activity::TagCompares));
 }
 
 TEST(Program, RulePriorityIsRegistrationOrder)

@@ -24,16 +24,16 @@ TEST(Energy, CategoriesSumToTotal)
     ExecutionProfile p;
     p.cycles = 1000;
     p.peCount = 64;
-    p.add("laneMacs", 5000);
-    p.add("dmemReads", 900);
-    p.add("spadReads", 100);
-    p.add("spadWrites", 120);
-    p.add("routerHops", 300);
+    p.add(Activity::LaneMacs, 5000);
+    p.add(Activity::DmemReads, 900);
+    p.add(Activity::SpadReads, 100);
+    p.add(Activity::SpadWrites, 120);
+    p.add(Activity::RouterHops, 300);
 
     EnergyModel model;
     const auto r = model.evaluate(p);
     double sum = 0.0;
-    for (const auto &[_, v] : r.categoriesPj)
+    for (const double v : r.categoriesPj)
         sum += v;
     EXPECT_DOUBLE_EQ(sum, r.totalPj);
     EXPECT_GT(r.totalPj, 0.0);
@@ -43,11 +43,11 @@ TEST(Energy, MacSlotsDominateLaneMacsForEnergy)
 {
     ExecutionProfile p;
     p.cycles = 10;
-    p.add("laneMacs", 100);   // useful
-    p.add("macSlots", 400);   // switched (padded dense execution)
+    p.add(Activity::LaneMacs, 100);   // useful
+    p.add(Activity::MacSlots, 400);   // switched (padded dense execution)
     EnergyModel model;
     const auto r = model.evaluate(p);
-    EXPECT_DOUBLE_EQ(r.category("compute"),
+    EXPECT_DOUBLE_EQ(r.category(EnergyCategory::Compute),
                      400 * model.params().macInt8Pj);
 }
 
@@ -55,7 +55,7 @@ TEST(Energy, WattsAndEdp)
 {
     ExecutionProfile p;
     p.cycles = 1'000'000; // 1 ms at 1 GHz
-    p.add("laneMacs", 1'000'000);
+    p.add(Activity::LaneMacs, 1'000'000);
     EnergyModel model;
     const auto r = model.evaluate(p, 1.0);
     EXPECT_NEAR(r.seconds(), 1e-3, 1e-12);
@@ -96,8 +96,8 @@ TEST(Energy, SparsityShiftsPowerIntoScratchpad)
     gemm_fab.load(mapGemm(ag, b, cfg));
     gemm_fab.run();
     const auto gemm_r = model.evaluate(gemm_fab.profile("gemm"));
-    EXPECT_DOUBLE_EQ(gemm_r.category("spadRead") +
-                         gemm_r.category("spadWrite"),
+    EXPECT_DOUBLE_EQ(gemm_r.category(EnergyCategory::SpadRead) +
+                         gemm_r.category(EnergyCategory::SpadWrite),
                      0.0);
 
     const auto as = randomSparse(64, 64, 0.8, rng);
@@ -105,7 +105,8 @@ TEST(Energy, SparsityShiftsPowerIntoScratchpad)
     sp_fab.load(mapSpmm(as, b, cfg));
     sp_fab.run();
     const auto sp_r = model.evaluate(sp_fab.profile("spmm"));
-    EXPECT_GT(sp_r.category("spadRead") + sp_r.category("spadWrite"),
+    EXPECT_GT(sp_r.category(EnergyCategory::SpadRead) +
+                  sp_r.category(EnergyCategory::SpadWrite),
               0.0);
 }
 

@@ -9,7 +9,8 @@
  * cache deltas for sequential clients of one shared engine,
  * byte-identical result streams for concurrent clients, quota and
  * draining rejections, cross-connection cancellation, graceful
- * drain, and a bounded drain past a client that stopped reading.
+ * drain, a bounded drain past a client that stopped reading, and the
+ * handshake deadline for a peer that never sends Hello.
  */
 
 #include <gtest/gtest.h>
@@ -558,6 +559,42 @@ TEST(Daemon, RejectsWrongProtocolRevision)
         << error;
     EXPECT_EQ(reply.type, MsgType::Error);
     EXPECT_NE(reply.payload.find("canon-rpc-1"), std::string::npos);
+}
+
+TEST(Daemon, SilentPeerGetsAHelloTimeoutAndIsClosed)
+{
+    // A peer that connects and never sends Hello must not hold its
+    // handler thread: past the handshake deadline it gets a typed
+    // Error, then EOF, and the rejection is counted.
+    DaemonFixture fx("svc_silent");
+    std::string error;
+    Fd fd = connectUnix(fx.daemon->config().socketPath, error);
+    ASSERT_TRUE(fd.valid()) << error;
+    const auto t0 = std::chrono::steady_clock::now();
+    // Bounded reads: a daemon without the deadline fails here instead
+    // of hanging the test.
+    const int bound = kHelloDeadlineMs + 2000;
+    FrameDecoder dec;
+    Frame reply;
+    ASSERT_EQ(readFrame(fd, dec, reply, error, bound), ReadStatus::Frame)
+        << error;
+    EXPECT_EQ(reply.type, MsgType::Error);
+    EXPECT_EQ(reply.payload, "protocol error: hello-timeout");
+    EXPECT_EQ(readFrame(fd, dec, reply, error, bound), ReadStatus::Eof)
+        << error;
+    const auto waited =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
+    EXPECT_GE(waited, kHelloDeadlineMs);
+    EXPECT_LT(waited, bound);
+
+    Client c = fx.connect();
+    std::string text;
+    ASSERT_TRUE(c.stats(text, error)) << error;
+    EXPECT_NE(text.find("service.requests.rejected.protocol_error: 1\n"),
+              std::string::npos)
+        << text;
 }
 
 TEST(Daemon, SubmitStreamsResultsInExpansionOrder)

@@ -385,10 +385,10 @@ TEST(CanonRunner, BankingIsTimingInvariant)
     };
     const auto flat = run(1), banked = run(16);
     EXPECT_EQ(flat.cycles, banked.cycles);
-    EXPECT_EQ(flat.get("bufferSearches"),
-              banked.get("bufferSearches"));
-    EXPECT_LT(banked.get("tagCompares"),
-              flat.get("tagCompares") / 4);
+    EXPECT_EQ(flat.get(Activity::BufferSearches),
+              banked.get(Activity::BufferSearches));
+    EXPECT_LT(banked.get(Activity::TagCompares),
+              flat.get(Activity::TagCompares) / 4);
 }
 
 TEST(CanonRunner, ProxyScalingConsistentOnLargerFabrics)
@@ -445,8 +445,8 @@ TEST(CanonRunner, LargerFabricsPinnedScalingTrend)
     };
     const auto p8 = run(8), p16 = run(16), p32 = run(32);
 
-    EXPECT_EQ(p8.get("laneMacs"), p16.get("laneMacs"));
-    EXPECT_EQ(p8.get("laneMacs"), p32.get("laneMacs"));
+    EXPECT_EQ(p8.get(Activity::LaneMacs), p16.get(Activity::LaneMacs));
+    EXPECT_EQ(p8.get(Activity::LaneMacs), p32.get(Activity::LaneMacs));
 
     EXPECT_GT(p8.cycles, p16.cycles);
     EXPECT_GT(p16.cycles, p32.cycles);
@@ -681,9 +681,10 @@ TEST(ArchSuite, RunDispatchesEveryWorkload)
     auto dense = canon.run({"gemm", Workload::Gemm, m, k, window}, seed);
     EXPECT_EQ(band.workload, "sddmm-win");
     EXPECT_EQ(band.cycles, dense.cycles);
-    EXPECT_NE(band.get("offchipBytes"), dense.get("offchipBytes"));
-    band.activity.erase("offchipBytes");
-    dense.activity.erase("offchipBytes");
+    EXPECT_NE(band.get(Activity::OffchipBytes),
+              dense.get(Activity::OffchipBytes));
+    band.erase(Activity::OffchipBytes);
+    dense.erase(Activity::OffchipBytes);
     EXPECT_EQ(band.activity, dense.activity);
 }
 
