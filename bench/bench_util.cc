@@ -15,19 +15,18 @@ namespace
 
 /** Geometric-mean aggregate of a PolyBench group on Canon and CGRA. */
 WorkloadCase
-polyGroupCase(PolyGroup group, const ArchSuite &suite)
+polyGroupCase(PolyGroup group)
 {
     const CanonConfig cfg = CanonConfig::paper();
+    const CgraModel cgra; // the suite's: CgraConfig{}
     double log_canon = 0.0, log_cgra = 0.0;
     int count = 0;
     ExecutionProfile canon_sum, cgra_sum;
-    canon_sum.arch = "canon";
-    cgra_sum.arch = "cgra";
     for (const auto &k : polybenchSuite()) {
         if (k.group != group)
             continue;
         const auto c = canonPolybench(k, cfg);
-        const auto g = cgraPolybench(k, suite.cgra());
+        const auto g = cgraPolybench(k, cgra);
         log_canon += std::log(static_cast<double>(c.cycles));
         log_cgra += std::log(static_cast<double>(g.cycles));
         canon_sum.accumulate(c);
@@ -41,12 +40,12 @@ polyGroupCase(PolyGroup group, const ArchSuite &suite)
     canon_sum.scale(canon_geo / static_cast<double>(canon_sum.cycles));
     cgra_sum.scale(cgra_geo / static_cast<double>(cgra_sum.cycles));
     canon_sum.peCount = cfg.numPes();
-    cgra_sum.peCount = suite.cgra().config().numPes();
+    cgra_sum.peCount = cgra.config().numPes();
 
     WorkloadCase wc;
     wc.label = polyGroupName(group);
-    wc.results["canon"] = canon_sum;
-    wc.results["cgra"] = cgra_sum;
+    wc.results[Arch::Canon] = canon_sum;
+    wc.results[Arch::Cgra] = cgra_sum;
     return wc;
 }
 
@@ -106,11 +105,11 @@ figure12Case(std::size_t index, const ArchSuite &suite)
                    109);
 
       case 9:
-        return polyGroupCase(PolyGroup::Blas, suite);
+        return polyGroupCase(PolyGroup::Blas);
       case 10:
-        return polyGroupCase(PolyGroup::Kernel, suite);
+        return polyGroupCase(PolyGroup::Kernel);
       case 11:
-        return polyGroupCase(PolyGroup::Stencil, suite);
+        return polyGroupCase(PolyGroup::Stencil);
       default:
         fatal("figure12Case: index ", index, " out of range");
     }

@@ -10,7 +10,7 @@
 #ifndef CANON_BENCH_BENCH_UTIL_HH
 #define CANON_BENCH_BENCH_UTIL_HH
 
-#include <optional>
+#include <array>
 #include <string>
 #include <vector>
 
@@ -25,28 +25,19 @@ namespace canon
 namespace bench
 {
 
-/** The architecture columns of Figures 12/13, in paper order. */
-inline const std::vector<std::string> &
-archOrder()
-{
-    static const std::vector<std::string> order = {
-        "systolic", "systolic24", "zed", "cgra", "canon"};
+/**
+ * The architecture columns of Figures 12-14: the baselines in table
+ * order, then Canon, the reference every column is normalized to.
+ */
+inline constexpr std::array<Arch, kArchCount> kFigureArchs = [] {
+    std::array<Arch, kArchCount> order{};
+    std::size_t i = 0;
+    for (const ArchInfo &row : kArchTable)
+        if (row.arch != Arch::Canon)
+            order[i++] = row.arch;
+    order[i] = Arch::Canon;
     return order;
-}
-
-inline const char *
-archLabel(const std::string &a)
-{
-    if (a == "systolic")
-        return "Systolic";
-    if (a == "systolic24")
-        return "Systolic(2:4)";
-    if (a == "zed")
-        return "ZeD";
-    if (a == "cgra")
-        return "CGRA";
-    return "Canon";
-}
+}();
 
 /**
  * Parse a figure bench's argument vector (--jobs N, --shard I/N,
@@ -77,35 +68,24 @@ const std::vector<std::string> &figure12Labels();
  */
 WorkloadCase figure12Case(std::size_t index, const ArchSuite &suite);
 
-/** cycles(canon) / cycles(arch): >1 means arch is faster. */
-inline std::optional<double>
-normalizedPerformance(const CaseResult &r, const std::string &arch)
+/**
+ * One figure row: @p label, then a cell per kFigureArchs column,
+ * @p ratio(profile, canon's profile) at two decimals, or "X" where
+ * the architecture cannot run.
+ */
+template <typename Ratio>
+std::vector<std::string>
+normalizedRow(std::string label, const CaseResult &r, Ratio ratio)
 {
-    auto it = r.find(arch);
-    if (it == r.end())
-        return std::nullopt;
-    return static_cast<double>(r.at("canon").cycles) /
-           static_cast<double>(it->second.cycles);
-}
-
-/** energy(canon) / energy(arch): same work, so this is perf/W. */
-inline std::optional<double>
-normalizedPerfPerWatt(const CaseResult &r, const std::string &arch,
-                      const EnergyModel &energy)
-{
-    auto it = r.find(arch);
-    if (it == r.end())
-        return std::nullopt;
-    const double canon_j =
-        energy.evaluate(r.at("canon")).totalJoules();
-    const double arch_j = energy.evaluate(it->second).totalJoules();
-    return canon_j / arch_j;
-}
-
-inline std::string
-cell(const std::optional<double> &v, int prec = 2)
-{
-    return v ? Table::fmt(*v, prec) : "X";
+    std::vector<std::string> row = {std::move(label)};
+    for (const Arch a : kFigureArchs) {
+        const auto it = r.find(a);
+        row.push_back(it == r.end()
+                          ? "X"
+                          : Table::fmt(ratio(it->second, r.at(Arch::Canon)),
+                                       2));
+    }
+    return row;
 }
 
 } // namespace bench

@@ -17,6 +17,7 @@
 #include "sparse/generate.hh"
 #include "sparse/preprocess.hh"
 #include "sparse/reference.hh"
+#include "workloads/arch.hh"
 #include "workloads/canon_runner.hh"
 
 namespace canon
@@ -158,16 +159,16 @@ rowReorderBench()
                         reference::spmm(a, b),
                     "row reorder changed the result");
             const auto c_nat = canon.spmmExact(a, b).cycles;
-            rows.push_back({label, "Canon", Table::fmtInt(c_nat),
-                            Table::fmtInt(c_bal),
+            rows.push_back({label, archLabel(Arch::Canon),
+                            Table::fmtInt(c_nat), Table::fmtInt(c_bal),
                             gainCell(c_nat, c_bal)});
 
             const auto z_nat =
                 reorderZedCycles(a, cfg.cols * kSimdWidth);
             const auto z_bal =
                 reorderZedCycles(a_bal, cfg.cols * kSimdWidth);
-            rows.push_back({label, "ZeD", Table::fmtInt(z_nat),
-                            Table::fmtInt(z_bal),
+            rows.push_back({label, archLabel(Arch::Zed),
+                            Table::fmtInt(z_nat), Table::fmtInt(z_bal),
                             gainCell(z_nat, z_bal)});
 
             // Where reordering actually matters: row-granular

@@ -16,6 +16,7 @@
 #include "mem/main_memory.hh"
 #include "orch/lut.hh"
 #include "power/area.hh"
+#include "workloads/arch.hh"
 
 namespace canon
 {
@@ -64,34 +65,35 @@ figure09Bench()
                 "Baseline mm2", "Canon mm2", "Canon delta",
                 "Paper delta"};
     t.csvName = "fig09_ablation.csv";
-    t.grid.axis("baseline", {"Systolic", "ZeD", "CGRA"});
+    // Each baseline, with the features Canon removes (-) or adds (+)
+    // relative to it and the paper's area delta.
+    static constexpr struct
+    {
+        Arch arch;
+        const char *features;
+        const char *paper;
+    } baselines[] = {
+        {Arch::Systolic,
+         "+orchestrators +distributed mem +reconfig NoC +spad", "+30%"},
+        {Arch::Zed,
+         "-specialized decode -crossbars +orchestrators +distributed mem",
+         "+9%"},
+        {Arch::Cgra, "-instr mem +orchestrators +distributed mem", "-7%"},
+    };
+    std::vector<std::string> names;
+    for (const auto &b : baselines)
+        names.push_back(archLabel(b.arch));
+    t.grid.axis("baseline", names);
     t.emit = [](const FigurePoint &p) -> FigureRows {
+        const auto &b = baselines[p.digits[0]];
         const AreaModel model;
         const double canon_mm2 = model.canon().total();
-        switch (p.digits[0]) {
-          case 0: {
-            const double base = model.systolic().total();
-            return {{"Systolic",
-                     "+orchestrators +distributed mem +reconfig NoC "
-                     "+spad",
-                     Table::fmt(base, 3), Table::fmt(canon_mm2, 3),
-                     areaDelta(canon_mm2, base), "+30%"}};
-          }
-          case 1: {
-            const double base = model.zed().total();
-            return {{"ZeD",
-                     "-specialized decode -crossbars +orchestrators "
-                     "+distributed mem",
-                     Table::fmt(base, 3), Table::fmt(canon_mm2, 3),
-                     areaDelta(canon_mm2, base), "+9%"}};
-          }
-          default: {
-            const double base = model.cgra().total();
-            return {{"CGRA", "-instr mem +orchestrators +distributed mem",
-                     Table::fmt(base, 3), Table::fmt(canon_mm2, 3),
-                     areaDelta(canon_mm2, base), "-7%"}};
-          }
-        }
+        const double base = b.arch == Arch::Systolic ? model.systolic().total()
+                            : b.arch == Arch::Zed    ? model.zed().total()
+                                                     : model.cgra().total();
+        return {{archLabel(b.arch), b.features, Table::fmt(base, 3),
+                 Table::fmt(canon_mm2, 3), areaDelta(canon_mm2, base),
+                 b.paper}};
     };
     bench.add(std::move(t));
     return bench;

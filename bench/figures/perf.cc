@@ -33,21 +33,25 @@ workloadMatrixRow(std::size_t case_index, bool perf_per_watt)
     const ArchSuite suite;
     const WorkloadCase c = figure12Case(case_index, suite);
     const EnergyModel energy;
-
-    std::vector<std::string> row = {c.label};
-    for (const auto &a : archOrder())
-        row.push_back(cell(
-            perf_per_watt
-                ? normalizedPerfPerWatt(c.results, a, energy)
-                : normalizedPerformance(c.results, a)));
-    return {std::move(row)};
+    // Both >1 where the baseline is better: cycles(canon) /
+    // cycles(arch), or for perf/W (same work) energy(canon) /
+    // energy(arch).
+    return {normalizedRow(
+        c.label, c.results,
+        [&](const ExecutionProfile &p, const ExecutionProfile &canon) {
+            return perf_per_watt
+                       ? energy.evaluate(canon).totalJoules() /
+                             energy.evaluate(p).totalJoules()
+                       : static_cast<double>(canon.cycles) /
+                             static_cast<double>(p.cycles);
+        })};
 }
 
 std::vector<std::string>
 archHeader(const char *first)
 {
     std::vector<std::string> header = {first};
-    for (const auto &a : archOrder())
+    for (const Arch a : kFigureArchs)
         header.push_back(archLabel(a));
     return header;
 }
@@ -118,23 +122,13 @@ figure14Bench()
         const ModelSpec &spec = models[p.digits[0]];
         const std::uint64_t seed = 300 + 10 * p.digits[0];
 
-        const ArchSuite suite;
         const EnergyModel energy;
-        const auto results = suite.model(spec, seed);
-        const double canon_edp =
-            energy.evaluate(results.at("canon")).edp();
-
-        std::vector<std::string> row = {spec.name};
-        for (const auto &a : archOrder()) {
-            auto it = results.find(a);
-            if (it == results.end()) {
-                row.push_back("X");
-                continue;
-            }
-            const double edp = energy.evaluate(it->second).edp();
-            row.push_back(Table::fmt(edp / canon_edp, 2));
-        }
-        return {std::move(row)};
+        return {normalizedRow(
+            spec.name, ArchSuite().model(spec, seed),
+            [&](const ExecutionProfile &p, const ExecutionProfile &canon) {
+                return energy.evaluate(p).edp() /
+                       energy.evaluate(canon).edp();
+            })};
     };
     bench.add(std::move(t));
     return bench;

@@ -38,7 +38,7 @@ main()
         .set("n", "32")
         .set("sparsity", "0.6")
         .set("seed", "7")
-        .archs({"canon", "zed"});
+        .archs({archName(Arch::Canon), archName(Arch::Zed)});
     if (!request.validate()) {
         std::cerr << "invalid request: " << request.error() << "\n";
         return 1;
@@ -55,7 +55,8 @@ main()
     // --- 3. pick the results apart ... ------------------------------
     const runner::ScenarioResult &scenario = rs.scenarios().front();
     for (const auto &[arch, profile] : scenario.cases)
-        std::cout << arch << ": " << profile.cycles << " cycles\n";
+        std::cout << archName(arch) << ": " << profile.cycles
+                  << " cycles\n";
 
     // ... or render the canonsim report for the same scenario.
     rs.statsTable().print(std::cout);
@@ -73,7 +74,7 @@ main()
             // still be executing on other workers.
             std::cout << "streamed [" << streamed++ << "] "
                       << r.job.point << ": "
-                      << r.cases.at("canon").cycles << " cycles\n";
+                      << r.cases.at(Arch::Canon).cycles << " cycles\n";
         });
     if (swept.failureCount() != 0)
         return 1;
@@ -102,7 +103,7 @@ main()
     // --- 7. and the CLI's tables say what can run -------------------
     std::cout << "engine knows " << cli::workloadTable().size()
               << " workloads, " << modelTable().size()
-              << " models, " << cli::knownArchs().size()
+              << " models, " << kArchTable.size()
               << " architectures\n";
     return 0;
 }

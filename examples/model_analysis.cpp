@@ -25,7 +25,7 @@ main()
 
     Table t("Per-layer cycles (millions)");
     std::vector<std::string> header = {"Layer", "Shape"};
-    for (const auto &a : archOrder())
+    for (const Arch a : kFigureArchs)
         header.push_back(archLabel(a));
     t.header(header);
 
@@ -36,7 +36,7 @@ main()
             layer.name, std::to_string(layer.m) + "x" +
                             std::to_string(layer.k) + "x" +
                             std::to_string(layer.n)};
-        for (const auto &a : archOrder()) {
+        for (const Arch a : kFigureArchs) {
             auto it = r.find(a);
             row.push_back(
                 it == r.end()
@@ -53,13 +53,13 @@ main()
     const auto whole = suite.model(model, 950);
     Table e("Whole-model EDP normalized to Canon (lower is better)");
     std::vector<std::string> eh;
-    for (const auto &a : archOrder())
+    for (const Arch a : kFigureArchs)
         eh.push_back(archLabel(a));
     e.header(eh);
     const double canon_edp =
-        energy.evaluate(whole.at("canon")).edp();
+        energy.evaluate(whole.at(Arch::Canon)).edp();
     std::vector<std::string> row;
-    for (const auto &a : archOrder()) {
+    for (const Arch a : kFigureArchs) {
         auto it = whole.find(a);
         row.push_back(it == whole.end()
                           ? "X"

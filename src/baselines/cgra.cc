@@ -34,7 +34,6 @@ CgraModel::CgraModel(const CgraConfig &cfg)
 ExecutionProfile
 CgraModel::emulate(ExecutionProfile p) const
 {
-    p.arch = "cgra";
     p.peCount = static_cast<std::uint64_t>(cfg_.numPes());
     // Each configured PE re-fetches its (held) instruction and drives
     // its crossbar switch every active cycle; data hops between
@@ -87,7 +86,6 @@ CgraModel::loopKernel(const Dfg &body, std::int64_t iters, int rec_mii,
                       const std::string &workload) const
 {
     ExecutionProfile p;
-    p.arch = "cgra";
     p.workload = workload;
     p.peCount = static_cast<std::uint64_t>(cfg_.numPes());
 

@@ -96,8 +96,6 @@ SystolicModel::gemm(std::int64_t m, std::int64_t k, std::int64_t n,
                     std::pair<int, int> input_nm) const
 {
     ExecutionProfile p;
-    p.arch = cfg_.sparsity == SparsitySupport::TwoFour ? "systolic24"
-                                                       : "systolic";
     p.peCount = static_cast<std::uint64_t>(cfg_.numMacs());
 
     std::int64_t k_eff = k;
@@ -170,9 +168,6 @@ SystolicModel::sddmmWindow(std::int64_t seq, std::int64_t k,
     const auto chunks = divCeil(static_cast<std::uint64_t>(seq),
                                 static_cast<std::uint64_t>(w));
     ExecutionProfile total;
-    total.arch = cfg_.sparsity == SparsitySupport::TwoFour
-                     ? "systolic24"
-                     : "systolic";
     total.workload = "sddmm-win";
     total.peCount = static_cast<std::uint64_t>(cfg_.numMacs());
     const auto chunk = gemm(w, k, 2 * w);

@@ -49,7 +49,6 @@ ZedModel::runRows(const std::vector<std::int64_t> &row_work,
                   double fetch_factor) const
 {
     ExecutionProfile p;
-    p.arch = "zed";
     p.workload = workload;
     p.peCount = static_cast<std::uint64_t>(cfg_.numMacs());
 

@@ -1,6 +1,5 @@
 #include "cache/key.hh"
 
-#include <algorithm>
 #include <cstdint>
 
 namespace canon
@@ -25,68 +24,62 @@ fnv1a64(It first, It last)
     return h;
 }
 
-std::string
-hex64(std::uint64_t v)
+/** Append @p v as 16 lower-case hex digits. */
+void
+appendHex64(std::string &out, std::uint64_t v)
 {
     static const char digits[] = "0123456789abcdef";
-    std::string out(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        out[static_cast<std::size_t>(i)] = digits[v & 0xf];
-        v >>= 4;
-    }
-    return out;
+    for (int shift = 60; shift >= 0; shift -= 4)
+        out += digits[(v >> shift) & 0xf];
 }
 
-/** Requested architectures, sorted and deduplicated; empty = canon. */
-std::string
-canonicalArchs(const cli::Options &opt)
+/** Append the requested architectures' names, in name order. */
+void
+appendArchs(std::string &out, const ArchSet &archs)
 {
-    std::vector<std::string> archs = opt.archs;
-    if (archs.empty())
-        archs.push_back("canon"); // the Options contract
-    std::sort(archs.begin(), archs.end());
-    archs.erase(std::unique(archs.begin(), archs.end()), archs.end());
-    std::string out;
-    for (const auto &a : archs) {
-        if (!out.empty())
-            out += ",";
-        out += a;
+    const char *sep = "";
+    for (const Arch a : kArchesByName) {
+        if (archs.contains(a)) {
+            out.append(sep).append(archName(a));
+            sep = ",";
+        }
     }
-    return out;
 }
 
 } // namespace
 
-std::string
-ScenarioKey::digest() const
+ScenarioKey::ScenarioKey(std::string text) : canonical(std::move(text))
 {
     // Two independent passes (forward, and backward over the same
     // text) give 128 bits; the store verifies the canonical text
     // anyway, so this only has to make accidental file-name
     // collisions vanishingly rare.
-    return hex64(fnv1a64(canonical.begin(), canonical.end())) +
-           hex64(fnv1a64(canonical.rbegin(), canonical.rend()));
+    digest.reserve(32);
+    appendHex64(digest, fnv1a64(canonical.begin(), canonical.end()));
+    appendHex64(digest, fnv1a64(canonical.rbegin(), canonical.rend()));
 }
 
 ScenarioKey
 scenarioKey(const cli::Options &opt)
 {
-    ScenarioKey key;
-    key.canonical = "canonsim schema=" + std::to_string(kSchemaVersion);
-    key.canonical += " archs=" + canonicalArchs(opt);
-    key.canonical += cli::keyedOptionText(opt);
-    return key;
+    std::string text = "canonsim schema=";
+    text += std::to_string(kSchemaVersion);
+    text += " archs=";
+    appendArchs(text, opt.archs);
+    text += cli::keyedOptionText(opt);
+    return ScenarioKey(std::move(text));
 }
 
 ScenarioKey
 figureKey(const std::string &bench, const std::string &table,
           const std::string &point)
 {
-    ScenarioKey key;
-    key.canonical = "figure schema=" + std::to_string(kSchemaVersion) +
-                    " bench=" + bench + " table=" + table +
-                    " point=" + point;
-    return key;
+    std::string text = "figure schema=";
+    text += std::to_string(kSchemaVersion);
+    text.append(" bench=").append(bench);
+    text.append(" table=").append(table);
+    text.append(" point=").append(point);
+    return ScenarioKey(std::move(text));
 }
 
 } // namespace cache

@@ -6,7 +6,7 @@
  * that determines a cached result, and nothing else:
  *
  *  - canonsim scenarios (scenarioKey) fold in the schema version, the
- *    requested architecture set (sorted, deduplicated, so the key is
+ *    requested architecture set (names in name order, so the key is
  *    order-insensitive), and cli::keyedOptionText(): the
  *    result-shaping fabric dimensions plus *only* the scenario options
  *    the selected workload or model actually consumes, so `--nm`
@@ -25,10 +25,10 @@
  * without any cache-walking invalidation pass.
  *
  * The digest is two independent 64-bit FNV-1a passes over the
- * canonical string (128 bits, hex), which names the entry's file; the
- * store re-verifies the full canonical string on every read, so even
- * a digest collision degrades to a cache miss, never to a wrong
- * result.
+ * canonical string (128 bits, hex), computed once when the key is
+ * built; it names the entry's file, and the store re-verifies the
+ * full canonical string on every read, so even a digest collision
+ * degrades to a cache miss, never to a wrong result.
  */
 
 #ifndef CANON_CACHE_KEY_HH
@@ -62,14 +62,13 @@ inline constexpr int kSchemaVersion = 3;
 
 struct ScenarioKey
 {
-    /** Full canonical description; single line, never empty. */
-    std::string canonical;
+    ScenarioKey() = default;
 
-    /** 32 hex chars: two independent FNV-1a 64 passes. */
-    std::string digest() const;
+    /** The key of @p text: hashes it, here and only here. */
+    explicit ScenarioKey(std::string text);
 
-    /** Entry file name under the cache directory. */
-    std::string fileName() const { return digest() + ".entry"; }
+    std::string canonical; //!< the full description; one line
+    std::string digest;    //!< 32 hex chars: two FNV-1a 64 passes
 };
 
 /**

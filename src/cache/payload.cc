@@ -73,15 +73,15 @@ appendU64(std::string &out, std::uint64_t v)
     out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
-/** Decode one "entry" block's fields after its name line. */
+/** Decode the fields of entry @p name; its "arch" line repeats it. */
 bool
-decodeProfile(Cursor &cur, ExecutionProfile &p)
+decodeProfile(Cursor &cur, std::string_view name, ExecutionProfile &p)
 {
     std::string_view line, text;
     std::uint64_t activity = 0;
-    if (!cur.line(line) || !taggedRest(line, "arch", text))
+    if (!cur.line(line) || !taggedRest(line, "arch", text) ||
+        text != name)
         return false;
-    p.arch = text;
     if (!cur.line(line) || !taggedRest(line, "workload", text))
         return false;
     p.workload = text;
@@ -113,9 +113,14 @@ encodeCaseResult(const CaseResult &cases)
     std::string out = "caseresult ";
     appendU64(out, cases.size());
     out += '\n';
-    for (const auto &[name, p] : cases) {
-        out.append("entry ").append(name);
-        out.append("\narch ").append(p.arch);
+    // Entries in name order; the "arch" line repeats the name.
+    for (const Arch a : kArchesByName) {
+        const auto it = cases.find(a);
+        if (it == cases.end())
+            continue;
+        const ExecutionProfile &p = it->second;
+        out.append("entry ").append(archName(a));
+        out.append("\narch ").append(archName(a));
         out.append("\nworkload ").append(p.workload);
         out.append("\ncycles ");
         appendU64(out, p.cycles);
@@ -144,11 +149,13 @@ decodeCaseResult(std::string_view payload, CaseResult &out)
         return false;
 
     for (std::uint64_t e = 0; e < entries; ++e) {
-        if (!cur.line(line) || !taggedRest(line, "entry", name) ||
-            name.empty())
+        if (!cur.line(line) || !taggedRest(line, "entry", name))
             return false;
-        const auto [it, fresh] = out.try_emplace(std::string(name));
-        if (!fresh || !decodeProfile(cur, it->second))
+        const auto arch = archByName(name);
+        if (!arch)
+            return false;
+        const auto [it, fresh] = out.try_emplace(*arch);
+        if (!fresh || !decodeProfile(cur, name, it->second))
             return false;
     }
     return cur.done();

@@ -35,9 +35,10 @@ std::string encodeCaseResult(const CaseResult &cases);
 
 /**
  * Parse @p payload into @p out. Returns false (leaving @p out
- * unspecified) on any structural error, including an activity name
- * that is not an Activity's, a name repeated within one entry, or a
- * value that does not fit 64 bits.
+ * unspecified) on any structural error, including an entry name that
+ * is not an Arch's or that its "arch" line does not repeat, an
+ * activity name that is not an Activity's, a name repeated within
+ * one entry, or a value that does not fit 64 bits.
  */
 bool decodeCaseResult(std::string_view payload, CaseResult &out);
 

@@ -1,6 +1,7 @@
 #include "cache/store.hh"
 
 #include <cerrno>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -54,7 +55,7 @@ ResultStore::entryPath(const ScenarioKey &key) const
     std::string path = dir_;
     if (!path.empty() && path.back() != '/')
         path += '/';
-    return path += key.fileName();
+    return path += key.digest + ".entry";
 }
 
 std::optional<std::string>
@@ -113,12 +114,6 @@ ResultStore::store(const ScenarioKey &key,
     if (!writesEnabled())
         return true;
     const std::string final_path = entryPath(key);
-    if (!overwrites()) {
-        std::error_code ec;
-        if (std::filesystem::exists(final_path, ec))
-            return true; // same key, same bytes: nothing to refresh
-    }
-
     const std::string tmp_path = final_path + tempSuffix();
     {
         std::ofstream f(tmp_path, std::ios::binary);
@@ -127,18 +122,22 @@ ResultStore::store(const ScenarioKey &key,
         f << kMagicLine << key.canonical << '\n' << payload;
         f.flush();
         if (!f.good()) {
-            std::error_code ec;
-            std::filesystem::remove(tmp_path, ec);
+            ::unlink(tmp_path.c_str());
             return false;
         }
     }
 
-    std::error_code ec;
-    std::filesystem::rename(tmp_path, final_path, ec);
-    if (ec) {
-        std::filesystem::remove(tmp_path, ec);
-        return false;
-    }
+    // Refresh renames over the entry. Otherwise link() never replaces
+    // one: EEXIST means another writer of this key published first
+    // (the same bytes) and counted the store.
+    const bool published =
+        (overwrites() ? ::rename(tmp_path.c_str(), final_path.c_str())
+                      : ::link(tmp_path.c_str(), final_path.c_str())) == 0;
+    const int publish_errno = errno;
+    if (!published || !overwrites())
+        ::unlink(tmp_path.c_str());
+    if (!published)
+        return !overwrites() && publish_errno == EEXIST;
     stores_.fetch_add(1, std::memory_order_relaxed);
     if (wrote)
         *wrote = true;

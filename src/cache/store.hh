@@ -13,16 +13,19 @@
  * concurrent readers and writers across threads *and* processes --
  * parallel --jobs workers and separate --shard invocations may share
  * one directory. Writes go to a uniquely named temp file in the same
- * directory and are published with an atomic rename, so a reader
- * observes either no entry or a complete one, never a torn file;
- * concurrent writers of the same key race benignly (last rename
- * wins, and every writer writes the same bytes for the same key).
+ * directory and are published atomically (a hard link that never
+ * replaces an entry, or under Refresh a rename that does), so a
+ * reader observes either no entry or a complete one, never a torn
+ * file; concurrent writers of the same key race benignly: the first
+ * to publish creates the entry and counts the store, the others find
+ * it and count nothing (every writer writes the same bytes for the
+ * same key).
  * Reads verify the magic line and the full canonical key text, so a
  * digest collision, a stale-format entry, or external corruption
  * degrades to a miss, never to a wrong result.
  *
  * Statistics: hits (jobs satisfied from the store), misses (jobs
- * actually executed), stores (entries written) are tracked with
+ * actually executed), stores (entries created) are tracked with
  * atomic counters so pool workers can update them concurrently.
  */
 
@@ -54,7 +57,7 @@ struct CacheStats
 {
     std::uint64_t hits = 0;   //!< jobs satisfied from the store
     std::uint64_t misses = 0; //!< jobs executed (lookup failed or off)
-    std::uint64_t stores = 0; //!< entries written
+    std::uint64_t stores = 0; //!< entries created (or refreshed)
 };
 
 /**
@@ -120,13 +123,14 @@ class ResultStore
     }
 
     /**
-     * Publish @p payload under @p key via temp-file + atomic rename;
-     * a no-op when writes are disabled by the mode. Without
-     * overwrites(), an existing entry is left untouched (the bytes
-     * for a given key are the same no matter who computes them).
-     * Returns false only on I/O failure. A write counts one store;
-     * @p wrote (when non-null) reports whether this call actually
-     * published an entry, i.e. exactly when the store counter moved.
+     * Publish @p payload under @p key via a temp file; a no-op when
+     * writes are disabled by the mode. Without overwrites(), an
+     * existing entry is left untouched (the bytes for a given key are
+     * the same no matter who computes them), also one another writer
+     * publishes while this call writes its temp file. Returns false
+     * only on I/O failure. A publish counts one store; @p wrote
+     * (when non-null) reports whether this call actually published an
+     * entry, i.e. exactly when the store counter moved.
      */
     bool store(const ScenarioKey &key, const std::string &payload,
                bool *wrote = nullptr) const;

@@ -119,7 +119,7 @@ renderDryRun(const engine::ScenarioRequest &req, engine::Engine &eng,
     for (const auto &p : plans)
         table.addRow({p.job.options.workloadLabel(),
                       p.job.point.empty() ? "-" : p.job.point,
-                      p.key.digest(),
+                      p.key.digest,
                       engine::forecastName(p.forecast)});
     table.print(out);
 

@@ -285,11 +285,7 @@ constexpr CliFlag kCliFlags[] = {
              rest = comma == std::string::npos ? ""
                                                : rest.substr(comma + 1);
          }
-         if (std::string err = selectArchs(names, o.archs); !err.empty())
-             return err;
-         if (o.archs.empty())
-             return "option '--arch' expects at least one architecture";
-         return {};
+         return selectArchs(names, o.archs);
      }},
     {"csv", nullptr,
      [](Options &o, Arg v) -> std::string {
@@ -350,34 +346,26 @@ workloadName(Workload w)
     return workloadInfo(w).name.c_str();
 }
 
-const std::vector<std::string> &
-knownArchs()
-{
-    static const std::vector<std::string> archs = {
-        "canon", "systolic", "systolic24", "zed", "cgra"};
-    return archs;
-}
-
 std::string
-selectArchs(const std::vector<std::string> &names,
-            std::vector<std::string> &out)
+selectArchs(const std::vector<std::string> &names, ArchSet &out)
 {
-    std::vector<std::string> selected;
+    ArchSet selected{};
     for (const auto &name : names) {
         if (name == "all") {
-            selected = knownArchs();
-            continue;
-        }
-        if (!contains(knownArchs(), name)) {
+            selected = ArchSet::all();
+        } else if (const auto arch = archByName(name)) {
+            selected.insert(*arch);
+        } else {
             std::string list;
-            for (const auto &arch : knownArchs())
-                list += arch + ", ";
+            for (const ArchInfo &row : kArchTable)
+                list.append(row.name).append(", ");
             return "unknown architecture '" + name + "' (" + list +
                    "all)";
         }
-        selected.push_back(name);
     }
-    out = std::move(selected);
+    if (selected.empty())
+        return "option '--arch' expects at least one architecture";
+    out = selected;
     return {};
 }
 
@@ -490,9 +478,11 @@ keyedOptionText(const Options &opt)
     std::string out;
     for (const auto &rule : kOptionTable)
         if (rule.group == Fabric)
-            out += " " + std::string(rule.key) + "=" + rule.text(opt);
+            out.append(" ").append(rule.key).append("=").append(
+                rule.text(opt));
     for (const auto &key : relevantScenarioKeys(opt))
-        out += " " + key + "=" + optionValueText(opt, key);
+        out.append(" ").append(key).append("=").append(
+            optionValueText(opt, key));
     return out;
 }
 
@@ -526,8 +516,10 @@ listText()
             << "\n";
     }
 
-    oss << "\nArchitectures (--arch A[,A...]): " << join(knownArchs())
-        << "\n";
+    oss << "\nArchitectures (--arch A[,A...]):";
+    for (const ArchInfo &row : kArchTable)
+        oss << " " << row.name;
+    oss << "\n";
 
     oss << "\nSweepable options (--sweep K=V1,V2,...):\n  "
         << join(scenarioOptionKeys()) << "\n";
@@ -593,8 +585,12 @@ usageText()
         " (default 1.0)\n"
         "\n"
         "Execution mode:\n"
-        "  --arch A[,A...]   canon | systolic | systolic24 | zed |"
-        " cgra | all\n"
+        "  --arch A[,A...]   " + []() {
+                                  std::string names;
+                                  for (const ArchInfo &row : kArchTable)
+                                      names.append(row.name).append(" | ");
+                                  return names;
+                              }() + "all\n"
         "                    (default: canon; baselines enable the\n"
         "                    orchestrator-vs-baseline comparison)\n"
         "\n"
@@ -745,9 +741,6 @@ parseArgs(const std::vector<std::string> &args)
     if (std::string err = engine::validateCommonFlags(opt.common);
         !err.empty())
         return fail(err);
-
-    if (opt.archs.empty())
-        opt.archs.push_back("canon");
 
     return res;
 }

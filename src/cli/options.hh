@@ -24,6 +24,7 @@
 
 #include "core/config.hh"
 #include "engine/common_flags.hh"
+#include "workloads/arch.hh"
 #include "workloads/models.hh"
 
 namespace canon
@@ -65,8 +66,8 @@ struct Options
      */
     CanonConfig fabric;
 
-    /** Architectures to run; empty means Canon only. */
-    std::vector<std::string> archs;
+    /** Architectures to run (--arch). */
+    ArchSet archs{Arch::Canon};
 
     /**
      * Raw sweep axes in declaration order: one (key, comma-separated
@@ -167,17 +168,14 @@ const char *workloadName(Workload w);
  */
 const std::vector<std::string> &scenarioOptionKeys();
 
-/** Every runnable architecture, in the paper's display order. */
-const std::vector<std::string> &knownArchs();
-
 /**
  * Resolve an --arch selection into @p out: each name must be one of
- * knownArchs(), and "all" selects every architecture. Returns an
+ * kArchTable's, and "all" selects every architecture. Returns an
  * empty string on success (leaving @p out untouched otherwise), or
- * the "unknown architecture" message.
+ * the "unknown architecture" or empty-selection message.
  */
 std::string selectArchs(const std::vector<std::string> &names,
-                        std::vector<std::string> &out);
+                        ArchSet &out);
 
 // ---- workload/option relevance matrix ---------------------------------
 //
@@ -240,7 +238,7 @@ std::string keyedOptionText(const Options &opt);
 
 /**
  * The `canonsim --list` report (also canond's List reply), rendered
- * from the workload table, modelTable(), knownArchs() and the
+ * from the workload table, modelTable(), kArchTable and the
  * option table, so it cannot drift from what the grammar accepts.
  */
 std::string listText();

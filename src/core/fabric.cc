@@ -538,7 +538,6 @@ ExecutionProfile
 CanonFabric::profile(const std::string &workload) const
 {
     ExecutionProfile p;
-    p.arch = "canon";
     p.workload = workload;
     p.cycles = now_;
     p.peCount = static_cast<std::uint64_t>(cfg_.numPes());

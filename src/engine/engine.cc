@@ -14,12 +14,8 @@ namespace engine
 CaseResult
 runScenarioCases(const cli::Options &opt)
 {
-    // ArchSuite simulates only the selected architectures; an empty
-    // list means canon only (the Options contract).
-    const ArchSuite suite(opt.fabric,
-                          opt.archs.empty()
-                              ? std::vector<std::string>{"canon"}
-                              : opt.archs);
+    // ArchSuite simulates only the selected architectures.
+    const ArchSuite suite(opt.fabric, opt.archs);
     if (!opt.model.empty()) {
         const ModelInfo *model = findModel(opt.model);
         fatalIf(!model, "unknown model '", opt.model, "'");

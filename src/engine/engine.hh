@@ -16,7 +16,8 @@
  *                           .set("workload", "spmm")
  *                           .set("m", "256")
  *                           .set("sparsity", "0.7")
- *                           .archs({"canon", "zed"}));
+ *                           .archs({archName(Arch::Canon),
+ *                                   archName(Arch::Zed)}));
  *
  * Determinism contract (inherited from the runner layer): results
  * land at their expansion index, so a ResultSet -- and any table or

@@ -294,15 +294,12 @@ ObsReport::writeStatsJson(std::ostream &os) const
         w.kv("point", s.job.point);
         if (!s.error.empty())
             w.kv("error", s.error);
-        const std::vector<std::string> archs =
-            runner::orderedArchs(s.job.options, s.cases);
-        if (!archs.empty()) {
+        if (!s.cases.empty()) {
             w.key("archs");
             w.beginArray();
-            for (const std::string &a : archs) {
-                const ExecutionProfile &p = s.cases.at(a);
+            for (const auto &[arch, p] : s.cases) {
                 w.beginObject();
-                w.kv("arch", a);
+                w.kv("arch", archName(arch));
                 w.kv("cycles", p.cycles);
                 w.kv("peCount", p.peCount);
                 w.key("activity");

@@ -51,10 +51,6 @@ class ObsReport
 
     bool enabled() const { return options_.enabled(); }
     const obs::ObsOptions &options() const { return options_; }
-    const std::vector<runner::ScenarioResult> &scenarios() const
-    {
-        return scenarios_;
-    }
 
     /** The sampled time series as one long-form CSV. */
     void writeSeriesCsv(std::ostream &os) const;

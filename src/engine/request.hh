@@ -72,9 +72,9 @@ class ScenarioRequest
                          const std::string &value);
 
     /**
-     * Replace the architecture set. Names are validated against
-     * cli::knownArchs(); "all" selects every architecture. An empty list
-     * means canon only (the Options contract).
+     * Replace the architecture set (default: canon). Names are the
+     * CLI's, validated by cli::selectArchs against kArchTable; "all"
+     * selects every architecture, and an empty list is an error.
      */
     ScenarioRequest &archs(const std::vector<std::string> &names);
 

@@ -16,10 +16,8 @@ scenarioStatsTable(const cli::Options &opt, const CaseResult &cases)
         header.push_back(col);
     table.header(std::move(header));
 
-    for (auto &row : runner::archRows(opt, cases)) {
-        row.cells.insert(row.cells.begin(), row.arch);
-        table.addRow(std::move(row.cells));
-    }
+    for (auto &row : runner::archRows(opt, cases))
+        table.addRow(std::move(row));
     return table;
 }
 

@@ -46,10 +46,6 @@ class Histogram
     }
 
     std::uint64_t samples() const { return samples_; }
-    std::uint64_t count(int b) const
-    {
-        return counts_[static_cast<std::size_t>(b)];
-    }
     const std::array<std::uint64_t, kBuckets> &counts() const
     {
         return counts_;

@@ -58,8 +58,6 @@ struct SeriesSet
 {
     std::vector<Series> series;
 
-    bool empty() const { return series.empty(); }
-
     friend bool
     operator==(const SeriesSet &a, const SeriesSet &b)
     {

@@ -98,14 +98,6 @@ struct AddrMode
     static AddrMode null() { return {}; }
 
     static AddrMode
-    zero()
-    {
-        AddrMode m;
-        m.kind = Kind::Zero;
-        return m;
-    }
-
-    static AddrMode
     fixed(Addr a)
     {
         AddrMode m;
@@ -221,9 +213,6 @@ struct MetaUpdate
     {
         return {Kind::AddConst, k};
     }
-
-    static MetaUpdate loadInput() { return {Kind::LoadInput, 0}; }
-    static MetaUpdate loadMsg() { return {Kind::LoadMsg, 0}; }
 };
 
 // --------------------------------------------------------------------

@@ -109,10 +109,6 @@ class MetaStream
             ++pos_;
     }
 
-    bool exhausted() const { return pos_ >= tokens_.size(); }
-    std::size_t size() const { return tokens_.size(); }
-    std::size_t position() const { return pos_; }
-
     void
     reset()
     {

@@ -9,7 +9,6 @@ AreaModel::canon(int rows, int cols, double dmem_kb,
 {
     const int pes = rows * cols;
     AreaBreakdown b;
-    b.arch = "canon";
     b.componentsMm2["dataMem"] = pes * dmem_kb * params_.sram1pPerKb;
     b.componentsMm2["spad"] =
         pes * (spad_bytes / 1024.0 * params_.sram2pPerKb +
@@ -26,7 +25,6 @@ AreaBreakdown
 AreaModel::systolic(int macs) const
 {
     AreaBreakdown b;
-    b.arch = "systolic";
     // ~1 KB of edge SRAM per MAC plus the accumulator buffer; the
     // figure-10 grouping folds accumulators into "data memory".
     b.componentsMm2["dataMem"] =
@@ -40,7 +38,6 @@ AreaBreakdown
 AreaModel::zed(int lanes) const
 {
     AreaBreakdown b;
-    b.arch = "zed";
     b.componentsMm2["dataMem"] = lanes * 1.0 * params_.sram1pPerKb;
     b.componentsMm2["compute"] = lanes * params_.scalarMacSite;
     b.componentsMm2["crossbar"] = params_.zedCrossbar;
@@ -53,7 +50,6 @@ AreaBreakdown
 AreaModel::cgra(int pes) const
 {
     AreaBreakdown b;
-    b.arch = "cgra";
     b.componentsMm2["dataMem"] = pes * 1.0 * params_.sram1pPerKb;
     b.componentsMm2["compute"] =
         pes * (params_.scalarMacSite + params_.cgraRegFilePerPe);

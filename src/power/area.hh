@@ -50,7 +50,6 @@ struct AreaParams
 
 struct AreaBreakdown
 {
-    std::string arch;
     std::map<std::string, double> componentsMm2;
 
     double

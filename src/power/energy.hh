@@ -130,7 +130,6 @@ class EnergyModel
     EnergyReport evaluate(const ExecutionProfile &profile,
                           double clock_ghz = 1.0) const;
 
-    const EnergyParams &params() const { return params_; }
 
   private:
     EnergyParams params_;

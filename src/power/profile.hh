@@ -121,7 +121,6 @@ struct ActivityCounts
 
 struct ExecutionProfile
 {
-    std::string arch;
     std::string workload;
     std::uint64_t cycles = 0;
     std::uint64_t peCount = 0; //!< for leakage/idle accounting

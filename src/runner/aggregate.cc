@@ -1,7 +1,5 @@
 #include "runner/aggregate.hh"
 
-#include <algorithm>
-
 #include "core/config.hh"
 #include "power/energy.hh"
 
@@ -14,13 +12,14 @@ namespace
 {
 
 /**
- * One architecture's stats cells; Util% is against its own @p macs
- * lanes, and @p canon_cycles of 0 renders the speedup column as "X"
- * (no canon reference).
+ * One architecture's row: its name, then its stats cells; Util% is
+ * against its own @p macs lanes, and @p canon_cycles of 0 renders the
+ * speedup column as "X" (no canon reference).
  */
 std::vector<std::string>
-statsCells(const CanonConfig &cfg, const ExecutionProfile &profile,
-           std::uint64_t macs, double canon_cycles, bool probe_spad)
+statsCells(const CanonConfig &cfg, Arch arch,
+           const ExecutionProfile &profile, std::uint64_t macs,
+           double canon_cycles, bool probe_spad)
 {
     const EnergyModel energy;
     const EnergyReport rep = energy.evaluate(profile, cfg.clockGhz);
@@ -31,6 +30,7 @@ statsCells(const CanonConfig &cfg, const ExecutionProfile &profile,
                           static_cast<double>(profile.cycles));
 
     std::vector<std::string> cells = {
+        archName(arch),
         Table::fmtInt(profile.cycles),
         Table::fmt(rep.seconds() * 1e6, 3),
         Table::fmt(100.0 * profile.utilization(macs), 1),
@@ -78,22 +78,6 @@ statsCells(const CanonConfig &cfg, const ExecutionProfile &profile,
 
 } // namespace
 
-std::vector<std::string>
-orderedArchs(const cli::Options &opt, const CaseResult &cases)
-{
-    const std::vector<std::string> requested =
-        opt.archs.empty() ? std::vector<std::string>{"canon"}
-                          : opt.archs;
-    std::vector<std::string> out;
-    for (const auto &a : cli::knownArchs()) {
-        bool wanted = std::find(requested.begin(), requested.end(),
-                                a) != requested.end();
-        if (wanted && cases.count(a))
-            out.push_back(a);
-    }
-    return out;
-}
-
 const std::vector<std::string> &
 statsHeader(bool probe_spad)
 {
@@ -110,22 +94,21 @@ statsHeader(bool probe_spad)
     return probe_spad ? probe_header : header;
 }
 
-std::vector<ArchRow>
+std::vector<std::vector<std::string>>
 archRows(const cli::Options &opt, const CaseResult &cases)
 {
-    const auto canon = cases.find("canon");
+    const auto canon = cases.find(Arch::Canon);
     const double canon_cycles =
         canon == cases.end() ? 0.0
                              : static_cast<double>(canon->second.cycles);
-    std::vector<ArchRow> rows;
-    for (const auto &arch : orderedArchs(opt, cases)) {
+    std::vector<std::vector<std::string>> rows;
+    for (const auto &[arch, p] : cases) {
         // The Canon fabric's SIMD lanes; one MAC per baseline PE.
-        const ExecutionProfile &p = cases.at(arch);
-        const std::uint64_t macs = arch == "canon"
+        const std::uint64_t macs = arch == Arch::Canon
                                        ? opt.fabric.numMacs()
                                        : p.peCount;
-        rows.push_back({arch, statsCells(opt.fabric, p, macs,
-                                         canon_cycles, opt.probeSpad)});
+        rows.push_back(statsCells(opt.fabric, arch, p, macs, canon_cycles,
+                                  opt.probeSpad));
     }
     return rows;
 }
@@ -159,8 +142,8 @@ sweepTable(const std::vector<ScenarioResult> &results)
         }
 
         for (const auto &row : archRows(r.job.options, r.cases)) {
-            std::vector<std::string> cells = {scenario, point, row.arch};
-            cells.insert(cells.end(), row.cells.begin(), row.cells.end());
+            std::vector<std::string> cells = {scenario, point};
+            cells.insert(cells.end(), row.begin(), row.end());
             t.addRow(std::move(cells));
         }
     }

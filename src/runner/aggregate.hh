@@ -38,30 +38,16 @@ namespace runner
 const std::vector<std::string> &statsHeader(bool probe_spad = false);
 
 /**
- * Architectures present in @p cases that were requested by @p opt,
- * in the paper's display order (canon first, then the baselines).
- * Empty opt.archs means canon only, per the Options contract.
- */
-std::vector<std::string> orderedArchs(const cli::Options &opt,
-                                      const CaseResult &cases);
-
-/** One rendered stats row of a scenario. */
-struct ArchRow
-{
-    std::string arch;
-    std::vector<std::string> cells; //!< matches statsHeader()
-};
-
-/**
- * The stats rows of one scenario: a row per orderedArchs() entry,
- * rendered against @p opt's fabric and clock, with the speedup
+ * The stats rows of one scenario: a row per entry of @p cases, in
+ * display order, the architecture's name and then the statsHeader()
+ * cells, rendered against @p opt's fabric and clock, with the speedup
  * column relative to the canon case ("X" without one) and the probe
  * columns when opt.probeSpad is set (profiles without orchestrator
  * counters render "X" there). The single-scenario table, the sweep
  * table and canond's Result frames all render through this.
  */
-std::vector<ArchRow> archRows(const cli::Options &opt,
-                              const CaseResult &cases);
+std::vector<std::vector<std::string>>
+archRows(const cli::Options &opt, const CaseResult &cases);
 
 /**
  * The combined sweep table (engine::ResultSet::sweepTable): a row per

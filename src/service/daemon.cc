@@ -213,9 +213,17 @@ Daemon::acceptLoop()
             continue;
 
         stats_.clientsTotal.fetch_add(1);
+        std::unique_lock<std::mutex> lock(conn_mutex_);
+        // Finished connections were reaped above, so every one left
+        // holds a handler thread.
+        if (connections_.size() >= kMaxConnections) {
+            lock.unlock();
+            stats_.clientsRejected.fetch_add(1);
+            sendFrame(client,
+                      textFrame(MsgType::Error, "too many connections"));
+            continue;
+        }
         stats_.clientsActive.fetch_add(1);
-
-        std::lock_guard<std::mutex> lock(conn_mutex_);
         connections_.push_back(std::make_unique<Connection>());
         Connection *conn = connections_.back().get();
         conn->fd = std::move(client);
@@ -355,8 +363,10 @@ Daemon::handleConnection(Connection *conn)
             break;
         }
     }
-    stats_.clientsActive.fetch_sub(1);
+    // Finished first: once the active count drops, the next accept
+    // reaps this connection before it checks the cap.
     conn->finished.store(true);
+    stats_.clientsActive.fetch_sub(1);
 }
 
 bool
@@ -535,6 +545,7 @@ Daemon::statsText() const
                 engine_.store() ? "on" : "off");
     out += count("service.clients.total", stats_.clientsTotal);
     out += count("service.clients.active", stats_.clientsActive);
+    out += count("service.clients.rejected", stats_.clientsRejected);
     out += count("service.requests.submitted", stats_.submitted);
     out += count("service.requests.admitted", stats_.admitted);
     out += count("service.requests.completed", stats_.completed);

@@ -33,6 +33,9 @@
  * Handshake: a connection must send Hello within kHelloDeadlineMs;
  * a peer that stays silent gets Error("protocol error: hello-timeout")
  * and is closed, so it cannot hold a handler thread until shutdown.
+ * At most kMaxConnections connections are served at once; one more
+ * gets Error("too many connections") and is closed before a handler
+ * thread is spawned for it.
  *
  * Cancellation: every running submission has a runner::CancelToken
  * registered under its job id; a Cancel frame (from any connection)
@@ -79,6 +82,9 @@ namespace service
 /** How long a new connection may take to send its Hello frame. */
 inline constexpr int kHelloDeadlineMs = 5000;
 
+/** Connections served at once, each with its own handler thread. */
+inline constexpr std::size_t kMaxConnections = 64;
+
 struct DaemonConfig
 {
     /** Filesystem path of the listening Unix socket. */
@@ -122,6 +128,7 @@ struct ServiceStats
 {
     std::atomic<std::uint64_t> clientsTotal{0};
     std::atomic<std::uint64_t> clientsActive{0};
+    std::atomic<std::uint64_t> clientsRejected{0}; //!< past the cap
     std::atomic<std::uint64_t> submitted{0};
     std::atomic<std::uint64_t> admitted{0};
     std::atomic<std::uint64_t> completed{0};
@@ -177,9 +184,7 @@ class Daemon
     /** Block until requestStop() is observed (signal-driven mains). */
     void waitForStopRequest() const;
 
-    const DaemonConfig &config() const { return config_; }
     engine::Engine &engine() { return engine_; }
-    const ServiceStats &stats() const { return stats_; }
 
     /** The "service.*" counter report a Stats frame returns. */
     std::string statsText() const;

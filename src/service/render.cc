@@ -46,9 +46,9 @@ renderScenarioText(const runner::ScenarioResult &r)
     const std::vector<std::string> &header =
         runner::statsHeader(r.job.options.probeSpad);
     for (const auto &row : runner::archRows(r.job.options, r.cases)) {
-        out += "  " + row.arch + ":";
-        for (std::size_t c = 0; c < row.cells.size(); ++c)
-            out += " " + header[c] + "=" + row.cells[c];
+        out += "  " + row[0] + ":";
+        for (std::size_t c = 1; c < row.size(); ++c)
+            out += " " + header[c - 1] + "=" + row[c];
         out += "\n";
     }
     return out;
@@ -95,7 +95,7 @@ renderPlanText(const std::vector<engine::ScenarioPlan> &plans,
         out += "plan " + std::to_string(p.job.index) + ": " +
                p.job.options.workloadLabel() + " [" +
                (p.job.point.empty() ? "-" : p.job.point) + "] key=" +
-               p.key.digest() + " forecast=" +
+               p.key.digest + " forecast=" +
                engine::forecastName(p.forecast) + "\n";
     const std::size_t misses = engine::missCount(plans);
     if (cached)

@@ -66,17 +66,6 @@ class Matrix
         return n;
     }
 
-    /** Fraction of zero entries, in [0, 1]. */
-    double
-    sparsity() const
-    {
-        if (data_.empty())
-            return 0.0;
-        return 1.0 -
-               static_cast<double>(countNonZero()) /
-                   static_cast<double>(data_.size());
-    }
-
     friend bool
     operator==(const Matrix &a, const Matrix &b)
     {

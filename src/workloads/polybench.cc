@@ -176,7 +176,6 @@ ExecutionProfile
 canonPolybench(const PolybenchKernel &k, const CanonConfig &cfg)
 {
     ExecutionProfile p;
-    p.arch = "canon";
     p.workload = k.name;
     p.peCount = static_cast<std::uint64_t>(cfg.numPes());
 

@@ -108,15 +108,11 @@ cgraProfile(const CgraModel &cgra, const LayerSpec &l)
 
 } // namespace
 
-ArchSuite::ArchSuite(const CanonConfig &cfg) : ArchSuite(cfg, {}) {}
-
-ArchSuite::ArchSuite(const CanonConfig &cfg,
-                     const std::vector<std::string> &archs)
+ArchSuite::ArchSuite(const CanonConfig &cfg, ArchSet archs)
     : canon_(cfg),
       systolic_(SystolicConfig{16, 16, SparsitySupport::Dense}),
       systolic24_(SystolicConfig{16, 16, SparsitySupport::TwoFour}),
-      zed_(ZedConfig{}), cgra_(CgraConfig{}),
-      archs_(archs.begin(), archs.end())
+      zed_(ZedConfig{}), cgra_(CgraConfig{}), archs_(archs)
 {
 }
 
@@ -128,7 +124,7 @@ ArchSuite::spmmBimodal(std::int64_t m, std::int64_t k, std::int64_t n,
     const double avg = (sparsity_a + sparsity_b) / 2.0;
 
     CaseResult r;
-    if (enabled("canon") || enabled("zed")) {
+    if (archs_.contains(Arch::Canon) || archs_.contains(Arch::Zed)) {
         // Build the skewed matrix at proxy size; both the Canon cycle
         // simulator and ZeD's row model consume the *same* population.
         const auto &cfg = canon_.config();
@@ -137,31 +133,31 @@ ArchSuite::spmmBimodal(std::int64_t m, std::int64_t k, std::int64_t n,
         const auto csr = randomSparseBimodal(proxy.rows, proxy.depth,
                                              sparsity_a, sparsity_b, rng);
 
-        if (enabled("canon")) {
+        if (archs_.contains(Arch::Canon)) {
             auto canon_p = canon_.spmmExact(
                 csr, randomDense(proxy.depth, cfg.cols * kSimdWidth, rng));
             canon_p.scale(proxy.factor);
             canon_p.workload = "spmm-skewed";
-            r["canon"] = canon_p;
+            r[Arch::Canon] = canon_p;
         }
 
-        if (enabled("zed")) {
+        if (archs_.contains(Arch::Zed)) {
             // ZeD holds the whole B (its banks are sized for it), so
             // it runs the full output width in one pass: scale only
             // the m/k proxying.
             auto zed_p = zed_.spmm(csr, n);
             zed_p.scale((static_cast<double>(m) / proxy.rows) *
                         (static_cast<double>(k) / proxy.depth));
-            r["zed"] = zed_p;
+            r[Arch::Zed] = zed_p;
         }
     }
 
-    if (enabled("systolic"))
-        r["systolic"] = systolic_.spmm(m, k, n, avg);
-    if (enabled("systolic24"))
-        r["systolic24"] = systolic24_.spmm(m, k, n, avg);
-    if (enabled("cgra"))
-        r["cgra"] = cgra_.spmm(m, k, n, avg);
+    if (archs_.contains(Arch::Systolic))
+        r[Arch::Systolic] = systolic_.spmm(m, k, n, avg);
+    if (archs_.contains(Arch::Systolic24))
+        r[Arch::Systolic24] = systolic24_.spmm(m, k, n, avg);
+    if (archs_.contains(Arch::Cgra))
+        r[Arch::Cgra] = cgra_.spmm(m, k, n, avg);
     return r;
 }
 
@@ -169,16 +165,16 @@ CaseResult
 ArchSuite::run(const LayerSpec &layer, std::uint64_t seed) const
 {
     CaseResult r;
-    if (enabled("canon"))
-        r["canon"] = canon_.run(layer, seed);
-    if (enabled("systolic"))
-        r["systolic"] = systolicProfile(systolic_, layer);
-    if (enabled("systolic24"))
-        r["systolic24"] = systolicProfile(systolic24_, layer);
-    if (enabled("zed"))
-        r["zed"] = zedProfile(zed_, layer, seed);
-    if (enabled("cgra"))
-        r["cgra"] = cgraProfile(cgra_, layer);
+    if (archs_.contains(Arch::Canon))
+        r[Arch::Canon] = canon_.run(layer, seed);
+    if (archs_.contains(Arch::Systolic))
+        r[Arch::Systolic] = systolicProfile(systolic_, layer);
+    if (archs_.contains(Arch::Systolic24))
+        r[Arch::Systolic24] = systolicProfile(systolic24_, layer);
+    if (archs_.contains(Arch::Zed))
+        r[Arch::Zed] = zedProfile(zed_, layer, seed);
+    if (archs_.contains(Arch::Cgra))
+        r[Arch::Cgra] = cgraProfile(cgra_, layer);
     return r;
 }
 

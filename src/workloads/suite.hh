@@ -3,49 +3,38 @@
  * Cross-architecture workload execution: one call runs a workload
  * case on every architecture of Section 5 (Canon cycle simulation,
  * systolic / 2:4-systolic / ZeD / CGRA models) and returns the
- * profiles keyed by architecture name. Architectures that cannot run
- * a case (the "X" marks of Figures 12/13) are simply absent from the
- * result.
+ * profiles keyed by Arch. Architectures that cannot run a case (the
+ * "X" marks of Figures 12/13) are simply absent from the result.
  */
 
 #ifndef CANON_WORKLOADS_SUITE_HH
 #define CANON_WORKLOADS_SUITE_HH
 
 #include <map>
-#include <set>
-#include <string>
 
 #include "baselines/cgra.hh"
 #include "baselines/systolic.hh"
 #include "baselines/zed.hh"
+#include "workloads/arch.hh"
 #include "workloads/canon_runner.hh"
 #include "workloads/models.hh"
 
 namespace canon
 {
 
-using CaseResult = std::map<std::string, ExecutionProfile>;
+/** Per-architecture profiles; iterates in display order. */
+using CaseResult = std::map<Arch, ExecutionProfile>;
 
 class ArchSuite
 {
   public:
-    explicit ArchSuite(const CanonConfig &cfg = CanonConfig::paper());
-
     /**
-     * Suite restricted to @p archs (names as in the driver: "canon",
-     * "systolic", "systolic24", "zed", "cgra"). Unselected
-     * architectures are skipped entirely -- in particular a
-     * baseline-only run no longer pays for the dominant Canon cycle
-     * simulation. An empty set selects every architecture.
+     * Suite restricted to @p archs. Unselected architectures are
+     * skipped entirely -- in particular a baseline-only run does not
+     * pay for the dominant Canon cycle simulation.
      */
-    ArchSuite(const CanonConfig &cfg,
-              const std::vector<std::string> &archs);
-
-    /** True when @p arch is in the selected set. */
-    bool enabled(const std::string &arch) const
-    {
-        return archs_.empty() || archs_.count(arch) != 0;
-    }
+    explicit ArchSuite(const CanonConfig &cfg = CanonConfig::paper(),
+                       ArchSet archs = ArchSet::all());
 
     /**
      * Run one layer -- or one canonsim shape scenario -- on every
@@ -69,17 +58,13 @@ class ArchSuite
     /** Run a whole model (Figure 14): per-arch accumulated profile. */
     CaseResult model(const ModelSpec &spec, std::uint64_t seed) const;
 
-    const CanonRunner &canon() const { return canon_; }
-    const ZedModel &zed() const { return zed_; }
-    const CgraModel &cgra() const { return cgra_; }
-
   private:
     CanonRunner canon_;
     SystolicModel systolic_;
     SystolicModel systolic24_;
     ZedModel zed_;
     CgraModel cgra_;
-    std::set<std::string> archs_; //!< empty = all selected
+    ArchSet archs_;
 };
 
 } // namespace canon

@@ -449,6 +449,17 @@ TEST(BenchArgs, RejectsMalformedInput)
 
 // ---- every figure bench -----------------------------------------------
 
+TEST(FigureRegistry, ArchColumnsAreTheBaselinesThenCanon)
+{
+    // Figures 12-14 head their columns with these table labels, in
+    // the paper's order: the baselines as the table lists them, then
+    // Canon, the reference every column is normalized to.
+    std::string labels;
+    for (const Arch a : kFigureArchs)
+        labels += std::string(archLabel(a)) + ",";
+    EXPECT_EQ(labels, "Systolic,Systolic(2:4),ZeD,CGRA,Canon,");
+}
+
 TEST(FigureRegistry, EveryBinaryBuildsANonEmptyBench)
 {
     // One row per bench/bench_*.cc main, in listing order.

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -106,16 +107,32 @@ TEST(ScenarioKeyTest, SddmmWindowIgnoresN)
 TEST(ScenarioKeyTest, ArchSetIsOrderAndDuplicateInsensitive)
 {
     cli::Options a;
-    a.archs = {"systolic", "canon"};
+    a.archs = {Arch::Systolic, Arch::Canon};
     cli::Options b;
-    b.archs = {"canon", "systolic", "canon"};
+    b.archs = {Arch::Canon, Arch::Systolic, Arch::Canon};
     EXPECT_EQ(scenarioKey(a).canonical, scenarioKey(b).canonical);
 
     cli::Options c;
-    c.archs = {"canon"};
-    cli::Options d; // empty archs = canon only, per the contract
+    c.archs = {Arch::Canon};
+    cli::Options d; // the default selection is canon
     EXPECT_EQ(scenarioKey(c).canonical, scenarioKey(d).canonical);
     EXPECT_NE(scenarioKey(a).canonical, scenarioKey(c).canonical);
+}
+
+TEST(ScenarioKeyTest, ArchListIsSpelledFromTheTableInNameOrder)
+{
+    cli::Options opt;
+    opt.archs = {Arch::Zed, Arch::Canon};
+    EXPECT_NE(scenarioKey(opt).canonical.find(" archs=canon,zed "),
+              std::string::npos);
+    opt.archs = ArchSet::all();
+    EXPECT_NE(scenarioKey(opt).canonical.find(
+                  " archs=canon,cgra,systolic,systolic24,zed "),
+              std::string::npos);
+    // kArchesByName is the table sorted by name.
+    for (std::size_t i = 1; i < kArchCount; ++i)
+        EXPECT_LT(std::string_view(archName(kArchesByName[i - 1])),
+                  archName(kArchesByName[i]));
 }
 
 TEST(ScenarioKeyTest, ModelKeysIgnoreShapeAndDormantSparsity)
@@ -165,16 +182,17 @@ TEST(ScenarioKeyTest, SchemaVersionIsBakedIn)
 TEST(ScenarioKeyTest, DigestIsStableHexAndCollisionFree)
 {
     const ScenarioKey a = scenarioKey(cli::Options{});
-    EXPECT_EQ(a.digest().size(), 32u);
-    EXPECT_EQ(a.digest(), a.digest());
-    EXPECT_EQ(a.digest().find_first_not_of("0123456789abcdef"),
+    EXPECT_EQ(a.digest.size(), 32u);
+    // Built once with the key: a rebuilt key hashes to the same.
+    EXPECT_EQ(a.digest, scenarioKey(cli::Options{}).digest);
+    EXPECT_EQ(a.digest, ScenarioKey(a.canonical).digest);
+    EXPECT_EQ(a.digest.find_first_not_of("0123456789abcdef"),
               std::string::npos);
-    EXPECT_EQ(a.fileName(), a.digest() + ".entry");
 
     const ScenarioKey f = figureKey("bench_x", "table", "a=1");
-    EXPECT_NE(a.digest(), f.digest());
-    EXPECT_NE(figureKey("bench_x", "table", "a=2").digest(),
-              f.digest());
+    EXPECT_NE(a.digest, f.digest);
+    EXPECT_NE(figureKey("bench_x", "table", "a=2").digest,
+              f.digest);
 }
 
 TEST(CacheMode, ParsesEverySpellingAndRejectsGarbage)
@@ -202,26 +220,24 @@ TEST(Payload, CaseResultRoundTripsLosslessly)
 {
     CaseResult cases;
     ExecutionProfile canon_p;
-    canon_p.arch = "canon";
     canon_p.workload = "spmm proxy m 512/2048"; // spaces survive
     canon_p.cycles = 1'253'184;
     canon_p.peCount = 64;
     canon_p.add(Activity::LaneMacs, 123456789ull);
     canon_p.add(Activity::OffchipBytes, 42ull);
-    cases["canon"] = canon_p;
+    cases[Arch::Canon] = canon_p;
     ExecutionProfile zed_p;
-    zed_p.arch = "zed";
     zed_p.cycles = 7;
-    cases["zed"] = zed_p;
+    cases[Arch::Zed] = zed_p;
 
     CaseResult back;
     ASSERT_TRUE(decodeCaseResult(encodeCaseResult(cases), back));
     ASSERT_EQ(back.size(), 2u);
-    EXPECT_EQ(back.at("canon").workload, canon_p.workload);
-    EXPECT_EQ(back.at("canon").cycles, canon_p.cycles);
-    EXPECT_EQ(back.at("canon").peCount, 64u);
-    EXPECT_EQ(back.at("canon").activity, canon_p.activity);
-    EXPECT_EQ(back.at("zed").cycles, 7u);
+    EXPECT_EQ(back.at(Arch::Canon).workload, canon_p.workload);
+    EXPECT_EQ(back.at(Arch::Canon).cycles, canon_p.cycles);
+    EXPECT_EQ(back.at(Arch::Canon).peCount, 64u);
+    EXPECT_EQ(back.at(Arch::Canon).activity, canon_p.activity);
+    EXPECT_EQ(back.at(Arch::Zed).cycles, 7u);
     // Idempotent: re-encoding the decode is bit-identical.
     EXPECT_EQ(encodeCaseResult(back), encodeCaseResult(cases));
 }
@@ -229,7 +245,7 @@ TEST(Payload, CaseResultRoundTripsLosslessly)
 TEST(Payload, CaseResultDecoderIsStrict)
 {
     CaseResult cases;
-    cases["canon"] = ExecutionProfile{};
+    cases[Arch::Canon] = ExecutionProfile{};
     const std::string good = encodeCaseResult(cases);
 
     CaseResult out;
@@ -238,6 +254,50 @@ TEST(Payload, CaseResultDecoderIsStrict)
     EXPECT_FALSE(
         decodeCaseResult(good.substr(0, good.size() / 2), out));
     EXPECT_FALSE(decodeCaseResult(good + "trailing\n", out));
+}
+
+TEST(Payload, EntriesAreArchNamesInNameOrder)
+{
+    CaseResult cases;
+    for (const ArchInfo &row : kArchTable)
+        cases[row.arch].cycles = 1;
+    const std::string bytes = encodeCaseResult(cases);
+    std::string names;
+    for (std::size_t pos = 0;
+         (pos = bytes.find("entry ", pos)) != std::string::npos;) {
+        const std::size_t nl = bytes.find('\n', pos);
+        names += bytes.substr(pos + 6, nl - pos - 6) + ",";
+        EXPECT_EQ(bytes.substr(nl + 1, 5), "arch ");
+        pos = nl;
+    }
+    EXPECT_EQ(names, "canon,cgra,systolic,systolic24,zed,");
+}
+
+TEST(Payload, EntryNotNamingAnArchOrNotRepeatedIsRejected)
+{
+    const auto entry = [](const std::string &name,
+                          const std::string &arch) {
+        return "caseresult 1\nentry " + name + "\narch " + arch +
+               "\nworkload spmm\ncycles 5\npes 64\nactivity 0\n";
+    };
+    CaseResult out;
+    for (const ArchInfo &row : kArchTable) {
+        ASSERT_TRUE(decodeCaseResult(entry(row.name, row.name), out))
+            << row.name;
+        EXPECT_TRUE(out.count(row.arch)) << row.name;
+    }
+    // The arch line differs from the entry name.
+    EXPECT_FALSE(decodeCaseResult(entry("canon", "zed"), out));
+    EXPECT_FALSE(decodeCaseResult(entry("canon", ""), out));
+    // A name no Arch carries.
+    for (const char *name : {"arch0", "Canon", "tpu", "canon,zed", ""})
+        EXPECT_FALSE(decodeCaseResult(entry(name, name), out)) << name;
+    // The same arch twice.
+    EXPECT_FALSE(decodeCaseResult(
+        "caseresult 2\nentry zed\narch zed\nworkload w\ncycles 1\n"
+        "pes 1\nactivity 0\nentry zed\narch zed\nworkload w\n"
+        "cycles 1\npes 1\nactivity 0\n",
+        out));
 }
 
 TEST(Payload, ActivityNamesAscendAndNameEveryCounter)
@@ -264,10 +324,10 @@ TEST(Payload, RandomProfilesRoundTripByteIdentically)
     Rng rng(31);
     for (int round = 0; round < 300; ++round) {
         CaseResult cases;
-        const std::uint64_t archs = rng.nextBounded(5) + 1;
-        for (std::uint64_t e = 0; e < archs; ++e) {
+        for (const ArchInfo &row : kArchTable) {
+            if (!rng.nextBool(0.6))
+                continue;
             ExecutionProfile p;
-            p.arch = "arch" + std::to_string(e);
             p.workload = rng.nextBool(0.5) ? "spmm" : "gemm proxy 8x8";
             p.cycles = rng.next();
             p.peCount = rng.nextBounded(4096);
@@ -280,20 +340,19 @@ TEST(Payload, RandomProfilesRoundTripByteIdentically)
                       : pick == 1 ? UINT64_MAX
                                   : rng.next());
             }
-            cases[p.arch] = p;
+            cases[row.arch] = p;
         }
         const std::string bytes = encodeCaseResult(cases);
         CaseResult back;
         ASSERT_TRUE(decodeCaseResult(bytes, back)) << bytes;
         EXPECT_EQ(encodeCaseResult(back), bytes);
         ASSERT_EQ(back.size(), cases.size());
-        for (const auto &[name, p] : cases) {
-            const ExecutionProfile &q = back.at(name);
-            EXPECT_EQ(q.arch, p.arch);
+        for (const auto &[arch, p] : cases) {
+            const ExecutionProfile &q = back.at(arch);
             EXPECT_EQ(q.workload, p.workload);
             EXPECT_EQ(q.cycles, p.cycles);
             EXPECT_EQ(q.peCount, p.peCount);
-            EXPECT_EQ(q.activity, p.activity) << name;
+            EXPECT_EQ(q.activity, p.activity) << archName(arch);
         }
     }
 }
@@ -308,10 +367,10 @@ TEST(Payload, UnknownRepeatedOrOversizeActivityIsRejected)
     CaseResult out;
     ASSERT_TRUE(decodeCaseResult(
         entry("laneMacs 0\ntagCompares 18446744073709551615\n", 2), out));
-    EXPECT_TRUE(out.at("canon").has(Activity::LaneMacs));
-    EXPECT_EQ(out.at("canon").get(Activity::LaneMacs), 0u);
-    EXPECT_FALSE(out.at("canon").has(Activity::AluOps));
-    EXPECT_EQ(out.at("canon").get(Activity::TagCompares), UINT64_MAX);
+    EXPECT_TRUE(out.at(Arch::Canon).has(Activity::LaneMacs));
+    EXPECT_EQ(out.at(Arch::Canon).get(Activity::LaneMacs), 0u);
+    EXPECT_FALSE(out.at(Arch::Canon).has(Activity::AluOps));
+    EXPECT_EQ(out.at(Arch::Canon).get(Activity::TagCompares), UINT64_MAX);
 
     // A name no Activity carries.
     EXPECT_FALSE(decodeCaseResult(entry("macOps 1\n", 1), out));
@@ -359,16 +418,14 @@ TEST(Payload, FuzzedPayloadsNeverThrow)
     // or false and never throws.
     CaseResult cases;
     ExecutionProfile p;
-    p.arch = "canon";
     p.workload = "spmm proxy";
     p.cycles = 1234;
     p.peCount = 64;
     for (std::size_t i = 0; i < kActivityCount; i += 3)
         p.add(static_cast<Activity>(i), 99ull * i);
-    cases["canon"] = p;
-    p.arch = "zed";
+    cases[Arch::Canon] = p;
     p.erase(Activity::AluOps);
-    cases["zed"] = p;
+    cases[Arch::Zed] = p;
     const RowTable rows = {{"a", "1,000"}, {"", "line\nbreak"}};
 
     CaseResult cases_out;
@@ -428,21 +485,21 @@ TEST(ResultStoreTest, LookupVerifiesTheFullCanonicalKey)
     // key (a digest collision, in effect) must read as a miss.
     const ScenarioKey key = figureKey("b", "t", "p=1");
     {
-        std::ofstream f(dir + key.fileName(), std::ios::binary);
+        std::ofstream f(dir + key.digest + ".entry", std::ios::binary);
         f << "canon-cache 1\nsome other canonical key\npayload\n";
     }
     EXPECT_FALSE(store.lookup(key).has_value());
 
     // So must a stale store format...
     {
-        std::ofstream f(dir + key.fileName(), std::ios::binary);
+        std::ofstream f(dir + key.digest + ".entry", std::ios::binary);
         f << "canon-cache 0\n" << key.canonical << "\npayload\n";
     }
     EXPECT_FALSE(store.lookup(key).has_value());
 
     // ...while the well-formed spelling hits.
     {
-        std::ofstream f(dir + key.fileName(), std::ios::binary);
+        std::ofstream f(dir + key.digest + ".entry", std::ios::binary);
         f << "canon-cache 1\n" << key.canonical << "\npayload\n";
     }
     EXPECT_TRUE(store.lookup(key).has_value());
@@ -454,7 +511,7 @@ TEST(ResultStoreTest, LookupReadsOnlyRegularFilesUpToTheCap)
     ResultStore store(dir, Mode::ReadWrite);
     ASSERT_EQ(store.prepare(), "");
     const ScenarioKey key = figureKey("b", "t", "p=1");
-    const std::string path = dir + key.fileName();
+    const std::string path = dir + key.digest + ".entry";
     const std::string header = "canon-cache 1\n" + key.canonical + "\n";
 
     // A well-formed entry padded to exactly the cap still hits; one
@@ -541,6 +598,45 @@ TEST(ResultStoreTest, ConcurrentWritersAndReadersNeverTear)
     EXPECT_EQ(torn.load(), 0);
     EXPECT_EQ(entryCount(dir), 4u);
     // No temp litter left behind.
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        EXPECT_EQ(e.path().extension(), ".entry") << e.path();
+}
+
+TEST(ResultStoreTest, RacingWritersOfOneKeyStoreItExactlyOnce)
+{
+    const std::string dir = scratchDir("cache_store_once");
+    const ResultStore store(dir, Mode::ReadWrite);
+    ASSERT_EQ(store.prepare(), "");
+
+    // 8 threads store each fresh key at once, released together by a
+    // barrier so that they all pass the exists() check: exactly one
+    // publishes it and reports wrote, the others count nothing.
+    const int writers = 8, keys = 200;
+    std::barrier sync(writers);
+    std::vector<std::atomic<int>> wrote(keys);
+    std::atomic<int> failed{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < writers; ++t) {
+        threads.emplace_back([&]() {
+            for (int k = 0; k < keys; ++k) {
+                const ScenarioKey key =
+                    figureKey("once", "t", "k=" + std::to_string(k));
+                sync.arrive_and_wait();
+                bool w = false;
+                if (!store.store(key, "payload\n", &w))
+                    failed.fetch_add(1);
+                if (w)
+                    wrote[static_cast<std::size_t>(k)].fetch_add(1);
+            }
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+    EXPECT_EQ(failed.load(), 0);
+    for (int k = 0; k < keys; ++k)
+        EXPECT_EQ(wrote[static_cast<std::size_t>(k)].load(), 1) << k;
+    EXPECT_EQ(store.stats().stores, static_cast<std::uint64_t>(keys));
+    EXPECT_EQ(entryCount(dir), static_cast<std::size_t>(keys));
     for (const auto &e : std::filesystem::directory_iterator(dir))
         EXPECT_EQ(e.path().extension(), ".entry") << e.path();
 }

@@ -229,9 +229,11 @@ tokensOf(MetaStream s)
 {
     // Past any start cycle, peek() shows the stream's tokens.
     constexpr Cycle kPastAnyStart = std::numeric_limits<Cycle>::max();
+    // End is implicit: peek() shows it once the tokens run out.
     std::vector<MetaToken> out;
-    for (; !s.exhausted(); s.advance())
-        out.push_back(s.peek(kPastAnyStart));
+    for (MetaToken t; (t = s.peek(kPastAnyStart)).kind != TokenKind::End;
+         s.advance())
+        out.push_back(t);
     return out;
 }
 

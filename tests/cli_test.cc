@@ -37,6 +37,17 @@ parse(std::initializer_list<std::string> args)
     return parseArgs(std::vector<std::string>(args));
 }
 
+/** The names of @p archs, in table order, comma-separated. */
+std::string
+archNames(ArchSet archs)
+{
+    std::string out;
+    for (const ArchInfo &row : kArchTable)
+        if (archs.contains(row.arch))
+            out += (out.empty() ? "" : ",") + std::string(row.name);
+    return out;
+}
+
 // ---- parsing ----------------------------------------------------------
 
 TEST(CliOptions, DefaultsAreSpmmOnCanonPaperFabric)
@@ -45,7 +56,8 @@ TEST(CliOptions, DefaultsAreSpmmOnCanonPaperFabric)
     ASSERT_TRUE(res.ok) << res.error;
     const Options &o = res.options;
     EXPECT_EQ(o.workload, Workload::Spmm);
-    EXPECT_EQ(o.archs, std::vector<std::string>{"canon"});
+    EXPECT_EQ(archNames(o.archs), "canon");
+    EXPECT_EQ(archNames(Options{}.archs), "canon");
 
     const CanonConfig cfg = o.fabric;
     const CanonConfig paper = CanonConfig::paper();
@@ -98,7 +110,7 @@ TEST(CliOptions, ParsesFabricAndModeOptions)
     EXPECT_EQ(o.fabric.spadEntries, 32);
     EXPECT_EQ(o.fabric.dmemSlots, 512);
     EXPECT_DOUBLE_EQ(o.fabric.clockGhz, 1.5);
-    EXPECT_EQ(o.archs, (std::vector<std::string>{"canon", "zed"}));
+    EXPECT_EQ(archNames(o.archs), "canon,zed");
     EXPECT_DOUBLE_EQ(o.sparsity, 0.9);
     EXPECT_EQ(o.seed, 42u);
     EXPECT_EQ(o.csvPath, "/tmp/out.csv");
@@ -133,7 +145,44 @@ TEST(CliOptions, ArchAllExpandsToEveryArchitecture)
 {
     auto res = parse({"--arch", "all"});
     ASSERT_TRUE(res.ok) << res.error;
-    EXPECT_EQ(res.options.archs.size(), 5u);
+    EXPECT_EQ(archNames(res.options.archs),
+              "canon,systolic,systolic24,zed,cgra");
+
+    ArchSet out{};
+    ASSERT_EQ(selectArchs({"all"}, out), "");
+    for (const ArchInfo &row : kArchTable)
+        EXPECT_TRUE(out.contains(row.arch)) << row.name;
+    // Repeats and "all" combine; order does not matter.
+    ASSERT_EQ(selectArchs({"zed", "canon", "zed"}, out), "");
+    EXPECT_EQ(archNames(out), "canon,zed");
+}
+
+TEST(CliOptions, ArchSelectionErrorsComeFromTheTable)
+{
+    ArchSet out{Arch::Cgra};
+    EXPECT_EQ(selectArchs({"tpu"}, out),
+              "unknown architecture 'tpu' (canon, systolic, systolic24,"
+              " zed, cgra, all)");
+    EXPECT_EQ(selectArchs({}, out),
+              "option '--arch' expects at least one architecture");
+    EXPECT_EQ(archNames(out), "cgra"); // untouched on error
+    EXPECT_FALSE(parse({"--arch="}).ok);
+    EXPECT_FALSE(parse({"--arch", ","}).ok);
+    EXPECT_EQ(archNames(parse({"--arch", "zed,"}).options.archs), "zed");
+}
+
+TEST(ArchTable, EveryArchRoundTripsThroughItsName)
+{
+    for (std::size_t i = 0; i < kArchCount; ++i) {
+        const ArchInfo &row = kArchTable[i];
+        EXPECT_EQ(static_cast<std::size_t>(row.arch), i) << row.name;
+        EXPECT_EQ(archByName(archName(row.arch)), row.arch) << row.name;
+        EXPECT_STREQ(archLabel(row.arch), row.label);
+    }
+    for (const char *name : {"", "all", "Canon", "systolic2", "tpu"})
+        EXPECT_FALSE(archByName(name).has_value()) << name;
+    EXPECT_TRUE(ArchSet::all().contains(Arch::Cgra));
+    EXPECT_TRUE(ArchSet{}.empty());
 }
 
 TEST(CliOptions, ParsesNmPattern)
@@ -510,8 +559,8 @@ TEST(CliDriver, DenseCadenceSmokeRun)
 {
     const Options o = smokeOptions(Workload::Gemm);
     CaseResult r = engine::runScenarioCases(o);
-    ASSERT_EQ(r.count("canon"), 1u);
-    const ExecutionProfile &p = r.at("canon");
+    ASSERT_EQ(r.count(Arch::Canon), 1u);
+    const ExecutionProfile &p = r.at(Arch::Canon);
     EXPECT_GT(p.cycles, 0u);
     // Dense 32x32x32 INT8 GEMM: exactly m*k*n lane MACs.
     EXPECT_EQ(p.get(Activity::LaneMacs), 32u * 32u * 32u);
@@ -521,8 +570,8 @@ TEST(CliDriver, SpmmSmokeRun)
 {
     const Options o = smokeOptions(Workload::Spmm);
     CaseResult r = engine::runScenarioCases(o);
-    ASSERT_EQ(r.count("canon"), 1u);
-    const ExecutionProfile &p = r.at("canon");
+    ASSERT_EQ(r.count(Arch::Canon), 1u);
+    const ExecutionProfile &p = r.at(Arch::Canon);
     EXPECT_GT(p.cycles, 0u);
     EXPECT_GT(p.get(Activity::LaneMacs), 0u);
     // Half-sparse input must do fewer MACs than the dense run.
@@ -533,40 +582,38 @@ TEST(CliDriver, SddmmSmokeRun)
 {
     const Options o = smokeOptions(Workload::Sddmm);
     CaseResult r = engine::runScenarioCases(o);
-    ASSERT_EQ(r.count("canon"), 1u);
-    EXPECT_GT(r.at("canon").cycles, 0u);
-    EXPECT_GT(r.at("canon").get(Activity::LaneMacs), 0u);
+    ASSERT_EQ(r.count(Arch::Canon), 1u);
+    EXPECT_GT(r.at(Arch::Canon).cycles, 0u);
+    EXPECT_GT(r.at(Arch::Canon).get(Activity::LaneMacs), 0u);
 }
 
 TEST(CliDriver, BaselineComparisonIncludesRequestedArchs)
 {
     Options o = smokeOptions(Workload::Spmm);
-    o.archs = {"canon", "systolic", "zed"};
+    o.archs = {Arch::Canon, Arch::Systolic, Arch::Zed};
     CaseResult r = engine::runScenarioCases(o);
-    EXPECT_EQ(r.count("canon"), 1u);
-    EXPECT_EQ(r.count("systolic"), 1u);
-    EXPECT_EQ(r.count("zed"), 1u);
-    EXPECT_EQ(r.count("cgra"), 0u); // not requested
+    EXPECT_EQ(r.count(Arch::Canon), 1u);
+    EXPECT_EQ(r.count(Arch::Systolic), 1u);
+    EXPECT_EQ(r.count(Arch::Zed), 1u);
+    EXPECT_EQ(r.count(Arch::Cgra), 0u); // not requested
 }
 
 TEST(CliDriver, BaselineOnlyRunSkipsCanonSimulation)
 {
     Options o = smokeOptions(Workload::Spmm);
-    o.archs = {"systolic", "cgra"};
+    o.archs = {Arch::Systolic, Arch::Cgra};
     CaseResult r = engine::runScenarioCases(o);
-    EXPECT_EQ(r.count("canon"), 0u);
-    EXPECT_EQ(r.count("systolic"), 1u);
-    EXPECT_EQ(r.count("cgra"), 1u);
+    EXPECT_EQ(r.count(Arch::Canon), 0u);
+    EXPECT_EQ(r.count(Arch::Systolic), 1u);
+    EXPECT_EQ(r.count(Arch::Cgra), 1u);
 
     // The suite itself must not have computed the unselected archs.
     ArchSuite suite(o.fabric, o.archs);
-    EXPECT_FALSE(suite.enabled("canon"));
-    EXPECT_TRUE(suite.enabled("systolic"));
     CaseResult direct =
         suite.run({"spmm", Workload::Spmm, 32, 32, 32, 0.5}, 1);
-    EXPECT_EQ(direct.count("canon"), 0u);
-    EXPECT_EQ(direct.count("zed"), 0u);
-    EXPECT_EQ(direct.count("systolic"), 1u);
+    EXPECT_EQ(direct.count(Arch::Canon), 0u);
+    EXPECT_EQ(direct.count(Arch::Zed), 0u);
+    EXPECT_EQ(direct.count(Arch::Systolic), 1u);
 }
 
 TEST(CliDriver, ModelRunAccumulatesLayersOnCanon)
@@ -574,12 +621,12 @@ TEST(CliDriver, ModelRunAccumulatesLayersOnCanon)
     Options o;
     o.model = "llama8b-attn";
     o.sparsity = 0.9;
-    o.archs = {"canon"};
+    o.archs = {Arch::Canon};
     CaseResult r = engine::runScenarioCases(o);
-    ASSERT_EQ(r.count("canon"), 1u);
-    EXPECT_GT(r.at("canon").cycles, 0u);
-    EXPECT_GT(r.at("canon").get(Activity::LaneMacs), 0u);
-    EXPECT_EQ(r.at("canon").workload, "Llama8B-Attn");
+    ASSERT_EQ(r.count(Arch::Canon), 1u);
+    EXPECT_GT(r.at(Arch::Canon).cycles, 0u);
+    EXPECT_GT(r.at(Arch::Canon).get(Activity::LaneMacs), 0u);
+    EXPECT_EQ(r.at(Arch::Canon).workload, "Llama8B-Attn");
 }
 
 TEST(CliDriver, RunScenarioWritesReportToGivenStream)
@@ -631,7 +678,7 @@ TEST(CliDriver, CsvWriteFailureIsReported)
 TEST(CliDriver, StatsTableBuildsForComparisonRun)
 {
     Options o = smokeOptions(Workload::Spmm);
-    o.archs = {"canon", "systolic"};
+    o.archs = {Arch::Canon, Arch::Systolic};
     CaseResult r = engine::runScenarioCases(o);
     // Throws on header/row width mismatch; building it is the check.
     Table t = engine::scenarioStatsTable(o, r);
@@ -649,7 +696,7 @@ TEST(CliOptions, ParsesProbeSpadFlag)
 TEST(CliDriver, ProbeSpadAppendsOccupancyColumns)
 {
     Options o = smokeOptions(Workload::Spmm);
-    o.archs = {"canon", "systolic"};
+    o.archs = {Arch::Canon, Arch::Systolic};
     CaseResult r = engine::runScenarioCases(o);
 
     std::ostringstream base_csv;
@@ -792,8 +839,9 @@ TEST(Registry, ListTextNamesEverythingRunnable)
             << info.name;
     for (const auto &m : modelTable())
         EXPECT_NE(text.find(m.name), std::string::npos) << m.name;
-    for (const auto &arch : knownArchs())
-        EXPECT_NE(text.find(arch), std::string::npos) << arch;
+    EXPECT_NE(text.find("\nArchitectures (--arch A[,A...]): canon systolic"
+                        " systolic24 zed cgra\n"),
+              std::string::npos);
     for (const auto &key : scenarioOptionKeys())
         EXPECT_NE(text.find(key), std::string::npos) << key;
 }
@@ -863,7 +911,7 @@ TEST(OptionFuzz, ScenarioGrammarNeverThrowsAndEqualValuesShareAKey)
             EXPECT_NO_THROW(spec.addAxis(key, valid + "," + value));
             if (!err.empty())
                 continue;
-            EXPECT_NO_THROW(digest = cache::scenarioKey(opt).digest());
+            EXPECT_NO_THROW(digest = cache::scenarioKey(opt).digest);
             // Two accepted values that set equal options are one
             // scenario, so they must be one cache entry.
             const auto same = std::find_if(

@@ -163,7 +163,30 @@ TEST(ScenarioRequest, ArchValidationMatchesTheCli)
     ScenarioRequest all;
     all.archs({"all"});
     ASSERT_TRUE(all.validate()) << all.error();
-    EXPECT_EQ(all.options().archs.size(), 5u);
+    for (const ArchInfo &row : kArchTable)
+        EXPECT_TRUE(all.options().archs.contains(row.arch)) << row.name;
+
+    // An empty list is the CLI's empty --arch.
+    ScenarioRequest none;
+    none.archs({});
+    EXPECT_FALSE(none.validate());
+    EXPECT_EQ(none.error(), parse({"--arch="}).error);
+}
+
+TEST(ScenarioRequest, DefaultSelectionIsCanonOnly)
+{
+    const ScenarioRequest req;
+    for (const ArchInfo &row : kArchTable)
+        EXPECT_EQ(req.options().archs.contains(row.arch),
+                  row.arch == Arch::Canon)
+            << row.name;
+    // The suite on its own runs every architecture.
+    const CaseResult all = ArchSuite().run(
+        {"spmm", Workload::Spmm, 16, 16, 16, 0.5}, 1);
+    ASSERT_EQ(all.size(), kArchCount);
+    std::size_t i = 0;
+    for (const auto &[arch, p] : all) // display order
+        EXPECT_EQ(arch, kArchTable[i++].arch) << archName(arch);
 }
 
 TEST(ScenarioRequest, SweepAxisValidationMatchesTheCli)
@@ -289,8 +312,9 @@ TEST(Engine, RunMatchesRunCases)
     const CaseResult &cases = rs.scenarios().front().cases;
     ASSERT_EQ(cases.size(), direct.size());
     for (const auto &[arch, profile] : direct) {
-        ASSERT_TRUE(cases.count(arch)) << arch;
-        EXPECT_EQ(cases.at(arch).cycles, profile.cycles) << arch;
+        ASSERT_TRUE(cases.count(arch)) << archName(arch);
+        EXPECT_EQ(cases.at(arch).cycles, profile.cycles)
+            << archName(arch);
     }
 }
 

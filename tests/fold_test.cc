@@ -83,9 +83,11 @@ tokens(const KernelMapping &map, int row)
     MetaStream s = map.rowStreams[static_cast<std::size_t>(row)];
     // Past any start cycle, peek() shows the stream's tokens.
     constexpr Cycle kPastAnyStart = std::numeric_limits<Cycle>::max();
+    // End is implicit: peek() shows it once the tokens run out.
     std::vector<MetaToken> out;
-    for (; !s.exhausted(); s.advance())
-        out.push_back(s.peek(kPastAnyStart));
+    for (MetaToken t; (t = s.peek(kPastAnyStart)).kind != TokenKind::End;
+         s.advance())
+        out.push_back(t);
     return out;
 }
 
@@ -475,9 +477,11 @@ TEST(Fold, ProgramsOfTheFoldedKernelsNeverWriteDataMemory)
     for (const auto &[base, wraps] :
          {std::pair{Addr{0xF000}, true}, std::pair{as::kRegBase, false}}) {
         auto prog = std::make_shared<OrchProgram>("indexed");
+        AddrMode zero;
+        zero.kind = AddrMode::Kind::Zero;
         prog->rule(0)
             .op(OpCode::VMov)
-            .op1(prog->addAddrMode(AddrMode::zero()))
+            .op1(prog->addAddrMode(zero))
             .res(prog->addAddrMode(
                 AddrMode::indexed(base, ValueSel::InputValue)));
         prog->compile();

@@ -245,18 +245,18 @@ TEST(Histogram, RecordCountsAndLabels)
     h.record(5);
     h.record(5);
     EXPECT_EQ(h.samples(), 4u);
-    EXPECT_EQ(h.count(0), 1u);
-    EXPECT_EQ(h.count(1), 1u);
-    EXPECT_EQ(h.count(3), 2u);
+    EXPECT_EQ(h.counts()[0], 1u);
+    EXPECT_EQ(h.counts()[1], 1u);
+    EXPECT_EQ(h.counts()[3], 2u);
 
     // The value ranges of buckets "0", "1", "2-3" and "32768+".
     obs::Histogram edges;
     for (std::uint64_t v : {0ull, 1ull, 2ull, 3ull, 32768ull, 1ull << 40})
         edges.record(v);
-    EXPECT_EQ(edges.count(0), 1u);
-    EXPECT_EQ(edges.count(1), 1u);
-    EXPECT_EQ(edges.count(2), 2u);
-    EXPECT_EQ(edges.count(obs::Histogram::kBuckets - 1), 2u);
+    EXPECT_EQ(edges.counts()[0], 1u);
+    EXPECT_EQ(edges.counts()[1], 1u);
+    EXPECT_EQ(edges.counts()[2], 2u);
+    EXPECT_EQ(edges.counts()[obs::Histogram::kBuckets - 1], 2u);
 }
 
 // ---------------------------------------------------------------------
@@ -371,7 +371,7 @@ TEST(Sampler, SeriesIdenticalAcrossRegistrationShuffles)
 {
     const auto ref = sampledRun(0, true);
     ASSERT_EQ(ref.obs->runs.size(), 1u);
-    ASSERT_FALSE(ref.obs->runs[0].series.empty());
+    ASSERT_FALSE(ref.obs->runs[0].series.series.empty());
     for (std::uint64_t seed : {1ull, 12345ull}) {
         const auto got = sampledRun(seed, true);
         EXPECT_EQ(got.cycles, ref.cycles) << "seed " << seed;
@@ -390,7 +390,7 @@ TEST(Sampler, SeriesIdenticalAcrossShufflesUnderPolicyAxes)
     const auto ref =
         sampledRun(0, true, 4, SpadFlushPolicy::Adaptive);
     ASSERT_EQ(ref.obs->runs.size(), 1u);
-    ASSERT_FALSE(ref.obs->runs[0].series.empty());
+    ASSERT_FALSE(ref.obs->runs[0].series.series.empty());
     for (std::uint64_t seed : {1ull, 12345ull}) {
         const auto got =
             sampledRun(seed, true, 4, SpadFlushPolicy::Adaptive);
@@ -906,8 +906,8 @@ TEST(ObsReport, ArtifactsByteIdenticalAcrossJobs)
     EXPECT_EQ(a1.stats, a4.stats);
 
     // Every scenario was observed (no cache, so all three executed).
-    ASSERT_EQ(rs1.obs().scenarios().size(), 3u);
-    for (const auto &s : rs1.obs().scenarios()) {
+    ASSERT_EQ(rs1.scenarios().size(), 3u);
+    for (const auto &s : rs1.scenarios()) {
         ASSERT_NE(s.obs, nullptr) << s.job.index;
         EXPECT_FALSE(s.obs->runs.empty()) << s.job.index;
     }
@@ -924,7 +924,7 @@ TEST(ObsReport, ArtifactsByteIdenticalAcrossJobsUnderPolicyAxes)
     const auto rs4 = four.run(obsSweepRequest(true));
     ASSERT_TRUE(rs1.ok()) << rs1.error();
     ASSERT_TRUE(rs4.ok()) << rs4.error();
-    ASSERT_EQ(rs1.obs().scenarios().size(), 12u);
+    ASSERT_EQ(rs1.scenarios().size(), 12u);
 
     const auto a1 = renderArtifacts(rs1);
     const auto a4 = renderArtifacts(rs4);
@@ -1157,7 +1157,7 @@ TEST(ObsReport, StatsJsonRoundTripsAgainstProfiles)
         // The dumped cycles must match the in-memory profile.
         const auto &cases = rs.scenarios()[i].cases;
         for (const Json &a : archs) {
-            const auto &prof = cases.at(a.at("arch").str);
+            const auto &prof = cases.at(archByName(a.at("arch").str).value());
             EXPECT_EQ(
                 static_cast<std::uint64_t>(a.at("cycles").num),
                 prof.cycles);

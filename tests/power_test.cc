@@ -48,7 +48,7 @@ TEST(Energy, MacSlotsDominateLaneMacsForEnergy)
     EnergyModel model;
     const auto r = model.evaluate(p);
     EXPECT_DOUBLE_EQ(r.category(EnergyCategory::Compute),
-                     400 * model.params().macInt8Pj);
+                     400 * EnergyParams{}.macInt8Pj);
 }
 
 TEST(Energy, WattsAndEdp)

@@ -36,7 +36,7 @@ smallSpmm()
     o.k = 32;
     o.n = 32;
     o.sparsity = 0.5;
-    o.archs = {"canon"};
+    o.archs = {Arch::Canon};
     return o;
 }
 
@@ -286,7 +286,7 @@ TEST(ScenarioPool, ResultsLandAtTheirJobIndex)
         CaseResult r;
         ExecutionProfile p;
         p.cycles = static_cast<std::uint64_t>(o.m);
-        r["canon"] = p;
+        r[Arch::Canon] = p;
         return r;
     };
 
@@ -295,7 +295,7 @@ TEST(ScenarioPool, ResultsLandAtTheirJobIndex)
         ASSERT_EQ(results.size(), jobs.size());
         for (std::size_t i = 0; i < results.size(); ++i) {
             EXPECT_EQ(results[i].job.index, i);
-            EXPECT_EQ(results[i].cases.at("canon").cycles,
+            EXPECT_EQ(results[i].cases.at(Arch::Canon).cycles,
                       static_cast<std::uint64_t>(
                           jobs[i].options.m))
                 << "workers=" << workers << " job=" << i;
@@ -315,8 +315,8 @@ TEST(ScenarioPool, CapturesExceptionsAndEmptyResults)
         if (o.m == 16)
             return {}; // nothing could run
         CaseResult r;
-        r["canon"] = ExecutionProfile{};
-        r["canon"].cycles = 1;
+        r[Arch::Canon] = ExecutionProfile{};
+        r[Arch::Canon].cycles = 1;
         return r;
     };
 
@@ -326,7 +326,7 @@ TEST(ScenarioPool, CapturesExceptionsAndEmptyResults)
               std::string::npos);
     EXPECT_EQ(results[1].error, std::string(kNoArchError));
     EXPECT_EQ(results[2].error, "");
-    EXPECT_EQ(results[2].cases.at("canon").cycles, 1u);
+    EXPECT_EQ(results[2].cases.at(Arch::Canon).cycles, 1u);
 }
 
 TEST(ScenarioPool, CancelTokenLandsTypedFailuresAtTheirIndex)
@@ -344,8 +344,8 @@ TEST(ScenarioPool, CancelTokenLandsTypedFailuresAtTheirIndex)
         [&](const cli::Options &) -> CaseResult {
             ++executed;
             CaseResult r;
-            r["canon"] = ExecutionProfile{};
-            r["canon"].cycles = 1;
+            r[Arch::Canon] = ExecutionProfile{};
+            r[Arch::Canon].cycles = 1;
             return r;
         },
         nullptr,
@@ -395,9 +395,9 @@ TEST(ScenarioPool, RealSweepIsDeterministicAcrossWorkerCounts)
         for (const auto &[arch, profile] : serial[i].cases) {
             const auto &other = threaded[i].cases.at(arch);
             EXPECT_EQ(profile.cycles, other.cycles)
-                << "job " << i << " arch " << arch;
+                << "job " << i << " arch " << archName(arch);
             EXPECT_EQ(profile.activity, other.activity)
-                << "job " << i << " arch " << arch;
+                << "job " << i << " arch " << archName(arch);
         }
     }
 }
@@ -409,7 +409,7 @@ TEST(SweepResult, CombinedTableHasOneRowPerScenarioArch)
     SweepSpec spec;
     ASSERT_EQ(spec.addAxis("sparsity", "0.3,0.6"), "");
     cli::Options base = smallSpmm();
-    base.archs = {"canon", "systolic"};
+    base.archs = {Arch::Canon, Arch::Systolic};
     auto jobs = spec.expand(base);
 
     auto results =
@@ -433,16 +433,17 @@ TEST(SweepResult, BaselineUtilizationUsesItsOwnMacs)
     cli::Options o;
     o.workload = cli::Workload::Gemm;
     o.fabric.rows = 4;
-    o.archs = {"canon", "systolic", "zed"};
+    o.archs = {Arch::Canon, Arch::Systolic, Arch::Zed};
     const auto rows = archRows(o, engine::runScenarioCases(o));
     ASSERT_EQ(rows.size(), 3u);
     ASSERT_EQ(statsHeader(false)[2], "Util%");
-    EXPECT_EQ(rows[0].arch, "canon");
-    EXPECT_EQ(rows[0].cells[2], "95.7");
-    EXPECT_EQ(rows[1].arch, "systolic");
-    EXPECT_EQ(rows[1].cells[2], "89.4");
-    EXPECT_EQ(rows[2].arch, "zed");
-    EXPECT_EQ(rows[2].cells[2], "99.6");
+    // Each row is the architecture's name, then the stats cells.
+    EXPECT_EQ(rows[0][0], "canon");
+    EXPECT_EQ(rows[0][3], "95.7");
+    EXPECT_EQ(rows[1][0], "systolic");
+    EXPECT_EQ(rows[1][3], "89.4");
+    EXPECT_EQ(rows[2][0], "zed");
+    EXPECT_EQ(rows[2][3], "99.6");
 }
 
 TEST(SweepResult, FailedScenarioRendersXRow)

@@ -505,7 +505,8 @@ struct DaemonFixture
                            DaemonConfig cfg = {})
     {
         const std::string dir = scratchDir(name);
-        cfg.socketPath = dir + "canond.sock";
+        socket = dir + "canond.sock";
+        cfg.socketPath = socket;
         if (cfg.jobs == 0)
             cfg.jobs = 2;
         daemon = std::make_unique<Daemon>(cfg);
@@ -516,12 +517,23 @@ struct DaemonFixture
     Client connect()
     {
         Client c;
-        const std::string error =
-            c.connect(daemon->config().socketPath);
+        const std::string error = c.connect(socket);
         EXPECT_TRUE(error.empty()) << error;
         return c;
     }
 
+    /** One "service.*" counter of statsText(). */
+    std::uint64_t counter(const std::string &name) const
+    {
+        const std::string text = daemon->statsText();
+        const std::size_t at = text.find("\n" + name + ": ");
+        EXPECT_NE(at, std::string::npos) << name;
+        return at == std::string::npos
+                   ? 0
+                   : std::stoull(text.substr(at + name.size() + 3));
+    }
+
+    std::string socket;
     std::unique_ptr<Daemon> daemon;
 };
 
@@ -549,7 +561,7 @@ TEST(Daemon, RejectsWrongProtocolRevision)
 {
     DaemonFixture fx("svc_proto");
     std::string error;
-    Fd fd = connectUnix(fx.daemon->config().socketPath, error);
+    Fd fd = connectUnix(fx.socket, error);
     ASSERT_TRUE(fd.valid()) << error;
     std::string payload = encodeKv({{"proto", "canon-rpc-0"}}, error);
     ASSERT_TRUE(sendFrame(fd, Frame{MsgType::Hello, payload}));
@@ -568,7 +580,7 @@ TEST(Daemon, SilentPeerGetsAHelloTimeoutAndIsClosed)
     // Error, then EOF, and the rejection is counted.
     DaemonFixture fx("svc_silent");
     std::string error;
-    Fd fd = connectUnix(fx.daemon->config().socketPath, error);
+    Fd fd = connectUnix(fx.socket, error);
     ASSERT_TRUE(fd.valid()) << error;
     const auto t0 = std::chrono::steady_clock::now();
     // Bounded reads: a daemon without the deadline fails here instead
@@ -593,6 +605,60 @@ TEST(Daemon, SilentPeerGetsAHelloTimeoutAndIsClosed)
     std::string text;
     ASSERT_TRUE(c.stats(text, error)) << error;
     EXPECT_NE(text.find("service.requests.rejected.protocol_error: 1\n"),
+              std::string::npos)
+        << text;
+}
+
+TEST(Daemon, ConnectionPastTheCapIsRefusedAndCounted)
+{
+    DaemonFixture fx("svc_cap");
+    std::string error;
+    const auto handshake = [&](Fd &fd) {
+        if (!sendFrame(fd, Frame{MsgType::Hello, "proto=canon-rpc-1\n"}))
+            return false;
+        FrameDecoder dec;
+        Frame ack;
+        return readFrame(fd, dec, ack, error, 5000) == ReadStatus::Frame &&
+               ack.type == MsgType::HelloAck;
+    };
+
+    // Fill the cap: every connection holds a handler thread.
+    std::vector<Fd> held;
+    for (std::size_t i = 0; i < kMaxConnections; ++i) {
+        held.push_back(connectUnix(fx.socket, error));
+        ASSERT_TRUE(held.back().valid()) << error;
+        ASSERT_TRUE(handshake(held.back())) << i << ": " << error;
+    }
+
+    // One more gets a typed Error, then EOF.
+    Fd extra = connectUnix(fx.socket, error);
+    ASSERT_TRUE(extra.valid()) << error;
+    FrameDecoder dec;
+    Frame reply;
+    ASSERT_EQ(readFrame(extra, dec, reply, error, 5000), ReadStatus::Frame)
+        << error;
+    EXPECT_EQ(reply.type, MsgType::Error);
+    EXPECT_EQ(reply.payload, "too many connections");
+    EXPECT_EQ(readFrame(extra, dec, reply, error, 5000), ReadStatus::Eof)
+        << error;
+    EXPECT_EQ(fx.counter("service.clients.rejected"), 1u);
+    EXPECT_EQ(fx.counter("service.clients.active"), kMaxConnections);
+
+    // A closed connection frees its slot.
+    held.pop_back();
+    for (int polls = 0; polls < 500 &&
+                        fx.counter("service.clients.active") ==
+                            kMaxConnections;
+         ++polls)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    Client c = fx.connect();
+    std::string text;
+    ASSERT_TRUE(c.stats(text, error)) << error;
+    EXPECT_NE(text.find("service.clients.total: " +
+                        std::to_string(kMaxConnections + 2) + "\n"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("service.clients.rejected: 1\n"),
               std::string::npos)
         << text;
 }
@@ -774,7 +840,7 @@ TEST(Daemon, ConcurrentClientsGetByteIdenticalStreams)
     for (int i = 0; i < kClients; ++i) {
         threads.emplace_back([&, i] {
             Client c;
-            if (!c.connect(fx.daemon->config().socketPath).empty()) {
+            if (!c.connect(fx.socket).empty()) {
                 failures.fetch_add(1);
                 return;
             }
@@ -883,7 +949,7 @@ TEST(Daemon, CancelFromASecondConnection)
             // precedes every Result frame on this connection. A
             // malformed id never matches the live job.
             std::string cancel_error;
-            Fd raw = connectUnix(fx.daemon->config().socketPath,
+            Fd raw = connectUnix(fx.socket,
                                  cancel_error);
             FrameDecoder dec;
             Frame reply;
@@ -960,7 +1026,7 @@ TEST(Daemon, DrainDeadlineUnblocksAClientThatStoppedReading)
     DaemonFixture fx("svc_stalled", cfg);
 
     std::string error;
-    Fd fd = connectUnix(fx.daemon->config().socketPath, error);
+    Fd fd = connectUnix(fx.socket, error);
     ASSERT_TRUE(fd.valid()) << error;
     const int rcvbuf = 4096;
     ASSERT_EQ(::setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
@@ -983,11 +1049,10 @@ TEST(Daemon, DrainDeadlineUnblocksAClientThatStoppedReading)
 
     // The stream has stalled once the streamed count stops moving for
     // half a second short of the whole sweep.
-    const auto &streamed = fx.daemon->stats().scenariosStreamed;
     std::uint64_t seen = 0;
     for (int quiet = 0, polls = 0; quiet < 5 && polls < 600; ++polls) {
         std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        const std::uint64_t now = streamed.load();
+        const std::uint64_t now = fx.counter("service.scenarios.streamed");
         quiet = now > 0 && now == seen ? quiet + 1 : 0;
         seen = now;
     }

@@ -142,7 +142,6 @@ TEST(CanonRunner, UnitFactorSpmmLayerEqualsSpmmExact)
                 const auto a = randomSparse(m, k, sp, rng);
                 const auto b = randomDense(k, n, rng);
                 const auto want = runner.spmmExact(a, b);
-                EXPECT_EQ(got.arch, want.arch) << where;
                 EXPECT_EQ(got.workload, want.workload) << where;
                 EXPECT_EQ(got.cycles, want.cycles) << where;
                 EXPECT_EQ(got.peCount, want.peCount) << where;
@@ -468,8 +467,8 @@ TEST(ArchSuite, GemmCanonMatchesSystolic)
     // either way (the efficiency gap shows up in perf/W instead).
     ArchSuite suite;
     const auto r = suite.run({"gemm", Workload::Gemm, 256, 256, 128}, 11);
-    const double canon_c = static_cast<double>(r.at("canon").cycles);
-    const double sys_c = static_cast<double>(r.at("systolic").cycles);
+    const double canon_c = static_cast<double>(r.at(Arch::Canon).cycles);
+    const double sys_c = static_cast<double>(r.at(Arch::Systolic).cycles);
     EXPECT_NEAR(sys_c / canon_c, 1.0, 0.10);
 }
 
@@ -479,8 +478,8 @@ TEST(ArchSuite, SystolicFragileUnderHighSparsity)
     ArchSuite suite;
     const auto r =
         suite.run({"spmm", Workload::Spmm, 256, 256, 128, 0.9}, 12);
-    const double canon_c = static_cast<double>(r.at("canon").cycles);
-    const double sys_c = static_cast<double>(r.at("systolic").cycles);
+    const double canon_c = static_cast<double>(r.at(Arch::Canon).cycles);
+    const double sys_c = static_cast<double>(r.at(Arch::Systolic).cycles);
     EXPECT_GT(sys_c, canon_c / 0.35)
         << "systolic should be <0.35x Canon at 90% sparsity";
 }
@@ -493,8 +492,8 @@ TEST(ArchSuite, ZedWithinBandOnUnstructured)
         const auto r =
             suite.run({"spmm", Workload::Spmm, 512, 512, 256, sp}, 13);
         const double canon_c =
-            static_cast<double>(r.at("canon").cycles);
-        const double zed_c = static_cast<double>(r.at("zed").cycles);
+            static_cast<double>(r.at(Arch::Canon).cycles);
+        const double zed_c = static_cast<double>(r.at(Arch::Zed).cycles);
         EXPECT_GT(zed_c / canon_c, 0.80) << "sparsity " << sp;
         EXPECT_LT(zed_c / canon_c, 1.35) << "sparsity " << sp;
     }
@@ -507,9 +506,9 @@ TEST(ArchSuite, CanonMatchesTwoFourSystolicOn24)
     ArchSuite suite;
     const auto r = suite.run(
         {"nm", Workload::SpmmNm, 512, 512, 256, 0, 0, 1, 2, 4}, 14);
-    const double canon_c = static_cast<double>(r.at("canon").cycles);
+    const double canon_c = static_cast<double>(r.at(Arch::Canon).cycles);
     const double s24_c =
-        static_cast<double>(r.at("systolic24").cycles);
+        static_cast<double>(r.at(Arch::Systolic24).cycles);
     EXPECT_NEAR(canon_c / s24_c, 1.0, 0.30);
 }
 
@@ -523,11 +522,11 @@ TEST(ArchSuite, TwoFourSystolicDegradesOn28)
     const auto r28 = suite.run(
         {"nm", Workload::SpmmNm, 512, 512, 256, 0, 0, 1, 2, 8}, 15);
     const double canon_gain =
-        static_cast<double>(r24.at("canon").cycles) /
-        static_cast<double>(r28.at("canon").cycles);
+        static_cast<double>(r24.at(Arch::Canon).cycles) /
+        static_cast<double>(r28.at(Arch::Canon).cycles);
     const double s24_gain =
-        static_cast<double>(r24.at("systolic24").cycles) /
-        static_cast<double>(r28.at("systolic24").cycles);
+        static_cast<double>(r24.at(Arch::Systolic24).cycles) /
+        static_cast<double>(r28.at(Arch::Systolic24).cycles);
     EXPECT_GT(canon_gain, 1.5); // Canon: ~2x fewer non-zeros -> ~2x
     EXPECT_NEAR(s24_gain, 1.0, 0.05); // systolic24: no extra gain
 }
@@ -538,11 +537,11 @@ TEST(ArchSuite, CanonWinsWindowAttention)
     ArchSuite suite;
     const auto r = suite.run(
         {"win", Workload::SddmmWindow, 2048, 64, 2048, 0, 256}, 16);
-    const double canon_c = static_cast<double>(r.at("canon").cycles);
-    for (const auto &arch :
-         {"systolic", "systolic24", "zed", "cgra"}) {
+    const double canon_c = static_cast<double>(r.at(Arch::Canon).cycles);
+    for (const Arch arch :
+         {Arch::Systolic, Arch::Systolic24, Arch::Zed, Arch::Cgra}) {
         EXPECT_GT(static_cast<double>(r.at(arch).cycles), canon_c)
-            << arch;
+            << archName(arch);
     }
 }
 
@@ -625,39 +624,39 @@ TEST(ArchSuite, RunDispatchesEveryWorkload)
 
     const std::vector<std::pair<Workload, CaseResult>> expected = {
         {Workload::Gemm,
-         {{"canon", canon.run(layer(Workload::Gemm), seed)},
-          {"systolic", sys.gemm(m, k, n)},
-          {"systolic24", s24.gemm(m, k, n)},
-          {"zed", zed.gemm(m, k, n)},
-          {"cgra", cgra.gemm(m, k, n)}}},
+         {{Arch::Canon, canon.run(layer(Workload::Gemm), seed)},
+          {Arch::Systolic, sys.gemm(m, k, n)},
+          {Arch::Systolic24, s24.gemm(m, k, n)},
+          {Arch::Zed, zed.gemm(m, k, n)},
+          {Arch::Cgra, cgra.gemm(m, k, n)}}},
         {Workload::Spmm,
-         {{"canon", canon.run(layer(Workload::Spmm), seed)},
-          {"systolic", sys.spmm(m, k, n, sp)},
-          {"systolic24", s24.spmm(m, k, n, sp)},
-          {"zed", zed.spmmRows(sampled(k, 1.0 - sp), n)},
-          {"cgra", cgra.spmm(m, k, n, sp)}}},
+         {{Arch::Canon, canon.run(layer(Workload::Spmm), seed)},
+          {Arch::Systolic, sys.spmm(m, k, n, sp)},
+          {Arch::Systolic24, s24.spmm(m, k, n, sp)},
+          {Arch::Zed, zed.spmmRows(sampled(k, 1.0 - sp), n)},
+          {Arch::Cgra, cgra.spmm(m, k, n, sp)}}},
         {Workload::SpmmNm,
-         {{"canon", canon.run(layer(Workload::SpmmNm), seed)},
-          {"systolic", sys.gemm(m, k, n)},
-          {"systolic24", s24.gemm(m, k, n, {nm_n, nm_m})},
-          {"zed",
+         {{Arch::Canon, canon.run(layer(Workload::SpmmNm), seed)},
+          {Arch::Systolic, sys.gemm(m, k, n)},
+          {Arch::Systolic24, s24.gemm(m, k, n, {nm_n, nm_m})},
+          {Arch::Zed,
            zed.spmmRows(std::vector<std::int64_t>(rows, k * nm_n / nm_m),
                         n)},
-          {"cgra",
+          {Arch::Cgra,
            cgra.spmm(m, k, n, 1.0 - static_cast<double>(nm_n) / nm_m)}}},
         {Workload::Sddmm,
-         {{"canon", canon.run(layer(Workload::Sddmm), seed)},
-          {"systolic", sys.sddmm(m, k, n, sp)},
-          {"systolic24", s24.sddmm(m, k, n, sp)},
-          {"zed", zed.sddmmRows(sampled(n, 1.0 - sp), k)},
-          {"cgra", cgra.sddmm(m, k, n, sp)}}},
+         {{Arch::Canon, canon.run(layer(Workload::Sddmm), seed)},
+          {Arch::Systolic, sys.sddmm(m, k, n, sp)},
+          {Arch::Systolic24, s24.sddmm(m, k, n, sp)},
+          {Arch::Zed, zed.sddmmRows(sampled(n, 1.0 - sp), k)},
+          {Arch::Cgra, cgra.sddmm(m, k, n, sp)}}},
         {Workload::SddmmWindow,
-         {{"canon", canon.run(layer(Workload::SddmmWindow), seed)},
-          {"systolic", sys.sddmmWindow(m, k, window)},
-          {"systolic24", s24.sddmmWindow(m, k, window)},
-          {"zed",
+         {{Arch::Canon, canon.run(layer(Workload::SddmmWindow), seed)},
+          {Arch::Systolic, sys.sddmmWindow(m, k, window)},
+          {Arch::Systolic24, s24.sddmmWindow(m, k, window)},
+          {Arch::Zed,
            zed.sddmmRows(std::vector<std::int64_t>(rows, window), k)},
-          {"cgra", cgra.sddmmWindow(m, k, window)}}},
+          {Arch::Cgra, cgra.sddmmWindow(m, k, window)}}},
     };
     ASSERT_EQ(expected.size(), cli::workloadTable().size());
     for (const auto &[workload, want] : expected) {
@@ -666,8 +665,8 @@ TEST(ArchSuite, RunDispatchesEveryWorkload)
         for (const auto &[arch, p] : want) {
             const ExecutionProfile &q = got.at(arch);
             const std::string where =
-                std::string(cli::workloadName(workload)) + "/" + arch;
-            EXPECT_EQ(q.arch, p.arch) << where;
+                std::string(cli::workloadName(workload)) + "/" +
+                archName(arch);
             EXPECT_EQ(q.workload, p.workload) << where;
             EXPECT_EQ(q.cycles, p.cycles) << where;
             EXPECT_EQ(q.peCount, p.peCount) << where;
