@@ -6,9 +6,10 @@
  * grid point; execution, --jobs/--shard handling, and rendering are
  * the shared FigureBench machinery on runner::ScenarioPool.
  *
- * Definitions live in bench/figures/*.cc inside the canon_benchutil
- * library -- not in the binaries -- so tests and tools can build and
- * run any figure in-process. The bench_* binaries are thin mains:
+ * Definitions live in the sources under bench/figures/, inside the
+ * canon_benchutil library -- not in the binaries -- so tests and
+ * tools can build and run any figure in-process. The bench_* binaries
+ * are thin mains:
  *
  *   int main(int argc, char **argv)
  *   { return canon::bench::figure12Bench().main(argc, argv); }

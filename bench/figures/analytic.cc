@@ -30,7 +30,9 @@ std::string
 areaDelta(double canon_mm2, double base_mm2)
 {
     const double d = canon_mm2 / base_mm2 - 1.0;
-    return (d >= 0 ? "+" : "") + Table::fmt(d * 100.0, 1) + "%";
+    return std::string(d >= 0 ? "+" : "")
+        .append(Table::fmt(d * 100.0, 1))
+        .append("%");
 }
 
 /** Breakdown rows (component, mm2, share, paper share) + TOTAL. */
@@ -136,7 +138,10 @@ figure10Bench()
         const double overhead =
             model.canon().total() / model.systolic().total() - 1.0;
         return {{"Canon vs systolic area",
-                 "+" + Table::fmt(overhead * 100.0, 1) + "%", "+30%"}};
+                 std::string("+")
+                     .append(Table::fmt(overhead * 100.0, 1))
+                     .append("%"),
+                 "+30%"}};
     };
     bench.add(std::move(overhead_t));
     return bench;

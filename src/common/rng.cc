@@ -1,6 +1,7 @@
 #include "common/rng.hh"
 
 #include <algorithm>
+#include <cmath>
 
 namespace canon
 {
@@ -26,6 +27,15 @@ Rng::Rng(std::uint64_t seed)
     std::uint64_t x = seed;
     for (auto &s : s_)
         s = splitmix64(x);
+}
+
+std::uint64_t
+Rng::boolThreshold(double p)
+{
+    panicIf(!(p >= 0.0 && p <= 1.0),
+            "Rng::boolThreshold: probability must be in [0,1], got ", p);
+    // p * 2^53 is exact (a power-of-two scale), and at most 2^53.
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
 }
 
 std::vector<std::uint32_t>

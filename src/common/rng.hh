@@ -75,16 +75,27 @@ class Rng
         return lo + static_cast<std::int64_t>(nextBounded(span));
     }
 
-    /** Uniform double in [0, 1). */
+    /** Uniform integer in [0, 2^53): the 53 high bits of next(). */
+    std::uint64_t next53() { return next() >> 11; }
+
+    /** Uniform double in [0, 1): next53() * 2^-53, exactly. */
     double
     nextDouble()
     {
-        // 53 high bits give a uniform double in [0, 1).
-        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+        return static_cast<double>(next53()) * 0x1.0p-53;
     }
 
     /** Bernoulli draw with probability @p p of true. */
     bool nextBool(double p) { return nextDouble() < p; }
+
+    /**
+     * nextBool(@p p) as one integer compare, for a p fixed over many
+     * draws: nextBool(p) == (next53() < boolThreshold(p)), draw for
+     * draw, because next53() * 2^-53 < p exactly when next53() <
+     * ceil(p * 2^53). Panics unless p is in [0, 1], NaN included: the
+     * conversion of any other p * 2^53 is undefined.
+     */
+    static std::uint64_t boolThreshold(double p);
 
     /** Fisher-Yates shuffle of @p v. */
     template <typename T>

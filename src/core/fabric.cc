@@ -153,10 +153,13 @@ CanonFabric::load(KernelMapping mapping)
 
     out_ = WordMatrix(mapping_.outRows, mapping_.outCols);
 
+    // The streams move into their orchestrators: nothing reads them
+    // from the mapping again, and a proxy's streams are the largest
+    // thing a layer builds.
     for (int r = 0; r < cfg_.rows; ++r) {
         orchs_[r]->loadProgram(mapping_.program.get());
         if (r < static_cast<int>(mapping_.rowStreams.size()))
-            orchs_[r]->setStream(mapping_.rowStreams[r]);
+            orchs_[r]->setStream(std::move(mapping_.rowStreams[r]));
     }
 
     // Data placement (the second IR of Figure 6).

@@ -59,8 +59,11 @@ struct EngineConfig
     /** Worker threads; <= 0 means hardware concurrency. */
     int jobs = 0;
 
-    /** Result-cache directory; empty (or Mode::Off) runs uncached. */
-    std::string cacheDir;
+    /**
+     * Result-cache directory; empty (or Mode::Off) runs uncached. The
+     * initializer lets EngineConfig{.jobs = N} omit it under -Wextra.
+     */
+    std::string cacheDir{};
     cache::Mode cacheMode = cache::Mode::ReadWrite;
 };
 

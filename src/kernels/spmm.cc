@@ -1,5 +1,7 @@
 #include "kernels/spmm.hh"
 
+#include <cmath>
+
 namespace canon
 {
 
@@ -181,6 +183,29 @@ buildSpmmProgram()
     return prog;
 }
 
+namespace
+{
+
+/**
+ * fatal(), each message prefixed with @p who, unless an A of
+ * @p a_rows x @p k streams natively on @p cfg: K divides by the rows,
+ * one K slice fits the data memory and M fits the 14-bit meta value.
+ */
+void
+checkSlices(const std::string &who, int a_rows, int k,
+            const CanonConfig &cfg)
+{
+    fatalIf(k % cfg.rows != 0, who, ": K=", k, " must divide by rows=",
+            cfg.rows);
+    const int h = k / cfg.rows;
+    fatalIf(h > cfg.dmemSlots, who, ": B tile of ", h,
+            " rows exceeds data memory (", cfg.dmemSlots, " slots)");
+    fatalIf(a_rows >= (1 << 14), who, ": M=", a_rows,
+            " exceeds the 14-bit meta value range");
+}
+
+} // namespace
+
 KernelMapping
 mapRowSliced(const std::string &who, const std::string &name,
              int a_rows, int a_cols, const DenseMatrix &b,
@@ -191,13 +216,8 @@ mapRowSliced(const std::string &who, const std::string &name,
     fatalIf(b.cols() != cfg.cols * kSimdWidth, who, ": N=", b.cols(),
             " must equal cols*4=", cfg.cols * kSimdWidth,
             " (tile wider problems over multiple passes)");
-    fatalIf(b.rows() % cfg.rows != 0, who, ": K=", b.rows(),
-            " must divide by rows=", cfg.rows);
+    checkSlices(who, a_rows, b.rows(), cfg);
     const int h = b.rows() / cfg.rows;
-    fatalIf(h > cfg.dmemSlots, who, ": B tile of ", h,
-            " rows exceeds data memory (", cfg.dmemSlots, " slots)");
-    fatalIf(a_rows >= (1 << 14), who, ": M=", a_rows,
-            " exceeds the 14-bit meta value range");
 
     KernelMapping map;
     map.name = name;
@@ -221,44 +241,47 @@ mapRowSliced(const std::string &who, const std::string &name,
     return map;
 }
 
+SpmmSlicer::SpmmSlicer(int a_rows, int k, const CanonConfig &cfg,
+                       double expected_nnz)
+    : cfg_(cfg), aRows_(a_rows), k_(k)
+{
+    checkSlices("mapSpmm", a_rows, k, cfg);
+    h_ = k / cfg.rows;
+    // A slice's nonzero count is binomial, its variance below its
+    // mean: four standard deviations of slack make regrowth rare.
+    const double share = expected_nnz / cfg.rows;
+    const auto reserve =
+        static_cast<std::size_t>(share + 4.0 * std::sqrt(share)) +
+        static_cast<std::size_t>(a_rows);
+    tokens_.resize(static_cast<std::size_t>(cfg.rows));
+    for (auto &t : tokens_)
+        t.reserve(reserve);
+}
+
+KernelMapping
+SpmmSlicer::map(const DenseMatrix &b) &&
+{
+    KernelMapping map = mapRowSliced("mapSpmm", "spmm", aRows_, k_, b, cfg_);
+    map.program = buildSpmmProgram();
+    map.rowStreams.reserve(tokens_.size());
+    for (auto &t : tokens_)
+        map.rowStreams.emplace_back(std::move(t));
+    return map;
+}
+
 KernelMapping
 mapSpmm(const CsrMatrix &a, const DenseMatrix &b, const CanonConfig &cfg)
 {
-    KernelMapping map =
-        mapRowSliced("mapSpmm", "spmm", a.rows(), a.cols(), b, cfg);
-    map.program = buildSpmmProgram();
-    const int h = b.rows() / cfg.rows;
-
-    // Meta streams: orchestrator y sees the non-zeros of its K-slice,
-    // each row that has any closed by a RowEnd. One pass over A deals
-    // every nonzero to its slice's stream; the slices a row touched
-    // then get their RowEnds, so each stream stays in row order.
+    SpmmSlicer slicer(a.rows(), a.cols(), cfg,
+                      static_cast<double>(a.nnz()));
     const auto &row_ptr = a.rowPtr();
     const auto &col_idx = a.colIdx();
     const auto &values = a.values();
-    std::vector<std::vector<MetaToken>> tokens(cfg.rows);
-    std::vector<int> touched; // slices the current row reached
-    std::vector<int> last_row(cfg.rows, -1);
-    for (int m = 0; m < a.rows(); ++m) {
-        for (auto i = row_ptr[m]; i < row_ptr[m + 1]; ++i) {
-            const int y = col_idx[i] / h;
-            if (last_row[y] != m) {
-                last_row[y] = m;
-                touched.push_back(y);
-            }
-            tokens[y].push_back(MetaToken::nnz(
-                static_cast<std::uint16_t>(col_idx[i] - y * h),
-                values[i]));
-        }
-        for (const int y : touched)
-            tokens[y].push_back(
-                MetaToken::rowEnd(static_cast<std::uint16_t>(m)));
-        touched.clear();
-    }
-    map.rowStreams.reserve(cfg.rows);
-    for (auto &t : tokens)
-        map.rowStreams.emplace_back(std::move(t));
-    return map;
+    slicer.deal([&](int r, auto push) {
+        for (auto i = row_ptr[r]; i < row_ptr[r + 1]; ++i)
+            push(col_idx[i], values[i]);
+    });
+    return std::move(slicer).map(b);
 }
 
 } // namespace canon

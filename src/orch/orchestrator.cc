@@ -223,7 +223,7 @@ Orchestrator::tickCompute()
 
     // 2. Condition computation + LUT lookup.
     const auto idx =
-        lutIndex(state_, msg_valid ? msg.id : kMsgNone,
+        lutIndex(state_, msg_valid ? msg.id : std::uint8_t{kMsgNone},
                  condBits(token, msg, msg_valid));
     const OutputFields &f = prog_->lut().lookup(idx);
     ++lutLookups_;

@@ -179,7 +179,10 @@ ScenarioPool::runCached(const std::vector<CachedJob> &jobs,
                 const std::uint64_t t_store = now();
                 store->store(job.key, payload, &st.cacheStored);
                 host.cacheStoreUs = now() - t_store;
-                event(obs::CacheEventKind::Store);
+                // A worker that lost the race to publish the key
+                // stored nothing: only a publish is a store event.
+                if (st.cacheStored)
+                    event(obs::CacheEventKind::Store);
             }
         }
 

@@ -5,68 +5,52 @@
 namespace canon
 {
 
-namespace
+namespace gen_detail
 {
 
-/** Nonzero INT8 value in [-magnitude, magnitude] \ {0}. */
-Elem
-nonZeroValue(Rng &rng, int magnitude)
+void
+checkSparsity(double sparsity)
+{
+    fatalIf(!(sparsity >= 0.0 && sparsity <= 1.0),
+            "sparsity must be in [0,1], got ", sparsity);
+}
+
+void
+checkMagnitude(int magnitude)
 {
     panicIf(magnitude < 1 || magnitude > 127,
             "generator magnitude out of range: ", magnitude);
-    for (;;) {
-        auto v = static_cast<Elem>(rng.nextRange(-magnitude, magnitude));
-        if (v != 0)
-            return v;
-    }
 }
 
-/**
- * Walk a rows x cols matrix in row-major order: each entry is live
- * unless rng.nextBool(its row's sparsity -- @p sparsity_even on even
- * rows, @p sparsity_odd on odd ones), and a live entry takes
- * @p value().
- */
-template <typename Value>
-CsrMatrix
-drawCsr(int rows, int cols, double sparsity_even, double sparsity_odd,
-        Rng &rng, Value value)
-{
-    return CsrMatrix::fromRows(rows, cols, [&](int r, auto push) {
-        const double sp = r % 2 == 0 ? sparsity_even : sparsity_odd;
-        for (int c = 0; c < cols; ++c)
-            if (!rng.nextBool(sp))
-                push(c, value());
-    });
-}
-
-} // namespace
+} // namespace gen_detail
 
 DenseMatrix
 randomDense(int rows, int cols, Rng &rng, int magnitude)
 {
+    gen_detail::checkMagnitude(magnitude);
     DenseMatrix m(rows, cols);
-    for (int r = 0; r < rows; ++r)
-        for (int c = 0; c < cols; ++c)
-            m.at(r, c) = nonZeroValue(rng, magnitude);
+    for (Elem &v : m.data()) // row-major: the (r, c) walk's order
+        v = gen_detail::nonZero(rng, magnitude);
     return m;
 }
 
 CsrMatrix
 randomSparse(int rows, int cols, double sparsity, Rng &rng, int magnitude)
 {
-    fatalIf(sparsity < 0.0 || sparsity > 1.0,
-            "sparsity must be in [0,1], got ", sparsity);
-    return drawCsr(rows, cols, sparsity, sparsity, rng,
-                   [&] { return nonZeroValue(rng, magnitude); });
+    return CsrMatrix::fromRows(rows, cols,
+                               sparseRows(cols, sparsity, rng, magnitude));
 }
 
 CsrMatrix
 randomSparseBimodal(int rows, int cols, double sparsity_a,
                     double sparsity_b, Rng &rng, int magnitude)
 {
-    return drawCsr(rows, cols, sparsity_a, sparsity_b, rng,
-                   [&] { return nonZeroValue(rng, magnitude); });
+    gen_detail::checkSparsity(sparsity_a);
+    gen_detail::checkSparsity(sparsity_b);
+    return CsrMatrix::fromRows(
+        rows, cols,
+        gen_detail::bernoulliRows(cols, sparsity_a, sparsity_b, rng,
+                                  gen_detail::nonZeroValues(magnitude)));
 }
 
 DenseMatrix
@@ -74,6 +58,7 @@ nmStructured(int rows, int cols, int n, int m, Rng &rng, int magnitude)
 {
     fatalIf(n < 0 || m <= 0 || n > m, "invalid N:M pattern ", n, ":", m);
     fatalIf(cols % m != 0, "cols ", cols, " not divisible by M=", m);
+    gen_detail::checkMagnitude(magnitude);
     DenseMatrix mat(rows, cols);
     for (int r = 0; r < rows; ++r) {
         for (int g = 0; g < cols / m; ++g) {
@@ -81,7 +66,7 @@ nmStructured(int rows, int cols, int n, int m, Rng &rng, int magnitude)
                                     static_cast<std::uint32_t>(n));
             for (auto l : lanes)
                 mat.at(r, g * m + static_cast<int>(l)) =
-                    nonZeroValue(rng, magnitude);
+                    gen_detail::nonZero(rng, magnitude);
         }
     }
     return mat;
@@ -128,10 +113,11 @@ slidingWindowMask(int query_len, int key_len, int window)
 CsrMatrix
 randomMask(int rows, int cols, double sparsity, Rng &rng)
 {
-    fatalIf(sparsity < 0.0 || sparsity > 1.0,
-            "sparsity must be in [0,1], got ", sparsity);
-    return drawCsr(rows, cols, sparsity, sparsity, rng,
-                   [] { return Elem{1}; });
+    gen_detail::checkSparsity(sparsity);
+    return CsrMatrix::fromRows(
+        rows, cols,
+        gen_detail::bernoulliRows(cols, sparsity, sparsity, rng,
+                                  [](Rng &) { return Elem{1}; }));
 }
 
 } // namespace canon

@@ -15,7 +15,14 @@
  * Values are small nonzero INT8s so that INT32 accumulation is exact
  * for every problem size used in tests and benches. Sparse operands and
  * masks come back as CSR, filled row by row in one row-major pass that
- * makes exactly the draws an (r, c) walk over the dense matrix would.
+ * makes exactly the draws an (r, c) walk over the dense matrix would:
+ * per entry one Bernoulli draw, rng.nextBool(sparsity) killing it, and
+ * for a live entry then its value. The walk tests each entry against
+ * the integer threshold Rng::boolThreshold(sparsity), computed once
+ * per matrix and row parity, so it consumes the Rng exactly as those
+ * nextBool() calls would. A sparsity outside [0, 1], NaN included, is
+ * fatal, and so is a value magnitude outside [1, 127]; both are
+ * checked once per matrix.
  */
 
 #ifndef CANON_SPARSE_GENERATE_HH
@@ -26,6 +33,77 @@
 
 namespace canon
 {
+
+namespace gen_detail
+{
+
+/** fatal() unless @p sparsity is in [0, 1]; NaN is not. */
+void checkSparsity(double sparsity);
+
+/** panic() unless @p magnitude is in [1, 127]. */
+void checkMagnitude(int magnitude);
+
+/** Nonzero value in [-magnitude, magnitude]; the caller checked it. */
+inline Elem
+nonZero(Rng &rng, int magnitude)
+{
+    for (;;) {
+        const auto v =
+            static_cast<Elem>(rng.nextRange(-magnitude, magnitude));
+        if (v != 0)
+            return v;
+    }
+}
+
+/** The value(rng) of bernoulliRows drawing nonZero(rng, magnitude). */
+inline auto
+nonZeroValues(int magnitude)
+{
+    checkMagnitude(magnitude);
+    return [magnitude](Rng &g) { return nonZero(g, magnitude); };
+}
+
+/**
+ * The row source of a cols-wide matrix whose entries are each live
+ * unless rng.nextBool(its row's sparsity: @p sparsity_even on even
+ * rows, @p sparsity_odd on odd ones); a live entry takes
+ * @p value(rng). Both sparsities are checked by the caller.
+ */
+template <typename Value>
+auto
+bernoulliRows(int cols, double sparsity_even, double sparsity_odd,
+              Rng &rng, Value value)
+{
+    const std::uint64_t dead_even = Rng::boolThreshold(sparsity_even);
+    const std::uint64_t dead_odd = Rng::boolThreshold(sparsity_odd);
+    return [=, &rng](int r, auto push) {
+        const std::uint64_t dead = r % 2 == 0 ? dead_even : dead_odd;
+        Rng g = rng; // a local copy's state can stay in registers
+        for (int c = 0; c < cols; ++c)
+            if (g.next53() >= dead)
+                push(c, value(g));
+        rng = g;
+    };
+}
+
+} // namespace gen_detail
+
+/**
+ * The rows of randomSparse(rows, cols, sparsity, rng, magnitude),
+ * drawn one at a time for a caller that consumes them as they come
+ * (CanonRunner deals its SpMM proxy straight into meta streams). The
+ * result is a row source, the fill of CsrMatrix::fromRows: called as
+ * source(r, push) for r = 0, 1, ... in order, it draws row r from
+ * @p rng and calls push(col, value) for each live entry, columns
+ * ascending, making exactly randomSparse's draws.
+ */
+inline auto
+sparseRows(int cols, double sparsity, Rng &rng, int magnitude = 4)
+{
+    gen_detail::checkSparsity(sparsity);
+    return gen_detail::bernoulliRows(cols, sparsity, sparsity, rng,
+                                     gen_detail::nonZeroValues(magnitude));
+}
 
 /** Dense matrix with uniform nonzero values in [-magnitude, magnitude]. */
 DenseMatrix randomDense(int rows, int cols, Rng &rng, int magnitude = 4);

@@ -78,6 +78,19 @@ CanonRunner::runFabric(KernelMapping mapping,
     return fabric.profile(kernel);
 }
 
+KernelMapping
+drawSpmm(int rows, int depth, double sparsity, Rng &rng,
+         const CanonConfig &cfg, std::size_t &nnz)
+{
+    auto a_rows = sparseRows(depth, sparsity, rng); // checks sparsity
+    SpmmSlicer slicer(rows, depth, cfg,
+                      static_cast<double>(rows) * depth * (1.0 - sparsity));
+    slicer.deal(a_rows);
+    nnz = slicer.nnz();
+    return std::move(slicer).map(
+        randomDense(depth, cfg.cols * kSimdWidth, rng));
+}
+
 ExecutionProfile
 CanonRunner::spmmExact(const CsrMatrix &a, const DenseMatrix &b) const
 {
@@ -98,12 +111,14 @@ CanonRunner::run(const LayerSpec &l, std::uint64_t seed) const
     switch (l.workload) {
       case Workload::Spmm: {
         const ProxyPlan proxy = plan(l.m, l.k, l.n, cfg_.rows);
-        const auto a =
-            randomSparse(proxy.rows, proxy.depth, l.sparsity, rng);
-        const auto b = randomDense(proxy.depth, tile_n, rng);
-        // spmmExact records the proxy's own off-chip traffic, which
+        std::size_t nnz = 0;
+        auto p = runFabric(drawSpmm(proxy.rows, proxy.depth, l.sparsity,
+                                    rng, cfg_, nnz),
+                           "spmm");
+        // The proxy's own off-chip traffic, as spmmExact records it,
         // then scales with the rest of the profile.
-        auto p = spmmExact(a, b);
+        p.add(Activity::OffchipBytes,
+              spmmOffchipBytes(nnz, proxy.rows, proxy.depth, tile_n, 1));
         p.scale(proxy.factor);
         return p;
       }

@@ -24,10 +24,13 @@
  *    overheads are M-linear,
  *  - records the off-chip traffic of the dense-stationary schedule.
  *
+ * The SpMM proxy's A is drawn straight into the meta streams
+ * (drawSpmm), never built as a CSR; its profile is exactly that of
+ * spmmExact on randomSparse and randomDense drawn from the same seed.
  * Tests cross-validate proxy scaling against exact runs of the full
  * matrix, and the one simulated pass against every pass. Code that
  * wants a chosen proxy size draws the operands itself and calls
- * spmmExact, exactly as run() does for the SpMM proxy.
+ * spmmExact.
  */
 
 #ifndef CANON_WORKLOADS_CANON_RUNNER_HH
@@ -100,6 +103,19 @@ struct ProxyPlan
     double factor = 0.0;      //!< replication factor
 };
 
+/**
+ * The SpMM proxy CanonRunner::run simulates, drawn and mapped in one
+ * pass: A (@p rows x @p depth at @p sparsity) goes from @p rng
+ * straight into the meta streams (sparseRows dealt by SpmmSlicer),
+ * then B (depth x cols*4) is drawn from the same rng. The mapping and
+ * the rng state after it equal those of
+ * mapSpmm(randomSparse(rows, depth, sparsity, rng),
+ * randomDense(depth, cols*4, rng), cfg), but no CSR is built.
+ * @p nnz receives A's nonzero count.
+ */
+KernelMapping drawSpmm(int rows, int depth, double sparsity, Rng &rng,
+                       const CanonConfig &cfg, std::size_t &nnz);
+
 class CanonRunner
 {
   public:
@@ -133,8 +149,9 @@ class CanonRunner
                                const DenseMatrix &b) const;
 
     /**
-     * Run one layer: plan its proxy, draw the proxy's operands from
-     * Rng(@p seed), map them, run the one simulated pass and scale
+     * Run one layer: plan its proxy, draw and map the proxy's
+     * operands from Rng(@p seed) (an SpMM's A straight into its
+     * streams, drawSpmm), run the one simulated pass and scale
      * the profile back to the full layer. offchipBytes is the layer's
      * dense-stationary traffic (unstructured SpMM scales its proxy's).
      * A sliding-window SDDMM runs as the dense (m x k x window)

@@ -218,7 +218,8 @@ TEST(Mapper, RespectsDependencesAndResources)
     Dfg d("chain");
     int prev = d.addNode("n0", DfgOp::Load, 2);
     for (int i = 1; i < 6; ++i) {
-        const int v = d.addNode("n" + std::to_string(i), DfgOp::Add, 1);
+        const int v = d.addNode(std::string("n").append(std::to_string(i)),
+                                DfgOp::Add, 1);
         d.addEdge(prev, v);
         prev = v;
     }
@@ -247,8 +248,8 @@ TEST(Mapper, IiAtLeastResourceMii)
     Dfg d("wide");
     std::vector<int> loads;
     for (int i = 0; i < 9; ++i)
-        loads.push_back(
-            d.addNode("l" + std::to_string(i), DfgOp::Add, 1));
+        loads.push_back(d.addNode(
+            std::string("l").append(std::to_string(i)), DfgOp::Add, 1));
     CgraMapper mapper(CgraConfig{2, 2, 3, 16});
     const auto m = mapper.map(d, 1);
     ASSERT_TRUE(m.ok);

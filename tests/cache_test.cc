@@ -28,6 +28,7 @@
 #include "cli/driver.hh"
 #include "cli/options.hh"
 #include "engine/engine.hh"
+#include "engine/obs_report.hh"
 #include "fuzz.hh"
 #include "runner/pool.hh"
 #include "runner/sweep.hh"
@@ -723,6 +724,66 @@ TEST(CachedPool, FailedScenariosAreNeverCached)
     EXPECT_EQ(resume.stats().hits, 2u);
     EXPECT_EQ(resume.stats().misses, 1u);
     EXPECT_EQ(second[1].error, "");
+}
+
+/** The number of times @p needle occurs in @p text. */
+std::size_t
+occurrences(const std::string &text, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (auto at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + needle.size()))
+        ++n;
+    return n;
+}
+
+TEST(CachedPool, StoreEventsCountOnlyPublishedEntries)
+{
+    // Four workers run four scenarios of one key. A barrier holds each
+    // in compute until all four have missed, so all four store it and
+    // exactly one publishes. The observed store events -- the trace's
+    // cache.store instants and the stats dump's "store" entries --
+    // must equal the store count and the entry files: one each.
+    const std::string dir = scratchDir("cache_pool_store_events");
+    cli::Options base;
+    base.workload = cli::Workload::Spmm;
+    base.m = 16;
+    base.k = 16;
+    base.n = 16;
+    base.common.obs.traceOut = "trace.json"; // written to strings below
+    base.common.obs.statsJsonOut = "stats.json";
+    std::vector<runner::SweepJob> jobs(4);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        jobs[i].index = i;
+        jobs[i].options = base;
+    }
+    std::barrier sync(static_cast<std::ptrdiff_t>(jobs.size()));
+    auto fn = [&sync](const cli::Options &o) {
+        sync.arrive_and_wait();
+        return engine::runScenarioCases(o);
+    };
+
+    ResultStore store(dir, Mode::ReadWrite);
+    ASSERT_EQ(store.prepare(), "");
+    const runner::ScenarioPool pool(static_cast<int>(jobs.size()));
+    const auto results = pool.run(jobs, fn, &store);
+    int stored = 0;
+    for (const auto &r : results) {
+        EXPECT_EQ(r.error, "");
+        stored += r.cacheStored ? 1 : 0;
+    }
+    EXPECT_EQ(store.stats().misses, 4u);
+    EXPECT_EQ(store.stats().stores, 1u);
+    EXPECT_EQ(stored, 1);
+    EXPECT_EQ(entryCount(dir), 1u);
+
+    const engine::ObsReport report(base.common.obs, results, &store);
+    std::ostringstream trace, stats;
+    report.writeTrace(trace);
+    report.writeStatsJson(stats);
+    EXPECT_EQ(occurrences(trace.str(), "\"cache.miss\""), 4u);
+    EXPECT_EQ(occurrences(trace.str(), "\"cache.store\""), 1u);
+    EXPECT_EQ(occurrences(stats.str(), "\"store\""), 1u);
 }
 
 TEST(CachedPool, CachedJobsRoundTripPayloadsThroughTheStore)

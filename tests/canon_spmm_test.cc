@@ -6,7 +6,12 @@
  * parameterized tests; every comparison is exact INT32 equality.
  */
 
+#include <array>
+#include <cmath>
 #include <limits>
+#include <sstream>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +20,7 @@
 #include "kernels/spmm.hh"
 #include "sparse/generate.hh"
 #include "sparse/reference.hh"
+#include "workloads/canon_runner.hh"
 
 namespace canon
 {
@@ -237,6 +243,108 @@ tokensOf(MetaStream s)
     return out;
 }
 
+/** The tokens of each of @p map's streams. */
+std::vector<std::vector<MetaToken>>
+streamTokens(const KernelMapping &map)
+{
+    std::vector<std::vector<MetaToken>> out;
+    for (const MetaStream &s : map.rowStreams)
+        out.push_back(tokensOf(s));
+    return out;
+}
+
+/** Token-for-token equality, naming the first difference. */
+::testing::AssertionResult
+sameTokens(const std::vector<std::vector<MetaToken>> &got,
+           const std::vector<std::vector<MetaToken>> &want)
+{
+    if (got.size() != want.size())
+        return ::testing::AssertionFailure()
+               << got.size() << " streams, want " << want.size();
+    for (std::size_t y = 0; y < got.size(); ++y) {
+        if (got[y].size() != want[y].size())
+            return ::testing::AssertionFailure()
+                   << "stream " << y << ": " << got[y].size()
+                   << " tokens, want " << want[y].size();
+        for (std::size_t i = 0; i < got[y].size(); ++i) {
+            const MetaToken &g = got[y][i];
+            const MetaToken &w = want[y][i];
+            if (g.kind != w.kind || g.value != w.value || g.data != w.data)
+                return ::testing::AssertionFailure()
+                       << "stream " << y << " token " << i << " differs";
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(CanonSpmm, DrawnProxyMatchesMappedCsr)
+{
+    // CanonRunner draws an SpMM proxy's A straight into the meta
+    // streams (drawSpmm), then B. From one seed that must give the
+    // streams, data image, nonzero count and generator state of
+    // mapSpmm over randomSparse then randomDense, and the streams of
+    // the slice filter -- which a slicer shared by both paths cannot
+    // agree with by accident.
+    const std::array<std::pair<int, int>, 10> fabrics{{{1, 8},
+                                                       {8, 2},
+                                                       {3, 5},
+                                                       {8, 8},
+                                                       {4, 16},
+                                                       {16, 16},
+                                                       {32, 32},
+                                                       {8, 64},
+                                                       {64, 4},
+                                                       {2, 2}}};
+    Rng pick(3101);
+    int trial = 0;
+    for (const auto &[rows, cols] : fabrics) {
+        for (int rep = 0; rep < 4; ++rep, ++trial) {
+            CanonConfig cfg = smallConfig(rows, cols);
+            cfg.dmemSlots = static_cast<int>(pick.nextRange(1, 64));
+            const int m = static_cast<int>(pick.nextRange(1, 600));
+            const int h = static_cast<int>(pick.nextRange(1, cfg.dmemSlots));
+            const int depth = rows * h;
+            const double sparsity = trial % 5 == 0   ? 0.0
+                                    : trial % 5 == 1 ? 1.0
+                                                     : pick.nextDouble();
+            const std::uint64_t seed = pick.next();
+            std::ostringstream what;
+            what << rows << "x" << cols << " dmem " << cfg.dmemSlots
+                 << ": " << m << "x" << depth << " sparsity " << sparsity
+                 << " seed " << seed;
+
+            Rng drawn_rng(seed);
+            std::size_t nnz = 0;
+            const KernelMapping drawn =
+                drawSpmm(m, depth, sparsity, drawn_rng, cfg, nnz);
+
+            Rng csr_rng(seed);
+            const auto a = randomSparse(m, depth, sparsity, csr_rng);
+            const auto b = randomDense(depth, cols * kSimdWidth, csr_rng);
+            const KernelMapping mapped = mapSpmm(a, b, cfg);
+
+            const auto tokens = streamTokens(drawn);
+            EXPECT_TRUE(sameTokens(tokens, streamTokens(mapped)))
+                << what.str();
+            EXPECT_TRUE(sameTokens(tokens, sliceFilterStreams(a, rows, h)))
+                << what.str();
+            EXPECT_EQ(drawn.dmemImage, mapped.dmemImage) << what.str();
+            EXPECT_EQ(nnz, a.nnz()) << what.str();
+            EXPECT_EQ(drawn.outRows, m) << what.str();
+            EXPECT_EQ(drawn.outCols, cols * kSimdWidth) << what.str();
+            EXPECT_EQ(drawn.name, mapped.name) << what.str();
+            EXPECT_NE(drawn.program, nullptr) << what.str();
+            EXPECT_EQ(drawn_rng.next(), csr_rng.next()) << what.str();
+        }
+    }
+    CanonConfig cfg = smallConfig();
+    std::size_t nnz = 0;
+    for (const double bad : {std::nan(""), -0.1, 1.1}) {
+        Rng rng(1);
+        EXPECT_THROW(drawSpmm(8, 8, bad, rng, cfg, nnz), FatalError) << bad;
+    }
+}
+
 TEST(CanonSpmm, MappingMatchesSliceFilter)
 {
     // Random shapes with empty rows, whole K-slices left empty and
@@ -269,18 +377,9 @@ TEST(CanonSpmm, MappingMatchesSliceFilter)
 
         CanonConfig cfg = smallConfig(rows, cols);
         const auto map = mapSpmm(a, b, cfg);
-        const auto want = sliceFilterStreams(a, rows, h);
-        ASSERT_EQ(map.rowStreams.size(), want.size());
-        for (int y = 0; y < rows; ++y) {
-            const auto got = tokensOf(map.rowStreams[y]);
-            ASSERT_EQ(got.size(), want[y].size())
-                << "trial " << trial << " slice " << y;
-            for (std::size_t i = 0; i < got.size(); ++i) {
-                EXPECT_EQ(got[i].kind, want[y][i].kind);
-                EXPECT_EQ(got[i].value, want[y][i].value);
-                EXPECT_EQ(got[i].data, want[y][i].data);
-            }
-        }
+        EXPECT_TRUE(sameTokens(streamTokens(map),
+                               sliceFilterStreams(a, rows, h)))
+            << "trial " << trial;
         EXPECT_EQ(map.dmemImage, sliceImage(b, rows, cols, h))
             << "trial " << trial;
     }

@@ -44,7 +44,7 @@ archNames(ArchSet archs)
     std::string out;
     for (const ArchInfo &row : kArchTable)
         if (archs.contains(row.arch))
-            out += (out.empty() ? "" : ",") + std::string(row.name);
+            out.append(out.empty() ? "" : ",").append(row.name);
     return out;
 }
 

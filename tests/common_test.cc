@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <vector>
 
 #include "common/bitfield.hh"
 #include "common/logging.hh"
@@ -104,6 +105,40 @@ TEST(Rng, BernoulliFrequency)
     for (int i = 0; i < n; ++i)
         hits += r.nextBool(0.3);
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
+}
+
+TEST(Rng, BoolThresholdIsNextBoolDrawForDraw)
+{
+    // nextBool(p) compares k * 2^-53 with p for the 53-bit draw
+    // k = next53(); the threshold form compares k with
+    // boolThreshold(p). Both must agree at every k, so at each
+    // threshold and its two neighbours, and draw for draw from one
+    // seed, leaving the generator in the same state.
+    constexpr std::uint64_t kDraws = std::uint64_t{1} << 53;
+    std::vector<double> ps = {0.0, 0x1.0p-54, 0x1.0p-53, 0.3, 0.5,
+                              0.7, 1.0 - 0x1.0p-53, 1.0};
+    Rng pick(31);
+    for (int i = 0; i < 40; ++i)
+        ps.push_back(pick.nextDouble());
+    for (const double p : ps) {
+        const std::uint64_t t = Rng::boolThreshold(p);
+        EXPECT_LE(t, kDraws) << p;
+        for (const std::uint64_t k : {t - 1, t, t + 1}) {
+            if (k >= kDraws) // t - 1 wraps below 0; t + 1 past 2^53
+                continue;
+            EXPECT_EQ(k < t, static_cast<double>(k) * 0x1.0p-53 < p)
+                << "p=" << p << " k=" << k;
+        }
+        const std::uint64_t seed = pick.next();
+        Rng by_double(seed);
+        Rng by_threshold(seed);
+        for (int i = 0; i < 2000; ++i)
+            ASSERT_EQ(by_threshold.next53() < t, by_double.nextBool(p))
+                << "p=" << p << " draw " << i;
+        EXPECT_EQ(by_threshold.next(), by_double.next()) << p;
+    }
+    for (const double bad : {std::nan(""), -0.1, 1.1})
+        EXPECT_THROW(Rng::boolThreshold(bad), PanicError) << bad;
 }
 
 TEST(Rng, SampleDistinctSorted)

@@ -438,9 +438,11 @@ TEST(Sampler, SeriesShapeAndCumulativeValues)
     EXPECT_TRUE(saw_orch);
 
     // The fabric macOps series must end at the counter's final value.
-    for (const auto &s : set.series)
-        if (s.metric == "macOps" && s.component == "fabric")
+    for (const auto &s : set.series) {
+        if (s.metric == "macOps" && s.component == "fabric") {
             EXPECT_EQ(s.points.back().value, run.macOps);
+        }
+    }
 }
 
 TEST(Sampler, ObservationDoesNotPerturbTheRun)
@@ -1117,17 +1119,20 @@ TEST(ObsReport, TraceIsValidJsonWithMonotonicTimestamps)
             continue;
         spans += ph == "X";
         counters += ph == "C";
-        if (ph == "X")
+        if (ph == "X") {
             EXPECT_GE(e.at("dur").num, 0.0);
-        if (ph == "i")
+        }
+        if (ph == "i") {
             EXPECT_EQ(e.at("s").str, "t");
+        }
         const auto key = std::pair{e.at("pid").num, e.at("tid").num};
         const double ts = e.at("ts").num;
         auto it = last_ts.find(key);
-        if (it != last_ts.end())
+        if (it != last_ts.end()) {
             EXPECT_GE(ts, it->second)
                 << "track (" << key.first << "," << key.second
                 << ") went backwards";
+        }
         last_ts[key] = ts;
     }
     // Per scenario: one "scenario N" span plus one "sim.run" span.

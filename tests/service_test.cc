@@ -1036,7 +1036,7 @@ TEST(Daemon, DrainDeadlineUnblocksAClientThatStoppedReading)
         sendFrame(fd, Frame{MsgType::Hello, "proto=canon-rpc-1\n"}));
     std::string seeds = "1";
     for (int s = 2; s <= 2000; ++s)
-        seeds += "," + std::to_string(s);
+        seeds.append(",").append(std::to_string(s));
     SubmitBody body;
     body.client = "stalled";
     body.opt("workload", "spmm")

@@ -5,6 +5,8 @@
  * (SpMM == GEMM on densified input, SDDMM == masked GEMM).
  */
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "csr.hh"
@@ -117,6 +119,24 @@ TEST(Generate, SinglePassMatchesElementWalk)
             "randomMask",
             [&](Rng &rng) { return randomMask(rows, cols, sp, rng); }, sp,
             0);
+    }
+}
+
+TEST(Generate, SparsityOutsideTheUnitIntervalIsFatal)
+{
+    // The negated range check rejects NaN too, before its threshold
+    // (an undefined conversion of NaN * 2^53) is computed, and before
+    // anything is drawn.
+    for (const double bad : {std::nan(""), -0.1, 1.1}) {
+        Rng rng(1);
+        EXPECT_THROW(randomSparse(4, 4, bad, rng), FatalError) << bad;
+        EXPECT_THROW(randomSparseBimodal(4, 4, bad, 0.5, rng), FatalError)
+            << bad;
+        EXPECT_THROW(randomSparseBimodal(4, 4, 0.5, bad, rng), FatalError)
+            << bad;
+        EXPECT_THROW(randomMask(4, 4, bad, rng), FatalError) << bad;
+        EXPECT_THROW(sparseRows(4, bad, rng), FatalError) << bad;
+        EXPECT_EQ(rng.next(), Rng(1).next()) << bad;
     }
 }
 
