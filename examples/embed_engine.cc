@@ -70,8 +70,8 @@ main()
     std::size_t streamed = 0;
     engine::ResultSet swept =
         eng.run(sweep, [&](const runner::ScenarioResult &r) {
-            // Called in expansion order while later scenarios may
-            // still be executing on other workers.
+            // Called in expansion order, on this thread, while later
+            // scenarios may still be executing on other workers.
             std::cout << "streamed [" << streamed++ << "] "
                       << r.job.point << ": "
                       << r.cases.at(Arch::Canon).cycles << " cycles\n";

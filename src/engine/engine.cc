@@ -218,24 +218,28 @@ Engine::plan(const ScenarioRequest &req)
         return {};
 
     std::vector<ScenarioPlan> plans;
-    CaseResult decoded;
     for (auto &job : shardJobs(local)) {
-        ScenarioPlan p;
+        ScenarioPlan &p = plans.emplace_back();
         p.key = cache::scenarioKey(job.options);
-        if (!store_) {
-            p.forecast = ScenarioPlan::Forecast::Uncached;
-        } else {
-            // The pool's hit rule, without counting: Write/Refresh
-            // modes never read (lookup() returns nothing), and a
-            // stored entry is a hit only when acceptCases() takes it.
-            const auto payload = store_->lookup(p.key);
-            p.forecast = payload && runner::acceptCases(*payload, decoded)
-                             ? ScenarioPlan::Forecast::Hit
-                             : ScenarioPlan::Forecast::Miss;
-        }
         p.job = std::move(job);
-        plans.push_back(std::move(p));
     }
+    if (!store_)
+        return plans; // every forecast stays Uncached
+
+    // The pool's rules, without counting: a repeated key hits what its
+    // first job stores, Write/Refresh never read (lookup() returns
+    // nothing), and an entry is a hit only when acceptCases() takes it.
+    const std::vector<std::size_t> first =
+        runner::firstOfKey(plans, store());
+    CaseResult decoded;
+    auto stored = [&](const ScenarioPlan &p) {
+        const auto payload = store_->lookup(p.key);
+        return payload && runner::acceptCases(*payload, decoded);
+    };
+    for (std::size_t i = 0; i < plans.size(); ++i)
+        plans[i].forecast = first[i] != i || stored(plans[i])
+                                ? ScenarioPlan::Forecast::Hit
+                                : ScenarioPlan::Forecast::Miss;
     return plans;
 }
 

@@ -77,11 +77,11 @@ EngineConfig makeEngineConfig(const CommonFlags &flags,
 
 /**
  * Streaming result consumer: called once per scenario, in expansion
- * order, as soon as the scenario and every lower-indexed one have
- * finished. Calls are serialized (never concurrent with each other)
- * but run on pool worker threads while later scenarios are still
- * executing, so the callback must not block for long and must not
- * touch the pool.
+ * order, once the scenario and every lower-indexed one have finished.
+ * It runs only on the thread that called run() or runBatch(), while
+ * the other workers keep executing later scenarios: it may block
+ * (that holds the calling thread alone) but must not re-enter the
+ * engine. A throw stops delivery and leaves the call.
  */
 using ResultCallback =
     std::function<void(const runner::ScenarioResult &)>;
@@ -97,7 +97,7 @@ struct ScenarioPlan
 
     enum class Forecast
     {
-        Hit,      //!< a decodable entry is already in the store
+        Hit,      //!< in the store, or stored by an earlier scenario
         Miss,     //!< the scenario would execute (and maybe store)
         Uncached, //!< no store configured; always executes
     };
@@ -177,9 +177,10 @@ class Engine
     /**
      * Dry-run: the sharded scenario list @p req would execute, with
      * each scenario's cache key and a hit/miss forecast against the
-     * current store contents. Never simulates and never touches the
-     * cache counters. An invalid request yields an empty plan (check
-     * req.validate() / req.error()).
+     * current store contents; a repeated key is a hit, as in run().
+     * Never simulates and never touches the cache counters. An
+     * invalid request yields an empty plan (check req.validate() /
+     * req.error()).
      */
     std::vector<ScenarioPlan> plan(const ScenarioRequest &req);
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <exception>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -27,73 +25,11 @@ acceptCases(const std::string &payload, CaseResult &out)
 }
 
 void
-ScenarioPool::forEach(
-    std::size_t count,
-    const std::function<void(std::size_t)> &task) const
-{
-    if (count == 0)
-        return;
-
-    std::atomic<std::size_t> next{0};
-    auto worker = [&]() {
-        for (;;) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= count)
-                return;
-            task(i);
-        }
-    };
-
-    const int n = std::clamp(
-        workers_, 1,
-        static_cast<int>(std::min<std::size_t>(count, 256)));
-    if (n == 1) {
-        // Degenerate pool: run inline, no thread spawn.
-        worker();
-        return;
-    }
-
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(n));
-    for (int t = 0; t < n; ++t)
-        threads.emplace_back(worker);
-    for (auto &t : threads)
-        t.join();
-}
-
-void
 ScenarioPool::runCached(const std::vector<CachedJob> &jobs,
                         const cache::ResultStore *store,
                         const std::function<void(std::size_t)> &onDone,
                         const CancelToken *cancel) const
 {
-    // Ordered emit: finished jobs are held back until every
-    // lower-indexed job has finished, then released in one in-order
-    // burst under the lock. A callback that throws must not escape a
-    // worker thread (std::terminate); the first exception is latched,
-    // delivery stops, and it rethrows on the caller's thread after the
-    // pool has joined.
-    std::mutex emit_mutex;
-    std::vector<char> finished(jobs.size(), 0);
-    std::size_t next_emit = 0;
-    std::exception_ptr emit_error;
-    auto emitReady = [&](std::size_t i) {
-        if (!onDone)
-            return;
-        std::lock_guard<std::mutex> lock(emit_mutex);
-        finished[i] = 1;
-        while (!emit_error && next_emit < jobs.size() &&
-               finished[next_emit]) {
-            try {
-                onDone(next_emit);
-            } catch (...) {
-                emit_error = std::current_exception();
-            }
-            ++next_emit;
-        }
-    };
-
     // Host phase timers (--host-timers) reference the pool's entry
     // time for the queue-wait measure. One clock read, taken only
     // when some job actually asked for host telemetry.
@@ -104,9 +40,19 @@ ScenarioPool::runCached(const std::vector<CachedJob> &jobs,
             break;
         }
 
-    forEach(jobs.size(), [&](std::size_t i) {
+    // Set once a job is done: a repeated key waits on its first job's
+    // flag, and the caller on each flag in turn to deliver.
+    std::vector<std::atomic<bool>> finished(jobs.size());
+    const std::vector<std::size_t> first = firstOfKey(jobs, store);
+
+    auto runJob = [&](std::size_t i) {
         const CachedJob &job = jobs[i];
         JobStatus &st = *job.status;
+
+        // Rule 1: wait for this key's first job. Running jobs wait only
+        // on earlier, claimed jobs, never on onDone, so this ends.
+        if (first[i] != i)
+            finished[first[i]].wait(false);
 
         // Cooperative cancel, polled once per job before any work:
         // a cancelled run skips everything it has not started --
@@ -115,7 +61,6 @@ ScenarioPool::runCached(const std::vector<CachedJob> &jobs,
         // job's index to keep the expansion-order contract intact.
         if (cancel && cancel->cancelled()) {
             st.error = kCancelledError;
-            emitReady(i);
             return;
         }
 
@@ -192,10 +137,42 @@ ScenarioPool::runCached(const std::vector<CachedJob> &jobs,
             scope.reset();
             st.obs = col->finish();
         }
-        emitReady(i);
-    });
-    if (emit_error)
-        std::rethrow_exception(emit_error);
+    };
+
+    std::atomic<std::size_t> next{0};
+    auto runNext = [&] {
+        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= jobs.size())
+            return false;
+        runJob(i);
+        finished[i].store(true);
+        finished[i].notify_all();
+        return true;
+    };
+
+    // The other workers. Declared last, so that an exception (the
+    // callback's, or a failed spawn) stops them between jobs and joins
+    // them before anything they use is destroyed.
+    const int n = std::clamp(
+        workers_, 1,
+        static_cast<int>(std::clamp<std::size_t>(jobs.size(), 1, 256)));
+    std::vector<std::jthread> helpers;
+    for (int t = 1; t < n; ++t)
+        helpers.emplace_back([&](std::stop_token stop) {
+            while (!stop.stop_requested() && runNext()) {
+            }
+        });
+
+    // Rule 2: the caller is a worker too, and the only thread that
+    // runs onDone. It runs jobs until the next one to deliver has
+    // finished; with none left to start, it waits for it.
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        while (!finished[i].load() && runNext()) {
+        }
+        finished[i].wait(false);
+        if (onDone)
+            onDone(i);
+    }
 }
 
 std::vector<ScenarioResult>

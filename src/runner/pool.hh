@@ -8,16 +8,18 @@
  * payload into the caller's result slot -- or rejects it as unusable.
  * Per job, the loop:
  *
- *  1. polls the CancelToken (a cancelled job lands kCancelledError and
+ *  1. waits for the first job of its key when that is an earlier one
+ *     and the store reads and writes (rule 1, firstOfKey()), so its
+ *     probe hits the entry that job stored;
+ *  2. polls the CancelToken (a cancelled job lands kCancelledError and
  *     never touches the store);
- *  2. installs a Collector when the job's obs options ask for one, so
+ *  3. installs a Collector when the job's obs options ask for one, so
  *     the fabric and cache layers report without plumbing;
- *  3. with a readable store, looks the key up and counts a hit only
+ *  4. with a readable store, looks the key up and counts a hit only
  *     when accept() takes the stored payload -- one read, one decode;
- *  4. otherwise counts one miss, runs compute(), hands the fresh
+ *  5. otherwise counts one miss, runs compute(), hands the fresh
  *     payload to accept(), and (writes enabled, no failure) stores it;
- *  5. seals the observations and releases the job to the ordered
- *     emitter.
+ *  6. seals the observations and marks the job finished.
  *
  * This is the only place that counts hits and misses or writes the
  * store, so canonsim scenarios, figure grid points and dry-run
@@ -27,12 +29,15 @@
  * encodeCaseResult(fn(options)) accepted by acceptCases().
  *
  * Thread-safety and ordering contract:
- *  - compute()/accept() (and run()'s fn) are called concurrently from
- *    up to workers() threads, each call for a distinct job; they must
- *    not touch shared mutable state without their own synchronization.
- *  - Each outcome lands in its job's own slot, which makes the output
- *    ordering -- and therefore any rendered table or CSV --
- *    deterministic and independent of thread count and scheduling.
+ *  - The calling thread is one of the pool's workers; the call
+ *    starts and joins the rest. compute()/accept() (and run()'s fn)
+ *    run concurrently on all of them, each call for a distinct job;
+ *    they must not touch shared mutable state without their own
+ *    synchronization. Only the calling thread runs onDone (rule 2).
+ *  - Each outcome lands in its job's own slot, and rule 1 fixes which
+ *    job of a key simulates, so outcomes -- and any rendered table,
+ *    CSV or obs artifact -- do not depend on thread count or
+ *    scheduling.
  *  - The pool itself is stateless across calls; a const ScenarioPool
  *    may be shared freely.
  */
@@ -44,6 +49,8 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "cache/store.hh"
@@ -123,13 +130,34 @@ struct CachedJob
  */
 bool acceptCases(const std::string &payload, CaseResult &out);
 
+/**
+ * Rule 1's table, for runCached() and Engine::plan(): entry i is the
+ * index of the first of @p items (anything with a cache::ScenarioKey
+ * `key`) whose key equals item i's when @p store both reads and
+ * writes, and i otherwise. A repeat (entry below i) waits for that
+ * job and hits what it stored; with any other store it runs alone.
+ */
+template <class Item>
+std::vector<std::size_t>
+firstOfKey(const std::vector<Item> &items,
+           const cache::ResultStore *store)
+{
+    const bool reuse =
+        store && store->readsEnabled() && store->writesEnabled();
+    std::unordered_map<std::string_view, std::size_t> seen;
+    std::vector<std::size_t> first(items.size());
+    for (std::size_t i = 0; i < items.size(); ++i)
+        first[i] = reuse ? seen.try_emplace(items[i].key.canonical, i)
+                               .first->second
+                         : i;
+    return first;
+}
+
 class ScenarioPool
 {
   public:
     /** @p workers is clamped to [1, jobs] at run time. */
     explicit ScenarioPool(int workers) : workers_(workers) {}
-
-    int workers() const { return workers_; }
 
     /**
      * The cached-job loop (see the file comment). With a null
@@ -138,14 +166,13 @@ class ScenarioPool
      * carries the error) and is never stored; the other jobs still
      * run.
      *
-     * With a non-null @p onDone, onDone(i) fires for job i as soon as
-     * jobs 0..i have all finished (so delivery order is deterministic
-     * even though execution is not). Calls are serialized under an
-     * internal lock but run on worker threads concurrently with later
-     * jobs -- the callback must not block for long and must not
-     * re-enter the pool. If it throws, delivery stops, every job
-     * still runs to completion, and the first exception rethrows on
-     * the caller's thread after the workers have joined.
+     * With a non-null @p onDone, onDone(i) runs for job i once jobs
+     * 0..i have all finished, on the calling thread only: it delivers
+     * the finished prefix between its own jobs, then waits for the
+     * rest in index order. The callback may block (the other workers
+     * keep running jobs) but must not re-enter the pool. A throw
+     * stops delivery and leaves runCached() once the other workers
+     * have finished the jobs they were running and joined.
      *
      * With a non-null @p cancel, the token is polled before each job
      * starts: once cancelled, every not-yet-started job is skipped
@@ -174,15 +201,6 @@ class ScenarioPool
         const CancelToken *cancel = nullptr) const;
 
   private:
-    /**
-     * Run @p task for every index in [0, count), spread across the
-     * worker threads. Workers pull indices from a shared atomic
-     * counter, so one slow job cannot strand a stripe behind it.
-     * @p task must not throw.
-     */
-    void forEach(std::size_t count,
-                 const std::function<void(std::size_t)> &task) const;
-
     int workers_;
 };
 

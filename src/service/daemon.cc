@@ -174,8 +174,8 @@ Daemon::stop()
         }
     }
     // A job polls its token only between scenarios, so one whose
-    // worker is blocked sending to a client that stopped reading
-    // never sees the cancel. Shutting down both directions fails that
+    // handler thread is blocked sending to a client that stopped
+    // reading never sees the cancel. Shutting down both directions fails that
     // send with EPIPE: the job cancels and its handler can be joined.
     if (!drained) {
         std::lock_guard<std::mutex> lock(conn_mutex_);
@@ -466,9 +466,8 @@ Daemon::handleSubmit(const Fd &fd, const SubmitBody &body)
                     if (!sendFrame(fd, Frame{
                             MsgType::Result,
                             encodeResultFrame(r.job.index, r)})) {
-                        // Nobody is reading: stop simulating the
+                        // Nobody is reading: the throw stops the
                         // rest of this submission.
-                        token->cancel();
                         throw std::runtime_error(
                             "client disconnected mid-stream");
                     }

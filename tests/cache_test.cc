@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <barrier>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -743,7 +744,10 @@ TEST(CachedPool, StoreEventsCountOnlyPublishedEntries)
     // in compute until all four have missed, so all four store it and
     // exactly one publishes. The observed store events -- the trace's
     // cache.store instants and the stats dump's "store" entries --
-    // must equal the store count and the entry files: one each.
+    // must equal the store count and the entry files: one each. The
+    // store only writes: in readwrite mode a repeated key waits for
+    // its first job (RepeatedKeyWaitsForItsFirstJob), so four jobs of
+    // one key race to publish only in write mode or across calls.
     const std::string dir = scratchDir("cache_pool_store_events");
     cli::Options base;
     base.workload = cli::Workload::Spmm;
@@ -763,7 +767,7 @@ TEST(CachedPool, StoreEventsCountOnlyPublishedEntries)
         return engine::runScenarioCases(o);
     };
 
-    ResultStore store(dir, Mode::ReadWrite);
+    ResultStore store(dir, Mode::Write);
     ASSERT_EQ(store.prepare(), "");
     const runner::ScenarioPool pool(static_cast<int>(jobs.size()));
     const auto results = pool.run(jobs, fn, &store);
@@ -856,6 +860,65 @@ TEST(CachedPool, CachedJobsRoundTripPayloadsThroughTheStore)
     run(nullptr, plain);
     EXPECT_EQ(plain, cold);
     EXPECT_EQ(computed.load(), 11);
+}
+
+TEST(CachedPool, RepeatedKeyWaitsForItsFirstJob)
+{
+    // Eight jobs of two keys on four workers. Each compute sleeps, so
+    // without the rule the first four jobs would all be running at
+    // once and both keys would compute more than once.
+    std::atomic<int> computed{0};
+    auto run = [&computed](const ResultStore *store) {
+        std::vector<runner::JobStatus> status(8);
+        std::vector<runner::CachedJob> jobs(8);
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            jobs[i].key =
+                figureKey("pool", "t", "k=" + std::to_string(i % 2));
+            jobs[i].compute = [&computed, i] {
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(20));
+                computed.fetch_add(1);
+                return "value-" + std::to_string(i % 2);
+            };
+            jobs[i].accept = [](const std::string &p) {
+                return p.rfind("value-", 0) == 0;
+            };
+            jobs[i].status = &status[i];
+        }
+        computed.store(0);
+        runner::ScenarioPool(4).runCached(jobs, store);
+        return status;
+    };
+
+    // readwrite: a repeat waits for its first job and hits its entry.
+    const std::string dir = scratchDir("cache_pool_repeat");
+    ResultStore store(dir, Mode::ReadWrite);
+    ASSERT_EQ(store.prepare(), "");
+    const auto status = run(&store);
+    EXPECT_EQ(computed.load(), 2);
+    for (std::size_t i = 0; i < status.size(); ++i) {
+        EXPECT_EQ(status[i].error, "");
+        EXPECT_EQ(status[i].cacheHit, i >= 2) << i;
+        EXPECT_EQ(status[i].cacheStored, i < 2) << i;
+    }
+    EXPECT_EQ(store.stats().hits, 6u);
+    EXPECT_EQ(store.stats().misses, 2u);
+    EXPECT_EQ(store.stats().stores, 2u);
+
+    // A repeat that cannot read, or would find nothing stored, runs:
+    // no store, read on an empty store, write, refresh.
+    run(nullptr);
+    EXPECT_EQ(computed.load(), 8);
+    for (Mode mode : {Mode::Read, Mode::Write, Mode::Refresh}) {
+        const std::string d = scratchDir("cache_pool_repeat_mode");
+        ResultStore s(d, mode);
+        ASSERT_EQ(s.prepare(), "");
+        for (const auto &st : run(&s))
+            EXPECT_FALSE(st.cacheHit);
+        const int m = static_cast<int>(mode);
+        EXPECT_EQ(computed.load(), 8) << m;
+        EXPECT_EQ(s.stats().misses, 8u) << m;
+    }
 }
 
 // ---- canonsim end to end ----------------------------------------------

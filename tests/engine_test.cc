@@ -13,6 +13,8 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <set>
 #include <sstream>
 
 #include "cache/key.hh"
@@ -395,9 +397,9 @@ TEST(Engine, StreamingCallbackDeliversInExpansionOrder)
 
 TEST(Engine, ThrowingStreamCallbackRethrowsOnCallerThread)
 {
-    // A buggy callback must not escape a worker thread (that would
-    // std::terminate); the pool latches the first exception and
-    // rethrows it here, after every job has completed.
+    // The callback runs only on the calling thread, so its exception
+    // leaves run() directly: nothing is latched, and the other
+    // workers stop between jobs and are joined before it does.
     ScenarioRequest req = small("spmm");
     req.sweep("sparsity", "0.2,0.4,0.6,0.8");
     Engine eng(EngineConfig{.jobs = 4});
@@ -646,6 +648,85 @@ TEST(Engine, PlanForecastsTheCache)
                                 .cacheMode = cache::Mode::Refresh});
     for (const auto &p : refresh.plan(req))
         EXPECT_EQ(p.forecast, ScenarioPlan::Forecast::Miss);
+}
+
+TEST(Engine, PlanForecastsWhatARepeatedKeySweepRuns)
+{
+    // 30 scenarios, 21 cache keys: gemm's key, for one, ignores
+    // sparsity and seed. On a fresh store a repeat of a key waits for
+    // its first scenario and hits what it stored, at every --jobs, and
+    // the forecast says so scenario by scenario.
+    for (int jobs : {1, 4}) {
+        const std::string dir =
+            scratchDir("engine_repeat_j" + std::to_string(jobs)) +
+            "cache";
+        auto args = [&dir](bool dry_run) {
+            std::vector<std::string> a = {
+                "--sweep", "workload=gemm,spmm,spmm-nm,sddmm,sddmm-window",
+                "--sweep", "sparsity=0.5,0.9", "--sweep", "seed=1,2,3",
+                "--m", "64", "--k", "64", "--n", "32", "--arch", "all",
+                "--cache-dir", dir};
+            if (dry_run)
+                a.push_back("--dry-run");
+            return cli::parseArgs(a);
+        };
+
+        // The --dry-run rows: every row after the first of its key
+        // (its digest) reads hit.
+        const auto dry = args(true);
+        ASSERT_TRUE(dry.ok) << dry.error;
+        std::ostringstream out, err;
+        ASSERT_EQ(cli::runScenario(dry.options, out, err), 0);
+        EXPECT_NE(out.str().find("dry-run forecast: 9 hits, 21 misses;"
+                                 " simulation jobs to execute: 21"),
+                  std::string::npos)
+            << out.str();
+        std::istringstream rows(out.str());
+        std::set<std::string> digests;
+        std::size_t repeats = 0;
+        for (std::string line; std::getline(rows, line);) {
+            std::istringstream words(line);
+            std::vector<std::string> w{
+                std::istream_iterator<std::string>(words), {}};
+            const auto digest =
+                std::find_if(w.begin(), w.end(), [](const auto &s) {
+                    return s.size() == 32 &&
+                           s.find_first_not_of("0123456789abcdef") ==
+                               std::string::npos;
+                });
+            if (digest == w.end() || digest + 1 == w.end())
+                continue;
+            if (!digests.insert(*digest).second) {
+                ++repeats;
+                EXPECT_EQ(digest[1], "hit") << line;
+            }
+        }
+        EXPECT_EQ(digests.size(), 21u);
+        EXPECT_EQ(repeats, 9u);
+
+        // plan() forecasts what run() then does: a hit, or a miss
+        // that executes.
+        const auto parsed = args(false);
+        ASSERT_TRUE(parsed.ok) << parsed.error;
+        const ScenarioRequest req =
+            ScenarioRequest::fromOptions(parsed.options);
+        Engine eng(EngineConfig{.jobs = jobs, .cacheDir = dir});
+        const auto plans = eng.plan(req);
+        const ResultSet rs = eng.run(req);
+        ASSERT_TRUE(rs.ok());
+        ASSERT_EQ(plans.size(), 30u);
+        ASSERT_EQ(rs.size(), 30u);
+        for (std::size_t i = 0; i < plans.size(); ++i) {
+            const runner::ScenarioResult &r = rs.scenarios()[i];
+            EXPECT_EQ(r.error, "") << r.job.point;
+            EXPECT_EQ(r.cacheHit,
+                      plans[i].forecast == ScenarioPlan::Forecast::Hit)
+                << "jobs " << jobs << ": " << r.job.point;
+        }
+        EXPECT_EQ(rs.cacheStatsLine(),
+                  "cache: 9 hits, 21 misses, 21 stored;"
+                  " simulation jobs executed: 21");
+    }
 }
 
 TEST(Engine, DryRunCliSimulatesNothing)

@@ -2,15 +2,20 @@
  * @file
  * Runner subsystem tests: sweep-spec expansion (cartesian product,
  * axis validation), worker-pool determinism (identical results and
- * identical rendered output regardless of thread count), and the
- * aggregated sweep table.
+ * identical rendered output regardless of thread count), result
+ * delivery on the calling thread only, and the aggregated sweep
+ * table.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "cli/driver.hh"
 #include "common/logging.hh"
@@ -400,6 +405,66 @@ TEST(ScenarioPool, RealSweepIsDeterministicAcrossWorkerCounts)
                 << "job " << i << " arch " << archName(arch);
         }
     }
+}
+
+/** The threads of this process: the entries of /proc/self/task. */
+std::size_t
+threadCount()
+{
+    std::size_t n = 0;
+    for (const auto &task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        (void)task;
+        ++n;
+    }
+    return n;
+}
+
+TEST(ScenarioPool, CallbackRunsOnTheCallerAndHoldsNoWorker)
+{
+    // Six jobs on two workers: the calling thread and one it starts.
+    constexpr std::size_t kJobs = 6;
+    std::atomic<std::size_t> computed{0};
+    std::vector<JobStatus> status(kJobs);
+    std::vector<CachedJob> jobs(kJobs);
+    for (std::size_t i = 0; i < kJobs; ++i) {
+        jobs[i].compute = [&computed] {
+            computed.fetch_add(1);
+            return std::string("x");
+        };
+        jobs[i].accept = [](const std::string &) { return true; };
+        jobs[i].status = &status[i];
+    }
+
+    const std::thread::id caller = std::this_thread::get_id();
+    const std::size_t threads_before = threadCount();
+    std::vector<std::size_t> delivered;
+    bool on_caller = true;
+    std::size_t threads_during = 0;
+    std::size_t computed_in_wait = 0;
+    ScenarioPool(2).runCached(jobs, nullptr, [&](std::size_t i) {
+        delivered.push_back(i);
+        on_caller = on_caller && std::this_thread::get_id() == caller;
+        threads_during = std::max(threads_during, threadCount());
+        if (i != 0)
+            return;
+        // A consumer that blocks holds only the calling thread: the
+        // other worker computes every remaining job meanwhile.
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (computed.load() < kJobs &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        computed_in_wait = computed.load();
+    });
+
+    EXPECT_TRUE(on_caller);
+    EXPECT_LE(threads_during, threads_before + 1);
+    EXPECT_EQ(computed_in_wait, kJobs)
+        << "jobs computed while onDone(0) waited 10 s";
+    EXPECT_EQ(delivered, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+    for (const JobStatus &st : status)
+        EXPECT_EQ(st.error, "");
 }
 
 // ---- sweep table / end-to-end ----------------------------------------

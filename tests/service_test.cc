@@ -8,8 +8,10 @@
  * streaming, warm reruns executing zero simulation jobs, per-request
  * cache deltas for sequential clients of one shared engine,
  * byte-identical result streams for concurrent clients, quota and
- * draining rejections, cross-connection cancellation, graceful
- * drain, a bounded drain past a client that stopped reading, and the
+ * draining rejections, a quota that admits on a forecast counting a
+ * repeated key as a hit, cross-connection cancellation, graceful
+ * drain, a bounded drain past a client that stopped reading, a
+ * stalled client holding only its own handler thread, and the
  * handshake deadline for a peer that never sends Hello.
  */
 
@@ -917,6 +919,33 @@ TEST(Daemon, QuotaRejectsColdSweepButAdmitsWarmTwin)
         << text;
 }
 
+TEST(Daemon, QuotaAdmitsOnTheForecastOfARepeatedKey)
+{
+    DaemonConfig cfg;
+    cfg.cacheDir = scratchDir("svc_quota_repeat_cache") + "cache";
+    cfg.jobQuota = 3;
+    DaemonFixture fx("svc_quota_repeat", cfg);
+    Client c = fx.connect();
+
+    // Four scenarios, three keys: gemm's key ignores sparsity, so its
+    // second scenario waits for its first and hits the stored entry.
+    SubmitBody body;
+    body.client = "alice";
+    body.opt("m", "64")
+        .opt("k", "64")
+        .opt("n", "32")
+        .sweep("workload", "gemm,spmm")
+        .sweep("sparsity", "0.5,0.9");
+    SubmitOutcome outcome;
+    std::string error;
+    ASSERT_TRUE(c.submit(body, {}, outcome, error)) << error;
+    ASSERT_TRUE(outcome.accepted) << outcome.message;
+    EXPECT_EQ(outcome.predictedJobs, 3u);
+    EXPECT_EQ(outcome.done.cacheLine,
+              "cache: 1 hits, 3 misses, 3 stored;"
+              " simulation jobs executed: 3");
+}
+
 TEST(Daemon, CancelFromASecondConnection)
 {
     DaemonConfig cfg;
@@ -1014,19 +1043,16 @@ TEST(Daemon, DrainingRejectsNewSubmitsAndStopsCleanly)
               std::string::npos);
 }
 
-TEST(Daemon, DrainDeadlineUnblocksAClientThatStoppedReading)
+/**
+ * Connect @p fd as a client that shrinks its receive buffer, submits
+ * 2,000 seeds of a 16x16x16 spmm and never reads, as
+ * scripts/stalled_client.py does.
+ */
+void
+submitAndStopReading(const DaemonFixture &fx, Fd &fd)
 {
-    // A client that shrinks its receive buffer, submits a long sweep
-    // and never reads: the one pool worker blocks sending it a Result
-    // frame. Past the drain deadline stop() must cancel the job, get
-    // the worker out of its send and return 1 -- not hang.
-    DaemonConfig cfg;
-    cfg.jobs = 1;
-    cfg.drainWaitMs = 200;
-    DaemonFixture fx("svc_stalled", cfg);
-
     std::string error;
-    Fd fd = connectUnix(fx.socket, error);
+    fd = connectUnix(fx.socket, error);
     ASSERT_TRUE(fd.valid()) << error;
     const int rcvbuf = 4096;
     ASSERT_EQ(::setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
@@ -1046,6 +1072,21 @@ TEST(Daemon, DrainDeadlineUnblocksAClientThatStoppedReading)
         .sweep("seed", seeds);
     const std::string payload = encodeSubmit(body, error);
     ASSERT_TRUE(sendFrame(fd, Frame{MsgType::Submit, payload})) << error;
+}
+
+TEST(Daemon, DrainDeadlineUnblocksAClientThatStoppedReading)
+{
+    // A client that shrinks its receive buffer, submits a long sweep
+    // and never reads: the one pool worker blocks sending it a Result
+    // frame. Past the drain deadline stop() must cancel the job, get
+    // the worker out of its send and return 1 -- not hang.
+    DaemonConfig cfg;
+    cfg.jobs = 1;
+    cfg.drainWaitMs = 200;
+    DaemonFixture fx("svc_stalled", cfg);
+
+    Fd fd;
+    ASSERT_NO_FATAL_FAILURE(submitAndStopReading(fx, fd));
 
     // The stream has stalled once the streamed count stops moving for
     // half a second short of the whole sweep.
@@ -1071,6 +1112,36 @@ TEST(Daemon, DrainDeadlineUnblocksAClientThatStoppedReading)
         << "stop() still blocked 5 s after a 200 ms drain deadline";
     EXPECT_EQ(stopped.get(), 1);
     EXPECT_EQ(fx.daemon->exitCode(), 1);
+}
+
+TEST(Daemon, AClientThatStopsReadingHoldsOnlyItsHandlerThread)
+{
+    // The stalled client against two workers and a store: only the
+    // connection's handler thread sends Result frames, so only it
+    // blocks, and the other worker simulates and stores every
+    // scenario meanwhile. No send deadline is involved.
+    DaemonConfig cfg;
+    cfg.jobs = 2;
+    const std::string cache = scratchDir("svc_stalled_two_cache");
+    cfg.cacheDir = cache;
+    DaemonFixture fx("svc_stalled_two", cfg);
+    Fd fd;
+    ASSERT_NO_FATAL_FAILURE(submitAndStopReading(fx, fd));
+
+    std::size_t stored = 0;
+    for (int polls = 0; stored < 2000 && polls < 600; ++polls) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        stored = 0;
+        for (const auto &e : std::filesystem::directory_iterator(cache))
+            stored += e.path().extension() == ".entry" ? 1 : 0;
+    }
+    EXPECT_EQ(stored, 2000u) << "entries stored while the client stalled";
+    EXPECT_LT(fx.counter("service.scenarios.streamed"), 2000u)
+        << "the client never stalled the stream";
+    // Closing the client fails the blocked send; the daemon then
+    // drains cleanly.
+    fd.reset();
+    EXPECT_EQ(fx.daemon->stop(), 0);
 }
 
 } // namespace
