@@ -160,38 +160,10 @@ benchUsageText()
 std::string
 parseBenchArgs(const std::vector<std::string> &args, BenchOptions &out)
 {
-    // A bench binary's whole grammar is --help plus the common
-    // execution flags; the shared parser keeps spellings, ranges,
-    // and error messages identical to canonsim's.
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        std::string key = args[i];
-        std::string value;
-        bool have_value = false;
-
-        if (auto eq = key.find('='); eq != std::string::npos) {
-            value = key.substr(eq + 1);
-            key = key.substr(0, eq);
-            have_value = true;
-        }
-
-        if (key == "--help" || key == "-h") {
-            out.showHelp = true;
-            continue;
-        }
-        if (!engine::isCommonFlag(key))
-            return "unknown option '" + key + "' (see --help)";
-        if (!have_value && !engine::isCommonBoolFlag(key)) {
-            if (i + 1 >= args.size())
-                return "option '" + key + "' expects a value";
-            value = args[++i];
-        }
-
-        std::string err;
-        engine::parseCommonFlag(key, value, out.common, err);
-        if (!err.empty())
-            return err;
-    }
-    return engine::validateCommonFlags(out.common);
+    std::string err = engine::FlagSet(out.showHelp)
+                          .add(engine::commonFlags(), out.common)
+                          .parse(args);
+    return err.empty() ? engine::validateCommonFlags(out.common) : err;
 }
 
 } // namespace bench

@@ -40,10 +40,10 @@ inline constexpr std::array<Arch, kArchCount> kFigureArchs = [] {
 }();
 
 /**
- * Parse a figure bench's argument vector (--jobs N, --shard I/N,
- * --help; both "--key value" and "--key=value" spellings). Returns an
- * empty string on success, otherwise the error message. This is the
- * one CLI grammar every bench binary shares.
+ * Parse a figure bench's argument vector: the common flags
+ * (engine::commonFlags()) and --help, through engine::FlagSet.
+ * Returns an empty string on success, otherwise the error message.
+ * This is the one CLI grammar every bench binary shares.
  */
 std::string parseBenchArgs(const std::vector<std::string> &args,
                            BenchOptions &out);

@@ -84,7 +84,7 @@ struct BenchOptions
 {
     /**
      * The --jobs/--shard/--cache-dir/--cache flags, parsed by the
-     * grammar shared with canonsim (engine::parseCommonFlag).
+     * rows shared with canonsim (engine::commonFlags()).
      * common.jobs of 0 means the binary's declared default; grid
      * points already in the cache render without executing their
      * emit function, so a warm rerun regenerates byte-identical CSVs

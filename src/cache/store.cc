@@ -106,8 +106,8 @@ ResultStore::lookup(const ScenarioKey &key) const
 }
 
 bool
-ResultStore::store(const ScenarioKey &key,
-                   const std::string &payload, bool *wrote) const
+ResultStore::store(const ScenarioKey &key, const std::string &payload,
+                   bool *wrote, bool replace) const
 {
     if (wrote)
         *wrote = false;
@@ -127,17 +127,18 @@ ResultStore::store(const ScenarioKey &key,
         }
     }
 
-    // Refresh renames over the entry. Otherwise link() never replaces
-    // one: EEXIST means another writer of this key published first
-    // (the same bytes) and counted the store.
+    // Refresh and a replace rename over the entry. Otherwise link()
+    // never replaces one: EEXIST means another writer of this key
+    // published first (the same bytes) and counted the store.
+    const bool overwrite = replace || overwrites();
     const bool published =
-        (overwrites() ? ::rename(tmp_path.c_str(), final_path.c_str())
-                      : ::link(tmp_path.c_str(), final_path.c_str())) == 0;
+        (overwrite ? ::rename(tmp_path.c_str(), final_path.c_str())
+                   : ::link(tmp_path.c_str(), final_path.c_str())) == 0;
     const int publish_errno = errno;
-    if (!published || !overwrites())
+    if (!published || !overwrite)
         ::unlink(tmp_path.c_str());
     if (!published)
-        return !overwrites() && publish_errno == EEXIST;
+        return !overwrite && publish_errno == EEXIST;
     stores_.fetch_add(1, std::memory_order_relaxed);
     if (wrote)
         *wrote = true;

@@ -124,16 +124,18 @@ class ResultStore
 
     /**
      * Publish @p payload under @p key via a temp file; a no-op when
-     * writes are disabled by the mode. Without overwrites(), an
-     * existing entry is left untouched (the bytes for a given key are
-     * the same no matter who computes them), also one another writer
-     * publishes while this call writes its temp file. Returns false
-     * only on I/O failure. A publish counts one store; @p wrote
-     * (when non-null) reports whether this call actually published an
+     * writes are disabled by the mode. Without overwrites() or
+     * @p replace, an existing entry is left untouched (the bytes for a
+     * given key are the same no matter who computes them), also one
+     * another writer publishes while this call writes its temp file.
+     * @p replace renames over the entry as Refresh does: the caller
+     * recomputed an entry it could not decode. Returns false only on
+     * I/O failure. A publish counts one store; @p wrote (when
+     * non-null) reports whether this call actually published an
      * entry, i.e. exactly when the store counter moved.
      */
     bool store(const ScenarioKey &key, const std::string &payload,
-               bool *wrote = nullptr) const;
+               bool *wrote = nullptr, bool replace = false) const;
 
     /** Count one executed job (call before computing a miss). */
     void recordMiss() const

@@ -259,23 +259,23 @@ workloadInfo(Workload w)
     panic("no workload table row for Workload ", static_cast<int>(w));
 }
 
-/**
- * canonsim's own flags, outside the scenario and common grammars: a
- * value-less flag sets its toggle, a value flag runs its parser.
- */
-struct CliFlag
+/** A canonsim flag that takes no value and sets @p Member. */
+template <bool Options::*Member>
+constexpr engine::Flag<Options>
+toggle(const char *name)
 {
-    const char *name;
-    bool Options::*toggle;
-    std::string (*parse)(Options &opt, Arg value);
-};
+    return {name, false, [](Options &o, Arg) {
+                o.*Member = true;
+                return std::string();
+            }};
+}
 
-constexpr CliFlag kCliFlags[] = {
-    {"help", &Options::showHelp, nullptr},
-    {"list", &Options::listWorkloads, nullptr},
-    {"dry-run", &Options::dryRun, nullptr},
-    {"probe-spad", &Options::probeSpad, nullptr},
-    {"arch", nullptr,
+/** canonsim's own flags, outside the scenario and common grammars. */
+constexpr engine::Flag<Options> kCanonsimFlags[] = {
+    toggle<&Options::listWorkloads>("list"),
+    toggle<&Options::dryRun>("dry-run"),
+    toggle<&Options::probeSpad>("probe-spad"),
+    {"arch", true,
      [](Options &o, Arg v) -> std::string {
          // A trailing comma is tolerated; an empty name is not.
          std::vector<std::string> names;
@@ -287,14 +287,14 @@ constexpr CliFlag kCliFlags[] = {
          }
          return selectArchs(names, o.archs);
      }},
-    {"csv", nullptr,
+    {"csv", true,
      [](Options &o, Arg v) -> std::string {
          if (v.empty())
              return "option '--csv' expects a path";
          o.csvPath = v;
          return {};
      }},
-    {"sweep", nullptr,
+    {"sweep", true,
      [](Options &o, Arg v) -> std::string {
          const auto eq = v.find('=');
          if (eq == std::string::npos || eq == 0 || eq + 1 >= v.size())
@@ -304,15 +304,6 @@ constexpr CliFlag kCliFlags[] = {
          return {};
      }},
 };
-
-const CliFlag *
-findCliFlag(const std::string &name)
-{
-    for (const auto &flag : kCliFlags)
-        if (name == flag.name)
-            return &flag;
-    return nullptr;
-}
 
 } // namespace
 
@@ -372,8 +363,9 @@ selectArchs(const std::vector<std::string> &names, ArchSet &out)
 bool
 isNonScenarioFlag(const std::string &key)
 {
-    return findCliFlag(key) != nullptr ||
-           engine::isCommonFlag("--" + key);
+    auto named = [&key](const auto &flag) { return key == flag.name; };
+    return key == "help" || std::ranges::any_of(kCanonsimFlags, named) ||
+           std::ranges::any_of(engine::commonFlags(), named);
 }
 
 std::string
@@ -668,80 +660,22 @@ parseArgs(const std::vector<std::string> &args)
 {
     ParseResult res;
     Options &opt = res.options;
+    engine::FlagSet flags(opt.showHelp);
+    flags.add(kCanonsimFlags, opt).add(engine::commonFlags(), opt.common);
+    for (const OptionRule &rule : kOptionTable)
+        flags.add(rule.key, true, [&opt, &rule](Arg v) {
+            std::string err = rule.parse(opt, rule.key, v);
+            if (err.empty())
+                opt.explicitKeys.push_back(rule.key);
+            return err;
+        });
 
-    auto fail = [&res](const std::string &msg) {
-        res.ok = false;
-        res.error = msg;
-        return res;
-    };
-
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        std::string key = args[i];
-        std::string value;
-        bool have_value = false;
-
-        if (auto eq = key.find('='); eq != std::string::npos) {
-            value = key.substr(eq + 1);
-            key = key.substr(0, eq);
-            have_value = true;
-        }
-        if (key == "-h")
-            key = "--help";
-
-        const bool dashed = key.rfind("--", 0) == 0;
-        const CliFlag *flag = dashed ? findCliFlag(key.substr(2)) : nullptr;
-        if (flag != nullptr && flag->toggle != nullptr) {
-            opt.*(flag->toggle) = true;
-            continue;
-        }
-
-        // Boolean common flags (--cycle-accounting, --host-timers)
-        // take no value: offer them before the value lookahead.
-        if (!have_value && engine::isCommonBoolFlag(key)) {
-            std::string common_err;
-            if (engine::parseCommonFlag(key, "", opt.common,
-                                        common_err) ==
-                engine::FlagParse::Error)
-                return fail(common_err);
-            continue;
-        }
-
-        // Everything else takes a value.
-        if (!have_value) {
-            if (i + 1 >= args.size())
-                return fail("option '" + key + "' expects a value");
-            value = args[++i];
-        }
-
-        // --jobs/--shard/--cache-dir/--cache: the execution grammar
-        // shared with every bench binary (engine::CommonFlags).
-        std::string common_err;
-        const engine::FlagParse common_parse =
-            engine::parseCommonFlag(key, value, opt.common,
-                                    common_err);
-        if (common_parse == engine::FlagParse::Error)
-            return fail(common_err);
-        if (common_parse == engine::FlagParse::Ok)
-            continue;
-
-        if (flag != nullptr) {
-            if (std::string err = flag->parse(opt, value); !err.empty())
-                return fail(err);
-        } else if (dashed) {
-            std::string err =
-                applyScenarioOption(opt, key.substr(2), value);
-            if (!err.empty())
-                return fail(err);
-            opt.explicitKeys.push_back(key.substr(2));
-        } else {
-            return fail("unknown option '" + key + "' (see --help)");
-        }
-    }
-
-    if (std::string err = engine::validateCommonFlags(opt.common);
-        !err.empty())
-        return fail(err);
-
+    res.error = flags.parse(args);
+    if (res.error.empty())
+        res.error = engine::validateCommonFlags(opt.common);
+    if (res.error.empty() && !opt.csvPath.empty())
+        res.error = engine::checkOutputPath("--csv", opt.csvPath);
+    res.ok = res.error.empty();
     return res;
 }
 

@@ -80,8 +80,8 @@ struct Options
     /**
      * The execution flags shared with every other entry point
      * (--jobs worker threads, --shard i/n process slice, --cache-dir
-     * / --cache result cache), parsed by the one common grammar in
-     * engine::parseCommonFlag. common.jobs of 0 means "not given";
+     * / --cache result cache), parsed by the rows of
+     * engine::commonFlags(). common.jobs of 0 means "not given";
      * canonsim's default is 1 worker.
      */
     engine::CommonFlags common;
@@ -128,7 +128,7 @@ struct ParseResult
     std::string error;
 };
 
-/** Parse argv[1..]; never exits, never prints. */
+/** Parse argv[1..] (engine::FlagSet); never exits, never prints. */
 ParseResult parseArgs(const std::vector<std::string> &args);
 
 /** The --help text. */
@@ -137,7 +137,7 @@ const char *usageText();
 /**
  * True when --@p key is a real flag outside the scenario grammar: a
  * canonsim-only flag (--arch, --csv, --dry-run, ...) or one of the
- * common execution flags (engine::isCommonFlag). Sweep-axis
+ * common execution flags (engine::commonFlags()). Sweep-axis
  * validation uses it to call such a key "not sweepable" instead of
  * "unknown".
  */

@@ -1,5 +1,6 @@
 #include "engine/common_flags.hh"
 
+#include <algorithm>
 #include <filesystem>
 
 #include <unistd.h>
@@ -14,11 +15,129 @@ namespace engine
 namespace
 {
 
-/**
- * Fail-fast check for an output path: the parent directory must exist
- * and be writable *now*, so a typo'd --trace-out errors at parse time
- * instead of after the full simulation has run.
- */
+using Arg = const std::string &;
+
+/** A path flag's apply: any non-empty value. */
+std::string
+setPath(const char *flag, Arg value, std::string &out)
+{
+    if (value.empty())
+        return std::string("option '--") + flag + "' expects a path";
+    out = value;
+    return {};
+}
+
+/** The engine rows first: engineFlags() is the first three. */
+constexpr Flag<CommonFlags> kCommonFlags[] = {
+    {"jobs", true,
+     [](CommonFlags &f, Arg v) -> std::string {
+         int n = 0;
+         if (!parseInt(v, n) || n < 1 || n > 256)
+             return "option '--jobs' expects an integer in [1, 256],"
+                    " got '" + v + "'";
+         f.jobs = n;
+         return {};
+     }},
+    {"cache-dir", true,
+     [](CommonFlags &f, Arg v) {
+         return setPath("cache-dir", v, f.cacheDir);
+     }},
+    {"cache", true,
+     [](CommonFlags &f, Arg v) {
+         f.cacheModeSet = true;
+         return cache::parseMode(v, f.cacheMode);
+     }},
+    {"shard", true,
+     [](CommonFlags &f, Arg v) -> std::string {
+         std::string err = runner::parseShard(v, f.shard);
+         return err.empty() ? err : "option '--shard': " + err;
+     }},
+    {"sample-every", true,
+     [](CommonFlags &f, Arg v) -> std::string {
+         int n = 0;
+         if (!parseInt(v, n) || n < 1 || n > 1'000'000'000)
+             return "option '--sample-every' expects a cycle count in"
+                    " [1, 1000000000], got '" + v + "'";
+         f.obs.sampleEvery = static_cast<std::uint64_t>(n);
+         return {};
+     }},
+    {"series-out", true,
+     [](CommonFlags &f, Arg v) {
+         return setPath("series-out", v, f.obs.seriesOut);
+     }},
+    {"trace-out", true,
+     [](CommonFlags &f, Arg v) {
+         return setPath("trace-out", v, f.obs.traceOut);
+     }},
+    {"stats-json", true,
+     [](CommonFlags &f, Arg v) {
+         return setPath("stats-json", v, f.obs.statsJsonOut);
+     }},
+    {"cycle-accounting", false,
+     [](CommonFlags &f, Arg) {
+         f.obs.cycleAccounting = true;
+         return std::string();
+     }},
+    {"host-timers", false,
+     [](CommonFlags &f, Arg) {
+         f.obs.hostTimers = true;
+         return std::string();
+     }},
+};
+
+} // namespace
+
+std::string
+FlagSet::parse(const std::vector<std::string> &args,
+               const Apply &positional) const
+{
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        const std::string &arg = args[i];
+        if (positional && !arg.starts_with('-')) {
+            if (std::string err = positional(arg); !err.empty())
+                return err;
+            continue;
+        }
+
+        const std::size_t eq = arg.find('=');
+        const std::string spelled = arg.substr(0, eq);
+        const std::string_view name =
+            spelled == "-h"              ? "help"
+            : spelled.starts_with("--") ? std::string_view(spelled).substr(2)
+                                         : "";
+        const auto flag = std::ranges::find(flags_, name, &Bound::name);
+        if (name.empty() || flag == flags_.end())
+            return "unknown option '" + spelled + "' (see --help)";
+
+        const std::string option = "option '--" + std::string(name) + "'";
+        std::string value;
+        if (eq != std::string::npos) {
+            if (!flag->takesValue)
+                return option + " takes no value";
+            value = arg.substr(eq + 1);
+        } else if (flag->takesValue) {
+            if (i + 1 == args.size())
+                return option + " expects a value";
+            value = args[++i];
+        }
+        if (std::string err = flag->apply(value); !err.empty())
+            return err;
+    }
+    return {};
+}
+
+std::span<const Flag<CommonFlags>>
+commonFlags()
+{
+    return kCommonFlags;
+}
+
+std::span<const Flag<CommonFlags>>
+engineFlags()
+{
+    return commonFlags().first(3);
+}
+
 std::string
 checkOutputPath(const char *flag, const std::string &path)
 {
@@ -40,111 +159,6 @@ checkOutputPath(const char *flag, const std::string &path)
     return {};
 }
 
-} // namespace
-
-bool
-isCommonFlag(const std::string &key)
-{
-    return key == "--jobs" || key == "--shard" ||
-           key == "--cache-dir" || key == "--cache" ||
-           key == "--sample-every" || key == "--series-out" ||
-           key == "--trace-out" || key == "--stats-json" ||
-           isCommonBoolFlag(key);
-}
-
-bool
-isCommonBoolFlag(const std::string &key)
-{
-    return key == "--cycle-accounting" || key == "--host-timers";
-}
-
-FlagParse
-parseCommonFlag(const std::string &key, const std::string &value,
-                CommonFlags &out, std::string &error)
-{
-    if (key == "--jobs") {
-        int v = 0;
-        if (!parseInt(value, v) || v < 1 || v > 256) {
-            error = "option '--jobs' expects an integer in [1, 256],"
-                    " got '" + value + "'";
-            return FlagParse::Error;
-        }
-        out.jobs = v;
-        return FlagParse::Ok;
-    }
-    if (key == "--shard") {
-        if (std::string err = runner::parseShard(value, out.shard);
-            !err.empty()) {
-            error = "option '--shard': " + err;
-            return FlagParse::Error;
-        }
-        return FlagParse::Ok;
-    }
-    if (key == "--cache-dir") {
-        if (value.empty()) {
-            error = "option '--cache-dir' expects a path";
-            return FlagParse::Error;
-        }
-        out.cacheDir = value;
-        return FlagParse::Ok;
-    }
-    if (key == "--cache") {
-        if (std::string err = cache::parseMode(value, out.cacheMode);
-            !err.empty()) {
-            error = err;
-            return FlagParse::Error;
-        }
-        out.cacheModeSet = true;
-        return FlagParse::Ok;
-    }
-    if (key == "--sample-every") {
-        int v = 0;
-        if (!parseInt(value, v) || v < 1 || v > 1'000'000'000) {
-            error = "option '--sample-every' expects a cycle count in"
-                    " [1, 1000000000], got '" + value + "'";
-            return FlagParse::Error;
-        }
-        out.obs.sampleEvery = static_cast<std::uint64_t>(v);
-        return FlagParse::Ok;
-    }
-    if (key == "--series-out") {
-        if (value.empty()) {
-            error = "option '--series-out' expects a path";
-            return FlagParse::Error;
-        }
-        out.obs.seriesOut = value;
-        return FlagParse::Ok;
-    }
-    if (key == "--trace-out") {
-        if (value.empty()) {
-            error = "option '--trace-out' expects a path";
-            return FlagParse::Error;
-        }
-        out.obs.traceOut = value;
-        return FlagParse::Ok;
-    }
-    if (key == "--stats-json") {
-        if (value.empty()) {
-            error = "option '--stats-json' expects a path";
-            return FlagParse::Error;
-        }
-        out.obs.statsJsonOut = value;
-        return FlagParse::Ok;
-    }
-    if (key == "--cycle-accounting" || key == "--host-timers") {
-        if (!value.empty()) {
-            error = "option '" + key + "' takes no value";
-            return FlagParse::Error;
-        }
-        if (key == "--cycle-accounting")
-            out.obs.cycleAccounting = true;
-        else
-            out.obs.hostTimers = true;
-        return FlagParse::Ok;
-    }
-    return FlagParse::NotCommon;
-}
-
 std::string
 validateCommonFlags(const CommonFlags &flags)
 {
@@ -156,21 +170,14 @@ validateCommonFlags(const CommonFlags &flags)
         flags.obs.traceOut.empty() && flags.obs.statsJsonOut.empty())
         return "option '--sample-every' requires an output flag"
                " (--series-out, --trace-out, or --stats-json)";
-    if (!flags.obs.seriesOut.empty())
-        if (std::string err =
-                checkOutputPath("--series-out", flags.obs.seriesOut);
-            !err.empty())
-            return err;
-    if (!flags.obs.traceOut.empty())
-        if (std::string err =
-                checkOutputPath("--trace-out", flags.obs.traceOut);
-            !err.empty())
-            return err;
-    if (!flags.obs.statsJsonOut.empty())
-        if (std::string err =
-                checkOutputPath("--stats-json", flags.obs.statsJsonOut);
-            !err.empty())
-            return err;
+    for (const auto &[flag, path] :
+         {std::pair{"--series-out", &flags.obs.seriesOut},
+          std::pair{"--trace-out", &flags.obs.traceOut},
+          std::pair{"--stats-json", &flags.obs.statsJsonOut}})
+        if (!path->empty())
+            if (std::string err = checkOutputPath(flag, *path);
+                !err.empty())
+                return err;
     return {};
 }
 

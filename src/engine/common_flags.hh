@@ -1,23 +1,23 @@
 /**
  * @file
- * The execution flags every canon entry point shares: worker count,
- * process shard, and result-cache directory/mode. canonsim, all 13
- * figure benches, and embedders configure an Engine from the same
- * CommonFlags value, and both CLI parsers (cli/options.cc and
- * bench/bench_util.cc) consume the --jobs/--shard/--cache-dir/--cache
- * grammar through the one parser below, so spellings, ranges, and
- * error messages cannot drift between the binaries.
- *
- * The header is deliberately a leaf: it depends only on the shard and
- * cache-mode value types, never on the options or engine layers, so
- * any CLI front end can embed a CommonFlags without pulling in the
- * simulator.
+ * The command-line grammar of every canon binary: each lists its flags
+ * as Flag tables and hands argv to FlagSet::parse, the one place that
+ * splits "--name=value" and words a usage error, so spellings and
+ * messages cannot drift between binaries. The common table holds the
+ * ten execution flags (workers, shard, result cache, observability)
+ * canonsim, the 13 figure benches and embedders configure an Engine
+ * from. The header is a leaf: it depends only on the shard, cache-mode
+ * and obs option value types, never on the simulator.
  */
 
 #ifndef CANON_ENGINE_COMMON_FLAGS_HH
 #define CANON_ENGINE_COMMON_FLAGS_HH
 
+#include <functional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "cache/mode.hh"
 #include "obs/options.hh"
@@ -27,6 +27,78 @@ namespace canon
 {
 namespace engine
 {
+
+/** One row of a flag table, in the option-table style of cli/options.cc. */
+template <typename T>
+struct Flag
+{
+    const char *name; //!< without the leading "--"
+    bool takesValue;
+    /** Apply @p value ("" when the flag takes none); empty, or the error. */
+    std::string (*apply)(T &out, const std::string &value);
+};
+
+/**
+ * The flags one binary accepts, each bound to the value it writes;
+ * @p rows and @p out given to add() must outlive the set.
+ */
+class FlagSet
+{
+  public:
+    using Apply = std::function<std::string(const std::string &)>;
+
+    /** Every binary has --help (and -h): it sets @p help. */
+    explicit FlagSet(bool &help)
+    {
+        add("help", false, [&help](const std::string &) {
+            help = true;
+            return std::string();
+        });
+    }
+
+    /** Add one flag. */
+    FlagSet &add(std::string_view name, bool takes_value, Apply apply)
+    {
+        flags_.push_back({name, takes_value, std::move(apply)});
+        return *this;
+    }
+
+    /** Add every row of @p rows, applied to @p out. */
+    template <typename Rows, typename T>
+    FlagSet &add(const Rows &rows, T &out)
+    {
+        for (const Flag<T> &row : rows)
+            add(row.name, row.takesValue,
+                [&row, &out](const std::string &v) {
+                    return row.apply(out, v);
+                });
+        return *this;
+    }
+
+    /**
+     * Apply @p args (argv without the program name) in order and
+     * return the first error, or an empty string. "--name value" and
+     * "--name=value" are one flag, "-h" is "--help", and a value is
+     * the next argument whatever it looks like. An argument that does
+     * not start with '-' goes to @p positional when there is one; any
+     * other is an unknown option. The errors:
+     *   unknown option 'X' (see --help)
+     *   option '--X' expects a value
+     *   option '--X' takes no value
+     * and whatever an apply function returns.
+     */
+    std::string parse(const std::vector<std::string> &args,
+                      const Apply &positional = {}) const;
+
+  private:
+    struct Bound
+    {
+        std::string_view name;
+        bool takesValue;
+        Apply apply;
+    };
+    std::vector<Bound> flags_;
+};
 
 struct CommonFlags
 {
@@ -59,47 +131,33 @@ struct CommonFlags
     obs::ObsOptions obs;
 };
 
-/** Outcome of offering one flag to parseCommonFlag. */
-enum class FlagParse : int
-{
-    NotCommon, //!< not a common flag; the caller's grammar owns it
-    Ok,        //!< consumed and applied
-    Error,     //!< a common flag with a bad value; see the message
-};
-
-/** True for the keys parseCommonFlag recognizes. */
-bool isCommonFlag(const std::string &key);
-
 /**
- * True for the common keys that take no value (--cycle-accounting,
- * --host-timers). Callers skip value lookahead for these and offer
- * them to parseCommonFlag with an empty value.
+ * The ten common flags: --jobs, --cache-dir, --cache, --shard and the
+ * observability flags --sample-every, --series-out, --trace-out,
+ * --stats-json, --cycle-accounting and --host-timers.
  */
-bool isCommonBoolFlag(const std::string &key);
+std::span<const Flag<CommonFlags>> commonFlags();
 
-/**
- * Offer one already-split "--key" / value pair to the common grammar.
- * Recognizes --jobs, --shard, --cache-dir, --cache, and the
- * observability keys --sample-every, --series-out, --trace-out,
- * --stats-json, --cycle-accounting, and --host-timers (the caller
- * handles --key=value splitting and value lookahead; boolean keys
- * are offered with an empty value). On Error, @p error holds the
- * message; on NotCommon nothing is touched.
- */
-FlagParse parseCommonFlag(const std::string &key,
-                          const std::string &value, CommonFlags &out,
-                          std::string &error);
+/** The rows of commonFlags() that configure an Engine (canond's). */
+std::span<const Flag<CommonFlags>> engineFlags();
 
 /**
  * Cross-flag validation, called once after the last flag: --cache
  * without --cache-dir, --series-out without --sample-every, and
  * --sample-every without any output flag are usage errors, and every
- * obs output path (--series-out/--trace-out/--stats-json) must name a
- * file in an existing writable directory -- checked here so a bad
- * path fails before the simulation runs, not after. Returns an empty
- * string on success, otherwise the message.
+ * obs output path (--series-out/--trace-out/--stats-json) must pass
+ * checkOutputPath. Returns an empty string on success, otherwise the
+ * message.
  */
 std::string validateCommonFlags(const CommonFlags &flags);
+
+/**
+ * Fail-fast check for the output path of option @p flag: the parent
+ * directory must exist and be writable *now*, so a typo'd path errors
+ * at parse time instead of after the full simulation has run. Returns
+ * an empty string on success, otherwise the message.
+ */
+std::string checkOutputPath(const char *flag, const std::string &path);
 
 } // namespace engine
 } // namespace canon

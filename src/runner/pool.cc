@@ -83,12 +83,14 @@ ScenarioPool::runCached(const std::vector<CachedJob> &jobs,
         if (timing)
             host.queueWaitUs = obs::hostNowUs() - pool_t0;
 
+        // A miss over an entry found (accept() rejected it) replaces it.
+        std::optional<std::string> found;
         bool hit = false;
         if (store && store->readsEnabled()) {
             event(obs::CacheEventKind::Probe);
             const std::uint64_t t0 = now();
-            if (auto payload = store->lookup(job.key))
-                hit = job.accept(*payload);
+            found = store->lookup(job.key);
+            hit = found && job.accept(*found);
             host.cacheProbeUs = now() - t0;
         }
 
@@ -122,7 +124,8 @@ ScenarioPool::runCached(const std::vector<CachedJob> &jobs,
             // should re-run (and re-report) next time.
             if (store && store->writesEnabled() && st.error.empty()) {
                 const std::uint64_t t_store = now();
-                store->store(job.key, payload, &st.cacheStored);
+                store->store(job.key, payload, &st.cacheStored,
+                             found.has_value());
                 host.cacheStoreUs = now() - t_store;
                 // A worker that lost the race to publish the key
                 // stored nothing: only a publish is a store event.

@@ -18,7 +18,8 @@
  *  4. with a readable store, looks the key up and counts a hit only
  *     when accept() takes the stored payload -- one read, one decode;
  *  5. otherwise counts one miss, runs compute(), hands the fresh
- *     payload to accept(), and (writes enabled, no failure) stores it;
+ *     payload to accept(), and (writes enabled, no failure) stores it,
+ *     replacing an entry the probe found but accept() rejected;
  *  6. seals the observations and marks the job finished.
  *
  * This is the only place that counts hits and misses or writes the

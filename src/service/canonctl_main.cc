@@ -9,12 +9,10 @@
  * go to stderr, so `canonctl submit ... > out.txt` is comparable.
  */
 
-#include <cstdint>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "common/parse.hh"
 #include "service/client.hh"
 
 namespace
@@ -39,10 +37,10 @@ const char *kUsage =
     "  --arch NAME         one architecture (repeatable; 'all')\n";
 
 int
-fail(const std::string &message, int code = 1)
+fail(const std::string &message)
 {
     std::cerr << "canonctl: " << message << "\n";
-    return code;
+    return 1;
 }
 
 } // namespace
@@ -52,85 +50,25 @@ main(int argc, char **argv)
 {
     using namespace canon::service;
 
-    std::vector<std::string> args(argv + 1, argv + argc);
-    std::string socket, command;
-    SubmitBody body;
-    std::uint64_t cancel_id = 0;
-
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        auto value = [&](std::string &out) -> bool {
-            if (i + 1 >= args.size())
-                return false;
-            out = args[++i];
-            return true;
-        };
-        auto splitKv = [](const std::string &text, std::string &key,
-                          std::string &val) -> bool {
-            const std::size_t eq = text.find('=');
-            if (eq == std::string::npos || eq == 0)
-                return false;
-            key = text.substr(0, eq);
-            val = text.substr(eq + 1);
-            return true;
-        };
-
-        std::string v, key, val;
-        if (arg == "--help" || arg == "-h") {
-            std::cout << kUsage;
-            return 0;
-        } else if (arg == "--socket") {
-            if (!value(socket))
-                return fail("--socket needs a value", 2);
-        } else if (arg == "--client") {
-            if (!value(v))
-                return fail("--client needs a value", 2);
-            body.client = v;
-        } else if (arg == "--priority") {
-            if (!value(v))
-                return fail("--priority needs a value", 2);
-            if (!canon::parseInt(v, body.priority))
-                return fail("bad --priority '" + v + "'", 2);
-        } else if (arg == "--opt") {
-            if (!value(v) || !splitKv(v, key, val))
-                return fail("--opt needs KEY=VALUE", 2);
-            body.opt(key, val);
-        } else if (arg == "--sweep") {
-            if (!value(v) || !splitKv(v, key, val))
-                return fail("--sweep needs KEY=VALUES", 2);
-            body.sweep(key, val);
-        } else if (arg == "--arch") {
-            if (!value(v))
-                return fail("--arch needs a value", 2);
-            body.arch(v);
-        } else if (command.empty() && !arg.empty() && arg[0] != '-') {
-            command = arg;
-        } else if (command == "cancel" && cancel_id == 0 &&
-                   !arg.empty() && arg[0] != '-') {
-            if (!canon::parseInt(arg, cancel_id))
-                return fail("bad job id '" + arg + "'", 2);
-        } else {
-            std::cerr << "canonctl: bad argument '" << arg << "'\n\n"
-                      << kUsage;
-            return 2;
-        }
-    }
-
-    if (socket.empty())
-        return fail("--socket is required", 2);
-    if (command.empty()) {
-        std::cerr << "canonctl: no command\n\n" << kUsage;
+    CtlArgs args;
+    if (const std::string error = parseCtlArgs(
+            std::vector<std::string>(argv + 1, argv + argc), args);
+        !error.empty()) {
+        std::cerr << "canonctl: " << error << "\n\n" << kUsage;
         return 2;
     }
-
+    if (args.showHelp) {
+        std::cout << kUsage;
+        return 0;
+    }
     Client client;
-    std::string error = client.connect(socket);
+    std::string error = client.connect(args.socket);
     if (!error.empty())
         return fail(error);
 
-    if (command == "list" || command == "stats") {
+    if (args.command == "list" || args.command == "stats") {
         std::string text;
-        const bool ok = command == "list"
+        const bool ok = args.command == "list"
                             ? client.list(text, error)
                             : client.stats(text, error);
         if (!ok)
@@ -139,35 +77,27 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (command == "cancel") {
-        if (cancel_id == 0)
-            return fail("cancel needs a job id", 2);
+    if (args.command == "cancel") {
         bool found = false;
-        if (!client.cancel(cancel_id, found, error))
+        if (!client.cancel(args.cancelId, found, error))
             return fail(error);
         std::cout << (found ? "cancelled job "
                             : "no such job ")
-                  << cancel_id << "\n";
+                  << args.cancelId << "\n";
         return found ? 0 : 1;
     }
 
-    if (command == "plan") {
+    if (args.command == "plan") {
         std::string text;
-        if (!client.plan(body, text, error))
+        if (!client.plan(args.body, text, error))
             return fail(error);
         std::cout << text;
         return 0;
     }
 
-    if (command != "submit") {
-        std::cerr << "canonctl: unknown command '" << command
-                  << "'\n\n" << kUsage;
-        return 2;
-    }
-
     SubmitOutcome outcome;
     const bool ok = client.submit(
-        body,
+        args.body,
         [](std::size_t, const std::string &text) {
             std::cout << text;
         },

@@ -1,12 +1,103 @@
 #include "service/client.hh"
 
+#include <algorithm>
+#include <string_view>
+
 #include "common/parse.hh"
+#include "engine/common_flags.hh"
 #include "service/render.hh"
 
 namespace canon
 {
 namespace service
 {
+
+namespace
+{
+
+using Arg = const std::string &;
+
+/** Add "KEY=VALUE" (a non-empty KEY) with @p add; false if malformed. */
+bool
+addKv(SubmitBody &body, SubmitBody &(SubmitBody::*add)(Arg, Arg), Arg text)
+{
+    const std::size_t eq = text.find('=');
+    if (eq == std::string::npos || eq == 0)
+        return false;
+    (body.*add)(text.substr(0, eq), text.substr(eq + 1));
+    return true;
+}
+
+/** canonctl's flags; the request ones apply in order. */
+constexpr engine::Flag<CtlArgs> kCtlFlags[] = {
+    {"socket", true,
+     [](CtlArgs &a, Arg v) {
+         a.socket = v;
+         return std::string();
+     }},
+    {"client", true,
+     [](CtlArgs &a, Arg v) {
+         a.body.client = v;
+         return std::string();
+     }},
+    {"priority", true,
+     [](CtlArgs &a, Arg v) {
+         return parseInt(v, a.body.priority) ? std::string()
+                                             : "bad --priority '" + v + "'";
+     }},
+    {"opt", true,
+     [](CtlArgs &a, Arg v) {
+         return addKv(a.body, &SubmitBody::opt, v) ? std::string()
+                                                   : "--opt needs KEY=VALUE";
+     }},
+    {"sweep", true,
+     [](CtlArgs &a, Arg v) {
+         return addKv(a.body, &SubmitBody::sweep, v)
+                    ? std::string()
+                    : "--sweep needs KEY=VALUES";
+     }},
+    {"arch", true,
+     [](CtlArgs &a, Arg v) {
+         a.body.arch(v);
+         return std::string();
+     }},
+};
+
+constexpr std::string_view kCtlCommands[] = {"submit", "plan", "list",
+                                             "stats", "cancel"};
+
+} // namespace
+
+std::string
+parseCtlArgs(const std::vector<std::string> &args, CtlArgs &out)
+{
+    // The command, then cancel's job id.
+    auto positional = [&out](Arg arg) -> std::string {
+        if (out.command.empty() && !arg.empty()) {
+            out.command = arg;
+            return {};
+        }
+        if (out.command == "cancel" && out.cancelId == 0)
+            return parseInt(arg, out.cancelId) ? std::string()
+                                                : "bad job id '" + arg + "'";
+        return "bad argument '" + arg + "'";
+    };
+    if (std::string error = engine::FlagSet(out.showHelp)
+                                .add(kCtlFlags, out)
+                                .parse(args, positional);
+        !error.empty() || out.showHelp)
+        return error;
+    if (out.socket.empty())
+        return "--socket is required";
+    if (out.command.empty())
+        return "no command";
+    if (std::ranges::find(kCtlCommands, out.command) ==
+        std::end(kCtlCommands))
+        return "unknown command '" + out.command + "'";
+    if (out.command == "cancel" && out.cancelId == 0)
+        return "cancel needs a job id";
+    return {};
+}
 
 std::string
 Client::connect(const std::string &socketPath)

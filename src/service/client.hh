@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "service/protocol.hh"
 #include "service/socket.hh"
@@ -105,6 +106,25 @@ class Client
     Fd fd_;
     FrameDecoder decoder_;
 };
+
+/** canonctl's command line. */
+struct CtlArgs
+{
+    std::string socket;
+    std::string command; //!< submit, plan, list, stats or cancel
+    SubmitBody body;     //!< the request of submit and plan
+    std::uint64_t cancelId = 0;
+    bool showHelp = false;
+};
+
+/**
+ * Parse canonctl's argv (without the program name) into @p out: the
+ * flags, then the command and cancel's job id. Unless --help is given,
+ * --socket and a known command are required. Returns the usage error,
+ * or an empty string.
+ */
+std::string parseCtlArgs(const std::vector<std::string> &args,
+                         CtlArgs &out);
 
 } // namespace service
 } // namespace canon

@@ -36,73 +36,54 @@ kvFrame(MsgType type, const KvPairs &records)
     return Frame{type, encodeKv(records, error)};
 }
 
+/** canond's own flags; a bad value names its flag. */
+constexpr engine::Flag<DaemonConfig> kDaemonFlags[] = {
+    {"socket", true,
+     [](DaemonConfig &c, const std::string &v) {
+         c.socketPath = v;
+         return std::string();
+     }},
+    {"max-active", true,
+     [](DaemonConfig &c, const std::string &v) {
+         return parseInt(v, c.maxActive) && c.maxActive > 0
+                    ? std::string()
+                    : "bad value '" + v + "' for --max-active";
+     }},
+    {"job-quota", true,
+     [](DaemonConfig &c, const std::string &v) {
+         return parseInt(v, c.jobQuota)
+                    ? std::string()
+                    : "bad value '" + v + "' for --job-quota";
+     }},
+    {"drain-wait-ms", true,
+     [](DaemonConfig &c, const std::string &v) {
+         return parseInt(v, c.drainWaitMs) && c.drainWaitMs >= 0
+                    ? std::string()
+                    : "bad value '" + v + "' for --drain-wait-ms";
+     }},
+};
+
 } // namespace
 
 std::string
 parseDaemonArgs(const std::vector<std::string> &args, DaemonConfig &cfg,
                 bool &showHelp)
 {
-    engine::CommonFlags flags;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        std::string key = args[i], value;
-        const std::size_t eq = key.find('=');
-        const bool inline_value = eq != std::string::npos;
-        if (inline_value) {
-            value = key.substr(eq + 1);
-            key = key.substr(0, eq);
-        }
-        if (key == "--help" || key == "-h") {
-            showHelp = true;
-            return {};
-        }
-
-        const bool common =
-            key == "--jobs" || key == "--cache-dir" || key == "--cache";
-        if (!common && key != "--socket" && key != "--max-active" &&
-            key != "--job-quota" && key != "--drain-wait-ms")
-            return "unknown option '" + key + "'";
-        if (!inline_value) {
-            if (i + 1 >= args.size())
-                return key + " needs a value";
-            value = args[++i];
-        }
-
-        int n = 0;
-        std::uint64_t quota = 0;
-        std::string error;
-        if (common) {
-            engine::parseCommonFlag(key, value, flags, error);
-            if (!error.empty())
-                return error;
-        } else if (key == "--socket") {
-            cfg.socketPath = value;
-        } else if (key == "--max-active" && parseInt(value, n) && n > 0) {
-            cfg.maxActive = n;
-        } else if (key == "--job-quota" && parseInt(value, quota)) {
-            cfg.jobQuota = quota;
-        } else if (key == "--drain-wait-ms" && parseInt(value, n) &&
-                   n >= 0) {
-            cfg.drainWaitMs = n;
-        } else {
-            return "bad value '" + value + "' for " + key;
-        }
-    }
-
-    if (cfg.socketPath.empty())
-        return "--socket is required";
-    if (std::string error = engine::validateCommonFlags(flags);
-        !error.empty())
-        return error;
-    cfg.jobs = flags.jobs;
-    cfg.cacheDir = flags.cacheDir;
-    cfg.cacheMode = flags.cacheMode;
-    return {};
+    engine::CommonFlags common;
+    std::string error = engine::FlagSet(showHelp)
+                            .add(kDaemonFlags, cfg)
+                            .add(engine::engineFlags(), common)
+                            .parse(args);
+    if (error.empty() && !showHelp && cfg.socketPath.empty())
+        error = "--socket is required";
+    if (error.empty())
+        error = engine::validateCommonFlags(common);
+    cfg.engine = engine::makeEngineConfig(common);
+    return error;
 }
 
 Daemon::Daemon(DaemonConfig config)
-    : config_(std::move(config)),
-      engine_(engine::EngineConfig{config_.jobs, config_.cacheDir,
-                                   config_.cacheMode}),
+    : config_(std::move(config)), engine_(config_.engine),
       admission_(config_.maxActive)
 {
 }

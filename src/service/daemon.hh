@@ -90,12 +90,8 @@ struct DaemonConfig
     /** Filesystem path of the listening Unix socket. */
     std::string socketPath;
 
-    /** Engine worker threads; <= 0 means hardware concurrency. */
-    int jobs = 0;
-
-    /** Result-cache directory; empty runs the engine uncached. */
-    std::string cacheDir;
-    cache::Mode cacheMode = cache::Mode::ReadWrite;
+    /** The shared engine: worker threads and result cache. */
+    engine::EngineConfig engine;
 
     /** Submissions allowed to run concurrently (clamped >= 1). */
     int maxActive = 2;
@@ -113,12 +109,12 @@ struct DaemonConfig
 
 /**
  * Parse canond's arguments (argv without the program name) into
- * @p cfg, in the "--key value" and "--key=value" spellings: --socket
- * (required), --max-active, --job-quota, --drain-wait-ms, and the
- * --jobs/--cache-dir/--cache grammar shared with canonsim. Requests
- * carry no shard or observability options, so those common flags are
- * unknown here. --help/-h sets @p showHelp and stops parsing. Returns
- * an empty string on success, otherwise the usage error.
+ * @p cfg with engine::FlagSet: --socket (required unless --help),
+ * --max-active, --job-quota, --drain-wait-ms, --help, and the
+ * engine::engineFlags() rows (--jobs, --cache-dir, --cache) shared
+ * with canonsim. Requests carry no shard or observability options,
+ * so those common flags are unknown here. Returns an empty string on
+ * success, otherwise the usage error.
  */
 std::string parseDaemonArgs(const std::vector<std::string> &args,
                             DaemonConfig &cfg, bool &showHelp);

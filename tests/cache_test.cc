@@ -921,6 +921,40 @@ TEST(CachedPool, RepeatedKeyWaitsForItsFirstJob)
     }
 }
 
+TEST(CachedPool, ReadwriteReplacesAnEntryItCannotDecode)
+{
+    // Two jobs of one key over an entry accept() rejects: the first
+    // misses and its recompute replaces the entry, so the repeat hits.
+    const std::string dir = scratchDir("cache_pool_replace");
+    const ScenarioKey key = figureKey("pool", "t", "k=0");
+    ASSERT_TRUE(ResultStore(dir, Mode::Refresh).store(key, "garbage"));
+
+    std::atomic<int> computed{0};
+    std::vector<runner::JobStatus> status(2);
+    std::vector<runner::CachedJob> jobs(2);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        jobs[i].key = key;
+        jobs[i].compute = [&computed] {
+            computed.fetch_add(1);
+            return std::string("value-0");
+        };
+        jobs[i].accept = [](const std::string &p) {
+            return p == "value-0";
+        };
+        jobs[i].status = &status[i];
+    }
+    ResultStore store(dir, Mode::ReadWrite);
+    runner::ScenarioPool(2).runCached(jobs, &store);
+    EXPECT_EQ(computed.load(), 1);
+    EXPECT_TRUE(status[0].cacheStored);
+    EXPECT_TRUE(status[1].cacheHit);
+    EXPECT_EQ(store.stats().hits, 1u);
+    EXPECT_EQ(store.stats().misses, 1u);
+    EXPECT_EQ(store.stats().stores, 1u);
+    EXPECT_EQ(store.lookup(key), "value-0");
+    EXPECT_EQ(entryCount(dir), 1u);
+}
+
 // ---- canonsim end to end ----------------------------------------------
 
 struct RunOutput
@@ -1073,17 +1107,17 @@ TEST(CachedRunScenario, RefreshOverwritesStaleEntries)
     }
     EXPECT_EQ(corrupted, 6u);
 
-    // readwrite tolerates the corruption by re-running (and, since
-    // the entries exist, leaves them stale). A fetched-but-
-    // undecodable entry is exactly one miss, never also a hit.
+    // readwrite tolerates the corruption by re-running and replacing
+    // each entry. A fetched-but-undecodable entry is exactly one miss,
+    // never also a hit.
     auto tolerant = runCanonsim(cached_args, dir + "tolerant.csv");
     ASSERT_EQ(tolerant.rc, 0) << tolerant.err;
-    EXPECT_NE(tolerant.out.find("cache: 0 hits, 6 misses"),
+    EXPECT_NE(tolerant.out.find("cache: 0 hits, 6 misses, 6 stored"),
               std::string::npos)
         << tolerant.out;
     EXPECT_EQ(tolerant.csv, cold.csv);
 
-    // ...and refresh rewrites them for good.
+    // ...and refresh rewrites them all again.
     auto refresh_args = cached_args;
     refresh_args.insert(refresh_args.end(), {"--cache", "refresh"});
     auto refreshed = runCanonsim(refresh_args, "");

@@ -17,6 +17,7 @@
 #include <limits>
 #include <sstream>
 
+#include "argv.hh"
 #include "cache/key.hh"
 #include "cli/driver.hh"
 #include "cli/options.hh"
@@ -268,6 +269,31 @@ TEST(CliOptions, RejectsUnknownOptionArchAndMissingValue)
     EXPECT_FALSE(parse({"--frobnicate", "1"}).ok);
     EXPECT_FALSE(parse({"--arch", "tpu"}).ok);
     EXPECT_FALSE(parse({"--m"}).ok);
+}
+
+TEST(CliOptions, ValuelessFlagsRejectAValue)
+{
+    // --dry-run=no must not run a dry run, nor --help=no show help.
+    for (const std::string flag : {"help", "list", "dry-run", "probe-spad",
+                                   "cycle-accounting", "host-timers"}) {
+        const auto res = parse({"--" + flag + "=no"});
+        EXPECT_FALSE(res.ok) << flag;
+        EXPECT_EQ(res.error, "option '--" + flag + "' takes no value");
+    }
+    EXPECT_EQ(parse({"-h=no"}).error, "option '--help' takes no value");
+    EXPECT_TRUE(parse({"-h"}).options.showHelp);
+}
+
+TEST(CliOptions, CsvPathIsCheckedAtParseTime)
+{
+    // Like the obs output paths: a bad --csv fails before anything
+    // simulates, not after the table is printed.
+    const auto res = parse({"--csv", "/nonexistent-dir/x.csv"});
+    EXPECT_FALSE(res.ok);
+    EXPECT_EQ(res.error, "option '--csv': directory '/nonexistent-dir'"
+                         " does not exist");
+    const auto ok = parse({"--csv", ::testing::TempDir() + "x.csv"});
+    EXPECT_TRUE(ok.ok) << ok.error;
 }
 
 TEST(CliOptions, ParsesSweepAxesAndJobs)
@@ -992,15 +1018,16 @@ TEST(OptionFuzz, CommonFlagGrammarNeverThrows)
     };
     std::uint64_t seed = 60;
     for (const auto &[flag, valid] : flags) {
-        EXPECT_TRUE(engine::isCommonFlag(flag)) << flag;
+        ASSERT_NE(commonRow(flag + 2), nullptr) << flag;
         for (const auto &value : signedFuzzInputs(valid, seed++)) {
+            const std::string joined = std::string(flag) + "=" + value;
             engine::CommonFlags common;
-            std::string err;
-            EXPECT_NO_THROW(
-                engine::parseCommonFlag(flag, value, common, err))
+            EXPECT_NO_THROW(parseCommon({flag, value}, common))
                 << flag << " " << value;
+            EXPECT_NO_THROW(parseCommon({joined}, common)) << joined;
             EXPECT_NO_THROW(engine::validateCommonFlags(common));
             EXPECT_NO_THROW(parseArgs({flag, value}));
+            EXPECT_NO_THROW(parseArgs({joined}));
         }
     }
 }

@@ -17,6 +17,7 @@
 #include <set>
 #include <sstream>
 
+#include "argv.hh"
 #include "cache/key.hh"
 #include "cli/driver.hh"
 #include "cli/options.hh"
@@ -71,15 +72,10 @@ render(const ResultSet &rs)
 TEST(CommonFlags, ParsesTheSharedGrammar)
 {
     CommonFlags flags;
-    std::string err;
-    EXPECT_EQ(parseCommonFlag("--jobs", "4", flags, err),
-              FlagParse::Ok);
-    EXPECT_EQ(parseCommonFlag("--shard", "1/4", flags, err),
-              FlagParse::Ok);
-    EXPECT_EQ(parseCommonFlag("--cache-dir", "/tmp/c", flags, err),
-              FlagParse::Ok);
-    EXPECT_EQ(parseCommonFlag("--cache", "refresh", flags, err),
-              FlagParse::Ok);
+    EXPECT_EQ(parseCommon({"--jobs", "4", "--shard", "1/4", "--cache-dir",
+                           "/tmp/c", "--cache", "refresh"},
+                          flags),
+              "");
     EXPECT_EQ(flags.jobs, 4);
     EXPECT_EQ(flags.shard.index, 1);
     EXPECT_EQ(flags.shard.count, 4);
@@ -87,16 +83,17 @@ TEST(CommonFlags, ParsesTheSharedGrammar)
     EXPECT_EQ(flags.cacheMode, cache::Mode::Refresh);
     EXPECT_TRUE(validateCommonFlags(flags).empty());
 
-    EXPECT_EQ(parseCommonFlag("--sparsity", "0.5", flags, err),
-              FlagParse::NotCommon);
-    EXPECT_FALSE(isCommonFlag("--sparsity"));
-    EXPECT_TRUE(isCommonFlag("--jobs"));
+    EXPECT_EQ(parseCommon({"--sparsity", "0.5"}, flags),
+              "unknown option '--sparsity' (see --help)");
+    EXPECT_EQ(commonRow("sparsity"), nullptr);
+    ASSERT_NE(commonRow("jobs"), nullptr);
+    EXPECT_TRUE(commonRow("jobs")->takesValue);
 }
 
 TEST(CommonFlags, ErrorsMatchTheCliParser)
 {
     // Both canonsim and the benches report a bad common flag with
-    // exactly the shared parser's message.
+    // exactly the shared row's message.
     const std::pair<const char *, const char *> bad[] = {
         {"--jobs", "0"},      {"--jobs", "257"}, {"--jobs", "many"},
         {"--shard", "2"},     {"--shard", "2/2"}, {"--shard", "a/b"},
@@ -104,10 +101,8 @@ TEST(CommonFlags, ErrorsMatchTheCliParser)
     };
     for (const auto &[key, value] : bad) {
         CommonFlags flags;
-        std::string err;
-        ASSERT_EQ(parseCommonFlag(key, value, flags, err),
-                  FlagParse::Error)
-            << key << " " << value;
+        const std::string err = parseCommon({key, value}, flags);
+        ASSERT_NE(err, "") << key << " " << value;
         auto res = parse({key, std::string(value)});
         ASSERT_FALSE(res.ok) << key;
         EXPECT_EQ(res.error, err) << key << " " << value;
@@ -117,9 +112,7 @@ TEST(CommonFlags, ErrorsMatchTheCliParser)
 TEST(CommonFlags, CacheModeRequiresDirectory)
 {
     CommonFlags flags;
-    std::string err;
-    ASSERT_EQ(parseCommonFlag("--cache", "read", flags, err),
-              FlagParse::Ok);
+    ASSERT_EQ(parseCommon({"--cache", "read"}, flags), "");
     EXPECT_EQ(validateCommonFlags(flags),
               "option '--cache' requires --cache-dir");
 }

@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "argv.hh"
 #include "cli/options.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -47,50 +48,41 @@ namespace
 // Flag grammar.
 // ---------------------------------------------------------------------
 
-engine::FlagParse
-offer(const std::string &key, const std::string &value,
-      engine::CommonFlags &out)
+/** Offer one flag (a value-less one when @p value is null). */
+std::string
+offer(const std::string &key, const char *value, engine::CommonFlags &out)
 {
-    std::string err;
-    return engine::parseCommonFlag(key, value, out, err);
+    return value ? parseCommon({key, value}, out) : parseCommon({key}, out);
 }
 
 TEST(ObsFlags, RecognizedAsCommon)
 {
-    EXPECT_TRUE(engine::isCommonFlag("--sample-every"));
-    EXPECT_TRUE(engine::isCommonFlag("--series-out"));
-    EXPECT_TRUE(engine::isCommonFlag("--trace-out"));
-    EXPECT_TRUE(engine::isCommonFlag("--stats-json"));
-    EXPECT_FALSE(engine::isCommonFlag("--sample"));
+    EXPECT_NE(commonRow("sample-every"), nullptr);
+    EXPECT_NE(commonRow("series-out"), nullptr);
+    EXPECT_NE(commonRow("trace-out"), nullptr);
+    EXPECT_NE(commonRow("stats-json"), nullptr);
+    EXPECT_EQ(commonRow("sample"), nullptr);
 }
 
 TEST(ObsFlags, SampleEveryParsesAndRejects)
 {
     engine::CommonFlags f;
-    EXPECT_EQ(offer("--sample-every", "50", f),
-              engine::FlagParse::Ok);
+    EXPECT_EQ(offer("--sample-every", "50", f), "");
     EXPECT_EQ(f.obs.sampleEvery, 50u);
 
     for (const char *bad : {"0", "-3", "abc", "1000000001", ""}) {
         engine::CommonFlags g;
-        std::string err;
-        EXPECT_EQ(engine::parseCommonFlag("--sample-every", bad, g,
-                                          err),
-                  engine::FlagParse::Error)
+        EXPECT_NE(offer("--sample-every", bad, g), "")
             << "value '" << bad << "'";
-        EXPECT_FALSE(err.empty()) << "value '" << bad << "'";
     }
 }
 
 TEST(ObsFlags, OutputPathsParseAndRejectEmpty)
 {
     engine::CommonFlags f;
-    EXPECT_EQ(offer("--series-out", "s.csv", f),
-              engine::FlagParse::Ok);
-    EXPECT_EQ(offer("--trace-out", "t.json", f),
-              engine::FlagParse::Ok);
-    EXPECT_EQ(offer("--stats-json", "j.json", f),
-              engine::FlagParse::Ok);
+    EXPECT_EQ(offer("--series-out", "s.csv", f), "");
+    EXPECT_EQ(offer("--trace-out", "t.json", f), "");
+    EXPECT_EQ(offer("--stats-json", "j.json", f), "");
     EXPECT_EQ(f.obs.seriesOut, "s.csv");
     EXPECT_EQ(f.obs.traceOut, "t.json");
     EXPECT_EQ(f.obs.statsJsonOut, "j.json");
@@ -98,36 +90,31 @@ TEST(ObsFlags, OutputPathsParseAndRejectEmpty)
     for (const char *key :
          {"--series-out", "--trace-out", "--stats-json"}) {
         engine::CommonFlags g;
-        EXPECT_EQ(offer(key, "", g), engine::FlagParse::Error)
-            << key;
+        EXPECT_NE(offer(key, "", g), "") << key;
     }
 }
 
 TEST(ObsFlags, BooleanFlagsParseAndRejectValues)
 {
-    EXPECT_TRUE(engine::isCommonFlag("--cycle-accounting"));
-    EXPECT_TRUE(engine::isCommonFlag("--host-timers"));
-    EXPECT_TRUE(engine::isCommonBoolFlag("--cycle-accounting"));
-    EXPECT_TRUE(engine::isCommonBoolFlag("--host-timers"));
-    EXPECT_FALSE(engine::isCommonBoolFlag("--sample-every"));
-    EXPECT_FALSE(engine::isCommonBoolFlag("--series-out"));
+    for (const char *name : {"cycle-accounting", "host-timers"}) {
+        ASSERT_NE(commonRow(name), nullptr) << name;
+        EXPECT_FALSE(commonRow(name)->takesValue) << name;
+    }
+    EXPECT_TRUE(commonRow("sample-every")->takesValue);
+    EXPECT_TRUE(commonRow("series-out")->takesValue);
 
     engine::CommonFlags f;
-    EXPECT_EQ(offer("--cycle-accounting", "", f),
-              engine::FlagParse::Ok);
+    EXPECT_EQ(offer("--cycle-accounting", nullptr, f), "");
     EXPECT_TRUE(f.obs.cycleAccounting);
-    EXPECT_EQ(offer("--host-timers", "", f), engine::FlagParse::Ok);
+    EXPECT_EQ(offer("--host-timers", nullptr, f), "");
     EXPECT_TRUE(f.obs.hostTimers);
 
     // Boolean knobs take no value: --cycle-accounting=on is a typo,
     // not a request.
-    for (const char *key : {"--cycle-accounting", "--host-timers"}) {
+    for (const std::string key : {"--cycle-accounting", "--host-timers"}) {
         engine::CommonFlags g;
-        std::string err;
-        EXPECT_EQ(engine::parseCommonFlag(key, "on", g, err),
-                  engine::FlagParse::Error)
-            << key;
-        EXPECT_FALSE(err.empty()) << key;
+        EXPECT_EQ(parseCommon({key + "=on"}, g),
+                  "option '" + key + "' takes no value");
     }
 }
 

@@ -419,9 +419,9 @@ TEST(DaemonArgs, AcceptsEveryDaemonFlagInBothSpellings)
         EXPECT_EQ(parseDaemonArgs(args, cfg, help), "");
         EXPECT_FALSE(help);
         EXPECT_EQ(cfg.socketPath, "s.sock");
-        EXPECT_EQ(cfg.jobs, 3);
-        EXPECT_EQ(cfg.cacheDir, "cache");
-        EXPECT_EQ(cfg.cacheMode, cache::Mode::Read);
+        EXPECT_EQ(cfg.engine.jobs, 3);
+        EXPECT_EQ(cfg.engine.cacheDir, "cache");
+        EXPECT_EQ(cfg.engine.cacheMode, cache::Mode::Read);
         EXPECT_EQ(cfg.maxActive, 5);
         EXPECT_EQ(cfg.jobQuota, 7u);
         EXPECT_EQ(cfg.drainWaitMs, 0);
@@ -431,9 +431,9 @@ TEST(DaemonArgs, AcceptsEveryDaemonFlagInBothSpellings)
     DaemonConfig cfg;
     bool help = false;
     EXPECT_EQ(parseDaemonArgs({"--socket", "s"}, cfg, help), "");
-    EXPECT_EQ(cfg.jobs, 0);
-    EXPECT_TRUE(cfg.cacheDir.empty());
-    EXPECT_EQ(cfg.cacheMode, cache::Mode::ReadWrite);
+    EXPECT_EQ(cfg.engine.jobs, 0);
+    EXPECT_TRUE(cfg.engine.cacheDir.empty());
+    EXPECT_EQ(cfg.engine.cacheMode, cache::Mode::ReadWrite);
     EXPECT_EQ(cfg.maxActive, 2);
     for (const char *flag : {"--help", "-h"}) {
         help = false;
@@ -462,7 +462,8 @@ TEST(DaemonArgs, RejectsIgnoredFlagsAndNamesTheFlagOfABadValue)
              {"--cycle-accounting"},
              {"--host-timers"},
              {"--bogus", "1"}})
-        EXPECT_EQ(parse(args), "unknown option '" + args[0] + "'");
+        EXPECT_EQ(parse(args),
+                  "unknown option '" + args[0] + "' (see --help)");
 
     EXPECT_EQ(parse({"--max-active", "0"}),
               "bad value '0' for --max-active");
@@ -471,7 +472,8 @@ TEST(DaemonArgs, RejectsIgnoredFlagsAndNamesTheFlagOfABadValue)
               "bad value '-1' for --job-quota");
     EXPECT_EQ(parse({"--drain-wait-ms", "-5"}),
               "bad value '-5' for --drain-wait-ms");
-    EXPECT_EQ(parse({"--max-active"}), "--max-active needs a value");
+    EXPECT_EQ(parse({"--max-active"}),
+              "option '--max-active' expects a value");
     EXPECT_EQ(parse({"--jobs", "0"}),
               "option '--jobs' expects an integer in [1, 256], got '0'");
     EXPECT_NE(parse({"--cache-dir", "d", "--cache", "ro"})
@@ -484,6 +486,90 @@ TEST(DaemonArgs, RejectsIgnoredFlagsAndNamesTheFlagOfABadValue)
     bool help = false;
     EXPECT_EQ(parseDaemonArgs({"--jobs", "2"}, cfg, help),
               "--socket is required");
+}
+
+TEST(DaemonArgs, HelpDoesNotHideAUsageError)
+{
+    DaemonConfig cfg;
+    bool help = false;
+    EXPECT_EQ(parseDaemonArgs({"--help", "--bogus"}, cfg, help),
+              "unknown option '--bogus' (see --help)");
+    EXPECT_EQ(parseDaemonArgs({"--help", "--cache", "read"}, cfg, help),
+              "option '--cache' requires --cache-dir");
+}
+
+// ---- canonctl arguments -----------------------------------------------
+
+TEST(CtlArgs, AcceptsEveryFlagInBothSpellings)
+{
+    const std::vector<std::pair<std::string, std::string>> flags = {
+        {"--socket", "s.sock"},      {"--client", "alice"},
+        {"--priority", "-3"},        {"--opt", "workload=gemm"},
+        {"--sweep", "seed=1,2"},     {"--arch", "all"}};
+    std::vector<std::string> split = {"submit"}, joined = {"submit"};
+    for (const auto &[key, value] : flags) {
+        split.insert(split.end(), {key, value});
+        joined.push_back(key + "=" + value);
+    }
+    for (const auto &args : {split, joined}) {
+        CtlArgs out;
+        EXPECT_EQ(parseCtlArgs(args, out), "");
+        EXPECT_EQ(out.socket, "s.sock");
+        EXPECT_EQ(out.command, "submit");
+        EXPECT_EQ(out.body.client, "alice");
+        EXPECT_EQ(out.body.priority, -3);
+        ASSERT_EQ(out.body.entries.size(), 3u);
+        EXPECT_EQ(out.body.entries[0].key, "workload");
+        EXPECT_EQ(out.body.entries[0].value, "gemm");
+        EXPECT_EQ(out.body.entries[1].key, "seed");
+        EXPECT_EQ(out.body.entries[1].value, "1,2");
+        EXPECT_EQ(out.body.entries[2].value, "all");
+        EXPECT_FALSE(out.showHelp);
+    }
+
+    // The '=' spelling of --socket, as every other binary accepts.
+    CtlArgs list;
+    EXPECT_EQ(parseCtlArgs({"--socket=svc/canond.sock", "list"}, list), "");
+    EXPECT_EQ(list.socket, "svc/canond.sock");
+    EXPECT_EQ(list.command, "list");
+
+    CtlArgs cancel;
+    EXPECT_EQ(parseCtlArgs({"cancel", "42", "--socket", "s"}, cancel), "");
+    EXPECT_EQ(cancel.cancelId, 42u);
+
+    for (const char *flag : {"--help", "-h"}) {
+        CtlArgs help;
+        EXPECT_EQ(parseCtlArgs({flag}, help), "") << flag;
+        EXPECT_TRUE(help.showHelp) << flag;
+    }
+}
+
+TEST(CtlArgs, RejectsMalformedInput)
+{
+    auto parse = [](std::vector<std::string> args) {
+        CtlArgs out;
+        return parseCtlArgs(args, out);
+    };
+    EXPECT_EQ(parse({"list"}), "--socket is required");
+    EXPECT_EQ(parse({"--socket", "s"}), "no command");
+    EXPECT_EQ(parse({"--socket", "s", "frob"}), "unknown command 'frob'");
+    EXPECT_EQ(parse({"--socket", "s", "cancel"}), "cancel needs a job id");
+    EXPECT_EQ(parse({"--socket", "s", "cancel", "x"}), "bad job id 'x'");
+    EXPECT_EQ(parse({"--socket", "s", "list", "x"}), "bad argument 'x'");
+    EXPECT_EQ(parse({"--socket"}), "option '--socket' expects a value");
+    EXPECT_EQ(parse({"--socket", "s", "submit", "--priority", "hi"}),
+              "bad --priority 'hi'");
+    EXPECT_EQ(parse({"--socket", "s", "submit", "--opt", "=1"}),
+              "--opt needs KEY=VALUE");
+    EXPECT_EQ(parse({"--socket", "s", "submit", "--sweep", "seed"}),
+              "--sweep needs KEY=VALUES");
+    EXPECT_EQ(parse({"--socket", "s", "list", "--bogus"}),
+              "unknown option '--bogus' (see --help)");
+    EXPECT_EQ(parse({"--socket", "s", "list", "--help=1"}),
+              "option '--help' takes no value");
+    // --help never hides a usage error.
+    EXPECT_EQ(parse({"--help", "--bogus"}),
+              "unknown option '--bogus' (see --help)");
 }
 
 // ---- daemon end-to-end ------------------------------------------------
@@ -509,8 +595,8 @@ struct DaemonFixture
         const std::string dir = scratchDir(name);
         socket = dir + "canond.sock";
         cfg.socketPath = socket;
-        if (cfg.jobs == 0)
-            cfg.jobs = 2;
+        if (cfg.engine.jobs == 0)
+            cfg.engine.jobs = 2;
         daemon = std::make_unique<Daemon>(cfg);
         const std::string error = daemon->start();
         EXPECT_TRUE(error.empty()) << error;
@@ -769,7 +855,7 @@ TEST(Daemon, PlanOfAnInvalidRequestIsRejected)
 TEST(Daemon, WarmRerunAndPerRequestDeltasForSequentialClients)
 {
     DaemonConfig cfg;
-    cfg.cacheDir = scratchDir("svc_warm_cache") + "cache";
+    cfg.engine.cacheDir = scratchDir("svc_warm_cache") + "cache";
     DaemonFixture fx("svc_warm", cfg);
 
     // Client A runs cold: the delta reports 3 misses, 3 stores.
@@ -818,7 +904,7 @@ TEST(Daemon, WarmRerunAndPerRequestDeltasForSequentialClients)
 TEST(Daemon, ConcurrentClientsGetByteIdenticalStreams)
 {
     DaemonConfig cfg;
-    cfg.cacheDir = scratchDir("svc_conc_cache") + "cache";
+    cfg.engine.cacheDir = scratchDir("svc_conc_cache") + "cache";
     cfg.maxActive = 4;
     DaemonFixture fx("svc_conc", cfg);
 
@@ -875,7 +961,7 @@ TEST(Daemon, ConcurrentClientsGetByteIdenticalStreams)
 TEST(Daemon, QuotaRejectsColdSweepButAdmitsWarmTwin)
 {
     DaemonConfig cfg;
-    cfg.cacheDir = scratchDir("svc_quota_cache") + "cache";
+    cfg.engine.cacheDir = scratchDir("svc_quota_cache") + "cache";
     cfg.jobQuota = 1;
     DaemonFixture fx("svc_quota", cfg);
     Client c = fx.connect();
@@ -922,7 +1008,7 @@ TEST(Daemon, QuotaRejectsColdSweepButAdmitsWarmTwin)
 TEST(Daemon, QuotaAdmitsOnTheForecastOfARepeatedKey)
 {
     DaemonConfig cfg;
-    cfg.cacheDir = scratchDir("svc_quota_repeat_cache") + "cache";
+    cfg.engine.cacheDir = scratchDir("svc_quota_repeat_cache") + "cache";
     cfg.jobQuota = 3;
     DaemonFixture fx("svc_quota_repeat", cfg);
     Client c = fx.connect();
@@ -949,7 +1035,7 @@ TEST(Daemon, QuotaAdmitsOnTheForecastOfARepeatedKey)
 TEST(Daemon, CancelFromASecondConnection)
 {
     DaemonConfig cfg;
-    cfg.jobs = 1; // serialize scenarios so the cancel lands mid-run
+    cfg.engine.jobs = 1; // serialize scenarios so the cancel lands mid-run
     DaemonFixture fx("svc_cancel", cfg);
 
     SubmitBody body;
@@ -1081,7 +1167,7 @@ TEST(Daemon, DrainDeadlineUnblocksAClientThatStoppedReading)
     // frame. Past the drain deadline stop() must cancel the job, get
     // the worker out of its send and return 1 -- not hang.
     DaemonConfig cfg;
-    cfg.jobs = 1;
+    cfg.engine.jobs = 1;
     cfg.drainWaitMs = 200;
     DaemonFixture fx("svc_stalled", cfg);
 
@@ -1121,9 +1207,9 @@ TEST(Daemon, AClientThatStopsReadingHoldsOnlyItsHandlerThread)
     // blocks, and the other worker simulates and stores every
     // scenario meanwhile. No send deadline is involved.
     DaemonConfig cfg;
-    cfg.jobs = 2;
+    cfg.engine.jobs = 2;
     const std::string cache = scratchDir("svc_stalled_two_cache");
-    cfg.cacheDir = cache;
+    cfg.engine.cacheDir = cache;
     DaemonFixture fx("svc_stalled_two", cfg);
     Fd fd;
     ASSERT_NO_FATAL_FAILURE(submitAndStopReading(fx, fd));
